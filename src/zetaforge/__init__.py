@@ -70,6 +70,7 @@ from .scheme_algebra import (
     Point,
     Proj,
     SchemeExpr,
+    parse_expr,
     validate,
     weil_order_data,
     zeta_of,
@@ -87,10 +88,3 @@ from .zetarep import (
 )
 
 __version__ = "0.1.0"
-
-
-def parse_expr(src: str) -> SchemeExpr:
-    """Parse the s-expression DSL (see the cli module for the grammar)."""
-    from .cli import parse_expr as _parse
-
-    return _parse(src)

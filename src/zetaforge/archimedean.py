@@ -19,20 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EulerOnlyDataError
+from .errors import EulerOnlyDataError, InvalidArgumentError, InvariantViolationError
 from .intlinalg import parity_sign
-from .scheme_algebra import (
-    Affine,
-    Cellular,
-    Curve,
-    Disjoint,
-    Glue,
-    Minus,
-    NumberRing,
-    Point,
-    Proj,
-    SchemeExpr,
-)
+from .scheme_algebra import NormalForm, NumberRing, SchemeExpr, normalize
 
 __all__ = [
     "EquivariantBetti",
@@ -79,59 +68,37 @@ class EquivariantBetti:
         return self.chi_even if n % 2 == 0 else self.chi_odd
 
 
-def _dims_and_chi(e: SchemeExpr, parity: int):
-    """(dims-or-None, chi) for evaluation points n of the given parity."""
-    if isinstance(e, (Point, Curve)):
-        return {}, 0  # no complex points
-    if isinstance(e, NumberRing):
-        r1, r2 = e.field_spec.signature
-        d = r2 if parity else r1 + r2
-        return ({0: d} if d else {}), d
-    if isinstance(e, Disjoint):
-        parts = [_dims_and_chi(c, parity) for c in e.children()]
-        chi = sum(c for _, c in parts)
-        if any(dims is None for dims, _ in parts):
-            return None, chi
-        merged: dict[int, int] = {}
-        for dims, _ in parts:
-            for i, v in dims.items():
-                merged[i] = merged.get(i, 0) + v
-        return merged, chi
-    if isinstance(e, Glue):
-        _, chi_z = _dims_and_chi(e.closed, parity)
-        _, chi_u = _dims_and_chi(e.open_part, parity)
-        return None, chi_z + chi_u
-    if isinstance(e, Minus):
-        _, chi_x = _dims_and_chi(e.total, parity)
-        _, chi_z = _dims_and_chi(e.closed, parity)
-        return None, chi_x - chi_z
-    if isinstance(e, Affine):
-        dims, chi = _dims_and_chi(e.base, (parity + e.r) % 2)
-        if dims is not None:
-            dims = {i + 2 * e.r: v for i, v in dims.items()}
-        return dims, chi
-    if isinstance(e, Proj):
-        return _dims_and_chi(Cellular(e.base, tuple(range(e.r + 1))), parity)
-    if isinstance(e, Cellular):
-        parts = [_dims_and_chi(Affine(r, e.base), parity) for r in e.ranks]
-        chi = sum(c for _, c in parts)
-        if any(dims is None for dims, _ in parts):
-            return None, chi
-        merged = {}
-        for dims, _ in parts:
-            for i, v in dims.items():
-                merged[i] = merged.get(i, 0) + v
-        return merged, chi
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+def _atom_dim(atom, parity: int) -> int:
+    """dim H^0_c(X(C), R(n))^{G_R} of an atom at weights n of the given
+    parity; finite-field atoms have no complex points."""
+    if not isinstance(atom, NumberRing):
+        return 0
+    r1, r2 = atom.field_spec.signature
+    return r2 if parity else r1 + r2
+
+
+def _dims_and_chi(nf: NormalForm, parity: int):
+    """(dims-or-None, chi) for evaluation points n of the given parity: a
+    term c * [atom] * L^r adds c times the atom's dimension at parity
+    n + r, in degree 2r."""
+    dims = {} if nf.graded else None
+    chi = 0
+    for (atom, r), c in nf.terms.items():
+        d = _atom_dim(atom, (parity + r) % 2)
+        chi += c * d
+        if dims is not None and d:
+            dims[2 * r] = dims.get(2 * r, 0) + c * d
+    return dims, chi
 
 
 def equivariant_dims(e: SchemeExpr, n: int) -> EquivariantBetti:
     """Parity-indexed equivariant Betti data; `n` picks nothing beyond its
     sign convention (both parities are always populated)."""
     if n >= 0:
-        raise ValueError("defined for strictly negative weights")
-    dims_even, chi_even = _dims_and_chi(e, 0)
-    dims_odd, chi_odd = _dims_and_chi(e, 1)
+        raise InvalidArgumentError("defined for strictly negative weights")
+    nf = normalize(e)
+    dims_even, chi_even = _dims_and_chi(nf, 0)
+    dims_odd, chi_odd = _dims_and_chi(nf, 1)
     return EquivariantBetti(dims_even, dims_odd, chi_even, chi_odd)
 
 
@@ -145,8 +112,8 @@ def secondary_euler_vo(e: SchemeExpr, n: int) -> int:
 
     The splitting rk H^i_{W,c} = d_{i-1} + d_{i-2}, with d_j the
     equivariant Betti dimensions, turns the weighted sum into the plain
-    Euler characteristic; both are computed independently here and the
-    equality is asserted.
+    Euler characteristic; both are computed independently here and their
+    equality is checked.
     """
     data = equivariant_dims(e, n)
     dims = data.dims(n)
@@ -163,7 +130,8 @@ def secondary_euler_vo(e: SchemeExpr, n: int) -> int:
     for i in range(lo, hi + 1):
         rank_w = dims.get(i - 1, 0) + dims.get(i - 2, 0)
         total += parity_sign(i) * i * rank_w
-    assert total == data.chi(n), "weighted-rank route disagrees with chi"
+    if total != data.chi(n):
+        raise InvariantViolationError("weighted-rank route disagrees with chi")
     return total
 
 

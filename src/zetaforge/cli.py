@@ -1,17 +1,12 @@
 """Command-line front end.
 
-Scheme expressions are written as s-expressions:
+Scheme expressions are written as s-expressions; the grammar is in the
+docstring of `scheme_algebra.parse_expr`.
 
-    (point q [m])                      Spec F_{q^m} over F_q
-    (curve q (c0 c1 ...))              curve with L-polynomial c0 + c1 t + ...
-    (numberring :conductor f :subgroup (a b ...))
-    (Q) (Qi)                           shorthands for Spec Z, Spec Z[i]
-    (disjoint e ...)  (glue z u)  (minus x z)
-    (affine r e)  (proj r e)  (cellular e (r1 r2 ...))
-
-Verbs: zeta, ord, value, verify-c, verify-vo, trace-check, ell-check,
-p-check, det, batch.  Reports print as text or JSON; exit status is 0 when
-every requested verdict passes, 1 on a failed verdict, 2 on an error.
+Verbs: zeta, ord (alias verify-vo), value, verify-c, trace-check,
+ell-check, p-check, det, batch.  Reports print as text or JSON; exit status
+is 0 when every requested verdict passes, 1 on a failed verdict, 2 on an
+error.
 """
 
 from __future__ import annotations
@@ -24,173 +19,21 @@ import mpmath as mp
 
 from . import archimedean, ffengine
 from .detcomplex import cohomology, complex_from_json_dict, determinant
-from .errors import ArityError, ExprSyntaxError, ZetaforgeError
+from .errors import ZetaforgeError
 from .intlinalg import is_prime
-from .lfunctions import AbelianFieldSpec, Q, QI, default_precision
+from .lfunctions import default_precision
 from .scheme_algebra import (
-    Affine,
-    Cellular,
-    Curve,
-    Disjoint,
-    Glue,
-    Minus,
-    NumberRing,
-    Point,
-    Proj,
     SchemeExpr,
     format_expr,
     is_finite_characteristic,
+    parse_expr,
     validate,
     weil_order_data,
     zeta_of,
 )
 from .zetarep import evaluate_at, vanishing_order
 
-__all__ = ["parse_expr", "print_expr", "parse_hodge_json", "run_command", "main"]
-
-print_expr = format_expr
-
-
-# ---------------------------------------------------------------------------
-# s-expression parser
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < len(src) and not src[j].isspace() and src[j] not in "()":
-            j += 1
-        tokens.append((src[i:j], i))
-        i = j
-    return tokens
-
-
-def _parse_node(tokens, idx):
-    if idx >= len(tokens):
-        raise ExprSyntaxError("unexpected end of input")
-    text, pos = tokens[idx]
-    if text == "(":
-        items = []
-        idx += 1
-        while True:
-            if idx >= len(tokens):
-                raise ExprSyntaxError("missing closing parenthesis", pos)
-            if tokens[idx][0] == ")":
-                return (items, pos), idx + 1
-            node, idx = _parse_node(tokens, idx)
-            items.append(node)
-    if text == ")":
-        raise ExprSyntaxError("unexpected ')'", pos)
-    return (text, pos), idx + 1
-
-
-def _expect_int(node, what: str) -> int:
-    value, pos = node
-    if isinstance(value, list):
-        raise ExprSyntaxError(f"expected an integer for {what}", pos)
-    try:
-        return int(value)
-    except ValueError:
-        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos) from None
-
-
-def _expect_int_list(node, what: str) -> list[int]:
-    value, pos = node
-    if not isinstance(value, list):
-        raise ExprSyntaxError(f"expected a parenthesized list for {what}", pos)
-    return [_expect_int(item, what) for item in value]
-
-
-def _build_expr(node) -> SchemeExpr:
-    value, pos = node
-    if not isinstance(value, list):
-        raise ExprSyntaxError(f"expected an expression, got atom {value!r}", pos)
-    if not value:
-        raise ExprSyntaxError("empty expression", pos)
-    head, head_pos = value[0]
-    if isinstance(head, list):
-        raise ExprSyntaxError("expression head must be a symbol", head_pos)
-    head = head.lower()
-    args = value[1:]
-
-    def arity(expected: str, ok: bool):
-        if not ok:
-            raise ArityError(f"({head} ...) expects {expected}")
-
-    if head == "point":
-        arity("q [m]", len(args) in (1, 2))
-        q = _expect_int(args[0], "q")
-        m = _expect_int(args[1], "m") if len(args) == 2 else 1
-        return Point(q, m)
-    if head == "curve":
-        arity("q (c0 c1 ...)", len(args) == 2)
-        q = _expect_int(args[0], "q")
-        coeffs = _expect_int_list(args[1], "L-polynomial coefficients")
-        return Curve(q, tuple(coeffs))
-    if head == "q":
-        arity("no arguments", len(args) == 0)
-        return NumberRing(Q)
-    if head == "qi":
-        arity("no arguments", len(args) == 0)
-        return NumberRing(QI)
-    if head == "numberring":
-        conductor = None
-        subgroup = None
-        i = 0
-        while i < len(args):
-            key, key_pos = args[i]
-            if key == ":conductor":
-                conductor = _expect_int(args[i + 1], "conductor") if i + 1 < len(args) else None
-                i += 2
-            elif key == ":subgroup":
-                subgroup = _expect_int_list(args[i + 1], "subgroup") if i + 1 < len(args) else None
-                i += 2
-            else:
-                raise ExprSyntaxError(f"unknown numberring keyword {key!r}", key_pos)
-        if conductor is None:
-            raise ArityError("(numberring ...) requires :conductor")
-        if subgroup is None:
-            subgroup = [1]
-        return NumberRing(AbelianFieldSpec.from_generators(conductor, subgroup))
-    if head == "disjoint":
-        return Disjoint(tuple(_build_expr(a) for a in args))
-    if head == "glue":
-        arity("two expressions", len(args) == 2)
-        return Glue(_build_expr(args[0]), _build_expr(args[1]))
-    if head == "minus":
-        arity("two expressions", len(args) == 2)
-        return Minus(_build_expr(args[0]), _build_expr(args[1]))
-    if head == "affine":
-        arity("r and an expression", len(args) == 2)
-        return Affine(_expect_int(args[0], "r"), _build_expr(args[1]))
-    if head == "proj":
-        arity("r and an expression", len(args) == 2)
-        return Proj(_expect_int(args[0], "r"), _build_expr(args[1]))
-    if head == "cellular":
-        arity("an expression and (r1 r2 ...)", len(args) == 2)
-        return Cellular(_build_expr(args[0]), tuple(_expect_int_list(args[1], "cell ranks")))
-    raise ExprSyntaxError(f"unknown operation {head!r}", head_pos)
-
-
-def parse_expr(src: str) -> SchemeExpr:
-    """Parse a scheme expression; raises with a position on bad syntax."""
-    tokens = _tokenize(src)
-    if not tokens:
-        raise ExprSyntaxError("empty input")
-    node, idx = _parse_node(tokens, 0)
-    if idx != len(tokens):
-        raise ExprSyntaxError("trailing input after expression", tokens[idx][1])
-    return _build_expr(node)
+__all__ = ["parse_expr", "parse_hodge_json", "run_command", "main"]
 
 
 def parse_hodge_json(text: str) -> archimedean.HodgeData:
@@ -240,7 +83,7 @@ def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
         gamma = archimedean.gamma_factor_order(H, args.n)
         ok = gamma == chi
         return {
-            "command": "ord",
+            "command": args.verb,
             "n": args.n,
             "hodge_equivariant_dims": {str(i): d for i, d in sorted(dims.items())},
             "chi": chi,
@@ -252,7 +95,7 @@ def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
     conjectural = archimedean.vanishing_order_conjectural(expr, args.n)
     ok = analytic == conjectural
     return {
-        "command": "ord",
+        "command": args.verb,
         "expression": format_expr(expr),
         "n": args.n,
         "analytic_order": analytic,
@@ -260,12 +103,6 @@ def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
         "vo": "pass" if ok else "fail",
         "pass": ok,
     }, ok
-
-
-def _cmd_verify_vo(expr: SchemeExpr, args) -> tuple[dict, bool]:
-    report, ok = _cmd_ord(expr, args)
-    report["command"] = "verify-vo"
-    return report, ok
 
 
 def _cmd_value(expr: SchemeExpr, args) -> tuple[dict, bool]:
@@ -431,9 +268,7 @@ def run_command(args) -> tuple[dict, bool]:
     if verb == "batch":
         return _cmd_batch(args)
     expr = None
-    if verb == "ord" and getattr(args, "hodge", None):
-        pass
-    else:
+    if not getattr(args, "hodge", None):
         if args.expression is None:
             raise ZetaforgeError(f"{verb} requires an expression")
         expr = parse_expr(args.expression)
@@ -447,7 +282,7 @@ def run_command(args) -> tuple[dict, bool]:
         "ord": _cmd_ord,
         "value": _cmd_value,
         "verify-c": _cmd_verify_c,
-        "verify-vo": _cmd_verify_vo,
+        "verify-vo": _cmd_ord,
         "trace-check": _cmd_trace_check,
         "ell-check": _cmd_ell_check,
         "p-check": _cmd_p_check,
@@ -476,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--series-order", type=int, default=10, dest="series_order")
         p.add_argument("--ell", type=int, default=None, help="auxiliary prime for ell-check")
 
-    for verb in ("zeta", "value", "verify-c", "verify-vo", "trace-check", "ell-check", "p-check"):
+    for verb in ("zeta", "value", "verify-c", "trace-check", "ell-check", "p-check"):
         common(sub.add_parser(verb))
-    p_ord = sub.add_parser("ord")
+    p_ord = sub.add_parser("ord", aliases=["verify-vo"])
     common(p_ord)
     p_ord.add_argument("--hodge", default=None, help="inline Hodge-data JSON instead of an expression")
     p_det = sub.add_parser("det")

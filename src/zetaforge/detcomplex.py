@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteCohomologyError, NonChainMapError
+from .errors import InfiniteCohomologyError, InvariantViolationError, NonChainMapError
 from .intlinalg import (
     FinGenAbGroup,
     IntMatrix,
@@ -164,7 +164,8 @@ def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
     W = out.V @ C.differential(i - 1)
     rows = W.to_rows()
     for k in range(r):  # d o d = 0 lands the image inside the kernel
-        assert all(x == 0 for x in rows[k]), "image not contained in kernel"
+        if any(rows[k]):
+            raise InvariantViolationError("image not contained in kernel")
     M = W.row_slice(r, n)
     return cokernel(M)
 

@@ -13,6 +13,14 @@ class ZetaforgeError(Exception):
         self.message = message
 
 
+class InvalidArgumentError(ZetaforgeError, ValueError):
+    code = "invalid-argument"
+
+
+class InvariantViolationError(ZetaforgeError):
+    code = "invariant-violation"
+
+
 class InfiniteGroupError(ZetaforgeError):
     code = "infinite-group"
 

@@ -16,22 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharZeroAtomError, GradedDataUnavailableError, MixedBaseError
+from .errors import (
+    CharZeroAtomError,
+    GradedDataUnavailableError,
+    InvalidArgumentError,
+    MixedBaseError,
+)
 from .intlinalg import parity_sign, prime_power_base, rational_valuation
 from .scheme_algebra import (
-    Affine,
-    Cellular,
     Curve,
-    Disjoint,
-    Glue,
-    Minus,
-    NumberRing,
     Point,
-    Proj,
     SchemeExpr,
     base_prime_powers,
     format_expr,
     is_finite_characteristic,
+    normalize,
     weil_order_data,
     zeta_of,
 )
@@ -132,39 +131,35 @@ def _newton_power_sums(lpoly, K: int) -> list:
     return p
 
 
+def _point_counts(e: SchemeExpr, q: int, degrees) -> list[int]:
+    """#X(F_{q^k}) for each k in `degrees`, from one normalization: a term
+    c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
+    nf = normalize(e)
+    K = max(degrees, default=0)
+    sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms() if isinstance(a, Curve)}
+
+    def atom_count(atom, k):
+        if isinstance(atom, Point):
+            return atom.m if k % atom.m == 0 else 0
+        return q**k + 1 - sums[atom][k]
+
+    counts = []
+    for k in degrees:
+        n = sum(c * q ** (r * k) * atom_count(atom, k) for (atom, r), c in nf.terms.items())
+        if n < 0:
+            raise InvalidArgumentError(
+                f"negative point count {n}: the asserted decomposition is impossible"
+            )
+        counts.append(n)
+    return counts
+
+
 def point_count(e: SchemeExpr, k: int) -> int:
     """#X(F_{q^k}) computed combinatorially over the single base q."""
     if k < 1:
-        raise ValueError("field degree k must be >= 1")
+        raise InvalidArgumentError("field degree k must be >= 1")
     _require_finite_char(e)
-    q = _single_base(e)
-
-    def count(node: SchemeExpr, k: int) -> int:
-        if isinstance(node, Point):
-            return node.m if k % node.m == 0 else 0
-        if isinstance(node, Curve):
-            p = _newton_power_sums(node.lpoly, k)
-            return q**k + 1 - p[k]
-        if isinstance(node, Disjoint):
-            return sum(count(c, k) for c in node.children())
-        if isinstance(node, Glue):
-            return count(node.closed, k) + count(node.open_part, k)
-        if isinstance(node, Minus):
-            return count(node.total, k) - count(node.closed, k)
-        if isinstance(node, Affine):
-            return q ** (node.r * k) * count(node.base, k)
-        if isinstance(node, Proj):
-            return sum(q ** (i * k) for i in range(node.r + 1)) * count(node.base, k)
-        if isinstance(node, Cellular):
-            return sum(q ** (r * k) for r in node.ranks) * count(node.base, k)
-        if isinstance(node, NumberRing):
-            raise CharZeroAtomError("point counts are finite-characteristic only")
-        raise TypeError(f"unknown expression node {type(node).__name__}")
-
-    n = count(e, k)
-    if n < 0:
-        raise ValueError(f"negative point count {n}: the asserted decomposition is impossible")
-    return n
+    return _point_counts(e, _single_base(e), [k])[0]
 
 
 def _combined_rational_function(e: SchemeExpr) -> RationalFunctionT:
@@ -181,9 +176,9 @@ def _combined_rational_function(e: SchemeExpr) -> RationalFunctionT:
 def trace_formula_check(e: SchemeExpr, K: int = 10) -> VerificationReport:
     """Z(X, t) = exp(sum_k N_k t^k / k) as exact series up to t^K."""
     _require_finite_char(e)
-    _single_base(e)
+    q = _single_base(e)
     lhs = _combined_rational_function(e).series(K)
-    counts = [point_count(e, k) for k in range(1, K + 1)]
+    counts = _point_counts(e, q, range(1, K + 1))
     rhs = _exp_series([Fraction(nk, k) for k, nk in zip(range(1, K + 1), counts)], K)
     return VerificationReport(
         claim="grothendieck-trace-formula",
@@ -221,7 +216,7 @@ def ell_adic_check(e: SchemeExpr, n: int, ell: int) -> VerificationReport:
     """
     _require_finite_char(e)
     if ell in base_characteristics(e):
-        raise ValueError(f"ell = {ell} equals a base characteristic")
+        raise InvalidArgumentError(f"ell = {ell} equals a base characteristic")
     data = weil_order_data(e, n)
     if data.graded is None:
         raise GradedDataUnavailableError(

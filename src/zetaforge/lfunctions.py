@@ -25,7 +25,13 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .errors import PrecisionUnderflowError, RationalityFailureError, ZetaforgeError
+from . import poly
+from .errors import (
+    InvariantViolationError,
+    PrecisionUnderflowError,
+    RationalityFailureError,
+    ZetaforgeError,
+)
 from .intlinalg import parity_sign
 
 __all__ = [
@@ -117,40 +123,18 @@ def _euler_phi(n: int) -> int:
     return result
 
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact_int(a, b):
-    """Quotient of integer polynomials with exact division (remainder 0)."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        q, r = divmod(c, b[-1])
-        assert r == 0
-        out[i] = q
-        for j, y in enumerate(b):
-            a[i + j] -= q * y
-    assert all(x == 0 for x in a)
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending."""
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    coeffs = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact_int(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+            coeffs, rest = poly.divide(coeffs, cyclotomic_polynomial(d))
+            if any(rest):
+                raise InvariantViolationError(f"Phi_{d} does not divide x^{n} - 1")
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -258,13 +242,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         a, b = self._common(other)
-        poly = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        poly[i + j] += x * y
-        return CyclotomicNumber.from_poly(a.level, poly)
+        return CyclotomicNumber.from_poly(a.level, poly.mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -282,13 +260,13 @@ class CyclotomicNumber:
         modulus = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
         a = list(self.coeffs)
         # extended gcd of a and modulus in Q[x]
-        r0, r1 = modulus, _trim(a)
+        r0, r1 = modulus, poly.trim(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul_frac(q, s1)))
-        if _degree(r1) < 0:
+        while len(r1) > 1:
+            q, r = poly.divide(r0, r1)
+            r0, r1 = r1, poly.trim(r)
+            s0, s1 = s1, poly.trim(poly.sub(s0, poly.mul(q, s1)))
+        if not r1:
             raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
         c = r1[0]
         inv = [x / c for x in s1]
@@ -325,50 +303,6 @@ class CyclotomicNumber:
             if c:
                 terms.append(f"{c}*z{self.level}^{j}" if j else str(c))
         return " + ".join(terms)
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _degree(p):
-    return len(p) - 1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_frac(a, b):
-    a = list(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        if len(a) < len(b) + i:
-            continue
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        for j, y in enumerate(b):
-            a[i + j] -= c * y
-    return q, a[: len(b) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +658,10 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
         b = bernoulli_poly_at(k, Fraction(a, f)) * scale
         if b:
             acc[e % level] = acc.get(e % level, Fraction(0)) + b
-    poly = [Fraction(0)] * level
+    coeffs = [Fraction(0)] * level
     for e, c in acc.items():
-        poly[e] = c
-    return CyclotomicNumber.from_poly(level, poly)
+        coeffs[e] = c
+    return CyclotomicNumber.from_poly(level, coeffs)
 
 
 def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
@@ -742,14 +676,15 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
     """1 when the Gamma factor forces a (simple) zero at n < 0, else 0.
 
     Parity rule: the zero occurs exactly when chi(-1) != (-1)^(1-n); the
-    shortcut is asserted against the exact value.
+    shortcut is checked against the exact value.
     """
     if n >= 0:
         raise ValueError("n must be < 0")
     chi = chi.primitive()
     predicted = 1 if chi.parity != parity_sign(1 - n) else 0
     exact_zero = L_at_nonpositive(chi, n).is_zero
-    assert exact_zero == bool(predicted), "parity shortcut disagrees with exact L-value"
+    if exact_zero != bool(predicted):
+        raise InvariantViolationError("parity shortcut disagrees with exact L-value")
     return predicted
 
 
@@ -869,8 +804,9 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None)
             error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
             return LeadingValue(value=value, error=error, order=0, exact=exact)
         a = 0 if chi.parity == 1 else 1
+        if (n + a) % 2 != 0:
+            raise InvariantViolationError("trivial zero at a weight of the wrong parity")
         m = -(n + a) // 2
-        assert (n + a) % 2 == 0
         eps = gauss_sum(chi, precision) / (1j**a * mp.sqrt(f))
         gamma_part = mp.gamma(mp.mpf(1 - n + a) / 2)
         archimedean = (mp.mpf(f) / mp.pi) ** (mp.mpf(1 - 2 * n) / 2)

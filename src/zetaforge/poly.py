@@ -1,0 +1,65 @@
+"""Dense univariate polynomials as coefficient sequences, ascending.
+
+The one helper set shared by the rational functions of `zetarep`, the
+cyclotomic arithmetic of `lfunctions` and the L-weights of the expression
+calculus.  Coefficients may be ints or Fractions; results are exact.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+__all__ = ["trim", "mul", "sub", "evaluate", "divide"]
+
+
+def trim(p) -> tuple:
+    """Drop trailing zero coefficients; the zero polynomial is ()."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def sub(a, b) -> list:
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def evaluate(p, t):
+    """p(t) by Horner's rule."""
+    total = 0
+    for c in reversed(p):
+        total = total * t + c
+    return total
+
+
+def divide(a, b) -> tuple[list, list]:
+    """(quotient, remainder) of a by b, with deg(remainder) < deg(b).
+
+    Stays in the integers when the leading coefficient of b is +-1.
+    """
+    b = trim(b)
+    lead = b[-1] if b[-1] in (1, -1) else Fraction(1) / b[-1]
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + len(b) - 1] * lead
+        q[i] = c
+        if c:
+            for j, y in enumerate(b):
+                a[i + j] -= c * y
+    return q, a[: len(b) - 1]

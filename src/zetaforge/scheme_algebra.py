@@ -6,34 +6,50 @@ rings of integers of abelian number fields.  Operations: disjoint unions,
 closed-open gluings Z u U = X (and the complement X - Z), relative affine
 and projective spaces, and cellular assemblies over a base.
 
-Two propagations are implemented for every expression: the zeta function
-as a ZetaProduct, and (in finite characteristic) the multiplicative Euler
-characteristic chi_x of the motivic cohomology with compact-support
-orientation, together with per-degree group orders where the long exact
-sequences determine them.  Gluings and complements only determine chi_x,
-never the individual graded orders, so those degrade by design.
+Every invariant computed here (the zeta function, chi_mult and graded
+orders, point counts, equivariant Betti data, base bookkeeping) is a
+motivic measure: additive over gluings and complements, multiplicative
+under affine bundles, where A^r contributes L^r, and blind to nilpotents.
+So `normalize` reduces every expression, with one explicit-stack walk, to
+the normal form
+
+    e = sum c * [atom] * L^r,        terms {(atom, r): c}, c an integer,
+
+where P^r over a base weighs it by 1 + L + ... + L^r and a cellular
+assembly by sum_j L^{r_j}.  Each invariant is a fold over the terms that
+evaluates every distinct atom once: the zeta function of an atom shifted
+by s -> s - r and raised to c, its order data at weight n - r, its point
+counts times q^(rk), and so on.
+
+The `graded` flag of the normal form is false once any gluing or
+complement occurs.  Their long exact sequences determine only Euler
+characteristics, never the individual graded groups, so per-degree data
+(graded orders, equivariant dimension tables) degrades by design.
+
+Zero-term rule: a term whose coefficient cancels to 0, as in
+(minus X X), is kept, and the folds still evaluate its atom.  Base
+bookkeeping, the char-zero check and atom-level errors therefore see every
+atom written in the expression.
 
 There is no reduction node: every invariant computed here is insensitive
 to nilpotents, so an expression always stands for its reduced scheme.
+
+The s-expression parser `parse_expr` and its inverse `format_expr` live
+here too; like `normalize` and `validate` they use explicit stacks, so
+nesting depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import CharZeroAtomError
+from . import poly
+from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
 from .intlinalg import ensure_prime_power, parity_sign
-from .lfunctions import AbelianFieldSpec
-from .zetarep import (
-    FiniteCharFactor,
-    LFactorShifted,
-    RationalFunctionT,
-    ZetaProduct,
-    inverse,
-    multiply,
-    shift_s,
-)
+from .lfunctions import Q, QI, AbelianFieldSpec
+from .zetarep import FiniteCharFactor, LFactorShifted, RationalFunctionT, ZetaProduct, shift_s
 
 __all__ = [
     "SchemeExpr",
@@ -46,11 +62,14 @@ __all__ = [
     "Affine",
     "Proj",
     "Cellular",
+    "NormalForm",
     "WeilOrderData",
     "Diagnostic",
+    "normalize",
     "zeta_of",
     "weil_order_data",
     "validate",
+    "parse_expr",
     "format_expr",
     "base_prime_powers",
     "is_finite_characteristic",
@@ -74,7 +93,7 @@ class Point(SchemeExpr):
     def __post_init__(self):
         ensure_prime_power(self.q)
         if self.m < 1:
-            raise ValueError("residue degree m must be >= 1")
+            raise InvalidArgumentError("residue degree m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,7 @@ class Curve(SchemeExpr):
     def __post_init__(self):
         ensure_prime_power(self.q)
         if not self.lpoly or self.lpoly[0] == 0:
-            raise ValueError("L-polynomial needs a nonzero constant term")
+            raise InvalidArgumentError("L-polynomial needs a nonzero constant term")
 
 
 @dataclass(frozen=True)
@@ -147,7 +166,7 @@ class Affine(SchemeExpr):
 
     def __post_init__(self):
         if self.r < 0:
-            raise ValueError("affine rank must be nonnegative")
+            raise InvalidArgumentError("affine rank must be nonnegative")
 
     def children(self):
         return (self.base,)
@@ -162,7 +181,7 @@ class Proj(SchemeExpr):
 
     def __post_init__(self):
         if self.r < 0:
-            raise ValueError("projective rank must be nonnegative")
+            raise InvalidArgumentError("projective rank must be nonnegative")
 
     def children(self):
         return (self.base,)
@@ -178,58 +197,95 @@ class Cellular(SchemeExpr):
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
         if not self.ranks:
-            raise ValueError("cellular ranks must be nonempty")
+            raise InvalidArgumentError("cellular ranks must be nonempty")
         if any(r < 0 for r in self.ranks):
-            raise ValueError("cellular ranks must be nonnegative")
+            raise InvalidArgumentError("cellular ranks must be nonnegative")
 
     def children(self):
         return (self.base,)
+
+
+_ATOMS = (Point, Curve, NumberRing)
+
+
+# ---------------------------------------------------------------------------
+# the normal form
+
+
+class NormalForm(NamedTuple):
+    """e = sum c * [atom] * L^r as terms {(atom, r): c}, in the order the
+    atoms first occur; `graded` is false once a gluing or complement occurs."""
+
+    terms: dict
+    graded: bool
+
+    def atoms(self) -> list:
+        """The distinct atoms, in order of first occurrence."""
+        return list(dict.fromkeys(atom for atom, _ in self.terms))
+
+
+def normalize(e: SchemeExpr) -> NormalForm:
+    """The normal form of `e`; each node weighs its subtree by a polynomial
+    in L, and zero coefficients that arise by cancellation are kept."""
+    terms: dict = {}
+    graded = True
+    stack = [(e, [1])]
+    while stack:
+        node, weight = stack.pop()
+        if isinstance(node, _ATOMS):
+            for r, c in enumerate(weight):
+                if c:
+                    terms[node, r] = terms.get((node, r), 0) + c
+            continue
+        if isinstance(node, Disjoint):
+            below = [(child, weight) for child in node.parts]
+        elif isinstance(node, Glue):
+            graded = False
+            below = [(node.closed, weight), (node.open_part, weight)]
+        elif isinstance(node, Minus):
+            graded = False
+            below = [(node.total, weight), (node.closed, [-c for c in weight])]
+        elif isinstance(node, Affine):
+            below = [(node.base, [0] * node.r + weight)]
+        elif isinstance(node, Proj):
+            below = [(node.base, poly.mul(weight, [1] * (node.r + 1)))]
+        elif isinstance(node, Cellular):
+            cells = [0] * (max(node.ranks) + 1)
+            for r in node.ranks:
+                cells[r] += 1
+            below = [(node.base, poly.mul(weight, cells))]
+        else:
+            raise TypeError(f"unknown expression node {type(node).__name__}")
+        stack.extend(reversed(below))
+    return NormalForm(terms, graded)
 
 
 # ---------------------------------------------------------------------------
 # zeta propagation
 
 
-def zeta_of(e: SchemeExpr) -> ZetaProduct:
-    """The zeta function of the expression as a formal product."""
-    if isinstance(e, Point):
-        Z = RationalFunctionT.make((1,), (1,) + (0,) * (e.m - 1) + (-1,))
-        return ZetaProduct.single(FiniteCharFactor(e.q, Z))
-    if isinstance(e, Curve):
-        den = _poly_mul((1, -1), (1, -e.q))
-        return ZetaProduct.single(FiniteCharFactor(e.q, RationalFunctionT.make(e.lpoly, den)))
-    if isinstance(e, NumberRing):
+def _atom_zeta(atom) -> ZetaProduct:
+    if isinstance(atom, NumberRing):
         return ZetaProduct.from_factors(
-            [(LFactorShifted(chi, 0), 1) for chi in e.field_spec.characters()]
+            [(LFactorShifted(chi, 0), 1) for chi in atom.field_spec.characters()]
         )
-    if isinstance(e, Disjoint):
-        out = ZetaProduct.one()
-        for child in e.children():
-            out = multiply(out, zeta_of(child))
-        return out
-    if isinstance(e, Glue):
-        return multiply(zeta_of(e.closed), zeta_of(e.open_part))
-    if isinstance(e, Minus):
-        return multiply(zeta_of(e.total), inverse(zeta_of(e.closed)))
-    if isinstance(e, Affine):
-        return shift_s(zeta_of(e.base), e.r)
-    if isinstance(e, Proj):
-        return zeta_of(Cellular(e.base, tuple(range(e.r + 1))))
-    if isinstance(e, Cellular):
-        base = zeta_of(e.base)
-        out = ZetaProduct.one()
-        for r in e.ranks:
-            out = multiply(out, shift_s(base, r))
-        return out
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    if isinstance(atom, Point):
+        Z = RationalFunctionT.make((1,), (1,) + (0,) * (atom.m - 1) + (-1,))
+    else:
+        Z = RationalFunctionT.make(atom.lpoly, poly.mul((1, -1), (1, -atom.q)))
+    return ZetaProduct.single(FiniteCharFactor(atom.q, Z))
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+def zeta_of(e: SchemeExpr) -> ZetaProduct:
+    """The zeta function of the expression as a formal product:
+    prod zeta(atom)(s - r)^c over the terms of the normal form."""
+    nf = normalize(e)
+    atom_zeta = {atom: _atom_zeta(atom) for atom in nf.atoms()}
+    return ZetaProduct.from_factors(
+        (factor, c * exp)
+        for (atom, r), c in nf.terms.items()
+        for factor, exp in shift_s(atom_zeta[atom], r).factors
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,84 +321,40 @@ class WeilOrderData:
         return f"WeilOrderData(graded={self.graded!r}, chi_mult={self.chi_mult})"
 
 
-def _merge_graded(parts):
-    """Degreewise product of order maps; None if any part is undetermined."""
-    if any(p is None for p in parts):
-        return None
-    merged: dict[int, int] = {}
-    for p in parts:
-        for i, v in p.items():
-            merged[i] = merged.get(i, 1) * v
-    return merged
+def _atom_order_data(atom, n: int) -> WeilOrderData:
+    if isinstance(atom, Point):
+        order = atom.q ** (-atom.m * n) - 1
+        return WeilOrderData({1: order}, Fraction(1, order))
+    if isinstance(atom, Curve):
+        middle = abs(poly.evaluate(atom.lpoly, atom.q ** (-n)))
+        low = atom.q ** (1 - n) - 1
+        high = atom.q ** (-n) - 1
+        return WeilOrderData({-1: low, 0: middle, 1: high}, Fraction(middle, low * high))
+    raise CharZeroAtomError(
+        "order data is finite-characteristic only; the expression contains Spec O_F"
+    )
 
 
 def weil_order_data(e: SchemeExpr, n: int) -> WeilOrderData:
     """Cohomological order data at weight n < 0 for finite-characteristic
     expressions.
 
-    Atoms carry full graded data; disjoint unions merge it degreewise and
-    bundle operations reindex it by even shifts (degree i of the base at
-    weight n - r lands in degree i - 2r).  Gluings and complements keep
-    only chi_mult: their long exact sequences do not determine the
-    individual groups.
+    A term c * [atom] * L^r contributes the atom's data at weight n - r,
+    raised to the c-th power, with degree i moved to degree i - 2r.  Graded
+    orders survive only when the normal form is graded.
     """
     if n >= 0:
-        raise ValueError("order data is defined for strictly negative weights")
-    if isinstance(e, Point):
-        order = e.q ** (-e.m * n) - 1
-        return WeilOrderData({1: order}, Fraction(1, order))
-    if isinstance(e, Curve):
-        t = Fraction(e.q) ** (-n)
-        middle = abs(_eval_int_poly(e.lpoly, t))
-        low = e.q ** (1 - n) - 1
-        high = e.q ** (-n) - 1
-        chi = Fraction(middle, low * high)
-        return WeilOrderData({-1: low, 0: _as_int(middle), 1: high}, chi)
-    if isinstance(e, NumberRing):
-        raise CharZeroAtomError(
-            "order data is finite-characteristic only; the expression contains Spec O_F"
-        )
-    if isinstance(e, Disjoint):
-        parts = [weil_order_data(c, n) for c in e.children()]
-        chi = Fraction(1)
-        for p in parts:
-            chi *= p.chi_mult
-        return WeilOrderData(_merge_graded([p.graded for p in parts]), chi)
-    if isinstance(e, Glue):
-        a = weil_order_data(e.closed, n)
-        b = weil_order_data(e.open_part, n)
-        return WeilOrderData(None, a.chi_mult * b.chi_mult)
-    if isinstance(e, Minus):
-        a = weil_order_data(e.total, n)
-        b = weil_order_data(e.closed, n)
-        return WeilOrderData(None, a.chi_mult / b.chi_mult)
-    if isinstance(e, Affine):
-        base = weil_order_data(e.base, n - e.r)
-        graded = None
-        if base.graded is not None:
-            graded = {i - 2 * e.r: v for i, v in base.graded.items()}
-        return WeilOrderData(graded, base.chi_mult)
-    if isinstance(e, Proj):
-        return weil_order_data(Cellular(e.base, tuple(range(e.r + 1))), n)
-    if isinstance(e, Cellular):
-        parts = [weil_order_data(Affine(r, e.base), n) for r in e.ranks]
-        chi = Fraction(1)
-        for p in parts:
-            chi *= p.chi_mult
-        return WeilOrderData(_merge_graded([p.graded for p in parts]), chi)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def _eval_int_poly(coeffs, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
-
-
-def _as_int(x: Fraction) -> int:
-    assert x.denominator == 1
-    return x.numerator
+        raise InvalidArgumentError("order data is defined for strictly negative weights")
+    nf = normalize(e)
+    graded = {} if nf.graded else None
+    chi = Fraction(1)
+    for (atom, r), c in nf.terms.items():
+        data = _atom_order_data(atom, n - r)
+        chi *= data.chi_mult**c
+        if graded is not None:
+            for i, order in data.graded.items():
+                graded[i - 2 * r] = graded.get(i - 2 * r, 1) * order**c
+    return WeilOrderData(graded, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -356,68 +368,233 @@ class Diagnostic:
     where: str
 
 
+_BAD_CONSTANT_TERM = "curve L-polynomial must have constant term 1"
+_ASSERTED = (
+    "closed-open decomposition is a user assertion; complement plausibility is not verified"
+)
+
+
 def validate(e: SchemeExpr) -> list[Diagnostic]:
     """Structural diagnostics; gluing geometry is flagged, never verified."""
     out: list[Diagnostic] = []
-
-    def walk(node: SchemeExpr):
-        label = format_expr(node)
-        if isinstance(node, Curve):
-            if node.lpoly[0] != 1:
-                out.append(
-                    Diagnostic("error", "curve L-polynomial must have constant term 1", label)
-                )
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Curve) and node.lpoly[0] != 1:
+            out.append(Diagnostic("error", _BAD_CONSTANT_TERM, format_expr(node)))
         if isinstance(node, (Glue, Minus)):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "closed-open decomposition is a user assertion; "
-                    "complement plausibility is not verified",
-                    label,
-                )
-            )
-        for child in node.children():
-            walk(child)
-
-    walk(e)
+            out.append(Diagnostic("warning", _ASSERTED, format_expr(node)))
+        stack.extend(reversed(node.children()))
     return out
 
 
 # ---------------------------------------------------------------------------
-# canonical printing (inverse of the CLI parser)
+# canonical printing
+
+
+def _pieces(e: SchemeExpr) -> list:
+    """The printed form of one node: strings interleaved with child nodes."""
+    if isinstance(e, Point):
+        return [f"(point {e.q})" if e.m == 1 else f"(point {e.q} {e.m})"]
+    if isinstance(e, Curve):
+        return [f"(curve {e.q} ({' '.join(str(c) for c in e.lpoly)}))"]
+    if isinstance(e, NumberRing):
+        if e.field_spec == Q:
+            return ["(Q)"]
+        if e.field_spec == QI:
+            return ["(Qi)"]
+        subgroup = " ".join(str(a) for a in e.field_spec.subgroup)
+        return [f"(numberring :conductor {e.field_spec.conductor} :subgroup ({subgroup}))"]
+    if isinstance(e, Disjoint):
+        out: list = ["(disjoint"]
+        for child in e.parts:
+            out += [" ", child]
+        return out + [")"]
+    if isinstance(e, Glue):
+        return ["(glue ", e.closed, " ", e.open_part, ")"]
+    if isinstance(e, Minus):
+        return ["(minus ", e.total, " ", e.closed, ")"]
+    if isinstance(e, Affine):
+        return [f"(affine {e.r} ", e.base, ")"]
+    if isinstance(e, Proj):
+        return [f"(proj {e.r} ", e.base, ")"]
+    if isinstance(e, Cellular):
+        return ["(cellular ", e.base, f" ({' '.join(str(r) for r in e.ranks)}))"]
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 def format_expr(e: SchemeExpr) -> str:
     """Canonical s-expression form; parsing it back yields the same tree."""
-    from .lfunctions import Q, QI
+    out = []
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(item)))
+    return "".join(out)
 
-    if isinstance(e, Point):
-        return f"(point {e.q})" if e.m == 1 else f"(point {e.q} {e.m})"
-    if isinstance(e, Curve):
-        coeffs = " ".join(str(c) for c in e.lpoly)
-        return f"(curve {e.q} ({coeffs}))"
-    if isinstance(e, NumberRing):
-        if e.field_spec == Q:
-            return "(Q)"
-        if e.field_spec == QI:
-            return "(Qi)"
-        subgroup = " ".join(str(a) for a in e.field_spec.subgroup)
-        return f"(numberring :conductor {e.field_spec.conductor} :subgroup ({subgroup}))"
-    if isinstance(e, Disjoint):
-        inner = " ".join(format_expr(c) for c in e.parts)
-        return f"(disjoint {inner})" if inner else "(disjoint)"
-    if isinstance(e, Glue):
-        return f"(glue {format_expr(e.closed)} {format_expr(e.open_part)})"
-    if isinstance(e, Minus):
-        return f"(minus {format_expr(e.total)} {format_expr(e.closed)})"
-    if isinstance(e, Affine):
-        return f"(affine {e.r} {format_expr(e.base)})"
-    if isinstance(e, Proj):
-        return f"(proj {e.r} {format_expr(e.base)})"
-    if isinstance(e, Cellular):
-        ranks = " ".join(str(r) for r in e.ranks)
-        return f"(cellular {format_expr(e.base)} ({ranks}))"
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+# ---------------------------------------------------------------------------
+# s-expression parser
+
+
+def _tokenize(src: str):
+    tokens = []
+    i = 0
+    while i < len(src):
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()":
+            tokens.append((c, i))
+            i += 1
+            continue
+        j = i
+        while j < len(src) and not src[j].isspace() and src[j] not in "()":
+            j += 1
+        tokens.append((src[i:j], i))
+        i = j
+    return tokens
+
+
+def _read(tokens):
+    """Nested (value, position) pairs; a list value is a parenthesized group."""
+    if not tokens:
+        raise ExprSyntaxError("empty input")
+    open_groups: list = []
+    for idx, (text, pos) in enumerate(tokens):
+        if text == "(":
+            open_groups.append(([], pos))
+            continue
+        if text == ")":
+            if not open_groups:
+                raise ExprSyntaxError("unexpected ')'", pos)
+            node = open_groups.pop()
+        else:
+            node = (text, pos)
+        if open_groups:
+            open_groups[-1][0].append(node)
+            continue
+        if idx + 1 != len(tokens):
+            raise ExprSyntaxError("trailing input after expression", tokens[idx + 1][1])
+        return node
+    raise ExprSyntaxError("missing closing parenthesis", open_groups[-1][1])
+
+
+def _expect_int(node, what: str) -> int:
+    value, pos = node
+    if isinstance(value, list):
+        raise ExprSyntaxError(f"expected an integer for {what}", pos)
+    try:
+        return int(value)
+    except ValueError:
+        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos) from None
+
+
+def _expect_int_list(node, what: str) -> list[int]:
+    value, pos = node
+    if not isinstance(value, list):
+        raise ExprSyntaxError(f"expected a parenthesized list for {what}", pos)
+    return [_expect_int(item, what) for item in value]
+
+
+def _number_ring(args) -> NumberRing:
+    conductor = None
+    subgroup = None
+    i = 0
+    while i < len(args):
+        key, key_pos = args[i]
+        if key == ":conductor":
+            conductor = _expect_int(args[i + 1], "conductor") if i + 1 < len(args) else None
+            i += 2
+        elif key == ":subgroup":
+            subgroup = _expect_int_list(args[i + 1], "subgroup") if i + 1 < len(args) else None
+            i += 2
+        else:
+            raise ExprSyntaxError(f"unknown numberring keyword {key!r}", key_pos)
+    if conductor is None:
+        raise ArityError("(numberring ...) requires :conductor")
+    return NumberRing(AbelianFieldSpec.from_generators(conductor, subgroup or [1]))
+
+
+def _rule(node):
+    """(subexpressions, make): the argument groups of `node` that are
+    expressions, and the constructor applied to them once built."""
+    value, pos = node
+    if not isinstance(value, list):
+        raise ExprSyntaxError(f"expected an expression, got atom {value!r}", pos)
+    if not value:
+        raise ExprSyntaxError("empty expression", pos)
+    head, head_pos = value[0]
+    if isinstance(head, list):
+        raise ExprSyntaxError("expression head must be a symbol", head_pos)
+    head = head.lower()
+    args = value[1:]
+
+    def arity(expected: str, ok: bool):
+        if not ok:
+            raise ArityError(f"({head} ...) expects {expected}")
+
+    if head == "point":
+        arity("q [m]", len(args) in (1, 2))
+        q = _expect_int(args[0], "q")
+        m = _expect_int(args[1], "m") if len(args) == 2 else 1
+        return [], lambda _: Point(q, m)
+    if head == "curve":
+        arity("q (c0 c1 ...)", len(args) == 2)
+        q = _expect_int(args[0], "q")
+        coeffs = _expect_int_list(args[1], "L-polynomial coefficients")
+        return [], lambda _: Curve(q, tuple(coeffs))
+    if head in ("q", "qi"):
+        arity("no arguments", len(args) == 0)
+        return [], lambda _: NumberRing(Q if head == "q" else QI)
+    if head == "numberring":
+        ring = _number_ring(args)
+        return [], lambda _: ring
+    if head == "disjoint":
+        return args, lambda parts: Disjoint(tuple(parts))
+    if head in ("glue", "minus"):
+        arity("two expressions", len(args) == 2)
+        return args, lambda kids: (Glue if head == "glue" else Minus)(*kids)
+    if head in ("affine", "proj"):
+        arity("r and an expression", len(args) == 2)
+        r = _expect_int(args[0], "r")
+        return args[1:], lambda kids: (Affine if head == "affine" else Proj)(r, kids[0])
+    if head == "cellular":
+        arity("an expression and (r1 r2 ...)", len(args) == 2)
+        return args[:1], lambda kids: Cellular(
+            kids[0], tuple(_expect_int_list(args[1], "cell ranks"))
+        )
+    raise ExprSyntaxError(f"unknown operation {head!r}", head_pos)
+
+
+def parse_expr(src: str) -> SchemeExpr:
+    """Parse a scheme expression; raises with a position on bad syntax.
+
+        (point q [m])                      Spec F_{q^m} over F_q
+        (curve q (c0 c1 ...))              curve with L-polynomial c0 + c1 t + ...
+        (numberring :conductor f :subgroup (a b ...))
+        (Q) (Qi)                           shorthands for Spec Z, Spec Z[i]
+        (disjoint e ...)  (glue z u)  (minus x z)
+        (affine r e)  (proj r e)  (cellular e (r1 r2 ...))
+    """
+    built: list[SchemeExpr] = []
+    # (None, node) visits a node; (make, count) builds it from its children
+    todo: list = [(None, _read(_tokenize(src)))]
+    while todo:
+        make, item = todo.pop()
+        if make is None:
+            subexpressions, make = _rule(item)
+            todo.append((make, len(subexpressions)))
+            todo.extend((None, sub) for sub in reversed(subexpressions))
+        else:
+            kids = built[len(built) - item :]
+            del built[len(built) - item :]
+            built.append(make(kids))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +603,8 @@ def format_expr(e: SchemeExpr) -> str:
 
 def base_prime_powers(e: SchemeExpr) -> set[int]:
     """Set of finite-characteristic base prime powers appearing in atoms."""
-    if isinstance(e, (Point, Curve)):
-        return {e.q}
-    if isinstance(e, NumberRing):
-        return set()
-    out: set[int] = set()
-    for child in e.children():
-        out |= base_prime_powers(child)
-    return out
-
-
-def has_number_ring(e: SchemeExpr) -> bool:
-    if isinstance(e, NumberRing):
-        return True
-    return any(has_number_ring(c) for c in e.children())
+    return {atom.q for atom in normalize(e).atoms() if not isinstance(atom, NumberRing)}
 
 
 def is_finite_characteristic(e: SchemeExpr) -> bool:
-    return not has_number_ring(e)
+    return not any(isinstance(atom, NumberRing) for atom in normalize(e).atoms())

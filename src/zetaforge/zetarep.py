@@ -18,6 +18,7 @@ from math import gcd
 
 import mpmath as mp
 
+from . import poly
 from .errors import WeilViolationError
 from .intlinalg import ensure_prime_power
 from .lfunctions import (
@@ -47,36 +48,11 @@ __all__ = [
 ]
 
 
-def _poly_trim(coeffs) -> tuple[int, ...]:
-    coeffs = [int(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def _poly_content(coeffs) -> int:
     g = 0
     for c in coeffs:
         g = gcd(g, abs(c))
     return g or 1
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_eval(coeffs, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
 
 
 @dataclass(frozen=True)
@@ -97,7 +73,7 @@ class RationalFunctionT:
 
     @classmethod
     def make(cls, num, den=(1,)) -> RationalFunctionT:
-        num, den = _poly_trim(num), _poly_trim(den)
+        num, den = poly.trim(num), poly.trim(den)
         if not den:
             raise ValueError("denominator is zero")
         if not num:
@@ -115,7 +91,7 @@ class RationalFunctionT:
         return cls((1,), (1,))
 
     def __mul__(self, other: RationalFunctionT) -> RationalFunctionT:
-        return RationalFunctionT.make(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+        return RationalFunctionT.make(poly.mul(self.num, other.num), poly.mul(self.den, other.den))
 
     def reciprocal(self) -> RationalFunctionT:
         return RationalFunctionT.make(self.den, self.num)
@@ -127,10 +103,10 @@ class RationalFunctionT:
         return RationalFunctionT.make(num, den)
 
     def evaluate(self, t: Fraction) -> Fraction:
-        den = _poly_eval(self.den, Fraction(t))
+        den = poly.evaluate(self.den, Fraction(t))
         if den == 0:
             raise ZeroDivisionError("pole of the rational function")
-        return _poly_eval(self.num, Fraction(t)) / den
+        return poly.evaluate(self.num, Fraction(t)) / den
 
     def series(self, K: int) -> list[Fraction]:
         """Taylor coefficients of num/den up to t^K, by long division."""
@@ -298,8 +274,8 @@ def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
     value = Fraction(1)
     for f, e in z.finite_char:
         t = Fraction(f.q) ** (-n)
-        num = _poly_eval(f.Z.num, t)
-        den = _poly_eval(f.Z.den, t)
+        num = poly.evaluate(f.Z.num, t)
+        den = poly.evaluate(f.Z.den, t)
         if num == 0 or den == 0:
             raise WeilViolationError(
                 f"factor {f} has a {'zero' if num == 0 else 'pole'} at t = {f.q}^{-n}; "

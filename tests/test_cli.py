@@ -17,6 +17,7 @@ from zetaforge.scheme_algebra import (
     NumberRing,
     Point,
     Proj,
+    format_expr,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,10 +98,10 @@ def test_parse_print_round_trip():
     rng = random.Random(6021023)
     for _ in range(60):
         e = random_expr(rng)
-        printed = cli.print_expr(e)
+        printed = format_expr(e)
         assert cli.parse_expr(printed) == e
         # canonical: printing a reparse is a fixed point
-        assert cli.print_expr(cli.parse_expr(printed)) == printed
+        assert format_expr(cli.parse_expr(printed)) == printed
 
 
 def test_parse_is_whitespace_insensitive():
@@ -175,6 +176,43 @@ def test_error_exit_codes(capsys):
     assert json.loads(out)["error"]["code"] == "char-zero-atom"
     code, _ = run_cli(capsys, "value", "(point 2)", "-n", "1", "--format", "json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "(point 2 0)"],
+        ["zeta", "(curve 2 (0 1))"],
+        ["ell-check", "(point 2)", "-n", "-1", "--ell", "2"],
+    ],
+)
+def test_invalid_argument_exit_code(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-argument"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [invalid-argument]:") and "Traceback" not in err
+
+
+def test_deep_expression_end_to_end(capsys):
+    src = "(point 2)"
+    for i in range(10**4):
+        src = ("(disjoint {})", "(affine 0 {})", "(glue {} (disjoint))")[i % 3].format(src)
+    code, data = run_json(capsys, "ord", src, "-n", "-1")
+    assert code == 0 and data["analytic_order"] == data["conjectural_order"] == 0
+    code, data = run_json(capsys, "verify-c", src, "-n", "-1")
+    assert code == 0 and data["checks"][0]["right"] == "1"
+    assert data["expression"] == src
+
+
+def test_verify_vo_is_an_alias_of_ord(capsys):
+    argv = ["(numberring :conductor 5 :subgroup (1))", "-n", "-3"]
+    code, ord_report = run_json(capsys, "ord", *argv)
+    assert code == 0
+    code, alias_report = run_json(capsys, "verify-vo", *argv)
+    assert code == 0
+    assert alias_report == dict(ord_report, command="verify-vo")
 
 
 def test_failed_verdict_exit_code(capsys):

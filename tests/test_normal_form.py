@@ -1,0 +1,233 @@
+"""Laws of the normal form sum c * [atom] * L^r, checked on every fold."""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from zetaforge.archimedean import equivariant_dims
+from zetaforge.errors import CharZeroAtomError, ZetaforgeError
+from zetaforge.ffengine import point_count
+from zetaforge.lfunctions import Q, QI, AbelianFieldSpec
+from zetaforge.scheme_algebra import (
+    Affine,
+    Cellular,
+    Curve,
+    Disjoint,
+    Glue,
+    Minus,
+    NumberRing,
+    Point,
+    Proj,
+    base_prime_powers,
+    format_expr,
+    is_finite_characteristic,
+    normalize,
+    parse_expr,
+    weil_order_data,
+    zeta_of,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "zetaforge"
+
+# atoms over the single base F_2 whose L-polynomials obey the Weil bounds,
+# so no order datum vanishes at any n < 0
+FINITE_ATOMS = [
+    Point(2),
+    Point(2, 2),
+    Point(2, 3),
+    Curve(2, (1,)),
+    Curve(2, (1, 0, 2)),
+    Curve(2, (1, 1, 2)),
+    Curve(2, (1, -2, 2)),
+]
+NUMBER_RINGS = [NumberRing(Q), NumberRing(QI), NumberRing(AbelianFieldSpec(5, (1,)))]
+WEIGHTS = (-1, -2)
+LAWS = settings(deadline=None, max_examples=30)
+
+
+def expressions(atoms):
+    small = st.integers(0, 2)
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=3).map(lambda parts: Disjoint(tuple(parts))),
+            st.tuples(kids, kids).map(lambda pair: Glue(*pair)),
+            st.tuples(kids, kids).map(lambda pair: Minus(*pair)),
+            st.tuples(small, kids).map(lambda pair: Affine(*pair)),
+            st.tuples(small, kids).map(lambda pair: Proj(*pair)),
+            st.tuples(kids, st.lists(small, min_size=1, max_size=3)).map(
+                lambda pair: Cellular(pair[0], tuple(pair[1]))
+            ),
+        ),
+        max_leaves=8,
+    )
+
+
+finite = expressions(FINITE_ATOMS)
+anywhere = expressions(FINITE_ATOMS + NUMBER_RINGS)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ZetaforgeError as exc:
+        return exc.code
+
+
+def finite_invariants(e, graded=True):
+    """Every finite-characteristic fold; graded orders only when asked."""
+    out = [zeta_of(e), base_prime_powers(e)]
+    for n in WEIGHTS:
+        data = weil_order_data(e, n)
+        out += [data.chi_mult, data.graded if graded else None]
+    out += [outcome(point_count, e, k) for k in (1, 2, 3)]
+    return out
+
+
+def archimedean_invariants(e, graded=True):
+    """The folds that accept number rings; dimension tables when asked."""
+    out = [zeta_of(e), is_finite_characteristic(e)]
+    for n in WEIGHTS:
+        betti = equivariant_dims(e, n)
+        out += [betti.chi_even, betti.chi_odd]
+        if graded:
+            out += [betti.dims_even, betti.dims_odd]
+    return out
+
+
+@LAWS
+@given(finite, finite)
+def test_glue_is_disjoint_union_finite(a, b):
+    assert finite_invariants(Glue(a, b), graded=False) == finite_invariants(
+        Disjoint((a, b)), graded=False
+    )
+
+
+@LAWS
+@given(anywhere, anywhere)
+def test_glue_is_disjoint_union_archimedean(a, b):
+    assert archimedean_invariants(Glue(a, b), graded=False) == archimedean_invariants(
+        Disjoint((a, b)), graded=False
+    )
+
+
+@LAWS
+@given(finite, finite)
+def test_minus_cancels_disjoint_part_finite(a, b):
+    assume(base_prime_powers(a))  # point counts need a base field
+    x = Minus(Disjoint((a, b)), b)
+    assert zeta_of(x) == zeta_of(a)
+    for n in WEIGHTS:
+        assert weil_order_data(x, n).chi_mult == weil_order_data(a, n).chi_mult
+    for k in (1, 2, 3):
+        assert outcome(point_count, x, k) == outcome(point_count, a, k)
+
+
+@LAWS
+@given(anywhere, anywhere)
+def test_minus_cancels_disjoint_part_archimedean(a, b):
+    x = Minus(Disjoint((a, b)), b)
+    assert zeta_of(x) == zeta_of(a)
+    for n in WEIGHTS:
+        assert equivariant_dims(x, n).chi(n) == equivariant_dims(a, n).chi(n)
+
+
+@LAWS
+@given(st.integers(0, 3), st.integers(0, 3), finite)
+def test_affine_ranks_add_finite(i, j, x):
+    assert finite_invariants(Affine(i, Affine(j, x))) == finite_invariants(Affine(i + j, x))
+
+
+@LAWS
+@given(st.integers(0, 3), st.integers(0, 3), anywhere)
+def test_affine_ranks_add_archimedean(i, j, x):
+    assert archimedean_invariants(Affine(i, Affine(j, x))) == archimedean_invariants(
+        Affine(i + j, x)
+    )
+
+
+@LAWS
+@given(st.integers(0, 3), finite)
+def test_proj_is_cellular_finite(r, x):
+    assert finite_invariants(Proj(r, x)) == finite_invariants(Cellular(x, tuple(range(r + 1))))
+
+
+@LAWS
+@given(st.integers(0, 3), anywhere)
+def test_proj_is_cellular_archimedean(r, x):
+    assert archimedean_invariants(Proj(r, x)) == archimedean_invariants(
+        Cellular(x, tuple(range(r + 1)))
+    )
+
+
+@LAWS
+@given(anywhere)
+def test_parse_inverts_format(e):
+    assert parse_expr(format_expr(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# the zero-term rule
+
+
+def test_cancelled_terms_are_kept():
+    e = parse_expr("(minus (point 2) (point 2))")
+    assert normalize(e).terms == {(Point(2), 0): 0}
+    assert base_prime_powers(e) == {2}
+    assert zeta_of(e).is_one
+
+
+def test_cancelled_number_ring_is_still_char_zero():
+    e = parse_expr("(minus (Q) (Q))")
+    assert not is_finite_characteristic(e)
+    with pytest.raises(CharZeroAtomError) as info:
+        weil_order_data(e, -1)
+    assert info.value.code == "char-zero-atom"
+
+
+def test_proj_weight_is_one_plus_L_to_the_r():
+    assert normalize(Proj(2, Affine(1, Point(3)))) == (
+        {(Point(3), 1): 1, (Point(3), 2): 1, (Point(3), 3): 1},
+        True,
+    )
+    assert normalize(Cellular(Point(3), (0, 2, 2))).terms == {(Point(3), 0): 1, (Point(3), 2): 2}
+    assert normalize(Glue(Point(3), Point(3))) == ({(Point(3), 0): 2}, False)
+
+
+# ---------------------------------------------------------------------------
+# depth
+
+
+def deep_expression(depth=10**4):
+    e = Point(2)
+    for i in range(depth):
+        e = (Disjoint((e,)), Affine(0, e), Glue(e, Disjoint(())))[i % 3]
+    return e
+
+
+def test_folds_accept_deep_expressions():
+    e = deep_expression()
+    assert str(zeta_of(e)) == "([q=2] (1)/(1 - t))"
+    assert weil_order_data(e, -2).chi_mult == weil_order_data(Point(2), -2).chi_mult
+    assert [point_count(e, k) for k in (1, 2, 3)] == [1, 1, 1]
+    assert equivariant_dims(e, -1).chi(-1) == 0
+    assert base_prime_powers(e) == {2}
+    assert format_expr(parse_expr(format_expr(e))) == format_expr(e)
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+
+def test_no_assert_statements_in_library():
+    # `python -O` strips asserts, so invariant guards must raise typed errors
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not offenders
