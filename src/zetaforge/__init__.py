@@ -52,9 +52,7 @@ from .lfunctions import (
     CyclotomicNumber,
     DirichletCharacter,
     L_at_nonpositive,
-    SpecialValue,
     dedekind_order,
-    dedekind_special_value,
     gen_bernoulli,
     leading_value,
     trivial_zero_order,
@@ -79,6 +77,7 @@ from .zetarep import (
     FiniteCharFactor,
     LFactorShifted,
     RationalFunctionT,
+    SpecialValue,
     ZetaProduct,
     evaluate_at,
     multiply,

@@ -178,7 +178,7 @@ def _cmd_det(args) -> tuple[dict, bool]:
 _BATTERY_ELLS = (2, 3, 5, 7, 11, 13)
 
 
-def _battery(expr: SchemeExpr, n: int, precision: int, series_order: int) -> list:
+def _battery(expr: SchemeExpr, n: int, series_order: int) -> list:
     """Per-entry battery used by batch mode."""
     reports = []
     if is_finite_characteristic(expr):
@@ -216,7 +216,7 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     for item in manifest:
         expr = parse_expr(item["expr"])
         n = int(item["n"])
-        reports = _battery(expr, n, args.precision, args.series_order)
+        reports = _battery(expr, n, args.series_order)
         ok = all(r.passed for r in reports)
         all_ok = all_ok and ok
         entries.append(
@@ -301,18 +301,20 @@ def _build_parser() -> argparse.ArgumentParser:
         if expression:
             p.add_argument("expression", nargs="?", help="scheme expression (s-expression)")
         p.add_argument("-n", type=int, default=None, help="negative integer weight")
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=default_precision(),
-            help="decimal digits for numeric output (env ZETAFORGE_PRECISION)",
-        )
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--series-order", type=int, default=10, dest="series_order")
         p.add_argument("--ell", type=int, default=None, help="auxiliary prime for ell-check")
 
-    for verb in ("zeta", "value", "verify-c", "trace-check", "ell-check", "p-check"):
+    for verb in ("zeta", "verify-c", "trace-check", "ell-check", "p-check"):
         common(sub.add_parser(verb))
+    p_value = sub.add_parser("value")
+    common(p_value)
+    p_value.add_argument(
+        "--precision",
+        type=int,
+        default=default_precision(),
+        help="decimal digits for numeric output (env ZETAFORGE_PRECISION)",
+    )
     p_ord = sub.add_parser("ord", aliases=["verify-vo"])
     common(p_ord)
     p_ord.add_argument("--hodge", default=None, help="inline Hodge-data JSON instead of an expression")

@@ -6,8 +6,11 @@ Leading coefficients at trivial zeros come from the functional equation
 Lambda(s, chi) = eps(chi) * Lambda(1-s, conj(chi)) with the root number
 eps(chi) = tau(chi) / (i^a * sqrt(f)) evaluated from the Gauss sum.
 
-Trivial zeros of a single Dirichlet L-function at n < 0 are always simple
-(one Gamma_R factor), so only first derivatives are ever needed:
+Each character is decided once: the exact L(n, chi) = -B_{1-n,chi}/(1-n)
+is computed, the order at n < 0 is read off it (0 when it is nonzero), and
+the parity rule (a trivial zero exactly when chi(-1) != (-1)^(1-n)) is the
+check.  Trivial zeros of a single Dirichlet L-function at n < 0 are always
+simple (one Gamma_R factor), so only first derivatives are ever needed:
 
     L'(n, chi) = eps(chi) * (f/pi)^((1-2n)/2) * Gamma((1-n+a)/2)
                  * (-1)^m * m!/2 * L(1-n, conj(chi)),   m = -(n+a)/2,
@@ -17,6 +20,7 @@ with a = 0 for even chi and a = 1 for odd chi.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +31,7 @@ import mpmath as mp
 
 from . import poly
 from .errors import (
+    InvalidArgumentError,
     InvariantViolationError,
     PrecisionUnderflowError,
     RationalityFailureError,
@@ -38,7 +43,6 @@ __all__ = [
     "CyclotomicNumber",
     "DirichletCharacter",
     "AbelianFieldSpec",
-    "SpecialValue",
     "LeadingValue",
     "TRIVIAL_CHARACTER",
     "CHI_MINUS_4",
@@ -51,7 +55,6 @@ __all__ = [
     "trivial_zero_order",
     "dedekind_order",
     "leading_value",
-    "dedekind_special_value",
     "gauss_sum",
     "default_precision",
 ]
@@ -79,7 +82,7 @@ def default_precision() -> int:
 def bernoulli_number(k: int) -> Fraction:
     """B_k with the B_1 = -1/2 convention, by the defining recurrence."""
     if k < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
+        raise InvalidArgumentError("Bernoulli index must be nonnegative")
     if k == 0:
         return Fraction(1)
     if k > 1 and k % 2 == 1:
@@ -146,9 +149,9 @@ class CyclotomicNumber:
 
     def __post_init__(self):
         if self.level < 1:
-            raise ValueError("level must be >= 1")
+            raise InvalidArgumentError("level must be >= 1")
         if len(self.coeffs) != _euler_phi(self.level):
-            raise ValueError("coefficient vector must have length phi(level)")
+            raise InvalidArgumentError("coefficient vector must have length phi(level)")
 
     # -- construction ------------------------------------------------------
 
@@ -194,7 +197,7 @@ class CyclotomicNumber:
         if level == self.level:
             return self
         if level % self.level != 0:
-            raise ValueError("can only promote to a multiple level")
+            raise InvalidArgumentError("can only promote to a multiple level")
         step = level // self.level
         result = CyclotomicNumber.rational(0, level)
         for j, c in enumerate(self.coeffs):
@@ -324,33 +327,30 @@ def _units(modulus: int) -> list[int]:
 class DirichletCharacter:
     """Character of (Z/modulus)^* with values in mu_order.
 
-    `exponents` lists (a, k_a) over units a, with chi(a) = zeta_order^(k_a).
-    `conductor` is the conductor of the primitive character this one induces.
+    `exponents[a % modulus]` is k with chi(a) = zeta_order^k, or None when
+    gcd(a, modulus) > 1.  `conductor` is the conductor of the primitive
+    character this one induces.
     """
 
     modulus: int
     order: int
-    exponents: tuple[tuple[int, int], ...]
+    exponents: tuple[int | None, ...]
     conductor: int
 
     def __post_init__(self):
-        table = dict(self.exponents)
-        if table.get(1, None) != 0:
-            raise ValueError("chi(1) must be 1")
-        k = table.get(_canonical_residue(-1, self.modulus))
+        if len(self.exponents) != self.modulus:
+            raise InvalidArgumentError("exponents must have one entry per residue")
+        if self.exponent(1) != 0:
+            raise InvalidArgumentError("chi(1) must be 1")
         allowed = {0} | ({self.order // 2} if self.order % 2 == 0 else set())
-        if k not in allowed:
-            raise ValueError("chi(-1) must be +1 or -1")
+        if self.exponent(-1) not in allowed:
+            raise InvalidArgumentError("chi(-1) must be +1 or -1")
 
     # -- lookups -------------------------------------------------------------
 
-    def _table(self):
-        return dict(self.exponents)
-
     def exponent(self, a: int):
         """k with chi(a) = zeta_order^k, or None when gcd(a, modulus) > 1."""
-        a = _canonical_residue(a, self.modulus)
-        return self._table().get(a)
+        return self.exponents[a % self.modulus]
 
     def value(self, a: int) -> CyclotomicNumber:
         k = self.exponent(a)
@@ -360,7 +360,7 @@ class DirichletCharacter:
 
     @property
     def is_trivial(self) -> bool:
-        return all(k == 0 for _, k in self.exponents)
+        return not any(self.exponents)
 
     @property
     def parity(self) -> int:
@@ -376,7 +376,7 @@ class DirichletCharacter:
         return DirichletCharacter(
             self.modulus,
             self.order,
-            tuple((a, (-k) % self.order) for a, k in self.exponents),
+            tuple(None if k is None else (-k) % self.order for k in self.exponents),
             self.conductor,
         )
 
@@ -385,19 +385,19 @@ class DirichletCharacter:
         if self.is_primitive:
             return self
         f = self.conductor
-        table = self._table()
-        exps = []
+        exps = [None] * f
         for a in _units(f):
             b = a
             while gcd(b, self.modulus) != 1:
                 b += f
-            exps.append((a, table[_canonical_residue(b, self.modulus)]))
-        return DirichletCharacter(f, self.order, tuple(sorted(exps)), f)
+            exps[a % f] = self.exponent(b)
+        return DirichletCharacter(f, self.order, tuple(exps), f)
 
     def label(self) -> str:
         if self.is_trivial and self.conductor == 1:
             return "zeta"
-        return f"chi_{self.modulus}.{self.order}.{'.'.join(str(k) for _, k in self.exponents)}"
+        units = ".".join(str(k) for k in self.exponents if k is not None)
+        return f"chi_{self.modulus}.{self.order}.{units}"
 
     def __str__(self):
         if self.is_trivial and self.conductor == 1:
@@ -405,8 +405,8 @@ class DirichletCharacter:
         return f"character mod {self.modulus} of order {self.order}"
 
 
-TRIVIAL_CHARACTER = DirichletCharacter(1, 1, ((1, 0),), 1)
-CHI_MINUS_4 = DirichletCharacter(4, 2, ((1, 0), (3, 1)), 4)
+TRIVIAL_CHARACTER = DirichletCharacter(1, 1, (0,), 1)
+CHI_MINUS_4 = DirichletCharacter(4, 2, (None, 0, None, 1), 4)
 
 
 @lru_cache(maxsize=None)
@@ -489,55 +489,46 @@ def _unit_logs(modulus: int):
 
 def characters_mod(modulus: int) -> tuple[DirichletCharacter, ...]:
     """All Dirichlet characters of (Z/modulus)^*, trivial one first."""
-    if modulus <= 2:
-        return (_induced_trivial(modulus),)
     gens = _unit_group_generators(modulus)
     logs = _unit_logs(modulus)
-    exponent = lcm(*[order for _, order in gens]) if gens else 1
-    chars = []
-    choices = [range(order) for _, order in gens]
-
-    def rec(idx, chosen):
-        if idx == len(choices):
-            chars.append(tuple(chosen))
-            return
-        for k in choices[idx]:
-            rec(idx + 1, chosen + [k])
-
-    rec(0, [])
+    exponent = lcm(*[order for _, order in gens])
     result = []
-    for chosen in sorted(chars):
-        table = {}
+    for chosen in itertools.product(*[range(order) for _, order in gens]):
+        # chi(a) = zeta_exponent^table[a % modulus]
+        table = [None] * modulus
         for a, vec in logs.items():
-            t = 0
-            for (_, order), k, e in zip(gens, chosen, vec):
-                t = (t + k * e * (exponent // order)) % exponent
-            table[a] = t
-        g = exponent
-        for t in table.values():
-            g = gcd(g, t)
-        order = exponent // g if g else 1
-        exps = tuple(sorted((a, t // (exponent // order) if order > 1 else 0) for a, t in table.items()))
-        cond = _conductor_of_table(modulus, table)
-        result.append(DirichletCharacter(modulus, order, exps, cond))
+            table[a % modulus] = sum(
+                k * e * (exponent // order) for (_, order), k, e in zip(gens, chosen, vec)
+            ) % exponent
+        g = gcd(exponent, *[t for t in table if t is not None])
+        exps = tuple(None if t is None else t // g for t in table)
+        result.append(DirichletCharacter(modulus, exponent // g, exps, _conductor(modulus, exps)))
     result.sort(key=lambda c: (not c.is_trivial, c.order, c.exponents))
     return tuple(result)
 
 
-def _induced_trivial(modulus: int) -> DirichletCharacter:
-    return DirichletCharacter(modulus, 1, tuple((a, 0) for a in _units(modulus)), 1)
+def _conductor(modulus: int, exponents) -> int:
+    """Least f | modulus with chi trivial on the units that are 1 mod f."""
+    return next(
+        f
+        for f in range(1, modulus + 1)
+        if modulus % f == 0
+        and all(exponents[a % modulus] == 0 for a in _units(modulus) if a % f == 1 % f)
+    )
 
 
-def _conductor_of_table(modulus: int, table) -> int:
-    for f in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
-        ok = True
-        for a in _units(modulus):
-            if a % f == 1 % f and table[a] != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return modulus
+def _closure(generators, modulus: int) -> set[int]:
+    """Residues in [1, modulus] of the monoid generated by `generators`."""
+    closed = {1}
+    frontier = [1]
+    while frontier:
+        a = frontier.pop()
+        for g in generators:
+            b = _canonical_residue(a * g, modulus)
+            if b not in closed:
+                closed.add(b)
+                frontier.append(b)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -554,41 +545,22 @@ class AbelianFieldSpec:
     def __post_init__(self):
         f = self.conductor
         if f < 1:
-            raise ValueError("conductor must be >= 1")
+            raise InvalidArgumentError("conductor must be >= 1")
         elements = set(self.subgroup)
-        if not elements:
-            raise ValueError("subgroup must contain 1")
-        units = set(_units(f))
-        if not elements <= units:
-            raise ValueError("subgroup elements must be units modulo the conductor")
-        closed = {1}
-        frontier = [1]
-        while frontier:
-            a = frontier.pop()
-            for h in elements:
-                b = _canonical_residue(a * h, f)
-                if b not in closed:
-                    closed.add(b)
-                    frontier.append(b)
-        if closed != elements:
-            raise ValueError("subgroup is not closed under multiplication")
+        if 1 not in elements:
+            raise InvalidArgumentError("subgroup must contain 1")
+        non_units = sorted(elements - set(_units(f)))
+        if non_units:
+            raise InvalidArgumentError(f"subgroup elements {non_units} are not units mod {f}")
+        if _closure(elements, f) != elements:
+            raise InvalidArgumentError("subgroup is not closed under multiplication")
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> AbelianFieldSpec:
-        closed = {1}
-        frontier = [1]
-        gens = [_canonical_residue(int(g), conductor) for g in generators]
-        for g in gens:
-            if conductor > 1 and gcd(g, conductor) != 1:
-                raise ValueError(f"{g} is not a unit mod {conductor}")
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = _canonical_residue(a * g, conductor)
-                if b not in closed:
-                    closed.add(b)
-                    frontier.append(b)
-        return cls(conductor, tuple(sorted(closed)))
+        if conductor < 1:
+            raise InvalidArgumentError("conductor must be >= 1")
+        gens = {_canonical_residue(int(g), conductor) for g in generators}
+        return cls(conductor, tuple(sorted(_closure(gens, conductor))))
 
     @property
     def degree(self) -> int:
@@ -596,10 +568,9 @@ class AbelianFieldSpec:
 
     def characters(self) -> tuple[DirichletCharacter, ...]:
         """Primitive characters trivial on the subgroup (one per embedding)."""
-        table = set(self.subgroup)
         selected = [
             chi for chi in characters_mod(self.conductor)
-            if all(chi.exponent(h) == 0 for h in table)
+            if all(chi.exponent(h) == 0 for h in self.subgroup)
         ]
         if len(selected) != self.degree:
             raise ZetaforgeError(
@@ -645,7 +616,7 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     which is the right convention for zeta(0) = -1/2).
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
     f = chi.modulus
     level = chi.order
@@ -667,25 +638,28 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
 def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     """Exact L(n, chi) for n <= 0, via L(1-k, chi) = -B_{k,chi}/k."""
     if n > 0:
-        raise ValueError("n must be <= 0")
+        raise InvalidArgumentError("n must be <= 0")
     k = 1 - n
     return gen_bernoulli(chi, k) * Fraction(-1, k)
 
 
-def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
-    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0.
+def _checked_order(chi: DirichletCharacter, n: int, exact: CyclotomicNumber) -> int:
+    """Order of the primitive chi at n < 0, read off the exact L(n, chi).
 
-    Parity rule: the zero occurs exactly when chi(-1) != (-1)^(1-n); the
-    shortcut is checked against the exact value.
+    Parity rule, the check: the zero occurs exactly when chi(-1) != (-1)^(1-n).
     """
-    if n >= 0:
-        raise ValueError("n must be < 0")
-    chi = chi.primitive()
-    predicted = 1 if chi.parity != parity_sign(1 - n) else 0
-    exact_zero = L_at_nonpositive(chi, n).is_zero
-    if exact_zero != bool(predicted):
+    order = 1 if exact.is_zero else 0
+    if order != (chi.parity != parity_sign(1 - n)):
         raise InvariantViolationError("parity shortcut disagrees with exact L-value")
-    return predicted
+    return order
+
+
+def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
+    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0."""
+    if n >= 0:
+        raise InvalidArgumentError("n must be < 0")
+    chi = chi.primitive()
+    return _checked_order(chi, n, L_at_nonpositive(chi, n))
 
 
 def dedekind_order(field: AbelianFieldSpec, n: int) -> int:
@@ -712,37 +686,6 @@ class LeadingValue:
     error: object  # mpmath mpf
     order: int
     exact: CyclotomicNumber | None = None
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """Vanishing order and leading Taylor coefficient at s = n.
-
-    `exact` is set when the value is provably an exact rational; `numeric`
-    always holds a real high-precision evaluation with `error` bound.
-    """
-
-    order: int
-    exact: Fraction | None
-    numeric: object  # mpmath mpf
-    error: object  # mpmath mpf
-
-    def __post_init__(self):
-        if self.exact is not None:
-            delta = abs(
-                self.numeric - mp.mpf(self.exact.numerator) / mp.mpf(self.exact.denominator)
-            )
-            if not delta <= self.error:
-                raise ValueError("numeric mirror disagrees with the exact value")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def __str__(self):
-        if self.is_exact:
-            return f"order {self.order}, value {self.exact} (exact)"
-        return f"order {self.order}, value ~ {mp.nstr(self.numeric, 20)} (+/- {mp.nstr(self.error, 3)})"
 
 
 def _working_dps(precision: int, conductor: int) -> int:
@@ -792,21 +735,19 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None)
     if precision is None:
         precision = default_precision()
     if n >= 0:
-        raise ValueError("n must be < 0")
+        raise InvalidArgumentError("n must be < 0")
     chi = chi.primitive()
     f = chi.modulus
-    order = trivial_zero_order(chi, n)
+    exact = L_at_nonpositive(chi, n)
+    order = _checked_order(chi, n, exact)
     dps = _working_dps(precision, f)
     with mp.workdps(dps):
         if order == 0:
-            exact = L_at_nonpositive(chi, n)
             value = exact.numeric(dps)
             error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
             return LeadingValue(value=value, error=error, order=0, exact=exact)
         a = 0 if chi.parity == 1 else 1
-        if (n + a) % 2 != 0:
-            raise InvariantViolationError("trivial zero at a weight of the wrong parity")
-        m = -(n + a) // 2
+        m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
         eps = gauss_sum(chi, precision) / (1j**a * mp.sqrt(f))
         gamma_part = mp.gamma(mp.mpf(1 - n + a) / 2)
         archimedean = (mp.mpf(f) / mp.pi) ** (mp.mpf(1 - 2 * n) / 2)
@@ -817,44 +758,3 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None)
         if error > mp.mpf(10) ** (-precision) * (abs(value) + 1):
             raise PrecisionUnderflowError("could not reach the requested precision")
         return LeadingValue(value=value, error=error, order=1, exact=None)
-
-
-def dedekind_special_value(
-    field: AbelianFieldSpec, n: int, precision: int | None = None
-) -> SpecialValue:
-    """Order and leading coefficient of zeta_F(s) = prod_chi L(s, chi) at n < 0.
-
-    When the order is zero the product of the exact cyclotomic values must
-    collapse to a rational number; failure to do so raises, since the
-    character set of a field is closed under conjugation.
-    """
-    if precision is None:
-        precision = default_precision()
-    leads = [leading_value(chi, n, precision) for chi in field.characters()]
-    order = sum(lv.order for lv in leads)
-    dps = _working_dps(precision, field.conductor)
-    with mp.workdps(dps):
-        numeric = mp.mpc(1)
-        rel_err = mp.mpf(0)
-        for lv in leads:
-            numeric *= lv.value
-            rel_err += lv.error / (abs(lv.value) + mp.mpf(10) ** (-dps))
-        error = (abs(numeric) + 1) * (rel_err + mp.mpf(10) ** (-(precision + 5)))
-        if order == 0:
-            exact = CyclotomicNumber.rational(1)
-            for lv in leads:
-                exact = exact * lv.exact
-            if not exact.is_rational:
-                raise RationalityFailureError(
-                    f"order-0 Dedekind value of {field} did not collapse to a rational"
-                )
-            value = exact.rational_value()
-            return SpecialValue(
-                order=0,
-                exact=value,
-                numeric=mp.mpf(value.numerator) / mp.mpf(value.denominator),
-                error=error,
-            )
-        if abs(mp.im(numeric)) > error:
-            raise RationalityFailureError("special value of a Dedekind zeta must be real")
-        return SpecialValue(order=order, exact=None, numeric=mp.re(numeric), error=error)

@@ -19,13 +19,16 @@ from math import gcd
 import mpmath as mp
 
 from . import poly
-from .errors import WeilViolationError
+from .errors import (
+    InvalidArgumentError,
+    InvariantViolationError,
+    RationalityFailureError,
+    WeilViolationError,
+)
 from .intlinalg import ensure_prime_power
 from .lfunctions import (
     CyclotomicNumber,
     DirichletCharacter,
-    LeadingValue,
-    SpecialValue,
     TRIVIAL_CHARACTER,
     default_precision,
     leading_value,
@@ -67,17 +70,17 @@ class RationalFunctionT:
 
     def __post_init__(self):
         if not self.den or self.den[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
+            raise InvalidArgumentError("denominator must have a nonzero constant term")
         if not self.num or self.num[0] == 0:
-            raise ValueError("numerator must have a nonzero constant term")
+            raise InvalidArgumentError("numerator must have a nonzero constant term")
 
     @classmethod
     def make(cls, num, den=(1,)) -> RationalFunctionT:
         num, den = poly.trim(num), poly.trim(den)
         if not den:
-            raise ValueError("denominator is zero")
+            raise InvalidArgumentError("denominator is zero")
         if not num:
-            raise ValueError("numerator is zero")
+            raise InvalidArgumentError("numerator is zero")
         g = gcd(_poly_content(num), _poly_content(den))
         if den[0] < 0:
             g = -g
@@ -165,7 +168,7 @@ class LFactorShifted:
 
     def __post_init__(self):
         if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
+            raise InvalidArgumentError("shift must be nonnegative")
 
     def sort_key(self):
         c = self.character
@@ -257,7 +260,7 @@ def inverse(z: ZetaProduct) -> ZetaProduct:
 def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
     """Replace s by s - r: t -> q^r t on finite factors, shift += r on L-factors."""
     if r < 0:
-        raise ValueError("shift must be nonnegative")
+        raise InvalidArgumentError("shift must be nonnegative")
     if r == 0:
         return z
     out = []
@@ -292,9 +295,40 @@ def vanishing_order(z: ZetaProduct, n: int) -> int:
     finite at t = q^(-n)) and sums the trivial-zero orders of the L-part.
     """
     if n >= 0:
-        raise ValueError("vanishing orders are computed at strictly negative integers")
+        raise InvalidArgumentError("vanishing orders are computed at strictly negative integers")
     _finite_char_value(z, n)
     return sum(e * trivial_zero_order(f.character, n - f.shift) for f, e in z.char_zero)
+
+
+@dataclass(frozen=True)
+class SpecialValue:
+    """Vanishing order and leading Taylor coefficient at s = n.
+
+    `exact` is set when the value is provably an exact rational; `numeric`
+    always holds a real high-precision evaluation with `error` bound.
+    """
+
+    order: int
+    exact: Fraction | None
+    numeric: object  # mpmath mpf
+    error: object  # mpmath mpf
+
+    def __post_init__(self):
+        if self.exact is not None:
+            delta = abs(
+                self.numeric - mp.mpf(self.exact.numerator) / mp.mpf(self.exact.denominator)
+            )
+            if not delta <= self.error:
+                raise InvariantViolationError("numeric mirror disagrees with the exact value")
+
+    @property
+    def is_exact(self) -> bool:
+        return self.exact is not None
+
+    def __str__(self):
+        if self.is_exact:
+            return f"order {self.order}, value {self.exact} (exact)"
+        return f"order {self.order}, value ~ {mp.nstr(self.numeric, 20)} (+/- {mp.nstr(self.error, 3)})"
 
 
 def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> SpecialValue:
@@ -306,17 +340,13 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
     exact rational (in particular for conjugation-closed character sets).
     """
     if n >= 0:
-        raise ValueError("special values are computed at strictly negative integers")
+        raise InvalidArgumentError("special values are computed at strictly negative integers")
     if precision is None:
         precision = default_precision()
 
     rational_part = _finite_char_value(z, n)
-    order = 0
-    leads: list[tuple[LeadingValue, int]] = []
-    for f, e in z.char_zero:
-        m = n - f.shift
-        order += e * trivial_zero_order(f.character, m)
-        leads.append((leading_value(f.character, m, precision), e))
+    leads = [(leading_value(f.character, n - f.shift, precision), e) for f, e in z.char_zero]
+    order = sum(e * lv.order for lv, e in leads)
 
     dps = precision + 20
     with mp.workdps(dps):
@@ -338,7 +368,7 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
             rel_err += abs(e) * lv.error / (abs(lv.value) + mp.mpf(10) ** (-dps))
         error = (abs(numeric) + 1) * (rel_err + mp.mpf(10) ** (-(precision + 5)))
         if abs(mp.im(numeric)) > error:
-            raise ValueError(
+            raise RationalityFailureError(
                 "special value is not real: the characteristic-zero factors are "
                 "not closed under conjugation"
             )
@@ -348,5 +378,5 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
 def power_series(f: FiniteCharFactor, K: int) -> list[Fraction]:
     """Exact Taylor coefficients of Z(t) up to t^K."""
     if K < 0:
-        raise ValueError("order must be nonnegative")
+        raise InvalidArgumentError("order must be nonnegative")
     return f.Z.series(K)

@@ -184,6 +184,8 @@ def test_error_exit_codes(capsys):
         ["zeta", "(point 2 0)"],
         ["zeta", "(curve 2 (0 1))"],
         ["ell-check", "(point 2)", "-n", "-1", "--ell", "2"],
+        ["zeta", "(numberring :conductor 0 :subgroup (1))"],
+        ["zeta", "(numberring :conductor 6 :subgroup (2))"],
     ],
 )
 def test_invalid_argument_exit_code(capsys, argv):

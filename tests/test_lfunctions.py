@@ -17,13 +17,15 @@ from zetaforge.lfunctions import (
     bernoulli_number,
     characters_mod,
     dedekind_order,
-    dedekind_special_value,
     default_precision,
     gen_bernoulli,
     gauss_sum,
     leading_value,
     trivial_zero_order,
 )
+
+from zetaforge.scheme_algebra import NumberRing, zeta_of
+from zetaforge.zetarep import evaluate_at
 
 from oracles import euler_maclaurin_zeta, numeric_derivative
 
@@ -237,29 +239,29 @@ def test_random_characters_dual_path():
 
 
 def test_dedekind_special_values():
-    sv = dedekind_special_value(Q, -1, 50)
+    sv = evaluate_at(zeta_of(NumberRing(Q)), -1, 50)
     assert sv.order == 0 and sv.exact == Fraction(-1, 12)
 
-    sv = dedekind_special_value(Q, -2, 50)
+    sv = evaluate_at(zeta_of(NumberRing(Q)), -2, 50)
     assert sv.order == 1 and not sv.is_exact
     with mp.workdps(60):
         assert abs(sv.numeric + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
 
     # real quadratic field of discriminant 5: zeta_F(-1) = 1/30
-    sv = dedekind_special_value(SQRT5, -1, 50)
+    sv = evaluate_at(zeta_of(NumberRing(SQRT5)), -1, 50)
     assert sv.order == 0 and sv.exact == Fraction(1, 30)
 
 
 def test_dedekind_order_zero_values_are_rational():
     for field, n in [(SQRT5, -1), (SQRT5, -3), (ZETA5, -2), (ZETA7, -2), (QI, -2)]:
         if dedekind_order(field, n) == 0:
-            sv = dedekind_special_value(field, n, 40)
+            sv = evaluate_at(zeta_of(NumberRing(field)), n, 40)
             assert sv.is_exact
             assert sv.exact != 0
 
 
 def test_dedekind_degenerate_field_is_riemann():
-    sv = dedekind_special_value(Q, -3, 40)
+    sv = evaluate_at(zeta_of(NumberRing(Q)), -3, 40)
     assert sv.exact == Fraction(1, 120)
 
 

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from zetaforge.errors import WeilViolationError
-from zetaforge.lfunctions import CHI_MINUS_4
+from zetaforge import lfunctions
+from zetaforge.errors import RationalityFailureError, WeilViolationError
+from zetaforge.lfunctions import CHI_MINUS_4, AbelianFieldSpec, characters_mod
+from zetaforge.scheme_algebra import NumberRing, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -84,6 +87,30 @@ def test_evaluate_riemann_at_minus_2():
     with mp.workdps(60):
         assert abs(v.numeric + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
         assert abs(v.numeric + mp.mpf("0.0304484570583")) < mp.mpf(10) ** -12
+
+
+def test_one_exact_l_value_per_character(monkeypatch):
+    # the order and the leading value of each L-factor share one B_{k,chi}
+    calls = Counter()
+    original = lfunctions.gen_bernoulli
+
+    def counted(chi, k):
+        calls[chi] += 1
+        return original(chi, k)
+
+    monkeypatch.setattr(lfunctions, "gen_bernoulli", counted)
+    field = AbelianFieldSpec(13, (1,))
+    evaluate_at(zeta_of(NumberRing(field)), -2)
+    assert calls == Counter(field.characters()) and len(calls) == 12
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_non_real_product_raises_rationality_failure(n):
+    # an order-4 character mod 5 without its conjugate: order 1 at n = -1,
+    # a non-rational exact value at n = -2
+    chi = next(c for c in characters_mod(5) if c.order == 4)
+    with pytest.raises(RationalityFailureError):
+        evaluate_at(ZetaProduct.single(LFactorShifted(chi)), n)
 
 
 def test_weil_violation():
