@@ -52,7 +52,6 @@ from .lfunctions import (
     CyclotomicNumber,
     DirichletCharacter,
     L_at_nonpositive,
-    dedekind_order,
     gen_bernoulli,
     leading_value,
     trivial_zero_order,

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from . import archimedean, ffengine
 from .detcomplex import cohomology, complex_from_json_dict, determinant
-from .errors import ZetaforgeError
+from .errors import InvalidArgumentError, ManifestError, ZetaforgeError
 from .intlinalg import is_prime
 from .lfunctions import default_precision
 from .scheme_algebra import (
@@ -206,16 +206,27 @@ def _battery(expr: SchemeExpr, n: int, series_order: int) -> list:
     return reports
 
 
+def _manifest_entries(manifest) -> list[tuple[str, int]]:
+    """(expr, n) of every entry; one malformed entry rejects the whole manifest."""
+    if not isinstance(manifest, list):
+        raise ManifestError("manifest must be a JSON list of {expr, n} objects")
+    for k, item in enumerate(manifest):
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("expr"), str)
+            and isinstance(item.get("n"), int)
+        ):
+            raise ManifestError(f'entry {k} is not {{"expr": <string>, "n": <integer>}}')
+    return [(item["expr"], item["n"]) for item in manifest]
+
+
 def _cmd_batch(args) -> tuple[dict, bool]:
     with open(args.manifest, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if not isinstance(manifest, list):
-        raise ZetaforgeError("manifest must be a JSON list of {expr, n} objects")
     entries = []
     all_ok = True
-    for item in manifest:
-        expr = parse_expr(item["expr"])
-        n = int(item["n"])
+    for text, n in _manifest_entries(manifest):
+        expr = parse_expr(text)
         reports = _battery(expr, n, args.series_order)
         ok = all(r.passed for r in reports)
         all_ok = all_ok and ok
@@ -263,6 +274,8 @@ def _render_text(report: dict) -> str:
 def run_command(args) -> tuple[dict, bool]:
     """Dispatch a parsed argparse namespace to its implementation."""
     verb = args.verb
+    if args.series_order < 0:
+        raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
     if verb == "det":
         return _cmd_det(args)
     if verb == "batch":
@@ -329,27 +342,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values print in full, whatever their size
     try:
         report, ok = run_command(args)
     except ZetaforgeError as exc:
-        payload = {"error": {"code": exc.code, "message": exc.message}}
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        payload = {"error": {"code": "io-error", "message": str(exc)}}
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"error [io-error]: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
+        return _print_error(args, exc.code, exc.message)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _print_error(args, "io-error", str(exc))
     else:
-        print(_render_text(report))
-    return 0 if ok else 1
+        print(json.dumps(report, indent=2) if args.format == "json" else _render_text(report))
+        return 0 if ok else 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _print_error(args, code: str, message: str) -> int:
+    if args.format == "json":
+        print(json.dumps({"error": {"code": code, "message": message}}, indent=2))
+    else:
+        print(f"error [{code}]: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

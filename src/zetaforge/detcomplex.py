@@ -2,26 +2,23 @@
 
 A complex is stored as ranks and differentials d^i: A^i -> A^{i+1} (so the
 matrix of d^i has rank(i+1) rows and rank(i) columns).  Cohomology is exact
-via Smith normal form.  When every cohomology group is finite the graded
-determinant line embeds canonically into Q and is reported as the fractional
-ideal (1/m)Z with m the alternating product of the cohomology orders; the
-ideal generator is normalized positive, so everything is up to sign.
+and read off the invariant factors of the differentials: one Smith normal
+form per nonzero differential, computed once per complex.  When every
+cohomology group is finite the graded determinant line embeds canonically
+into Q and is reported as the fractional ideal (1/m)Z with m the alternating
+product of the cohomology orders; the ideal generator is normalized
+positive, so everything is up to sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import index
 
-from .errors import InfiniteCohomologyError, InvariantViolationError, NonChainMapError
-from .intlinalg import (
-    FinGenAbGroup,
-    IntMatrix,
-    cokernel,
-    group_order,
-    parity_sign,
-    smith_normal_form,
-)
+from .errors import InfiniteCohomologyError, InvalidArgumentError, NonChainMapError
+from .intlinalg import FinGenAbGroup, IntMatrix, group_order, parity_sign, smith_normal_form
 
 __all__ = [
     "BoundedFreeComplex",
@@ -49,7 +46,7 @@ class BoundedFreeComplex:
     def __init__(self, ranks, differentials=None, check=True):
         self._ranks = {int(i): int(r) for i, r in dict(ranks).items() if r}
         if any(r < 0 for r in self._ranks.values()):
-            raise ValueError("ranks must be nonnegative")
+            raise InvalidArgumentError("ranks must be nonnegative")
         diffs = {}
         for i, mat in dict(differentials or {}).items():
             i = int(i)
@@ -57,7 +54,7 @@ class BoundedFreeComplex:
                 mat = IntMatrix.from_rows(mat)
             expected = (self.rank(i + 1), self.rank(i))
             if (mat.rows, mat.cols) != expected:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"differential at degree {i} has shape {(mat.rows, mat.cols)}, "
                     f"expected {expected}"
                 )
@@ -68,7 +65,7 @@ class BoundedFreeComplex:
             for i in list(self._diffs):
                 nxt = self._diffs.get(i + 1)
                 if nxt is not None and not (nxt @ self._diffs[i]).is_zero:
-                    raise ValueError(f"d^{i + 1} o d^{i} != 0")
+                    raise InvalidArgumentError(f"d^{i + 1} o d^{i} != 0")
 
     @property
     def lo(self) -> int:
@@ -93,6 +90,15 @@ class BoundedFreeComplex:
     @property
     def is_zero(self) -> bool:
         return not self._ranks
+
+    @cached_property
+    def _invariant_factors(self) -> dict[int, tuple[int, ...]]:
+        """Degree i -> nonzero invariant factors of d^i, for each nonzero d^i.
+
+        One Smith normal form per differential; the complex never changes,
+        so neither does this table.
+        """
+        return {i: smith_normal_form(d).invariant_factors for i, d in self._diffs.items()}
 
     def __eq__(self, other):
         if not isinstance(other, BoundedFreeComplex):
@@ -119,7 +125,7 @@ class GradedLine:
 
     def __post_init__(self):
         if self.ideal is not None and self.ideal <= 0:
-            raise ValueError("ideal generator must be normalized positive")
+            raise InvalidArgumentError("ideal generator must be normalized positive")
 
     def __str__(self):
         gen = "undetermined" if self.ideal is None else str(self.ideal)
@@ -151,23 +157,17 @@ class ChainMap:
 
 
 def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
-    """H^i(C) = ker d^i / im d^{i-1} in invariant-factor form."""
-    n = C.rank(i)
-    if n == 0:
-        return FinGenAbGroup(0, ())
-    out = smith_normal_form(C.differential(i))
-    r = out.rank
-    # x in ker d^i  <=>  the first r coordinates of V*x vanish, and the
-    # remaining coordinates identify ker d^i with Z^(n-r)
-    if C.rank(i - 1) == 0:
-        return FinGenAbGroup(n - r, ())
-    W = out.V @ C.differential(i - 1)
-    rows = W.to_rows()
-    for k in range(r):  # d o d = 0 lands the image inside the kernel
-        if any(rows[k]):
-            raise InvariantViolationError("image not contained in kernel")
-    M = W.row_slice(r, n)
-    return cokernel(M)
+    """H^i(C) = ker d^i / im d^{i-1} in invariant-factor form.
+
+    A^i / ker d^i embeds in the free module A^{i+1}, so ker d^i is a direct
+    summand of A^i containing im d^{i-1} (d o d = 0, checked when the complex
+    is built).  Hence H^i = Z^(n_i - rk d^i - rk d^{i-1}) + torsion(coker
+    d^{i-1}), and only the invariant factors of the two differentials count.
+    """
+    outgoing = C._invariant_factors.get(i, ())
+    incoming = C._invariant_factors.get(i - 1, ())
+    torsion = tuple(t for t in incoming if t >= 2)
+    return FinGenAbGroup(C.rank(i) - len(outgoing) - len(incoming), torsion)
 
 
 def euler_characteristics(C: BoundedFreeComplex) -> tuple[int, int]:
@@ -186,9 +186,7 @@ def euler_characteristics(C: BoundedFreeComplex) -> tuple[int, int]:
 def multiplicative_euler_char(C: BoundedFreeComplex) -> Fraction:
     """m = prod |H^i|^((-1)^i); requires every H^i finite."""
     m = Fraction(1)
-    if C.is_zero:
-        return m
-    for i in range(C.lo, C.hi + 1):
+    for i in C.degrees():  # H^i = 0 wherever A^i = 0
         H = cohomology(C, i)
         if not H.is_finite:
             raise InfiniteCohomologyError(f"H^{i} has rank {H.rank}, so m is undefined")
@@ -292,9 +290,15 @@ def complex_from_json_dict(data) -> BoundedFreeComplex:
     degree i to i+1; absent degrees have rank 0.
     """
     if not isinstance(data, dict) or "ranks" not in data:
-        raise ValueError('complex file must be an object with a "ranks" field')
-    ranks = {int(k): int(v) for k, v in data["ranks"].items()}
-    diffs = {int(k): IntMatrix.from_rows(v) for k, v in data.get("differentials", {}).items()}
+        raise InvalidArgumentError('complex file must be an object with a "ranks" field')
+    ranks, diffs = data["ranks"], data.get("differentials", {})
+    if not (isinstance(ranks, dict) and isinstance(diffs, dict)):
+        raise InvalidArgumentError('"ranks" and "differentials" must be objects keyed by degree')
+    try:
+        ranks = {int(k): index(v) for k, v in ranks.items()}
+        diffs = {int(k): IntMatrix.from_rows(v) for k, v in diffs.items()}
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed complex file: {exc}") from None
     return BoundedFreeComplex(ranks, diffs)
 
 

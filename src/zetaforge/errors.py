@@ -77,3 +77,7 @@ class ArityError(ZetaforgeError):
 
 class NotPrimePowerError(ZetaforgeError):
     code = "not-prime-power"
+
+
+class ManifestError(ZetaforgeError):
+    code = "manifest-error"

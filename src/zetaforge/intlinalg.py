@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import index
 
-from .errors import InfiniteGroupError, NotPrimePowerError
+from .errors import InfiniteGroupError, InvalidArgumentError, NotPrimePowerError
 
 __all__ = [
     "IntMatrix",
@@ -46,18 +47,22 @@ class IntMatrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+            raise InvalidArgumentError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+            raise InvalidArgumentError("entry count does not match shape")
 
     @classmethod
     def from_rows(cls, data) -> IntMatrix:
-        data = [list(row) for row in data]
+        try:
+            data = [list(row) for row in data]
+            entries = tuple(index(x) for row in data for x in row)
+        except TypeError:
+            raise InvalidArgumentError("matrix rows must be lists of integers") from None
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, tuple(int(x) for row in data for x in row))
+            raise InvalidArgumentError("ragged rows")
+        return cls(rows, cols, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
@@ -66,13 +71,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, rows: int, cols: int, diag) -> IntMatrix:
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            m[i][i] = int(d)
-        return cls.from_rows(m) if rows else cls(rows, cols, ())
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -84,7 +82,7 @@ class IntMatrix:
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
+            raise InvalidArgumentError("shape mismatch in matrix product")
         a, b = self.to_rows(), other.to_rows()
         out = []
         for i in range(self.rows):
@@ -99,13 +97,6 @@ class IntMatrix:
     def __neg__(self) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def row_slice(self, start: int, stop: int) -> IntMatrix:
-        rows = self.to_rows()[start:stop]
-        n = max(0, min(stop, self.rows) - start)
-        if n == 0 or self.cols == 0:
-            return IntMatrix(n, self.cols, ())
-        return IntMatrix.from_rows(rows)
-
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -113,7 +104,7 @@ class IntMatrix:
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
+            raise InvalidArgumentError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return 1
@@ -169,13 +160,13 @@ class FinGenAbGroup:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise ValueError("negative rank")
+            raise InvalidArgumentError("negative rank")
         for t in self.torsion:
             if t < 2:
-                raise ValueError("invariant factors must be >= 2")
+                raise InvalidArgumentError("invariant factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+                raise InvalidArgumentError("invariant factors must form a divisibility chain")
 
     @property
     def is_trivial(self) -> bool:
@@ -353,10 +344,10 @@ def ensure_prime_power(q: int) -> int:
 def rational_valuation(x, p: int) -> int:
     """p-adic valuation v_p(x) of a nonzero rational x."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InvalidArgumentError(f"{p} is not prime")
     x = Fraction(x)
     if x == 0:
-        raise ValueError("valuation of zero is undefined")
+        raise InvalidArgumentError("valuation of zero is undefined")
     v = 0
     num = abs(x.numerator)
     while num % p == 0:

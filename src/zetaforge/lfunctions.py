@@ -53,7 +53,6 @@ __all__ = [
     "gen_bernoulli",
     "L_at_nonpositive",
     "trivial_zero_order",
-    "dedekind_order",
     "leading_value",
     "gauss_sum",
     "default_precision",
@@ -660,18 +659,6 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
         raise InvalidArgumentError("n must be < 0")
     chi = chi.primitive()
     return _checked_order(chi, n, L_at_nonpositive(chi, n))
-
-
-def dedekind_order(field: AbelianFieldSpec, n: int) -> int:
-    """Vanishing order of zeta_F at n < 0 (sum of trivial-zero orders)."""
-    total = sum(trivial_zero_order(chi, n) for chi in field.characters())
-    r1, r2 = field.signature
-    expected = r2 if n % 2 != 0 else r1 + r2
-    if total != expected:
-        raise ZetaforgeError(
-            f"character count {total} disagrees with signature formula {expected}"
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------

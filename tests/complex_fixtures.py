@@ -1,10 +1,11 @@
 """Generators for random complexes with known torsion cohomology.
 
-Strategy: assemble a direct sum of two-term complexes [Z --k--> Z] (so the
-cohomology and m are known by construction), then scramble by unimodular
-basis changes, accepting an operation only while all differential entries
-stay within the requested bound.  Basis changes leave cohomology untouched,
-so the split model remains the ground truth.
+Strategy: assemble a direct sum of two-term complexes [Z --k--> Z] and,
+optionally, free modules Z with zero differentials (so the cohomology and m
+are known by construction), then scramble by unimodular basis changes,
+accepting an operation only while all differential entries stay within the
+requested bound.  Basis changes leave cohomology untouched, so the split
+model remains the ground truth.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class _Mutable:
         )
 
 
-def _split_complex(rng, max_summands=4, degree_lo=-3, degree_hi=3, max_rank=4, bound=6):
+def _split_complex(rng, max_summands=4, degree_lo=-3, degree_hi=3, max_rank=4, bound=6, free=0):
     ranks = {}
     slots = {}
     summands = []
@@ -53,6 +54,10 @@ def _split_complex(rng, max_summands=4, degree_lo=-3, degree_hi=3, max_rank=4, b
         d, k = 0, rng.choice([2, 3, 4, 5])
         ranks = {0: 1, 1: 1}
         summands = [(d, k, 0, 0)]
+    for _ in range(free):  # zero rows / columns of the differentials, added below
+        d = rng.randint(degree_lo, degree_hi)
+        if ranks.get(d, 0) < max_rank:
+            ranks[d] = ranks.get(d, 0) + 1
     diffs = {}
     for d, k, src, tgt in summands:
         m = diffs.setdefault(d, None)
@@ -144,6 +149,23 @@ def random_torsion_complex_with_m(rng, **kwargs):
 
 def random_torsion_complex(rng, **kwargs):
     return random_torsion_complex_with_m(rng, **kwargs)[0]
+
+
+def random_complex_with_groups(rng, free=3, **kwargs):
+    """(complex, {degree: (rank, cyclic orders)}) from the split model.
+
+    Up to `free` free summands Z sit in random degrees; each [Z --k--> Z]
+    from degree d adds Z/|k| to H^(d+1) (nothing when |k| = 1).
+    """
+    cx, summands, _ = _split_complex(rng, free=rng.randint(0, free), **kwargs)
+    groups = {i: [r, []] for i, r in cx.ranks.items()}
+    for d, k, _, _ in summands:
+        groups[d][0] -= 1
+        groups[d + 1][0] -= 1
+        if abs(k) >= 2:
+            groups[d + 1][1].append(abs(k))
+    _basis_ops(rng, cx)
+    return cx.freeze(), {i: (r, orders) for i, (r, orders) in groups.items()}
 
 
 def random_chain_map(rng, A, B, entry_bound=2):

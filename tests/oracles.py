@@ -154,3 +154,17 @@ def termwise_snf_determinant_ideal(complex_obj, snf):
         g = prod(snf(d).invariant_factors) or 1
         m *= Fraction(g) ** (-1 if (i + 1) % 2 else 1)
     return 1 / m
+
+
+def invariant_factors(orders):
+    """Invariant factors (each >= 2, each dividing the next) of (+) Z/k.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after the pass over position i,
+    the entry there divides every later one.
+    """
+    d = sorted(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(t for t in d if t >= 2)

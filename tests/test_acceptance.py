@@ -34,7 +34,6 @@ from zetaforge.lfunctions import (
     AbelianFieldSpec,
     L_at_nonpositive,
     TRIVIAL_CHARACTER,
-    dedekind_order,
     gen_bernoulli,
     leading_value,
 )
@@ -232,7 +231,7 @@ def test_criterion_6_number_ring_vanishing_orders():
         r1, r2 = F.signature
         for n in range(-4, 0):
             expected = r2 if n % 2 else r1 + r2
-            assert dedekind_order(F, n) == expected, (name, n)
+            assert vanishing_order(zeta_of(NumberRing(F)), n) == expected, (name, n)
             assert vanishing_order_conjectural(NumberRing(F), n) == expected, (name, n)
     print(
         "\n[PASS] criterion 6 - Dedekind vanishing orders match r2/(r1+r2) and the "

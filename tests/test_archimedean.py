@@ -12,7 +12,7 @@ from zetaforge.archimedean import (
     vanishing_order_conjectural,
 )
 from zetaforge.errors import EulerOnlyDataError
-from zetaforge.lfunctions import Q, QI, AbelianFieldSpec, dedekind_order
+from zetaforge.lfunctions import Q, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
     Affine,
     Curve,
@@ -22,7 +22,9 @@ from zetaforge.scheme_algebra import (
     NumberRing,
     Point,
     Proj,
+    zeta_of,
 )
+from zetaforge.zetarep import vanishing_order
 
 
 def test_finite_char_atoms_have_no_complex_points():
@@ -97,7 +99,8 @@ def test_matches_dedekind_orders():
     fields = [Q, QI, AbelianFieldSpec.from_generators(5, [4]), AbelianFieldSpec(5, (1,))]
     for F in fields:
         for n in range(-4, 0):
-            assert vanishing_order_conjectural(NumberRing(F), n) == dedekind_order(F, n)
+            analytic = vanishing_order(zeta_of(NumberRing(F)), n)
+            assert vanishing_order_conjectural(NumberRing(F), n) == analytic
 
 
 # ---------------------------------------------------------------------------

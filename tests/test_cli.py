@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from zetaforge import cli
+from zetaforge import cli, detcomplex, intlinalg
+from zetaforge.detcomplex import complex_to_json_dict
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -19,6 +21,8 @@ from zetaforge.scheme_algebra import (
     Proj,
     format_expr,
 )
+
+from complex_fixtures import random_torsion_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,6 +143,26 @@ def test_det_command(tmp_path, capsys):
     assert data["cohomology"]["-1"]["group"] == "0"
 
 
+def test_det_takes_one_smith_form_per_nonzero_differential(tmp_path, capsys, monkeypatch):
+    calls, snf = [], intlinalg.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return snf(A)
+
+    # both bindings, so a cokernel taken inside intlinalg counts too
+    monkeypatch.setattr(detcomplex, "smith_normal_form", counting)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    rng = random.Random(808)
+    for _ in range(10):
+        data = complex_to_json_dict(random_torsion_complex(rng))
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data))
+        calls.clear()
+        assert run_json(capsys, "det", str(path))[0] == 0
+        assert len(calls) == len(data["differentials"])
+
+
 def test_value_command_exact_and_numeric(capsys):
     code, data = run_json(capsys, "value", "(proj 1 (point 2))", "-n", "-1")
     assert code == 0
@@ -167,7 +191,7 @@ def test_ord_hodge_path(capsys):
     assert data["gamma_factor_order"] == 0 and data["chi"] == 0
 
 
-def test_error_exit_codes(capsys):
+def test_error_exit_codes(capsys, tmp_path):
     code, out = run_cli(capsys, "value", "(point 6)", "-n", "-1", "--format", "json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "not-prime-power"
@@ -176,6 +200,11 @@ def test_error_exit_codes(capsys):
     assert json.loads(out)["error"]["code"] == "char-zero-atom"
     code, _ = run_cli(capsys, "value", "(point 2)", "-n", "1", "--format", "json")
     assert code == 2
+    path = tmp_path / "complex.json"
+    path.write_bytes(b'{"ranks": {"0": 1}, "note": "\xff"}')
+    code, out = run_cli(capsys, "det", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "io-error"
 
 
 @pytest.mark.parametrize(
@@ -186,15 +215,75 @@ def test_error_exit_codes(capsys):
         ["ell-check", "(point 2)", "-n", "-1", "--ell", "2"],
         ["zeta", "(numberring :conductor 0 :subgroup (1))"],
         ["zeta", "(numberring :conductor 6 :subgroup (2))"],
+        ["trace-check", "(point 2)", "--series-order", "-1"],
+        ["batch", "--manifest", [{"expr": "(point 2)", "n": -1}], "--series-order", "-1"],
+        # malformed `det` files
+        ["det", {"ranks": {"0": 1, "1": 1, "2": 1}, "differentials": {"0": [[1]], "1": [[1]]}}],
+        ["det", {"ranks": {"0": 1, "1": 2}, "differentials": {"0": [[1]]}}],
+        ["det", [[5]]],
+        ["det", {"differentials": {"0": [[5]]}}],
+        ["det", {"ranks": [1, 1]}],
+        ["det", {"ranks": {"zero": 1}}],
+        ["det", {"ranks": {"0": "1"}}],
+        ["det", {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [[1, 0], [0]]}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[1.5]]}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [["a"]]}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [5]}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": [[[5]]]}],
     ],
 )
-def test_invalid_argument_exit_code(capsys, argv):
+def test_invalid_argument_exit_code(capsys, tmp_path, argv):
+    # a non-string item is a JSON payload, passed as the path of a file holding it
+    for k, item in enumerate(argv):
+        if not isinstance(item, str):
+            path = tmp_path / f"arg{k}.json"
+            path.write_text(json.dumps(item))
+            argv = argv[:k] + [str(path)] + argv[k + 1 :]
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "invalid-argument"
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [invalid-argument]:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"expr": "(point 2)", "n": -1},
+        [{"expr": "(point 2)"}],
+        [{"n": -1}],
+        [{"expr": "(point 2)", "n": -1}, "(point 3)"],
+        [{"expr": "(point 2)", "n": "-1"}],
+        [{"expr": "(point 2)", "n": -1.5}],
+        [{"expr": ["point", 2], "n": -1}],
+    ],
+)
+def test_malformed_manifest_exit_code(capsys, tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out = run_cli(capsys, "batch", "--manifest", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "manifest-error"
+    assert cli.main(["batch", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [manifest-error]:") and "Traceback" not in err
+
+
+def test_exact_values_of_any_size_print_in_full(capsys):
+    # zeta(F_2, s) = 1/(1 - 2^-s): at s = -15000 the denominator has 4516
+    # digits, past the interpreter's default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    tail = str(pow(2, 15000, 10**40) - 1)
+    code, data = run_json(capsys, "value", "(point 2)", "-n", "-15000")
+    assert code == 0
+    num, den = data["exact"].split("/")
+    assert num == "-1" and len(den) == 4516 and den.endswith(tail)
+    code, out = run_cli(capsys, "verify-c", "(point 2)", "-n", "-15000")
+    assert code == 0
+    left = next(line for line in out.splitlines() if line.startswith("checks.0.left: "))
+    assert len(left) == len("checks.0.left: 1/") + 4516 and left.endswith(tail)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_deep_expression_end_to_end(capsys):

@@ -21,8 +21,8 @@ from zetaforge.detcomplex import (
 from zetaforge.errors import InfiniteCohomologyError, NonChainMapError
 from zetaforge.intlinalg import FinGenAbGroup, IntMatrix, smith_normal_form
 
-from oracles import termwise_snf_determinant_ideal
-from complex_fixtures import random_torsion_complex, random_chain_map
+from oracles import invariant_factors, termwise_snf_determinant_ideal
+from complex_fixtures import random_chain_map, random_complex_with_groups, random_torsion_complex
 
 
 def test_cohomology_times_two():
@@ -44,6 +44,17 @@ def test_cohomology_rank_bookkeeping():
     C = BoundedFreeComplex({0: 2, 1: 2}, {0: IntMatrix.from_rows([[2, 0], [0, 0]])})
     assert cohomology(C, 0) == FinGenAbGroup(1, ())
     assert cohomology(C, 1) == FinGenAbGroup(1, (2,))
+
+
+def test_cohomology_matches_split_model():
+    # every H^i of a scrambled split complex, free summands included, against
+    # the group read off the summands before scrambling
+    rng = random.Random(4242)
+    for _ in range(60):
+        C, groups = random_complex_with_groups(rng)
+        for i in range(C.lo - 1, C.hi + 2):
+            rank, orders = groups.get(i, (0, []))
+            assert cohomology(C, i) == FinGenAbGroup(rank, invariant_factors(orders))
 
 
 def test_euler_characteristics():

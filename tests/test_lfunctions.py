@@ -16,7 +16,6 @@ from zetaforge.lfunctions import (
     TRIVIAL_CHARACTER,
     bernoulli_number,
     characters_mod,
-    dedekind_order,
     default_precision,
     gen_bernoulli,
     gauss_sum,
@@ -25,7 +24,7 @@ from zetaforge.lfunctions import (
 )
 
 from zetaforge.scheme_algebra import NumberRing, zeta_of
-from zetaforge.zetarep import evaluate_at
+from zetaforge.zetarep import evaluate_at, vanishing_order
 
 from oracles import euler_maclaurin_zeta, numeric_derivative
 
@@ -150,15 +149,20 @@ def test_field_specs():
         AbelianFieldSpec.from_generators(6, [3])  # 3 not a unit mod 6
 
 
+def field_order(field, n):
+    """Vanishing order of zeta_F at n, from the product of its L-factors."""
+    return vanishing_order(zeta_of(NumberRing(field)), n)
+
+
 def test_dedekind_orders():
-    assert dedekind_order(Q, -1) == 0
-    assert dedekind_order(Q, -2) == 1
-    assert dedekind_order(QI, -1) == 1
-    assert dedekind_order(SQRT5, -3) == 0
+    assert field_order(Q, -1) == 0
+    assert field_order(Q, -2) == 1
+    assert field_order(QI, -1) == 1
+    assert field_order(SQRT5, -3) == 0
     for field in (Q, QI, SQRT5, SQRT_MINUS_3, ZETA5, ZETA7):
         r1, r2 = field.signature
         for n in range(-4, 0):
-            assert dedekind_order(field, n) == (r2 if n % 2 else r1 + r2)
+            assert field_order(field, n) == (r2 if n % 2 else r1 + r2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,7 @@ def test_dedekind_special_values():
 
 def test_dedekind_order_zero_values_are_rational():
     for field, n in [(SQRT5, -1), (SQRT5, -3), (ZETA5, -2), (ZETA7, -2), (QI, -2)]:
-        if dedekind_order(field, n) == 0:
+        if field_order(field, n) == 0:
             sv = evaluate_at(zeta_of(NumberRing(field)), n, 40)
             assert sv.is_exact
             assert sv.exact != 0
