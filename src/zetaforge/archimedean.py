@@ -54,9 +54,9 @@ class EquivariantBetti:
         for dims, chi in ((self.dims_even, self.chi_even), (self.dims_odd, self.chi_odd)):
             if dims is not None:
                 if any(v < 0 for v in dims.values()):
-                    raise ValueError("dimensions must be nonnegative")
+                    raise InvalidArgumentError("dimensions must be nonnegative")
                 if sum(parity_sign(i) * v for i, v in dims.items()) != chi:
-                    raise ValueError("chi does not match the dimension table")
+                    raise InvalidArgumentError("chi does not match the dimension table")
 
     def exactness(self, n: int) -> str:
         return "full-dims" if self.dims(n) is not None else "euler-only"
@@ -162,15 +162,15 @@ class HodgeData:
         w = dict(self.weights)
         for (p, q), h in w.items():
             if h < 0:
-                raise ValueError("Hodge numbers must be nonnegative")
+                raise InvalidArgumentError("Hodge numbers must be nonnegative")
             if w.get((q, p), 0) != h:
-                raise ValueError("Hodge symmetry h^{p,q} = h^{q,p} violated")
+                raise InvalidArgumentError("Hodge symmetry h^{p,q} = h^{q,p} violated")
         diag = dict(self.diagonal)
         for p, (plus, minus) in diag.items():
             if plus < 0 or minus < 0:
-                raise ValueError("eigenspace dimensions must be nonnegative")
+                raise InvalidArgumentError("eigenspace dimensions must be nonnegative")
             if plus + minus != w.get((p, p), 0):
-                raise ValueError("h^{p,+} + h^{p,-} must equal h^{p,p}")
+                raise InvalidArgumentError("h^{p,+} + h^{p,-} must equal h^{p,p}")
 
     def hpq(self, p: int, q: int) -> int:
         return dict(self.weights).get((p, q), 0)
@@ -217,7 +217,7 @@ def gamma_factor_order(H: HodgeData, n: int) -> int:
     n-p+1 is even, and Gamma_C(s-p) always for n-p <= 0.
     """
     if n >= 0:
-        raise ValueError("defined for strictly negative integers")
+        raise InvalidArgumentError("defined for strictly negative integers")
     total = 0
     for i in H.degrees():
         poles = 0

@@ -36,9 +36,17 @@ from .zetarep import evaluate_at, vanishing_order
 __all__ = ["parse_expr", "parse_hodge_json", "run_command", "main"]
 
 
+def _json_loads(text: str):
+    """json.loads; input nested too deep for the decoder is a decode error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
+
+
 def parse_hodge_json(text: str) -> archimedean.HodgeData:
     """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}"""
-    data = json.loads(text)
+    data = _json_loads(text)
     weights = {}
     for key, h in data.get("hpq", {}).items():
         p, q = (int(x) for x in key.split(","))
@@ -157,7 +165,7 @@ def _cmd_p_check(expr, args):
 
 def _cmd_det(args) -> tuple[dict, bool]:
     with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = _json_loads(handle.read())
     C = complex_from_json_dict(data)
     line = determinant(C)
     groups = {}
@@ -222,7 +230,7 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
 
 def _cmd_batch(args) -> tuple[dict, bool]:
     with open(args.manifest, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        manifest = _json_loads(handle.read())
     entries = []
     all_ok = True
     for text, n in _manifest_entries(manifest):

@@ -16,6 +16,12 @@ simple (one Gamma_R factor), so only first derivatives are ever needed:
                  * (-1)^m * m!/2 * L(1-n, conj(chi)),   m = -(n+a)/2,
 
 with a = 0 for even chi and a = 1 for odd chi.
+
+The transcendental and Bernoulli work is shared by every character of one
+conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
+the m-th roots of unity are computed once into bounded memoised tables, and
+B_{k,chi}, L(1-n, chi) and the Gauss sum are dot products of the character's
+exponents against them.
 """
 
 from __future__ import annotations
@@ -339,6 +345,8 @@ class DirichletCharacter:
     def __post_init__(self):
         if len(self.exponents) != self.modulus:
             raise InvalidArgumentError("exponents must have one entry per residue")
+        if any(k is not None and not 0 <= k < self.order for k in self.exponents):
+            raise InvalidArgumentError("exponents must lie in 0..order-1")
         if self.exponent(1) != 0:
             raise InvalidArgumentError("chi(1) must be 1")
         allowed = {0} | ({self.order // 2} if self.order % 2 == 0 else set())
@@ -607,6 +615,13 @@ QI = AbelianFieldSpec(4, (1,))
 # Exact L-values at nonpositive integers
 
 
+@lru_cache(maxsize=64)
+def _bernoulli_table(f: int, k: int) -> tuple[tuple[int, Fraction], ...]:
+    """(a, f^(k-1) B_k(a/f)) for the units a in 1..f, shared by conductor f."""
+    scale = Fraction(f) ** (k - 1)
+    return tuple((a, bernoulli_poly_at(k, Fraction(a, f)) * scale) for a in _units(f))
+
+
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     """Generalized Bernoulli number B_{k,chi} = f^{k-1} sum_a chi(a) B_k(a/f).
 
@@ -617,21 +632,10 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
-    f = chi.modulus
-    level = chi.order
-    scale = Fraction(f) ** (k - 1)
-    acc = {}
-    for a in range(1, f + 1):
-        e = chi.exponent(a)
-        if e is None:
-            continue
-        b = bernoulli_poly_at(k, Fraction(a, f)) * scale
-        if b:
-            acc[e % level] = acc.get(e % level, Fraction(0)) + b
-    coeffs = [Fraction(0)] * level
-    for e, c in acc.items():
-        coeffs[e] = c
-    return CyclotomicNumber.from_poly(level, coeffs)
+    coeffs = [Fraction(0)] * chi.order
+    for a, b in _bernoulli_table(chi.modulus, k):
+        coeffs[chi.exponent(a)] += b
+    return CyclotomicNumber.from_poly(chi.order, coeffs)
 
 
 def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
@@ -682,42 +686,51 @@ def _working_dps(precision: int, conductor: int) -> int:
     return precision + guard
 
 
+@lru_cache(maxsize=64)
+def _roots_of_unity(m: int, dps: int) -> tuple:
+    """e^(2 pi i k / m) for k = 0..m-1 at `dps` digits."""
+    with mp.workdps(dps):
+        return tuple(mp.e ** (2j * mp.pi * mp.mpf(k) / m) for k in range(m))
+
+
+@lru_cache(maxsize=32)
+def _hurwitz_table(f: int, s: int, dps: int) -> tuple:
+    """(a, zeta(s, a/f)) for the units a in 1..f at `dps` digits."""
+    with mp.workdps(dps):
+        return tuple((a, mp.zeta(mp.mpf(s), mp.mpf(a) / f)) for a in _units(f))
+
+
 def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION):
-    """tau(chi) = sum_a chi(a) e^(2 pi i a / f) by direct summation."""
+    """tau(chi) = sum_a chi(a) e^(2 pi i a / f) over the root-of-unity tables."""
     chi = chi.primitive()
     f = chi.modulus
     dps = _working_dps(precision, f)
+    chi_roots = _roots_of_unity(chi.order, dps)
+    f_roots = _roots_of_unity(f, dps)
     with mp.workdps(dps):
         total = mp.mpc(0)
-        for a in range(1, f + 1):
-            k = chi.exponent(a)
-            if k is None:
-                continue
-            angle = 2 * mp.pi * (mp.mpf(k) / chi.order + mp.mpf(a) / f)
-            total += mp.e ** (1j * angle)
+        for a in _units(f):
+            total += chi_roots[chi.exponent(a)] * f_roots[a % f]
         return total
 
 
-def _hurwitz_L(chi: DirichletCharacter, s, dps: int):
-    """L(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/f) (any s != 1 pole case)."""
+def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int):
+    """L(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/f) for an integer s > 1."""
     f = chi.modulus
+    roots = _roots_of_unity(chi.order, dps)
     with mp.workdps(dps):
         total = mp.mpc(0)
-        for a in range(1, f + 1):
-            k = chi.exponent(a)
-            if k is None:
-                continue
-            root = mp.e ** (2j * mp.pi * mp.mpf(k) / chi.order)
-            total += root * mp.zeta(s, mp.mpf(a) / f)
-        return total * mp.mpf(f) ** (-s)
+        for a, zeta in _hurwitz_table(f, s, dps):
+            total += roots[chi.exponent(a)] * zeta
+        return total * mp.mpf(f) ** (-mp.mpf(s))
 
 
 def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None) -> LeadingValue:
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
     Order 0: the exact value, embedded numerically.  Order 1: L'(n, chi)
-    from the functional equation (see the module docstring); the Gauss sum
-    is evaluated by direct summation.
+    from the functional equation (see the module docstring), with the Gauss
+    sum and L(1-n, conj(chi)) read off the per-conductor tables.
     """
     if precision is None:
         precision = default_precision()
@@ -739,7 +752,7 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None)
         gamma_part = mp.gamma(mp.mpf(1 - n + a) / 2)
         archimedean = (mp.mpf(f) / mp.pi) ** (mp.mpf(1 - 2 * n) / 2)
         residue = mp.mpf(parity_sign(m)) * mp.factorial(m) / 2
-        l_pos = _hurwitz_L(chi.conjugate(), mp.mpf(1 - n), dps)
+        l_pos = _hurwitz_L(chi.conjugate(), 1 - n, dps)
         value = eps * archimedean * gamma_part * residue * l_pos
         error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
         if error > mp.mpf(10) ** (-precision) * (abs(value) + 1):

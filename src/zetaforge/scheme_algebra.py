@@ -303,10 +303,10 @@ class WeilOrderData:
             check = Fraction(1)
             for i, order in self.graded.items():
                 if order < 1:
-                    raise ValueError("group orders must be positive")
+                    raise InvalidArgumentError("group orders must be positive")
                 check *= Fraction(order) ** parity_sign(i)
             if check != self.chi_mult:
-                raise ValueError("graded orders do not multiply to chi_mult")
+                raise InvalidArgumentError("graded orders do not multiply to chi_mult")
 
     @property
     def has_graded(self) -> bool:

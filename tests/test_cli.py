@@ -205,6 +205,14 @@ def test_error_exit_codes(capsys, tmp_path):
     code, out = run_cli(capsys, "det", str(path), "--format", "json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "io-error"
+    # nesting deeper than the JSON decoder's recursion limit
+    deep = "[" * 200000 + "]" * 200000
+    path.write_text(deep)
+    hodge = ["ord", "-n", "-1", "--hodge", deep]
+    for argv in (["det", str(path)], ["batch", "--manifest", str(path)], hodge):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "io-error"
 
 
 @pytest.mark.parametrize(
@@ -334,10 +342,14 @@ def test_batch_manifest(capsys, tmp_path):
 
 
 def test_golden_reports(capsys):
+    precision = ["--precision", "50"]
     cases = {
         "verify_c_curve.json": ["verify-c", "(curve 2 (1 0 2))", "-n", "-1"],
         "ord_qi.json": ["ord", "(numberring :conductor 4 :subgroup (1))", "-n", "-1"],
         "value_p1_f2.json": ["value", "(proj 1 (point 2))", "-n", "-1"],
+        # numeric values: an imaginary field and a real one, both Gauss-sum routes
+        "value_q_zeta13.json": ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2", *precision],
+        "value_real_f21.json": ["value", "(numberring :conductor 21 :subgroup (20))", "-n", "-2", *precision],
     }
     for name, argv in cases.items():
         code, data = run_json(capsys, *argv)

@@ -136,6 +136,12 @@ def test_character_counts_and_conductors():
     assert lifted.primitive().exponents == CHI_MINUS_4.exponents
 
 
+def test_character_exponents_are_reduced():
+    # the root-of-unity and Bernoulli tables are indexed by the exponent
+    with pytest.raises(ValueError):
+        DirichletCharacter(5, 2, (None, 0, 3, 1, 0), 5)
+
+
 def test_field_specs():
     assert Q.degree == 1 and Q.signature == (1, 0)
     assert QI.degree == 2 and QI.signature == (0, 1)
@@ -173,6 +179,24 @@ def test_gauss_sum_chi_minus_4():
     tau = gauss_sum(CHI_MINUS_4, 40)
     with mp.workdps(50):
         assert abs(tau - mp.mpc(0, 2)) < mp.mpf(10) ** -35
+
+
+def test_gauss_sum_matches_direct_summation():
+    # the table product chi-root * zeta_f-root against e^(2 pi i (k/order + a/f))
+    # summed term by term at higher precision; and |tau|^2 = f
+    for f in (7, 13, 21):
+        for chi in characters_mod(f):
+            if not chi.is_primitive:
+                continue
+            tau = gauss_sum(chi, 30)
+            with mp.workdps(60):
+                direct = mp.fsum(
+                    mp.expjpi(2 * (mp.mpf(chi.exponent(a)) / chi.order + mp.mpf(a) / f))
+                    for a in range(1, f + 1)
+                    if chi.exponent(a) is not None
+                )
+                assert abs(tau - direct) < mp.mpf(10) ** -40
+                assert abs(abs(tau) ** 2 - f) < mp.mpf(10) ** -38
 
 
 def test_leading_value_exact_case():

@@ -1,4 +1,5 @@
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -102,6 +103,25 @@ def test_one_exact_l_value_per_character(monkeypatch):
     field = AbelianFieldSpec(13, (1,))
     evaluate_at(zeta_of(NumberRing(field)), -2)
     assert calls == Counter(field.characters()) and len(calls) == 12
+
+
+def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
+    # the five even nontrivial characters mod 13 (a simple zero at n = -2) share
+    # one table of zeta(3, a/13) over the 12 units; the trivial one adds zeta(3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mp.zeta(*args)
+
+    private_mp = types.ModuleType("mpmath")
+    private_mp.__dict__.update(vars(mp))
+    private_mp.zeta = counted
+    monkeypatch.setattr(lfunctions, "mp", private_mp)
+    for table in (lfunctions._hurwitz_table, lfunctions._bernoulli_table, lfunctions._roots_of_unity):
+        table.cache_clear()
+    evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1,)))), -2)
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize("n", [-1, -2])
