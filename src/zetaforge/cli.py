@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import index
 
 import mpmath as mp
 
@@ -44,16 +45,32 @@ def _json_loads(text: str):
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
+_HODGE_SHAPE = '--hodge must be {"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}'
+
+
 def parse_hodge_json(text: str) -> archimedean.HodgeData:
-    """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}"""
+    """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}
+
+    p and q are decimal integers, h, plus and minus JSON integers; any other
+    shape is an InvalidArgumentError.
+    """
     data = _json_loads(text)
-    weights = {}
-    for key, h in data.get("hpq", {}).items():
-        p, q = (int(x) for x in key.split(","))
-        weights[(p, q)] = int(h)
-    diagonal = {}
-    for key, pair in data.get("diag", {}).items():
-        diagonal[int(key)] = (int(pair[0]), int(pair[1]))
+    hpq = data.get("hpq", {}) if isinstance(data, dict) else None
+    diag = data.get("diag", {}) if isinstance(data, dict) else None
+    if not (
+        isinstance(hpq, dict)
+        and isinstance(diag, dict)
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in diag.values())
+    ):
+        raise InvalidArgumentError(_HODGE_SHAPE)
+    try:
+        weights = {}
+        for key, h in hpq.items():
+            p, q = (int(x) for x in key.split(","))
+            weights[(p, q)] = index(h)
+        diagonal = {int(key): (index(pair[0]), index(pair[1])) for key, pair in diag.items()}
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(_HODGE_SHAPE) from None
     return archimedean.HodgeData.make(weights, diagonal)
 
 

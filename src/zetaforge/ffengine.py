@@ -5,7 +5,8 @@ Four executable identities for expressions over F_q at weights n < 0:
   * special value:  |zeta(X, n)| = chi_x(X, n), exactly;
   * trace formula:  the Taylor coefficients of the combined rational
     function agree with exp(sum_k N_k t^k / k), with the point counts N_k
-    computed combinatorially (Newton power sums for curves);
+    computed combinatorially (Newton power sums for curves); Z(X, t) lies
+    in 1 + tZ[[t]], so both series are computed in integers;
   * ell-adic part:  |zeta(X, n)|_ell equals the alternating product of the
     ell-parts of the graded cohomology orders, for each prime ell != p;
   * p-part:         v_p(zeta(X, n)) = 0.
@@ -15,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+
+from . import poly
 
 from .errors import (
     CharZeroAtomError,
@@ -174,12 +178,18 @@ def _combined_rational_function(e: SchemeExpr) -> RationalFunctionT:
 
 
 def trace_formula_check(e: SchemeExpr, K: int = 10) -> VerificationReport:
-    """Z(X, t) = exp(sum_k N_k t^k / k) as exact series up to t^K."""
+    """Z(X, t) = exp(sum_k N_k t^k / k) as exact series up to t^K.
+
+    Both sides are integer recurrences with exact divisions: long division
+    by the constant term of the denominator on the left, and on the right
+    g_j = (sum_{i<=j} N_i g_{j-i}) / j.  Wrong input shows as a Fraction
+    where a division leaves a remainder, and as a failed verdict.
+    """
     _require_finite_char(e)
     q = _single_base(e)
     lhs = _combined_rational_function(e).series(K)
     counts = _point_counts(e, q, range(1, K + 1))
-    rhs = _exp_series([Fraction(nk, k) for k, nk in zip(range(1, K + 1), counts)], K)
+    rhs = _exp_series(counts, K)
     return VerificationReport(
         claim="grothendieck-trace-formula",
         left=lhs,
@@ -188,15 +198,17 @@ def trace_formula_check(e: SchemeExpr, K: int = 10) -> VerificationReport:
     )
 
 
-def _exp_series(linear_coeffs, K: int) -> list:
-    """exp(f) for f = sum_{k>=1} c_k t^k via g' = f' g."""
-    f = [Fraction(0)] + [Fraction(c) for c in linear_coeffs]
-    g = [Fraction(1)] + [Fraction(0)] * K
+def _exp_series(counts, K: int) -> list:
+    """Coefficients g_0..g_K of exp(sum_k N_k t^k / k) for counts N_1..N_K.
+
+    t g' = (sum_k N_k t^k) g gives g_j = (sum_{i<=j} N_i g_{j-i}) / j.  For
+    the counts of a variety the series is Z(X, t), which lies in
+    1 + tZ[[t]], so every division is exact; a remainder (counts of no
+    variety) makes that coefficient an exact Fraction.
+    """
+    g = [1] + [0] * K
     for j in range(1, K + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += i * f[i] * g[j - i]
-        g[j] = acc / j
+        g[j] = poly.quotient(sum(map(mul, counts[:j], reversed(g[:j]))), j)
     return g
 
 

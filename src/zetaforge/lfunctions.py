@@ -1,7 +1,9 @@
 """Dirichlet characters, generalized Bernoulli numbers and L-values.
 
 Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N),
-represented by polynomials reduced modulo the N-th cyclotomic polynomial.
+represented by integer polynomials reduced modulo the N-th cyclotomic
+polynomial over one positive common denominator; only `inverse` leaves the
+integers.
 Leading coefficients at trivial zeros come from the functional equation
 Lambda(s, chi) = eps(chi) * Lambda(1-s, conj(chi)) with the root number
 eps(chi) = tau(chi) / (i^a * sqrt(f)) evaluated from the Gauss sum.
@@ -116,6 +118,14 @@ def bernoulli_poly_at(k: int, x: Fraction) -> Fraction:
 # Exact arithmetic in Q(zeta_N)
 
 
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) for Fractions v over their least common
+    denominator d."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+@lru_cache(maxsize=None)
 def _euler_phi(n: int) -> int:
     result = n
     m = n
@@ -147,36 +157,64 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CyclotomicNumber:
-    """Element of Q(zeta_N): rational polynomial reduced mod Phi_N."""
+    """Element of Q(zeta_N): (sum_j num[j] zeta_N^j) / den.
+
+    Integer numerators of the polynomial reduced mod Phi_N (so phi(N) of
+    them) over one positive common denominator, as in FLINT's fmpq_poly.
+    Construction divides out gcd(den, num), so equal numbers of one level
+    have equal fields.
+    """
 
     level: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if self.level < 1:
             raise InvalidArgumentError("level must be >= 1")
-        if len(self.coeffs) != _euler_phi(self.level):
-            raise InvalidArgumentError("coefficient vector must have length phi(level)")
+        if len(self.num) != _euler_phi(self.level):
+            raise InvalidArgumentError("numerator vector must have length phi(level)")
+        if self.den == 0:
+            raise InvalidArgumentError("denominator must be nonzero")
+        g = gcd(self.den, *self.num)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "num", tuple(c // g for c in self.num))
+            object.__setattr__(self, "den", self.den // g)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_poly(cls, level: int, poly) -> CyclotomicNumber:
-        phi = _euler_phi(level)
-        coeffs = [Fraction(c) for c in poly]
+    def from_poly(cls, level: int, poly, den: int = 1) -> CyclotomicNumber:
+        """(sum_j poly[j] zeta_level^j) / den for integer coefficients poly[j].
+
+        Powers are folded by x^level = 1 first; the remaining top
+        coefficients are cleared against the monic Phi_level, one pass over
+        its nonzero terms each.
+        """
+        coeffs = list(poly)
+        if len(coeffs) > level:
+            folded = [0] * level
+            for j, c in enumerate(coeffs):
+                folded[j % level] += c
+            coeffs = folded
         modulus = cyclotomic_polynomial(level)
-        deg = len(modulus) - 1  # = phi, monic
-        while len(coeffs) > deg:
-            top = coeffs.pop()
+        phi = len(modulus) - 1
+        terms = [(j, m) for j, m in enumerate(modulus[:phi]) if m]
+        for i in range(len(coeffs) - 1, phi - 1, -1):
+            top = coeffs[i]
             if top:
-                for j in range(deg):
-                    coeffs[len(coeffs) - deg + j] -= top * modulus[j]
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
-        return cls(level, tuple(coeffs))
+                base = i - phi
+                for j, m in terms:
+                    coeffs[base + j] -= top * m
+        coeffs = coeffs[:phi] + [0] * (phi - len(coeffs))
+        return cls(level, tuple(coeffs), den)
 
     @classmethod
     def rational(cls, value, level: int = 1) -> CyclotomicNumber:
-        return cls.from_poly(level, [Fraction(value)])
+        value = Fraction(value)
+        return cls(level, (value.numerator,) + (0,) * (_euler_phi(level) - 1), value.denominator)
 
     @classmethod
     def root_of_unity(cls, level: int, k: int) -> CyclotomicNumber:
@@ -186,59 +224,63 @@ class CyclotomicNumber:
     # -- predicates and conversions ----------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients num[j] / den."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise RationalityFailureError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def promoted(self, level: int) -> CyclotomicNumber:
+        """The same number at a multiple level: zeta_N = zeta_level^(level/N)."""
         if level == self.level:
             return self
         if level % self.level != 0:
             raise InvalidArgumentError("can only promote to a multiple level")
         step = level // self.level
-        result = CyclotomicNumber.rational(0, level)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                term = CyclotomicNumber.root_of_unity(level, j * step)
-                result = result + term * CyclotomicNumber.rational(c, level)
-        return result
+        spread = [0] * level
+        for j, c in enumerate(self.num):
+            spread[j * step] = c
+        return CyclotomicNumber.from_poly(level, spread, self.den)
 
     def numeric(self, dps: int):
         """Complex embedding zeta_N -> exp(2*pi*i/N) at `dps` digits."""
+        roots = _roots_of_unity(self.level, dps)
         with mp.workdps(dps):
-            z = mp.e ** (2j * mp.pi / self.level)
             total = mp.mpc(0)
-            power = mp.mpc(1)
-            for c in self.coeffs:
+            for c, root in zip(self.num, roots):
                 if c:
-                    total += power * mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                power *= z
-            return total
+                    total += c * root
+            return total / self.den
 
     # -- arithmetic ----------------------------------------------------------
 
     def _common(self, other):
         if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.rational(other, 1)
+            other = CyclotomicNumber.rational(other, self.level)
         level = lcm(self.level, other.level)
         return self.promoted(level), other.promoted(level)
 
     def __add__(self, other):
         a, b = self._common(other)
-        return CyclotomicNumber(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return CyclotomicNumber(a.level, tuple(x * sa + y * sb for x, y in zip(a.num, b.num)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, tuple(-x for x in self.coeffs))
+        return CyclotomicNumber(self.level, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         a, b = self._common(other)
@@ -250,25 +292,28 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         a, b = self._common(other)
-        return CyclotomicNumber.from_poly(a.level, poly.mul(a.coeffs, b.coeffs))
+        if a.is_rational:
+            a, b = b, a
+        if b.is_rational:  # a rational factor scales the numerators
+            return CyclotomicNumber(a.level, tuple(c * b.num[0] for c in a.num), a.den * b.den)
+        return CyclotomicNumber.from_poly(a.level, poly.mul(a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, CyclotomicNumber):
             return self * other.inverse()
-        return self * CyclotomicNumber.rational(Fraction(1, 1) / Fraction(other), 1)
+        return self * (1 / Fraction(other))
 
     def inverse(self) -> CyclotomicNumber:
         """1/x via the extended Euclidean algorithm against Phi_N."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational:
-            return CyclotomicNumber.rational(1 / self.coeffs[0], self.level)
+            return CyclotomicNumber.rational(1 / self.rational_value(), self.level)
         modulus = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        a = list(self.coeffs)
-        # extended gcd of a and modulus in Q[x]
-        r0, r1 = modulus, poly.trim(a)
+        # extended gcd of num and modulus in Q[x]; then 1/x = den / num
+        r0, r1 = modulus, poly.trim(Fraction(c) for c in self.num)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, r = poly.divide(r0, r1)
@@ -276,9 +321,8 @@ class CyclotomicNumber:
             s0, s1 = s1, poly.trim(poly.sub(s0, poly.mul(q, s1)))
         if not r1:
             raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CyclotomicNumber.from_poly(self.level, inv)
+        den, inv = _over_common_denominator([x * self.den / r1[0] for x in s1])
+        return CyclotomicNumber.from_poly(self.level, inv, den)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -294,18 +338,18 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            return self.is_rational and self.rational_value() == other
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash((self.level, self.coeffs))
 
     def __str__(self):
         if self.is_rational:
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         terms = []
         for j, c in enumerate(self.coeffs):
             if c:
@@ -616,10 +660,13 @@ QI = AbelianFieldSpec(4, (1,))
 
 
 @lru_cache(maxsize=64)
-def _bernoulli_table(f: int, k: int) -> tuple[tuple[int, Fraction], ...]:
-    """(a, f^(k-1) B_k(a/f)) for the units a in 1..f, shared by conductor f."""
+def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(d, ((a, d f^(k-1) B_k(a/f)) for the units a in 1..f)): the values for
+    conductor f as integer numerators over one common denominator d."""
     scale = Fraction(f) ** (k - 1)
-    return tuple((a, bernoulli_poly_at(k, Fraction(a, f)) * scale) for a in _units(f))
+    units = _units(f)
+    d, nums = _over_common_denominator([bernoulli_poly_at(k, Fraction(a, f)) * scale for a in units])
+    return d, tuple(zip(units, nums))
 
 
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
@@ -632,10 +679,11 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
-    coeffs = [Fraction(0)] * chi.order
-    for a, b in _bernoulli_table(chi.modulus, k):
+    den, table = _bernoulli_table(chi.modulus, k)
+    coeffs = [0] * chi.order
+    for a, b in table:
         coeffs[chi.exponent(a)] += b
-    return CyclotomicNumber.from_poly(chi.order, coeffs)
+    return CyclotomicNumber.from_poly(chi.order, coeffs, den)
 
 
 def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:

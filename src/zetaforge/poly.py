@@ -1,15 +1,16 @@
 """Dense univariate polynomials as coefficient sequences, ascending.
 
 The one helper set shared by the rational functions of `zetarep`, the
-cyclotomic arithmetic of `lfunctions` and the L-weights of the expression
-calculus.  Coefficients may be ints or Fractions; results are exact.
+cyclotomic arithmetic of `lfunctions`, the trace-formula series of
+`ffengine` and the L-weights of the expression calculus.  Coefficients may
+be ints or Fractions; results are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["trim", "mul", "sub", "evaluate", "divide"]
+__all__ = ["trim", "mul", "sub", "evaluate", "divide", "quotient"]
 
 
 def trim(p) -> tuple:
@@ -63,3 +64,9 @@ def divide(a, b) -> tuple[list, list]:
             for j, y in enumerate(b):
                 a[i + j] -= c * y
     return q, a[: len(b) - 1]
+
+
+def quotient(a, b):
+    """a / b: an int when b divides a, otherwise the exact Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -111,16 +112,18 @@ class RationalFunctionT:
             raise ZeroDivisionError("pole of the rational function")
         return poly.evaluate(self.num, Fraction(t)) / den
 
-    def series(self, K: int) -> list[Fraction]:
-        """Taylor coefficients of num/den up to t^K, by long division."""
-        num = list(self.num) + [0] * (K + 1 - len(self.num))
+    def series(self, K: int) -> list:
+        """Taylor coefficients of num/den up to t^K, by long division.
+
+        Each step divides by den(0): a coefficient is an int when the
+        division is exact (always when den(0) = 1) and an exact Fraction
+        otherwise.
+        """
         out = []
-        d0 = Fraction(self.den[0])
         for k in range(K + 1):
-            acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / d0)
+            acc = self.num[k] if k < len(self.num) else 0
+            acc -= sum(map(mul, self.den[1 : k + 1], reversed(out)))
+            out.append(poly.quotient(acc, self.den[0]))
         return out
 
     def __str__(self):
@@ -276,7 +279,7 @@ def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
     Weil bounds (a zero or pole of some factor at t = q^(-n))."""
     value = Fraction(1)
     for f, e in z.finite_char:
-        t = Fraction(f.q) ** (-n)
+        t = f.q ** (-n)
         num = poly.evaluate(f.Z.num, t)
         den = poly.evaluate(f.Z.den, t)
         if num == 0 or den == 0:
@@ -284,7 +287,7 @@ def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
                 f"factor {f} has a {'zero' if num == 0 else 'pole'} at t = {f.q}^{-n}; "
                 "input data violates the Weil bounds"
             )
-        value *= (num / den) ** e
+        value *= Fraction(num, den) ** e
     return value
 
 
@@ -375,7 +378,7 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
         return SpecialValue(order=order, exact=None, numeric=mp.re(numeric), error=error)
 
 
-def power_series(f: FiniteCharFactor, K: int) -> list[Fraction]:
+def power_series(f: FiniteCharFactor, K: int) -> list:
     """Exact Taylor coefficients of Z(t) up to t^K."""
     if K < 0:
         raise InvalidArgumentError("order must be nonnegative")

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
 by exhaustive search, determinant ideals by per-differential invariant
-factors.  Slow is fine; independent is the point.
+factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
+built here from its definition.  Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 import mpmath as mp
@@ -168,3 +170,57 @@ def invariant_factors(orders):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return tuple(t for t in d if t >= 2)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m):
+    """Phi_m, ascending: x^m - 1 divided by Phi_d for every proper divisor d.
+
+    Built here from the definition, by schoolbook division of integer
+    polynomials with monic divisors.
+    """
+    p = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            divisor = cyclotomic_polynomial(d)
+            q = [0] * (len(p) - len(divisor) + 1)
+            for i in range(len(q) - 1, -1, -1):
+                q[i] = p[i + len(divisor) - 1]
+                for j, c in enumerate(divisor):
+                    p[i + j] -= q[i] * c
+            assert not any(p[: len(divisor) - 1])
+            p = q
+    return tuple(p)
+
+
+def cyclotomic_reduce(coeffs, m):
+    """Fraction coefficients of sum_j coeffs[j] zeta_m^j, reduced mod Phi_m
+    term by term from the top (length phi(m))."""
+    phi_m = cyclotomic_polynomial(m)
+    deg = len(phi_m) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * deg
+    for i in range(len(c) - 1, deg - 1, -1):
+        top = c[i]
+        c[i] = Fraction(0)
+        for j in range(deg):
+            c[i - deg + j] -= top * phi_m[j]
+    return c[:deg]
+
+
+def cyclotomic_mul(a, b, m):
+    """Product of two reduced coefficient vectors of level m."""
+    prod_ab = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod_ab[i + j] += x * y
+    return cyclotomic_reduce(prod_ab, m)
+
+
+def cyclotomic_promote(a, m, big):
+    """A reduced vector of level m rewritten at level `big` (m divides big):
+    zeta_m = zeta_big^(big/m)."""
+    step = big // m
+    spread = [Fraction(0)] * (step * len(a))
+    for j, x in enumerate(a):
+        spread[j * step] = x
+    return cyclotomic_reduce(spread, big)

@@ -238,6 +238,12 @@ def test_error_exit_codes(capsys, tmp_path):
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [["a"]]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [5]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": [[[5]]]}],
+        # malformed --hodge data
+        ["ord", "--hodge", "[]", "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": [1]}', "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": {"a": 1}}', "-n", "-1"],
+        ["ord", "--hodge", '{"diag": {"0": [1]}}', "-n", "-1"],
+        ["ord", "--hodge", '{"diag": {"0": 5}}', "-n", "-1"],
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):
@@ -341,8 +347,22 @@ def test_batch_manifest(capsys, tmp_path):
     assert data["entries"][2]["checks"][-1]["claim"] == "vanishing-order"
 
 
-def test_golden_reports(capsys):
+# one entry per route of the battery: every finite-characteristic entry
+# prints its trace-formula series to t^40 and its exact special value
+GOLDEN_MANIFEST = [
+    {"expr": "(curve 3 (1 -1 4 -3 9))", "n": -1},
+    {"expr": "(proj 2 (curve 2 (1 1 2)))", "n": -1},
+    {"expr": "(minus (curve 5 (1 2 5)) (point 5))", "n": -2},
+    {"expr": "(glue (point 7) (minus (affine 1 (point 7)) (point 7)))", "n": -1},
+    {"expr": "(affine 1 (numberring :conductor 5 :subgroup (1 4)))", "n": -1},
+    {"expr": "(disjoint (curve 4 (1 3 4)) (point 4 2))", "n": -3},
+]
+
+
+def test_golden_reports(capsys, tmp_path):
     precision = ["--precision", "50"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(GOLDEN_MANIFEST))
     cases = {
         "verify_c_curve.json": ["verify-c", "(curve 2 (1 0 2))", "-n", "-1"],
         "ord_qi.json": ["ord", "(numberring :conductor 4 :subgroup (1))", "-n", "-1"],
@@ -350,9 +370,11 @@ def test_golden_reports(capsys):
         # numeric values: an imaginary field and a real one, both Gauss-sum routes
         "value_q_zeta13.json": ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2", *precision],
         "value_real_f21.json": ["value", "(numberring :conductor 21 :subgroup (20))", "-n", "-2", *precision],
+        "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
     }
     for name, argv in cases.items():
         code, data = run_json(capsys, *argv)
         assert code == 0
+        data.pop("manifest", None)  # the path of the temporary manifest
         expected = json.loads((GOLDEN / name).read_text())
         assert data == expected, f"schema drift against golden file {name}"

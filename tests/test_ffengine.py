@@ -9,6 +9,7 @@ from zetaforge.errors import (
     MixedBaseError,
 )
 from zetaforge.ffengine import (
+    _exp_series,
     ell_adic_check,
     p_part_check,
     point_count,
@@ -105,6 +106,60 @@ def test_trace_formula_against_independent_exp():
     counts = {k: point_count(e, k) for k in range(1, 9)}
     oracle = series_exp({k: Fraction(nk, k) for k, nk in counts.items()}, 8)
     assert report.left == oracle
+
+
+def fraction_exp_series(linear_coeffs, K):
+    """exp(f) for f = sum_{k>=1} c_k t^k via g' = f' g, all in Fractions."""
+    f = [Fraction(0)] + [Fraction(c) for c in linear_coeffs]
+    g = [Fraction(1)] + [Fraction(0)] * K
+    for j in range(1, K + 1):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            acc += i * f[i] * g[j - i]
+        g[j] = acc / j
+    return g
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [1, 0],  # g_2 = 1/2: the counts of no variety
+        [1, 0, 0, 5],
+        [2, -3, 7, 1, 0, 4],
+        [Fraction(1, 2), 3, Fraction(-2, 3)],
+        [3, 9, 27, 81, 243],  # A^1 over F_3: integral
+    ],
+)
+def test_exp_series_matches_fraction_recurrence(counts):
+    K = len(counts)
+    expected = fraction_exp_series([Fraction(n, k) for k, n in enumerate(counts, 1)], K)
+    got = _exp_series(counts, K)
+    assert got == expected
+    assert [str(c) for c in got] == [str(c) for c in expected]
+
+
+def test_exp_series_matches_fraction_recurrence_on_random_counts():
+    rng = random.Random(6)
+    for _ in range(200):
+        K = rng.randint(0, 12)
+        counts = [rng.randint(-20, 50) for _ in range(K)]
+        expected = fraction_exp_series([Fraction(n, k) for k, n in enumerate(counts, 1)], K)
+        assert [str(c) for c in _exp_series(counts, K)] == [str(c) for c in expected]
+
+
+@pytest.mark.parametrize("q, lpoly", [(2, (1, 1, 2)), (3, (1, -2, 3)), (9, (1, 5, 9))])
+def test_trace_formula_series_stay_integral(q, lpoly):
+    # Z(X, t) lies in 1 + tZ[[t]], so both sides are computed in ints alone
+    curve = Curve(q, lpoly)
+    for e in (
+        curve,
+        Proj(2, curve),
+        Minus(curve, Point(q)),
+        Glue(Point(q), Minus(Affine(1, curve), Point(q))),
+    ):
+        report = trace_formula_check(e, 40)
+        assert report.passed
+        assert all(type(c) is int for c in report.left + report.right)
 
 
 def test_ell_adic_point():

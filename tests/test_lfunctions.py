@@ -3,6 +3,8 @@ from math import gcd
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge.errors import RationalityFailureError, ZetaforgeError
 from zetaforge.lfunctions import (
@@ -26,7 +28,13 @@ from zetaforge.lfunctions import (
 from zetaforge.scheme_algebra import NumberRing, zeta_of
 from zetaforge.zetarep import evaluate_at, vanishing_order
 
-from oracles import euler_maclaurin_zeta, numeric_derivative
+from oracles import (
+    cyclotomic_mul,
+    cyclotomic_promote,
+    cyclotomic_reduce,
+    euler_maclaurin_zeta,
+    numeric_derivative,
+)
 
 SQRT5 = AbelianFieldSpec.from_generators(5, [4])
 ZETA5 = AbelianFieldSpec(5, (1,))
@@ -61,6 +69,86 @@ def test_cyclotomic_rationality():
     assert norm.is_rational and norm.rational_value() == 5
     with pytest.raises(RationalityFailureError):
         z5.rational_value()
+
+
+@st.composite
+def cyclotomic_numbers(draw, level=None):
+    """(x, oracle coefficients of x): an integer polynomial of degree up to
+    2*level - 2, as a product leaves it, over a positive denominator."""
+    if level is None:
+        level = draw(st.integers(1, 60))
+    num = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2 * level - 1))
+    den = draw(st.integers(1, 12))
+    x = CyclotomicNumber.from_poly(level, num, den)
+    return x, cyclotomic_reduce([Fraction(c, den) for c in num], level)
+
+
+CYCLOTOMIC_LAWS = settings(deadline=None, max_examples=60)
+
+
+@CYCLOTOMIC_LAWS
+@given(cyclotomic_numbers())
+def test_cyclotomic_reduction_matches_oracle(pair):
+    x, expected = pair
+    assert list(x.coeffs) == expected
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """Two such numbers whose levels divide a common level up to 60."""
+    level = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, level + 1) if level % d == 0]
+    x = draw(cyclotomic_numbers(draw(st.sampled_from(divisors))))
+    y = draw(cyclotomic_numbers(draw(st.sampled_from(divisors))))
+    return x, y
+
+
+@CYCLOTOMIC_LAWS
+@given(cyclotomic_pairs())
+def test_cyclotomic_sum_and_product_match_oracle(pairs):
+    (x, cx), (y, cy) = pairs
+    level = x.level * y.level // gcd(x.level, y.level)
+    cx = cyclotomic_promote(cx, x.level, level)
+    cy = cyclotomic_promote(cy, y.level, level)
+    assert (x + y).level == (x * y).level == level
+    assert list((x + y).coeffs) == [a + b for a, b in zip(cx, cy)]
+    assert list((x - y).coeffs) == [a - b for a, b in zip(cx, cy)]
+    assert list((x * y).coeffs) == cyclotomic_mul(cx, cy, level)
+
+
+@CYCLOTOMIC_LAWS
+@given(cyclotomic_numbers(), st.fractions(max_denominator=50), st.integers(1, 4))
+def test_cyclotomic_scalars_and_promotion_match_oracle(pair, c, multiple):
+    x, cx = pair
+    assert list((x * c).coeffs) == list((c * x).coeffs) == [c * a for a in cx]
+    big = x.level * multiple
+    assert list(x.promoted(big).coeffs) == cyclotomic_promote(cx, x.level, big)
+    assert x.promoted(big) == x
+
+
+@CYCLOTOMIC_LAWS
+@given(cyclotomic_numbers())
+def test_cyclotomic_inverse_matches_oracle(pair):
+    x, cx = pair
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    one = [Fraction(1)] + [Fraction(0)] * (len(cx) - 1)
+    assert cyclotomic_mul(cx, list(x.inverse().coeffs), x.level) == one
+
+
+@settings(deadline=None, max_examples=25)
+@given(cyclotomic_numbers())
+def test_cyclotomic_numeric_matches_direct_summation(pair):
+    x, cx = pair
+    with mp.workdps(60):
+        direct = mp.fsum(
+            mp.mpf(c.numerator) / c.denominator * mp.exp(2j * mp.pi * j / x.level)
+            for j, c in enumerate(cx)
+        )
+        assert abs(x.numeric(60) - direct) <= mp.mpf(10) ** -55 * (1 + abs(direct))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,14 @@ def test_power_series():
     assert power_series(f, 2) == [1, 3, 9]  # (1+2t^2)/((1-t)(1-2t)) by long division
 
 
+def test_series_with_non_unit_constant_term_is_exact():
+    # 1/(2 + t) = sum_k (-1)^k t^k / 2^(k+1)
+    series = RationalFunctionT.make((1,), (2, 1)).series(4)
+    expected = [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16), Fraction(1, 32)]
+    assert series == expected
+    assert [str(c) for c in series] == ["1/2", "-1/4", "1/8", "-1/16", "1/32"]
+
+
 def test_power_series_of_product_is_cauchy_product():
     rng = random.Random(77)
     for _ in range(10):
