@@ -61,6 +61,7 @@ from .scheme_algebra import (
     Cellular,
     Curve,
     Disjoint,
+    Evaluation,
     Glue,
     Minus,
     NumberRing,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import EulerOnlyDataError, InvalidArgumentError, InvariantViolationError
 from .intlinalg import parity_sign
-from .scheme_algebra import NormalForm, NumberRing, SchemeExpr, normalize
+from .scheme_algebra import Evaluation, NormalForm, NumberRing
 
 __all__ = [
     "EquivariantBetti",
@@ -91,23 +91,24 @@ def _dims_and_chi(nf: NormalForm, parity: int):
     return dims, chi
 
 
-def equivariant_dims(e: SchemeExpr, n: int) -> EquivariantBetti:
-    """Parity-indexed equivariant Betti data; `n` picks nothing beyond its
-    sign convention (both parities are always populated)."""
+def equivariant_dims(e, n: int) -> EquivariantBetti:
+    """Parity-indexed equivariant Betti data of an expression or its
+    Evaluation; `n` picks nothing beyond its sign convention (both parities
+    are always populated)."""
     if n >= 0:
         raise InvalidArgumentError("defined for strictly negative weights")
-    nf = normalize(e)
+    nf = Evaluation.of(e, n).nf
     dims_even, chi_even = _dims_and_chi(nf, 0)
     dims_odd, chi_odd = _dims_and_chi(nf, 1)
     return EquivariantBetti(dims_even, dims_odd, chi_even, chi_odd)
 
 
-def vanishing_order_conjectural(e: SchemeExpr, n: int) -> int:
+def vanishing_order_conjectural(e, n: int) -> int:
     """Conjectural ord_{s=n} zeta(X, s): chi of the equivariant data."""
     return equivariant_dims(e, n).chi(n)
 
 
-def secondary_euler_vo(e: SchemeExpr, n: int) -> int:
+def secondary_euler_vo(e, n: int) -> int:
     """The weighted-rank route: sum (-1)^i * i * rk H^i_{W,c}.
 
     The splitting rk H^i_{W,c} = d_{i-1} + d_{i-2}, with d_j the

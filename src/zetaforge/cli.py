@@ -7,6 +7,10 @@ Verbs: zeta, ord (alias verify-vo), value, verify-c, trace-check,
 ell-check, p-check, det, batch.  Reports print as text or JSON; exit status
 is 0 when every requested verdict passes, 1 on a failed verdict, 2 on an
 error.
+
+`batch` builds one `Evaluation` record per manifest entry, and every check
+of the entry's battery reads it: one normal form, one zeta product, one
+exact value and one set of order data per entry.
 """
 
 from __future__ import annotations
@@ -19,19 +23,11 @@ from operator import index
 import mpmath as mp
 
 from . import archimedean, ffengine
-from .detcomplex import cohomology, complex_from_json_dict, determinant
+from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, ZetaforgeError
 from .intlinalg import is_prime
 from .lfunctions import default_precision
-from .scheme_algebra import (
-    SchemeExpr,
-    format_expr,
-    is_finite_characteristic,
-    parse_expr,
-    validate,
-    weil_order_data,
-    zeta_of,
-)
+from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
 from .zetarep import evaluate_at, vanishing_order
 
 __all__ = ["parse_expr", "parse_hodge_json", "run_command", "main"]
@@ -116,12 +112,13 @@ def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
             "vo": "pass" if ok else "fail",
             "pass": ok,
         }, ok
-    analytic = vanishing_order(zeta_of(expr), args.n)
-    conjectural = archimedean.vanishing_order_conjectural(expr, args.n)
+    entry = Evaluation(expr, args.n)
+    analytic = vanishing_order(entry.zeta, args.n)
+    conjectural = archimedean.vanishing_order_conjectural(entry, args.n)
     ok = analytic == conjectural
     return {
         "command": args.verb,
-        "expression": format_expr(expr),
+        "expression": entry.printed,
         "n": args.n,
         "analytic_order": analytic,
         "conjectural_order": conjectural,
@@ -185,11 +182,10 @@ def _cmd_det(args) -> tuple[dict, bool]:
         data = _json_loads(handle.read())
     C = complex_from_json_dict(data)
     line = determinant(C)
-    groups = {}
-    if not C.is_zero:
-        for i in range(C.lo, C.hi + 1):
-            H = cohomology(C, i)
-            groups[str(i)] = {"rank": H.rank, "torsion": list(H.torsion), "group": str(H)}
+    groups = {
+        str(i): {"rank": H.rank, "torsion": list(H.torsion), "group": str(H)}
+        for i, H in C.cohomology_table.items()
+    }
     return {
         "command": "det",
         "file": args.file,
@@ -203,29 +199,30 @@ def _cmd_det(args) -> tuple[dict, bool]:
 _BATTERY_ELLS = (2, 3, 5, 7, 11, 13)
 
 
-def _battery(expr: SchemeExpr, n: int, series_order: int) -> list:
-    """Per-entry battery used by batch mode."""
+def _battery(entry: Evaluation, series_order: int) -> list:
+    """Per-entry battery of batch mode; every check reads the one record.
+
+    The trace formula applies when the entry has a single ground field; the
+    ell-adic checks when its graded orders are determined, at each ell that
+    is not a base characteristic.  Any other error rejects the entry.
+    """
+    n = entry.n
     reports = []
-    if is_finite_characteristic(expr):
-        reports.append(ffengine.verify_C_finite_char(expr, n))
-        reports.append(ffengine.p_part_check(expr, n))
-        try:
-            reports.append(ffengine.trace_formula_check(expr, series_order))
-        except ZetaforgeError:
-            pass  # mixed bases: the trace formula needs a single ground field
-        if weil_order_data(expr, n).has_graded:
-            chars = ffengine.base_characteristics(expr)
+    if entry.is_finite_characteristic:
+        reports.append(ffengine.verify_C_finite_char(entry, n))
+        reports.append(ffengine.p_part_check(entry, n))
+        if len(entry.bases) == 1:
+            reports.append(ffengine.trace_formula_check(entry, series_order))
+        if entry.order_data.has_graded:
             for ell in _BATTERY_ELLS:
-                if ell not in chars:
-                    reports.append(ffengine.ell_adic_check(expr, n, ell))
-    analytic = vanishing_order(zeta_of(expr), n)
-    conjectural = archimedean.vanishing_order_conjectural(expr, n)
+                if ell not in entry.characteristics:
+                    reports.append(ffengine.ell_adic_check(entry, n, ell))
     reports.append(
         ffengine.VerificationReport(
             claim="vanishing-order",
-            left=analytic,
-            right=conjectural,
-            context={"expression": format_expr(expr), "n": n},
+            left=entry.order,
+            right=archimedean.vanishing_order_conjectural(entry, n),
+            context={"expression": entry.printed, "n": n},
         )
     )
     return reports
@@ -251,13 +248,13 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     entries = []
     all_ok = True
     for text, n in _manifest_entries(manifest):
-        expr = parse_expr(text)
-        reports = _battery(expr, n, args.series_order)
+        entry = Evaluation(parse_expr(text), n)
+        reports = _battery(entry, args.series_order)
         ok = all(r.passed for r in reports)
         all_ok = all_ok and ok
         entries.append(
             {
-                "expression": format_expr(expr),
+                "expression": entry.printed,
                 "n": n,
                 "checks": [r.as_dict() for r in reports],
                 "pass": ok,

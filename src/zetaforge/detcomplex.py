@@ -3,7 +3,8 @@
 A complex is stored as ranks and differentials d^i: A^i -> A^{i+1} (so the
 matrix of d^i has rank(i+1) rows and rank(i) columns).  Cohomology is exact
 and read off the invariant factors of the differentials: one Smith normal
-form per nonzero differential, computed once per complex.  When every
+form per nonzero differential and one table of groups, both computed once
+per complex.  When every
 cohomology group is finite the graded determinant line embeds canonically
 into Q and is reported as the fractional ideal (1/m)Z with m the alternating
 product of the cohomology orders; the ideal generator is normalized
@@ -100,6 +101,14 @@ class BoundedFreeComplex:
         """
         return {i: smith_normal_form(d).invariant_factors for i, d in self._diffs.items()}
 
+    @cached_property
+    def cohomology_table(self) -> dict[int, FinGenAbGroup]:
+        """Degree i -> H^i for every degree from lo to hi (empty for the zero
+        complex); each group is computed once and read by every consumer."""
+        if self.is_zero:
+            return {}
+        return {i: cohomology(self, i) for i in range(self.lo, self.hi + 1)}
+
     def __eq__(self, other):
         if not isinstance(other, BoundedFreeComplex):
             return NotImplemented
@@ -174,10 +183,8 @@ def euler_characteristics(C: BoundedFreeComplex) -> tuple[int, int]:
     """(chi, chi') with chi = sum (-1)^i rk H^i and chi' = sum (-1)^i i rk H^i."""
     chi = 0
     chi_prime = 0
-    if C.is_zero:
-        return 0, 0
-    for i in range(C.lo, C.hi + 1):
-        r = cohomology(C, i).rank
+    for i, H in C.cohomology_table.items():
+        r = H.rank
         chi += parity_sign(i) * r
         chi_prime += parity_sign(i) * i * r
     return chi, chi_prime
@@ -187,7 +194,7 @@ def multiplicative_euler_char(C: BoundedFreeComplex) -> Fraction:
     """m = prod |H^i|^((-1)^i); requires every H^i finite."""
     m = Fraction(1)
     for i in C.degrees():  # H^i = 0 wherever A^i = 0
-        H = cohomology(C, i)
+        H = C.cohomology_table[i]
         if not H.is_finite:
             raise InfiniteCohomologyError(f"H^{i} has rank {H.rank}, so m is undefined")
         m *= Fraction(group_order(H)) ** parity_sign(i)

@@ -10,6 +10,10 @@ Four executable identities for expressions over F_q at weights n < 0:
   * ell-adic part:  |zeta(X, n)|_ell equals the alternating product of the
     ell-parts of the graded cohomology orders, for each prime ell != p;
   * p-part:         v_p(zeta(X, n)) = 0.
+
+Each check takes an expression or its `scheme_algebra.Evaluation` and reads
+the normal form, zeta product, exact value and order data from it; `batch`
+builds one Evaluation per entry, so its checks share one of each.
 """
 
 from __future__ import annotations
@@ -27,18 +31,8 @@ from .errors import (
     MixedBaseError,
 )
 from .intlinalg import parity_sign, prime_power_base, rational_valuation
-from .scheme_algebra import (
-    Curve,
-    Point,
-    SchemeExpr,
-    base_prime_powers,
-    format_expr,
-    is_finite_characteristic,
-    normalize,
-    weil_order_data,
-    zeta_of,
-)
-from .zetarep import RationalFunctionT, ZetaProduct, evaluate_at
+from .scheme_algebra import Curve, Evaluation, NormalForm, Point
+from .zetarep import RationalFunctionT, ZetaProduct
 
 __all__ = [
     "VerificationReport",
@@ -86,32 +80,31 @@ class VerificationReport:
         return f"{self.claim}: {self.left} vs {self.right} -> {self.verdict}"
 
 
-def _require_finite_char(e: SchemeExpr):
-    if not is_finite_characteristic(e):
+def _require_finite_char(entry: Evaluation):
+    if not entry.is_finite_characteristic:
         raise CharZeroAtomError("this check is finite-characteristic only")
 
 
-def base_characteristics(e: SchemeExpr) -> set[int]:
-    return {prime_power_base(q)[0] for q in base_prime_powers(e)}
+def base_characteristics(e) -> set[int]:
+    return set(Evaluation.of(e).characteristics)
 
 
-def _single_base(e: SchemeExpr) -> int:
-    bases = base_prime_powers(e)
-    if len(bases) != 1:
-        raise MixedBaseError(f"expected a single base prime power, found {sorted(bases)}")
-    return next(iter(bases))
+def _single_base(entry: Evaluation) -> int:
+    if len(entry.bases) != 1:
+        raise MixedBaseError(f"expected a single base prime power, found {sorted(entry.bases)}")
+    return next(iter(entry.bases))
 
 
-def verify_C_finite_char(e: SchemeExpr, n: int) -> VerificationReport:
+def verify_C_finite_char(e, n: int) -> VerificationReport:
     """|zeta(X, n)| against the multiplicative Euler characteristic."""
-    _require_finite_char(e)
-    value = evaluate_at(zeta_of(e), n)
-    data = weil_order_data(e, n)
+    entry = Evaluation.of(e, n)
+    _require_finite_char(entry)
+    value = entry.value
     return VerificationReport(
         claim="special-value-finite-char",
         left=abs(value.exact),
-        right=data.chi_mult,
-        context={"expression": format_expr(e), "n": n, "zeta": value.exact},
+        right=entry.order_data.chi_mult,
+        context={"expression": entry.printed, "n": n, "zeta": value.exact},
     )
 
 
@@ -135,10 +128,9 @@ def _newton_power_sums(lpoly, K: int) -> list:
     return p
 
 
-def _point_counts(e: SchemeExpr, q: int, degrees) -> list[int]:
-    """#X(F_{q^k}) for each k in `degrees`, from one normalization: a term
+def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:
+    """#X(F_{q^k}) for each k in `degrees`, from the normal form: a term
     c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
-    nf = normalize(e)
     K = max(degrees, default=0)
     sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms() if isinstance(a, Curve)}
 
@@ -158,26 +150,32 @@ def _point_counts(e: SchemeExpr, q: int, degrees) -> list[int]:
     return counts
 
 
-def point_count(e: SchemeExpr, k: int) -> int:
+def point_count(e, k: int) -> int:
     """#X(F_{q^k}) computed combinatorially over the single base q."""
     if k < 1:
         raise InvalidArgumentError("field degree k must be >= 1")
-    _require_finite_char(e)
-    return _point_counts(e, _single_base(e), [k])[0]
+    entry = Evaluation.of(e)
+    _require_finite_char(entry)
+    return _point_counts(entry.nf, _single_base(entry), [k])[0]
 
 
-def _combined_rational_function(e: SchemeExpr) -> RationalFunctionT:
-    """Collapse the finite-characteristic product into a single num/den."""
-    z = zeta_of(e)
-    combined = RationalFunctionT.one()
+def _product_series(z: ZetaProduct, K: int) -> list:
+    """Taylor coefficients to t^K of the finite-characteristic product.
+
+    Numerators and denominators are multiplied modulo t^(K+1), which the
+    long division never reads past; it is exact whatever common factor the
+    two carry, so neither is normalized.
+    """
+    num, den = [1], [1]
     for factor, exp in z.finite_char:
-        piece = factor.Z if exp > 0 else factor.Z.reciprocal()
+        top, bottom = (factor.Z.num, factor.Z.den) if exp > 0 else (factor.Z.den, factor.Z.num)
         for _ in range(abs(exp)):
-            combined = combined * piece
-    return combined
+            num = poly.mul(num, top)[: K + 1]
+            den = poly.mul(den, bottom)[: K + 1]
+    return RationalFunctionT(tuple(num), tuple(den)).series(K)
 
 
-def trace_formula_check(e: SchemeExpr, K: int = 10) -> VerificationReport:
+def trace_formula_check(e, K: int = 10) -> VerificationReport:
     """Z(X, t) = exp(sum_k N_k t^k / k) as exact series up to t^K.
 
     Both sides are integer recurrences with exact divisions: long division
@@ -185,16 +183,17 @@ def trace_formula_check(e: SchemeExpr, K: int = 10) -> VerificationReport:
     g_j = (sum_{i<=j} N_i g_{j-i}) / j.  Wrong input shows as a Fraction
     where a division leaves a remainder, and as a failed verdict.
     """
-    _require_finite_char(e)
-    q = _single_base(e)
-    lhs = _combined_rational_function(e).series(K)
-    counts = _point_counts(e, q, range(1, K + 1))
+    entry = Evaluation.of(e)
+    _require_finite_char(entry)
+    q = _single_base(entry)
+    lhs = _product_series(entry.zeta, K)
+    counts = _point_counts(entry.nf, q, range(1, K + 1))
     rhs = _exp_series(counts, K)
     return VerificationReport(
         claim="grothendieck-trace-formula",
         left=lhs,
         right=rhs,
-        context={"expression": format_expr(e), "K": K, "point_counts": counts},
+        context={"expression": entry.printed, "K": K, "point_counts": counts},
     )
 
 
@@ -220,22 +219,22 @@ def _ell_part(value: int, ell: int) -> int:
     return out
 
 
-def ell_adic_check(e: SchemeExpr, n: int, ell: int) -> VerificationReport:
+def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
     """|zeta(X, n)|_ell against the ell-parts of the graded orders.
 
     Needs per-degree data, so gluing-only expressions are rejected; the
     exponent (-1)^(i+1) mirrors the compact-support orientation.
     """
-    _require_finite_char(e)
-    if ell in base_characteristics(e):
+    entry = Evaluation.of(e, n)
+    _require_finite_char(entry)
+    if ell in entry.characteristics:
         raise InvalidArgumentError(f"ell = {ell} equals a base characteristic")
-    data = weil_order_data(e, n)
+    data = entry.order_data
     if data.graded is None:
         raise GradedDataUnavailableError(
             "per-degree orders are not determined through gluings/complements"
         )
-    value = evaluate_at(zeta_of(e), n).exact
-    left = Fraction(ell) ** (-rational_valuation(value, ell))
+    left = Fraction(ell) ** (-rational_valuation(entry.value.exact, ell))
     right = Fraction(1)
     for i, order in data.graded.items():
         right *= Fraction(_ell_part(order, ell)) ** parity_sign(i + 1)
@@ -243,28 +242,28 @@ def ell_adic_check(e: SchemeExpr, n: int, ell: int) -> VerificationReport:
         claim="ell-adic-absolute-value",
         left=left,
         right=right,
-        context={"expression": format_expr(e), "n": n, "ell": ell},
+        context={"expression": entry.printed, "n": n, "ell": ell},
     )
 
 
-def p_part_check(e: SchemeExpr, n: int) -> VerificationReport:
+def p_part_check(e, n: int) -> VerificationReport:
     """v_p(zeta part of characteristic p) = 0 for each base characteristic.
 
     For a single ground characteristic this is v_p(zeta(X, n)) = 0; in a
     mixed disjoint union only the factors living over characteristic p are
     constrained at p (the other factors contribute arbitrary p-valuations).
     """
-    _require_finite_char(e)
-    z = zeta_of(e)
+    entry = Evaluation.of(e, n)
+    _require_finite_char(entry)
+    entry.value  # rejects n >= 0 and Weil violations first, as for the whole product
     per_char: dict[int, Fraction] = {}
-    for factor, exp in z.finite_char:
+    for factor, exp in entry.zeta.finite_char:
         p = prime_power_base(factor.q)[0]
-        piece = evaluate_at(ZetaProduct.single(factor, exp), n).exact
-        per_char[p] = per_char.get(p, Fraction(1)) * piece
+        per_char[p] = per_char.get(p, Fraction(1)) * factor.value_at(n) ** exp
     valuations = {p: rational_valuation(v, p) for p, v in sorted(per_char.items())}
     return VerificationReport(
         claim="p-part-triviality",
         left=list(valuations.values()),
         right=[0] * len(valuations),
-        context={"expression": format_expr(e), "n": n, "characteristics": list(valuations)},
+        context={"expression": entry.printed, "n": n, "characteristics": list(valuations)},
     )

@@ -141,6 +141,19 @@ def _euler_phi(n: int) -> int:
     return result
 
 
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending."""
@@ -345,7 +358,14 @@ class CyclotomicNumber:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        # the normalised trace Tr(x)/phi(N) is the same at every level x can
+        # be written at, and is x itself for a rational x
+        total = Fraction(0)
+        for j, c in enumerate(self.num):
+            if c:
+                m = self.level // gcd(j, self.level)  # zeta_N^j is a primitive m-th root
+                total += Fraction(c * _mobius(m), _euler_phi(m))
+        return hash(total / self.den)
 
     def __str__(self):
         if self.is_rational:

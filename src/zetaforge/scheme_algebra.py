@@ -41,15 +41,25 @@ nesting depth is bounded by memory, not by the recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
-from .intlinalg import ensure_prime_power, parity_sign
+from .intlinalg import ensure_prime_power, parity_sign, prime_power_base
 from .lfunctions import Q, QI, AbelianFieldSpec
-from .zetarep import FiniteCharFactor, LFactorShifted, RationalFunctionT, ZetaProduct, shift_s
+from .zetarep import (
+    FiniteCharFactor,
+    LFactorShifted,
+    RationalFunctionT,
+    SpecialValue,
+    ZetaProduct,
+    evaluate_at,
+    shift_s,
+    vanishing_order,
+)
 
 __all__ = [
     "SchemeExpr",
@@ -64,6 +74,7 @@ __all__ = [
     "Cellular",
     "NormalForm",
     "WeilOrderData",
+    "Evaluation",
     "Diagnostic",
     "normalize",
     "zeta_of",
@@ -81,6 +92,64 @@ class SchemeExpr:
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return ()
+
+
+class _Composite(SchemeExpr):
+    """A node with subexpressions.
+
+    Equality, hashing and repr walk the tree with an explicit stack, so any
+    depth works; atoms keep the dataclass defaults, which do not recurse.
+    """
+
+    def _label(self) -> tuple:
+        """The fields that are not subexpressions."""
+        return ()
+
+    def _preorder(self) -> tuple:
+        """The nodes in preorder, each composite as (type, label, arity):
+        equal exactly when the trees are."""
+        out = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Composite):
+                kids = node.children()
+                out.append((type(node), node._label(), len(kids)))
+                stack.extend(reversed(kids))
+            else:
+                out.append(node)
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, SchemeExpr):
+            return NotImplemented
+        return type(other) is type(self) and self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def __repr__(self):
+        return _render(self, _repr_pieces)
+
+
+def _repr_pieces(node: SchemeExpr) -> list:
+    """The dataclass repr of one node: strings interleaved with child nodes."""
+    if not isinstance(node, _Composite):
+        return [repr(node)]
+    out: list = [f"{type(node).__name__}("]
+    for k, field in enumerate(fields(node)):
+        value = getattr(node, field.name)
+        out.append(f"{', ' if k else ''}{field.name}=")
+        if isinstance(value, SchemeExpr):
+            out.append(value)
+        elif field.name == "parts":
+            out.append("(")
+            for j, child in enumerate(value):
+                out += [", ", child] if j else [child]
+            out.append(",)" if len(value) == 1 else ")")
+        else:
+            out.append(repr(value))
+    return out + [")"]
 
 
 @dataclass(frozen=True)
@@ -121,8 +190,8 @@ class NumberRing(SchemeExpr):
     field_spec: AbelianFieldSpec
 
 
-@dataclass(frozen=True)
-class Disjoint(SchemeExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Disjoint(_Composite):
     parts: tuple[SchemeExpr, ...]
 
     def __post_init__(self):
@@ -132,8 +201,8 @@ class Disjoint(SchemeExpr):
         return self.parts
 
 
-@dataclass(frozen=True)
-class Glue(SchemeExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Glue(_Composite):
     """X assembled from a closed subscheme and its open complement.
 
     The decomposition is a user assertion; no geometry is verified.
@@ -146,8 +215,8 @@ class Glue(SchemeExpr):
         return (self.closed, self.open_part)
 
 
-@dataclass(frozen=True)
-class Minus(SchemeExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Minus(_Composite):
     """Open complement U = X - Z of a user-asserted closed embedding."""
 
     total: SchemeExpr
@@ -157,8 +226,8 @@ class Minus(SchemeExpr):
         return (self.total, self.closed)
 
 
-@dataclass(frozen=True)
-class Affine(SchemeExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Affine(_Composite):
     """Relative affine space A^r over the base expression."""
 
     r: int
@@ -171,9 +240,12 @@ class Affine(SchemeExpr):
     def children(self):
         return (self.base,)
 
+    def _label(self):
+        return (self.r,)
 
-@dataclass(frozen=True)
-class Proj(SchemeExpr):
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Proj(_Composite):
     """Relative projective space P^r over the base expression."""
 
     r: int
@@ -186,9 +258,12 @@ class Proj(SchemeExpr):
     def children(self):
         return (self.base,)
 
+    def _label(self):
+        return (self.r,)
 
-@dataclass(frozen=True)
-class Cellular(SchemeExpr):
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Cellular(_Composite):
     """Cellular assembly over the base: strata A^{r_j}_B for the listed ranks."""
 
     base: SchemeExpr
@@ -203,6 +278,9 @@ class Cellular(SchemeExpr):
 
     def children(self):
         return (self.base,)
+
+    def _label(self):
+        return (self.ranks,)
 
 
 _ATOMS = (Point, Curve, NumberRing)
@@ -276,10 +354,10 @@ def _atom_zeta(atom) -> ZetaProduct:
     return ZetaProduct.single(FiniteCharFactor(atom.q, Z))
 
 
-def zeta_of(e: SchemeExpr) -> ZetaProduct:
-    """The zeta function of the expression as a formal product:
-    prod zeta(atom)(s - r)^c over the terms of the normal form."""
-    nf = normalize(e)
+def zeta_of(e) -> ZetaProduct:
+    """The zeta function of an expression (or of its Evaluation) as a formal
+    product: prod zeta(atom)(s - r)^c over the terms of the normal form."""
+    nf = Evaluation.of(e).nf
     atom_zeta = {atom: _atom_zeta(atom) for atom in nf.atoms()}
     return ZetaProduct.from_factors(
         (factor, c * exp)
@@ -335,9 +413,9 @@ def _atom_order_data(atom, n: int) -> WeilOrderData:
     )
 
 
-def weil_order_data(e: SchemeExpr, n: int) -> WeilOrderData:
+def weil_order_data(e, n: int) -> WeilOrderData:
     """Cohomological order data at weight n < 0 for finite-characteristic
-    expressions.
+    expressions (or their Evaluations).
 
     A term c * [atom] * L^r contributes the atom's data at weight n - r,
     raised to the c-th power, with degree i moved to degree i - 2r.  Graded
@@ -345,7 +423,7 @@ def weil_order_data(e: SchemeExpr, n: int) -> WeilOrderData:
     """
     if n >= 0:
         raise InvalidArgumentError("order data is defined for strictly negative weights")
-    nf = normalize(e)
+    nf = Evaluation.of(e, n).nf
     graded = {} if nf.graded else None
     chi = Fraction(1)
     for (atom, r), c in nf.terms.items():
@@ -355,6 +433,81 @@ def weil_order_data(e: SchemeExpr, n: int) -> WeilOrderData:
             for i, order in data.graded.items():
                 graded[i - 2 * r] = graded.get(i - 2 * r, 1) * order**c
     return WeilOrderData(graded, chi)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation record
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One pair (X, n) and everything the checks of it read.
+
+    The expression is normalized once; every other field is the module
+    function that computes it (`zeta_of`, `weil_order_data`, `evaluate_at`,
+    ...) applied to this record, called on first use and then kept.  So a
+    battery of checks on one entry normalizes once, builds one zeta product
+    and evaluates it once, and the fields are computed in the order the
+    checks first ask for them: the first error raised is the one the checks
+    would raise one at a time.  `n` is None when only fields that do not
+    depend on a weight are read (normal form, zeta, bases).
+
+    The public functions of this module, `ffengine` and `archimedean` take
+    an expression or its Evaluation.
+    """
+
+    expr: SchemeExpr
+    n: int | None = None
+
+    @classmethod
+    def of(cls, e, n: int | None = None) -> Evaluation:
+        """`e` itself when it is an Evaluation, else the Evaluation of (e, n)."""
+        if not isinstance(e, Evaluation):
+            return cls(e, n)
+        if n is not None and n != e.n:
+            raise InvalidArgumentError(f"an evaluation at n = {e.n} cannot be read at n = {n}")
+        return e
+
+    @cached_property
+    def nf(self) -> NormalForm:
+        return normalize(self.expr)
+
+    @cached_property
+    def printed(self) -> str:
+        return format_expr(self.expr)
+
+    @cached_property
+    def zeta(self) -> ZetaProduct:
+        return zeta_of(self)
+
+    @cached_property
+    def bases(self) -> frozenset[int]:
+        return frozenset(base_prime_powers(self))
+
+    @cached_property
+    def characteristics(self) -> frozenset[int]:
+        return frozenset(prime_power_base(q)[0] for q in self.bases)
+
+    @cached_property
+    def is_finite_characteristic(self) -> bool:
+        return is_finite_characteristic(self)
+
+    @cached_property
+    def order_data(self) -> WeilOrderData:
+        return weil_order_data(self, self.n)
+
+    @cached_property
+    def value(self) -> SpecialValue:
+        return evaluate_at(self.zeta, self.n)
+
+    @cached_property
+    def order(self) -> int:
+        """ord_{s=n} zeta(X, s).  A finite-characteristic entry reads it off
+        its value; any other takes only the analytic order, because leading
+        values of number rings are expensive."""
+        if self.is_finite_characteristic:
+            return self.value.order
+        return vanishing_order(self.zeta, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +576,9 @@ def _pieces(e: SchemeExpr) -> list:
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def format_expr(e: SchemeExpr) -> str:
-    """Canonical s-expression form; parsing it back yields the same tree."""
+def _render(e: SchemeExpr, pieces) -> str:
+    """The text of a tree whose nodes print as `pieces(node)`: strings
+    interleaved with child nodes."""
     out = []
     stack: list = [e]
     while stack:
@@ -432,8 +586,13 @@ def format_expr(e: SchemeExpr) -> str:
         if isinstance(item, str):
             out.append(item)
         else:
-            stack.extend(reversed(_pieces(item)))
+            stack.extend(reversed(pieces(item)))
     return "".join(out)
+
+
+def format_expr(e: SchemeExpr) -> str:
+    """Canonical s-expression form; parsing it back yields the same tree."""
+    return _render(e, _pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +760,10 @@ def parse_expr(src: str) -> SchemeExpr:
 # base bookkeeping
 
 
-def base_prime_powers(e: SchemeExpr) -> set[int]:
+def base_prime_powers(e) -> set[int]:
     """Set of finite-characteristic base prime powers appearing in atoms."""
-    return {atom.q for atom in normalize(e).atoms() if not isinstance(atom, NumberRing)}
+    return {atom.q for atom in Evaluation.of(e).nf.atoms() if not isinstance(atom, NumberRing)}
 
 
-def is_finite_characteristic(e: SchemeExpr) -> bool:
-    return not any(isinstance(atom, NumberRing) for atom in normalize(e).atoms())
+def is_finite_characteristic(e) -> bool:
+    return not any(isinstance(atom, NumberRing) for atom in Evaluation.of(e).nf.atoms())

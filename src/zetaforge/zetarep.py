@@ -158,6 +158,19 @@ class FiniteCharFactor:
     def sort_key(self):
         return (0, self.q, self.Z.num, self.Z.den)
 
+    def value_at(self, n: int) -> Fraction:
+        """Z(q^(-n)) at s = n < 0, exactly; raises when the input data violate
+        the Weil bounds (a zero or pole of Z at t = q^(-n))."""
+        t = self.q ** (-n)
+        num = poly.evaluate(self.Z.num, t)
+        den = poly.evaluate(self.Z.den, t)
+        if num == 0 or den == 0:
+            raise WeilViolationError(
+                f"factor {self} has a {'zero' if num == 0 else 'pole'} at t = {self.q}^{-n}; "
+                "input data violates the Weil bounds"
+            )
+        return Fraction(num, den)
+
     def __str__(self):
         return f"[q={self.q}] {self.Z}"
 
@@ -275,19 +288,10 @@ def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
 
 
 def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
-    """Exact product of Z(q^(-n))^e; raises when input data violates the
-    Weil bounds (a zero or pole of some factor at t = q^(-n))."""
+    """Exact product of Z(q^(-n))^e over the finite-characteristic factors."""
     value = Fraction(1)
     for f, e in z.finite_char:
-        t = f.q ** (-n)
-        num = poly.evaluate(f.Z.num, t)
-        den = poly.evaluate(f.Z.den, t)
-        if num == 0 or den == 0:
-            raise WeilViolationError(
-                f"factor {f} has a {'zero' if num == 0 else 'pole'} at t = {f.q}^{-n}; "
-                "input data violates the Weil bounds"
-            )
-        value *= Fraction(num, den) ** e
+        value *= f.value_at(n) ** e
     return value
 
 

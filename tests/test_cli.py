@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zetaforge import cli, detcomplex, intlinalg
 from zetaforge.detcomplex import complex_to_json_dict
@@ -378,3 +383,193 @@ def test_golden_reports(capsys, tmp_path):
         data.pop("manifest", None)  # the path of the temporary manifest
         expected = json.loads((GOLDEN / name).read_text())
         assert data == expected, f"schema drift against golden file {name}"
+
+
+# ---------------------------------------------------------------------------
+# batch: one record per entry
+
+
+def write_manifest(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def test_batch_rejects_an_impossible_decomposition_like_trace_check(capsys, tmp_path):
+    expr = "(minus (point 2) (curve 2 (1 0 2)))"
+    code, data = run_json(capsys, "trace-check", expr)
+    assert code == 2 and data["error"]["code"] == "invalid-argument"
+    path = write_manifest(tmp_path, [{"expr": expr, "n": -1}])
+    code, batch = run_json(capsys, "batch", "--manifest", path)
+    assert code == 2 and batch == data
+
+
+def test_batch_omits_the_trace_formula_over_two_ground_fields(capsys, tmp_path):
+    path = write_manifest(tmp_path, [{"expr": "(disjoint (point 2) (point 3))", "n": -1}])
+    code, data = run_json(capsys, "batch", "--manifest", path)
+    assert code == 0 and data["pass"] is True
+    claims = [c["claim"] for c in data["entries"][0]["checks"]]
+    assert "grothendieck-trace-formula" not in claims
+    assert claims[:2] == ["special-value-finite-char", "p-part-triviality"]
+
+
+def bindings_of(original):
+    """(module, attribute) of every zetaforge module binding `original`."""
+    return [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name.startswith("zetaforge")
+        for attr, value in list(vars(module).items())
+        if value is original
+    ]
+
+
+def count_calls(monkeypatch, original) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module, attr in bindings_of(original):
+        monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_batch_normalizes_once_per_entry(capsys, tmp_path, monkeypatch):
+    from zetaforge import scheme_algebra, zetarep
+
+    manifest = [
+        {"expr": "(proj 1 (curve 2 (1 1 2)))", "n": -1},
+        {"expr": "(affine 1 (numberring :conductor 5 :subgroup (1 4)))", "n": -2},
+        {"expr": "(glue (point 7) (minus (affine 1 (point 7)) (point 7)))", "n": -1},
+    ]
+    normalized = count_calls(monkeypatch, scheme_algebra.normalize)
+    evaluated = count_calls(monkeypatch, zetarep.evaluate_at)
+    path = write_manifest(tmp_path, manifest)
+    code, data = run_json(capsys, "batch", "--manifest", path)
+    assert code == 0 and len(data["entries"]) == 3
+    assert len(normalized) == 3
+    # the number ring takes only its analytic order
+    assert len(evaluated) == 2
+
+
+def test_det_reads_one_cohomology_table(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, detcomplex.cohomology)
+    rng = random.Random(1701)
+    for _ in range(10):
+        data = complex_to_json_dict(random_torsion_complex(rng))
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data))
+        calls.clear()
+        code, report = run_json(capsys, "det", str(path))
+        assert code == 0
+        degrees = [int(i) for i in data["ranks"]]
+        assert len(calls) == max(degrees) - min(degrees) + 1 == len(report["cohomology"])
+
+
+# ---------------------------------------------------------------------------
+# error contract: exit 0, 1 or 2 for every input, never a traceback
+
+FUZZ_ATOMS = [
+    "(point 2)", "(point 3 2)", "(point 4)", "(curve 2 (1 0 2))", "(curve 3 (1 1 3))",
+    "(curve 2 (2 1))", "(Q)", "(Qi)", "(numberring :conductor 5 :subgroup (1 4))",
+    "(numberring :conductor 7 :subgroup (1))",
+]
+FUZZ_MALFORMED = [
+    "(point 6)", "(point 2 0)", "(point 2", "(curve 2 (0 1))", "(curve 2 ())",
+    "(numberring :conductor 6 :subgroup (2))", "(numberring :subgroup (1))", "(warp 3)", "()",
+    "point", ")",
+]
+FUZZ_SHAPES = [
+    "(disjoint {0} {1})", "(glue {0} {1})", "(minus {0} {1})", "(affine {2} {0})",
+    "(proj {2} {1})", "(cellular {0} ({2} 1))", "(disjoint)", "(glue {0})", "(affine x {0})",
+]
+fuzz_expressions = st.recursive(
+    st.sampled_from(FUZZ_ATOMS * 4 + FUZZ_MALFORMED),
+    lambda kids: st.tuples(st.sampled_from(FUZZ_SHAPES), kids, kids, st.integers(-1, 2)).map(
+        lambda t: t[0].format(t[1], t[2], t[3])
+    ),
+    max_leaves=4,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=8,
+)
+FUZZ = settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+
+
+def contract_exit_code(argv, files=()) -> int:
+    """Exit code of the CLI on argv, with each (name, JSON payload) of
+    `files` written to a temporary file whose path replaces the name."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        for name, payload in files:
+            path = Path(directory) / f"{name}.json"
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            argv = [str(path) if a == name else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects malformed options with 2
+                code = exc.code
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    return code
+
+
+@st.composite
+def expression_argv(draw):
+    verb = draw(st.sampled_from(
+        ["zeta", "ord", "verify-vo", "value", "verify-c", "trace-check", "ell-check", "p-check"]
+    ))
+    argv = [verb, draw(fuzz_expressions)]
+    n = draw(st.none() | st.integers(-4, -1) | st.integers(-1, 1))
+    if n is not None:
+        argv += ["-n", str(n)]
+    if draw(st.booleans()):
+        argv += ["--ell", str(draw(st.integers(-1, 8)))]
+    if draw(st.booleans()):
+        argv += ["--series-order", str(draw(st.integers(-1, 8)))]
+    if verb == "value" and draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(-1, 30)))]
+    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+@FUZZ
+@given(expression_argv())
+def test_error_contract_expression_verbs(argv):
+    contract_exit_code(argv)
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.one_of(
+    json_values,
+    st.lists(st.fixed_dictionaries({"expr": fuzz_expressions, "n": st.integers(-3, 1)}), max_size=3),
+))
+def test_error_contract_manifests(manifest):
+    contract_exit_code(["batch", "--manifest", "manifest", "--series-order", "6"], [("manifest", manifest)])
+
+
+square = st.integers(0, 2).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=2)
+)
+
+
+@FUZZ
+@given(st.one_of(
+    json_values,
+    st.fixed_dictionaries({
+        "ranks": st.dictionaries(st.sampled_from(["-1", "0", "1", "x"]), st.integers(-1, 2)),
+        "differentials": st.dictionaries(st.sampled_from(["-1", "0", "1"]), square),
+    }),
+))
+def test_error_contract_det_files(data):
+    contract_exit_code(["det", "complex"], [("complex", data)])
+
+
+@FUZZ
+@given(json_values)
+def test_error_contract_hodge_data(data):
+    contract_exit_code(["ord", "--hodge", json.dumps(data), "-n", "-1"])

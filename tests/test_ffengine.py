@@ -6,6 +6,7 @@ import pytest
 from zetaforge.errors import (
     CharZeroAtomError,
     GradedDataUnavailableError,
+    InvalidArgumentError,
     MixedBaseError,
 )
 from zetaforge.ffengine import (
@@ -23,6 +24,7 @@ from zetaforge.scheme_algebra import (
     Cellular,
     Curve,
     Disjoint,
+    Evaluation,
     Glue,
     Minus,
     NumberRing,
@@ -210,3 +212,25 @@ def test_battery_on_random_corpus():
             assert verify_C_finite_char(e, n).passed
             assert p_part_check(e, n).passed
         assert trace_formula_check(e, 6).passed
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_checks_reject_nonnegative_weights(n):
+    for check in (verify_C_finite_char, p_part_check):
+        with pytest.raises(InvalidArgumentError, match="strictly negative"):
+            check(Disjoint((Point(2), Point(3))), n)
+    with pytest.raises(InvalidArgumentError, match="strictly negative"):
+        ell_adic_check(Point(3), n, 2)
+
+
+def test_checks_read_an_evaluation_like_its_expression():
+    e = Disjoint((Proj(1, Curve(2, (1, 1, 2))), Point(3, 2)))
+    entry = Evaluation(e, -2)
+    assert verify_C_finite_char(entry, -2).as_dict() == verify_C_finite_char(e, -2).as_dict()
+    assert p_part_check(entry, -2).as_dict() == p_part_check(e, -2).as_dict()
+    assert ell_adic_check(entry, -2, 5).as_dict() == ell_adic_check(e, -2, 5).as_dict()
+    curve = Proj(1, Curve(2, (1, 1, 2)))
+    assert trace_formula_check(Evaluation(curve), 8).as_dict() == trace_formula_check(curve, 8).as_dict()
+    assert zeta_of(entry) == zeta_of(e) and weil_order_data(entry, -2) == weil_order_data(e, -2)
+    with pytest.raises(InvalidArgumentError):
+        verify_C_finite_char(entry, -1)

@@ -139,6 +139,38 @@ def test_cyclotomic_inverse_matches_oracle(pair):
     assert cyclotomic_mul(cx, list(x.inverse().coeffs), x.level) == one
 
 
+@CYCLOTOMIC_LAWS
+@given(cyclotomic_numbers(), st.integers(1, 4))
+def test_equal_cyclotomic_numbers_hash_equal_across_levels(pair, multiple):
+    x, _ = pair
+    y = x.promoted(x.level * multiple)
+    assert y == x and hash(y) == hash(x)
+    # Q(zeta_2N) = Q(zeta_N) for odd N, with zeta_2N = -zeta_N^((N+1)/2)
+    level = x.level // 2
+    if x.level % 4 == 2:
+        coeffs = [0] * level
+        for j, c in enumerate(x.num):
+            coeffs[j * (level + 1) // 2 % level] += (-1) ** j * c
+        z = CyclotomicNumber.from_poly(level, coeffs, x.den)
+        assert z.level == level and z == x and hash(z) == hash(x)
+
+
+@CYCLOTOMIC_LAWS
+@given(st.fractions(max_denominator=50), st.integers(1, 60))
+def test_rational_cyclotomic_numbers_hash_as_rationals(q, level):
+    x = CyclotomicNumber.rational(q, level)
+    assert x == q and hash(x) == hash(q)
+    if q.denominator == 1:
+        assert x == int(q) and hash(x) == hash(int(q))
+
+
+def test_hash_agrees_with_equality_on_roots_of_unity():
+    z3 = CyclotomicNumber.root_of_unity(3, 1)
+    z6_squared = CyclotomicNumber.root_of_unity(6, 1) ** 2
+    assert z3 == z6_squared and len({z3, z6_squared}) == 1
+    assert hash(CyclotomicNumber.rational(2)) == hash(2)
+
+
 @settings(deadline=None, max_examples=25)
 @given(cyclotomic_numbers())
 def test_cyclotomic_numeric_matches_direct_summation(pair):

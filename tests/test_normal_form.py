@@ -1,6 +1,7 @@
 """Laws of the normal form sum c * [atom] * L^r, checked on every fold."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,40 @@ def test_folds_accept_deep_expressions():
     assert equivariant_dims(e, -1).chi(-1) == 0
     assert base_prime_powers(e) == {2}
     assert format_expr(parse_expr(format_expr(e))) == format_expr(e)
+
+
+def test_deep_expressions_compare_hash_and_print():
+    # the default recursion limit stays in force
+    assert sys.getrecursionlimit() <= 10**4
+    a, b = deep_expression(), deep_expression()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != deep_expression(10**4 - 1) and a != Affine(0, a)
+    assert repr(a).startswith("Disjoint(parts=(Glue(closed=Affine(r=0, base=Disjoint(parts=(")
+    assert repr(a).count("Point(q=2, m=1)") == 1
+
+
+def test_composite_nodes_keep_dataclass_equality_hash_and_repr():
+    e = Disjoint((Cellular(Point(3), (0, 2)), Proj(1, Minus(Point(2), Point(2, 2)))))
+    assert repr(e) == (
+        "Disjoint(parts=(Cellular(base=Point(q=3, m=1), ranks=(0, 2)), "
+        "Proj(r=1, base=Minus(total=Point(q=2, m=1), closed=Point(q=2, m=2)))))"
+    )
+    assert repr(Disjoint((Point(2),))) == "Disjoint(parts=(Point(q=2, m=1),))"
+    assert repr(Disjoint(())) == "Disjoint(parts=())"
+    assert Affine(1, Point(2)) != Affine(2, Point(2)) and Proj(1, Point(2)) != Affine(1, Point(2))
+    assert Cellular(Point(2), (0, 1)) != Cellular(Point(2), (1, 0))
+    assert Disjoint((Point(2),)) != Disjoint((Point(2), Point(2)))
+    assert Glue(Point(2), Point(3)) != Minus(Point(2), Point(3))
+    assert len({e, Disjoint(tuple(e.parts)), Disjoint(e.parts[::-1])}) == 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(anywhere, anywhere)
+def test_equal_expressions_hash_equal(a, b):
+    assert (a == b) == (format_expr(a) == format_expr(b))
+    assert a == parse_expr(format_expr(a)) and hash(a) == hash(parse_expr(format_expr(a)))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
