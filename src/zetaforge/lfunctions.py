@@ -24,6 +24,16 @@ conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
 the m-th roots of unity are computed once into bounded memoised tables, and
 B_{k,chi}, L(1-n, chi) and the Gauss sum are dot products of the character's
 exponents against them.
+
+The Hurwitz table is filled without mpmath's zeta: an integer Euler-Maclaurin
+kernel sums zeta(s, a/f) in fixed point at wp bits, every term an exact
+integer floor.  One plan per (s, dps), shared by all conductors, fixes the
+head length N and the M tail coefficients B_2j/(2j)! s(s+1)...(s+2j-2) from
+the exact Bernoulli numbers, so that the remainder (at most the first omitted
+term, since every derivative of (t+x)^(-s) keeps one sign) is below
+2^-(wp+4).  With N + M + 2 roundings the error is below (N + M + 3) 2^-wp,
+and wp is chosen to make that at most 2^-10 10^-dps, relative as well as
+absolute because zeta(s, x) >= 1 for x in (0, 1].
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log, pi
 
 import mpmath as mp
 
@@ -761,11 +771,115 @@ def _roots_of_unity(m: int, dps: int) -> tuple:
         return tuple(mp.e ** (2j * mp.pi * mp.mpf(k) / m) for k in range(m))
 
 
+# Hurwitz zeta by Euler-Maclaurin in fixed point.  For an integer s >= 2 and
+# x in (0, 1], summing g(t) = (t + x)^(-s) from t = N on gives
+#
+#   zeta(s, x) = sum_{k<N} (k+x)^(-s) + (N+x)^(1-s)/(s-1) + (N+x)^(-s)/2
+#                + sum_{j=1..M} B_2j/(2j)! s(s+1)...(s+2j-2) (N+x)^(1-s-2j) + R.
+#
+# Every derivative of g keeps one sign, so R has the sign of the first
+# omitted term (j = M+1) and is smaller in absolute value (Olver, "Asymptotics
+# and Special Functions", ch. 8 §3; Johansson, arXiv:1309.2877, Theorem 1).
+# That term is largest at x -> 0, so one plan (N, M) bounds R for every x.
+
+_EM_MAX_HEAD = 1 << 16  # head terms past which the tolerance counts as unreachable
+
+
+@dataclass(frozen=True)
+class _EMPlan:
+    """Fixed-point bits, head length and tail coefficients for zeta(s, x).
+
+    `coeffs[j-1]` is B_2j/(2j)! s(s+1)...(s+2j-2) as (numerator, positive
+    denominator), for j = 1..M.
+    """
+
+    wp: int
+    N: int
+    coeffs: tuple[tuple[int, int], ...]
+
+
+def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(N, coeffs) with the first omitted term below 2^-(wp+4) for x > 0.
+
+    N starts where the head and the tail balance; if the tail terms stop
+    decreasing before the tolerance, N grows by half and the search restarts.
+    """
+    N = int(wp * log(2) / pi) + s + 2
+    while N <= _EM_MAX_HEAD:
+        coeffs = []
+        rising, factorial, j = s, 2, 1  # s(s+1)...(s+2j-2) and (2j)! at j
+        previous = None
+        while True:
+            b = bernoulli_number(2 * j)
+            num, den = b.numerator * rising, b.denominator * factorial
+            # |term j| <= |num| / (den N^(s+2j-1)), compared in integers
+            size = Fraction(abs(num), den * N ** (s + 2 * j - 1))
+            if size.numerator << (wp + 4) < size.denominator:
+                return N, tuple(coeffs)
+            if previous is not None and size >= previous:
+                break
+            coeffs.append((num, den))
+            previous = size
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            factorial *= (2 * j + 1) * (2 * j + 2)
+            j += 1
+        N += N // 2
+    raise PrecisionUnderflowError(f"Euler-Maclaurin for zeta({s}, x) cannot reach 2^-{wp}")
+
+
+@lru_cache(maxsize=32)
+def _em_plan(s: int, dps: int) -> _EMPlan:
+    """The plan for zeta(s, x) at `dps` digits, shared by every conductor.
+
+    With N + M + 2 floor roundings of at most one unit each and the remainder
+    below 2^-(wp+4), the absolute error is below (N + M + 3) 2^-wp, so
+    wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 leaves 2^-10 of 10^-dps.
+    As zeta(s, x) >= 1 on (0, 1], the bound is relative too.
+    """
+    if s < 2:
+        raise InvalidArgumentError("the Hurwitz table needs an integer s >= 2")
+    target = (10**dps).bit_length() + 10
+    wp = target
+    while True:
+        N, coeffs = _em_terms(s, wp)
+        need = target + (N + len(coeffs) + 2).bit_length()
+        if wp >= need:
+            return _EMPlan(wp, N, coeffs)
+        wp = need
+
+
+def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
+    """zeta(s, a/f) * 2^wp, within N + M + 3 units, in integers only.
+
+    With m = N f + a each term is a floor of an exact ratio:
+    f^s (kf+a)^(-s) in the head, f^(s+i)/m^(s+i) in the tail.
+    """
+    wp, N = plan.wp, plan.N
+    one = f**s << wp
+    acc = sum(one // (k * f + a) ** s for k in range(N))
+    m = N * f + a
+    fk, mk = f ** (s - 1), m ** (s - 1)
+    acc += (fk << wp) // ((s - 1) * mk)
+    acc += (fk * f << wp) // (2 * mk * m)
+    fk, mk = fk * f * f, mk * m * m  # exponent s + 1, the j = 1 term
+    for num, den in plan.coeffs:
+        acc += (num * fk << wp) // (den * mk)
+        fk, mk = fk * f * f, mk * m * m
+    return acc
+
+
 @lru_cache(maxsize=32)
 def _hurwitz_table(f: int, s: int, dps: int) -> tuple:
-    """(a, zeta(s, a/f)) for the units a in 1..f at `dps` digits."""
-    with mp.workdps(dps):
-        return tuple((a, mp.zeta(mp.mpf(s), mp.mpf(a) / f)) for a in _units(f))
+    """(a, zeta(s, a/f)) for the units a in 1..f at `dps` digits.
+
+    Each entry is the integer Euler-Maclaurin kernel `_hurwitz_em` under the
+    shared plan for (s, dps): relative error below 2^-10 10^-dps before the
+    rounding to `dps` digits, with the remainder bounded by the first
+    omitted term.
+    """
+    plan = _em_plan(s, dps)
+    with mp.workdps(dps):  # the fixed-point value rounds to dps, not to 53 bits
+        return tuple((a, mp.mpf((_hurwitz_em(f, a, s, plan), -plan.wp))) for a in _units(f))
 
 
 def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION):

@@ -23,6 +23,7 @@ from . import poly
 from .errors import (
     InvalidArgumentError,
     InvariantViolationError,
+    PrecisionUnderflowError,
     RationalityFailureError,
     WeilViolationError,
 )
@@ -350,6 +351,8 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
         raise InvalidArgumentError("special values are computed at strictly negative integers")
     if precision is None:
         precision = default_precision()
+    if precision < 1:
+        raise PrecisionUnderflowError("precision must be a positive digit count")
 
     rational_part = _finite_char_value(z, n)
     leads = [(leading_value(f.character, n - f.shift, precision), e) for f, e in z.char_zero]

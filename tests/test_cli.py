@@ -220,6 +220,18 @@ def test_error_exit_codes(capsys, tmp_path):
         assert json.loads(out)["error"]["code"] == "io-error"
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+@pytest.mark.parametrize("expr", ["(point 2)", "(numberring :conductor 5 :subgroup (1))"])
+def test_precision_underflow_exit_code(capsys, expr, precision):
+    # the same code and message with and without a characteristic-zero factor
+    code, out = run_cli(capsys, "value", expr, "-n", "-1", "--precision", precision, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "precision-underflow",
+        "message": "precision must be a positive digit count",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

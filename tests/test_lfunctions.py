@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforge.errors import RationalityFailureError, ZetaforgeError
+from zetaforge import lfunctions
+from zetaforge.errors import (
+    InvalidArgumentError,
+    PrecisionUnderflowError,
+    RationalityFailureError,
+    ZetaforgeError,
+)
 from zetaforge.lfunctions import (
     CHI_MINUS_4,
     Q,
@@ -380,6 +386,58 @@ def test_random_characters_dual_path():
             h = mp.mpf(10) ** -20
             oracle = numeric_derivative(L, mp.mpf(n), h)
             assert abs(lv.value - oracle) < mp.mpf(10) ** -30
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz table: the integer Euler-Maclaurin kernel
+
+
+def em_term(s, N, j):
+    """|B_2j|/(2j)! s(s+1)...(s+2j-2) / N^(s+2j-1): the Euler-Maclaurin term j
+    for zeta(s, x) at its largest, x -> 0."""
+    return abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1) / mp.mpf(N) ** (s + 2 * j - 1)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 120), st.integers(2, 10), st.integers(15, 150), st.randoms(use_true_random=False))
+def test_hurwitz_table_within_its_derived_bound(f, s, dps, rng):
+    # each checked entry within 10^-dps relative of mpmath at dps + 30; the
+    # fixed-point kernel within its rounding count plus one unit, and the
+    # remainder below its first omitted term below 2^-(wp+4)
+    table = lfunctions._hurwitz_table(f, s, dps)
+    assert [a for a, _ in table] == [a for a in range(1, f + 1) if gcd(a, f) == 1]
+    plan = lfunctions._em_plan(s, dps)
+    checked = set(table[:2] + table[-2:] + tuple(rng.sample(table, min(4, len(table)))))
+    with mp.workdps(dps + 30):
+        ulp = mp.ldexp(1, -plan.wp)
+        assert em_term(s, plan.N, len(plan.coeffs) + 1) < ulp / 16
+        for a, value in checked:
+            expected = mp.zeta(s, mp.mpf(a) / f)
+            assert abs(value - expected) < mp.mpf(10) ** -dps * expected
+            fixed = lfunctions._hurwitz_em(f, a, s, plan) * ulp
+            assert abs(fixed - expected) < (plan.N + len(plan.coeffs) + 3) * ulp
+
+
+@pytest.mark.parametrize("s", [2, 3, 7, 10])
+@pytest.mark.parametrize("dps", [15, 67, 150])
+def test_euler_maclaurin_plan_meets_its_tolerance(s, dps):
+    plan = lfunctions._em_plan(s, dps)
+    N, M, wp = plan.N, len(plan.coeffs), plan.wp
+    with mp.workdps(40):
+        tolerance = mp.ldexp(1, -(wp + 4))
+        # M is the smallest count whose first omitted term is below tolerance
+        assert em_term(s, N, M + 1) < tolerance <= em_term(s, N, M)
+        assert wp >= mp.ceil(dps * mp.log(10, 2)) + mp.log(N + M + 2, 2) + 10
+        for j, (num, den) in enumerate(plan.coeffs, 1):
+            exact = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1)
+            assert den > 0 and abs(mp.mpf(num) / den - exact) < mp.mpf(10) ** -35 * abs(exact)
+
+
+def test_euler_maclaurin_plan_rejects_unreachable_input():
+    with pytest.raises(PrecisionUnderflowError):
+        lfunctions._em_plan(2, 90000)  # needs more head terms than the kernel allows
+    with pytest.raises(InvalidArgumentError):
+        lfunctions._em_plan(1, 30)
 
 
 # ---------------------------------------------------------------------------

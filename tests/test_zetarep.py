@@ -109,19 +109,24 @@ def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
     # the five even nontrivial characters mod 13 (a simple zero at n = -2) share
     # one table of zeta(3, a/13) over the 12 units; the trivial one adds zeta(3)
     calls = []
+    kernel = lfunctions._hurwitz_em
 
-    def counted(*args):
-        calls.append(args)
-        return mp.zeta(*args)
+    def counted(f, a, s, plan):
+        calls.append((f, a, s))
+        return kernel(f, a, s, plan)
+
+    def no_zeta(*args):
+        raise AssertionError("mp.zeta called on the value path")
 
     private_mp = types.ModuleType("mpmath")
     private_mp.__dict__.update(vars(mp))
-    private_mp.zeta = counted
+    private_mp.zeta = no_zeta
     monkeypatch.setattr(lfunctions, "mp", private_mp)
+    monkeypatch.setattr(lfunctions, "_hurwitz_em", counted)
     for table in (lfunctions._hurwitz_table, lfunctions._bernoulli_table, lfunctions._roots_of_unity):
         table.cache_clear()
     evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1,)))), -2)
-    assert len(calls) == 13
+    assert sorted(calls) == [(1, 1, 3)] + [(13, a, 3) for a in range(1, 13)]
 
 
 @pytest.mark.parametrize("n", [-1, -2])
