@@ -8,6 +8,14 @@ ell-check, p-check, det, batch.  Reports print as text or JSON; exit status
 is 0 when every requested verdict passes, 1 on a failed verdict, 2 on an
 error.
 
+The command line is read by `_read_argv` from one verb table, `_VERBS`:
+each verb names its positional (an expression, a file or none) and the
+options it adds to the common -n, --format, --series-order and --ell.  It
+takes `--opt value` and `--opt=value`, `-n -2`, `-n-2` and `-n=-2`, unique
+prefixes of long options, options on either side of the positional, and
+repeats (the last wins).  A malformed command line is the error `usage`,
+reported like every other error; -h/--help prints the usage block.
+
 `batch` builds one `Evaluation` record per manifest entry, and every check
 of the entry's battery reads it: one normal form, one zeta product, one
 exact value and one set of order data per entry.
@@ -15,16 +23,17 @@ exact value and one set of order data per entry.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from operator import index
+from types import SimpleNamespace
 
 import mpmath as mp
 
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
-from .errors import InvalidArgumentError, ManifestError, ZetaforgeError
+from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
 from .intlinalg import is_prime
 from .lfunctions import default_precision
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
@@ -97,7 +106,7 @@ def _cmd_zeta(expr: SchemeExpr, args) -> tuple[dict, bool]:
 
 
 def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
-    if getattr(args, "hodge", None):
+    if args.hodge:
         H = parse_hodge_json(args.hodge)
         dims = archimedean.hodge_equivariant_dims(H, args.n)
         chi = sum((-1) ** (i % 2) * d for i, d in dims.items())
@@ -293,17 +302,54 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+# verb -> (handler, positional, options of its own); `det` needs its file
+# and `batch` its --manifest.  Every verb also takes the common options.
+_VERBS = {
+    "zeta": (_cmd_zeta, "expression", ()),
+    "ord": (_cmd_ord, "expression", ("--hodge",)),
+    "verify-vo": (_cmd_ord, "expression", ("--hodge",)),
+    "value": (_cmd_value, "expression", ("--precision",)),
+    "verify-c": (_cmd_verify_c, "expression", ()),
+    "trace-check": (_cmd_trace_check, "expression", ()),
+    "ell-check": (_cmd_ell_check, "expression", ()),
+    "p-check": (_cmd_p_check, "expression", ()),
+    "det": (_cmd_det, "file", ()),
+    "batch": (_cmd_batch, None, ("--manifest",)),
+}
+_HELP = ("-h", "--help")
+_COMMON = (*_HELP, "-n", "--format", "--series-order", "--ell")
+_INTEGER_OPTIONS = ("-n", "--series-order", "--ell", "--precision")
+# argparse's rule: a token like this is a value, not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+_USAGE = """\
+usage: zetaforge VERB [EXPRESSION | FILE] [options]
+
+  zeta EXPR                      factored zeta function
+  ord EXPR -n N                  analytic vs conjectural order (alias verify-vo)
+  ord --hodge JSON -n N          the same from Hodge data
+  value EXPR -n N                special value; --precision DIGITS
+  verify-c EXPR -n N             |zeta(X, n)| against chi_x
+  trace-check EXPR               point counts against the series
+  ell-check EXPR -n N --ell L    ell-adic absolute value
+  p-check EXPR -n N              p-part triviality
+  det FILE                       determinant of a complex (JSON)
+  batch --manifest FILE          battery over a JSON list of {expr, n}
+
+options: -n N (negative), --format text|json, --series-order K (default 10),
+         --ell L (prime), -h/--help; --opt=value and unique prefixes work"""
+
+
 def run_command(args) -> tuple[dict, bool]:
-    """Dispatch a parsed argparse namespace to its implementation."""
+    """Dispatch a namespace filled by `_read_argv` to its implementation."""
     verb = args.verb
+    handler, positional, _ = _VERBS[verb]
     if args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
-    if verb == "det":
-        return _cmd_det(args)
-    if verb == "batch":
-        return _cmd_batch(args)
+    if positional != "expression":
+        return handler(args)
     expr = None
-    if not getattr(args, "hodge", None):
+    if not args.hodge:
         if args.expression is None:
             raise ZetaforgeError(f"{verb} requires an expression")
         expr = parse_expr(args.expression)
@@ -312,58 +358,113 @@ def run_command(args) -> tuple[dict, bool]:
             raise ZetaforgeError(f"{verb} requires -n")
         if args.n >= 0:
             raise ZetaforgeError("n must be a strictly negative integer")
-    handlers = {
-        "zeta": _cmd_zeta,
-        "ord": _cmd_ord,
-        "value": _cmd_value,
-        "verify-c": _cmd_verify_c,
-        "verify-vo": _cmd_ord,
-        "trace-check": _cmd_trace_check,
-        "ell-check": _cmd_ell_check,
-        "p-check": _cmd_p_check,
-    }
-    return handlers[verb](expr, args)
+    return handler(expr, args)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zetaforge",
-        description="zeta functions of arithmetic schemes at negative integers",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _option(token: str, names) -> tuple[str, str | None] | None:
+    """(option, value written into the token) that `token` names among
+    `names`, or None when it is a positional.
 
-    def common(p, expression=True, needs_n=False):
-        if expression:
-            p.add_argument("expression", nargs="?", help="scheme expression (s-expression)")
-        p.add_argument("-n", type=int, default=None, help="negative integer weight")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--series-order", type=int, default=10, dest="series_order")
-        p.add_argument("--ell", type=int, default=None, help="auxiliary prime for ell-check")
+    As with argparse: '-' alone, negative numbers and tokens with a space
+    are positionals; a long option may be shortened to a unique prefix and
+    take its value after '=', and -n takes one after '=' or attached.
+    """
+    if len(token) < 2 or token[0] != "-":
+        return None
+    head, eq, inline = token.partition("=")
+    if head in names:
+        return head, inline if eq else None
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option {head}: could be {', '.join(matches)}")
+        if matches:
+            return matches[0], inline if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    raise UsageError(f"unknown option {token}")
 
-    for verb in ("zeta", "verify-c", "trace-check", "ell-check", "p-check"):
-        common(sub.add_parser(verb))
-    p_value = sub.add_parser("value")
-    common(p_value)
-    p_value.add_argument(
-        "--precision",
-        type=int,
-        default=default_precision(),
-        help="decimal digits for numeric output (env ZETAFORGE_PRECISION)",
-    )
-    p_ord = sub.add_parser("ord", aliases=["verify-vo"])
-    common(p_ord)
-    p_ord.add_argument("--hodge", default=None, help="inline Hodge-data JSON instead of an expression")
-    p_det = sub.add_parser("det")
-    p_det.add_argument("file", help="complex file (JSON)")
-    common(p_det, expression=False)
-    p_batch = sub.add_parser("batch")
-    p_batch.add_argument("--manifest", required=True, help="JSON list of {expr, n} entries")
-    common(p_batch, expression=False)
-    return parser
+
+def _read_argv(argv, args) -> bool:
+    """Fill `args` from argv; False when it asks for the usage block.
+
+    The first positional is the verb, which adds its own options to the
+    common ones; after a bare `--` every token is a positional.  Every token
+    is read, so a --format anywhere decides how an error prints, and the
+    first malformed one is raised as a UsageError at the end.
+    """
+    names, positional, error, only_positionals = _COMMON, None, None, False
+    k = 0
+    while k < len(argv):
+        token = argv[k]
+        k += 1
+        try:
+            if token == "--" and not only_positionals:
+                only_positionals = True
+                continue
+            option = None if only_positionals else _option(token, names)
+            if option is None:
+                if args.verb is None:
+                    if token not in _VERBS:
+                        raise UsageError(f"unknown verb {token!r}; choose from {', '.join(_VERBS)}")
+                    args.verb = token
+                    _, positional, own = _VERBS[token]
+                    names = _COMMON + own
+                    if token == "value":
+                        args.precision = default_precision()
+                elif positional is None or getattr(args, positional) is not None:
+                    raise UsageError(f"unexpected argument {token!r}")
+                else:
+                    setattr(args, positional, token)
+                continue
+            name, value = option
+            if name in _HELP:
+                if value is not None:
+                    raise UsageError(f"{name} takes no value")
+                if error is None:
+                    return False
+                continue
+            if value is None:
+                if k == len(argv) or argv[k] == "--" or _option(argv[k], names) is not None:
+                    raise UsageError(f"{name} expects a value")
+                value = argv[k]
+                k += 1
+            if name in _INTEGER_OPTIONS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"{name} expects an integer, got {value!r}") from None
+            elif name == "--format" and value not in ("text", "json"):
+                raise UsageError(f"--format must be text or json, got {value!r}")
+            setattr(args, name.lstrip("-").replace("-", "_"), value)
+            if args.verb is None:
+                raise UsageError(f"{name} must follow the verb")
+        except UsageError as exc:
+            error = error or exc
+    if error is None and args.verb is None:
+        error = UsageError("a verb is required; see zetaforge --help")
+    if error is None and args.verb == "det" and args.file is None:
+        error = UsageError("det requires a complex file")
+    if error is None and args.verb == "batch" and args.manifest is None:
+        error = UsageError("batch requires --manifest")
+    if error is not None:
+        raise error
+    return True
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = SimpleNamespace(
+        verb=None, expression=None, file=None, manifest=None, hodge=None,
+        n=None, format="text", series_order=10, ell=None, precision=None,
+    )
+    try:
+        if not _read_argv(sys.argv[1:] if argv is None else argv, args):
+            print(_USAGE)
+            return 0
+    except UsageError as exc:
+        return _print_error(args, exc.code, exc.message)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values print in full, whatever their size
     try:

@@ -81,3 +81,9 @@ class NotPrimePowerError(ZetaforgeError):
 
 class ManifestError(ZetaforgeError):
     code = "manifest-error"
+
+
+class UsageError(ZetaforgeError):
+    """Malformed command line: no or unknown verb, unknown option, bad value."""
+
+    code = "usage"

@@ -133,15 +133,22 @@ def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:
     c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
     K = max(degrees, default=0)
     sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms() if isinstance(a, Curve)}
-
-    def atom_count(atom, k):
-        if isinstance(atom, Point):
-            return atom.m if k % atom.m == 0 else 0
-        return q**k + 1 - sums[atom][k]
+    terms = nf.terms.items()
+    rmax = max((r for (_, r), _ in terms), default=0)
 
     counts = []
     for k in degrees:
-        n = sum(c * q ** (r * k) * atom_count(atom, k) for (atom, r), c in nf.terms.items())
+        qk = q**k
+        by_power = [0] * (rmax + 1)  # the count is sum_r by_power[r] * q^(rk)
+        for (atom, r), c in terms:
+            if isinstance(atom, Point):
+                if k % atom.m == 0:
+                    by_power[r] += c * atom.m
+            else:
+                by_power[r] += c * (qk + 1 - sums[atom][k])
+        n = 0
+        for b in reversed(by_power):
+            n = n * qk + b
         if n < 0:
             raise InvalidArgumentError(
                 f"negative point count {n}: the asserted decomposition is impossible"

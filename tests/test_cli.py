@@ -1,19 +1,24 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zetaforge
 from zetaforge import cli, detcomplex, intlinalg
 from zetaforge.detcomplex import complex_to_json_dict
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
-from zetaforge.lfunctions import QI, AbelianFieldSpec
+from zetaforge.lfunctions import QI, AbelianFieldSpec, default_precision
 from zetaforge.scheme_algebra import (
     Affine,
     Cellular,
@@ -524,8 +529,8 @@ def contract_exit_code(argv, files=()) -> int:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects malformed options with 2
-                code = exc.code
+            except SystemExit as exc:
+                pytest.fail(f"SystemExit({exc.code}) escaped main on {argv}")
     assert "Traceback" not in err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     return code
@@ -585,3 +590,203 @@ def test_error_contract_det_files(data):
 @given(json_values)
 def test_error_contract_hodge_data(data):
     contract_exit_code(["ord", "--hodge", json.dumps(data), "-n", "-1"])
+
+
+# ---------------------------------------------------------------------------
+# command-line reader: the same namespaces as the argparse parser it replaced
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree the CLI was built on; the reader must agree with it."""
+    parser = argparse.ArgumentParser(prog="zetaforge")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def common(p, expression=True):
+        if expression:
+            p.add_argument("expression", nargs="?")
+        p.add_argument("-n", type=int, default=None)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--series-order", type=int, default=10, dest="series_order")
+        p.add_argument("--ell", type=int, default=None)
+
+    for verb in ("zeta", "verify-c", "trace-check", "ell-check", "p-check"):
+        common(sub.add_parser(verb))
+    p_value = sub.add_parser("value")
+    common(p_value)
+    p_value.add_argument("--precision", type=int, default=default_precision())
+    p_ord = sub.add_parser("ord", aliases=["verify-vo"])
+    common(p_ord)
+    p_ord.add_argument("--hodge", default=None)
+    p_det = sub.add_parser("det")
+    p_det.add_argument("file")
+    common(p_det, expression=False)
+    p_batch = sub.add_parser("batch")
+    p_batch.add_argument("--manifest", required=True)
+    common(p_batch, expression=False)
+    return parser
+
+
+REFERENCE = reference_parser()
+VERBS = ["zeta", "ord", "verify-vo", "value", "verify-c", "trace-check", "ell-check", "p-check",
+         "det", "batch"]
+# weighted toward forms argparse accepts, so that both outcomes are common
+OPTIONS = ["-n", "--format", "--series-order", "--ell"] * 3 + [
+    "--precision", "--hodge", "--manifest", "--bogus"]
+NOT_INTEGERS = ["x", "1.5", "-1.5", "", "-", "-x", "1 2", "-1 2", "2x"]
+option_values = {
+    "--format": st.sampled_from(["text", "json"] * 4 + ["xml", "-1", ""]),
+    "--hodge": st.sampled_from(["{}", "-1", "", "(point 2)", "-x"]),
+    "--manifest": st.sampled_from(["m.json", "-2", "", "-x"]),
+}
+integer_values = st.one_of(
+    st.integers(-(10**6), 10**6).map(str), st.integers(-9, 9).map(str), st.sampled_from(NOT_INTEGERS)
+)
+
+
+@st.composite
+def option_tokens(draw):
+    """One option as written on a command line, with its value if any."""
+    name = draw(st.sampled_from(OPTIONS))
+    value = draw(option_values.get(name, integer_values))
+    # a long option shortened to a prefix; "--h" would name --help
+    spelled = name if name == "-n" else name[: draw(st.integers(3, len(name)))]
+    if spelled == "--h":
+        spelled = name
+    form = draw(st.sampled_from(["separate"] * 3 + ["equals"] * 2 + ["attached", "missing"]))
+    if form == "separate":
+        return [spelled, value]
+    if form == "equals":
+        return [f"{spelled}={value}"]
+    if form == "attached":
+        return [spelled + value]
+    return [spelled]
+
+
+@st.composite
+def command_lines(draw):
+    groups = [[draw(st.sampled_from(VERBS + ["frobnicate"]))]]
+    positionals = st.sampled_from(["(point 2)", "complex.json", "-3", "", "-"])
+    groups += [[p] for p in draw(st.lists(positionals, max_size=2))]
+    groups += draw(st.lists(option_tokens(), max_size=3))
+    # the verb comes first, except now and then to show that it must
+    head = 1 if draw(st.integers(0, 9)) else 0
+    groups = groups[:head] + draw(st.permutations(groups[head:]))
+    return [token for group in groups for token in group]
+
+
+def reference_reading(argv):
+    """vars() of the argparse namespace, or None where argparse rejects argv."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, exc.code)
+            return None
+
+
+def read_with_main(argv):
+    """(exit code, stdout, stderr, dispatched namespace or None) of main on argv."""
+    out, err, dispatched = io.StringIO(), io.StringIO(), []
+
+    def record(args):
+        dispatched.append(args)
+        return {}, True
+
+    with mock.patch.object(cli, "run_command", record), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), (vars(dispatched[0]) if dispatched else None)
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    if out:
+        assert json.loads(out)["error"]["code"] == "usage"
+    else:
+        assert err.startswith("error [usage]: ")
+
+
+@settings(deadline=None, max_examples=400)
+@given(command_lines())
+def test_reader_agrees_with_argparse(argv):
+    expected = reference_reading(argv)
+    code, out, err, got = read_with_main(argv)
+    if expected is None:
+        assert_usage_error(code, out, err)
+        assert got is None
+        return
+    assert code == 0 and got is not None, (argv, err)
+    assert {k: got[k] for k in expected} == expected
+    # every field is present; those argparse leaves out of this verb are None
+    assert all(got[k] is None for k in got.keys() - expected.keys())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "-n", "-2", "--", "(Q)"],
+        ["value", "--precision=50", "(Q)", "-n=-2", "--format", "text", "--format=json"],
+        ["ord", "--ho", "{}", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
+        ["verify-vo", "(Qi)", "-n", "-1"],
+        ["det", "-n", "-2", "complex.json", "--f", "json"],
+        ["batch", "--m=manifest.json", "--series-order", "-4"],
+        ["zeta", "-n 5"],  # a space inside an option token: -n with " 5"
+        ["zeta", "-5"],  # a negative number is a positional
+    ],
+)
+def test_reader_examples_agree_with_argparse(argv):
+    expected = reference_reading(argv)
+    assert expected is not None
+    assert {k: v for k, v in read_with_main(argv)[3].items() if k in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ord", "--h"],  # --help or --hodge
+        ["value", "(Q)", "-n", "-2", "--", "-n", "-3"],
+        ["frobnicate"],
+        [],
+        ["-n", "-2", "value", "(Q)"],
+        ["zeta", "(Q)", "(Qi)"],
+        ["det"],
+        ["batch"],
+        ["value", "(Q)", "-n"],
+        ["value", "(Q)", "-n", "two"],
+        ["value", "(Q)", "--format", "yaml"],
+        ["zeta", "(Q)", "--precision", "30"],
+        ["value", "(Q)", "--help=1"],
+    ],
+)
+def test_malformed_command_lines_are_usage_errors(argv):
+    assert reference_reading(argv) is None
+    assert_usage_error(*read_with_main(argv)[:3])
+    code, out, _, _ = read_with_main([*argv[:1], "--format", "json", *argv[1:]])
+    assert code == 2 and json.loads(out)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["--he"], ["value", "-h"], ["det", "--h"], ["ord", "(Q)", "--hel"]]
+)
+def test_help_prints_one_usage_block(argv):
+    code, out, err, dispatched = read_with_main(argv)
+    assert code == 0 and dispatched is None and err == ""
+    assert out.startswith("usage: zetaforge VERB") and out.count("usage:") == 1
+
+
+def test_the_cli_loads_no_argparse_or_gettext():
+    # building argparse's tree was most of a small op's cost; keep it out
+    src = str(Path(zetaforge.__file__).parent.parent)
+    script = (
+        "import json, sys, tempfile\n"
+        "import zetaforge.cli as cli\n"
+        "path = tempfile.mkstemp(suffix='.json')[1]\n"
+        "open(path, 'w').write(json.dumps({'ranks': {'0': 1, '1': 1}, 'differentials': {'0': [[5]]}}))\n"
+        "assert cli.main(['det', path, '--format', 'json']) == 0\n"
+        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
