@@ -58,9 +58,6 @@ class EquivariantBetti:
                 if sum(parity_sign(i) * v for i, v in dims.items()) != chi:
                     raise InvalidArgumentError("chi does not match the dimension table")
 
-    def exactness(self, n: int) -> str:
-        return "full-dims" if self.dims(n) is not None else "euler-only"
-
     def dims(self, n: int) -> dict | None:
         return self.dims_even if n % 2 == 0 else self.dims_odd
 

@@ -28,6 +28,7 @@ import re
 import sys
 from operator import index
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -35,7 +36,7 @@ from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
 from .intlinalg import is_prime
-from .lfunctions import default_precision
+from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
 from .zetarep import evaluate_at, vanishing_order
 
@@ -175,8 +176,10 @@ def _cmd_trace_check(expr, args):
 
 
 def _cmd_ell_check(expr, args):
-    if args.ell is None or not is_prime(args.ell):
-        raise ZetaforgeError(f"--ell must be a prime, got {args.ell}")
+    if args.ell is None:
+        raise UsageError("ell-check requires --ell")
+    if not is_prime(args.ell):
+        raise InvalidArgumentError(f"--ell must be a prime, got {args.ell}")
     return _wrap_checks(
         "ell-check", expr, args.n, [ffengine.ell_adic_check(expr, args.n, args.ell)]
     )
@@ -302,19 +305,35 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-# verb -> (handler, positional, options of its own); `det` needs its file
-# and `batch` its --manifest.  Every verb also takes the common options.
+class _Verb(NamedTuple):
+    """What a verb reads besides the common options, and what it needs.
+
+    `positional` is the field its one positional fills ("expression", "file"
+    or None) and `options` maps its own options to their defaults.  The
+    reader requires the field `required`, as argparse did; `run_command`
+    requires the expression (or --hodge) of an expression verb, and -n when
+    `needs_n`.
+    """
+
+    handler: Callable
+    positional: str | None
+    options: dict
+    required: str | None = None
+    needs_n: bool = False
+
+
+_ORD = _Verb(_cmd_ord, "expression", {"--hodge": None}, needs_n=True)
 _VERBS = {
-    "zeta": (_cmd_zeta, "expression", ()),
-    "ord": (_cmd_ord, "expression", ("--hodge",)),
-    "verify-vo": (_cmd_ord, "expression", ("--hodge",)),
-    "value": (_cmd_value, "expression", ("--precision",)),
-    "verify-c": (_cmd_verify_c, "expression", ()),
-    "trace-check": (_cmd_trace_check, "expression", ()),
-    "ell-check": (_cmd_ell_check, "expression", ()),
-    "p-check": (_cmd_p_check, "expression", ()),
-    "det": (_cmd_det, "file", ()),
-    "batch": (_cmd_batch, None, ("--manifest",)),
+    "zeta": _Verb(_cmd_zeta, "expression", {}),
+    "ord": _ORD,
+    "verify-vo": _ORD,
+    "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, needs_n=True),
+    "verify-c": _Verb(_cmd_verify_c, "expression", {}, needs_n=True),
+    "trace-check": _Verb(_cmd_trace_check, "expression", {}),
+    "ell-check": _Verb(_cmd_ell_check, "expression", {}, needs_n=True),
+    "p-check": _Verb(_cmd_p_check, "expression", {}, needs_n=True),
+    "det": _Verb(_cmd_det, "file", {}, required="file"),
+    "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest"),
 }
 _HELP = ("-h", "--help")
 _COMMON = (*_HELP, "-n", "--format", "--series-order", "--ell")
@@ -342,23 +361,27 @@ options: -n N (negative), --format text|json, --series-order K (default 10),
 
 def run_command(args) -> tuple[dict, bool]:
     """Dispatch a namespace filled by `_read_argv` to its implementation."""
-    verb = args.verb
-    handler, positional, _ = _VERBS[verb]
+    verb = _VERBS[args.verb]
     if args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
-    if positional != "expression":
-        return handler(args)
+    if verb.positional != "expression":
+        return verb.handler(args)
     expr = None
     if not args.hodge:
         if args.expression is None:
-            raise ZetaforgeError(f"{verb} requires an expression")
+            raise UsageError(f"{args.verb} requires an expression")
         expr = parse_expr(args.expression)
-    if verb in ("ord", "value", "verify-c", "verify-vo", "ell-check", "p-check"):
+    if verb.needs_n:
         if args.n is None:
-            raise ZetaforgeError(f"{verb} requires -n")
+            raise UsageError(f"{args.verb} requires -n")
         if args.n >= 0:
-            raise ZetaforgeError("n must be a strictly negative integer")
-    return handler(expr, args)
+            raise InvalidArgumentError("n must be a strictly negative integer")
+    return verb.handler(expr, args)
+
+
+def _field(option: str) -> str:
+    """The namespace field of an option: --series-order -> series_order."""
+    return option.lstrip("-").replace("-", "_")
 
 
 def _option(token: str, names) -> tuple[str, str | None] | None:
@@ -410,10 +433,10 @@ def _read_argv(argv, args) -> bool:
                     if token not in _VERBS:
                         raise UsageError(f"unknown verb {token!r}; choose from {', '.join(_VERBS)}")
                     args.verb = token
-                    _, positional, own = _VERBS[token]
-                    names = _COMMON + own
-                    if token == "value":
-                        args.precision = default_precision()
+                    positional, own = _VERBS[token].positional, _VERBS[token].options
+                    names = _COMMON + tuple(own)
+                    for name, default in own.items():
+                        setattr(args, _field(name), default)
                 elif positional is None or getattr(args, positional) is not None:
                     raise UsageError(f"unexpected argument {token!r}")
                 else:
@@ -438,17 +461,17 @@ def _read_argv(argv, args) -> bool:
                     raise UsageError(f"{name} expects an integer, got {value!r}") from None
             elif name == "--format" and value not in ("text", "json"):
                 raise UsageError(f"--format must be text or json, got {value!r}")
-            setattr(args, name.lstrip("-").replace("-", "_"), value)
+            setattr(args, _field(name), value)
             if args.verb is None:
                 raise UsageError(f"{name} must follow the verb")
         except UsageError as exc:
             error = error or exc
     if error is None and args.verb is None:
         error = UsageError("a verb is required; see zetaforge --help")
-    if error is None and args.verb == "det" and args.file is None:
-        error = UsageError("det requires a complex file")
-    if error is None and args.verb == "batch" and args.manifest is None:
-        error = UsageError("batch requires --manifest")
+    elif error is None:
+        required = _VERBS[args.verb].required
+        if required and getattr(args, required) is None:
+            error = UsageError(f"{args.verb} requires a {required}")
     if error is not None:
         raise error
     return True

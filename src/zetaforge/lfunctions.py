@@ -2,8 +2,9 @@
 
 Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N),
 represented by integer polynomials reduced modulo the N-th cyclotomic
-polynomial over one positive common denominator; only `inverse` leaves the
-integers.
+polynomial over one positive common denominator.  The arithmetic stays in
+those integers: there is no field inversion, and `ratio` decides whether a
+quotient is rational by comparing numerator vectors.
 Leading coefficients at trivial zeros come from the functional equation
 Lambda(s, chi) = eps(chi) * Lambda(1-s, conj(chi)) with the root number
 eps(chi) = tau(chi) / (i^a * sqrt(f)) evaluated from the Gauss sum.
@@ -39,7 +40,6 @@ absolute because zeta(s, x) >= 1 for x in (0, 1].
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +53,6 @@ from .errors import (
     InvariantViolationError,
     PrecisionUnderflowError,
     RationalityFailureError,
-    ZetaforgeError,
 )
 from .intlinalg import parity_sign
 
@@ -73,22 +72,9 @@ __all__ = [
     "trivial_zero_order",
     "leading_value",
     "gauss_sum",
-    "default_precision",
 ]
 
 DEFAULT_PRECISION = 50
-
-
-def default_precision() -> int:
-    env = os.environ.get("ZETAFORGE_PRECISION")
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
 
 
 # ---------------------------------------------------------------------------
@@ -323,33 +309,25 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            return self * other.inverse()
-        return self * (1 / Fraction(other))
+    def ratio(self, other: CyclotomicNumber) -> Fraction | None:
+        """self / other when that quotient is rational, else None.
 
-    def inverse(self) -> CyclotomicNumber:
-        """1/x via the extended Euclidean algorithm against Phi_N."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational:
-            return CyclotomicNumber.rational(1 / self.rational_value(), self.level)
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        # extended gcd of num and modulus in Q[x]; then 1/x = den / num
-        r0, r1 = modulus, poly.trim(Fraction(c) for c in self.num)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = poly.divide(r0, r1)
-            r0, r1 = r1, poly.trim(r)
-            s0, s1 = s1, poly.trim(poly.sub(s0, poly.mul(q, s1)))
-        if not r1:
-            raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-        den, inv = _over_common_denominator([x * self.den / r1[0] for x in s1])
-        return CyclotomicNumber.from_poly(self.level, inv, den)
+        At a common level the quotient is the rational r exactly when the
+        integer numerator vectors are proportional, num_a = r' num_b, and
+        then r = r' den_b / den_a.  `other` must be nonzero.
+        """
+        a, b = self._common(other)
+        pivot = next((j for j, c in enumerate(b.num) if c), None)
+        if pivot is None:
+            raise ZeroDivisionError("ratio by a zero cyclotomic number")
+        p, q = a.num[pivot], b.num[pivot]
+        if any(x * q != y * p for x, y in zip(a.num, b.num)):
+            return None
+        return Fraction(p * b.den, q * a.den)
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise InvalidArgumentError("cyclotomic numbers take nonnegative powers only")
         result = CyclotomicNumber.rational(1, self.level)
         base = self
         while e:
@@ -432,12 +410,6 @@ class DirichletCharacter:
     def exponent(self, a: int):
         """k with chi(a) = zeta_order^k, or None when gcd(a, modulus) > 1."""
         return self.exponents[a % self.modulus]
-
-    def value(self, a: int) -> CyclotomicNumber:
-        k = self.exponent(a)
-        if k is None:
-            return CyclotomicNumber.rational(0, self.order)
-        return CyclotomicNumber.root_of_unity(self.order, k)
 
     @property
     def is_trivial(self) -> bool:
@@ -654,7 +626,7 @@ class AbelianFieldSpec:
             if all(chi.exponent(h) == 0 for h in self.subgroup)
         ]
         if len(selected) != self.degree:
-            raise ZetaforgeError(
+            raise InvariantViolationError(
                 f"character enumeration found {len(selected)} characters, expected {self.degree}"
             )
         return tuple(chi.primitive() for chi in selected)
@@ -670,7 +642,7 @@ class AbelianFieldSpec:
         if self.is_totally_real:
             return d, 0
         if d % 2 != 0:
-            raise ZetaforgeError("non-real abelian field must have even degree")
+            raise InvariantViolationError("non-real abelian field must have even degree")
         return 0, d // 2
 
     def __str__(self):
@@ -907,15 +879,13 @@ def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int):
         return total * mp.mpf(f) ** (-mp.mpf(s))
 
 
-def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None) -> LeadingValue:
+def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> LeadingValue:
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
     Order 0: the exact value, embedded numerically.  Order 1: L'(n, chi)
     from the functional equation (see the module docstring), with the Gauss
     sum and L(1-n, conj(chi)) read off the per-conductor tables.
     """
-    if precision is None:
-        precision = default_precision()
     if n >= 0:
         raise InvalidArgumentError("n must be < 0")
     chi = chi.primitive()
@@ -937,6 +907,4 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int | None = None)
         l_pos = _hurwitz_L(chi.conjugate(), 1 - n, dps)
         value = eps * archimedean * gamma_part * residue * l_pos
         error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
-        if error > mp.mpf(10) ** (-precision) * (abs(value) + 1):
-            raise PrecisionUnderflowError("could not reach the requested precision")
         return LeadingValue(value=value, error=error, order=1, exact=None)

@@ -3,14 +3,15 @@
 The one helper set shared by the rational functions of `zetarep`, the
 cyclotomic arithmetic of `lfunctions`, the trace-formula series of
 `ffengine` and the L-weights of the expression calculus.  Coefficients may
-be ints or Fractions; results are exact.
+be ints or Fractions; results are exact.  `divide` takes monic divisors
+only (the cyclotomic polynomials), so it never leaves the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["trim", "mul", "sub", "evaluate", "divide", "quotient"]
+__all__ = ["trim", "mul", "evaluate", "divide", "quotient"]
 
 
 def trim(p) -> tuple:
@@ -33,13 +34,6 @@ def mul(a, b) -> list:
     return out
 
 
-def sub(a, b) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def evaluate(p, t):
     """p(t) by Horner's rule."""
     total = 0
@@ -51,14 +45,14 @@ def evaluate(p, t):
 def divide(a, b) -> tuple[list, list]:
     """(quotient, remainder) of a by b, with deg(remainder) < deg(b).
 
-    Stays in the integers when the leading coefficient of b is +-1.
+    b must be monic (leading coefficient 1), so integer inputs give integer
+    results.
     """
     b = trim(b)
-    lead = b[-1] if b[-1] in (1, -1) else Fraction(1) / b[-1]
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] * lead
+        c = a[i + len(b) - 1]
         q[i] = c
         if c:
             for j, y in enumerate(b):

@@ -30,9 +30,9 @@ from .errors import (
 from .intlinalg import ensure_prime_power
 from .lfunctions import (
     CyclotomicNumber,
+    DEFAULT_PRECISION,
     DirichletCharacter,
     TRIVIAL_CHARACTER,
-    default_precision,
     leading_value,
     trivial_zero_order,
 )
@@ -98,20 +98,11 @@ class RationalFunctionT:
     def __mul__(self, other: RationalFunctionT) -> RationalFunctionT:
         return RationalFunctionT.make(poly.mul(self.num, other.num), poly.mul(self.den, other.den))
 
-    def reciprocal(self) -> RationalFunctionT:
-        return RationalFunctionT.make(self.den, self.num)
-
     def substitute_scaled(self, scale: int) -> RationalFunctionT:
         """Z(scale * t): coefficient j picks up scale^j."""
         num = tuple(c * scale**j for j, c in enumerate(self.num))
         den = tuple(c * scale**j for j, c in enumerate(self.den))
         return RationalFunctionT.make(num, den)
-
-    def evaluate(self, t: Fraction) -> Fraction:
-        den = poly.evaluate(self.den, Fraction(t))
-        if den == 0:
-            raise ZeroDivisionError("pole of the rational function")
-        return poly.evaluate(self.num, Fraction(t)) / den
 
     def series(self, K: int) -> list:
         """Taylor coefficients of num/den up to t^K, by long division.
@@ -339,18 +330,19 @@ class SpecialValue:
         return f"order {self.order}, value ~ {mp.nstr(self.numeric, 20)} (+/- {mp.nstr(self.error, 3)})"
 
 
-def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> SpecialValue:
+def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
     """Order of vanishing and leading Taylor coefficient at s = n < 0.
 
     Finite-characteristic factors contribute exact nonzero rationals and no
     vanishing; L-factors contribute trivial-zero orders and leading values.
-    The result is exact when every characteristic-zero contribution is an
-    exact rational (in particular for conjugation-closed character sets).
+    The result is exact when every L-factor has an exact value and the
+    product of those values is rational (in particular for conjugation-closed
+    character sets): the factors with positive exponents multiply into one
+    cyclotomic number, those with negative exponents into another, and their
+    `ratio` is the test.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
-    if precision is None:
-        precision = default_precision()
     if precision < 1:
         raise PrecisionUnderflowError("precision must be a positive digit count")
 
@@ -361,11 +353,15 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int | None = None) -> Special
     dps = precision + 20
     with mp.workdps(dps):
         if all(lv.exact is not None for lv, _ in leads):
-            exact_cyclo = CyclotomicNumber.rational(rational_part)
+            top = bottom = CyclotomicNumber.rational(1)
             for lv, e in leads:
-                exact_cyclo = exact_cyclo * lv.exact**e
-            if exact_cyclo.is_rational:
-                value = exact_cyclo.rational_value()
+                if e > 0:
+                    top = top * lv.exact**e
+                else:
+                    bottom = bottom * lv.exact**-e
+            quotient = top.ratio(bottom)
+            if quotient is not None:
+                value = rational_part * quotient
                 numeric = mp.mpf(value.numerator) / mp.mpf(value.denominator)
                 error = (abs(numeric) + 1) * mp.mpf(10) ** (-(precision + 5))
                 return SpecialValue(order=order, exact=value, numeric=numeric, error=error)

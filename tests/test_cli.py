@@ -18,7 +18,7 @@ import zetaforge
 from zetaforge import cli, detcomplex, intlinalg
 from zetaforge.detcomplex import complex_to_json_dict
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
-from zetaforge.lfunctions import QI, AbelianFieldSpec, default_precision
+from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
     Affine,
     Cellular,
@@ -182,6 +182,32 @@ def test_value_command_exact_and_numeric(capsys):
     assert code == 0
     assert data["order"] == 1 and data["exact_flag"] is False
     assert data["numeric"].startswith("-0.0304484570583")
+
+
+def test_value_precision_is_the_option_alone(capsys, monkeypatch):
+    # the environment plays no part: without --precision the default is used
+    argv = ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2"]
+    monkeypatch.setenv("ZETAFORGE_PRECISION", "10")
+    default = run_cli(capsys, *argv, "--format", "json")
+    assert default == run_cli(capsys, *argv, "--precision", "50", "--format", "json")
+    assert default[0] == 0 and json.loads(default[1]) == json.loads(
+        (GOLDEN / "value_q_zeta13.json").read_text()
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "-n", "-2"], "usage"),  # no expression
+        (["ord", "(Q)"], "usage"),  # no -n
+        (["ell-check", "(point 2)", "-n", "-1"], "usage"),  # no --ell
+        (["ord", "(Q)", "-n", "1"], "invalid-argument"),
+        (["ell-check", "(point 2)", "-n", "-1", "--ell", "4"], "invalid-argument"),
+    ],
+)
+def test_missing_and_invalid_inputs_have_documented_codes(capsys, argv, code):
+    exit_code, out = run_cli(capsys, *argv, "--format", "json")
+    assert exit_code == 2 and json.loads(out)["error"]["code"] == code
 
 
 def test_trace_and_ell_and_p(capsys):
@@ -392,6 +418,10 @@ def test_golden_reports(capsys, tmp_path):
         # numeric values: an imaginary field and a real one, both Gauss-sum routes
         "value_q_zeta13.json": ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2", *precision],
         "value_real_f21.json": ["value", "(numberring :conductor 21 :subgroup (20))", "-n", "-2", *precision],
+        # an exact value whose negative exponents are irrational one by one
+        "value_minus_real_f13.json": [
+            "value", "(minus (Q) (numberring :conductor 13 :subgroup (12)))", "-n", "-1", *precision
+        ],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
     }
     for name, argv in cases.items():
@@ -533,6 +563,8 @@ def contract_exit_code(argv, files=()) -> int:
                 pytest.fail(f"SystemExit({exc.code}) escaped main on {argv}")
     assert "Traceback" not in err.getvalue()
     assert code in (0, 1, 2), (argv, code)
+    # the base class's code `error` is not part of the documented contract
+    assert "error [error]:" not in err.getvalue() and '"code": "error"' not in out.getvalue()
     return code
 
 
@@ -613,7 +645,7 @@ def reference_parser() -> argparse.ArgumentParser:
         common(sub.add_parser(verb))
     p_value = sub.add_parser("value")
     common(p_value)
-    p_value.add_argument("--precision", type=int, default=default_precision())
+    p_value.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_ord = sub.add_parser("ord", aliases=["verify-vo"])
     common(p_ord)
     p_ord.add_argument("--hodge", default=None)

@@ -24,7 +24,6 @@ from zetaforge.lfunctions import (
     TRIVIAL_CHARACTER,
     bernoulli_number,
     characters_mod,
-    default_precision,
     gen_bernoulli,
     gauss_sum,
     leading_value,
@@ -56,8 +55,15 @@ def test_cyclotomic_basics():
     i = CyclotomicNumber.root_of_unity(4, 1)
     assert i * i == -1
     assert (1 + i) * (1 - i) == 2
-    assert i ** (-1) == -i
-    assert i.inverse() * i == 1
+    assert i**3 == -i and i**0 == 1
+
+
+def test_negative_powers_are_invalid_arguments():
+    # there is no field inversion; exact quotients go through `ratio`
+    i = CyclotomicNumber.root_of_unity(4, 1)
+    with pytest.raises(InvalidArgumentError) as raised:
+        i ** -1
+    assert raised.value.code == "invalid-argument"
 
 
 def test_cyclotomic_promotion_and_equality():
@@ -134,15 +140,23 @@ def test_cyclotomic_scalars_and_promotion_match_oracle(pair, c, multiple):
 
 
 @CYCLOTOMIC_LAWS
-@given(cyclotomic_numbers())
-def test_cyclotomic_inverse_matches_oracle(pair):
-    x, cx = pair
-    if x.is_zero:
+@given(cyclotomic_pairs(), st.fractions(max_denominator=50))
+def test_cyclotomic_ratio_matches_oracle(pairs, r):
+    (x, cx), (y, cy) = pairs
+    if y.is_zero:
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
+            x.ratio(y)
         return
-    one = [Fraction(1)] + [Fraction(0)] * (len(cx) - 1)
-    assert cyclotomic_mul(cx, list(x.inverse().coeffs), x.level) == one
+    level = x.level * y.level // gcd(x.level, y.level)
+    assert (y * r).promoted(level).ratio(y) == r
+    assert (y * r).ratio(y.promoted(level)) == r
+    # proportional oracle vectors at the common level, or None
+    cx = cyclotomic_promote(cx, x.level, level)
+    cy = cyclotomic_promote(cy, y.level, level)
+    pivot = next(j for j, c in enumerate(cy) if c)
+    k = cx[pivot] / cy[pivot]
+    expected = k if all(a == k * b for a, b in zip(cx, cy)) else None
+    assert x.ratio(y) == expected
 
 
 @CYCLOTOMIC_LAWS
@@ -469,12 +483,3 @@ def test_dedekind_order_zero_values_are_rational():
 def test_dedekind_degenerate_field_is_riemann():
     sv = evaluate_at(zeta_of(NumberRing(Q)), -3, 40)
     assert sv.exact == Fraction(1, 120)
-
-
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("ZETAFORGE_PRECISION", raising=False)
-    assert default_precision() == 50
-    monkeypatch.setenv("ZETAFORGE_PRECISION", "30")
-    assert default_precision() == 30
-    monkeypatch.setenv("ZETAFORGE_PRECISION", "garbage")
-    assert default_precision() == 50

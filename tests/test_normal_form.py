@@ -267,21 +267,42 @@ TYPED_ERROR_MODULES = (
 )
 
 
-def _raises_bare_value_error(node) -> bool:
+def _raises(node, name: str) -> bool:
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+    return isinstance(exc, ast.Name) and exc.id == name
+
+
+def _library_nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
 
 
 def test_no_assert_statements_in_library():
     # `python -O` strips asserts, so invariant guards must raise typed errors;
-    # the listed layers raise ZetaforgeErrors, never a bare ValueError
+    # the listed layers raise ZetaforgeErrors, never a bare ValueError, and no
+    # module raises the base class, whose code `error` the CLI does not document
     offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
         if isinstance(node, ast.Assert)
-        or (path.name in TYPED_ERROR_MODULES and _raises_bare_value_error(node))
+        or (name in TYPED_ERROR_MODULES and _raises(node, "ValueError"))
+        or _raises(node, "ZetaforgeError")
+    ]
+    assert not offenders
+
+
+ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_library_reads_no_environment():
+    # every setting is a parameter or a command-line option
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS)
+        or (isinstance(node, ast.alias) and node.name in ENVIRONMENT_READS)
     ]
     assert not offenders
