@@ -15,19 +15,14 @@ from .archimedean import (
     equivariant_dims,
     gamma_factor_order,
     hodge_equivariant_dims,
-    secondary_euler_vo,
     vanishing_order_conjectural,
 )
 from .detcomplex import (
     BoundedFreeComplex,
-    ChainMap,
     GradedLine,
     cohomology,
     determinant,
-    euler_characteristics,
-    mapping_cone,
     multiplicative_euler_char,
-    shift,
 )
 from .errors import ZetaforgeError
 from .ffengine import (
@@ -81,7 +76,6 @@ from .zetarep import (
     ZetaProduct,
     evaluate_at,
     multiply,
-    power_series,
     shift_s,
     vanishing_order,
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EulerOnlyDataError, InvalidArgumentError, InvariantViolationError
+from .errors import InvalidArgumentError
 from .intlinalg import parity_sign
 from .scheme_algebra import Evaluation, NormalForm, NumberRing
 
@@ -28,7 +28,6 @@ __all__ = [
     "HodgeData",
     "equivariant_dims",
     "vanishing_order_conjectural",
-    "secondary_euler_vo",
     "hodge_equivariant_dims",
     "gamma_factor_order",
     "P1_HODGE",
@@ -57,9 +56,6 @@ class EquivariantBetti:
                     raise InvalidArgumentError("dimensions must be nonnegative")
                 if sum(parity_sign(i) * v for i, v in dims.items()) != chi:
                     raise InvalidArgumentError("chi does not match the dimension table")
-
-    def dims(self, n: int) -> dict | None:
-        return self.dims_even if n % 2 == 0 else self.dims_odd
 
     def chi(self, n: int) -> int:
         return self.chi_even if n % 2 == 0 else self.chi_odd
@@ -103,34 +99,6 @@ def equivariant_dims(e, n: int) -> EquivariantBetti:
 def vanishing_order_conjectural(e, n: int) -> int:
     """Conjectural ord_{s=n} zeta(X, s): chi of the equivariant data."""
     return equivariant_dims(e, n).chi(n)
-
-
-def secondary_euler_vo(e, n: int) -> int:
-    """The weighted-rank route: sum (-1)^i * i * rk H^i_{W,c}.
-
-    The splitting rk H^i_{W,c} = d_{i-1} + d_{i-2}, with d_j the
-    equivariant Betti dimensions, turns the weighted sum into the plain
-    Euler characteristic; both are computed independently here and their
-    equality is checked.
-    """
-    data = equivariant_dims(e, n)
-    dims = data.dims(n)
-    if dims is None:
-        raise EulerOnlyDataError(
-            "secondary Euler characteristic needs full dimension tables; "
-            "this expression only carries chi"
-        )
-    if not dims:
-        return 0
-    lo = min(dims) + 1
-    hi = max(dims) + 2
-    total = 0
-    for i in range(lo, hi + 1):
-        rank_w = dims.get(i - 1, 0) + dims.get(i - 2, 0)
-        total += parity_sign(i) * i * rank_w
-    if total != data.chi(n):
-        raise InvariantViolationError("weighted-rank route disagrees with chi")
-    return total
 
 
 # ---------------------------------------------------------------------------

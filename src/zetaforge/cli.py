@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from operator import index
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -35,12 +34,12 @@ import mpmath as mp
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
-from .intlinalg import is_prime
+from .intlinalg import is_prime, read_int
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
 from .zetarep import evaluate_at, vanishing_order
 
-__all__ = ["parse_expr", "parse_hodge_json", "run_command", "main"]
+__all__ = ["parse_hodge_json", "run_command", "main"]
 
 
 def _json_loads(text: str):
@@ -73,8 +72,8 @@ def parse_hodge_json(text: str) -> archimedean.HodgeData:
         weights = {}
         for key, h in hpq.items():
             p, q = (int(x) for x in key.split(","))
-            weights[(p, q)] = index(h)
-        diagonal = {int(key): (index(pair[0]), index(pair[1])) for key, pair in diag.items()}
+            weights[(p, q)] = read_int(h)
+        diagonal = {int(key): (read_int(pair[0]), read_int(pair[1])) for key, pair in diag.items()}
     except (TypeError, ValueError):
         raise InvalidArgumentError(_HODGE_SHAPE) from None
     return archimedean.HodgeData.make(weights, diagonal)
@@ -244,14 +243,15 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
     """(expr, n) of every entry; one malformed entry rejects the whole manifest."""
     if not isinstance(manifest, list):
         raise ManifestError("manifest must be a JSON list of {expr, n} objects")
+    entries = []
     for k, item in enumerate(manifest):
-        if not (
-            isinstance(item, dict)
-            and isinstance(item.get("expr"), str)
-            and isinstance(item.get("n"), int)
-        ):
-            raise ManifestError(f'entry {k} is not {{"expr": <string>, "n": <integer>}}')
-    return [(item["expr"], item["n"]) for item in manifest]
+        try:
+            if not (isinstance(item, dict) and isinstance(item.get("expr"), str)):
+                raise TypeError
+            entries.append((item["expr"], read_int(item.get("n"))))
+        except TypeError:
+            raise ManifestError(f'entry {k} is not {{"expr": <string>, "n": <integer>}}') from None
+    return entries
 
 
 def _cmd_batch(args) -> tuple[dict, bool]:

@@ -16,24 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import index
 
-from .errors import InfiniteCohomologyError, InvalidArgumentError, NonChainMapError
-from .intlinalg import FinGenAbGroup, IntMatrix, group_order, parity_sign, smith_normal_form
+from .errors import InfiniteCohomologyError, InvalidArgumentError
+from .intlinalg import (
+    FinGenAbGroup,
+    IntMatrix,
+    group_order,
+    parity_sign,
+    read_int,
+    smith_normal_form,
+)
 
 __all__ = [
     "BoundedFreeComplex",
     "GradedLine",
-    "ChainMap",
     "cohomology",
-    "euler_characteristics",
     "multiplicative_euler_char",
     "determinant",
-    "mapping_cone",
-    "shift",
-    "direct_sum",
     "complex_from_json_dict",
-    "complex_to_json_dict",
 ]
 
 
@@ -44,7 +44,7 @@ class BoundedFreeComplex:
     differentials: map degree i -> IntMatrix of d^i (zero maps dropped)
     """
 
-    def __init__(self, ranks, differentials=None, check=True):
+    def __init__(self, ranks, differentials=None):
         self._ranks = {int(i): int(r) for i, r in dict(ranks).items() if r}
         if any(r < 0 for r in self._ranks.values()):
             raise InvalidArgumentError("ranks must be nonnegative")
@@ -62,11 +62,10 @@ class BoundedFreeComplex:
             if not mat.is_zero:
                 diffs[i] = mat
         self._diffs = diffs
-        if check:
-            for i in list(self._diffs):
-                nxt = self._diffs.get(i + 1)
-                if nxt is not None and not (nxt @ self._diffs[i]).is_zero:
-                    raise InvalidArgumentError(f"d^{i + 1} o d^{i} != 0")
+        for i, d in diffs.items():
+            nxt = diffs.get(i + 1)
+            if nxt is not None and not (nxt @ d).is_zero:
+                raise InvalidArgumentError(f"d^{i + 1} o d^{i} != 0")
 
     @property
     def lo(self) -> int:
@@ -141,30 +140,6 @@ class GradedLine:
         return f"(ideal {gen}, grade {self.grade})"
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    """Degreewise map f^i: A^i -> B^i between two complexes."""
-
-    source: BoundedFreeComplex
-    target: BoundedFreeComplex
-    components: dict
-
-    def component(self, i: int) -> IntMatrix:
-        f = self.components.get(i)
-        if f is None:
-            return IntMatrix.zero(self.target.rank(i), self.source.rank(i))
-        return f
-
-    def commutes(self) -> bool:
-        degrees = set(self.source.degrees()) | set(self.target.degrees())
-        for i in degrees:
-            lhs = self.target.differential(i) @ self.component(i)
-            rhs = self.component(i + 1) @ self.source.differential(i)
-            if lhs.entries != rhs.entries:
-                return False
-        return True
-
-
 def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
     """H^i(C) = ker d^i / im d^{i-1} in invariant-factor form.
 
@@ -177,17 +152,6 @@ def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
     incoming = C._invariant_factors.get(i - 1, ())
     torsion = tuple(t for t in incoming if t >= 2)
     return FinGenAbGroup(C.rank(i) - len(outgoing) - len(incoming), torsion)
-
-
-def euler_characteristics(C: BoundedFreeComplex) -> tuple[int, int]:
-    """(chi, chi') with chi = sum (-1)^i rk H^i and chi' = sum (-1)^i i rk H^i."""
-    chi = 0
-    chi_prime = 0
-    for i, H in C.cohomology_table.items():
-        r = H.rank
-        chi += parity_sign(i) * r
-        chi_prime += parity_sign(i) * i * r
-    return chi, chi_prime
 
 
 def multiplicative_euler_char(C: BoundedFreeComplex) -> Fraction:
@@ -216,79 +180,6 @@ def determinant(C: BoundedFreeComplex) -> GradedLine:
     return GradedLine(1 / m, grade)
 
 
-def mapping_cone(f: ChainMap) -> BoundedFreeComplex:
-    """Cone(f)^i = B^i (+) A^{i+1}, fitting in A -> B -> Cone -> A[1]."""
-    if not f.commutes():
-        raise NonChainMapError("components do not commute with the differentials")
-    A, B = f.source, f.target
-    degrees = set()
-    for j in A.degrees():
-        degrees.add(j - 1)
-    degrees.update(B.degrees())
-    ranks = {i: B.rank(i) + A.rank(i + 1) for i in degrees}
-    diffs = {}
-    for i in degrees:
-        rows_top = B.rank(i + 1)
-        rows_bot = A.rank(i + 2)
-        cols_left = B.rank(i)
-        cols_right = A.rank(i + 1)
-        if (rows_top + rows_bot) == 0 or (cols_left + cols_right) == 0:
-            continue
-        dB = B.differential(i).to_rows()
-        fa = f.component(i + 1).to_rows()
-        dA = (-A.differential(i + 1)).to_rows()
-        block = []
-        for r in range(rows_top):
-            left = dB[r] if cols_left else []
-            right = fa[r] if cols_right else []
-            block.append(left + right)
-        for r in range(rows_bot):
-            block.append([0] * cols_left + (dA[r] if cols_right else []))
-        diffs[i] = IntMatrix.from_rows(block)
-    return BoundedFreeComplex(ranks, diffs)
-
-
-def shift(C: BoundedFreeComplex, k: int) -> BoundedFreeComplex:
-    """C[k] with C[k]^i = C^{i+k} and differentials scaled by (-1)^k."""
-    sign = parity_sign(k)
-    ranks = {j - k: C.rank(j) for j in C.degrees()}
-    diffs = {}
-    for j in C.degrees():
-        d = C.differential(j)
-        if not d.is_zero:
-            diffs[j - k] = IntMatrix(d.rows, d.cols, tuple(sign * x for x in d.entries))
-    return BoundedFreeComplex(ranks, diffs, check=False)
-
-
-def direct_sum(A: BoundedFreeComplex, B: BoundedFreeComplex) -> BoundedFreeComplex:
-    degrees = set(A.degrees()) | set(B.degrees())
-    ranks = {i: A.rank(i) + B.rank(i) for i in degrees}
-    diffs = {}
-    for i in degrees:
-        rows = A.rank(i + 1) + B.rank(i + 1)
-        cols = A.rank(i) + B.rank(i)
-        if rows == 0 or cols == 0:
-            continue
-        dA, dB = A.differential(i), B.differential(i)
-        if dA.is_zero and dB.is_zero:
-            continue
-        block = []
-        for r in range(dA.rows):
-            block.append(dA.to_rows()[r] + [0] * dB.cols)
-        for r in range(dB.rows):
-            block.append([0] * dA.cols + dB.to_rows()[r])
-        diffs[i] = IntMatrix.from_rows(block)
-    return BoundedFreeComplex(ranks, diffs, check=False)
-
-
-def two_term(k: int, lower_degree: int = -1) -> BoundedFreeComplex:
-    """[Z --k--> Z] in degrees (lower_degree, lower_degree + 1)."""
-    return BoundedFreeComplex(
-        {lower_degree: 1, lower_degree + 1: 1},
-        {lower_degree: IntMatrix.from_rows([[k]])},
-    )
-
-
 def complex_from_json_dict(data) -> BoundedFreeComplex:
     """Parse the on-disk complex format.
 
@@ -302,19 +193,9 @@ def complex_from_json_dict(data) -> BoundedFreeComplex:
     if not (isinstance(ranks, dict) and isinstance(diffs, dict)):
         raise InvalidArgumentError('"ranks" and "differentials" must be objects keyed by degree')
     try:
-        ranks = {int(k): index(v) for k, v in ranks.items()}
+        ranks = {int(k): read_int(v) for k, v in ranks.items()}
         diffs = {int(k): IntMatrix.from_rows(v) for k, v in diffs.items()}
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed complex file: {exc}") from None
     return BoundedFreeComplex(ranks, diffs)
 
-
-def complex_to_json_dict(C: BoundedFreeComplex) -> dict:
-    return {
-        "ranks": {str(i): C.rank(i) for i in C.degrees()},
-        "differentials": {
-            str(i): C.differential(i).to_rows()
-            for i in C.degrees()
-            if not C.differential(i).is_zero
-        },
-    }

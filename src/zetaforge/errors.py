@@ -29,10 +29,6 @@ class InfiniteCohomologyError(ZetaforgeError):
     code = "infinite-cohomology"
 
 
-class NonChainMapError(ZetaforgeError):
-    code = "non-chain-map"
-
-
 class WeilViolationError(ZetaforgeError):
     code = "weil-violation"
 
@@ -47,10 +43,6 @@ class MixedBaseError(ZetaforgeError):
 
 class GradedDataUnavailableError(ZetaforgeError):
     code = "graded-data-unavailable"
-
-
-class EulerOnlyDataError(ZetaforgeError):
-    code = "euler-only-data"
 
 
 class PrecisionUnderflowError(ZetaforgeError):

@@ -25,12 +25,21 @@ __all__ = [
     "is_prime",
     "prime_power_base",
     "parity_sign",
+    "read_int",
 ]
 
 
 def parity_sign(i: int) -> int:
     """(-1)**i as an exact int, safe for negative i."""
     return -1 if i % 2 else 1
+
+
+def read_int(x) -> int:
+    """An integer read from JSON: `operator.index`, except that true and
+    false, which Python reads as 1 and 0, are a TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,7 @@ class IntMatrix:
     def from_rows(cls, data) -> IntMatrix:
         try:
             data = [list(row) for row in data]
-            entries = tuple(index(x) for row in data for x in row)
+            entries = tuple(read_int(x) for row in data for x in row)
         except TypeError:
             raise InvalidArgumentError("matrix rows must be lists of integers") from None
         rows = len(data)
@@ -67,10 +76,6 @@ class IntMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
         return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -93,9 +98,6 @@ class IntMatrix:
         if not out:
             return IntMatrix(self.rows, other.cols, ())
         return IntMatrix.from_rows(out) if other.cols else IntMatrix(self.rows, 0, ())
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
     @property
     def is_zero(self) -> bool:

@@ -32,7 +32,6 @@ from .lfunctions import (
     CyclotomicNumber,
     DEFAULT_PRECISION,
     DirichletCharacter,
-    TRIVIAL_CHARACTER,
     leading_value,
     trivial_zero_order,
 )
@@ -48,8 +47,6 @@ __all__ = [
     "shift_s",
     "evaluate_at",
     "vanishing_order",
-    "power_series",
-    "riemann_factor",
 ]
 
 
@@ -90,13 +87,6 @@ class RationalFunctionT:
             num = tuple(c // g for c in num)
             den = tuple(c // g for c in den)
         return cls(num, den)
-
-    @classmethod
-    def one(cls) -> RationalFunctionT:
-        return cls((1,), (1,))
-
-    def __mul__(self, other: RationalFunctionT) -> RationalFunctionT:
-        return RationalFunctionT.make(poly.mul(self.num, other.num), poly.mul(self.den, other.den))
 
     def substitute_scaled(self, scale: int) -> RationalFunctionT:
         """Z(scale * t): coefficient j picks up scale^j."""
@@ -189,10 +179,6 @@ class LFactorShifted:
         return f"L({arg}, {self.character.label()})"
 
 
-def riemann_factor(shift: int = 0) -> LFactorShifted:
-    return LFactorShifted(TRIVIAL_CHARACTER, shift)
-
-
 @dataclass(frozen=True)
 class ZetaProduct:
     """Multiset product of factors with nonzero integer exponents.
@@ -229,20 +215,12 @@ class ZetaProduct:
         return cls(fc, cz)
 
     @classmethod
-    def one(cls) -> ZetaProduct:
-        return cls()
-
-    @classmethod
     def single(cls, factor, exp: int = 1) -> ZetaProduct:
         return cls.from_factors([(factor, exp)])
 
     @property
     def factors(self):
         return self.finite_char + self.char_zero
-
-    @property
-    def is_finite_characteristic(self) -> bool:
-        return not self.char_zero
 
     @property
     def is_one(self) -> bool:
@@ -379,10 +357,3 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
                 "not closed under conjugation"
             )
         return SpecialValue(order=order, exact=None, numeric=mp.re(numeric), error=error)
-
-
-def power_series(f: FiniteCharFactor, K: int) -> list:
-    """Exact Taylor coefficients of Z(t) up to t^K."""
-    if K < 0:
-        raise InvalidArgumentError("order must be nonnegative")
-    return f.Z.series(K)

@@ -1,4 +1,5 @@
-"""Generators for random complexes with known torsion cohomology.
+"""Generators for random complexes with known torsion cohomology, and the
+constructions the tests build inputs with.
 
 Strategy: assemble a direct sum of two-term complexes [Z --k--> Z] and,
 optionally, free modules Z with zero differentials (so the cohomology and m
@@ -6,14 +7,83 @@ are known by construction), then scramble by unimodular basis changes,
 accepting an operation only while all differential entries stay within the
 requested bound.  Basis changes leave cohomology untouched, so the split
 model remains the ground truth.
+
+A chain map A -> B is a dict degree -> IntMatrix of f^i: A^i -> B^i (absent
+degrees are zero); `cone` builds its mapping cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from zetaforge.detcomplex import BoundedFreeComplex, ChainMap
+from zetaforge.detcomplex import BoundedFreeComplex
 from zetaforge.intlinalg import IntMatrix
+
+
+def two_term(k, lower_degree=-1):
+    """[Z --k--> Z] in degrees (lower_degree, lower_degree + 1)."""
+    return BoundedFreeComplex(
+        {lower_degree: 1, lower_degree + 1: 1},
+        {lower_degree: IntMatrix.from_rows([[k]])},
+    )
+
+
+def _blocks(top_left, top_right, bottom_left, bottom_right):
+    """The block matrix [[top_left, top_right], [bottom_left, bottom_right]]
+    as rows; blocks in one row share their row count."""
+    top = [a + b for a, b in zip(top_left.to_rows(), top_right.to_rows())]
+    bottom = [a + b for a, b in zip(bottom_left.to_rows(), bottom_right.to_rows())]
+    return IntMatrix(
+        top_left.rows + bottom_left.rows,
+        top_left.cols + top_right.cols,
+        tuple(x for row in top + bottom for x in row),
+    )
+
+
+def direct_sum(A, B):
+    degrees = set(A.degrees()) | set(B.degrees())
+    diffs, zero = {}, IntMatrix.zero
+    for i in degrees:
+        dA, dB = A.differential(i), B.differential(i)
+        diffs[i] = _blocks(dA, zero(dA.rows, dB.cols), zero(dB.rows, dA.cols), dB)
+    return BoundedFreeComplex({i: A.rank(i) + B.rank(i) for i in degrees}, diffs)
+
+
+def commutes(A, B, components):
+    """d_B f^i = f^(i+1) d_A in every degree."""
+    def f(i):
+        return components.get(i, IntMatrix.zero(B.rank(i), A.rank(i)))
+
+    return all(
+        B.differential(i) @ f(i) == f(i + 1) @ A.differential(i)
+        for i in set(A.degrees()) | set(B.degrees())
+    )
+
+
+def cone(A, B, components):
+    """Cone(f)^i = B^i (+) A^(i+1), fitting in A -> B -> Cone(f) -> A[1],
+    with differential [[d_B, f^(i+1)], [0, -d_A]]."""
+    assert commutes(A, B, components)
+    degrees = {j - 1 for j in A.degrees()} | set(B.degrees())
+    diffs = {}
+    for i in degrees:
+        dB, dA = B.differential(i), A.differential(i + 1)
+        f = components.get(i + 1, IntMatrix.zero(B.rank(i + 1), A.rank(i + 1)))
+        minus_dA = IntMatrix(dA.rows, dA.cols, tuple(-x for x in dA.entries))
+        diffs[i] = _blocks(dB, f, IntMatrix.zero(dA.rows, dB.cols), minus_dA)
+    return BoundedFreeComplex({i: B.rank(i) + A.rank(i + 1) for i in degrees}, diffs)
+
+
+def complex_to_json_dict(C):
+    """The on-disk complex format that `complex_from_json_dict` reads."""
+    return {
+        "ranks": {str(i): C.rank(i) for i in C.degrees()},
+        "differentials": {
+            str(i): C.differential(i).to_rows()
+            for i in C.degrees()
+            if not C.differential(i).is_zero
+        },
+    }
 
 
 class _Mutable:
@@ -188,11 +258,11 @@ def random_chain_map(rng, A, B, entry_bound=2):
         f = B.differential(i - 1) @ h_i
         g = h_next @ A.differential(i)
         components[i] = IntMatrix(rows, cols, tuple(x + y for x, y in zip(f.entries, g.entries)))
-    return ChainMap(A, B, components)
+    return components
 
 
 def random_chain_scenario(rng, bound=6):
-    """(A, B, f) with f a typically non-null-homotopic chain map.
+    """(A, B, f, m_a, m_b) with f a typically non-null-homotopic chain map.
 
     A and B start split; matched summand pairs in the same degrees get
     multiplication components (t*a/g, t*b/g), which commute by hand.  Basis
@@ -223,6 +293,5 @@ def random_chain_scenario(rng, bound=6):
     components = {
         i: IntMatrix.from_rows(m) for i, m in comps.items() if m and m[0] if any(any(row) for row in m)
     }
-    f = ChainMap(A, B, components)
-    assert f.commutes()
-    return A, B, f, m_a, m_b
+    assert commutes(A, B, components)
+    return A, B, components, m_a, m_b

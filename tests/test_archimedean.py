@@ -8,10 +8,8 @@ from zetaforge.archimedean import (
     equivariant_dims,
     gamma_factor_order,
     hodge_equivariant_dims,
-    secondary_euler_vo,
     vanishing_order_conjectural,
 )
-from zetaforge.errors import EulerOnlyDataError
 from zetaforge.lfunctions import Q, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
     Affine,
@@ -21,7 +19,6 @@ from zetaforge.scheme_algebra import (
     Minus,
     NumberRing,
     Point,
-    Proj,
     zeta_of,
 )
 from zetaforge.zetarep import vanishing_order
@@ -56,23 +53,11 @@ def test_vanishing_orders():
     assert vanishing_order_conjectural(Disjoint((NumberRing(QI), Point(2))), -3) == 1
 
 
-def test_secondary_euler_route():
-    assert secondary_euler_vo(NumberRing(Q), -2) == 1
-    assert secondary_euler_vo(Point(2), -1) == 0
-    assert secondary_euler_vo(NumberRing(QI), -1) == 1
-    # agreement wherever full dims exist
-    for e in (NumberRing(Q), NumberRing(QI), Proj(2, NumberRing(QI)), Affine(3, NumberRing(Q))):
-        for n in (-1, -2, -3, -4):
-            assert secondary_euler_vo(e, n) == vanishing_order_conjectural(e, n)
-
-
 def test_glue_degrades_to_euler_only():
     e = Glue(NumberRing(Q), NumberRing(QI))
     data = equivariant_dims(e, -1)
     assert data.dims_even is None and data.dims_odd is None
     assert data.chi_odd == 0 + 1
-    with pytest.raises(EulerOnlyDataError):
-        secondary_euler_vo(e, -1)
 
 
 def test_additivity_over_glue_and_minus():

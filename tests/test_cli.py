@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import zetaforge
 from zetaforge import cli, detcomplex, intlinalg
-from zetaforge.detcomplex import complex_to_json_dict
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -32,7 +31,7 @@ from zetaforge.scheme_algebra import (
     format_expr,
 )
 
-from complex_fixtures import random_torsion_complex
+from complex_fixtures import complex_to_json_dict, random_torsion_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -332,6 +331,33 @@ def test_malformed_manifest_exit_code(capsys, tmp_path, manifest):
     assert err.startswith("error [manifest-error]:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "verb, payload, code",
+    [
+        ("det", {"ranks": {"-1": 1, "0": 1}, "differentials": {"-1": [[True]]}}, "invalid-argument"),
+        ("det", {"ranks": {"-1": True, "0": 1}}, "invalid-argument"),
+        (
+            "ord",
+            {"hpq": {"0,0": True, "1,1": True}, "diag": {"0": [True, False], "1": [True, False]}},
+            "invalid-argument",
+        ),
+        ("batch", [{"expr": "(point 2)", "n": True}], "manifest-error"),
+    ],
+    ids=["det-entry", "det-rank", "hodge", "manifest-n"],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, verb, payload, code):
+    # Python reads true and false as 1 and 0; JSON input reads them as neither
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "det": ["det", str(path)],
+        "ord": ["ord", "--hodge", json.dumps(payload), "-n", "-1"],
+        "batch": ["batch", "--manifest", str(path)],
+    }[verb]
+    exit_code, out = run_cli(capsys, *argv, "--format", "json")
+    assert exit_code == 2 and json.loads(out)["error"]["code"] == code
+
+
 def test_exact_values_of_any_size_print_in_full(capsys):
     # zeta(F_2, s) = 1/(1 - 2^-s): at s = -15000 the denominator has 4516
     # digits, past the interpreter's default int-to-str limit of 4300
@@ -423,11 +449,14 @@ def test_golden_reports(capsys, tmp_path):
             "value", "(minus (Q) (numberring :conductor 13 :subgroup (12)))", "-n", "-1", *precision
         ],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
+        # a scrambled three-term complex with torsion and free cohomology
+        "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],
     }
     for name, argv in cases.items():
         code, data = run_json(capsys, *argv)
         assert code == 0
         data.pop("manifest", None)  # the path of the temporary manifest
+        data.pop("file", None)  # the path of the input complex
         expected = json.loads((GOLDEN / name).read_text())
         assert data == expected, f"schema drift against golden file {name}"
 

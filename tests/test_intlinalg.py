@@ -33,7 +33,7 @@ def snf_is_valid(A, dec):
 
 
 def test_snf_identity():
-    A = IntMatrix.identity(2)
+    A = IntMatrix.from_rows([[1, 0], [0, 1]])
     dec = smith_normal_form(A)
     assert dec.diagonal == (1, 1)
     assert snf_is_valid(A, dec)

@@ -1,0 +1,56 @@
+"""Guards on the public surface of the package: what `__all__` exports
+exists, the benchmark's tracer finds every function it wraps, and no module
+keeps an import it does not use."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zetaforge"
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"zetaforge.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def _traced_layers() -> dict:
+    """`LAYERS` of perfbench/tracing.py, read without importing perfbench."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
+
+
+def test_every_traced_name_exists():
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in _traced_layers().items()
+        for name in names
+        if not hasattr(importlib.import_module(f"zetaforge.{layer}"), name)
+    ]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"zetaforge.{name}")
+    used.update(getattr(module, "__all__", ()))
+    assert sorted(f"{bound} (line {line})" for bound, line in imported.items() if bound not in used) == []

@@ -6,9 +6,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from zetaforge import lfunctions
+from zetaforge import lfunctions, poly
 from zetaforge.errors import RationalityFailureError, WeilViolationError
-from zetaforge.lfunctions import CHI_MINUS_4, AbelianFieldSpec, characters_mod
+from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
 from zetaforge.scheme_algebra import NumberRing, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
@@ -18,8 +18,6 @@ from zetaforge.zetarep import (
     evaluate_at,
     inverse,
     multiply,
-    power_series,
-    riemann_factor,
     shift_s,
 )
 
@@ -44,7 +42,7 @@ def test_rational_function_normalization():
 
 def test_multiply_identity_and_cancellation():
     a = ZetaProduct.single(geometric(2))
-    assert multiply(a, ZetaProduct.one()) == a
+    assert multiply(a, ZetaProduct()) == a
     assert multiply(a, inverse(a)).is_one
 
 
@@ -68,7 +66,7 @@ def test_shift_s():
     (factor, exp), = shifted.finite_char
     assert factor.Z.den == (1, -3) and exp == 1
     assert shift_s(z, 0) == z
-    r = ZetaProduct.single(riemann_factor())
+    r = ZetaProduct.single(LFactorShifted(TRIVIAL_CHARACTER))
     assert shift_s(r, 2).char_zero[0][0].shift == 2
 
 
@@ -83,7 +81,7 @@ def test_evaluate_p1():
 
 
 def test_evaluate_riemann_at_minus_2():
-    v = evaluate_at(ZetaProduct.single(riemann_factor()), -2, precision=50)
+    v = evaluate_at(ZetaProduct.single(LFactorShifted(TRIVIAL_CHARACTER)), -2, precision=50)
     assert v.order == 1 and not v.is_exact
     with mp.workdps(60):
         assert abs(v.numeric + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
@@ -151,8 +149,8 @@ def test_weil_violation():
 
 
 def test_multiplicativity_of_order_and_value():
-    a = ZetaProduct.single(riemann_factor())
-    b = ZetaProduct.from_factors([(riemann_factor(1), 1), (geometric(2), 1)])
+    a = ZetaProduct.single(LFactorShifted(TRIVIAL_CHARACTER))
+    b = ZetaProduct.from_factors([(LFactorShifted(TRIVIAL_CHARACTER, 1), 1), (geometric(2), 1)])
     n = -1
     va, vb = evaluate_at(a, n), evaluate_at(b, n)
     vab = evaluate_at(multiply(a, b), n)
@@ -164,7 +162,7 @@ def test_multiplicativity_of_order_and_value():
 
 
 def test_shift_law_exact():
-    z = ZetaProduct.from_factors([(geometric(2), 1), (riemann_factor(), 1)])
+    z = ZetaProduct.from_factors([(geometric(2), 1), (LFactorShifted(TRIVIAL_CHARACTER), 1)])
     for r in (0, 1, 2):
         for n in (-1, -2):
             lhs = evaluate_at(shift_s(z, r), n)
@@ -188,10 +186,10 @@ def test_finite_char_products_are_exact_nonzero():
 
 
 def test_power_series():
-    assert power_series(geometric(2, 1), 3) == [1, 1, 1, 1]
-    assert power_series(geometric(2, 2), 3) == [1, 2, 4, 8]
-    f = FiniteCharFactor(2, RationalFunctionT.make((1, 0, 2), (1, -3, 2)))
-    assert power_series(f, 2) == [1, 3, 9]  # (1+2t^2)/((1-t)(1-2t)) by long division
+    assert geometric(2, 1).Z.series(3) == [1, 1, 1, 1]
+    assert geometric(2, 2).Z.series(3) == [1, 2, 4, 8]
+    f = RationalFunctionT.make((1, 0, 2), (1, -3, 2))
+    assert f.series(2) == [1, 3, 9]  # (1+2t^2)/((1-t)(1-2t)) by long division
 
 
 def test_series_with_non_unit_constant_term_is_exact():
@@ -205,12 +203,13 @@ def test_series_with_non_unit_constant_term_is_exact():
 def test_power_series_of_product_is_cauchy_product():
     rng = random.Random(77)
     for _ in range(10):
-        f = FiniteCharFactor(2, RationalFunctionT.make((1, rng.randint(-3, 3)), (1, -2)))
-        g = FiniteCharFactor(2, RationalFunctionT.make((1,), (1, rng.randint(-3, -1))))
+        f = RationalFunctionT.make((1, rng.randint(-3, 3)), (1, -2))
+        g = RationalFunctionT.make((1,), (1, rng.randint(-3, -1)))
         K = 6
-        a, b = power_series(f, K), power_series(g, K)
+        a, b = f.series(K), g.series(K)
         cauchy = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(K + 1)]
-        assert power_series(FiniteCharFactor(2, f.Z * g.Z), K) == cauchy
+        fg = RationalFunctionT.make(poly.mul(f.num, g.num), poly.mul(f.den, g.den))
+        assert fg.series(K) == cauchy
 
 
 def test_evaluate_chi_minus_4_pair_is_exact():
