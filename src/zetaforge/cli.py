@@ -34,7 +34,7 @@ import mpmath as mp
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
-from .intlinalg import is_prime, read_int
+from .intlinalg import is_prime, parity_sign, read_int, read_key
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
 from .zetarep import evaluate_at, vanishing_order
@@ -56,8 +56,8 @@ _HODGE_SHAPE = '--hodge must be {"hpq": {"p,q": h, ...}, "diag": {"p": [plus, mi
 def parse_hodge_json(text: str) -> archimedean.HodgeData:
     """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}
 
-    p and q are decimal integers, h, plus and minus JSON integers; any other
-    shape is an InvalidArgumentError.
+    p and q are decimal integers as `read_key` reads them, h, plus and minus
+    JSON integers; any other shape is an InvalidArgumentError.
     """
     data = _json_loads(text)
     hpq = data.get("hpq", {}) if isinstance(data, dict) else None
@@ -71,9 +71,9 @@ def parse_hodge_json(text: str) -> archimedean.HodgeData:
     try:
         weights = {}
         for key, h in hpq.items():
-            p, q = (int(x) for x in key.split(","))
+            p, q = (read_key(x) for x in key.split(","))
             weights[(p, q)] = read_int(h)
-        diagonal = {int(key): (read_int(pair[0]), read_int(pair[1])) for key, pair in diag.items()}
+        diagonal = {read_key(key): (read_int(pair[0]), read_int(pair[1])) for key, pair in diag.items()}
     except (TypeError, ValueError):
         raise InvalidArgumentError(_HODGE_SHAPE) from None
     return archimedean.HodgeData.make(weights, diagonal)
@@ -109,7 +109,7 @@ def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
     if args.hodge:
         H = parse_hodge_json(args.hodge)
         dims = archimedean.hodge_equivariant_dims(H, args.n)
-        chi = sum((-1) ** (i % 2) * d for i, d in dims.items())
+        chi = sum(parity_sign(i) * d for i, d in dims.items())
         gamma = archimedean.gamma_factor_order(H, args.n)
         ok = gamma == chi
         return {

@@ -24,6 +24,7 @@ from .intlinalg import (
     group_order,
     parity_sign,
     read_int,
+    read_key,
     smith_normal_form,
 )
 
@@ -184,8 +185,8 @@ def complex_from_json_dict(data) -> BoundedFreeComplex:
     """Parse the on-disk complex format.
 
     {"ranks": {"-1": 1, "0": 1}, "differentials": {"-1": [[5]]}}
-    Keys are degrees as decimal strings; the differential at key i maps
-    degree i to i+1; absent degrees have rank 0.
+    Keys are degrees as decimal strings, read by `read_key`; the differential
+    at key i maps degree i to i+1; absent degrees have rank 0.
     """
     if not isinstance(data, dict) or "ranks" not in data:
         raise InvalidArgumentError('complex file must be an object with a "ranks" field')
@@ -193,8 +194,8 @@ def complex_from_json_dict(data) -> BoundedFreeComplex:
     if not (isinstance(ranks, dict) and isinstance(diffs, dict)):
         raise InvalidArgumentError('"ranks" and "differentials" must be objects keyed by degree')
     try:
-        ranks = {int(k): read_int(v) for k, v in ranks.items()}
-        diffs = {int(k): IntMatrix.from_rows(v) for k, v in diffs.items()}
+        ranks = {read_key(k): read_int(v) for k, v in ranks.items()}
+        diffs = {read_key(k): IntMatrix.from_rows(v) for k, v in diffs.items()}
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed complex file: {exc}") from None
     return BoundedFreeComplex(ranks, diffs)

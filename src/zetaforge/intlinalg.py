@@ -7,8 +7,10 @@ valuations of rationals.  Everything here is pure and immutable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from operator import index
 
@@ -22,10 +24,12 @@ __all__ = [
     "cokernel",
     "group_order",
     "rational_valuation",
+    "factorize",
     "is_prime",
     "prime_power_base",
     "parity_sign",
     "read_int",
+    "read_key",
 ]
 
 
@@ -40,6 +44,19 @@ def read_int(x) -> int:
     if isinstance(x, bool):
         raise TypeError(f"expected an integer, got {x!r}")
     return index(x)
+
+
+_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def read_key(key: str) -> int:
+    """An integer written as a JSON object key: ASCII decimal digits, an
+    optional minus sign, no leading zero, no space and no "-0", so that two
+    distinct keys never name one integer.  Anything else is an
+    InvalidArgumentError."""
+    if not _KEY.fullmatch(key):
+        raise InvalidArgumentError(f"malformed integer key {key!r}")
+    return int(key)
 
 
 @dataclass(frozen=True)
@@ -88,16 +105,11 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise InvalidArgumentError("shape mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            out.append(
-                [sum(ai[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        if not out:
-            return IntMatrix(self.rows, other.cols, ())
-        return IntMatrix.from_rows(out) if other.cols else IntMatrix(self.rows, 0, ())
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        entries = tuple(
+            sum(x * y for x, y in zip(row, column)) for row in self.to_rows() for column in columns
+        )
+        return IntMatrix(self.rows, other.cols, entries)
 
     @property
     def is_zero(self) -> bool:
@@ -281,9 +293,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        IntMatrix.from_rows(U) if rows else IntMatrix(0, 0, ()),
+        IntMatrix(rows, rows, tuple(x for row in U for x in row)),
         IntMatrix(rows, cols, tuple(x for row in S for x in row)),
-        IntMatrix.from_rows(V) if cols else IntMatrix(0, 0, ()),
+        IntMatrix(cols, cols, tuple(x for row in V for x in row)),
     )
 
 
@@ -301,40 +313,35 @@ def group_order(G: FinGenAbGroup) -> int:
     return prod(G.torsion) if G.torsion else 1
 
 
+@lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """((p, e), ...) with n = prod p**e over ascending primes p, for n >= 1,
+    by trial division by 2 and the odd numbers up to the root of what is left."""
+    if n < 1:
+        raise InvalidArgumentError(f"cannot factorize {n}")
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and factorize(p) == ((p, 1),)
 
 
 def prime_power_base(q: int):
     """(p, k) with q = p**k, or None if q is not a prime power >= 2."""
-    if q < 2:
-        return None
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1 or not is_prime(p):
-        return None
-    return p, k
+    factors = factorize(q) if q >= 2 else ()
+    return factors[0] if len(factors) == 1 else None
 
 
 def ensure_prime_power(q: int) -> int:

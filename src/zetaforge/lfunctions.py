@@ -24,7 +24,9 @@ The transcendental and Bernoulli work is shared by every character of one
 conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
 the m-th roots of unity are computed once into bounded memoised tables, and
 B_{k,chi}, L(1-n, chi) and the Gauss sum are dot products of the character's
-exponents against them.
+exponents against them.  Those exact tables, B_k and Phi_n are computed in
+integers, and a field (f, H) builds only its [G:H] characters: each
+exponent vector is tested on the logs of H before its table is made.
 
 The Hurwitz table is filled without mpmath's zeta: an integer Euler-Maclaurin
 kernel sums zeta(s, a/f) in fixed point at wp bits, every term an exact
@@ -43,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, log, pi
+from math import comb, gcd, lcm, log, pi, prod
 
 import mpmath as mp
 
@@ -54,7 +56,7 @@ from .errors import (
     PrecisionUnderflowError,
     RationalityFailureError,
 )
-from .intlinalg import parity_sign
+from .intlinalg import factorize, parity_sign
 
 __all__ = [
     "CyclotomicNumber",
@@ -66,7 +68,6 @@ __all__ = [
     "Q",
     "QI",
     "bernoulli_number",
-    "bernoulli_poly_at",
     "gen_bernoulli",
     "L_at_nonpositive",
     "trivial_zero_order",
@@ -78,89 +79,79 @@ DEFAULT_PRECISION = 50
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials (exact)
+# Bernoulli numbers (exact)
+
+
+@lru_cache(maxsize=None)
+def _tangent_numbers(count: int) -> tuple[int, ...]:
+    """T_1..T_count, tan x = sum_m T_m x^(2m-1)/(2m-1)!, by the integer
+    recurrence of Brent and Harvey (arXiv:1108.0286, Algorithm TangentNumbers)."""
+    T = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(T[1:])
 
 
 @lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with the B_1 = -1/2 convention, by the defining recurrence."""
+    """B_k with the B_1 = -1/2 convention.
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers,
+    which are tabulated to the next power of two above m so that a rising
+    sequence of calls costs one table per doubling.
+    """
     if k < 0:
         raise InvalidArgumentError("Bernoulli index must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    if k > 1 and k % 2 == 1:
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2 == 1:
         return Fraction(0)
-    # sum_{j=0}^{k} C(k+1, j) B_j = 0
-    total = Fraction(0)
-    binom = 1  # C(k+1, 0)
-    for j in range(k):
-        total += binom * bernoulli_number(j)
-        binom = binom * (k + 1 - j) // (j + 1)
-    return -total / (k + 1)
-
-
-def bernoulli_poly_at(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_j C(k, j) B_j x^(k-j)."""
-    x = Fraction(x)
-    total = Fraction(0)
-    binom = 1
-    for j in range(k + 1):
-        total += binom * bernoulli_number(j) * x ** (k - j)
-        binom = binom * (k - j) // (j + 1)
-    return total
+    m = k // 2
+    tangent = _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
+    return Fraction(parity_sign(m - 1) * k * tangent, 4**m * (4**m - 1))
 
 
 # ---------------------------------------------------------------------------
 # Exact arithmetic in Q(zeta_N)
 
 
-def _over_common_denominator(values) -> tuple[int, list[int]]:
-    """(d, [v * d for v in values]) for Fractions v over their least common
-    denominator d."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 @lru_cache(maxsize=None)
 def _euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
 def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
+    factors = factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else parity_sign(len(factors))
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending."""
+    """Coefficients of Phi_n, ascending.
+
+    For n > 1, Phi_n = prod_{d | n} (1 - x^d)^mu(n/d), expanded as a power
+    series to degree phi(n).  Only squarefree n/d = s contribute: a factor
+    1 - x^d when mu(s) = 1, the series 1 + x^d + x^2d + ... when mu(s) = -1.
+    """
     if n == 1:
         return (-1, 1)
-    coeffs = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            coeffs, rest = poly.divide(coeffs, cyclotomic_polynomial(d))
-            if any(rest):
-                raise InvariantViolationError(f"Phi_{d} does not divide x^{n} - 1")
+    phi = _euler_phi(n)
+    coeffs = [1] + [0] * phi
+    primes = [p for p, _ in factorize(n)]
+    for size in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, size):
+            d = n // prod(chosen)
+            if size % 2 == 0:
+                for i in range(phi, d - 1, -1):
+                    coeffs[i] -= coeffs[i - d]
+            else:
+                for i in range(d, phi + 1):
+                    coeffs[i] += coeffs[i - d]
+    if coeffs[phi] != 1:
+        raise InvariantViolationError(f"Phi_{n} came out not monic of degree {phi}")
     return tuple(coeffs)
 
 
@@ -375,8 +366,6 @@ def _canonical_residue(a: int, modulus: int) -> int:
 
 
 def _units(modulus: int) -> list[int]:
-    if modulus == 1:
-        return [1]
     return [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1]
 
 
@@ -465,8 +454,6 @@ CHI_MINUS_4 = DirichletCharacter(4, 2, (None, 0, None, 1), 4)
 @lru_cache(maxsize=None)
 def _unit_group_generators(modulus: int) -> tuple[tuple[int, int], ...]:
     """Generators (g, order) of (Z/modulus)^* via CRT over prime powers."""
-    if modulus <= 2:
-        return ()
 
     def crt_lift(g, q):
         rest = modulus // q
@@ -478,45 +465,24 @@ def _unit_group_generators(modulus: int) -> tuple[tuple[int, int], ...]:
 
     def primitive_root(p, e):
         # a generator mod p that stays primitive mod p^2 works for all e
-        phi_p = p - 1
-        factors = set()
-        m = phi_p
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.add(m)
-        for g in range(2, p):
-            if all(pow(g, phi_p // f, p) != 1 for f in factors):
-                break
+        g = next(
+            g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r, _ in factorize(p - 1))
+        )
         if e > 1 and pow(g, p - 1, p * p) == 1:
             g += p
         return g
 
     gens = []
-    m = modulus
-    p = 2
-    while m > 1:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            q = p**e
-            if p == 2:
-                if e == 2:
-                    gens.append((crt_lift(3, q), 2))
-                elif e >= 3:
-                    gens.append((crt_lift(q - 1, q), 2))
-                    gens.append((crt_lift(5, q), 2 ** (e - 2)))
-            else:
-                g = primitive_root(p, e)
-                gens.append((crt_lift(g, q), _euler_phi(q)))
-        p += 1 if p == 2 else 2
+    for p, e in factorize(modulus):
+        q = p**e
+        if p == 2:
+            if e == 2:
+                gens.append((crt_lift(3, q), 2))
+            elif e >= 3:
+                gens.append((crt_lift(q - 1, q), 2))
+                gens.append((crt_lift(5, q), 2 ** (e - 2)))
+        else:
+            gens.append((crt_lift(primitive_root(p, e), q), q - q // p))
     return tuple(gens)
 
 
@@ -524,35 +490,34 @@ def _unit_group_generators(modulus: int) -> tuple[tuple[int, int], ...]:
 def _unit_logs(modulus: int):
     """Map unit -> exponent vector over the generators."""
     gens = _unit_group_generators(modulus)
-    logs = {1: tuple([0] * len(gens))}
-    frontier = [1]
-    while frontier:
-        a = frontier.pop()
-        vec = logs[a]
-        for idx, (g, order) in enumerate(gens):
-            b = a * g % modulus
-            b = _canonical_residue(b, modulus)
-            if b not in logs:
-                new = list(vec)
-                new[idx] = (new[idx] + 1) % order
-                logs[b] = tuple(new)
-                frontier.append(b)
-    return logs
+    return {
+        _canonical_residue(prod(pow(g, e, modulus) for (g, _), e in zip(gens, vec)), modulus): vec
+        for vec in itertools.product(*[range(order) for _, order in gens])
+    }
 
 
-def characters_mod(modulus: int) -> tuple[DirichletCharacter, ...]:
-    """All Dirichlet characters of (Z/modulus)^*, trivial one first."""
+def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
+    """The Dirichlet characters of (Z/modulus)^* trivial on the units in
+    `subgroup`, trivial one first.
+
+    A character sends the generator g_i of order o_i to zeta_e^(k_i e/o_i),
+    e the group exponent, so chi(a) = zeta_e^(sum_i k_i (e/o_i) log_i(a)).
+    Each exponent vector k is tested on the logs of the subgroup before its
+    table and conductor are built.
+    """
     gens = _unit_group_generators(modulus)
     logs = _unit_logs(modulus)
     exponent = lcm(*[order for _, order in gens])
+    kernel = [logs[_canonical_residue(h, modulus)] for h in subgroup]
     result = []
     for chosen in itertools.product(*[range(order) for _, order in gens]):
+        scaled = [k * (exponent // order) for (_, order), k in zip(gens, chosen)]
+        if any(sum(k * e for k, e in zip(scaled, vec)) % exponent for vec in kernel):
+            continue
         # chi(a) = zeta_exponent^table[a % modulus]
         table = [None] * modulus
         for a, vec in logs.items():
-            table[a % modulus] = sum(
-                k * e * (exponent // order) for (_, order), k, e in zip(gens, chosen, vec)
-            ) % exponent
+            table[a % modulus] = sum(k * e for k, e in zip(scaled, vec)) % exponent
         g = gcd(exponent, *[t for t in table if t is not None])
         exps = tuple(None if t is None else t // g for t in table)
         result.append(DirichletCharacter(modulus, exponent // g, exps, _conductor(modulus, exps)))
@@ -621,10 +586,7 @@ class AbelianFieldSpec:
 
     def characters(self) -> tuple[DirichletCharacter, ...]:
         """Primitive characters trivial on the subgroup (one per embedding)."""
-        selected = [
-            chi for chi in characters_mod(self.conductor)
-            if all(chi.exponent(h) == 0 for h in self.subgroup)
-        ]
+        selected = characters_mod(self.conductor, self.subgroup)
         if len(selected) != self.degree:
             raise InvariantViolationError(
                 f"character enumeration found {len(selected)} characters, expected {self.degree}"
@@ -663,12 +625,18 @@ QI = AbelianFieldSpec(4, (1,))
 
 @lru_cache(maxsize=64)
 def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(d, ((a, d f^(k-1) B_k(a/f)) for the units a in 1..f)): the values for
-    conductor f as integer numerators over one common denominator d."""
-    scale = Fraction(f) ** (k - 1)
-    units = _units(f)
-    d, nums = _over_common_denominator([bernoulli_poly_at(k, Fraction(a, f)) * scale for a in units])
-    return d, tuple(zip(units, nums))
+    """(f L, ((a, f L f^(k-1) B_k(a/f)) for the units a in 1..f)), L the lcm
+    of the denominators of B_0..B_k.
+
+    L f^k B_k(a/f) = sum_j C(k, j) L B_j f^j a^(k-j) is an integer polynomial
+    in a, evaluated at each unit.
+    """
+    numbers = [bernoulli_number(j) for j in range(k + 1)]
+    L = lcm(*(b.denominator for b in numbers))
+    # ascending in a: the coefficient of a^i comes from j = k - i
+    coeffs = [comb(k, j) * b.numerator * (L // b.denominator) * f**j for j, b in enumerate(numbers)]
+    coeffs.reverse()
+    return f * L, tuple((a, poly.evaluate(coeffs, a)) for a in _units(f))
 
 
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:

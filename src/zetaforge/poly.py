@@ -2,16 +2,16 @@
 
 The one helper set shared by the rational functions of `zetarep`, the
 cyclotomic arithmetic of `lfunctions`, the trace-formula series of
-`ffengine` and the L-weights of the expression calculus.  Coefficients may
-be ints or Fractions; results are exact.  `divide` takes monic divisors
-only (the cyclotomic polynomials), so it never leaves the integers.
+`ffengine`, the integer Bernoulli tables and the L-weights of the
+expression calculus.  Coefficients may be ints or Fractions; results are
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["trim", "mul", "evaluate", "divide", "quotient"]
+__all__ = ["trim", "mul", "evaluate", "quotient"]
 
 
 def trim(p) -> tuple:
@@ -40,24 +40,6 @@ def evaluate(p, t):
     for c in reversed(p):
         total = total * t + c
     return total
-
-
-def divide(a, b) -> tuple[list, list]:
-    """(quotient, remainder) of a by b, with deg(remainder) < deg(b).
-
-    b must be monic (leading coefficient 1), so integer inputs give integer
-    results.
-    """
-    b = trim(b)
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return q, a[: len(b) - 1]
 
 
 def quotient(a, b):

@@ -50,13 +50,6 @@ __all__ = [
 ]
 
 
-def _poly_content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
 @dataclass(frozen=True)
 class RationalFunctionT:
     """num(t)/den(t) with integer coefficients, ascending order.
@@ -80,7 +73,7 @@ class RationalFunctionT:
             raise InvalidArgumentError("denominator is zero")
         if not num:
             raise InvalidArgumentError("numerator is zero")
-        g = gcd(_poly_content(num), _poly_content(den))
+        g = gcd(*num, *den)
         if den[0] < 0:
             g = -g
         if g != 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import mpmath as mp
 
@@ -191,6 +191,15 @@ def cyclotomic_polynomial(m):
             assert not any(p[: len(divisor) - 1])
             p = q
     return tuple(p)
+
+
+def bernoulli_numbers(count):
+    """B_0..B_(count-1), B_1 = -1/2, from the defining recurrence
+    sum_{j<=k} C(k+1, j) B_j = 0 for k >= 1."""
+    B = [Fraction(1)]
+    for k in range(1, count):
+        B.append(-sum(comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B[:count]
 
 
 def cyclotomic_reduce(coeffs, m):

@@ -291,6 +291,19 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         ["ord", "--hodge", '{"hpq": {"a": 1}}', "-n", "-1"],
         ["ord", "--hodge", '{"diag": {"0": [1]}}', "-n", "-1"],
         ["ord", "--hodge", '{"diag": {"0": 5}}', "-n", "-1"],
+        # degree keys: 0, or ASCII digits without a leading zero after an
+        # optional minus, so that two keys never name one degree ("00"
+        # would overwrite the rank of "0")
+        ["det", {"ranks": {"0": 1, "00": 2}}],
+        ["det", {"ranks": {"1_0": 1}}],
+        ["det", {"ranks": {" 1": 1}}],
+        ["det", {"ranks": {"+2": 1}}],
+        ["det", {"ranks": {"-0": 1}}],
+        ["det", {"ranks": {"\u0661": 1}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"00": [[5]]}}],
+        ["ord", "--hodge", '{"hpq": {"0, 0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": {"00,0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"+0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):
@@ -448,6 +461,8 @@ def test_golden_reports(capsys, tmp_path):
         "value_minus_real_f13.json": [
             "value", "(minus (Q) (numberring :conductor 13 :subgroup (12)))", "-n", "-1", *precision
         ],
+        # a composite conductor with three unit generators, a subgroup without -1
+        "value_f56_h9.json": ["value", "(numberring :conductor 56 :subgroup (9))", "-n", "-3", "--precision", "30"],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from fractions import Fraction
@@ -8,6 +9,7 @@ from zetaforge.intlinalg import (
     FinGenAbGroup,
     IntMatrix,
     cokernel,
+    factorize,
     group_order,
     is_prime,
     prime_power_base,
@@ -162,3 +164,14 @@ def test_prime_helpers():
     assert prime_power_base(5) == (5, 1)
     assert prime_power_base(6) is None
     assert prime_power_base(1) is None
+
+
+def test_factorization_matches_brute_force():
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, p))]
+    powers = {p**k: (p, k) for p in primes for k in range(1, 12) if p**k < 3000}
+    for n in range(1, 3000):
+        factors = factorize(n)
+        assert [p for p, _ in factors] == [p for p in primes if n % p == 0]
+        assert prod(p**e for p, e in factors) == n
+        assert is_prime(n) == (powers.get(n, (0, 0))[1] == 1)
+        assert prime_power_base(n) == powers.get(n)

@@ -34,7 +34,9 @@ from zetaforge.scheme_algebra import NumberRing, zeta_of
 from zetaforge.zetarep import evaluate_at, vanishing_order
 
 from oracles import (
+    bernoulli_numbers,
     cyclotomic_mul,
+    cyclotomic_polynomial as oracle_cyclotomic_polynomial,
     cyclotomic_promote,
     cyclotomic_reduce,
     euler_maclaurin_zeta,
@@ -217,6 +219,15 @@ def test_bernoulli_numbers():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+def test_bernoulli_numbers_match_the_defining_recurrence():
+    assert [bernoulli_number(k) for k in range(301)] == bernoulli_numbers(301)
+
+
+def test_cyclotomic_polynomials_match_the_division_oracle():
+    for n in range(1, 301):
+        assert lfunctions.cyclotomic_polynomial(n) == oracle_cyclotomic_polynomial(n), n
+
+
 def test_gen_bernoulli_trivial():
     assert gen_bernoulli(TRIVIAL_CHARACTER, 2).rational_value() == Fraction(1, 6)
 
@@ -245,7 +256,7 @@ def test_trivial_zero_orders():
 
 def test_parity_shortcut_matches_exact_values():
     for modulus in (1, 3, 4, 5, 7, 8, 12):
-        for chi in characters_mod(modulus):
+        for chi in characters_mod(modulus, (1,)):
             for n in range(-5, 0):
                 order = trivial_zero_order(chi, n)  # asserts internally
                 assert order == (0 if not L_at_nonpositive(chi.primitive(), n).is_zero else 1)
@@ -257,7 +268,7 @@ def test_parity_shortcut_matches_exact_values():
 
 def test_character_multiplicativity():
     for modulus in (5, 7, 8, 12, 16):
-        for chi in characters_mod(modulus):
+        for chi in characters_mod(modulus, (1,)):
             units = [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1]
             for a in units:
                 for b in units:
@@ -265,10 +276,21 @@ def test_character_multiplicativity():
                     assert kab == (chi.exponent(a) + chi.exponent(b)) % chi.order
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.lists(st.integers(0, 10**6), max_size=3))
+def test_characters_of_a_subgroup_are_the_full_set_filtered(modulus, picks):
+    units = [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1]
+    subgroup = AbelianFieldSpec.from_generators(modulus, [units[k % len(units)] for k in picks]).subgroup
+    expected = tuple(
+        chi for chi in characters_mod(modulus, (1,)) if all(chi.exponent(h) == 0 for h in subgroup)
+    )
+    assert characters_mod(modulus, subgroup) == expected
+
+
 def test_character_counts_and_conductors():
-    chars5 = characters_mod(5)
+    chars5 = characters_mod(5, (1,))
     assert sorted(c.order for c in chars5) == [1, 2, 4, 4]
-    chars8 = characters_mod(8)
+    chars8 = characters_mod(8, (1,))
     assert sorted(c.order for c in chars8) == [1, 2, 2, 2]
     # mod 8 induces one character of conductor 4 (the lift of chi_{-4})
     assert sorted(c.conductor for c in chars8) == [1, 4, 8, 8]
@@ -325,7 +347,7 @@ def test_gauss_sum_matches_direct_summation():
     # the table product chi-root * zeta_f-root against e^(2 pi i (k/order + a/f))
     # summed term by term at higher precision; and |tau|^2 = f
     for f in (7, 13, 21):
-        for chi in characters_mod(f):
+        for chi in characters_mod(f, (1,)):
             if not chi.is_primitive:
                 continue
             tau = gauss_sum(chi, 30)
@@ -375,7 +397,7 @@ def test_random_characters_dual_path():
     # spot-check order-1 leading values for characters of larger conductor
     cases = []
     for modulus in (5, 7, 8):
-        for chi in characters_mod(modulus):
+        for chi in characters_mod(modulus, (1,)):
             chi = chi.primitive()
             for n in (-1, -2):
                 if trivial_zero_order(chi, n) == 1 and not chi.is_trivial:
