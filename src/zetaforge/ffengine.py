@@ -218,14 +218,6 @@ def _exp_series(counts, K: int) -> list:
     return g
 
 
-def _ell_part(value: int, ell: int) -> int:
-    out = 1
-    while value % ell == 0:
-        value //= ell
-        out *= ell
-    return out
-
-
 def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
     """|zeta(X, n)|_ell against the ell-parts of the graded orders.
 
@@ -244,7 +236,7 @@ def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
     left = Fraction(ell) ** (-rational_valuation(entry.value.exact, ell))
     right = Fraction(1)
     for i, order in data.graded.items():
-        right *= Fraction(_ell_part(order, ell)) ** parity_sign(i + 1)
+        right *= Fraction(ell) ** (parity_sign(i + 1) * rational_valuation(order, ell))
     return VerificationReport(
         claim="ell-adic-absolute-value",
         left=left,

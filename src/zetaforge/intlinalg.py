@@ -313,6 +313,15 @@ def group_order(G: FinGenAbGroup) -> int:
     return prod(G.torsion) if G.torsion else 1
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p**v * m and p not dividing m, for n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """((p, e), ...) with n = prod p**e over ascending primes p, for n >= 1,
@@ -323,10 +332,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     d = 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
+            e, n = _split(n, d)
             factors.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
@@ -334,14 +340,55 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p) == ((p, 1),)
+# the first thirteen primes; the least strong pseudoprime to all of them is
+# _WITNESS_BOUND (Sorenson and Webster, Math. Comp. 86 (2017))
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3317044064679887385961981
 
 
+@lru_cache(maxsize=None)
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by the strong Miller-Rabin test to the bases
+    2, 3, ..., 41, which is exact below 3 317 044 064 679 887 385 961 981.
+    A larger n with no prime factor up to 41 is an InvalidArgumentError."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    if n >= _WITNESS_BOUND:
+        raise InvalidArgumentError(f"cannot decide whether {n} is prime")
+    s, d = _split(n - 1, 2)
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+        for a in _WITNESSES
+    )
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n, k >= 1, by Newton's method in integers."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=None)
 def prime_power_base(q: int):
-    """(p, k) with q = p**k, or None if q is not a prime power >= 2."""
-    factors = factorize(q) if q >= 2 else ()
-    return factors[0] if len(factors) == 1 else None
+    """(p, k) with q = p**k, or None if q is not a prime power >= 2.
+
+    A q with a prime factor p <= 41 is one only when it is a power of p.
+    Any other q >= 2 is m**k for a largest k < log_43 q, and it is one
+    exactly when that m is prime."""
+    if q < 2:
+        return None
+    for p in _WITNESSES:
+        if q % p == 0:
+            k, rest = _split(q, p)
+            return (p, k) if rest == 1 else None
+    for k in range(q.bit_length() // 5, 0, -1):
+        m = _integer_root(q, k)
+        if m**k == q:
+            return (m, k) if is_prime(m) else None
 
 
 def ensure_prime_power(q: int) -> int:
@@ -357,13 +404,4 @@ def rational_valuation(x, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise InvalidArgumentError("valuation of zero is undefined")
-    v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]

@@ -35,12 +35,15 @@ There is no reduction node: every invariant computed here is insensitive
 to nilpotents, so an expression always stands for its reduced scheme.
 
 The s-expression parser `parse_expr` and its inverse `format_expr` live
-here too; like `normalize` and `validate` they use explicit stacks, so
-nesting depth is bounded by memory, not by the recursion limit.
+here too.  One lazy walk, `_unfold`, drives the parser, `normalize`, the
+printer, `repr` and `validate`; it keeps its own stack, so nesting depth is
+bounded by memory, not by the recursion limit.  Composite nodes are equal
+exactly when they print the same.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -87,53 +90,50 @@ __all__ = [
 ]
 
 
+def _unfold(root, expand):
+    """The leaves below `root` in preorder; `expand(item)` lists the items
+    directly below `item`, or is None for a leaf.  The walk keeps its own
+    stack, so any depth works, and is lazy: an item is expanded only after
+    every leaf before it has been consumed."""
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        below = expand(item)
+        if below is None:
+            yield item
+        else:
+            stack.extend(reversed(below))
+
+
 class SchemeExpr:
     """Base class for expression nodes; all nodes are frozen dataclasses."""
-
-    def children(self) -> tuple[SchemeExpr, ...]:
-        return ()
 
 
 class _Composite(SchemeExpr):
     """A node with subexpressions.
 
-    Equality, hashing and repr walk the tree with an explicit stack, so any
-    depth works; atoms keep the dataclass defaults, which do not recurse.
+    Two composites are equal exactly when they print the same, and repr
+    walks the tree with `_unfold`, so any depth works; atoms keep the
+    dataclass defaults, which do not recurse.
     """
-
-    def _label(self) -> tuple:
-        """The fields that are not subexpressions."""
-        return ()
-
-    def _preorder(self) -> tuple:
-        """The nodes in preorder, each composite as (type, label, arity):
-        equal exactly when the trees are."""
-        out = []
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Composite):
-                kids = node.children()
-                out.append((type(node), node._label(), len(kids)))
-                stack.extend(reversed(kids))
-            else:
-                out.append(node)
-        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, SchemeExpr):
             return NotImplemented
-        return type(other) is type(self) and self._preorder() == other._preorder()
+        return type(other) is type(self) and format_expr(self) == format_expr(other)
 
     def __hash__(self):
-        return hash(self._preorder())
+        return hash(format_expr(self))
 
     def __repr__(self):
-        return _render(self, _repr_pieces)
+        return "".join(_unfold(self, _repr_pieces))
 
 
-def _repr_pieces(node: SchemeExpr) -> list:
-    """The dataclass repr of one node: strings interleaved with child nodes."""
+def _repr_pieces(node) -> list | None:
+    """The dataclass repr of one node, as strings interleaved with child
+    nodes; None for a string, which is its own text."""
+    if isinstance(node, str):
+        return None
     if not isinstance(node, _Composite):
         return [repr(node)]
     out: list = [f"{type(node).__name__}("]
@@ -197,9 +197,6 @@ class Disjoint(_Composite):
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def children(self):
-        return self.parts
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Glue(_Composite):
@@ -211,9 +208,6 @@ class Glue(_Composite):
     closed: SchemeExpr
     open_part: SchemeExpr
 
-    def children(self):
-        return (self.closed, self.open_part)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Minus(_Composite):
@@ -221,9 +215,6 @@ class Minus(_Composite):
 
     total: SchemeExpr
     closed: SchemeExpr
-
-    def children(self):
-        return (self.total, self.closed)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -237,12 +228,6 @@ class Affine(_Composite):
         if self.r < 0:
             raise InvalidArgumentError("affine rank must be nonnegative")
 
-    def children(self):
-        return (self.base,)
-
-    def _label(self):
-        return (self.r,)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Proj(_Composite):
@@ -254,12 +239,6 @@ class Proj(_Composite):
     def __post_init__(self):
         if self.r < 0:
             raise InvalidArgumentError("projective rank must be nonnegative")
-
-    def children(self):
-        return (self.base,)
-
-    def _label(self):
-        return (self.r,)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -275,12 +254,6 @@ class Cellular(_Composite):
             raise InvalidArgumentError("cellular ranks must be nonempty")
         if any(r < 0 for r in self.ranks):
             raise InvalidArgumentError("cellular ranks must be nonnegative")
-
-    def children(self):
-        return (self.base,)
-
-    def _label(self):
-        return (self.ranks,)
 
 
 _ATOMS = (Point, Curve, NumberRing)
@@ -305,36 +278,38 @@ class NormalForm(NamedTuple):
 def normalize(e: SchemeExpr) -> NormalForm:
     """The normal form of `e`; each node weighs its subtree by a polynomial
     in L, and zero coefficients that arise by cancellation are kept."""
-    terms: dict = {}
     graded = True
-    stack = [(e, [1])]
-    while stack:
-        node, weight = stack.pop()
+
+    def below(item):
+        """The children of a node, each with its weight; None for an atom."""
+        nonlocal graded
+        node, weight = item
         if isinstance(node, _ATOMS):
-            for r, c in enumerate(weight):
-                if c:
-                    terms[node, r] = terms.get((node, r), 0) + c
-            continue
+            return None
         if isinstance(node, Disjoint):
-            below = [(child, weight) for child in node.parts]
-        elif isinstance(node, Glue):
+            return [(child, weight) for child in node.parts]
+        if isinstance(node, Glue):
             graded = False
-            below = [(node.closed, weight), (node.open_part, weight)]
-        elif isinstance(node, Minus):
+            return [(node.closed, weight), (node.open_part, weight)]
+        if isinstance(node, Minus):
             graded = False
-            below = [(node.total, weight), (node.closed, [-c for c in weight])]
-        elif isinstance(node, Affine):
-            below = [(node.base, [0] * node.r + weight)]
-        elif isinstance(node, Proj):
-            below = [(node.base, poly.mul(weight, [1] * (node.r + 1)))]
-        elif isinstance(node, Cellular):
+            return [(node.total, weight), (node.closed, [-c for c in weight])]
+        if isinstance(node, Affine):
+            return [(node.base, [0] * node.r + weight)]
+        if isinstance(node, Proj):
+            return [(node.base, poly.mul(weight, [1] * (node.r + 1)))]
+        if isinstance(node, Cellular):
             cells = [0] * (max(node.ranks) + 1)
             for r in node.ranks:
                 cells[r] += 1
-            below = [(node.base, poly.mul(weight, cells))]
-        else:
-            raise TypeError(f"unknown expression node {type(node).__name__}")
-        stack.extend(reversed(below))
+            return [(node.base, poly.mul(weight, cells))]
+        raise TypeError(f"unknown expression node {type(node).__name__}")
+
+    terms: dict = {}
+    for atom, weight in _unfold((e, [1]), below):
+        for r, c in enumerate(weight):
+            if c:
+                terms[atom, r] = terms.get((atom, r), 0) + c
     return NormalForm(terms, graded)
 
 
@@ -528,16 +503,30 @@ _ASSERTED = (
 
 
 def validate(e: SchemeExpr) -> list[Diagnostic]:
-    """Structural diagnostics; gluing geometry is flagged, never verified."""
+    """Structural diagnostics; gluing geometry is flagged, never verified.
+
+    Each one is placed as "<head> at position <k>", with k the offset of
+    its node in `format_expr(e)`, counted while the walk prints.
+    """
     out: list[Diagnostic] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    at = 0
+
+    def marked(item):
+        """A node's pieces after the leaf (node,) that marks where it starts."""
+        return None if isinstance(item, (str, tuple)) else [(item,), *_pieces(item)]
+
+    for item in _unfold(e, marked):
+        if isinstance(item, str):
+            at += len(item)
+            continue
+        (node,) = item
         if isinstance(node, Curve) and node.lpoly[0] != 1:
-            out.append(Diagnostic("error", _BAD_CONSTANT_TERM, format_expr(node)))
-        if isinstance(node, (Glue, Minus)):
-            out.append(Diagnostic("warning", _ASSERTED, format_expr(node)))
-        stack.extend(reversed(node.children()))
+            severity, message = "error", _BAD_CONSTANT_TERM
+        elif isinstance(node, (Glue, Minus)):
+            severity, message = "warning", _ASSERTED
+        else:
+            continue
+        out.append(Diagnostic(severity, message, f"{type(node).__name__.lower()} at position {at}"))
     return out
 
 
@@ -545,8 +534,11 @@ def validate(e: SchemeExpr) -> list[Diagnostic]:
 # canonical printing
 
 
-def _pieces(e: SchemeExpr) -> list:
-    """The printed form of one node: strings interleaved with child nodes."""
+def _pieces(e) -> list | None:
+    """The printed form of one node, as strings interleaved with child
+    nodes; None for a string, which is its own text."""
+    if isinstance(e, str):
+        return None
     if isinstance(e, Point):
         return [f"(point {e.q})" if e.m == 1 else f"(point {e.q} {e.m})"]
     if isinstance(e, Curve):
@@ -576,47 +568,21 @@ def _pieces(e: SchemeExpr) -> list:
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def _render(e: SchemeExpr, pieces) -> str:
-    """The text of a tree whose nodes print as `pieces(node)`: strings
-    interleaved with child nodes."""
-    out = []
-    stack: list = [e]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            stack.extend(reversed(pieces(item)))
-    return "".join(out)
-
-
 def format_expr(e: SchemeExpr) -> str:
     """Canonical s-expression form; parsing it back yields the same tree."""
-    return _render(e, _pieces)
+    return "".join(_unfold(e, _pieces))
 
 
 # ---------------------------------------------------------------------------
 # s-expression parser
 
 
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < len(src) and not src[j].isspace() and src[j] not in "()":
-            j += 1
-        tokens.append((src[i:j], i))
-        i = j
-    return tokens
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _tokenize(src: str) -> list[tuple[str, int]]:
+    """(text, start) of each parenthesis and each run of other non-space characters."""
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(src)]
 
 
 def _read(tokens):
@@ -740,19 +706,19 @@ def parse_expr(src: str) -> SchemeExpr:
         (disjoint e ...)  (glue z u)  (minus x z)
         (affine r e)  (proj r e)  (cellular e (r1 r2 ...))
     """
+
+    def below(item):
+        """A group's subexpressions, then its builder (make, count), a leaf."""
+        if callable(item[0]):
+            return None
+        subexpressions, make = _rule(item)
+        return [*subexpressions, (make, len(subexpressions))]
+
     built: list[SchemeExpr] = []
-    # (None, node) visits a node; (make, count) builds it from its children
-    todo: list = [(None, _read(_tokenize(src)))]
-    while todo:
-        make, item = todo.pop()
-        if make is None:
-            subexpressions, make = _rule(item)
-            todo.append((make, len(subexpressions)))
-            todo.extend((None, sub) for sub in reversed(subexpressions))
-        else:
-            kids = built[len(built) - item :]
-            del built[len(built) - item :]
-            built.append(make(kids))
+    for make, count in _unfold(_read(_tokenize(src)), below):
+        kids = built[len(built) - count :]
+        del built[len(built) - count :]
+        built.append(make(kids))
     return built[0]
 
 

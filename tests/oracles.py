@@ -4,11 +4,13 @@ Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
 by exhaustive search, determinant ideals by per-differential invariant
 factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
-built here from its definition.  Slow is fine; independent is the point.
+built here from its definition, primes by a sieve, and expression equality
+field by field.  Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -233,3 +235,36 @@ def cyclotomic_promote(a, m, big):
     for j, x in enumerate(a):
         spread[j * step] = x
     return cyclotomic_reduce(spread, big)
+
+
+def prime_powers_below(limit):
+    """{p**k: (p, k)} for the prime powers below `limit`, by the sieve of
+    Eratosthenes."""
+    composite = bytearray(limit)
+    out = {}
+    for p in range(2, limit):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, limit, p))
+        q, k = p, 1
+        while q < limit:
+            out[q] = (p, k)
+            q, k = q * p, k + 1
+    return out
+
+
+def structurally_equal(a, b):
+    """Equality of two trees of frozen dataclasses: the same class and
+    recursively equal fields, with tuples compared item by item.  It reads
+    the fields only, never the classes' own __eq__."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            structurally_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, tuple):
+        return (
+            isinstance(b, tuple)
+            and len(a) == len(b)
+            and all(structurally_equal(x, y) for x, y in zip(a, b))
+        )
+    return type(a) is type(b) and a == b

@@ -202,6 +202,13 @@ def test_value_precision_is_the_option_alone(capsys, monkeypatch):
         (["ell-check", "(point 2)", "-n", "-1"], "usage"),  # no --ell
         (["ord", "(Q)", "-n", "1"], "invalid-argument"),
         (["ell-check", "(point 2)", "-n", "-1", "--ell", "4"], "invalid-argument"),
+        # the least strong pseudoprime to the bases 2, ..., 41: not decided
+        (
+            ["ell-check", "(point 2)", "-n", "-1", "--ell", "3317044064679887385961981"],
+            "invalid-argument",
+        ),
+        # (point 6) is built, and fails, before (foo) is read
+        (["zeta", "(disjoint (point 6) (foo))"], "not-prime-power"),
     ],
 )
 def test_missing_and_invalid_inputs_have_documented_codes(capsys, argv, code):
@@ -214,6 +221,14 @@ def test_trace_and_ell_and_p(capsys):
     code, data = run_json(capsys, "ell-check", "(point 3)", "-n", "-2", "--ell", "2")
     assert code == 0 and data["checks"][0]["left"] == "8"
     assert run_cli(capsys, "p-check", "(point 2)", "-n", "-3")[0] == 0
+
+
+def test_large_primes_are_decided_quickly(capsys):
+    # 10**18 + 3 is prime; trial division would take about 5 * 10**8 steps
+    code, data = run_json(capsys, "ell-check", "(point 3)", "-n", "-2", "--ell", str(10**18 + 3))
+    assert code == 0 and data["checks"][0]["verdict"] == "pass"
+    code, data = run_json(capsys, "zeta", "(point 1000000000000000003)")
+    assert code == 0 and data["zeta"] == "([q=1000000000000000003] (1)/(1 - t))"
 
 
 def test_ord_hodge_path(capsys):

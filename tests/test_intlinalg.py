@@ -1,10 +1,11 @@
 import random
+import time
 from math import prod
 
 import pytest
 from fractions import Fraction
 
-from zetaforge.errors import InfiniteGroupError
+from zetaforge.errors import InfiniteGroupError, InvalidArgumentError
 from zetaforge.intlinalg import (
     FinGenAbGroup,
     IntMatrix,
@@ -17,7 +18,7 @@ from zetaforge.intlinalg import (
     smith_normal_form,
 )
 
-from oracles import brute_cokernel_order_and_exponent
+from oracles import brute_cokernel_order_and_exponent, prime_powers_below
 
 
 def snf_is_valid(A, dec):
@@ -175,3 +176,39 @@ def test_factorization_matches_brute_force():
         assert prod(p**e for p, e in factors) == n
         assert is_prime(n) == (powers.get(n, (0, 0))[1] == 1)
         assert prime_power_base(n) == powers.get(n)
+
+
+def test_primality_matches_the_sieve():
+    powers = prime_powers_below(2 * 10**5)
+    try:
+        for n in range(2 * 10**5):
+            assert is_prime(n) == (powers.get(n, (0, 0))[1] == 1), n
+            assert prime_power_base(n) == powers.get(n), n
+    finally:
+        is_prime.cache_clear()
+        prime_power_base.cache_clear()
+
+
+# the least strong pseudoprimes to the prime bases up to 37 and up to 41
+# (Sorenson and Webster 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_primality_of_large_inputs_is_fast():
+    p = 10**18 + 3
+    start = time.perf_counter()
+    assert is_prime(p) and prime_power_base(p) == (p, 1)
+    assert prime_power_base(p**3) == (p, 3) and prime_power_base(p * 1000003) is None
+    assert not is_prime(PSI_12) and prime_power_base(PSI_12) is None
+    # a Carmichael number that every base passes unless 1 must come after -1
+    assert not is_prime(43 * 211 * 337)
+    assert not is_prime(2**89 + 1) and is_prime(2**61 - 1)
+    # at or above the bound, a small prime factor still decides
+    assert not is_prime(2 * PSI_13) and prime_power_base(2**200) == (2, 200)
+    assert prime_power_base(3**150 * 5) is None
+    assert time.perf_counter() - start < 1
+    with pytest.raises(InvalidArgumentError):
+        is_prime(PSI_13)
+    with pytest.raises(InvalidArgumentError):
+        prime_power_base(PSI_13)

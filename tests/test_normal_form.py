@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetaforge.archimedean import equivariant_dims
-from zetaforge.errors import CharZeroAtomError, ZetaforgeError
+from zetaforge.errors import (
+    CharZeroAtomError,
+    ExprSyntaxError,
+    NotPrimePowerError,
+    ZetaforgeError,
+)
 from zetaforge.ffengine import point_count
 from zetaforge.lfunctions import Q, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -27,9 +32,12 @@ from zetaforge.scheme_algebra import (
     is_finite_characteristic,
     normalize,
     parse_expr,
+    validate,
     weil_order_data,
     zeta_of,
 )
+
+from oracles import structurally_equal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zetaforge"
 
@@ -247,10 +255,31 @@ def test_composite_nodes_keep_dataclass_equality_hash_and_repr():
 @settings(deadline=None, max_examples=60)
 @given(anywhere, anywhere)
 def test_equal_expressions_hash_equal(a, b):
-    assert (a == b) == (format_expr(a) == format_expr(b))
-    assert a == parse_expr(format_expr(a)) and hash(a) == hash(parse_expr(format_expr(a)))
+    # equality is the canonical print; the oracle compares fields instead
+    assert (a == b) == structurally_equal(a, b)
+    copy = parse_expr(format_expr(a))
+    assert structurally_equal(a, copy) and a == copy and hash(a) == hash(copy)
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_parse_builds_each_node_before_reading_later_siblings():
+    # the walk is lazy: (point 6) is built, and fails, before (foo) is read
+    with pytest.raises(NotPrimePowerError):
+        parse_expr("(disjoint (point 6) (foo))")
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("(disjoint (point 5) (foo))")
+
+
+@LAWS
+@given(anywhere)
+def test_validate_points_into_the_print(e):
+    printed = format_expr(e)
+    diags = validate(e)
+    for d in diags:
+        head, at = d.where.split(" at position ")
+        assert printed[int(at) :].startswith(f"({head} ")
+    assert len(diags) == printed.count("(glue ") + printed.count("(minus ")
 
 
 # ---------------------------------------------------------------------------

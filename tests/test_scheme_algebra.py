@@ -147,6 +147,31 @@ def test_validate():
     assert any(d.severity == "warning" and "not verified" in d.message for d in diags)
 
 
+def test_validate_places_each_diagnostic_by_its_offset_in_the_print():
+    e = Disjoint((Point(3), Glue(Curve(2, (2, 1)), Minus(Point(2), Point(2)))))
+    printed = format_expr(e)
+    assert printed == "(disjoint (point 3) (glue (curve 2 (2 1)) (minus (point 2) (point 2))))"
+    diags = validate(e)
+    assert [(d.severity, d.where) for d in diags] == [
+        ("warning", "glue at position 20"),
+        ("error", "curve at position 26"),
+        ("warning", "minus at position 42"),
+    ]
+    for d in diags:
+        head, at = d.where.split(" at position ")
+        assert printed[int(at) :].startswith("(" + head + " ")
+
+
+def test_validate_output_is_linear_in_depth():
+    # each diagnostic names a head and an offset, not its printed subtree
+    e = Point(2)
+    for _ in range(2000):
+        e = Glue(e, Point(2))
+    diags = validate(e)
+    assert len(diags) == 2000 and diags[-1].where == "glue at position 11994"
+    assert sum(len(d.where) for d in diags) < 50_000
+
+
 def test_constructor_validation():
     with pytest.raises(NotPrimePowerError):
         Point(6)
