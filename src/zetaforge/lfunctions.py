@@ -22,11 +22,21 @@ with a = 0 for even chi and a = 1 for odd chi.
 
 The transcendental and Bernoulli work is shared by every character of one
 conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
-the m-th roots of unity are computed once into bounded memoised tables, and
-B_{k,chi}, L(1-n, chi) and the Gauss sum are dot products of the character's
-exponents against them.  Those exact tables, B_k and Phi_n are computed in
-integers, and a field (f, H) builds only its [G:H] characters: each
-exponent vector is tested on the logs of H before its table is made.
+the m-th roots of unity are computed once into bounded memoised tables by
+integer arithmetic, and a field (f, H) builds only its [G:H] characters: each
+exponent vector is tested on the logs of H before its table is made.  A
+character's sums run by exponent class, sum_a chi(a) x_a = sum_k z^k X_k,
+z = zeta_order and X_k the sum of the x_a with chi(a) = z^k: phi(f) integer
+additions, then one product per class.  B_{k,chi} is the cyclotomic number
+with coefficients X_k.  The root tables hold cos and sin times 2^wp as
+integers, the powers of one mpmath root in fixed point; the Gauss sum and
+L(1-n, conj(chi)) are class sums against them at wp bits, the latter over
+the raw Hurwitz integers with the sine negated for the conjugate.  An
+order-0 value stays exact and is embedded, as the integer sum of its
+coefficients against the roots, only when a product that is not rational
+has to be multiplied numerically.  mpmath is left with the scalar factors
+(Gamma, (f/pi)^((1-2n)/2), sqrt f) and the roundings to dps digits.  Every
+fixed-point helper states its error in units of 2^-wp.
 
 The Hurwitz table is filled without mpmath's zeta: an integer Euler-Maclaurin
 kernel sums zeta(s, a/f) in fixed point at wp bits, every term an exact
@@ -44,8 +54,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm, log, pi, prod
+from operator import mul
 
 import mpmath as mp
 
@@ -253,15 +264,24 @@ class CyclotomicNumber:
             spread[j * step] = c
         return CyclotomicNumber.from_poly(level, spread, self.den)
 
+    def _fixed(self, wp: int) -> tuple[int, int]:
+        """den * x * 2^wp under zeta_N -> exp(2 pi i / N), as the integer
+        sums of num[j] against the root table at wp bits: the sums are exact
+        and each root is within one unit of 2^-wp, so the result is within
+        sum_j |num[j]| units in modulus."""
+        cos, sin = _root_table(self.level, wp)
+        return sum(map(mul, self.num, cos)), sum(map(mul, self.num, sin))
+
     def numeric(self, dps: int):
-        """Complex embedding zeta_N -> exp(2*pi*i/N) at `dps` digits."""
-        roots = _roots_of_unity(self.level, dps)
+        """Complex embedding zeta_N -> exp(2 pi i / N) at `dps` digits.
+
+        `_fixed` / (den 2^wp) at the wp bits where its sum_j |num[j]| units
+        make an error below 2^-10 10^-dps sum_j |num[j]| / den; then one
+        rounding to `dps` digits and one division by den.
+        """
+        wp = _fixed_bits(dps, 0)
         with mp.workdps(dps):
-            total = mp.mpc(0)
-            for c, root in zip(self.num, roots):
-                if c:
-                    total += c * root
-            return total / self.den
+            return _fixed_to_mpc(self._fixed(wp), wp) / self.den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -365,8 +385,10 @@ def _canonical_residue(a: int, modulus: int) -> int:
     return (a - 1) % modulus + 1
 
 
-def _units(modulus: int) -> list[int]:
-    return [a for a in range(1, modulus + 1) if gcd(a, modulus) == 1]
+@lru_cache(maxsize=None)
+def _units(modulus: int) -> tuple[int, ...]:
+    """The units of Z/modulus as residues in [1, modulus]."""
+    return tuple(a for a in range(1, modulus + 1) if gcd(a, modulus) == 1)
 
 
 @dataclass(frozen=True)
@@ -413,14 +435,6 @@ class DirichletCharacter:
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
-
-    def conjugate(self) -> DirichletCharacter:
-        return DirichletCharacter(
-            self.modulus,
-            self.order,
-            tuple(None if k is None else (-k) % self.order for k in self.exponents),
-            self.conductor,
-        )
 
     def primitive(self) -> DirichletCharacter:
         """The primitive character inducing this one."""
@@ -512,12 +526,12 @@ def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
     result = []
     for chosen in itertools.product(*[range(order) for _, order in gens]):
         scaled = [k * (exponent // order) for (_, order), k in zip(gens, chosen)]
-        if any(sum(k * e for k, e in zip(scaled, vec)) % exponent for vec in kernel):
+        if any(sum(map(mul, scaled, vec)) % exponent for vec in kernel):
             continue
         # chi(a) = zeta_exponent^table[a % modulus]
         table = [None] * modulus
         for a, vec in logs.items():
-            table[a % modulus] = sum(k * e for k, e in zip(scaled, vec)) % exponent
+            table[a % modulus] = sum(map(mul, scaled, vec)) % exponent
         g = gcd(exponent, *[t for t in table if t is not None])
         exps = tuple(None if t is None else t // g for t in table)
         result.append(DirichletCharacter(modulus, exponent // g, exps, _conductor(modulus, exps)))
@@ -649,10 +663,11 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
-    den, table = _bernoulli_table(chi.modulus, k)
+    f, exps = chi.modulus, chi.exponents
+    den, table = _bernoulli_table(f, k)
     coeffs = [0] * chi.order
     for a, b in table:
-        coeffs[chi.exponent(a)] += b
+        coeffs[exps[a % f]] += b
     return CyclotomicNumber.from_poly(chi.order, coeffs, den)
 
 
@@ -689,12 +704,27 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
 
 @dataclass(frozen=True)
 class LeadingValue:
-    """High-precision complex value with an error bound."""
+    """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
-    value: object  # mpmath mpc
-    error: object  # mpmath mpf
+    Order 0 keeps the exact value and embeds it at `dps` digits only when
+    `value` is first read; order 1 keeps the functional-equation value in
+    `numeric`.  `error` is (|value| + 1) 10^-(precision+5).
+    """
+
     order: int
+    precision: int
+    dps: int
     exact: CyclotomicNumber | None = None
+    numeric: object = None  # mpmath mpc, order 1 only
+
+    @cached_property
+    def value(self):
+        return self.numeric if self.exact is None else self.exact.numeric(self.dps)
+
+    @cached_property
+    def error(self):
+        with mp.workdps(self.dps):
+            return (abs(self.value) + 1) * mp.mpf(10) ** (-(self.precision + 5))
 
 
 def _working_dps(precision: int, conductor: int) -> int:
@@ -704,11 +734,44 @@ def _working_dps(precision: int, conductor: int) -> int:
     return precision + guard
 
 
+def _fixed_bits(dps: int, units: int) -> int:
+    """Bits wp with (units + 1) 2^-wp below 2^-10 10^-dps."""
+    return (10**dps).bit_length() + 10 + units.bit_length()
+
+
+def _fixed_to_mpc(pair: tuple[int, int], wp: int):
+    """The fixed-point pair (re, im) at wp bits, rounded to the working precision."""
+    return mp.mpc(mp.mpf((pair[0], -wp)), mp.mpf((pair[1], -wp)))
+
+
 @lru_cache(maxsize=64)
-def _roots_of_unity(m: int, dps: int) -> tuple:
-    """e^(2 pi i k / m) for k = 0..m-1 at `dps` digits."""
-    with mp.workdps(dps):
-        return tuple(mp.e ** (2j * mp.pi * mp.mpf(k) / m) for k in range(m))
+def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cos, sin) of 2 pi k / m times 2^wp for k = 0..m-1, as integers, each
+    root within one unit of 2^-wp in modulus.
+
+    One root w = (cospi(2/m), sinpi(2/m)) 2^P, P = wp + g with
+    g = bit_length(m) + 3, is rounded from mpmath within 0.71 units of 2^-P.
+    Its powers z_(k+1) = floor(z_k w / 2^P) for k < m/2 drift by less than
+    0.72 (from w) + sqrt 2 (the floors) < 2.16 units each, 1.08 m in all,
+    and rounding to wp bits leaves less than 1.08 m 2^-g + 0.71 < 1 unit.
+    The roots past m/2 are the conjugates of those before it.
+    """
+    g = m.bit_length() + 3
+    P = wp + g
+    with mp.workprec(P + 10):
+        x = mp.mpf(2) / m
+        wc, ws = (int(mp.nint(mp.ldexp(v, P))) for v in (mp.cospi(x), mp.sinpi(x)))
+    half = 1 << (g - 1)
+    zc, zs = 1 << P, 0
+    cos, sin = [1 << wp], [0]
+    for _ in range(m // 2):
+        zc, zs = (zc * wc - zs * ws) >> P, (zc * ws + zs * wc) >> P
+        cos.append((zc + half) >> g)
+        sin.append((zs + half) >> g)
+    mirror = (m + 1) // 2 - 1  # k = m - j for j = mirror..1
+    cos += cos[mirror:0:-1]
+    sin += [-v for v in sin[mirror:0:-1]]
+    return tuple(cos), tuple(sin)
 
 
 # Hurwitz zeta by Euler-Maclaurin in fixed point.  For an integer s >= 2 and
@@ -778,11 +841,10 @@ def _em_plan(s: int, dps: int) -> _EMPlan:
     """
     if s < 2:
         raise InvalidArgumentError("the Hurwitz table needs an integer s >= 2")
-    target = (10**dps).bit_length() + 10
-    wp = target
+    wp = _fixed_bits(dps, 0)
     while True:
         N, coeffs = _em_terms(s, wp)
-        need = target + (N + len(coeffs) + 2).bit_length()
+        need = _fixed_bits(dps, N + len(coeffs) + 2)
         if wp >= need:
             return _EMPlan(wp, N, coeffs)
         wp = need
@@ -810,49 +872,82 @@ def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
 
 @lru_cache(maxsize=32)
 def _hurwitz_table(f: int, s: int, dps: int) -> tuple:
-    """(a, zeta(s, a/f)) for the units a in 1..f at `dps` digits.
+    """(a, zeta(s, a/f)) for the units a in 1..f at the plan's wp bits.
 
-    Each entry is the integer Euler-Maclaurin kernel `_hurwitz_em` under the
-    shared plan for (s, dps): relative error below 2^-10 10^-dps before the
-    rounding to `dps` digits, with the remainder bounded by the first
-    omitted term.
+    Each value is the integer Euler-Maclaurin kernel `_hurwitz_em` under the
+    shared plan for (s, dps), kept unrounded as the binary number
+    raw 2^-wp: within N + M + 3 units of 2^-wp, which the plan keeps below
+    2^-10 10^-dps, with the remainder bounded by the first omitted term.
     """
     plan = _em_plan(s, dps)
-    with mp.workdps(dps):  # the fixed-point value rounds to dps, not to 53 bits
-        return tuple((a, mp.mpf((_hurwitz_em(f, a, s, plan), -plan.wp))) for a in _units(f))
+    raws = [_hurwitz_em(f, a, s, plan) for a in _units(f)]
+    with mp.workprec(max(raws).bit_length()):  # every raw integer fits: no rounding
+        return tuple((a, mp.mpf((raw, -plan.wp))) for a, raw in zip(_units(f), raws))
+
+
+def _gauss_fixed(chi: DirichletCharacter, wp: int) -> tuple[int, int]:
+    """tau(chi) 2^wp for a primitive chi, within 2 phi(f) + 2 units in modulus.
+
+    The roots zeta_f^a are summed by exponent class, X_k over the units
+    with chi(a) = zeta_order^k, each within (class size) units.  Then
+    sum_k zeta_order^k X_k is exact in integers at 2 wp bits and within
+    2 phi(f) + phi(f) 2^-wp units (one unit per root on either side), and
+    the final floor to wp bits adds less than sqrt 2.
+    """
+    f, exps = chi.modulus, chi.exponents
+    f_cos, f_sin = _root_table(f, wp)
+    xr, xi = [0] * chi.order, [0] * chi.order
+    for a in _units(f):
+        a %= f
+        k = exps[a]
+        xr[k] += f_cos[a]
+        xi[k] += f_sin[a]
+    cos, sin = _root_table(chi.order, wp)
+    re = sum(map(mul, cos, xr)) - sum(map(mul, sin, xi))
+    im = sum(map(mul, cos, xi)) + sum(map(mul, sin, xr))
+    return re >> wp, im >> wp
 
 
 def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION):
-    """tau(chi) = sum_a chi(a) e^(2 pi i a / f) over the root-of-unity tables."""
+    """tau(chi) = sum_a chi(a) e^(2 pi i a / f) at the working digits of
+    `precision`: `_gauss_fixed` at bits where its error stays below
+    2^-10 10^-dps, relative as well since |tau| = sqrt f."""
     chi = chi.primitive()
     f = chi.modulus
     dps = _working_dps(precision, f)
-    chi_roots = _roots_of_unity(chi.order, dps)
-    f_roots = _roots_of_unity(f, dps)
+    wp = _fixed_bits(dps, 2 * _euler_phi(f) + 1)
     with mp.workdps(dps):
-        total = mp.mpc(0)
-        for a in _units(f):
-            total += chi_roots[chi.exponent(a)] * f_roots[a % f]
-        return total
+        return _fixed_to_mpc(_gauss_fixed(chi, wp), wp)
 
 
-def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int):
-    """L(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/f) for an integer s > 1."""
-    f = chi.modulus
-    roots = _roots_of_unity(chi.order, dps)
-    with mp.workdps(dps):
-        total = mp.mpc(0)
-        for a, zeta in _hurwitz_table(f, s, dps):
-            total += roots[chi.exponent(a)] * zeta
-        return total * mp.mpf(f) ** (-mp.mpf(s))
+def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int) -> tuple[int, int]:
+    """f^s L(s, conj chi) 2^wp = sum_a conj(chi(a)) zeta(s, a/f) 2^wp for an
+    integer s > 1, at the bits wp of the plan for (s, dps).
+
+    The raw table integers, each within U = N + M + 3 units, are summed by
+    exponent class into Y_k, and sum_k conj(zeta_order^k) Y_k is the class
+    sum against the root table with the sine negated.  The result is within
+    S + phi(f) U + 2 units, S = sum_a zeta(s, a/f) <= zeta(s) f^s.  As
+    |L(s, chi)| >= zeta(2s)/zeta(s), that is a relative error below
+    (2.5 + 1.6 (U + 2)) 2^-wp for s >= 2.
+    """
+    f, exps = chi.modulus, chi.exponents
+    wp = _em_plan(s, dps).wp
+    y = [0] * chi.order
+    for a, zeta in _hurwitz_table(f, s, dps):
+        man, exp = zeta.man_exp  # the raw integer is man 2^(exp + wp)
+        y[exps[a % f]] += man << (exp + wp)
+    cos, sin = _root_table(chi.order, wp)
+    return sum(map(mul, cos, y)) >> wp, -(sum(map(mul, sin, y)) >> wp)
 
 
 def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> LeadingValue:
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
-    Order 0: the exact value, embedded numerically.  Order 1: L'(n, chi)
-    from the functional equation (see the module docstring), with the Gauss
-    sum and L(1-n, conj(chi)) read off the per-conductor tables.
+    Order 0: the exact value, embedded numerically when first used.  Order
+    1: L'(n, chi) from the functional equation (see the module docstring),
+    with the Gauss sum and L(1-n, conj(chi)) read off the per-conductor
+    tables.
     """
     if n >= 0:
         raise InvalidArgumentError("n must be < 0")
@@ -861,18 +956,16 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     exact = L_at_nonpositive(chi, n)
     order = _checked_order(chi, n, exact)
     dps = _working_dps(precision, f)
+    if order == 0:
+        return LeadingValue(order=0, precision=precision, dps=dps, exact=exact)
+    a = 0 if chi.parity == 1 else 1
+    m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
+    s = 1 - n
     with mp.workdps(dps):
-        if order == 0:
-            value = exact.numeric(dps)
-            error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
-            return LeadingValue(value=value, error=error, order=0, exact=exact)
-        a = 0 if chi.parity == 1 else 1
-        m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
         eps = gauss_sum(chi, precision) / (1j**a * mp.sqrt(f))
         gamma_part = mp.gamma(mp.mpf(1 - n + a) / 2)
         archimedean = (mp.mpf(f) / mp.pi) ** (mp.mpf(1 - 2 * n) / 2)
         residue = mp.mpf(parity_sign(m)) * mp.factorial(m) / 2
-        l_pos = _hurwitz_L(chi.conjugate(), 1 - n, dps)
+        l_pos = _fixed_to_mpc(_hurwitz_L(chi, s, dps), _em_plan(s, dps).wp) * mp.mpf(f) ** (-mp.mpf(s))
         value = eps * archimedean * gamma_part * residue * l_pos
-        error = (abs(value) + 1) * mp.mpf(10) ** (-(precision + 5))
-        return LeadingValue(value=value, error=error, order=1, exact=None)
+    return LeadingValue(order=1, precision=precision, dps=dps, numeric=value)

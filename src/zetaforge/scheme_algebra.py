@@ -317,12 +317,21 @@ def normalize(e: SchemeExpr) -> NormalForm:
 # zeta propagation
 
 
+# the largest residue degree m whose Z = 1/(1 - t^m) is written out densely
+_MAX_ZETA_DEGREE = 1 << 16
+
+
 def _atom_zeta(atom) -> ZetaProduct:
     if isinstance(atom, NumberRing):
         return ZetaProduct.from_factors(
             [(LFactorShifted(chi, 0), 1) for chi in atom.field_spec.characters()]
         )
     if isinstance(atom, Point):
+        if atom.m > _MAX_ZETA_DEGREE:
+            raise InvalidArgumentError(
+                f"residue degree {atom.m} is above {_MAX_ZETA_DEGREE}: "
+                "its zeta function is too large to write out"
+            )
         Z = RationalFunctionT.make((1,), (1,) + (0,) * (atom.m - 1) + (-1,))
     else:
         Z = RationalFunctionT.make(atom.lpoly, poly.mul((1, -1), (1, -atom.q)))

@@ -310,7 +310,8 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     product of those values is rational (in particular for conjugation-closed
     character sets): the factors with positive exponents multiply into one
     cyclotomic number, those with negative exponents into another, and their
-    `ratio` is the test.
+    `ratio` is the test.  Only otherwise are the exact order-0 values embedded
+    numerically, when `value` is first read.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")

@@ -491,6 +491,24 @@ def test_golden_reports(capsys, tmp_path):
         assert data == expected, f"schema drift against golden file {name}"
 
 
+def test_golden_q_zeta61(capsys):
+    # the benchmark's anchor: 30 odd characters embedded from their exact
+    # values and 30 even ones through the Gauss sum and the Hurwitz table,
+    # of orders 1 to 60
+    argv = ["value", "(numberring :conductor 61 :subgroup (1))", "-n", "-2", "--precision", "50"]
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data == json.loads((GOLDEN / "value_q_zeta61.json").read_text())
+
+
+def test_zeta_of_a_point_of_huge_residue_degree_is_rejected(capsys):
+    # 1/(1 - t^m) is written out densely, so a huge m is refused before any
+    # allocation instead of exhausting memory
+    code, data = run_json(capsys, "zeta", "(point 27 1000000000000000003)")
+    assert code == 2
+    assert data["error"]["code"] == "invalid-argument"
+
+
 # ---------------------------------------------------------------------------
 # batch: one record per entry
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -478,6 +479,92 @@ def test_euler_maclaurin_plan_rejects_unreachable_input():
 
 # ---------------------------------------------------------------------------
 # Dedekind special values
+
+
+# ---------------------------------------------------------------------------
+# fixed-point sums: each helper within the radius its docstring derives,
+# against a direct mpmath sum at twice the bits
+
+
+@lru_cache(maxsize=None)
+def low_order_characters(modulus):
+    """The primitive characters inducing the characters mod `modulus` of
+    order at most 60."""
+    chars = {chi.primitive() for chi in characters_mod(modulus, (1,)) if chi.order <= 60}
+    return sorted(chars, key=lambda chi: (chi.modulus, chi.order, chi.exponents))
+
+
+@st.composite
+def low_order_character(draw):
+    chars = low_order_characters(draw(st.integers(1, 401)))
+    return chars[draw(st.integers(0, len(chars) - 1))]
+
+
+def oracle_root(numerator, denominator):
+    """e^(2 pi i numerator / denominator) at the working precision."""
+    return mp.expjpi(mp.mpf(2 * numerator) / denominator)
+
+
+FIXED_POINT = settings(deadline=None, max_examples=20)
+
+
+@FIXED_POINT
+@given(st.integers(1, 401), st.integers(8, 300))
+def test_root_table_within_one_unit(m, wp):
+    cos, sin = lfunctions._root_table(m, wp)
+    assert len(cos) == len(sin) == m
+    with mp.workprec(2 * wp + 20):
+        for k in range(m):
+            assert abs(mp.mpc(cos[k], sin[k]) - oracle_root(k, m) * mp.ldexp(1, wp)) < 1
+
+
+@FIXED_POINT
+@given(low_order_character(), st.integers(16, 256))
+def test_class_summed_gauss_sum_within_its_radius(chi, wp):
+    f, order = chi.modulus, chi.order
+    units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+    re, im = lfunctions._gauss_fixed(chi, wp)
+    with mp.workprec(2 * wp + 20):
+        tau = mp.fsum(oracle_root(chi.exponent(a) * f + a * order, order * f) for a in units)
+        assert abs(mp.mpc(re, im) - tau * mp.ldexp(1, wp)) < 2 * len(units) + 2
+
+
+@settings(deadline=None, max_examples=12)
+@given(low_order_character(), st.integers(2, 8), st.integers(10, 40))
+def test_class_summed_hurwitz_L_within_its_radius(chi, s, dps):
+    # f^s L(s, conj chi) 2^wp within S + phi(f) U + 2 units, S = sum_a zeta(s, a/f)
+    f, order = chi.modulus, chi.order
+    units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+    plan = lfunctions._em_plan(s, dps)
+    U = plan.N + len(plan.coeffs) + 3
+    re, im = lfunctions._hurwitz_L(chi, s, dps)
+    with mp.workprec(2 * plan.wp + 20):
+        zetas = [mp.zeta(s, mp.mpf(a) / f) for a in units]
+        direct = mp.fsum(oracle_root(-chi.exponent(a), order) * z for a, z in zip(units, zetas))
+        radius = mp.fsum(zetas) + len(units) * U + 2
+        assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, plan.wp)) < radius
+
+
+@FIXED_POINT
+@given(
+    st.integers(1, 401),
+    st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=400),
+    st.integers(1, 10**6),
+    st.integers(10, 60),
+)
+def test_cyclotomic_embedding_within_its_radius(level, num, den, dps):
+    x = CyclotomicNumber.from_poly(level, num, den)
+    ones = sum(map(abs, x.num))
+    wp = lfunctions._fixed_bits(dps, 0)
+    re, im = x._fixed(wp)
+    with mp.workprec(2 * wp + 20):
+        direct = mp.fsum(c * oracle_root(j, level) for j, c in enumerate(x.num))
+        # the integer sums, exact but for one unit per root
+        assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, wp)) <= ones
+        # then below 2^-10 10^-dps sum |num| / den, and the roundings to dps digits
+        value = direct / x.den
+        radius = (mp.ldexp(mp.mpf(ones) / x.den, -10) + abs(value)) * mp.mpf(10) ** -dps
+        assert abs(x.numeric(dps) - value) <= radius
 
 
 def test_dedekind_special_values():

@@ -121,10 +121,21 @@ def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
     private_mp.zeta = no_zeta
     monkeypatch.setattr(lfunctions, "mp", private_mp)
     monkeypatch.setattr(lfunctions, "_hurwitz_em", counted)
-    for table in (lfunctions._hurwitz_table, lfunctions._bernoulli_table, lfunctions._roots_of_unity):
+    for table in (lfunctions._hurwitz_table, lfunctions._bernoulli_table, lfunctions._root_table):
         table.cache_clear()
     evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1,)))), -2)
     assert sorted(calls) == [(1, 1, 3)] + [(13, a, 3) for a in range(1, 13)]
+
+
+def test_a_rational_product_embeds_no_exact_value(monkeypatch):
+    # the real subfield of Q(zeta_13) at n = -1: six even characters, all of
+    # order 0, whose exact values multiply to a rational; no embedding is made
+    def no_embedding(self, dps):
+        raise AssertionError("an exact L-value was embedded on the rational path")
+
+    monkeypatch.setattr(lfunctions.CyclotomicNumber, "numeric", no_embedding)
+    value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
+    assert value.order == 0 and value.is_exact
 
 
 @pytest.mark.parametrize("n", [-1, -2])
