@@ -29,15 +29,13 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import mpmath as mp
-
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
 from .intlinalg import is_prime, parity_sign, read_int, read_key
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
-from .zetarep import evaluate_at, vanishing_order
+from .zetarep import evaluate_at, format_decimal, vanishing_order
 
 __all__ = ["parse_hodge_json", "run_command", "main"]
 
@@ -81,10 +79,6 @@ def parse_hodge_json(text: str) -> archimedean.HodgeData:
 
 # ---------------------------------------------------------------------------
 # command implementations, each returning (report_dict, passed)
-
-
-def _num(x, digits=30):
-    return mp.nstr(x, digits)
 
 
 def _cmd_zeta(expr: SchemeExpr, args) -> tuple[dict, bool]:
@@ -145,8 +139,8 @@ def _cmd_value(expr: SchemeExpr, args) -> tuple[dict, bool]:
         "order": value.order,
         "exact": None if value.exact is None else str(value.exact),
         "exact_flag": value.is_exact,
-        "numeric": _num(value.numeric, args.precision),
-        "error_bound": _num(value.error, 5),
+        "numeric": format_decimal(value.numeric, args.precision),
+        "error_bound": format_decimal(value.error, 5),
         "pass": True,
     }, True
 

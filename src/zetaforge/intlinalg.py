@@ -377,18 +377,21 @@ def prime_power_base(q: int):
     """(p, k) with q = p**k, or None if q is not a prime power >= 2.
 
     A q with a prime factor p <= 41 is one only when it is a power of p.
-    Any other q >= 2 is m**k for a largest k < log_43 q, and it is one
-    exactly when that m is prime."""
+    Any other q >= 2 that is a k-th power m**k for a prime k < log_43 q is
+    one exactly when m is, with its exponent times k; with no such k, it is
+    one exactly when it is prime."""
     if q < 2:
         return None
     for p in _WITNESSES:
         if q % p == 0:
             k, rest = _split(q, p)
             return (p, k) if rest == 1 else None
-    for k in range(q.bit_length() // 5, 0, -1):
+    for k in filter(is_prime, range(2, q.bit_length() // 5 + 1)):
         m = _integer_root(q, k)
         if m**k == q:
-            return (m, k) if is_prime(m) else None
+            base = prime_power_base(m)
+            return None if base is None else (base[0], base[1] * k)
+    return (q, 1) if is_prime(q) else None
 
 
 def ensure_prime_power(q: int) -> int:

@@ -5,20 +5,20 @@ represented by integer polynomials reduced modulo the N-th cyclotomic
 polynomial over one positive common denominator.  The arithmetic stays in
 those integers: there is no field inversion, and `ratio` decides whether a
 quotient is rational by comparing numerator vectors.
-Leading coefficients at trivial zeros come from the functional equation
-Lambda(s, chi) = eps(chi) * Lambda(1-s, conj(chi)) with the root number
-eps(chi) = tau(chi) / (i^a * sqrt(f)) evaluated from the Gauss sum.
 
 Each character is decided once: the exact L(n, chi) = -B_{1-n,chi}/(1-n)
 is computed, the order at n < 0 is read off it (0 when it is nonzero), and
 the parity rule (a trivial zero exactly when chi(-1) != (-1)^(1-n)) is the
 check.  Trivial zeros of a single Dirichlet L-function at n < 0 are always
-simple (one Gamma_R factor), so only first derivatives are ever needed:
+simple (one Gamma_R factor), so only first derivatives are ever needed.
+The functional equation gives them in closed form: Gamma((1-n+a)/2) is
+(2k)! sqrt(pi) / (4^k k!), and the square roots of f and pi cancel,
 
-    L'(n, chi) = eps(chi) * (f/pi)^((1-2n)/2) * Gamma((1-n+a)/2)
-                 * (-1)^m * m!/2 * L(1-n, conj(chi)),   m = -(n+a)/2,
+    L'(n, chi) = r i^-a tau(chi) H(chi) / (f pi^-n),
+    r = (-1)^m (2k)! m! / (2 4^k k!),   m = -(n+a)/2,   k = m + a,
 
-with a = 0 for even chi and a = 1 for odd chi.
+with a = 0 for even chi and a = 1 for odd chi, tau(chi) the Gauss sum and
+H(chi) = sum_{x mod f} conj(chi(x)) zeta(1-n, x/f) = f^(1-n) L(1-n, conj chi).
 
 The transcendental and Bernoulli work is shared by every character of one
 conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
@@ -29,24 +29,25 @@ character's sums run by exponent class, sum_a chi(a) x_a = sum_k z^k X_k,
 z = zeta_order and X_k the sum of the x_a with chi(a) = z^k: phi(f) integer
 additions, then one product per class.  B_{k,chi} is the cyclotomic number
 with coefficients X_k.  The root tables hold cos and sin times 2^wp as
-integers, the powers of one mpmath root in fixed point; the Gauss sum and
-L(1-n, conj(chi)) are class sums against them at wp bits, the latter over
-the raw Hurwitz integers with the sine negated for the conjugate.  An
-order-0 value stays exact and is embedded, as the integer sum of its
-coefficients against the roots, only when a product that is not rational
-has to be multiplied numerically.  mpmath is left with the scalar factors
-(Gamma, (f/pi)^((1-2n)/2), sqrt f) and the roundings to dps digits.  Every
-fixed-point helper states its error in units of 2^-wp.
+integers, the powers of one root summed from its Taylor series, with pi
+from Machin's formula; the Gauss sum and H(chi) are class sums against them
+at wp bits, the latter over the raw Hurwitz integers with the sine negated
+for the conjugate.  An order-0 value stays exact and is embedded, as the
+integer sum of its coefficients against the roots, only when a product that
+is not rational has to be multiplied numerically.  A numeric value is a
+dyadic rational, or a pair (re, im) of them, rounded to a stated number of
+bits after every product, and every fixed-point helper states its error in
+units of 2^-wp.
 
-The Hurwitz table is filled without mpmath's zeta: an integer Euler-Maclaurin
-kernel sums zeta(s, a/f) in fixed point at wp bits, every term an exact
-integer floor.  One plan per (s, dps), shared by all conductors, fixes the
-head length N and the M tail coefficients B_2j/(2j)! s(s+1)...(s+2j-2) from
-the exact Bernoulli numbers, so that the remainder (at most the first omitted
-term, since every derivative of (t+x)^(-s) keeps one sign) is below
-2^-(wp+4).  With N + M + 2 roundings the error is below (N + M + 3) 2^-wp,
-and wp is chosen to make that at most 2^-10 10^-dps, relative as well as
-absolute because zeta(s, x) >= 1 for x in (0, 1].
+The Hurwitz table is filled by an integer Euler-Maclaurin kernel that sums
+zeta(s, a/f) in fixed point at wp bits, every term an exact integer floor.
+One plan per (s, dps), shared by all conductors, fixes the head length N and
+the M tail coefficients B_2j/(2j)! s(s+1)...(s+2j-2) from the exact Bernoulli
+numbers, so that the remainder (at most the first omitted term, since every
+derivative of (t+x)^(-s) keeps one sign) is below 2^-(wp+4).  With N + M + 2
+roundings the error is below (N + M + 3) 2^-wp, and wp is chosen to make that
+at most 2^-10 10^-dps, relative as well as absolute because zeta(s, x) >= 1
+for x in (0, 1].
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm, log, pi, prod
+from math import comb, factorial, gcd, lcm, log, pi, prod
 from operator import mul
-
-import mpmath as mp
 
 from . import poly
 from .errors import (
@@ -272,16 +271,16 @@ class CyclotomicNumber:
         cos, sin = _root_table(self.level, wp)
         return sum(map(mul, self.num, cos)), sum(map(mul, self.num, sin))
 
-    def numeric(self, dps: int):
-        """Complex embedding zeta_N -> exp(2 pi i / N) at `dps` digits.
+    def numeric(self, dps: int) -> tuple[Fraction, Fraction]:
+        """Complex embedding zeta_N -> exp(2 pi i / N) at `dps` digits, as
+        the pair (re, im) of dyadic rationals.
 
         `_fixed` / (den 2^wp) at the wp bits where its sum_j |num[j]| units
-        make an error below 2^-10 10^-dps sum_j |num[j]| / den; then one
-        rounding to `dps` digits and one division by den.
+        make an error below 2^-10 10^-dps sum_j |num[j]| / den; then each
+        part is rounded to wp bits, within 2^-wp of itself.
         """
         wp = _fixed_bits(dps, 0)
-        with mp.workdps(dps):
-            return _fixed_to_mpc(self._fixed(wp), wp) / self.den
+        return tuple(_round(Fraction(v, self.den << wp), wp) for v in self._fixed(wp))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -707,24 +706,18 @@ class LeadingValue:
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
     Order 0 keeps the exact value and embeds it at `dps` digits only when
-    `value` is first read; order 1 keeps the functional-equation value in
-    `numeric`.  `error` is (|value| + 1) 10^-(precision+5).
+    `value` is first read; order 1 keeps the closed-form value in `numeric`.
+    Either is a pair (re, im) of dyadic rationals.
     """
 
     order: int
-    precision: int
     dps: int
     exact: CyclotomicNumber | None = None
-    numeric: object = None  # mpmath mpc, order 1 only
+    numeric: tuple[Fraction, Fraction] | None = None
 
     @cached_property
-    def value(self):
+    def value(self) -> tuple[Fraction, Fraction]:
         return self.numeric if self.exact is None else self.exact.numeric(self.dps)
-
-    @cached_property
-    def error(self):
-        with mp.workdps(self.dps):
-            return (abs(self.value) + 1) * mp.mpf(10) ** (-(self.precision + 5))
 
 
 def _working_dps(precision: int, conductor: int) -> int:
@@ -739,9 +732,42 @@ def _fixed_bits(dps: int, units: int) -> int:
     return (10**dps).bit_length() + 10 + units.bit_length()
 
 
-def _fixed_to_mpc(pair: tuple[int, int], wp: int):
-    """The fixed-point pair (re, im) at wp bits, rounded to the working precision."""
-    return mp.mpc(mp.mpf((pair[0], -wp)), mp.mpf((pair[1], -wp)))
+def _round(x: Fraction, bits: int) -> Fraction:
+    """x rounded to `bits` significant bits: a dyadic rational within
+    2^-bits |x| of x."""
+    n, d = x.numerator, x.denominator
+    shift = bits - n.bit_length() + d.bit_length()  # |x| 2^shift >= 2^(bits-1)
+    if shift >= 0:
+        return Fraction(((n << shift) + (d >> 1)) // d, 1 << shift)
+    d <<= -shift
+    return Fraction((n + (d >> 1)) // d << -shift)
+
+
+def _cmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], bits: int):
+    """The product of two pairs (re, im), each part rounded to `bits` bits,
+    so within 2^-bits of the exact product relative to its modulus."""
+    (a, b), (c, d) = x, y
+    return _round(a * c - b * d, bits), _round(a * d + b * c, bits)
+
+
+@lru_cache(maxsize=16)
+def _pi_fixed(wp: int) -> int:
+    """pi 2^wp within one unit, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers.
+
+    Each atan(1/x) = sum_j (-1)^j x^-(2j+1)/(2j+1) is summed at wp + g bits,
+    g = bit_length(wp) + 8, up to its last term of at least one unit: the
+    power x^-(2j+1) is one exact floor and the division by 2j+1 a second, so
+    the two series are within 4 (wp + g) + 40 < 2^(g-2) units of
+    2^-(wp+g), and rounding to wp bits leaves less than 3/4 of a unit.
+    """
+    g = wp.bit_length() + 8
+
+    def atan_inv(x: int) -> int:
+        powers = itertools.takewhile(bool, ((1 << (wp + g)) // x ** (2 * j + 1) for j in itertools.count()))
+        return sum(parity_sign(j) * (power // (2 * j + 1)) for j, power in enumerate(powers))
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239) + (1 << (g - 1))) >> g
 
 
 @lru_cache(maxsize=64)
@@ -749,18 +775,27 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cos, sin) of 2 pi k / m times 2^wp for k = 0..m-1, as integers, each
     root within one unit of 2^-wp in modulus.
 
-    One root w = (cospi(2/m), sinpi(2/m)) 2^P, P = wp + g with
-    g = bit_length(m) + 3, is rounded from mpmath within 0.71 units of 2^-P.
-    Its powers z_(k+1) = floor(z_k w / 2^P) for k < m/2 drift by less than
-    0.72 (from w) + sqrt 2 (the floors) < 2.16 units each, 1.08 m in all,
-    and rounding to wp bits leaves less than 1.08 m 2^-g + 0.71 < 1 unit.
-    The roots past m/2 are the conjugates of those before it.
+    One root w = (cos x, sin x) 2^P, x = 2 pi / m, P = wp + g with
+    g = bit_length(m) + 3, is summed from the Taylor series at P + h bits,
+    h = bit_length(P) + 12: x is within 3 units, each term one floor of the
+    last, and for m >= 2 (m = 1 uses no root) x <= pi, so the sums are
+    within e^pi (P + h + 3) < 2^(h-6) units, and w within 0.5 + 2^-6 units
+    of 2^-P in each part, 0.73 in modulus.  Its powers
+    z_(k+1) = floor(z_k w / 2^P) for k < m/2 drift by less than 0.73 (from
+    w) + sqrt 2 (the floors) < 2.16 units each, 1.08 m in all, and rounding
+    to wp bits leaves less than 1.08 m 2^-g + 0.71 < 1 unit.  The roots past
+    m/2 are the conjugates of those before it.
     """
     g = m.bit_length() + 3
     P = wp + g
-    with mp.workprec(P + 10):
-        x = mp.mpf(2) / m
-        wc, ws = (int(mp.nint(mp.ldexp(v, P))) for v in (mp.cospi(x), mp.sinpi(x)))
+    h = P.bit_length() + 12
+    x = (_pi_fixed(P + h) << 1) // m
+    w, term, j = [0, 0], 1 << (P + h), 0
+    while term:
+        w[j % 2] += parity_sign(j // 2) * term  # x^j / j!: cos for even j, sin for odd
+        j += 1
+        term = term * x // (j << (P + h))
+    wc, ws = ((v + (1 << (h - 1))) >> h for v in w)
     half = 1 << (g - 1)
     zc, zs = 1 << P, 0
     cos, sin = [1 << wp], [0]
@@ -871,18 +906,16 @@ def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
 
 
 @lru_cache(maxsize=32)
-def _hurwitz_table(f: int, s: int, dps: int) -> tuple:
-    """(a, zeta(s, a/f)) for the units a in 1..f at the plan's wp bits.
+def _hurwitz_table(f: int, s: int, dps: int) -> tuple[tuple[int, int], ...]:
+    """(a, zeta(s, a/f) 2^wp) for the units a in 1..f at the plan's wp bits.
 
-    Each value is the integer Euler-Maclaurin kernel `_hurwitz_em` under the
-    shared plan for (s, dps), kept unrounded as the binary number
-    raw 2^-wp: within N + M + 3 units of 2^-wp, which the plan keeps below
-    2^-10 10^-dps, with the remainder bounded by the first omitted term.
+    Each value is the raw integer of the Euler-Maclaurin kernel `_hurwitz_em`
+    under the shared plan for (s, dps): within N + M + 3 units of 2^-wp,
+    which the plan keeps below 2^-10 10^-dps, with the remainder bounded by
+    the first omitted term.
     """
     plan = _em_plan(s, dps)
-    raws = [_hurwitz_em(f, a, s, plan) for a in _units(f)]
-    with mp.workprec(max(raws).bit_length()):  # every raw integer fits: no rounding
-        return tuple((a, mp.mpf((raw, -plan.wp))) for a, raw in zip(_units(f), raws))
+    return tuple((a, _hurwitz_em(f, a, s, plan)) for a in _units(f))
 
 
 def _gauss_fixed(chi: DirichletCharacter, wp: int) -> tuple[int, int]:
@@ -908,16 +941,15 @@ def _gauss_fixed(chi: DirichletCharacter, wp: int) -> tuple[int, int]:
     return re >> wp, im >> wp
 
 
-def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION):
+def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
     """tau(chi) = sum_a chi(a) e^(2 pi i a / f) at the working digits of
-    `precision`: `_gauss_fixed` at bits where its error stays below
-    2^-10 10^-dps, relative as well since |tau| = sqrt f."""
+    `precision`, as the pair (re, im) of dyadic rationals: `_gauss_fixed`
+    at bits where its error stays below 2^-10 10^-dps, relative as well
+    since |tau| = sqrt f."""
     chi = chi.primitive()
     f = chi.modulus
-    dps = _working_dps(precision, f)
-    wp = _fixed_bits(dps, 2 * _euler_phi(f) + 1)
-    with mp.workdps(dps):
-        return _fixed_to_mpc(_gauss_fixed(chi, wp), wp)
+    wp = _fixed_bits(_working_dps(precision, f), 2 * _euler_phi(f) + 1)
+    return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
 def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int) -> tuple[int, int]:
@@ -934,9 +966,8 @@ def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int) -> tuple[int, int]:
     f, exps = chi.modulus, chi.exponents
     wp = _em_plan(s, dps).wp
     y = [0] * chi.order
-    for a, zeta in _hurwitz_table(f, s, dps):
-        man, exp = zeta.man_exp  # the raw integer is man 2^(exp + wp)
-        y[exps[a % f]] += man << (exp + wp)
+    for a, raw in _hurwitz_table(f, s, dps):
+        y[exps[a % f]] += raw
     cos, sin = _root_table(chi.order, wp)
     return sum(map(mul, cos, y)) >> wp, -(sum(map(mul, sin, y)) >> wp)
 
@@ -945,9 +976,11 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
     Order 0: the exact value, embedded numerically when first used.  Order
-    1: L'(n, chi) from the functional equation (see the module docstring),
-    with the Gauss sum and L(1-n, conj(chi)) read off the per-conductor
-    tables.
+    1: the closed form r i^-a tau(chi) H(chi) / (f pi^-n) of the module
+    docstring, with the Gauss sum and H(chi) read off the per-conductor
+    tables and pi^-n the power of `_pi_fixed` at the plan's bits.  Each of
+    the three is within 2^-9 10^-dps relative, and the product is rounded
+    once, so the value is within 2^-7 10^-dps of itself relative.
     """
     if n >= 0:
         raise InvalidArgumentError("n must be < 0")
@@ -957,15 +990,17 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     order = _checked_order(chi, n, exact)
     dps = _working_dps(precision, f)
     if order == 0:
-        return LeadingValue(order=0, precision=precision, dps=dps, exact=exact)
+        return LeadingValue(order=0, dps=dps, exact=exact)
     a = 0 if chi.parity == 1 else 1
     m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
+    k = m + a
+    r = Fraction(parity_sign(m) * factorial(2 * k) * factorial(m), 2 * 4**k * factorial(k))
     s = 1 - n
-    with mp.workdps(dps):
-        eps = gauss_sum(chi, precision) / (1j**a * mp.sqrt(f))
-        gamma_part = mp.gamma(mp.mpf(1 - n + a) / 2)
-        archimedean = (mp.mpf(f) / mp.pi) ** (mp.mpf(1 - 2 * n) / 2)
-        residue = mp.mpf(parity_sign(m)) * mp.factorial(m) / 2
-        l_pos = _fixed_to_mpc(_hurwitz_L(chi, s, dps), _em_plan(s, dps).wp) * mp.mpf(f) ** (-mp.mpf(s))
-        value = eps * archimedean * gamma_part * residue * l_pos
-    return LeadingValue(order=1, precision=precision, dps=dps, numeric=value)
+    wp = _em_plan(s, dps).wp
+    tau = gauss_sum(chi, precision)
+    if a:
+        tau = (tau[1], -tau[0])  # i^-1 tau
+    # r H / (f pi^-n) with H = H_fixed 2^-wp and pi^-n = P^-n 2^(n wp)
+    scale = r * Fraction(1 << (-n - 1) * wp, f * _pi_fixed(wp) ** -n)
+    value = _cmul(tau, tuple(scale * v for v in _hurwitz_L(chi, s, dps)), _fixed_bits(dps, 0))
+    return LeadingValue(order=1, dps=dps, numeric=value)

@@ -13,16 +13,14 @@ trivial zeros of the L-factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, isqrt
 from operator import mul
-
-import mpmath as mp
 
 from . import poly
 from .errors import (
     InvalidArgumentError,
-    InvariantViolationError,
     PrecisionUnderflowError,
     RationalityFailureError,
     WeilViolationError,
@@ -32,6 +30,9 @@ from .lfunctions import (
     CyclotomicNumber,
     DEFAULT_PRECISION,
     DirichletCharacter,
+    _cmul,
+    _fixed_bits,
+    _round,
     leading_value,
     trivial_zero_order,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "shift_s",
     "evaluate_at",
     "vanishing_order",
+    "format_decimal",
 ]
 
 
@@ -270,26 +272,39 @@ def vanishing_order(z: ZetaProduct, n: int) -> int:
     return sum(e * trivial_zero_order(f.character, n - f.shift) for f, e in z.char_zero)
 
 
+def format_decimal(x: Fraction, digits: int) -> str:
+    """x to `digits` significant digits, printed by mpmath's nstr rules.
+
+    The decimal digits are truncated to digits + 1 and rounded half up at
+    the last; the notation is fixed when the decimal exponent e has
+    min(-(digits // 3), -5) < e < digits, and trailing zeros are stripped.
+    """
+    if not x:
+        return "0.0"
+    # (precision, rounding, Emin, Emax): exponents of any size keep every digit
+    cut = Context(digits + 1, ROUND_DOWN, MIN_EMIN, MAX_EMAX).divide(x.numerator, x.denominator)
+    value = Context(digits, ROUND_HALF_UP, MIN_EMIN, MAX_EMAX).plus(cut)
+    text, e = "".join(map(str, value.as_tuple().digits)).ljust(digits, "0"), value.adjusted()
+    split, suffix = 1, f"e{e:+d}"
+    if min(-(digits // 3), -5) < e < digits:
+        text, split, suffix = "0" * -e + text, max(e, 0) + 1, ""
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    return ("-" if x < 0 else "") + text + ("0" if text.endswith(".") else "") + suffix
+
+
 @dataclass(frozen=True)
 class SpecialValue:
     """Vanishing order and leading Taylor coefficient at s = n.
 
-    `exact` is set when the value is provably an exact rational; `numeric`
-    always holds a real high-precision evaluation with `error` bound.
+    `exact` is set when the value is provably an exact rational, and is then
+    its own `numeric`; otherwise `numeric` is a dyadic rational.  `error` is
+    the nominal bound, a `Fraction` as well.
     """
 
     order: int
     exact: Fraction | None
-    numeric: object  # mpmath mpf
-    error: object  # mpmath mpf
-
-    def __post_init__(self):
-        if self.exact is not None:
-            delta = abs(
-                self.numeric - mp.mpf(self.exact.numerator) / mp.mpf(self.exact.denominator)
-            )
-            if not delta <= self.error:
-                raise InvariantViolationError("numeric mirror disagrees with the exact value")
+    numeric: Fraction
+    error: Fraction
 
     @property
     def is_exact(self) -> bool:
@@ -298,7 +313,7 @@ class SpecialValue:
     def __str__(self):
         if self.is_exact:
             return f"order {self.order}, value {self.exact} (exact)"
-        return f"order {self.order}, value ~ {mp.nstr(self.numeric, 20)} (+/- {mp.nstr(self.error, 3)})"
+        return f"order {self.order}, value ~ {format_decimal(self.numeric, 20)} (+/- {format_decimal(self.error, 3)})"
 
 
 def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
@@ -311,7 +326,11 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     character sets): the factors with positive exponents multiply into one
     cyclotomic number, those with negative exponents into another, and their
     `ratio` is the test.  Only otherwise are the exact order-0 values embedded
-    numerically, when `value` is first read.
+    numerically, when `value` is first read, and the product of the leading
+    values is taken in pairs (re, im) of dyadic rationals, rounded after each
+    of its `count` products to bits where (count + 1) roundings stay below
+    2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5) relative
+    to |v| + 10^-dps over the factors.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
@@ -321,33 +340,36 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     rational_part = _finite_char_value(z, n)
     leads = [(leading_value(f.character, n - f.shift, precision), e) for f, e in z.char_zero]
     order = sum(e * lv.order for lv, e in leads)
+    tolerance = Fraction(1, 10 ** (precision + 5))
+
+    if all(lv.exact is not None for lv, _ in leads):
+        top = bottom = CyclotomicNumber.rational(1)
+        for lv, e in leads:
+            if e > 0:
+                top = top * lv.exact**e
+            else:
+                bottom = bottom * lv.exact**-e
+        quotient = top.ratio(bottom)
+        if quotient is not None:
+            value = rational_part * quotient
+            return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
     dps = precision + 20
-    with mp.workdps(dps):
-        if all(lv.exact is not None for lv, _ in leads):
-            top = bottom = CyclotomicNumber.rational(1)
-            for lv, e in leads:
-                if e > 0:
-                    top = top * lv.exact**e
-                else:
-                    bottom = bottom * lv.exact**-e
-            quotient = top.ratio(bottom)
-            if quotient is not None:
-                value = rational_part * quotient
-                numeric = mp.mpf(value.numerator) / mp.mpf(value.denominator)
-                error = (abs(numeric) + 1) * mp.mpf(10) ** (-(precision + 5))
-                return SpecialValue(order=order, exact=value, numeric=numeric, error=error)
-
-        numeric = mp.mpf(rational_part.numerator) / mp.mpf(rational_part.denominator)
-        numeric = mp.mpc(numeric)
-        rel_err = mp.mpf(0)
-        for lv, e in leads:
-            numeric *= lv.value**e
-            rel_err += abs(e) * lv.error / (abs(lv.value) + mp.mpf(10) ** (-dps))
-        error = (abs(numeric) + 1) * (rel_err + mp.mpf(10) ** (-(precision + 5)))
-        if abs(mp.im(numeric)) > error:
-            raise RationalityFailureError(
-                "special value is not real: the characteristic-zero factors are "
-                "not closed under conjugation"
-            )
-        return SpecialValue(order=order, exact=None, numeric=mp.re(numeric), error=error)
+    bits = _fixed_bits(dps, sum(abs(e) for _, e in leads))
+    numeric, rel_err = (rational_part, Fraction(0)), Fraction(0)
+    for lv, e in leads:
+        v = lv.value
+        square = v[0] ** 2 + v[1] ** 2
+        size = Fraction(isqrt(floor(square * (1 << 4 * bits))), 1 << 2 * bits)  # |v| within 4^-bits
+        rel_err = _round(rel_err + abs(e) * (size + 1) * tolerance / (size + Fraction(1, 10**dps)), bits)
+        if e < 0:
+            v = (v[0] / square, -v[1] / square)
+        for _ in range(abs(e)):
+            numeric = _cmul(numeric, v, bits)
+    error = (abs(numeric[0]) + 1) * (rel_err + tolerance)
+    if abs(numeric[1]) > error:
+        raise RationalityFailureError(
+            "special value is not real: the characteristic-zero factors are "
+            "not closed under conjugation"
+        )
+    return SpecialValue(order=order, exact=None, numeric=numeric[0], error=error)

@@ -18,6 +18,12 @@ from math import comb, gcd, prod
 import mpmath as mp
 
 
+def as_mpc(pair):
+    """A pair (re, im) of Fractions as an mpmath complex at the working precision."""
+    re, im = pair
+    return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+
+
 def brute_cokernel_order_and_exponent(rows_data, modulus):
     """(order, exponent) of Z^r / column-span, enumerated mod `modulus`.
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -183,6 +184,14 @@ def test_value_command_exact_and_numeric(capsys):
     assert data["numeric"].startswith("-0.0304484570583")
 
 
+def test_exact_values_print_from_the_rational(capsys):
+    # -1/80 = -0.0125 is a tie at two digits, rounded half up; a binary
+    # mirror of the rational fell below the tie and printed -0.012
+    code, data = run_json(capsys, "value", "(point 3 2)", "-n", "-2", "--precision", "2")
+    assert code == 0 and data["exact"] == "-1/80"
+    assert data["numeric"] == "-0.013" and data["error_bound"] == "1.0125e-7"
+
+
 def test_value_precision_is_the_option_alone(capsys, monkeypatch):
     # the environment plays no part: without --precision the default is used
     argv = ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2"]
@@ -192,6 +201,34 @@ def test_value_precision_is_the_option_alone(capsys, monkeypatch):
     assert default[0] == 0 and json.loads(default[1]) == json.loads(
         (GOLDEN / "value_q_zeta13.json").read_text()
     )
+
+
+def test_a_value_op_loads_no_mpmath():
+    # special values stay in integers and Fractions from the class sums to the digits
+    src = str(Path(zetaforge.__file__).parent.parent)
+    script = (
+        "import sys\n"
+        "import zetaforge.cli as cli\n"
+        "assert cli.main(['value', '(numberring :conductor 13 :subgroup (1))', '-n', '-2']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_value_of_q_zeta_401_rounds_every_product(capsys):
+    # 200 order-1 values and 200 embedded order-0 values multiply to about
+    # 10^1918; without rounding each product the Fractions take seconds
+    argv = ["value", "(numberring :conductor 401 :subgroup (1))", "-n", "-2", "--precision", "30"]
+    start = time.perf_counter()
+    code, data = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and data["order"] == 200 and data["exact"] is None
+    assert data["numeric"] == "7.38995187948830441847758171617e+1918"
+    assert data["error_bound"] == "3.2061e+1886"
 
 
 @pytest.mark.parametrize(

@@ -212,3 +212,17 @@ def test_primality_of_large_inputs_is_fast():
         is_prime(PSI_13)
     with pytest.raises(InvalidArgumentError):
         prime_power_base(PSI_13)
+
+
+def test_prime_power_base_takes_roots_of_prime_degree_only():
+    # a composite exponent is reached through exact roots of prime degree
+    assert prime_power_base(47**210) == (47, 210)
+    assert prime_power_base((10**18 + 3) ** 6) == (10**18 + 3, 6)
+    assert prime_power_base(47**6 * 53**6) is None
+    # no prime factor up to 41 and no exact root: primality decides, and
+    # above the Miller-Rabin bound it cannot
+    start = time.perf_counter()
+    with pytest.raises(InvalidArgumentError) as raised:
+        prime_power_base(43**999 * 47)
+    assert time.perf_counter() - start < 1
+    assert raised.value.code == "invalid-argument"

@@ -4,7 +4,7 @@ from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaforge import lfunctions
@@ -35,6 +35,7 @@ from zetaforge.scheme_algebra import NumberRing, zeta_of
 from zetaforge.zetarep import evaluate_at, vanishing_order
 
 from oracles import (
+    as_mpc,
     bernoulli_numbers,
     cyclotomic_mul,
     cyclotomic_polynomial as oracle_cyclotomic_polynomial,
@@ -203,7 +204,7 @@ def test_cyclotomic_numeric_matches_direct_summation(pair):
             mp.mpf(c.numerator) / c.denominator * mp.exp(2j * mp.pi * j / x.level)
             for j, c in enumerate(cx)
         )
-        assert abs(x.numeric(60) - direct) <= mp.mpf(10) ** -55 * (1 + abs(direct))
+        assert abs(as_mpc(x.numeric(60)) - direct) <= mp.mpf(10) ** -55 * (1 + abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +340,8 @@ def test_dedekind_orders():
 
 
 def test_gauss_sum_chi_minus_4():
-    tau = gauss_sum(CHI_MINUS_4, 40)
     with mp.workdps(50):
+        tau = as_mpc(gauss_sum(CHI_MINUS_4, 40))
         assert abs(tau - mp.mpc(0, 2)) < mp.mpf(10) ** -35
 
 
@@ -351,8 +352,8 @@ def test_gauss_sum_matches_direct_summation():
         for chi in characters_mod(f, (1,)):
             if not chi.is_primitive:
                 continue
-            tau = gauss_sum(chi, 30)
             with mp.workdps(60):
+                tau = as_mpc(gauss_sum(chi, 30))
                 direct = mp.fsum(
                     mp.expjpi(2 * (mp.mpf(chi.exponent(a)) / chi.order + mp.mpf(a) / f))
                     for a in range(1, f + 1)
@@ -373,9 +374,9 @@ def test_zeta_prime_minus_2_dual_path():
     with mp.workdps(90):
         h = mp.mpf(10) ** -25
         oracle = numeric_derivative(lambda s: euler_maclaurin_zeta(s), mp.mpf(-2), h)
-        assert abs(lv.value - oracle) < mp.mpf(10) ** -40
+        assert abs(as_mpc(lv.value) - oracle) < mp.mpf(10) ** -40
         # matches the closed form -zeta(3)/(4 pi^2) as well
-        assert abs(lv.value + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
+        assert abs(as_mpc(lv.value) + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
 
 
 def test_chi_minus_4_leading_value_dual_path():
@@ -391,7 +392,7 @@ def test_chi_minus_4_leading_value_dual_path():
     with mp.workdps(90):
         h = mp.mpf(10) ** -25
         oracle = numeric_derivative(L, mp.mpf(-1), h)
-        assert abs(lv.value - oracle) < mp.mpf(10) ** -40
+        assert abs(as_mpc(lv.value) - oracle) < mp.mpf(10) ** -40
 
 
 def test_random_characters_dual_path():
@@ -422,7 +423,7 @@ def test_random_characters_dual_path():
         with mp.workdps(80):
             h = mp.mpf(10) ** -20
             oracle = numeric_derivative(L, mp.mpf(n), h)
-            assert abs(lv.value - oracle) < mp.mpf(10) ** -30
+            assert abs(as_mpc(lv.value) - oracle) < mp.mpf(10) ** -30
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +449,9 @@ def test_hurwitz_table_within_its_derived_bound(f, s, dps, rng):
     with mp.workdps(dps + 30):
         ulp = mp.ldexp(1, -plan.wp)
         assert em_term(s, plan.N, len(plan.coeffs) + 1) < ulp / 16
-        for a, value in checked:
+        for a, raw in checked:
             expected = mp.zeta(s, mp.mpf(a) / f)
-            assert abs(value - expected) < mp.mpf(10) ** -dps * expected
+            assert abs(raw * ulp - expected) < mp.mpf(10) ** -dps * expected
             fixed = lfunctions._hurwitz_em(f, a, s, plan) * ulp
             assert abs(fixed - expected) < (plan.N + len(plan.coeffs) + 3) * ulp
 
@@ -509,6 +510,14 @@ FIXED_POINT = settings(deadline=None, max_examples=20)
 
 
 @FIXED_POINT
+@given(st.integers(1, 10_000))
+@example(10_000)
+def test_pi_fixed_within_one_unit(wp):
+    with mp.workprec(wp + 40):
+        assert abs(lfunctions._pi_fixed(wp) - mp.ldexp(mp.pi, wp)) < 1
+
+
+@FIXED_POINT
 @given(st.integers(1, 401), st.integers(8, 300))
 def test_root_table_within_one_unit(m, wp):
     cos, sin = lfunctions._root_table(m, wp)
@@ -564,7 +573,7 @@ def test_cyclotomic_embedding_within_its_radius(level, num, den, dps):
         # then below 2^-10 10^-dps sum |num| / den, and the roundings to dps digits
         value = direct / x.den
         radius = (mp.ldexp(mp.mpf(ones) / x.den, -10) + abs(value)) * mp.mpf(10) ** -dps
-        assert abs(x.numeric(dps) - value) <= radius
+        assert abs(as_mpc(x.numeric(dps)) - value) <= radius
 
 
 def test_dedekind_special_values():

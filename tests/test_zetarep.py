@@ -1,10 +1,11 @@
 import random
-import types
 from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetaforge import lfunctions, poly
 from zetaforge.errors import RationalityFailureError, WeilViolationError
@@ -16,6 +17,7 @@ from zetaforge.zetarep import (
     RationalFunctionT,
     ZetaProduct,
     evaluate_at,
+    format_decimal,
     inverse,
     multiply,
     shift_s,
@@ -113,13 +115,6 @@ def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
         calls.append((f, a, s))
         return kernel(f, a, s, plan)
 
-    def no_zeta(*args):
-        raise AssertionError("mp.zeta called on the value path")
-
-    private_mp = types.ModuleType("mpmath")
-    private_mp.__dict__.update(vars(mp))
-    private_mp.zeta = no_zeta
-    monkeypatch.setattr(lfunctions, "mp", private_mp)
     monkeypatch.setattr(lfunctions, "_hurwitz_em", counted)
     for table in (lfunctions._hurwitz_table, lfunctions._bernoulli_table, lfunctions._root_table):
         table.cache_clear()
@@ -166,10 +161,9 @@ def test_multiplicativity_of_order_and_value():
     va, vb = evaluate_at(a, n), evaluate_at(b, n)
     vab = evaluate_at(multiply(a, b), n)
     assert vab.order == va.order + vb.order
-    with mp.workdps(60):
-        assert abs(vab.numeric - va.numeric * vb.numeric) <= (
-            vab.error + abs(va.numeric * vb.numeric) * mp.mpf(10) ** -40
-        )
+    assert abs(vab.numeric - va.numeric * vb.numeric) <= (
+        vab.error + abs(va.numeric * vb.numeric) * Fraction(1, 10**40)
+    )
 
 
 def test_shift_law_exact():
@@ -228,3 +222,24 @@ def test_evaluate_chi_minus_4_pair_is_exact():
     z = ZetaProduct.single(LFactorShifted(CHI_MINUS_4, 0))
     v = evaluate_at(z, -2)
     assert v.is_exact and v.order == 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 2**400),
+    st.integers(-1600, 1200),
+    st.integers(1, 100),
+    st.booleans(),
+)
+@example(1, -3, 2, False)  # 0.125: a tie, rounded up
+@example(999, 0, 2, True)  # rounds up into the next decade
+@example(5, -1, 1, False)
+@example(3, 60, 19, False)  # an exponent at the fixed-notation edge
+def test_format_decimal_matches_mpmath_nstr(mantissa, exponent, digits, negative):
+    # on exactly representable dyadic rationals of magnitude 2^-1600 to 2^1600
+    sign = -1 if negative else 1
+    x = sign * mantissa * Fraction(2) ** exponent
+    with mp.workprec(mantissa.bit_length()):
+        exact = mp.ldexp(mp.mpf(sign * mantissa), exponent)
+    assert format_decimal(x, digits) == mp.nstr(exact, digits)
+
