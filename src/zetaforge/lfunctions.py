@@ -19,6 +19,11 @@ The functional equation gives them in closed form: Gamma((1-n+a)/2) is
 
 with a = 0 for even chi and a = 1 for odd chi, tau(chi) the Gauss sum and
 H(chi) = sum_{x mod f} conj(chi(x)) zeta(1-n, x/f) = f^(1-n) L(1-n, conj chi).
+As |tau(chi)| = sqrt f, and i^-a tau(chi) = sqrt f for a real chi (order
+<= 2; Washington, "Introduction to Cyclotomic Fields", ch. 4), the value is
+|r| |H(chi)| / (sqrt f pi^-n), signed like r H(chi) for a real chi.  As
+L(n, conj chi) = conj L(n, chi), a product closed under conjugation (decided
+by counting) is the product of one real per factor, a complex one's modulus.
 
 The transcendental and Bernoulli work is shared by every character of one
 conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
@@ -30,14 +35,13 @@ z = zeta_order and X_k the sum of the x_a with chi(a) = z^k: phi(f) integer
 additions, then one product per class.  B_{k,chi} is the cyclotomic number
 with coefficients X_k.  The root tables hold cos and sin times 2^wp as
 integers, the powers of one root summed from its Taylor series, with pi
-from Machin's formula; the Gauss sum and H(chi) are class sums against them
-at wp bits, the latter over the raw Hurwitz integers with the sine negated
-for the conjugate.  An order-0 value stays exact and is embedded, as the
-integer sum of its coefficients against the roots, only when a product that
-is not rational has to be multiplied numerically.  A numeric value is a
-dyadic rational, or a pair (re, im) of them, rounded to a stated number of
-bits after every product, and every fixed-point helper states its error in
-units of 2^-wp.
+from Machin's formula; H(chi) is a class sum against them at wp bits, over
+the raw Hurwitz integers with the sine negated for the conjugate.  An
+order-0 value stays exact; a complex one's modulus, from the integer sum of
+its coefficients against the roots, is taken only when a product that is
+not rational has to be multiplied numerically.  A numeric value is a dyadic
+rational rounded to a stated number of bits after every product, and every
+fixed-point helper states its error in units of 2^-wp.
 
 The Hurwitz table is filled by an integer Euler-Maclaurin kernel that sums
 zeta(s, a/f) in fixed point at wp bits, every term an exact integer floor.
@@ -56,7 +60,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm, log, pi, prod
+from math import comb, factorial, gcd, isqrt, lcm, log, pi, prod
 from operator import mul
 
 from . import poly
@@ -271,16 +275,17 @@ class CyclotomicNumber:
         cos, sin = _root_table(self.level, wp)
         return sum(map(mul, self.num, cos)), sum(map(mul, self.num, sin))
 
-    def numeric(self, dps: int) -> tuple[Fraction, Fraction]:
-        """Complex embedding zeta_N -> exp(2 pi i / N) at `dps` digits, as
-        the pair (re, im) of dyadic rationals.
+    def modulus(self, dps: int) -> Fraction:
+        """|x| under zeta_N -> exp(2 pi i / N) at `dps` digits, a dyadic rational.
 
-        `_fixed` / (den 2^wp) at the wp bits where its sum_j |num[j]| units
-        make an error below 2^-10 10^-dps sum_j |num[j]| / den; then each
-        part is rounded to wp bits, within 2^-wp of itself.
+        The integer square root of the squared `_fixed` pair, over den 2^wp:
+        within sum_j |num[j]| + 1 units, at wp bits where that is below
+        2^-10 10^-dps sum_j |num[j]| / den; then rounded to wp bits, within
+        2^-wp of itself.
         """
-        wp = _fixed_bits(dps, 0)
-        return tuple(_round(Fraction(v, self.den << wp), wp) for v in self._fixed(wp))
+        wp = _fixed_bits(dps, 1)
+        re, im = self._fixed(wp)
+        return _round(Fraction(isqrt(re * re + im * im), self.den << wp), wp)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -409,6 +414,8 @@ class DirichletCharacter:
             raise InvalidArgumentError("exponents must have one entry per residue")
         if any(k is not None and not 0 <= k < self.order for k in self.exponents):
             raise InvalidArgumentError("exponents must lie in 0..order-1")
+        if gcd(self.order, *filter(None, self.exponents)) != 1:
+            raise InvalidArgumentError("order must be the order of the character")
         if self.exponent(1) != 0:
             raise InvalidArgumentError("chi(1) must be 1")
         allowed = {0} | ({self.order // 2} if self.order % 2 == 0 else set())
@@ -703,21 +710,24 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
 
 @dataclass(frozen=True)
 class LeadingValue:
-    """Leading Taylor coefficient of L(s, chi) at s = n < 0.
+    """Leading Taylor coefficient of L(s, chi) at s = n < 0, as one real
+    `value`: the coefficient itself when it is real, else its modulus.
 
-    Order 0 keeps the exact value and embeds it at `dps` digits only when
-    `value` is first read; order 1 keeps the closed-form value in `numeric`.
-    Either is a pair (re, im) of dyadic rationals.
+    Order 0 keeps the exact value and, when it is not rational, takes its
+    modulus at `dps` digits only when `value` is first read; order 1 keeps
+    the closed-form value in `numeric`.
     """
 
     order: int
     dps: int
     exact: CyclotomicNumber | None = None
-    numeric: tuple[Fraction, Fraction] | None = None
+    numeric: Fraction | None = None
 
     @cached_property
-    def value(self) -> tuple[Fraction, Fraction]:
-        return self.numeric if self.exact is None else self.exact.numeric(self.dps)
+    def value(self) -> Fraction:
+        if self.exact is None:
+            return self.numeric
+        return self.exact.rational_value() if self.exact.is_rational else self.exact.modulus(self.dps)
 
 
 def _working_dps(precision: int, conductor: int) -> int:
@@ -741,13 +751,6 @@ def _round(x: Fraction, bits: int) -> Fraction:
         return Fraction(((n << shift) + (d >> 1)) // d, 1 << shift)
     d <<= -shift
     return Fraction((n + (d >> 1)) // d << -shift)
-
-
-def _cmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], bits: int):
-    """The product of two pairs (re, im), each part rounded to `bits` bits,
-    so within 2^-bits of the exact product relative to its modulus."""
-    (a, b), (c, d) = x, y
-    return _round(a * c - b * d, bits), _round(a * d + b * c, bits)
 
 
 @lru_cache(maxsize=16)
@@ -976,11 +979,11 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     """Leading Taylor coefficient of L(s, chi) at s = n < 0.
 
     Order 0: the exact value, embedded numerically when first used.  Order
-    1: the closed form r i^-a tau(chi) H(chi) / (f pi^-n) of the module
-    docstring, with the Gauss sum and H(chi) read off the per-conductor
-    tables and pi^-n the power of `_pi_fixed` at the plan's bits.  Each of
-    the three is within 2^-9 10^-dps relative, and the product is rounded
-    once, so the value is within 2^-7 10^-dps of itself relative.
+    1: |r| |H(chi)| / (sqrt f pi^-n), signed like r H(chi) for a real chi,
+    with H(chi) from the per-conductor tables, |H(chi)| / sqrt f one integer
+    square root and pi^-n a power of `_pi_fixed` at the plan's bits.  Each
+    is within 2^-9 10^-dps relative, and the quotient is rounded once, so the
+    value is within 2^-7 10^-dps of itself relative.
     """
     if n >= 0:
         raise InvalidArgumentError("n must be < 0")
@@ -997,10 +1000,10 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     r = Fraction(parity_sign(m) * factorial(2 * k) * factorial(m), 2 * 4**k * factorial(k))
     s = 1 - n
     wp = _em_plan(s, dps).wp
-    tau = gauss_sum(chi, precision)
-    if a:
-        tau = (tau[1], -tau[0])  # i^-1 tau
-    # r H / (f pi^-n) with H = H_fixed 2^-wp and pi^-n = P^-n 2^(n wp)
-    scale = r * Fraction(1 << (-n - 1) * wp, f * _pi_fixed(wp) ** -n)
-    value = _cmul(tau, tuple(scale * v for v in _hurwitz_L(chi, s, dps)), _fixed_bits(dps, 0))
-    return LeadingValue(order=1, dps=dps, numeric=value)
+    re, im = _hurwitz_L(chi, s, dps)
+    # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
+    root = isqrt((re * re + im * im << 2 * wp) // f)
+    value = abs(r) * Fraction(root << (-n - 1) * wp, _pi_fixed(wp) ** -n << wp)
+    if chi.order <= 2 and r * re < 0:
+        value = -value
+    return LeadingValue(order=1, dps=dps, numeric=_round(value, _fixed_bits(dps, 0)))

@@ -636,22 +636,18 @@ def _expect_int_list(node, what: str) -> list[int]:
 
 
 def _number_ring(args) -> NumberRing:
-    conductor = None
-    subgroup = None
-    i = 0
-    while i < len(args):
+    values = {}
+    for i in range(0, len(args), 2):
         key, key_pos = args[i]
-        if key == ":conductor":
-            conductor = _expect_int(args[i + 1], "conductor") if i + 1 < len(args) else None
-            i += 2
-        elif key == ":subgroup":
-            subgroup = _expect_int_list(args[i + 1], "subgroup") if i + 1 < len(args) else None
-            i += 2
-        else:
+        read = {":conductor": _expect_int, ":subgroup": _expect_int_list}.get(key)
+        if read is None:
             raise ExprSyntaxError(f"unknown numberring keyword {key!r}", key_pos)
-    if conductor is None:
+        if i + 1 == len(args):
+            raise ArityError(f"numberring keyword {key} needs a value")
+        values[key] = read(args[i + 1], key[1:])
+    if ":conductor" not in values:
         raise ArityError("(numberring ...) requires :conductor")
-    return NumberRing(AbelianFieldSpec.from_generators(conductor, subgroup or [1]))
+    return NumberRing(AbelianFieldSpec.from_generators(values[":conductor"], values.get(":subgroup", [1])))
 
 
 def _rule(node):

@@ -12,10 +12,11 @@ trivial zeros of the L-factors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import gcd
 from operator import mul
 
 from . import poly
@@ -30,7 +31,6 @@ from .lfunctions import (
     CyclotomicNumber,
     DEFAULT_PRECISION,
     DirichletCharacter,
-    _cmul,
     _fixed_bits,
     _round,
     leading_value,
@@ -325,11 +325,11 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     product of those values is rational (in particular for conjugation-closed
     character sets): the factors with positive exponents multiply into one
     cyclotomic number, those with negative exponents into another, and their
-    `ratio` is the test.  Only otherwise are the exact order-0 values embedded
-    numerically, when `value` is first read, and the product of the leading
-    values is taken in pairs (re, im) of dyadic rationals, rounded after each
-    of its `count` products to bits where (count + 1) roundings stay below
-    2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5) relative
+    `ratio` is the test.  Otherwise the L-factors must be closed under
+    conjugation, counted by exponent per (primitive character, shift) before
+    any embedding, and the product of the real leading values (a complex
+    one's modulus) is rounded after each factor to bits where (count + 1)
+    roundings stay below 2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5) relative
     to |v| + 10^-dps over the factors.
     """
     if n >= 0:
@@ -354,22 +354,20 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
             value = rational_part * quotient
             return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
+    balance = Counter()  # e(chi, shift) - e(conj chi, shift)
+    for f, e in z.char_zero:
+        chi = f.character.primitive()
+        balance[f.shift, chi.exponents] += e
+        balance[f.shift, tuple(k and chi.order - k for k in chi.exponents)] -= e
+    if any(balance.values()):
+        raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
+                                      "not closed under conjugation")
     dps = precision + 20
     bits = _fixed_bits(dps, sum(abs(e) for _, e in leads))
-    numeric, rel_err = (rational_part, Fraction(0)), Fraction(0)
+    numeric, rel_err = rational_part, Fraction(0)
     for lv, e in leads:
-        v = lv.value
-        square = v[0] ** 2 + v[1] ** 2
-        size = Fraction(isqrt(floor(square * (1 << 4 * bits))), 1 << 2 * bits)  # |v| within 4^-bits
+        size = abs(lv.value)
         rel_err = _round(rel_err + abs(e) * (size + 1) * tolerance / (size + Fraction(1, 10**dps)), bits)
-        if e < 0:
-            v = (v[0] / square, -v[1] / square)
-        for _ in range(abs(e)):
-            numeric = _cmul(numeric, v, bits)
-    error = (abs(numeric[0]) + 1) * (rel_err + tolerance)
-    if abs(numeric[1]) > error:
-        raise RationalityFailureError(
-            "special value is not real: the characteristic-zero factors are "
-            "not closed under conjugation"
-        )
-    return SpecialValue(order=order, exact=None, numeric=numeric[0], error=error)
+        numeric = _round(numeric * lv.value**e, bits)
+    error = (abs(numeric) + 1) * (rel_err + tolerance)
+    return SpecialValue(order=order, exact=None, numeric=numeric, error=error)

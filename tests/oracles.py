@@ -18,10 +18,15 @@ from math import comb, gcd, prod
 import mpmath as mp
 
 
+def as_mpf(x):
+    """A Fraction as an mpmath real at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def as_mpc(pair):
     """A pair (re, im) of Fractions as an mpmath complex at the working precision."""
     re, im = pair
-    return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+    return mp.mpc(as_mpf(re), as_mpf(im))
 
 
 def brute_cokernel_order_and_exponent(rows_data, modulus):

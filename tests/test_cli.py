@@ -246,6 +246,8 @@ def test_value_of_q_zeta_401_rounds_every_product(capsys):
         ),
         # (point 6) is built, and fails, before (foo) is read
         (["zeta", "(disjoint (point 6) (foo))"], "not-prime-power"),
+        # a keyword without its value is not dropped: this is not Q(zeta_5)
+        (["value", "(numberring :conductor 5 :subgroup)", "-n", "-2"], "arity-error"),
     ],
 )
 def test_missing_and_invalid_inputs_have_documented_codes(capsys, argv, code):
@@ -506,7 +508,7 @@ def test_golden_reports(capsys, tmp_path):
         "verify_c_curve.json": ["verify-c", "(curve 2 (1 0 2))", "-n", "-1"],
         "ord_qi.json": ["ord", "(numberring :conductor 4 :subgroup (1))", "-n", "-1"],
         "value_p1_f2.json": ["value", "(proj 1 (point 2))", "-n", "-1"],
-        # numeric values: an imaginary field and a real one, both Gauss-sum routes
+        # numeric values: an imaginary field and a real one, real and complex characters
         "value_q_zeta13.json": ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2", *precision],
         "value_real_f21.json": ["value", "(numberring :conductor 21 :subgroup (20))", "-n", "-2", *precision],
         # an exact value whose negative exponents are irrational one by one

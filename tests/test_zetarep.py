@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaforge import lfunctions, poly
+from zetaforge import cli, lfunctions, poly
 from zetaforge.errors import RationalityFailureError, WeilViolationError
 from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
 from zetaforge.scheme_algebra import NumberRing, zeta_of
@@ -22,6 +22,8 @@ from zetaforge.zetarep import (
     multiply,
     shift_s,
 )
+
+from oracles import as_mpf
 
 
 def geometric(q, scale=1):
@@ -128,7 +130,7 @@ def test_a_rational_product_embeds_no_exact_value(monkeypatch):
     def no_embedding(self, dps):
         raise AssertionError("an exact L-value was embedded on the rational path")
 
-    monkeypatch.setattr(lfunctions.CyclotomicNumber, "numeric", no_embedding)
+    monkeypatch.setattr(lfunctions.CyclotomicNumber, "modulus", no_embedding)
     value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
     assert value.order == 0 and value.is_exact
 
@@ -136,10 +138,54 @@ def test_a_rational_product_embeds_no_exact_value(monkeypatch):
 @pytest.mark.parametrize("n", [-1, -2])
 def test_non_real_product_raises_rationality_failure(n):
     # an order-4 character mod 5 without its conjugate: order 1 at n = -1,
-    # a non-rational exact value at n = -2
-    chi = next(c for c in characters_mod(5, (1,)) if c.order == 4)
-    with pytest.raises(RationalityFailureError):
-        evaluate_at(ZetaProduct.single(LFactorShifted(chi)), n)
+    # a non-rational exact value at n = -2; and chi^2 conj(chi), where the
+    # real chi^2 pairs with itself but conj(chi) has no chi to pair with
+    _, square, chi, conj = characters_mod(5, (1,))
+    assert square.order == 2 and chi.order == conj.order == 4
+    for factors in ([chi], [square, conj]):
+        z = ZetaProduct.from_factors([(LFactorShifted(c), 1) for c in factors])
+        with pytest.raises(RationalityFailureError):
+            evaluate_at(z, n)
+
+
+@pytest.mark.parametrize(
+    "n, order, printed",
+    [
+        (-1, 0, "3.13383054136359812661984975795"),
+        (-2, 2, "103.804952142780629697497551744"),
+        (-3, 0, "1173.57204810953968075596094981"),
+    ],
+)
+def test_conjugate_pair_outside_a_field_is_real(n, order, printed):
+    # chi conj(chi) for an order-5 character mod 11 is closed under
+    # conjugation but not under the Galois action: its value |L|^2 lies in
+    # Q(sqrt 5), not Q, and is the product of the two moduli
+    chi, *others = [c for c in characters_mod(11, (1,)) if c.order == 5]
+    conj = next(c for c in others if c.exponents == tuple(k and 5 - k for k in chi.exponents))
+    z = ZetaProduct.from_factors([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
+    value = evaluate_at(z, n, 30)
+    assert value.order == order and not value.is_exact
+    assert format_decimal(value.numeric, 30) == printed
+    with mp.workdps(60):
+        s = mp.mpf(n)
+        # the leading coefficient of L(s, chi) at n: the value, or the first derivative
+        L = 11 ** -s * mp.fsum(
+            mp.expjpi(mp.mpf(2 * chi.exponent(a)) / 5) * mp.zeta(s, mp.mpf(a) / 11, order // 2)
+            for a in range(1, 11)
+        )
+        oracle = abs(L) ** 2
+        assert abs(as_mpf(value.numeric) - oracle) <= as_mpf(value.error) < oracle * mp.mpf(10) ** -29
+
+
+def test_value_path_takes_no_gauss_sum(monkeypatch):
+    # a leading value is |r| |H| / (sqrt f pi^-n), signed for a real chi:
+    # the anchor Q(zeta_61) at n = -2 has order-1 factors but needs no tau(chi)
+    def no_gauss_sum(chi, wp):
+        raise AssertionError("a Gauss sum was computed on the value path")
+
+    monkeypatch.setattr(lfunctions, "_gauss_fixed", no_gauss_sum)
+    code = cli.main(["value", "(numberring :conductor 61 :subgroup (1))", "-n", "-2", "--format", "json"])
+    assert code == 0
 
 
 def test_weil_violation():
