@@ -635,13 +635,16 @@ def _expect_int_list(node, what: str) -> list[int]:
     return [_expect_int(item, what) for item in value]
 
 
+_NUMBER_RING_KEYWORDS = {":conductor": _expect_int, ":subgroup": _expect_int_list}
+
+
 def _number_ring(args) -> NumberRing:
     values = {}
     for i in range(0, len(args), 2):
         key, key_pos = args[i]
-        read = {":conductor": _expect_int, ":subgroup": _expect_int_list}.get(key)
+        read = _NUMBER_RING_KEYWORDS.get(key) if isinstance(key, str) else None
         if read is None:
-            raise ExprSyntaxError(f"unknown numberring keyword {key!r}", key_pos)
+            raise ExprSyntaxError("expected the numberring keyword :conductor or :subgroup", key_pos)
         if i + 1 == len(args):
             raise ArityError(f"numberring keyword {key} needs a value")
         values[key] = read(args[i + 1], key[1:])

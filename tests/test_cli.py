@@ -248,6 +248,9 @@ def test_value_of_q_zeta_401_rounds_every_product(capsys):
         (["zeta", "(disjoint (point 6) (foo))"], "not-prime-power"),
         # a keyword without its value is not dropped: this is not Q(zeta_5)
         (["value", "(numberring :conductor 5 :subgroup)", "-n", "-2"], "arity-error"),
+        # a group where a keyword belongs is a syntax error, not a crash
+        (["value", "(numberring (1) :conductor 5)", "-n", "-2"], "syntax-error"),
+        (["value", "(numberring :conductor 5 (1) 2)", "-n", "-2"], "syntax-error"),
     ],
 )
 def test_missing_and_invalid_inputs_have_documented_codes(capsys, argv, code):
