@@ -181,12 +181,18 @@ def determinant(C: BoundedFreeComplex) -> GradedLine:
     return GradedLine(1 / m, grade)
 
 
+# the largest rank, and the largest span hi - lo of degrees, a complex file
+# may state: `det` writes out one group per rank and per degree of the span
+_MAX_COMPLEX_SIZE = 1 << 16
+
+
 def complex_from_json_dict(data) -> BoundedFreeComplex:
     """Parse the on-disk complex format.
 
     {"ranks": {"-1": 1, "0": 1}, "differentials": {"-1": [[5]]}}
     Keys are degrees as decimal strings, read by `read_key`; the differential
-    at key i maps degree i to i+1; absent degrees have rank 0.
+    at key i maps degree i to i+1; absent degrees have rank 0.  A rank or a
+    degree span above `_MAX_COMPLEX_SIZE` is an InvalidArgumentError.
     """
     if not isinstance(data, dict) or "ranks" not in data:
         raise InvalidArgumentError('complex file must be an object with a "ranks" field')
@@ -198,5 +204,8 @@ def complex_from_json_dict(data) -> BoundedFreeComplex:
         diffs = {read_key(k): IntMatrix.from_rows(v) for k, v in diffs.items()}
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed complex file: {exc}") from None
-    return BoundedFreeComplex(ranks, diffs)
+    C = BoundedFreeComplex(ranks, diffs)
+    if max(ranks.values(), default=0) > _MAX_COMPLEX_SIZE or C.hi - C.lo > _MAX_COMPLEX_SIZE:
+        raise InvalidArgumentError(f"a rank or degree span above {_MAX_COMPLEX_SIZE}: the complex is too large")
+    return C
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers.
 
-Arbitrary-precision matrices, Smith normal form with unimodular transforms,
-finitely generated abelian groups in invariant-factor form, and p-adic
-valuations of rationals.  Everything here is pure and immutable.
+Arbitrary-precision matrices, Smith normal form (its unimodular transforms
+built only when read), finitely generated abelian groups in invariant-factor
+form, and p-adic valuations of rationals.  Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import index
 
@@ -145,11 +145,18 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A = U * S * V with U, V unimodular and S in Smith normal form."""
+    """S in Smith normal form, with the log of the elementary operations
+    that reduced A to it.
 
-    U: IntMatrix
+    Each step is `(op, i, j, k)`: "row_swap" R_i <-> R_j, "row_negate"
+    R_i = -R_i, "row_addmul" R_i += k*R_j, "col_swap" C_i <-> C_j and
+    "col_addmul" C_i += k*C_j, applied to S in order (unused fields 0).
+    `U` and `V`, unimodular with A = U*S*V, are built from the log the first
+    time either is read; the invariant factors never need them.
+    """
+
     S: IntMatrix
-    V: IntMatrix
+    steps: tuple[tuple[str, int, int, int], ...]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -163,6 +170,36 @@ class SmithDecomposition:
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d != 0)
+
+    @property
+    def U(self) -> IntMatrix:
+        return self._transforms[0]
+
+    @property
+    def V(self) -> IntMatrix:
+        return self._transforms[1]
+
+    @cached_property
+    def _transforms(self) -> tuple[IntMatrix, IntMatrix]:
+        """(U, V) from identities, each step compensated so that U*S*V = A
+        holds after it: a row operation on S is undone by a column operation
+        on U, a column operation on S by a row operation on V."""
+        rows, cols = self.S.rows, self.S.cols
+        Ut = [[int(i == j) for j in range(rows)] for i in range(rows)]  # columns of U
+        V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        for op, i, j, k in self.steps:
+            if op == "row_swap":
+                Ut[i], Ut[j] = Ut[j], Ut[i]
+            elif op == "row_negate":
+                Ut[i] = [-x for x in Ut[i]]
+            elif op == "row_addmul":  # U: C_j -= k*C_i
+                Ut[j] = [a - k * b for a, b in zip(Ut[j], Ut[i])]
+            elif op == "col_swap":
+                V[i], V[j] = V[j], V[i]
+            else:  # "col_addmul", V: R_j -= k*R_i
+                V[j] = [a - k * b for a, b in zip(V[j], V[i])]
+        U = tuple(x for row in zip(*Ut) for x in row)
+        return IntMatrix(rows, rows, U), IntMatrix(cols, cols, tuple(x for row in V for x in row))
 
 
 @dataclass(frozen=True)
@@ -196,45 +233,35 @@ class FinGenAbGroup:
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Diagonalize A over Z: returns (U, S, V) with A = U*S*V exactly.
+    """Diagonalize A over Z: S and the steps that reduce A to it.
 
-    U and V are unimodular; the nonzero diagonal of S is positive and each
-    entry divides the next.  Pivoting always picks a smallest nonzero entry
-    of the remaining block, which keeps coefficient growth moderate.
+    The nonzero diagonal of S is positive and each entry divides the next.
+    Pivoting always picks a smallest nonzero entry of the remaining block,
+    which keeps coefficient growth moderate.  Only S is updated; each
+    operation is logged, and the unimodular U, V with A = U*S*V are replayed
+    from the log if the result's `U` or `V` is read.
     """
     rows, cols = A.rows, A.cols
     S = A.to_rows()
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    steps = []
+    log = steps.append
 
-    # Each elementary operation applied to S is compensated on U or V so
-    # that U*S*V = A stays true throughout.
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        for r in range(rows):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
+        log(("row_swap", i, j, 0))
 
     def row_negate(i):
         S[i] = [-x for x in S[i]]
-        for r in range(rows):
-            U[r][i] = -U[r][i]
+        log(("row_negate", i, 0, 0))
 
-    def row_addmul(i, j, k):
-        # S: R_i += k*R_j ; U: C_j -= k*C_i
+    def row_addmul(i, j, k):  # R_i += k*R_j
         S[i] = [a + k * b for a, b in zip(S[i], S[j])]
-        for r in range(rows):
-            U[r][j] -= k * U[r][i]
+        log(("row_addmul", i, j, k))
 
     def col_swap(i, j):
-        for r in range(rows):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        V[i], V[j] = V[j], V[i]
-
-    def col_addmul(j, i, k):
-        # S: C_j += k*C_i ; V: R_i -= k*R_j
-        for r in range(rows):
-            S[r][j] += k * S[r][i]
-        V[i] = [a - k * b for a, b in zip(V[i], V[j])]
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        log(("col_swap", i, j, 0))
 
     t = 0
     limit = min(rows, cols)
@@ -266,13 +293,18 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if S[t][t] < 0:
                     row_negate(t)
                 continue
+            # C_j += k*C_t touches only row t: the rows above t are zero past
+            # their own pivot, and row elimination has just cleared column t
+            # below it
+            pivot_row = S[t]
             for j in range(t + 1, cols):
-                q = S[t][j] // S[t][t]
+                q = pivot_row[j] // pivot_row[t]
                 if q:
-                    col_addmul(j, t, -q)
-            rem = [j for j in range(t + 1, cols) if S[t][j] != 0]
+                    pivot_row[j] -= q * pivot_row[t]
+                    log(("col_addmul", j, t, -q))
+            rem = [j for j in range(t + 1, cols) if pivot_row[j] != 0]
             if rem:
-                j = min(rem, key=lambda c: abs(S[t][c]))
+                j = min(rem, key=lambda c: abs(pivot_row[c]))
                 col_swap(t, j)
                 if S[t][t] < 0:
                     row_negate(t)
@@ -292,11 +324,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             row_addmul(t, bad, 1)
         t += 1
 
-    return SmithDecomposition(
-        IntMatrix(rows, rows, tuple(x for row in U for x in row)),
-        IntMatrix(rows, cols, tuple(x for row in S for x in row)),
-        IntMatrix(cols, cols, tuple(x for row in V for x in row)),
-    )
+    return SmithDecomposition(IntMatrix(rows, cols, tuple(x for row in S for x in row)), tuple(steps))
 
 
 def cokernel(A: IntMatrix) -> FinGenAbGroup:

@@ -33,6 +33,7 @@ from .lfunctions import (
     DirichletCharacter,
     _fixed_bits,
     _round,
+    _unit_group_generators,
     leading_value,
     trivial_zero_order,
 )
@@ -354,11 +355,15 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
             value = rational_part * quotient
             return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
-    balance = Counter()  # e(chi, shift) - e(conj chi, shift)
+    # e(chi, shift) - e(conj chi, shift), with a primitive chi keyed by its
+    # modulus, order and exponents at the unit-group generators, which
+    # determine it
+    balance = Counter()
     for f, e in z.char_zero:
         chi = f.character.primitive()
-        balance[f.shift, chi.exponents] += e
-        balance[f.shift, tuple(k and chi.order - k for k in chi.exponents)] -= e
+        ks = tuple(chi.exponent(g) for g, _ in _unit_group_generators(chi.modulus))
+        balance[f.shift, chi.modulus, chi.order, ks] += e
+        balance[f.shift, chi.modulus, chi.order, tuple(-k % chi.order for k in ks)] -= e
     if any(balance.values()):
         raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
                                       "not closed under conjugation")

@@ -32,7 +32,7 @@ from zetaforge.scheme_algebra import (
     format_expr,
 )
 
-from complex_fixtures import complex_to_json_dict, random_torsion_complex
+from complex_fixtures import complex_to_json_dict, random_complex_with_groups, random_torsion_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,6 +171,23 @@ def test_det_takes_one_smith_form_per_nonzero_differential(tmp_path, capsys, mon
         calls.clear()
         assert run_json(capsys, "det", str(path))[0] == 0
         assert len(calls) == len(data["differentials"])
+
+
+def test_det_builds_no_transform(tmp_path, capsys, monkeypatch):
+    # det reads only the invariant factors, never U or V
+    def refuse(decomposition):
+        raise AssertionError("det built a Smith transform")
+
+    monkeypatch.setattr(intlinalg.SmithDecomposition, "_transforms", property(refuse))
+    code, report = run_json(capsys, "det", str(GOLDEN / "det_three_term_input.json"))
+    report.pop("file")
+    assert code == 0 and report == json.loads((GOLDEN / "det_three_term.json").read_text())
+    rng = random.Random(1809)
+    for k in range(20):
+        C = random_torsion_complex(rng) if k % 2 else random_complex_with_groups(rng)[0]
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(complex_to_json_dict(C)))
+        assert run_json(capsys, "det", str(path))[0] == 0
 
 
 def test_value_command_exact_and_numeric(capsys):
@@ -358,6 +375,10 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         ["det", {"ranks": {"-0": 1}}],
         ["det", {"ranks": {"\u0661": 1}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"00": [[5]]}}],
+        # a rank, or a span of degrees, above 2^16: one group per rank and
+        # per degree would be written out
+        ["det", {"ranks": {"0": 100000000000}}],
+        ["det", {"ranks": {"0": 1, "100000000000": 1}}],
         ["ord", "--hodge", '{"hpq": {"0, 0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
         ["ord", "--hodge", '{"hpq": {"00,0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
         ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"+0": [1, 0], "1": [1, 0]}}', "-n", "-1"],

@@ -11,7 +11,7 @@ from zetaforge.detcomplex import (
     determinant,
     multiplicative_euler_char,
 )
-from zetaforge.errors import InfiniteCohomologyError
+from zetaforge.errors import InfiniteCohomologyError, InvalidArgumentError
 from zetaforge.intlinalg import FinGenAbGroup, IntMatrix, smith_normal_form
 
 from oracles import invariant_factors, termwise_snf_determinant_ideal
@@ -156,3 +156,13 @@ def test_complex_validation():
             {0: 1, 1: 1, 2: 1},
             {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])},
         )
+
+
+def test_json_size_bound():
+    # a rank, or a span of degrees, of 2^16 is read; one more is refused
+    assert complex_from_json_dict({"ranks": {"0": 1 << 16}}).rank(0) == 1 << 16
+    assert complex_from_json_dict({"ranks": {"-1": 1, str((1 << 16) - 1): 1}}).hi == (1 << 16) - 1
+    assert complex_from_json_dict({"ranks": {"0": 1, "100000000000": 0}}).hi == 0
+    for ranks in ({"0": (1 << 16) + 1}, {"-1": 1, str(1 << 16): 1}):
+        with pytest.raises(InvalidArgumentError, match="above 65536"):
+            complex_from_json_dict({"ranks": ranks})

@@ -4,6 +4,8 @@ from math import prod
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge.errors import InfiniteGroupError, InvalidArgumentError
 from zetaforge.intlinalg import (
@@ -18,7 +20,7 @@ from zetaforge.intlinalg import (
     smith_normal_form,
 )
 
-from oracles import brute_cokernel_order_and_exponent, prime_powers_below
+from oracles import brute_cokernel_order_and_exponent, invariant_factors, prime_powers_below
 
 
 def snf_is_valid(A, dec):
@@ -76,6 +78,40 @@ def test_snf_random_postconditions():
             rows, cols, tuple(rng.randint(-9, 9) for _ in range(rows * cols))
         )
         assert snf_is_valid(A, smith_normal_form(A))
+
+
+def _unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: the identity under random
+    row additions R_i += k*R_j (i != j), each perhaps followed by a swap."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = draw(st.integers(0, 3 * n)) if n > 1 else 0
+    for _ in range(steps):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(-2, 2))
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        if draw(st.booleans()):
+            m[i], m[j] = m[j], m[i]
+    return IntMatrix(n, n, tuple(x for row in m for x in row))
+
+
+@st.composite
+def scrambled_diagonals(draw):
+    """(P * diag(d) * Q, d) for a rows x cols diagonal d, P and Q unimodular."""
+    rows, cols = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    d = draw(st.lists(st.integers(0, 12), min_size=min(rows, cols), max_size=min(rows, cols)))
+    D = IntMatrix(rows, cols, tuple(d[i] if i == j else 0 for i in range(rows) for j in range(cols)))
+    return _unimodular(draw, rows) @ D @ _unimodular(draw, cols), d
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_diagonals())
+def test_snf_of_scrambled_diagonal(case):
+    A, d = case
+    dec = smith_normal_form(A)
+    assert snf_is_valid(A, dec)  # U*S*V = A, |det U| = |det V| = 1, the chain
+    nonzero = [x for x in d if x]
+    torsion = invariant_factors(nonzero)
+    assert dec.invariant_factors == (1,) * (len(nonzero) - len(torsion)) + torsion
 
 
 def test_cokernel_examples():
