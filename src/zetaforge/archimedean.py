@@ -17,10 +17,9 @@ routes are implemented and compared in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidArgumentError
 from .intlinalg import parity_sign
+from .record import Record
 from .scheme_algebra import Evaluation, NormalForm, NumberRing
 
 __all__ = [
@@ -35,19 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquivariantBetti:
-    """dim H^i_c(X(C), R(n))^{G_R} per parity of n.
+class EquivariantBetti(Record):
+    """dim H^i_c(X(C), R(n))^{G_R} per parity of n: the maps degree ->
+    dimension `dims_even` and `dims_odd`, and their Euler characteristics
+    `chi_even` and `chi_odd`.
 
     A dims map of None means only the Euler characteristic survived the
     propagation (gluings); full maps are kept whenever the operations
     determine them degreewise.
     """
 
-    dims_even: dict | None
-    dims_odd: dict | None
-    chi_even: int
-    chi_odd: int
+    __slots__ = ("dims_even", "dims_odd", "chi_even", "chi_odd")
 
     def __post_init__(self):
         for dims, chi in ((self.dims_even, self.chi_even), (self.dims_odd, self.chi_odd)):
@@ -105,17 +102,16 @@ def vanishing_order_conjectural(e, n: int) -> int:
 # Hodge-theoretic route (proper smooth complex fibers)
 
 
-@dataclass(frozen=True)
-class HodgeData:
+class HodgeData(Record):
     """Hodge numbers h^{p,q} plus the conjugation split of the diagonal.
 
     weights: map (p, q) -> h^{p,q}; diagonal: map p -> (h^{p,+}, h^{p,-})
-    with h^{p,+} + h^{p,-} = h^{p,p}.  Conjugation swaps H^{p,q} and
-    H^{q,p}, so h^{p,q} = h^{q,p} is required.
+    with h^{p,+} + h^{p,-} = h^{p,p}, each stored as a sorted tuple of its
+    items.  Conjugation swaps H^{p,q} and H^{q,p}, so h^{p,q} = h^{q,p} is
+    required.
     """
 
-    weights: tuple
-    diagonal: tuple
+    __slots__ = ("weights", "diagonal")
 
     @classmethod
     def make(cls, weights: dict, diagonal: dict) -> HodgeData:

@@ -24,6 +24,7 @@ exact value and one set of order data per entry.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -478,8 +479,7 @@ def main(argv=None) -> int:
     )
     try:
         if not _read_argv(sys.argv[1:] if argv is None else argv, args):
-            print(_USAGE)
-            return 0
+            return _print(_USAGE, 0)
     except UsageError as exc:
         return _print_error(args, exc.code, exc.message)
     limit = sys.get_int_max_str_digits()
@@ -491,18 +491,30 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _print_error(args, "io-error", str(exc))
     else:
-        print(json.dumps(report, indent=2) if args.format == "json" else _render_text(report))
-        return 0 if ok else 1
+        text = json.dumps(report, indent=2) if args.format == "json" else _render_text(report)
+        return _print(text, 0 if ok else 1)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def _print_error(args, code: str, message: str) -> int:
     if args.format == "json":
-        print(json.dumps({"error": {"code": code, "message": message}}, indent=2))
-    else:
-        print(f"error [{code}]: {message}", file=sys.stderr)
-    return 2
+        return _print(json.dumps({"error": {"code": code, "message": message}}, indent=2), 2)
+    return _print(f"error [{code}]: {message}", 2, sys.stderr)
+
+
+def _print(text: str, status: int, stream=None) -> int:
+    """Print `text` to stdout (or `stream`) and return `status`.  A reader
+    that has closed stdout makes it the error io-error, reported on stderr,
+    and stdout is pointed at os.devnull so that the flush at exit cannot
+    fail again."""
+    try:
+        print(text, file=stream, flush=True)
+        return status
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error [io-error]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ positive, so everything is up to sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,6 +26,7 @@ from .intlinalg import (
     read_key,
     smith_normal_form,
 )
+from .record import Record
 
 __all__ = [
     "BoundedFreeComplex",
@@ -120,17 +120,16 @@ class BoundedFreeComplex:
         return f"BoundedFreeComplex(ranks={self._ranks!r})"
 
 
-@dataclass(frozen=True)
-class GradedLine:
+class GradedLine(Record):
     """Graded invertible Z-module (fractional ideal, grade).
 
     `ideal` is the positive rational generator of det inside
-    det (x) Q ~ Q, defined exactly when all cohomology is torsion;
-    otherwise None ("undetermined": no canonical rational trivialization).
+    det (x) Q ~ Q, a Fraction defined exactly when all cohomology is
+    torsion; otherwise None ("undetermined": no canonical rational
+    trivialization).  `grade` is an int.
     """
 
-    ideal: Fraction | None
-    grade: int
+    __slots__ = ("ideal", "grade")
 
     def __post_init__(self):
         if self.ideal is not None and self.ideal <= 0:

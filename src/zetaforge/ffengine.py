@@ -18,7 +18,6 @@ builds one Evaluation per entry, so its checks share one of each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -31,7 +30,8 @@ from .errors import (
     MixedBaseError,
 )
 from .intlinalg import parity_sign, prime_power_base, rational_valuation
-from .scheme_algebra import Curve, Evaluation, NormalForm, Point
+from .record import Record
+from .scheme_algebra import Curve, Evaluation, NormalForm
 from .zetarep import RationalFunctionT, ZetaProduct
 
 __all__ = [
@@ -45,14 +45,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one exact comparison; verdict is pass iff left == right."""
+class VerificationReport(Record):
+    """Outcome of one exact comparison; verdict is pass iff left == right.
+    The `claim` names it, and the dict `context` holds what it was made of."""
 
-    claim: str
-    left: object
-    right: object
-    context: dict
+    __slots__ = ("claim", "left", "right", "context")
+
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, claim: str, left, right, context: dict):
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "context", context)
 
     @property
     def passed(self) -> bool:
@@ -133,19 +137,20 @@ def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:
     c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
     K = max(degrees, default=0)
     sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms() if isinstance(a, Curve)}
-    terms = nf.terms.items()
-    rmax = max((r for (_, r), _ in terms), default=0)
+    # each term with its curve's power sums, looked up once rather than per k
+    terms = [(atom, r, c, sums.get(atom)) for (atom, r), c in nf.terms.items()]
+    rmax = max((r for _, r, _, _ in terms), default=0)
 
     counts = []
     for k in degrees:
         qk = q**k
         by_power = [0] * (rmax + 1)  # the count is sum_r by_power[r] * q^(rk)
-        for (atom, r), c in terms:
-            if isinstance(atom, Point):
+        for atom, r, c, power_sums in terms:
+            if power_sums is None:
                 if k % atom.m == 0:
                     by_power[r] += c * atom.m
             else:
-                by_power[r] += c * (qk + 1 - sums[atom][k])
+                by_power[r] += c * (qk + 1 - power_sums[k])
         n = 0
         for b in reversed(by_power):
             n = n * qk + b

@@ -8,13 +8,14 @@ form, and p-adic valuations of rationals.  Everything here is pure and immutable
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import prod
 from operator import index
 
 from .errors import InfiniteGroupError, InvalidArgumentError, NotPrimePowerError
+from .record import Record
 
 __all__ = [
     "IntMatrix",
@@ -59,17 +60,15 @@ def read_key(key: str) -> int:
     return int(key)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major entries.
+class IntMatrix(Record):
+    """Dense integer matrix of shape (rows, cols), its entries one tuple in
+    row-major order.
 
     Empty shapes (0 rows and/or 0 columns) are legal and represent maps
     to or from the zero module, so complexes never need special-casing.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -81,7 +80,9 @@ class IntMatrix:
     def from_rows(cls, data) -> IntMatrix:
         try:
             data = [list(row) for row in data]
-            entries = tuple(read_int(x) for row in data for x in row)
+            entries = tuple(chain.from_iterable(data))
+            if set(map(type, entries)) - {int}:  # read_int decides (and refuses true, 1.5, "1")
+                entries = tuple(map(read_int, entries))
         except TypeError:
             raise InvalidArgumentError("matrix rows must be lists of integers") from None
         rows = len(data)
@@ -143,8 +144,7 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.to_rows()) + "]"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """S in Smith normal form, with the log of the elementary operations
     that reduced A to it.
 
@@ -155,8 +155,7 @@ class SmithDecomposition:
     time either is read; the invariant factors never need them.
     """
 
-    S: IntMatrix
-    steps: tuple[tuple[str, int, int, int], ...]
+    __slots__ = ("S", "steps", "__dict__")
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -202,12 +201,12 @@ class SmithDecomposition:
         return IntMatrix(rows, rows, U), IntMatrix(cols, cols, tuple(x for row in V for x in row))
 
 
-@dataclass(frozen=True)
-class FinGenAbGroup:
-    """Z^rank plus the invariant-factor chain t_1 | t_2 | ... (each >= 2)."""
+class FinGenAbGroup(Record):
+    """Z^rank plus the invariant-factor chain t_1 | t_2 | ... (each >= 2),
+    the tuple `torsion`, empty by default."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
+    _defaults = {"torsion": ()}
 
     def __post_init__(self):
         if self.rank < 0:
@@ -240,6 +239,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     which keeps coefficient growth moderate.  Only S is updated; each
     operation is logged, and the unimodular U, V with A = U*S*V are replayed
     from the log if the result's `U` or `V` is read.
+
+    At step t every entry of S outside the active block (rows and columns
+    >= t) off the diagonal is zero: the rows above t are zero past their own
+    pivot, and the columns before t are zero below it.  So row operations
+    touch only the columns >= t, and column swaps only the rows >= t.
     """
     rows, cols = A.rows, A.cols
     S = A.to_rows()
@@ -251,27 +255,29 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         log(("row_swap", i, j, 0))
 
     def row_negate(i):
-        S[i] = [-x for x in S[i]]
+        S[i][t:] = [-x for x in S[i][t:]]
         log(("row_negate", i, 0, 0))
 
     def row_addmul(i, j, k):  # R_i += k*R_j
-        S[i] = [a + k * b for a, b in zip(S[i], S[j])]
+        S[i][t:] = [a + k * b for a, b in zip(S[i][t:], S[j][t:])]
         log(("row_addmul", i, j, k))
 
     def col_swap(i, j):
-        for row in S:
+        for row in S[t:]:
             row[i], row[j] = row[j], row[i]
         log(("col_swap", i, j, 0))
 
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        piv = None
+        piv, least = None, 0
         for i in range(t, rows):
             for j in range(t, cols):
-                x = S[i][j]
-                if x != 0 and (piv is None or abs(x) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(S[i][j])
+                if x and (piv is None or x < least):
+                    piv, least = (i, j), x
+            if least == 1:  # no entry is smaller: the full scan keeps this one
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -309,10 +315,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if S[t][t] < 0:
                     row_negate(t)
                 continue
-            # pivot must divide the remaining block, otherwise fold the
-            # offending row in and restart (pivot strictly shrinks)
+            # pivot must divide the remaining block (a pivot 1 always does),
+            # otherwise fold the offending row in and restart (pivot
+            # strictly shrinks)
             bad = None
-            for i in range(t + 1, rows):
+            for i in range(t + 1, rows if S[t][t] != 1 else 0):
                 for j in range(t + 1, cols):
                     if S[i][j] % S[t][t] != 0:
                         bad = i

@@ -57,7 +57,6 @@ for x in (0, 1].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, isqrt, lcm, log, pi, prod
@@ -71,6 +70,7 @@ from .errors import (
     RationalityFailureError,
 )
 from .intlinalg import factorize, parity_sign
+from .record import Record
 
 __all__ = [
     "CyclotomicNumber",
@@ -169,33 +169,33 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class CyclotomicNumber:
-    """Element of Q(zeta_N): (sum_j num[j] zeta_N^j) / den.
+class CyclotomicNumber(Record):
+    """Element of Q(zeta_N): (sum_j num[j] zeta_N^j) / den, N the `level`.
 
     Integer numerators of the polynomial reduced mod Phi_N (so phi(N) of
-    them) over one positive common denominator, as in FLINT's fmpq_poly.
-    Construction divides out gcd(den, num), so equal numbers of one level
-    have equal fields.
+    them, a tuple) over one positive common denominator, 1 by default, as in
+    FLINT's fmpq_poly.  Construction divides out gcd(den, num), so equal
+    numbers of one level have equal fields.
     """
 
-    level: int
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("level", "num", "den")
 
-    def __post_init__(self):
-        if self.level < 1:
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, level: int, num: tuple, den: int = 1):
+        if level < 1:
             raise InvalidArgumentError("level must be >= 1")
-        if len(self.num) != _euler_phi(self.level):
+        if len(num) != _euler_phi(level):
             raise InvalidArgumentError("numerator vector must have length phi(level)")
-        if self.den == 0:
+        if den == 0:
             raise InvalidArgumentError("denominator must be nonzero")
-        g = gcd(self.den, *self.num)
-        if self.den < 0:
+        g = gcd(den, *num)
+        if den < 0:
             g = -g
         if g != 1:
-            object.__setattr__(self, "num", tuple(c // g for c in self.num))
-            object.__setattr__(self, "den", self.den // g)
+            num, den = tuple(c // g for c in num), den // g
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     # -- construction ------------------------------------------------------
 
@@ -395,19 +395,15 @@ def _units(modulus: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, modulus + 1) if gcd(a, modulus) == 1)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """Character of (Z/modulus)^* with values in mu_order.
 
-    `exponents[a % modulus]` is k with chi(a) = zeta_order^k, or None when
-    gcd(a, modulus) > 1.  `conductor` is the conductor of the primitive
-    character this one induces.
+    The tuple `exponents[a % modulus]` is k with chi(a) = zeta_order^k, or
+    None when gcd(a, modulus) > 1.  `conductor` is the conductor of the
+    primitive character this one induces.
     """
 
-    modulus: int
-    order: int
-    exponents: tuple[int | None, ...]
-    conductor: int
+    __slots__ = ("modulus", "order", "exponents", "conductor")
 
     def __post_init__(self):
         if len(self.exponents) != self.modulus:
@@ -573,12 +569,11 @@ def _closure(generators, modulus: int) -> set[int]:
 # Abelian number fields given by (conductor, subgroup)
 
 
-@dataclass(frozen=True)
-class AbelianFieldSpec:
-    """Fixed field of H <= (Z/f)^* inside Q(zeta_f)."""
+class AbelianFieldSpec(Record):
+    """Fixed field of H <= (Z/f)^* inside Q(zeta_f): f is the `conductor`
+    and H the sorted tuple `subgroup`."""
 
-    conductor: int
-    subgroup: tuple[int, ...]
+    __slots__ = ("conductor", "subgroup")
 
     def __post_init__(self):
         f = self.conductor
@@ -708,20 +703,18 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
 # Numeric leading values
 
 
-@dataclass(frozen=True)
-class LeadingValue:
+class LeadingValue(Record):
     """Leading Taylor coefficient of L(s, chi) at s = n < 0, as one real
     `value`: the coefficient itself when it is real, else its modulus.
 
-    Order 0 keeps the exact value and, when it is not rational, takes its
-    modulus at `dps` digits only when `value` is first read; order 1 keeps
-    the closed-form value in `numeric`.
+    Order 0 keeps the exact CyclotomicNumber and, when it is not rational,
+    takes its modulus at `dps` digits only when `value` is first read;
+    order 1 keeps the closed-form Fraction in `numeric`.  Both default to
+    None.
     """
 
-    order: int
-    dps: int
-    exact: CyclotomicNumber | None = None
-    numeric: Fraction | None = None
+    __slots__ = ("order", "dps", "exact", "numeric", "__dict__")
+    _defaults = {"exact": None, "numeric": None}
 
     @cached_property
     def value(self) -> Fraction:
@@ -826,17 +819,14 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _EM_MAX_HEAD = 1 << 16  # head terms past which the tolerance counts as unreachable
 
 
-@dataclass(frozen=True)
-class _EMPlan:
+class _EMPlan(Record):
     """Fixed-point bits, head length and tail coefficients for zeta(s, x).
 
     `coeffs[j-1]` is B_2j/(2j)! s(s+1)...(s+2j-2) as (numerator, positive
     denominator), for j = 1..M.
     """
 
-    wp: int
-    N: int
-    coeffs: tuple[tuple[int, int], ...]
+    __slots__ = ("wp", "N", "coeffs")
 
 
 def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:

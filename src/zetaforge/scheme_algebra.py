@@ -44,7 +44,6 @@ exactly when they print the same.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -53,6 +52,7 @@ from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
 from .intlinalg import ensure_prime_power, parity_sign, prime_power_base
 from .lfunctions import Q, QI, AbelianFieldSpec
+from .record import Record
 from .zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -105,8 +105,10 @@ def _unfold(root, expand):
             stack.extend(reversed(below))
 
 
-class SchemeExpr:
-    """Base class for expression nodes; all nodes are frozen dataclasses."""
+class SchemeExpr(Record):
+    """Base class for expression nodes; all nodes are immutable records."""
+
+    __slots__ = ()
 
 
 class _Composite(SchemeExpr):
@@ -114,8 +116,10 @@ class _Composite(SchemeExpr):
 
     Two composites are equal exactly when they print the same, and repr
     walks the tree with `_unfold`, so any depth works; atoms keep the
-    dataclass defaults, which do not recurse.
+    record's equality and repr, which do not recurse.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if not isinstance(other, SchemeExpr):
@@ -130,19 +134,20 @@ class _Composite(SchemeExpr):
 
 
 def _repr_pieces(node) -> list | None:
-    """The dataclass repr of one node, as strings interleaved with child
-    nodes; None for a string, which is its own text."""
+    """The record repr of one node, `Glue(closed=..., open_part=...)`, as
+    strings interleaved with child nodes; None for a string, which is its
+    own text."""
     if isinstance(node, str):
         return None
     if not isinstance(node, _Composite):
         return [repr(node)]
     out: list = [f"{type(node).__name__}("]
-    for k, field in enumerate(fields(node)):
-        value = getattr(node, field.name)
-        out.append(f"{', ' if k else ''}{field.name}=")
+    for k, field in enumerate(node._fields):
+        value = getattr(node, field)
+        out.append(f"{', ' if k else ''}{field}=")
         if isinstance(value, SchemeExpr):
             out.append(value)
-        elif field.name == "parts":
+        elif field == "parts":
             out.append("(")
             for j, child in enumerate(value):
                 out += [", ", child] if j else [child]
@@ -152,12 +157,11 @@ def _repr_pieces(node) -> list | None:
     return out + [")"]
 
 
-@dataclass(frozen=True)
 class Point(SchemeExpr):
-    """Spec F_{q^m} as a scheme over F_q."""
+    """Spec F_{q^m} as a scheme over F_q; m is 1 by default."""
 
-    q: int
-    m: int = 1
+    __slots__ = ("q", "m")
+    _defaults = {"m": 1}
 
     def __post_init__(self):
         ensure_prime_power(self.q)
@@ -165,17 +169,15 @@ class Point(SchemeExpr):
             raise InvalidArgumentError("residue degree m must be >= 1")
 
 
-@dataclass(frozen=True)
 class Curve(SchemeExpr):
     """Smooth projective curve over F_q with Z = P(t)/((1-t)(1-qt)).
 
-    `lpoly` holds the coefficients of P ascending; P(0) = 1 is required for
-    an honest curve but only flagged by validate(), and Weil-bound
-    violations surface lazily at evaluation time.
+    The tuple `lpoly` holds the coefficients of P ascending; P(0) = 1 is
+    required for an honest curve but only flagged by validate(), and
+    Weil-bound violations surface lazily at evaluation time.
     """
 
-    q: int
-    lpoly: tuple[int, ...]
+    __slots__ = ("q", "lpoly")
 
     def __post_init__(self):
         ensure_prime_power(self.q)
@@ -183,70 +185,60 @@ class Curve(SchemeExpr):
             raise InvalidArgumentError("L-polynomial needs a nonzero constant term")
 
 
-@dataclass(frozen=True)
 class NumberRing(SchemeExpr):
-    """Spec O_F for an abelian number field F."""
+    """Spec O_F for the abelian number field F given by `field_spec`."""
 
-    field_spec: AbelianFieldSpec
+    __slots__ = ("field_spec",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Disjoint(_Composite):
-    parts: tuple[SchemeExpr, ...]
+    """The disjoint union of the tuple of expressions `parts`."""
+
+    __slots__ = ("parts",)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Glue(_Composite):
     """X assembled from a closed subscheme and its open complement.
 
     The decomposition is a user assertion; no geometry is verified.
     """
 
-    closed: SchemeExpr
-    open_part: SchemeExpr
+    __slots__ = ("closed", "open_part")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Minus(_Composite):
     """Open complement U = X - Z of a user-asserted closed embedding."""
 
-    total: SchemeExpr
-    closed: SchemeExpr
+    __slots__ = ("total", "closed")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Affine(_Composite):
     """Relative affine space A^r over the base expression."""
 
-    r: int
-    base: SchemeExpr
+    __slots__ = ("r", "base")
 
     def __post_init__(self):
         if self.r < 0:
             raise InvalidArgumentError("affine rank must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Proj(_Composite):
     """Relative projective space P^r over the base expression."""
 
-    r: int
-    base: SchemeExpr
+    __slots__ = ("r", "base")
 
     def __post_init__(self):
         if self.r < 0:
             raise InvalidArgumentError("projective rank must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cellular(_Composite):
     """Cellular assembly over the base: strata A^{r_j}_B for the listed ranks."""
 
-    base: SchemeExpr
-    ranks: tuple[int, ...]
+    __slots__ = ("base", "ranks")
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
@@ -423,8 +415,7 @@ def weil_order_data(e, n: int) -> WeilOrderData:
 # the evaluation record
 
 
-@dataclass(frozen=True, eq=False)
-class Evaluation:
+class Evaluation(Record):
     """One pair (X, n) and everything the checks of it read.
 
     The expression is normalized once; every other field is the module
@@ -440,8 +431,10 @@ class Evaluation:
     an expression or its Evaluation.
     """
 
-    expr: SchemeExpr
-    n: int | None = None
+    __slots__ = ("expr", "n", "__dict__")
+    _defaults = {"n": None}
+    # one record per (X, n): equal only to itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @classmethod
     def of(cls, e, n: int | None = None) -> Evaluation:
@@ -498,11 +491,11 @@ class Evaluation:
 # structural validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    message: str
-    where: str
+class Diagnostic(Record):
+    """One finding of `validate`: its severity ("error" or "warning"), the
+    message, and where in the printed expression it lies."""
+
+    __slots__ = ("severity", "message", "where")
 
 
 _BAD_CONSTANT_TERM = "curve L-polynomial must have constant term 1"

@@ -13,7 +13,6 @@ trivial zeros of the L-factors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from math import gcd
@@ -30,13 +29,13 @@ from .intlinalg import ensure_prime_power
 from .lfunctions import (
     CyclotomicNumber,
     DEFAULT_PRECISION,
-    DirichletCharacter,
     _fixed_bits,
     _round,
     _unit_group_generators,
     leading_value,
     trivial_zero_order,
 )
+from .record import Record
 
 __all__ = [
     "RationalFunctionT",
@@ -53,21 +52,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalFunctionT:
-    """num(t)/den(t) with integer coefficients, ascending order.
+class RationalFunctionT(Record):
+    """num(t)/den(t) with integer coefficient tuples, ascending order.
 
     Normal form: nonzero constant terms, joint content 1, den(0) > 0.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not self.den or self.den[0] == 0:
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, num: tuple, den: tuple):
+        if not den or den[0] == 0:
             raise InvalidArgumentError("denominator must have a nonzero constant term")
-        if not self.num or self.num[0] == 0:
+        if not num or num[0] == 0:
             raise InvalidArgumentError("numerator must have a nonzero constant term")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def make(cls, num, den=(1,)) -> RationalFunctionT:
@@ -123,15 +123,15 @@ class RationalFunctionT:
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
-@dataclass(frozen=True)
-class FiniteCharFactor:
-    """Rational function in t = q^(-s) over the base prime power q."""
+class FiniteCharFactor(Record):
+    """Rational function Z in t = q^(-s) over the base prime power q."""
 
-    q: int
-    Z: RationalFunctionT
+    __slots__ = ("q", "Z")
 
-    def __post_init__(self):
-        ensure_prime_power(self.q)
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, q: int, Z: RationalFunctionT):
+        object.__setattr__(self, "q", ensure_prime_power(q))
+        object.__setattr__(self, "Z", Z)
 
     def sort_key(self):
         return (0, self.q, self.Z.num, self.Z.den)
@@ -153,12 +153,12 @@ class FiniteCharFactor:
         return f"[q={self.q}] {self.Z}"
 
 
-@dataclass(frozen=True)
-class LFactorShifted:
-    """L(s - shift, chi); the trivial character gives the Riemann zeta."""
+class LFactorShifted(Record):
+    """L(s - shift, chi), chi the `character` and the shift 0 by default;
+    the trivial character gives the Riemann zeta."""
 
-    character: DirichletCharacter
-    shift: int = 0
+    __slots__ = ("character", "shift")
+    _defaults = {"shift": 0}
 
     def __post_init__(self):
         if self.shift < 0:
@@ -175,19 +175,20 @@ class LFactorShifted:
         return f"L({arg}, {self.character.label()})"
 
 
-@dataclass(frozen=True)
-class ZetaProduct:
-    """Multiset product of factors with nonzero integer exponents.
+class ZetaProduct(Record):
+    """Multiset product of factors with nonzero integer exponents: the pairs
+    (FiniteCharFactor, exponent) in `finite_char` and (LFactorShifted,
+    exponent) in `char_zero`, both empty by default.
 
     Construction normalizes to a canonical form (duplicates merged, zero
     exponents dropped, factors sorted), so equality is structural.
     """
 
-    finite_char: tuple[tuple[FiniteCharFactor, int], ...] = ()
-    char_zero: tuple[tuple[LFactorShifted, int], ...] = ()
+    __slots__ = ("finite_char", "char_zero")
 
-    def __post_init__(self):
-        merged = ZetaProduct._merge(list(self.finite_char) + list(self.char_zero))
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, finite_char=(), char_zero=()):
+        merged = ZetaProduct._merge(list(finite_char) + list(char_zero))
         object.__setattr__(self, "finite_char", merged[0])
         object.__setattr__(self, "char_zero", merged[1])
 
@@ -207,8 +208,8 @@ class ZetaProduct:
 
     @classmethod
     def from_factors(cls, factors) -> ZetaProduct:
-        fc, cz = cls._merge(factors)
-        return cls(fc, cz)
+        # the constructor sorts each factor into its field, so one merge does
+        return cls(factors)
 
     @classmethod
     def single(cls, factor, exp: int = 1) -> ZetaProduct:
@@ -293,19 +294,15 @@ def format_decimal(x: Fraction, digits: int) -> str:
     return ("-" if x < 0 else "") + text + ("0" if text.endswith(".") else "") + suffix
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(Record):
     """Vanishing order and leading Taylor coefficient at s = n.
 
-    `exact` is set when the value is provably an exact rational, and is then
-    its own `numeric`; otherwise `numeric` is a dyadic rational.  `error` is
-    the nominal bound, a `Fraction` as well.
+    `exact` is a `Fraction` when the value is provably an exact rational,
+    and is then its own `numeric`; otherwise it is None and `numeric` is a
+    dyadic rational.  `error` is the nominal bound, a `Fraction` as well.
     """
 
-    order: int
-    exact: Fraction | None
-    numeric: Fraction
-    error: Fraction
+    __slots__ = ("order", "exact", "numeric", "error")
 
     @property
     def is_exact(self) -> bool:

@@ -10,7 +10,6 @@ field by field.  Slow is fine; independent is the point.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -264,13 +263,19 @@ def prime_powers_below(limit):
     return out
 
 
+def _record_fields(x) -> list[str]:
+    """The fields of an immutable record: the names in the __slots__ of its
+    classes, "__dict__" aside; none for anything else."""
+    return [name for cls in type(x).__mro__ for name in vars(cls).get("__slots__", ()) if name != "__dict__"]
+
+
 def structurally_equal(a, b):
-    """Equality of two trees of frozen dataclasses: the same class and
+    """Equality of two trees of immutable records: the same class and
     recursively equal fields, with tuples compared item by item.  It reads
     the fields only, never the classes' own __eq__."""
-    if is_dataclass(a):
+    if _record_fields(a):
         return type(a) is type(b) and all(
-            structurally_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+            structurally_equal(getattr(a, name), getattr(b, name)) for name in _record_fields(a)
         )
     if isinstance(a, tuple):
         return (

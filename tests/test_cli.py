@@ -236,6 +236,30 @@ def test_a_value_op_loads_no_mpmath():
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_import_loads_no_dataclasses():
+    # every record is a slotted Record: the CLI's cold start loads no
+    # dataclasses module, nor the inspect and ast modules it would bring
+    src = str(Path(zetaforge.__file__).parent.parent)
+    script = "import sys\nimport zetaforge.cli\nprint(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_is_an_io_error(fmt):
+    # the reader is gone before the report is printed: exit 2 with a stable
+    # code on stderr, and no traceback from print or from the flush at exit
+    src = str(Path(zetaforge.__file__).parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "zetaforge.cli", "zeta", "(point 3)", "--format", fmt],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error [io-error]:") and "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_value_of_q_zeta_401_rounds_every_product(capsys):
     # 200 order-1 values and 200 embedded order-0 values multiply to about
     # 10^1918; without rounding each product the Fractions take seconds
@@ -357,6 +381,12 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         ["det", {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [[1, 0], [0]]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[1.5]]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [["a"]]}}],
+        # JSON true, 1.5 and "1" are no integers, beside integers or alone
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[True]]}}],
+        ["det", {"ranks": {"0": 2, "1": 1}, "differentials": {"0": [[1, True]]}}],
+        ["det", {"ranks": {"0": 2, "1": 1}, "differentials": {"0": [[2, 1.5]]}}],
+        ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [["1"]]}}],
+        ["det", {"ranks": {"0": 2, "1": 1}, "differentials": {"0": [[1, "1"]]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [5]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": [[[5]]]}],
         # malformed --hodge data
