@@ -486,12 +486,14 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # exact values print in full, whatever their size
     try:
         report, ok = run_command(args)
+        text = json.dumps(report, indent=2) if args.format == "json" else _render_text(report)
     except ZetaforgeError as exc:
         return _print_error(args, exc.code, exc.message)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _print_error(args, "io-error", str(exc))
+    except MemoryError:
+        return _print_error(args, "out-of-memory", "the computation ran out of memory")
     else:
-        text = json.dumps(report, indent=2) if args.format == "json" else _render_text(report)
         return _print(text, 0 if ok else 1)
     finally:
         sys.set_int_max_str_digits(limit)

@@ -136,7 +136,7 @@ def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:
     """#X(F_{q^k}) for each k in `degrees`, from the normal form: a term
     c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
     K = max(degrees, default=0)
-    sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms() if isinstance(a, Curve)}
+    sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms if isinstance(a, Curve)}
     # each term with its curve's power sums, looked up once rather than per k
     terms = [(atom, r, c, sums.get(atom)) for (atom, r), c in nf.terms.items()]
     rmax = max((r for _, r, _, _ in terms), default=0)

@@ -3,8 +3,11 @@
 Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N),
 represented by integer polynomials reduced modulo the N-th cyclotomic
 polynomial over one positive common denominator.  The arithmetic stays in
-those integers: there is no field inversion, and `ratio` decides whether a
-quotient is rational by comparing numerator vectors.
+those integers and at one level: a number multiplies with a number of its
+own level or with a rational, and there is no field inversion.  A special
+value needs no more, because the exact L-values of one character order m
+that a product meets on every verb form whole Galois orbits, and their
+product is a norm from Q(zeta_m), a rational.
 
 Each character is decided once: the exact L(n, chi) = -B_{1-n,chi}/(1-n)
 is computed, the order at n < 0 is read off it (0 when it is nonzero), and
@@ -137,11 +140,6 @@ def _euler_phi(n: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
-def _mobius(n: int) -> int:
-    factors = factorize(n)
-    return 0 if any(e > 1 for _, e in factors) else parity_sign(len(factors))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending.
@@ -175,7 +173,8 @@ class CyclotomicNumber(Record):
     Integer numerators of the polynomial reduced mod Phi_N (so phi(N) of
     them, a tuple) over one positive common denominator, 1 by default, as in
     FLINT's fmpq_poly.  Construction divides out gcd(den, num), so equal
-    numbers of one level have equal fields.
+    numbers of one level have equal fields; numbers are compared and
+    multiplied at one level only.
     """
 
     __slots__ = ("level", "num", "den")
@@ -230,17 +229,7 @@ class CyclotomicNumber(Record):
         value = Fraction(value)
         return cls(level, (value.numerator,) + (0,) * (_euler_phi(level) - 1), value.denominator)
 
-    @classmethod
-    def root_of_unity(cls, level: int, k: int) -> CyclotomicNumber:
-        k %= level
-        return cls.from_poly(level, [0] * k + [1])
-
     # -- predicates and conversions ----------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients num[j] / den."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def is_zero(self) -> bool:
@@ -254,18 +243,6 @@ class CyclotomicNumber(Record):
         if not self.is_rational:
             raise RationalityFailureError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def promoted(self, level: int) -> CyclotomicNumber:
-        """The same number at a multiple level: zeta_N = zeta_level^(level/N)."""
-        if level == self.level:
-            return self
-        if level % self.level != 0:
-            raise InvalidArgumentError("can only promote to a multiple level")
-        step = level // self.level
-        spread = [0] * level
-        for j, c in enumerate(self.num):
-            spread[j * step] = c
-        return CyclotomicNumber.from_poly(level, spread, self.den)
 
     def _fixed(self, wp: int) -> tuple[int, int]:
         """den * x * 2^wp under zeta_N -> exp(2 pi i / N), as the integer
@@ -289,56 +266,20 @@ class CyclotomicNumber(Record):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _common(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.rational(other, self.level)
-        level = lcm(self.level, other.level)
-        return self.promoted(level), other.promoted(level)
-
-    def __add__(self, other):
-        a, b = self._common(other)
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        return CyclotomicNumber(a.level, tuple(x * sa + y * sb for x, y in zip(a.num, b.num)), den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber(self.level, tuple(-x for x in self.num), self.den)
-
-    def __sub__(self, other):
-        a, b = self._common(other)
-        return a + (-b)
-
-    def __rsub__(self, other):
-        a, b = self._common(other)
-        return b + (-a)
-
     def __mul__(self, other):
-        a, b = self._common(other)
-        if a.is_rational:
-            a, b = b, a
-        if b.is_rational:  # a rational factor scales the numerators
-            return CyclotomicNumber(a.level, tuple(c * b.num[0] for c in a.num), a.den * b.den)
-        return CyclotomicNumber.from_poly(a.level, poly.mul(a.num, b.num), a.den * b.den)
-
-    __rmul__ = __mul__
-
-    def ratio(self, other: CyclotomicNumber) -> Fraction | None:
-        """self / other when that quotient is rational, else None.
-
-        At a common level the quotient is the rational r exactly when the
-        integer numerator vectors are proportional, num_a = r' num_b, and
-        then r = r' den_b / den_a.  `other` must be nonzero.
-        """
-        a, b = self._common(other)
-        pivot = next((j for j, c in enumerate(b.num) if c), None)
-        if pivot is None:
-            raise ZeroDivisionError("ratio by a zero cyclotomic number")
-        p, q = a.num[pivot], b.num[pivot]
-        if any(x * q != y * p for x, y in zip(a.num, b.num)):
-            return None
-        return Fraction(p * b.den, q * a.den)
+        """The product with a number of the same level, or with a rational
+        scalar, which scales the numerators."""
+        if isinstance(other, CyclotomicNumber):
+            if other.level != self.level:
+                raise InvalidArgumentError(f"numbers of levels {self.level} and {other.level} do not multiply")
+            if self.is_rational:
+                self, other = other, self
+            if not other.is_rational:
+                num = poly.mul(self.num, other.num)
+                return CyclotomicNumber.from_poly(self.level, num, self.den * other.den)
+            other = other.rational_value()
+        q = Fraction(other)
+        return CyclotomicNumber(self.level, tuple(c * q.numerator for c in self.num), self.den * q.denominator)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -351,33 +292,6 @@ class CyclotomicNumber(Record):
             base = base * base
             e >>= 1
         return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.rational_value() == other
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._common(other)
-        return a.num == b.num and a.den == b.den
-
-    def __hash__(self):
-        # the normalised trace Tr(x)/phi(N) is the same at every level x can
-        # be written at, and is x itself for a rational x
-        total = Fraction(0)
-        for j, c in enumerate(self.num):
-            if c:
-                m = self.level // gcd(j, self.level)  # zeta_N^j is a primitive m-th root
-                total += Fraction(c * _mobius(m), _euler_phi(m))
-        return hash(total / self.den)
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.rational_value())
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*z{self.level}^{j}" if j else str(c))
-        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------

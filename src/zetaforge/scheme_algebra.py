@@ -257,14 +257,12 @@ _ATOMS = (Point, Curve, NumberRing)
 
 class NormalForm(NamedTuple):
     """e = sum c * [atom] * L^r as terms {(atom, r): c}, in the order the
-    atoms first occur; `graded` is false once a gluing or complement occurs."""
+    atoms first occur; `graded` is false once a gluing or complement occurs,
+    and `atoms` are the distinct atoms in order of first occurrence."""
 
     terms: dict
     graded: bool
-
-    def atoms(self) -> list:
-        """The distinct atoms, in order of first occurrence."""
-        return list(dict.fromkeys(atom for atom, _ in self.terms))
+    atoms: tuple
 
 
 def normalize(e: SchemeExpr) -> NormalForm:
@@ -302,7 +300,7 @@ def normalize(e: SchemeExpr) -> NormalForm:
         for r, c in enumerate(weight):
             if c:
                 terms[atom, r] = terms.get((atom, r), 0) + c
-    return NormalForm(terms, graded)
+    return NormalForm(terms, graded, tuple(dict.fromkeys(atom for atom, _ in terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +332,7 @@ def zeta_of(e) -> ZetaProduct:
     """The zeta function of an expression (or of its Evaluation) as a formal
     product: prod zeta(atom)(s - r)^c over the terms of the normal form."""
     nf = Evaluation.of(e).nf
-    atom_zeta = {atom: _atom_zeta(atom) for atom in nf.atoms()}
+    atom_zeta = {atom: _atom_zeta(atom) for atom in nf.atoms}
     return ZetaProduct.from_factors(
         (factor, c * exp)
         for (atom, r), c in nf.terms.items()
@@ -729,8 +727,8 @@ def parse_expr(src: str) -> SchemeExpr:
 
 def base_prime_powers(e) -> set[int]:
     """Set of finite-characteristic base prime powers appearing in atoms."""
-    return {atom.q for atom in Evaluation.of(e).nf.atoms() if not isinstance(atom, NumberRing)}
+    return {atom.q for atom in Evaluation.of(e).nf.atoms if not isinstance(atom, NumberRing)}
 
 
 def is_finite_characteristic(e) -> bool:
-    return not any(isinstance(atom, NumberRing) for atom in Evaluation.of(e).nf.atoms())
+    return not any(isinstance(atom, NumberRing) for atom in Evaluation.of(e).nf.atoms)

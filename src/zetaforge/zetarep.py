@@ -27,7 +27,6 @@ from .errors import (
 )
 from .intlinalg import ensure_prime_power
 from .lfunctions import (
-    CyclotomicNumber,
     DEFAULT_PRECISION,
     _fixed_bits,
     _round,
@@ -319,16 +318,21 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
 
     Finite-characteristic factors contribute exact nonzero rationals and no
     vanishing; L-factors contribute trivial-zero orders and leading values.
-    The result is exact when every L-factor has an exact value and the
-    product of those values is rational (in particular for conjugation-closed
-    character sets): the factors with positive exponents multiply into one
-    cyclotomic number, those with negative exponents into another, and their
-    `ratio` is the test.  Otherwise the L-factors must be closed under
+    When every L-factor has an exact value, the factors are grouped by the
+    sign of their exponent and by the level of their value, the order m of
+    the character, and each group is multiplied at its own level.  On every
+    verb each group is rational: a field's characters, and so the products
+    that shifts, gluings and complements build from them, come in whole
+    Galois orbits with one exponent per orbit and shift, and as
+    B_{k,chi^j} = sigma_j(B_{k,chi}) an orbit's product is a norm from
+    Q(zeta_m).  The value is then exact: the groups' rationals, the negative
+    ones dividing.  Otherwise (a group that is not rational comes only from
+    a product built by hand) the L-factors must be closed under
     conjugation, counted by exponent per (primitive character, shift) before
     any embedding, and the product of the real leading values (a complex
     one's modulus) is rounded after each factor to bits where (count + 1)
-    roundings stay below 2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5) relative
-    to |v| + 10^-dps over the factors.
+    roundings stay below 2^-10 10^-dps.  The nominal bound sums (|v|+1)
+    10^-(precision+5) relative to |v| + 10^-dps over the factors.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
@@ -341,15 +345,15 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     tolerance = Fraction(1, 10 ** (precision + 5))
 
     if all(lv.exact is not None for lv, _ in leads):
-        top = bottom = CyclotomicNumber.rational(1)
+        groups = {}  # (sign of the exponent, level) -> product of the powers
         for lv, e in leads:
-            if e > 0:
-                top = top * lv.exact**e
-            else:
-                bottom = bottom * lv.exact**-e
-        quotient = top.ratio(bottom)
-        if quotient is not None:
-            value = rational_part * quotient
+            key = (1 if e > 0 else -1, lv.exact.level)
+            power = lv.exact ** abs(e)
+            groups[key] = groups[key] * power if key in groups else power
+        if all(x.is_rational for x in groups.values()):
+            value = rational_part
+            for (sign, _), x in groups.items():
+                value *= x.rational_value() ** sign
             return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
     # e(chi, shift) - e(conj chi, shift), with a primitive chi keyed by its

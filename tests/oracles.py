@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
 by exhaustive search, determinant ideals by per-differential invariant
 factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
-built here from its definition, primes by a sieve, and expression equality
-field by field.  Slow is fine; independent is the point.
+built here from its definition, Dedekind zeta values of abelian fields as
+products of mpmath Hurwitz L-values over characters found by search, primes
+by a sieve, and expression equality field by field.  Slow is fine;
+independent is the point.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -237,14 +240,60 @@ def cyclotomic_mul(a, b, m):
     return cyclotomic_reduce(prod_ab, m)
 
 
-def cyclotomic_promote(a, m, big):
-    """A reduced vector of level m rewritten at level `big` (m divides big):
-    zeta_m = zeta_big^(big/m)."""
-    step = big // m
-    spread = [Fraction(0)] * (step * len(a))
-    for j, x in enumerate(a):
-        spread[j * step] = x
-    return cyclotomic_reduce(spread, big)
+def _unit_logs(f):
+    """{a: exponent vector} for the units a in 1..f over generators of the
+    (Z/q)^*, q the prime powers of f, and the generators' orders.
+
+    A primitive root found by search generates (Z/q)^* for odd q; -1 and 5
+    generate it for q = 2^e, e >= 3.  Each unit's vector is read off a
+    table of the products of generator powers."""
+    gens = []  # (q, g, order of g mod q)
+    m, p = f, 2
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q == 4:
+            gens.append((q, 3, 2))
+        elif q > 4 and p == 2:
+            gens += [(q, q - 1, 2), (q, 5, q // 4)]
+        elif q > 1 and p > 2:
+            phi = q - q // p
+            g = next(g for g in range(2, q) if g % p and all(pow(g, k, q) != 1 for k in range(1, phi)))
+            gens.append((q, g, phi))
+        p += 1
+    table = {}
+    for vec in itertools.product(*[range(order) for _, _, order in gens]):
+        residues = {}
+        for (q, g, _), k in zip(gens, vec):
+            residues[q] = residues.get(q, 1) * pow(g, k, q) % q
+        # the unit a in 1..f with a = residues[q] mod q for every q (by search: f is small)
+        a = next(a for a in range(1, f + 1) if gcd(a, f) == 1 and all(a % q == r for q, r in residues.items()))
+        table[a] = vec
+    return table, [order for _, _, order in gens]
+
+
+def dedekind_zeta_abelian(f, kernel, s):
+    """zeta_F(s) = prod_chi L(s, chi*) at the working precision, F the fixed
+    field of the subgroup of (Z/f)^* that the residues `kernel` generate:
+    chi runs over the characters of (Z/f)^* trivial on `kernel` and chi* is
+    the primitive character inducing chi, of conductor d, with
+    L(s, chi*) = d^-s sum_{a mod d} chi*(a) zeta(s, a/d) by mpmath's Hurwitz
+    zeta."""
+    logs, orders = _unit_logs(f)
+    value = mp.mpf(1)
+    for ks in itertools.product(*[range(o) for o in orders]):
+        chi = {a: sum(Fraction(k * x, o) for k, x, o in zip(ks, vec, orders)) % 1 for a, vec in logs.items()}
+        if any(chi[(h - 1) % f + 1] for h in kernel):
+            continue
+        d = min(d for d in range(1, f + 1) if f % d == 0 and not any(chi[a] for a in chi if (a - 1) % d == 0))
+        total = mp.mpf(0)
+        for a in range(1, d + 1):
+            if gcd(a, d) == 1:
+                b = next(b for b in range(a, a + d * f, d) if gcd(b, f) == 1)
+                total += mp.expjpi(as_mpf(2 * chi[(b - 1) % f + 1])) * mp.zeta(s, mp.mpf(a) / d)
+        value *= mp.mpf(d) ** -s * total
+    return value
 
 
 def prime_powers_below(limit):

@@ -260,6 +260,36 @@ def test_closed_stdout_is_an_io_error(fmt):
     assert err.startswith("error [io-error]:") and "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
+    # exit 1 means a failed verdict, so exhausted memory is the error out-of-memory
+    def exhausted(expr, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._VERBS, "value", cli._VERBS["value"]._replace(handler=exhausted))
+    code, data = run_json(capsys, "value", "(point 2)", "-n", "-1")
+    assert code == 2 and data["error"]["code"] == "out-of-memory"
+    code, out = run_cli(capsys, "value", "(point 2)", "-n", "-1")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("verb", ["value", "ord"])
+def test_an_address_space_limit_is_out_of_memory(verb):
+    # the weight L^(10^12) of the affine space is a list that does not fit in
+    # 1 GB; (point 2) at n = -10^11 fails the same way, but only after 12 s
+    # of squarings towards 2^(10^11)
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(zetaforge.__file__).parent.parent)
+    argv = [verb, "(affine 1000000000000 (point 2))", "-n", "-1", "--format", "json"]
+    done = subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["error"]["code"] == "out-of-memory"
+
+
 def test_value_of_q_zeta_401_rounds_every_product(capsys):
     # 200 order-1 values and 200 embedded order-0 values multiply to about
     # 10^1918; without rounding each product the Fractions take seconds

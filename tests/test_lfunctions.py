@@ -40,7 +40,6 @@ from oracles import (
     bernoulli_numbers,
     cyclotomic_mul,
     cyclotomic_polynomial as oracle_cyclotomic_polynomial,
-    cyclotomic_promote,
     cyclotomic_reduce,
     euler_maclaurin_zeta,
     numeric_derivative,
@@ -56,36 +55,50 @@ SQRT_MINUS_3 = AbelianFieldSpec(3, (1,))
 # cyclotomic arithmetic
 
 
+def root(level, k=1):
+    """zeta_level^k."""
+    return CyclotomicNumber.from_poly(level, [0] * k + [1])
+
+
 def test_cyclotomic_basics():
-    i = CyclotomicNumber.root_of_unity(4, 1)
-    assert i * i == -1
-    assert (1 + i) * (1 - i) == 2
-    assert i**3 == -i and i**0 == 1
+    i = root(4)
+    assert (i * i).num == (-1, 0) and (i * i).den == 1
+    one_plus_i, one_minus_i = CyclotomicNumber.from_poly(4, [1, 1]), CyclotomicNumber.from_poly(4, [1, -1])
+    assert one_plus_i * one_minus_i == CyclotomicNumber.rational(2, 4)
+    assert i**3 == CyclotomicNumber.from_poly(4, [0, -1]) and i**0 == CyclotomicNumber.rational(1, 4)
+    # 1 + zeta_3 + zeta_3^2 = 0
+    assert CyclotomicNumber.from_poly(3, [1, 1, 1]).is_zero
 
 
 def test_negative_powers_are_invalid_arguments():
-    # there is no field inversion; exact quotients go through `ratio`
-    i = CyclotomicNumber.root_of_unity(4, 1)
+    # there is no field inversion
     with pytest.raises(InvalidArgumentError) as raised:
-        i ** -1
+        root(4) ** -1
     assert raised.value.code == "invalid-argument"
 
 
-def test_cyclotomic_promotion_and_equality():
-    z3 = CyclotomicNumber.root_of_unity(3, 1)
-    z6 = CyclotomicNumber.root_of_unity(6, 1)
-    assert z6 * z6 == z3
-    assert z3.promoted(6) == z6 * z6
-    # 1 + z3 + z3^2 = 0
-    assert (1 + z3 + z3 * z3).is_zero
+def test_cyclotomic_products_stay_at_one_level():
+    # zeta_3 and zeta_6^2 are one number, but a product never changes level
+    z3, z6 = root(3), root(6)
+    assert z6 * z6 != z3 and (z6 * z6).level == 6
+    for x, y in ((z3, z6), (z6, z3), (CyclotomicNumber.rational(2, 3), z6)):
+        with pytest.raises(InvalidArgumentError) as raised:
+            x * y
+        assert raised.value.code == "invalid-argument"
+    # a rational scalar scales the numerators, at the number's own level
+    x = CyclotomicNumber.from_poly(5, [3, 0, 1], 4)
+    assert x * Fraction(2, 3) == CyclotomicNumber(5, (6, 0, 2, 0), 12)
+    assert x * -2 == CyclotomicNumber(5, (-3, 0, -1, 0), 2)
 
 
 def test_cyclotomic_rationality():
-    z5 = CyclotomicNumber.root_of_unity(5, 1)
-    norm = (1 - z5) * (1 - z5**2) * (1 - z5**3) * (1 - z5**4)
+    # the norm of 1 - zeta_5 is Phi_5(1) = 5
+    norm = CyclotomicNumber.rational(1, 5)
+    for k in range(1, 5):
+        norm = norm * CyclotomicNumber.from_poly(5, [1] + [0] * (k - 1) + [-1])  # 1 - zeta_5^k
     assert norm.is_rational and norm.rational_value() == 5
     with pytest.raises(RationalityFailureError):
-        z5.rational_value()
+        root(5).rational_value()
 
 
 @st.composite
@@ -100,6 +113,11 @@ def cyclotomic_numbers(draw, level=None):
     return x, cyclotomic_reduce([Fraction(c, den) for c in num], level)
 
 
+def coefficients(x):
+    """The rational coefficients num[j] / den of x."""
+    return [Fraction(c, x.den) for c in x.num]
+
+
 CYCLOTOMIC_LAWS = settings(deadline=None, max_examples=60)
 
 
@@ -107,93 +125,30 @@ CYCLOTOMIC_LAWS = settings(deadline=None, max_examples=60)
 @given(cyclotomic_numbers())
 def test_cyclotomic_reduction_matches_oracle(pair):
     x, expected = pair
-    assert list(x.coeffs) == expected
+    assert coefficients(x) == expected
     assert x.den > 0 and gcd(x.den, *x.num) == 1
 
 
 @st.composite
 def cyclotomic_pairs(draw):
-    """Two such numbers whose levels divide a common level up to 60."""
+    """Two such numbers of one level up to 60."""
     level = draw(st.integers(1, 60))
-    divisors = [d for d in range(1, level + 1) if level % d == 0]
-    x = draw(cyclotomic_numbers(draw(st.sampled_from(divisors))))
-    y = draw(cyclotomic_numbers(draw(st.sampled_from(divisors))))
-    return x, y
+    return draw(cyclotomic_numbers(level)), draw(cyclotomic_numbers(level))
 
 
 @CYCLOTOMIC_LAWS
 @given(cyclotomic_pairs())
-def test_cyclotomic_sum_and_product_match_oracle(pairs):
+def test_cyclotomic_product_matches_oracle(pairs):
     (x, cx), (y, cy) = pairs
-    level = x.level * y.level // gcd(x.level, y.level)
-    cx = cyclotomic_promote(cx, x.level, level)
-    cy = cyclotomic_promote(cy, y.level, level)
-    assert (x + y).level == (x * y).level == level
-    assert list((x + y).coeffs) == [a + b for a, b in zip(cx, cy)]
-    assert list((x - y).coeffs) == [a - b for a, b in zip(cx, cy)]
-    assert list((x * y).coeffs) == cyclotomic_mul(cx, cy, level)
+    assert (x * y).level == x.level
+    assert coefficients(x * y) == cyclotomic_mul(cx, cy, x.level)
 
 
 @CYCLOTOMIC_LAWS
-@given(cyclotomic_numbers(), st.fractions(max_denominator=50), st.integers(1, 4))
-def test_cyclotomic_scalars_and_promotion_match_oracle(pair, c, multiple):
+@given(cyclotomic_numbers(), st.fractions(max_denominator=50))
+def test_cyclotomic_scalars_match_oracle(pair, c):
     x, cx = pair
-    assert list((x * c).coeffs) == list((c * x).coeffs) == [c * a for a in cx]
-    big = x.level * multiple
-    assert list(x.promoted(big).coeffs) == cyclotomic_promote(cx, x.level, big)
-    assert x.promoted(big) == x
-
-
-@CYCLOTOMIC_LAWS
-@given(cyclotomic_pairs(), st.fractions(max_denominator=50))
-def test_cyclotomic_ratio_matches_oracle(pairs, r):
-    (x, cx), (y, cy) = pairs
-    if y.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            x.ratio(y)
-        return
-    level = x.level * y.level // gcd(x.level, y.level)
-    assert (y * r).promoted(level).ratio(y) == r
-    assert (y * r).ratio(y.promoted(level)) == r
-    # proportional oracle vectors at the common level, or None
-    cx = cyclotomic_promote(cx, x.level, level)
-    cy = cyclotomic_promote(cy, y.level, level)
-    pivot = next(j for j, c in enumerate(cy) if c)
-    k = cx[pivot] / cy[pivot]
-    expected = k if all(a == k * b for a, b in zip(cx, cy)) else None
-    assert x.ratio(y) == expected
-
-
-@CYCLOTOMIC_LAWS
-@given(cyclotomic_numbers(), st.integers(1, 4))
-def test_equal_cyclotomic_numbers_hash_equal_across_levels(pair, multiple):
-    x, _ = pair
-    y = x.promoted(x.level * multiple)
-    assert y == x and hash(y) == hash(x)
-    # Q(zeta_2N) = Q(zeta_N) for odd N, with zeta_2N = -zeta_N^((N+1)/2)
-    level = x.level // 2
-    if x.level % 4 == 2:
-        coeffs = [0] * level
-        for j, c in enumerate(x.num):
-            coeffs[j * (level + 1) // 2 % level] += (-1) ** j * c
-        z = CyclotomicNumber.from_poly(level, coeffs, x.den)
-        assert z.level == level and z == x and hash(z) == hash(x)
-
-
-@CYCLOTOMIC_LAWS
-@given(st.fractions(max_denominator=50), st.integers(1, 60))
-def test_rational_cyclotomic_numbers_hash_as_rationals(q, level):
-    x = CyclotomicNumber.rational(q, level)
-    assert x == q and hash(x) == hash(q)
-    if q.denominator == 1:
-        assert x == int(q) and hash(x) == hash(int(q))
-
-
-def test_hash_agrees_with_equality_on_roots_of_unity():
-    z3 = CyclotomicNumber.root_of_unity(3, 1)
-    z6_squared = CyclotomicNumber.root_of_unity(6, 1) ** 2
-    assert z3 == z6_squared and len({z3, z6_squared}) == 1
-    assert hash(CyclotomicNumber.rational(2)) == hash(2)
+    assert coefficients(x * c) == coefficients(x * CyclotomicNumber.rational(c, x.level)) == [c * a for a in cx]
 
 
 @settings(deadline=None, max_examples=25)

@@ -197,13 +197,19 @@ def test_cancelled_number_ring_is_still_char_zero():
     assert info.value.code == "char-zero-atom"
 
 
+def test_atoms_are_built_once_in_order_of_first_occurrence():
+    e = parse_expr("(disjoint (affine 1 (point 3)) (curve 2 (1 0 2)) (point 3) (minus (Q) (Q)))")
+    assert normalize(e).atoms == (Point(3), Curve(2, (1, 0, 2)), NumberRing(Q))
+
+
 def test_proj_weight_is_one_plus_L_to_the_r():
     assert normalize(Proj(2, Affine(1, Point(3)))) == (
         {(Point(3), 1): 1, (Point(3), 2): 1, (Point(3), 3): 1},
         True,
+        (Point(3),),
     )
     assert normalize(Cellular(Point(3), (0, 2, 2))).terms == {(Point(3), 0): 1, (Point(3), 2): 2}
-    assert normalize(Glue(Point(3), Point(3))) == ({(Point(3), 0): 2}, False)
+    assert normalize(Glue(Point(3), Point(3))) == ({(Point(3), 0): 2}, False, (Point(3),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from zetaforge import cli, lfunctions, poly
 from zetaforge.errors import RationalityFailureError, WeilViolationError
 from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
-from zetaforge.scheme_algebra import NumberRing, zeta_of
+from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -23,7 +25,7 @@ from zetaforge.zetarep import (
     shift_s,
 )
 
-from oracles import as_mpf
+from oracles import as_mpf, dedekind_zeta_abelian
 
 
 def geometric(q, scale=1):
@@ -133,6 +135,47 @@ def test_a_rational_product_embeds_no_exact_value(monkeypatch):
     monkeypatch.setattr(lfunctions.CyclotomicNumber, "modulus", no_embedding)
     value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
     assert value.order == 0 and value.is_exact
+
+
+@st.composite
+def real_field_expressions(draw):
+    """(expression, terms): disjoint unions, complements and affine spaces of
+    rank 2 over the rings of integers of real abelian fields of conductor
+    below 50, with the terms (conductor, generators of H, shift, exponent)
+    of its zeta function as a product of Dedekind zetas zeta_F(s - shift)."""
+    f = draw(st.integers(3, 49))
+    units = [a for a in range(1, f) if gcd(a, f) == 1]
+    gens = (f - 1, *draw(st.lists(st.sampled_from(units), max_size=2)))
+    leaf = (NumberRing(AbelianFieldSpec.from_generators(f, gens)), [(f, gens, 0, 1)])
+    kind = draw(st.sampled_from(["leaf", "leaf", "disjoint", "minus", "affine"]))
+    if kind == "leaf":
+        return leaf
+    a, ta = draw(real_field_expressions()) if draw(st.booleans()) else leaf
+    if kind == "affine":  # an even shift keeps every L-value at an odd weight
+        return Affine(2, a), [(f, g, r + 2, e) for f, g, r, e in ta]
+    b, tb = draw(real_field_expressions())
+    if kind == "disjoint":
+        return Disjoint((a, b)), ta + tb
+    return Minus(a, b), ta + [(f, g, r, -e) for f, g, r, e in tb]
+
+
+@lru_cache(maxsize=None)
+def oracle_dedekind(f, gens, s):
+    with mp.workdps(60):
+        return dedekind_zeta_abelian(f, gens, s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(real_field_expressions(), st.sampled_from([-1, -3, -5]))
+def test_real_abelian_values_are_exact_per_level(case, n):
+    # a real field's characters are even, so every L-value at an odd weight is
+    # nonzero and exact; each Galois-closed level multiplies to a rational
+    expr, terms = case
+    value = evaluate_at(zeta_of(expr), n, 30)
+    assert value.order == 0 and value.is_exact
+    with mp.workdps(60):
+        oracle = mp.fprod(oracle_dedekind(f, gens, n - r) ** e for f, gens, r, e in terms)
+        assert abs(as_mpf(value.exact) - oracle) <= abs(oracle) * mp.mpf(10) ** -40
 
 
 @pytest.mark.parametrize("n", [-1, -2])
