@@ -306,8 +306,8 @@ class _Verb(NamedTuple):
     `positional` is the field its one positional fills ("expression", "file"
     or None) and `options` maps its own options to their defaults.  The
     reader requires the field `required`, as argparse did; `run_command`
-    requires the expression (or --hodge) of an expression verb, and -n when
-    `needs_n`.
+    requires the expression of an expression verb (or --hodge in its place,
+    never both), and -n when `needs_n`.
     """
 
     handler: Callable
@@ -361,11 +361,11 @@ def run_command(args) -> tuple[dict, bool]:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
     if verb.positional != "expression":
         return verb.handler(args)
-    expr = None
-    if not args.hodge:
-        if args.expression is None:
-            raise UsageError(f"{args.verb} requires an expression")
-        expr = parse_expr(args.expression)
+    if args.hodge and args.expression is not None:
+        raise UsageError(f"{args.verb} takes an expression or --hodge, not both")
+    if not args.hodge and args.expression is None:
+        raise UsageError(f"{args.verb} requires an expression")
+    expr = None if args.hodge else parse_expr(args.expression)
     if verb.needs_n:
         if args.n is None:
             raise UsageError(f"{args.verb} requires -n")

@@ -313,11 +313,11 @@ class DirichletCharacter(Record):
     """Character of (Z/modulus)^* with values in mu_order.
 
     The tuple `exponents[a % modulus]` is k with chi(a) = zeta_order^k, or
-    None when gcd(a, modulus) > 1.  `conductor` is the conductor of the
-    primitive character this one induces.
+    None when gcd(a, modulus) > 1.  The table is the whole character: its
+    `conductor`, that of the primitive character it induces, is read off it.
     """
 
-    __slots__ = ("modulus", "order", "exponents", "conductor")
+    __slots__ = ("modulus", "order", "exponents", "__dict__")
 
     def __post_init__(self):
         if len(self.exponents) != self.modulus:
@@ -345,40 +345,52 @@ class DirichletCharacter(Record):
     @property
     def parity(self) -> int:
         """chi(-1) as +1 or -1."""
-        k = self.exponent(-1)
-        return 1 if k == 0 else -1
+        return 1 if self.exponent(-1) == 0 else -1
+
+    @cached_property
+    def conductor(self) -> int:
+        """Least f | modulus with chi trivial on the units that are 1 mod f.
+
+        Those f are closed under gcd, as the units 1 mod gcd(f, g) are the
+        products of those 1 mod f and those 1 mod g, and under multiples.
+        So the least is reached one prime p at a time: f is divided by p
+        while the table is trivial (0, or None off the units) on the
+        residues 1 mod f/p.
+        """
+        f = self.modulus
+        for p, _ in factorize(f):
+            while f % p == 0 and not any(self.exponents[1 % (f // p) :: f // p]):
+                f //= p
+        return f
 
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
     def primitive(self) -> DirichletCharacter:
-        """The primitive character inducing this one."""
-        if self.is_primitive:
-            return self
+        """The primitive character inducing this one: the table restricted
+        to the residues mod the conductor, which the units of the modulus
+        cover, each unit mod f lifting to one."""
         f = self.conductor
-        exps = [None] * f
-        for a in _units(f):
-            b = a
-            while gcd(b, self.modulus) != 1:
-                b += f
-            exps[a % f] = self.exponent(b)
-        return DirichletCharacter(f, self.order, tuple(exps), f)
+        if f == self.modulus:
+            return self
+        exps = {a % f: self.exponent(a) for a in _units(self.modulus)}
+        return DirichletCharacter(f, self.order, tuple(exps.get(a) for a in range(f)))
 
     def label(self) -> str:
-        if self.is_trivial and self.conductor == 1:
+        if self.is_trivial:
             return "zeta"
         units = ".".join(str(k) for k in self.exponents if k is not None)
         return f"chi_{self.modulus}.{self.order}.{units}"
 
     def __str__(self):
-        if self.is_trivial and self.conductor == 1:
+        if self.is_trivial:
             return "trivial character"
         return f"character mod {self.modulus} of order {self.order}"
 
 
-TRIVIAL_CHARACTER = DirichletCharacter(1, 1, (0,), 1)
-CHI_MINUS_4 = DirichletCharacter(4, 2, (None, 0, None, 1), 4)
+TRIVIAL_CHARACTER = DirichletCharacter(1, 1, (0,))
+CHI_MINUS_4 = DirichletCharacter(4, 2, (None, 0, None, 1))
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +445,7 @@ def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
     A character sends the generator g_i of order o_i to zeta_e^(k_i e/o_i),
     e the group exponent, so chi(a) = zeta_e^(sum_i k_i (e/o_i) log_i(a)).
     Each exponent vector k is tested on the logs of the subgroup before its
-    table and conductor are built.
+    table is built.
     """
     gens = _unit_group_generators(modulus)
     logs = _unit_logs(modulus)
@@ -450,19 +462,9 @@ def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
             table[a % modulus] = sum(map(mul, scaled, vec)) % exponent
         g = gcd(exponent, *[t for t in table if t is not None])
         exps = tuple(None if t is None else t // g for t in table)
-        result.append(DirichletCharacter(modulus, exponent // g, exps, _conductor(modulus, exps)))
+        result.append(DirichletCharacter(modulus, exponent // g, exps))
     result.sort(key=lambda c: (not c.is_trivial, c.order, c.exponents))
     return tuple(result)
-
-
-def _conductor(modulus: int, exponents) -> int:
-    """Least f | modulus with chi trivial on the units that are 1 mod f."""
-    return next(
-        f
-        for f in range(1, modulus + 1)
-        if modulus % f == 0
-        and all(exponents[a % modulus] == 0 for a in _units(modulus) if a % f == 1 % f)
-    )
 
 
 def _closure(generators, modulus: int) -> set[int]:
@@ -621,14 +623,23 @@ class LeadingValue(Record):
     """Leading Taylor coefficient of L(s, chi) at s = n < 0, as one real
     `value`: the coefficient itself when it is real, else its modulus.
 
-    Order 0 keeps the exact CyclotomicNumber and, when it is not rational,
-    takes its modulus at `dps` digits only when `value` is first read;
-    order 1 keeps the closed-form Fraction in `numeric`.  Both default to
-    None.
+    An exact value keeps the CyclotomicNumber in `exact` and, when it is
+    not rational, takes its modulus at `dps` digits only when `value` is
+    first read; a trivial zero keeps the closed-form Fraction in `numeric`.
+    Both default to None, and exactly one is set.
     """
 
-    __slots__ = ("order", "dps", "exact", "numeric", "__dict__")
+    __slots__ = ("dps", "exact", "numeric", "__dict__")
     _defaults = {"exact": None, "numeric": None}
+
+    def __post_init__(self):
+        if (self.exact is None) == (self.numeric is None):
+            raise InvalidArgumentError("a leading value is exact or numeric, not both or neither")
+
+    @property
+    def order(self) -> int:
+        """0 exactly when the value is exact: trivial zeros at n < 0 are simple."""
+        return 1 if self.exact is None else 0
 
     @cached_property
     def value(self) -> Fraction:
@@ -894,10 +905,9 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     chi = chi.primitive()
     f = chi.modulus
     exact = L_at_nonpositive(chi, n)
-    order = _checked_order(chi, n, exact)
     dps = _working_dps(precision, f)
-    if order == 0:
-        return LeadingValue(order=0, dps=dps, exact=exact)
+    if _checked_order(chi, n, exact) == 0:
+        return LeadingValue(dps, exact=exact)
     a = 0 if chi.parity == 1 else 1
     m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
     k = m + a
@@ -910,4 +920,4 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     value = abs(r) * Fraction(root << (-n - 1) * wp, _pi_fixed(wp) ** -n << wp)
     if chi.order <= 2 and r * re < 0:
         value = -value
-    return LeadingValue(order=1, dps=dps, numeric=_round(value, _fixed_bits(dps, 0)))
+    return LeadingValue(dps, numeric=_round(value, _fixed_bits(dps, 0)))

@@ -265,10 +265,25 @@ class NormalForm(NamedTuple):
     atoms: tuple
 
 
+# the largest degree written out densely: of Z = 1/(1 - t^m) in t, the
+# residue degree m, and of a weight in L, the bundle ranks summed on a path
+_MAX_ZETA_DEGREE = 1 << 16
+
+
 def normalize(e: SchemeExpr) -> NormalForm:
     """The normal form of `e`; each node weighs its subtree by a polynomial
-    in L, and zero coefficients that arise by cancellation are kept."""
+    in L, and zero coefficients that arise by cancellation are kept.  A
+    weight of degree above `_MAX_ZETA_DEGREE` is refused before it is
+    written out."""
     graded = True
+
+    def check_rank(weight, rank):
+        degree = len(weight) - 1 + rank
+        if degree > _MAX_ZETA_DEGREE:
+            raise InvalidArgumentError(
+                f"bundle ranks summing to {degree} are above {_MAX_ZETA_DEGREE}: "
+                "the weight in L is too large to write out"
+            )
 
     def below(item):
         """The children of a node, each with its weight; None for an atom."""
@@ -285,10 +300,13 @@ def normalize(e: SchemeExpr) -> NormalForm:
             graded = False
             return [(node.total, weight), (node.closed, [-c for c in weight])]
         if isinstance(node, Affine):
+            check_rank(weight, node.r)
             return [(node.base, [0] * node.r + weight)]
         if isinstance(node, Proj):
+            check_rank(weight, node.r)
             return [(node.base, poly.mul(weight, [1] * (node.r + 1)))]
         if isinstance(node, Cellular):
+            check_rank(weight, max(node.ranks))
             cells = [0] * (max(node.ranks) + 1)
             for r in node.ranks:
                 cells[r] += 1
@@ -305,10 +323,6 @@ def normalize(e: SchemeExpr) -> NormalForm:
 
 # ---------------------------------------------------------------------------
 # zeta propagation
-
-
-# the largest residue degree m whose Z = 1/(1 - t^m) is written out densely
-_MAX_ZETA_DEGREE = 1 << 16
 
 
 def _atom_zeta(atom) -> ZetaProduct:

@@ -169,7 +169,7 @@ class LFactorShifted(Record):
 
     def __str__(self):
         arg = "s" if self.shift == 0 else f"s-{self.shift}"
-        if self.character.is_trivial and self.character.conductor == 1:
+        if self.character.is_trivial:
             return f"zeta({arg})"
         return f"L({arg}, {self.character.label()})"
 

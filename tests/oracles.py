@@ -4,10 +4,10 @@ Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
 by exhaustive search, determinant ideals by per-differential invariant
 factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
-built here from its definition, Dedekind zeta values of abelian fields as
-products of mpmath Hurwitz L-values over characters found by search, primes
-by a sieve, and expression equality field by field.  Slow is fine;
-independent is the point.
+built here from its definition, conductors of character tables by trying
+every divisor, Dedekind zeta values of abelian fields as products of mpmath
+Hurwitz L-values over characters found by search, primes by a sieve, and
+expression equality field by field.  Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -271,6 +271,19 @@ def _unit_logs(f):
         a = next(a for a in range(1, f + 1) if gcd(a, f) == 1 and all(a % q == r for q, r in residues.items()))
         table[a] = vec
     return table, [order for _, _, order in gens]
+
+
+def conductor(table) -> int:
+    """The conductor of the Dirichlet character mod m = len(table) with
+    chi(a) = zeta^table[a % m] (None off the units): the least divisor f of
+    m with table[a] == 0 at every unit a = 1 mod f, by trying every divisor
+    against every unit."""
+    m = len(table)
+    return min(
+        f
+        for f in range(1, m + 1)
+        if m % f == 0 and all(table[a] == 0 for a in range(m) if gcd(a, m) == 1 and a % f == 1 % f)
+    )
 
 
 def dedekind_zeta_abelian(f, kernel, s):

@@ -272,22 +272,34 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("verb", ["value", "ord"])
-def test_an_address_space_limit_is_out_of_memory(verb):
-    # the weight L^(10^12) of the affine space is a list that does not fit in
-    # 1 GB; (point 2) at n = -10^11 fails the same way, but only after 12 s
-    # of squarings towards 2^(10^11)
+@pytest.mark.parametrize("verb", ["value", "ord", "zeta"])
+def test_a_bundle_rank_above_the_bound_is_refused_under_a_memory_limit(verb):
+    # the weight of a bundle over a path of ranks summing to r is a dense
+    # polynomial of degree r in L; past 65536 it is refused before it is
+    # allocated, where a list of 10^9 entries would exhaust the 1 GB limit
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(zetaforge.__file__).parent.parent)
-    argv = [verb, "(affine 1000000000000 (point 2))", "-n", "-1", "--format", "json"]
-    done = subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
-                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2 and "Traceback" not in done.stderr
-    assert json.loads(done.stdout)["error"]["code"] == "out-of-memory"
+    weight = [] if verb == "zeta" else ["-n", "-1"]
+    for expr in ["(proj 1000000000 (point 2))", "(affine 1000000000000 (point 2))",
+                 "(cellular (point 2) (0 1000000000))"]:
+        argv = [verb, expr, *weight, "--format", "json"]
+        done = subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                              preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
+
+
+def test_bundle_ranks_are_summed_along_the_path(capsys):
+    assert run_json(capsys, "zeta", "(affine 65536 (point 2))")[0] == 0
+    for expr in ["(proj 1 (affine 65536 (point 2)))", "(affine 1 (cellular (point 2) (0 65536)))",
+                 "(disjoint (point 2) (proj 40000 (minus (affine 25537 (point 4)) (point 4))))"]:
+        code, data = run_json(capsys, "zeta", expr)
+        assert code == 2 and data["error"]["code"] == "invalid-argument"
+        assert data["error"]["message"].startswith("bundle ranks summing to 65537 ")
 
 
 def test_value_of_q_zeta_401_rounds_every_product(capsys):
@@ -352,6 +364,16 @@ def test_ord_hodge_path(capsys):
     assert code == 0
     assert data["hodge_equivariant_dims"] == {"1": 1, "2": 1}
     assert data["gamma_factor_order"] == 0 and data["chi"] == 0
+
+
+@pytest.mark.parametrize("expression", ["(bogus", "(Qi)"])
+def test_ord_refuses_an_expression_beside_hodge_data(capsys, expression):
+    # neither input is read: the unbalanced "(bogus" is no syntax error here
+    hodge = json.dumps({"hpq": {"0,0": 1}, "diag": {"0": [1, 0]}})
+    for verb in ("ord", "verify-vo"):
+        code, data = run_json(capsys, verb, expression, "-n", "-1", "--hodge", hodge)
+        assert code == 2 and data["error"]["code"] == "usage"
+        assert data["error"]["message"] == f"{verb} takes an expression or --hodge, not both"
 
 
 def test_error_exit_codes(capsys, tmp_path):

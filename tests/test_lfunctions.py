@@ -32,12 +32,13 @@ from zetaforge.lfunctions import (
 )
 
 from zetaforge.scheme_algebra import NumberRing, zeta_of
-from zetaforge.zetarep import evaluate_at, vanishing_order
+from zetaforge.zetarep import LFactorShifted, ZetaProduct, evaluate_at, format_decimal, vanishing_order
 
 from oracles import (
     as_mpc,
     as_mpf,
     bernoulli_numbers,
+    conductor,
     cyclotomic_mul,
     cyclotomic_polynomial as oracle_cyclotomic_polynomial,
     cyclotomic_reduce,
@@ -256,14 +257,37 @@ def test_character_counts_and_conductors():
     assert lifted.primitive().exponents == CHI_MINUS_4.exponents
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 10**6))
+def test_conductor_is_read_off_the_table(modulus, pick):
+    chars = characters_mod(modulus, (1,))
+    chi = chars[pick % len(chars)]
+    assert chi.conductor == conductor(chi.exponents)
+    prim = chi.primitive()
+    assert prim.is_primitive and prim.modulus == chi.conductor and prim.order == chi.order
+    assert all(prim.exponent(a) == chi.exponent(a) for a in range(modulus) if gcd(a, modulus) == 1)
+
+
+def test_a_conductor_is_not_an_input():
+    # the order-4 characters mod 10 have conductor 5; told 10, the closed
+    # form for a primitive character would have given 6.3268518968502449488
+    tables = [c.exponents for c in characters_mod(10, (1,)) if c.order == 4]
+    with pytest.raises(TypeError):
+        DirichletCharacter(10, 4, tables[0], 10)
+    chi, conj = [DirichletCharacter(10, 4, table) for table in tables]
+    assert chi.conductor == conj.conductor == 5 and not chi.is_primitive
+    z = ZetaProduct.from_factors([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
+    assert format_decimal(evaluate_at(z, -1, 20).numeric, 20) == "0.74433551727649940574"
+
+
 def test_character_exponents_are_reduced():
     # the root-of-unity and Bernoulli tables are indexed by the exponent
     with pytest.raises(ValueError):
-        DirichletCharacter(5, 2, (None, 0, 3, 1, 0), 5)
+        DirichletCharacter(5, 2, (None, 0, 3, 1, 0))
     # and the order is the character's: the real character mod 5 at order 4,
     # which would be taken for a complex one, is refused
     with pytest.raises(ValueError):
-        DirichletCharacter(5, 4, (None, 0, 2, 2, 0), 5)
+        DirichletCharacter(5, 4, (None, 0, 2, 2, 0))
 
 
 def test_field_specs():
@@ -327,6 +351,18 @@ def test_leading_value_exact_case():
     lv = leading_value(TRIVIAL_CHARACTER, -1, 50)
     assert lv.order == 0
     assert lv.exact.rational_value() == Fraction(-1, 12)
+
+
+def test_leading_value_order_is_zero_exactly_when_exact():
+    for modulus in (1, 4, 5, 8, 12):
+        for chi in characters_mod(modulus, (1,)):
+            for n in range(-4, 0):
+                lv = leading_value(chi, n, 10)
+                assert lv.order == (1 if lv.exact is None else 0) == trivial_zero_order(chi, n)
+                assert (lv.numeric is None) == (lv.exact is not None)
+    for fields in ({}, {"exact": L_at_nonpositive(TRIVIAL_CHARACTER, -1), "numeric": Fraction(-1, 12)}):
+        with pytest.raises(InvalidArgumentError):
+            lfunctions.LeadingValue(30, **fields)
 
 
 def test_zeta_prime_minus_2_dual_path():

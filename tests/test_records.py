@@ -45,13 +45,13 @@ Z = RationalFunctionT((1,), (1, -2))
 SAMPLES = {
     "CyclotomicNumber": (lambda: CyclotomicNumber(3, (2, 4), 6), "CyclotomicNumber(level=3, num=(1, 2), den=3)"),
     "DirichletCharacter": (
-        lambda: DirichletCharacter(5, 4, (None, 0, 1, 3, 2), 5),
-        "DirichletCharacter(modulus=5, order=4, exponents=(None, 0, 1, 3, 2), conductor=5)",
+        lambda: DirichletCharacter(5, 4, (None, 0, 1, 3, 2)),
+        "DirichletCharacter(modulus=5, order=4, exponents=(None, 0, 1, 3, 2))",
     ),
     "AbelianFieldSpec": (lambda: AbelianFieldSpec(5, (1, 4)), "AbelianFieldSpec(conductor=5, subgroup=(1, 4))"),
     "LeadingValue": (
-        lambda: LeadingValue(1, 30, numeric=Fraction(3, 4)),
-        "LeadingValue(order=1, dps=30, exact=None, numeric=Fraction(3, 4))",
+        lambda: LeadingValue(30, numeric=Fraction(3, 4)),
+        "LeadingValue(dps=30, exact=None, numeric=Fraction(3, 4))",
     ),
     "_EMPlan": (lambda: _EMPlan(64, 10, ((1, 6),)), "_EMPlan(wp=64, N=10, coeffs=((1, 6),))"),
     "RationalFunctionT": (lambda: RationalFunctionT((1,), (1, -2)), "RationalFunctionT(num=(1,), den=(1, -2))"),
@@ -61,7 +61,7 @@ SAMPLES = {
     ),
     "LFactorShifted": (
         lambda: LFactorShifted(TRIVIAL_CHARACTER, 1),
-        "LFactorShifted(character=DirichletCharacter(modulus=1, order=1, exponents=(0,), conductor=1), shift=1)",
+        "LFactorShifted(character=DirichletCharacter(modulus=1, order=1, exponents=(0,)), shift=1)",
     ),
     "ZetaProduct": (
         lambda: ZetaProduct(((FiniteCharFactor(2, Z), 1),)),
@@ -188,7 +188,7 @@ def test_records_copy_and_pickle(name):
 
 def test_constructor_takes_positions_keywords_and_defaults():
     assert Point(2) == Point(2, 1) == Point(q=2) == Point(m=1, q=2) == Point(2, m=1)
-    assert LeadingValue(0, 30) == LeadingValue(order=0, dps=30, exact=None, numeric=None)
+    assert LeadingValue(30, numeric=Fraction(1)) == LeadingValue(dps=30, exact=None, numeric=Fraction(1))
     assert SpecialValue(order=1, exact=None, numeric=Fraction(1), error=Fraction(0)).order == 1
     for call in (
         lambda: Point(),
