@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -279,6 +280,59 @@ def _cmd_batch(args) -> tuple[dict, bool]:
 # rendering and dispatch
 
 
+# how each leaf type of a report is written in JSON
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _render_json(report) -> str:
+    """`json.dumps(report, indent=2)`, byte for byte, for what a report
+    holds: dicts with str keys, lists and tuples, and leaves of exactly the
+    types str, int, bool and None; anything else is a TypeError.
+
+    json.dumps runs its pure-Python encoder whenever `indent` is set; here
+    strings go through the json module's C escaper, a list of strings is
+    joined in one call, and the pieces are joined once at the end.
+    """
+    pieces = []
+    put, leaf = pieces.append, _LEAVES.get
+
+    def write(x, indent):
+        show = leaf(type(x))
+        if show is not None:
+            return put(show(x))
+        inner = indent + "  "
+        if isinstance(x, dict):
+            if not x:
+                return put("{}")
+            sep = "{" + inner
+            for key, value in x.items():
+                put(sep + encode_basestring_ascii(key) + ": ")
+                write(value, inner)
+                sep = "," + inner
+            put(indent + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                return put("[]")
+            if all(type(v) is str for v in x):
+                return put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, x)) + indent + "]")
+            sep = "[" + inner
+            for value in x:
+                put(sep)
+                write(value, inner)
+                sep = "," + inner
+            put(indent + "]")
+        else:
+            raise TypeError(f"a report cannot hold {type(x).__name__}")
+
+    write(report, "\n")
+    return "".join(pieces)
+
+
 def _render_text(report: dict) -> str:
     lines = []
 
@@ -486,7 +540,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # exact values print in full, whatever their size
     try:
         report, ok = run_command(args)
-        text = json.dumps(report, indent=2) if args.format == "json" else _render_text(report)
+        text = _render_json(report) if args.format == "json" else _render_text(report)
     except ZetaforgeError as exc:
         return _print_error(args, exc.code, exc.message)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -501,7 +555,7 @@ def main(argv=None) -> int:
 
 def _print_error(args, code: str, message: str) -> int:
     if args.format == "json":
-        return _print(json.dumps({"error": {"code": code, "message": message}}, indent=2), 2)
+        return _print(_render_json({"error": {"code": code, "message": message}}), 2)
     return _print(f"error [{code}]: {message}", 2, sys.stderr)
 
 

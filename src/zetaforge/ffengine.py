@@ -29,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     MixedBaseError,
 )
-from .intlinalg import parity_sign, prime_power_base, rational_valuation
+from .intlinalg import is_prime, parity_sign, prime_power_base, rational_valuation, valuation
 from .record import Record
 from .scheme_algebra import Curve, Evaluation, NormalForm
 from .zetarep import RationalFunctionT, ZetaProduct
@@ -238,14 +238,17 @@ def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
         raise GradedDataUnavailableError(
             "per-degree orders are not determined through gluings/complements"
         )
-    left = Fraction(ell) ** (-rational_valuation(entry.value.exact, ell))
-    right = Fraction(1)
-    for i, order in data.graded.items():
-        right *= Fraction(ell) ** (parity_sign(i + 1) * rational_valuation(order, ell))
+    value = entry.value.exact
+    if not is_prime(ell):
+        raise InvalidArgumentError(f"{ell} is not prime")
+    # the two sides as exponents of ell: -v_ell(value) against
+    # sum_i (-1)^(i+1) v_ell(|H^i|), compared as integers
+    left = valuation(value.denominator, ell) - valuation(value.numerator, ell)
+    right = sum(parity_sign(i + 1) * valuation(order, ell) for i, order in data.graded.items())
     return VerificationReport(
         claim="ell-adic-absolute-value",
-        left=left,
-        right=right,
+        left=Fraction(ell) ** left,
+        right=Fraction(ell) ** right,
         context={"expression": entry.printed, "n": n, "ell": ell},
     )
 

@@ -25,6 +25,7 @@ __all__ = [
     "cokernel",
     "group_order",
     "rational_valuation",
+    "valuation",
     "factorize",
     "is_prime",
     "prime_power_base",
@@ -435,6 +436,11 @@ def ensure_prime_power(q: int) -> int:
     return q
 
 
+def valuation(n: int, p: int) -> int:
+    """v_p(n) of a nonzero integer n; the caller has checked that p is prime."""
+    return _split(n, p)[0]
+
+
 def rational_valuation(x, p: int) -> int:
     """p-adic valuation v_p(x) of a nonzero rational x."""
     if not is_prime(p):
@@ -442,4 +448,4 @@ def rational_valuation(x, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise InvalidArgumentError("valuation of zero is undefined")
-    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
+    return valuation(x.numerator, p) - valuation(x.denominator, p)

@@ -485,16 +485,29 @@ def _closure(generators, modulus: int) -> set[int]:
 # Abelian number fields given by (conductor, subgroup)
 
 
+# the largest conductor: every character table has one entry per residue
+_MAX_CONDUCTOR = 1 << 16
+
+
+def _check_conductor(f: int) -> None:
+    if f < 1:
+        raise InvalidArgumentError("conductor must be >= 1")
+    if f > _MAX_CONDUCTOR:
+        raise InvalidArgumentError(
+            f"conductor {f} is above {_MAX_CONDUCTOR}: its character tables are too large to write out"
+        )
+
+
 class AbelianFieldSpec(Record):
     """Fixed field of H <= (Z/f)^* inside Q(zeta_f): f is the `conductor`
-    and H the sorted tuple `subgroup`."""
+    and H the sorted tuple `subgroup`; a conductor above `_MAX_CONDUCTOR`
+    is refused before any residue is enumerated."""
 
     __slots__ = ("conductor", "subgroup")
 
     def __post_init__(self):
         f = self.conductor
-        if f < 1:
-            raise InvalidArgumentError("conductor must be >= 1")
+        _check_conductor(f)
         elements = set(self.subgroup)
         if 1 not in elements:
             raise InvalidArgumentError("subgroup must contain 1")
@@ -506,8 +519,7 @@ class AbelianFieldSpec(Record):
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> AbelianFieldSpec:
-        if conductor < 1:
-            raise InvalidArgumentError("conductor must be >= 1")
+        _check_conductor(conductor)
         gens = {_canonical_residue(int(g), conductor) for g in generators}
         return cls(conductor, tuple(sorted(_closure(gens, conductor))))
 

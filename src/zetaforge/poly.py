@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["trim", "mul", "evaluate", "quotient"]
+__all__ = ["trim", "mul", "window_sum", "evaluate", "quotient"]
 
 
 def trim(p) -> tuple:
@@ -31,6 +31,19 @@ def mul(a, b) -> list:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
+    return out
+
+
+def window_sum(p, r: int) -> list:
+    """p * (1 + t + ... + t^r), as `mul` would give it, in one pass:
+    coefficient k is the window sum p[k - r] + ... + p[k]."""
+    out, total = [], 0
+    for k in range(len(p) + r if p else 0):
+        if k < len(p):
+            total += p[k]
+        if k > r:
+            total -= p[k - r - 1]
+        out.append(total)
     return out
 
 

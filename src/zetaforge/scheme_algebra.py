@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
-from .intlinalg import ensure_prime_power, parity_sign, prime_power_base
+from .intlinalg import ensure_prime_power, prime_power_base
 from .lfunctions import Q, QI, AbelianFieldSpec
 from .record import Record
 from .zetarep import (
@@ -304,7 +304,7 @@ def normalize(e: SchemeExpr) -> NormalForm:
             return [(node.base, [0] * node.r + weight)]
         if isinstance(node, Proj):
             check_rank(weight, node.r)
-            return [(node.base, poly.mul(weight, [1] * (node.r + 1)))]
+            return [(node.base, poly.window_sum(weight, node.r))]
         if isinstance(node, Cellular):
             check_rank(weight, max(node.ranks))
             cells = [0] * (max(node.ranks) + 1)
@@ -366,12 +366,15 @@ class WeilOrderData:
         self.graded = None if graded is None else {int(i): int(v) for i, v in graded.items()}
         self.chi_mult = Fraction(chi_mult)
         if self.graded is not None:
-            check = Fraction(1)
+            even = odd = 1  # chi_mult = even / odd
             for i, order in self.graded.items():
                 if order < 1:
                     raise InvalidArgumentError("group orders must be positive")
-                check *= Fraction(order) ** parity_sign(i)
-            if check != self.chi_mult:
+                if i % 2:
+                    odd *= order
+                else:
+                    even *= order
+            if even * self.chi_mult.denominator != odd * self.chi_mult.numerator:
                 raise InvalidArgumentError("graded orders do not multiply to chi_mult")
 
     @property

@@ -84,9 +84,10 @@ class RationalFunctionT(Record):
         return cls(num, den)
 
     def substitute_scaled(self, scale: int) -> RationalFunctionT:
-        """Z(scale * t): coefficient j picks up scale^j."""
-        num = tuple(c * scale**j for j, c in enumerate(self.num))
-        den = tuple(c * scale**j for j, c in enumerate(self.den))
+        """Z(scale * t): coefficient j picks up scale^j, computed only where
+        the coefficient is nonzero (1 - t^m has two of m + 1)."""
+        num = tuple(c * scale**j if c else 0 for j, c in enumerate(self.num))
+        den = tuple(c * scale**j if c else 0 for j, c in enumerate(self.den))
         return RationalFunctionT.make(num, den)
 
     def series(self, K: int) -> list:
@@ -122,6 +123,11 @@ class RationalFunctionT(Record):
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
+# the most bits an exact value Z(q^(-n)) may take; its size, about
+# -n log2(q) deg Z bits, is known before any power is taken
+_MAX_VALUE_BITS = 1 << 24
+
+
 class FiniteCharFactor(Record):
     """Rational function Z in t = q^(-s) over the base prime power q."""
 
@@ -137,7 +143,14 @@ class FiniteCharFactor(Record):
 
     def value_at(self, n: int) -> Fraction:
         """Z(q^(-n)) at s = n < 0, exactly; raises when the input data violate
-        the Weil bounds (a zero or pole of Z at t = q^(-n))."""
+        the Weil bounds (a zero or pole of Z at t = q^(-n)), and refuses a
+        value of more than `_MAX_VALUE_BITS` bits before computing it."""
+        bits = -n * self.q.bit_length() * max(len(self.Z.num) - 1, len(self.Z.den) - 1, 1)
+        if bits > _MAX_VALUE_BITS:
+            raise InvalidArgumentError(
+                f"the value at n = {n} of a factor over q = {self.q} has about {bits} bits, "
+                "above 2^24: it is too large to compute"
+            )
         t = self.q ** (-n)
         num = poly.evaluate(self.Z.num, t)
         den = poly.evaluate(self.Z.den, t)

@@ -272,25 +272,49 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("verb", ["value", "ord", "zeta"])
-def test_a_bundle_rank_above_the_bound_is_refused_under_a_memory_limit(verb):
-    # the weight of a bundle over a path of ranks summing to r is a dense
-    # polynomial of degree r in L; past 65536 it is refused before it is
-    # allocated, where a list of 10^9 entries would exhaust the 1 GB limit
+def _run_under_1gb(argv):
+    """The CLI on argv in a subprocess whose address space is limited to 1 GB."""
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(zetaforge.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("verb", ["value", "ord", "zeta"])
+def test_a_bundle_rank_above_the_bound_is_refused_under_a_memory_limit(verb):
+    # the weight of a bundle over a path of ranks summing to r is a dense
+    # polynomial of degree r in L; past 65536 it is refused before it is
+    # allocated, where a list of 10^9 entries would exhaust the 1 GB limit
     weight = [] if verb == "zeta" else ["-n", "-1"]
     for expr in ["(proj 1000000000 (point 2))", "(affine 1000000000000 (point 2))",
                  "(cellular (point 2) (0 1000000000))"]:
-        argv = [verb, expr, *weight, "--format", "json"]
-        done = subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
-                              preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        done = _run_under_1gb([verb, expr, *weight, "--format", "json"])
         assert done.returncode == 2 and "Traceback" not in done.stderr
         assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("verb", ["value", "ord"])
+def test_a_value_above_2_to_the_24_bits_is_refused_under_a_memory_limit(verb):
+    # Z(q^(-n)) has about -n log2(q) deg Z bits; past 2^24 it is refused
+    # before q^(-n) is computed, where 2^(10^11) would exhaust the limit
+    for expr, n in [("(point 2)", "-100000000000"), ("(point 2 65536)", "-200")]:
+        done = _run_under_1gb([verb, expr, "-n", n, "--format", "json"])
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("verb", ["value", "ord"])
+def test_a_conductor_above_65536_is_refused_under_a_memory_limit(verb):
+    # every character table has one entry per residue: a conductor of
+    # 10^12 is refused before its units are enumerated
+    done = _run_under_1gb([verb, "(numberring :conductor 1000000000000 :subgroup (1))", "-n", "-1",
+                           "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
 
 
 def test_bundle_ranks_are_summed_along_the_path(capsys):
@@ -606,11 +630,12 @@ GOLDEN_MANIFEST = [
 ]
 
 
-def test_golden_reports(capsys, tmp_path):
+def golden_cases(tmp_path) -> dict:
+    """The command line of each golden report but the anchor's, by file name."""
     precision = ["--precision", "50"]
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(GOLDEN_MANIFEST))
-    cases = {
+    return {
         "verify_c_curve.json": ["verify-c", "(curve 2 (1 0 2))", "-n", "-1"],
         "ord_qi.json": ["ord", "(numberring :conductor 4 :subgroup (1))", "-n", "-1"],
         "value_p1_f2.json": ["value", "(proj 1 (point 2))", "-n", "-1"],
@@ -627,7 +652,10 @@ def test_golden_reports(capsys, tmp_path):
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],
     }
-    for name, argv in cases.items():
+
+
+def test_golden_reports(capsys, tmp_path):
+    for name, argv in golden_cases(tmp_path).items():
         code, data = run_json(capsys, *argv)
         assert code == 0
         data.pop("manifest", None)  # the path of the temporary manifest
@@ -644,6 +672,38 @@ def test_golden_q_zeta61(capsys):
     code, data = run_json(capsys, *argv)
     assert code == 0
     assert data == json.loads((GOLDEN / "value_q_zeta61.json").read_text())
+
+
+def test_json_reports_print_as_json_dumps_with_indent_2(capsys, tmp_path):
+    # the goldens compare parsed JSON; this pins the bytes of every golden
+    # report, of the anchor's and of an error
+    anchor = ["value", "(numberring :conductor 61 :subgroup (1))", "-n", "-2", "--precision", "50"]
+    error = ["value", "(point 6)", "-n", "-1"]
+    for argv in [*golden_cases(tmp_path).values(), anchor, error]:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == (2 if argv is error else 0)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.lists(st.text())
+    | st.dictionaries(st.text() | st.text(alphabet=st.characters(max_codepoint=0x1F)), inner),
+    max_leaves=40,
+))
+def test_the_json_writer_is_json_dumps_with_indent_2(tree):
+    assert cli._render_json(tree) == json.dumps(tree, indent=2)
 
 
 def test_zeta_of_a_point_of_huge_residue_degree_is_rejected(capsys):

@@ -599,3 +599,13 @@ def test_dedekind_order_zero_values_are_rational():
 def test_dedekind_degenerate_field_is_riemann():
     sv = evaluate_at(zeta_of(NumberRing(Q)), -3, 40)
     assert sv.exact == Fraction(1, 120)
+
+
+def test_a_conductor_above_65536_is_refused_before_its_units():
+    # the bound comes first: enumerating 10^12 residues would not finish
+    for build in (lambda f: AbelianFieldSpec(f, (1,)), lambda f: AbelianFieldSpec.from_generators(f, [1])):
+        with pytest.raises(InvalidArgumentError, match="conductor 1000000000000 is above 65536"):
+            build(10**12)
+        with pytest.raises(InvalidArgumentError, match="above 65536"):
+            build(65537)
+        assert build(65536).degree == 32768

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from zetaforge import poly
 from zetaforge.errors import CharZeroAtomError, NotPrimePowerError
 from zetaforge.lfunctions import Q, QI
 from zetaforge.scheme_algebra import (
@@ -200,3 +203,9 @@ def test_format_round_trip_examples():
         format_expr(nodal_cubic(2))
         == "(glue (point 2) (minus (affine 1 (point 2)) (point 2)))"
     )
+
+
+@given(st.lists(st.integers(-5, 5), max_size=12), st.integers(0, 20))
+def test_a_proj_weight_is_a_window_sum(weight, r):
+    # P^r over a base weighs it by 1 + L + ... + L^r, written in one pass
+    assert poly.window_sum(weight, r) == poly.mul(weight, [1] * (r + 1))

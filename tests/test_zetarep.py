@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaforge import cli, lfunctions, poly
-from zetaforge.errors import RationalityFailureError, WeilViolationError
+from zetaforge.errors import InvalidArgumentError, RationalityFailureError, WeilViolationError
 from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
-from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, zeta_of
+from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, Point, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -74,6 +74,27 @@ def test_shift_s():
     assert shift_s(z, 0) == z
     r = ZetaProduct.single(LFactorShifted(TRIVIAL_CHARACTER))
     assert shift_s(r, 2).char_zero[0][0].shift == 2
+
+
+def test_shift_of_a_sparse_factor():
+    # only the two nonzero coefficients of 1 - t^65536 pick up a power of
+    # the scale 2; the others stay 0
+    (factor, exp), = zeta_of(Affine(1, Point(2, 65536))).finite_char
+    assert exp == 1 and factor.q == 2 and factor.Z.num == (1,)
+    assert factor.Z.den == (1,) + (0,) * 65535 + (-(2**65536),)
+    assert RationalFunctionT.make((1, 0, 3), (1, 0, 0, -1)).substitute_scaled(5) == RationalFunctionT(
+        (1, 0, 75), (1, 0, 0, -125)
+    )
+
+
+def test_a_value_above_2_to_the_24_bits_is_refused():
+    # Z = 1/(1 - t) over q = 2 (2 bits) at n = -2^23: 2^24 bits, the bound
+    factor = geometric(2)
+    assert factor.value_at(-(1 << 23)) == Fraction(-1, 2 ** (1 << 23) - 1)
+    with pytest.raises(InvalidArgumentError, match="above 2\\^24"):
+        factor.value_at(-(1 << 23) - 1)
+    with pytest.raises(InvalidArgumentError):
+        evaluate_at(zeta_of(Point(2, 65536)), -200)
 
 
 def test_evaluate_single_geometric():
