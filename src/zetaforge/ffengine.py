@@ -233,12 +233,12 @@ def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
     _require_finite_char(entry)
     if ell in entry.characteristics:
         raise InvalidArgumentError(f"ell = {ell} equals a base characteristic")
+    value = entry.value.exact  # first, as its size bound guards the order data too
     data = entry.order_data
     if data.graded is None:
         raise GradedDataUnavailableError(
             "per-degree orders are not determined through gluings/complements"
         )
-    value = entry.value.exact
     if not is_prime(ell):
         raise InvalidArgumentError(f"{ell} is not prime")
     # the two sides as exponents of ell: -v_ell(value) against

@@ -1,60 +1,37 @@
 """Dirichlet characters, generalized Bernoulli numbers and L-values.
 
-Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N),
-represented by integer polynomials reduced modulo the N-th cyclotomic
-polynomial over one positive common denominator.  The arithmetic stays in
-those integers and at one level: a number multiplies with a number of its
-own level or with a rational, and there is no field inversion.  A special
-value needs no more, because the exact L-values of one character order m
-that a product meets on every verb form whole Galois orbits, and their
+Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N):
+integer polynomials reduced modulo the N-th cyclotomic polynomial over one
+positive denominator, multiplied at one level or by a rational, with no
+field inversion.  That suffices, as the exact L-values of one character
+order m that a product meets on every verb form whole Galois orbits, whose
 product is a norm from Q(zeta_m), a rational.
 
-Each character is decided once: the exact L(n, chi) = -B_{1-n,chi}/(1-n)
-is computed, the order at n < 0 is read off it (0 when it is nonzero), and
-the parity rule (a trivial zero exactly when chi(-1) != (-1)^(1-n)) is the
-check.  Trivial zeros of a single Dirichlet L-function at n < 0 are always
-simple (one Gamma_R factor), so only first derivatives are ever needed.
-The functional equation gives them in closed form: Gamma((1-n+a)/2) is
-(2k)! sqrt(pi) / (4^k k!), and the square roots of f and pi cancel,
+The work goes by Galois orbit {chi^j : gcd(j, m) = 1}, m the order of chi.
+`characters_mod` builds one residue table t per orbit and each other
+member's as j t mod m.  `_leading_values` takes one exact
+L(n, chi) = -B_{1-n,chi}/(1-n) per orbit and weight, a member's being
+sigma_j of it; the order at n < 0 is 0 when it is nonzero, checked by the
+parity rule.  A trivial zero is simple, and the functional equation gives
+the derivative (Gamma((1-n+a)/2) = (2k)! sqrt(pi) / (4^k k!); the roots of
+f and pi cancel):
 
     L'(n, chi) = r i^-a tau(chi) H(chi) / (f pi^-n),
     r = (-1)^m (2k)! m! / (2 4^k k!),   m = -(n+a)/2,   k = m + a,
 
-with a = 0 for even chi and a = 1 for odd chi, tau(chi) the Gauss sum and
+a = 0 for even chi and 1 for odd, tau(chi) the Gauss sum and
 H(chi) = sum_{x mod f} conj(chi(x)) zeta(1-n, x/f) = f^(1-n) L(1-n, conj chi).
-As |tau(chi)| = sqrt f, and i^-a tau(chi) = sqrt f for a real chi (order
-<= 2; Washington, "Introduction to Cyclotomic Fields", ch. 4), the value is
-|r| |H(chi)| / (sqrt f pi^-n), signed like r H(chi) for a real chi.  As
-L(n, conj chi) = conj L(n, chi), a product closed under conjugation (decided
-by counting) is the product of one real per factor, a complex one's modulus.
+As |tau(chi)| = sqrt f, and i^-a tau(chi) = sqrt f for a real chi
+(Washington, "Introduction to Cyclotomic Fields", ch. 4), the value is
+|r| |H(chi)| / (sqrt f pi^-n), signed like r H(chi) for a real chi; H is
+one class sum per orbit, permuted for each member.
 
-The transcendental and Bernoulli work is shared by every character of one
-conductor f: f^(k-1) B_k(a/f), zeta(1-n, a/f) at each working precision and
-the m-th roots of unity are computed once into bounded memoised tables by
-integer arithmetic, and a field (f, H) builds only its [G:H] characters: each
-exponent vector is tested on the logs of H before its table is made.  A
-character's sums run by exponent class, sum_a chi(a) x_a = sum_k z^k X_k,
-z = zeta_order and X_k the sum of the x_a with chi(a) = z^k: phi(f) integer
-additions, then one product per class.  B_{k,chi} is the cyclotomic number
-with coefficients X_k.  The root tables hold cos and sin times 2^wp as
-integers, the powers of one root summed from its Taylor series, with pi
-from Machin's formula; H(chi) is a class sum against them at wp bits, over
-the raw Hurwitz integers with the sine negated for the conjugate.  An
-order-0 value stays exact; a complex one's modulus, from the integer sum of
-its coefficients against the roots, is taken only when a product that is
-not rational has to be multiplied numerically.  A numeric value is a dyadic
-rational rounded to a stated number of bits after every product, and every
-fixed-point helper states its error in units of 2^-wp.
-
-The Hurwitz table is filled by an integer Euler-Maclaurin kernel that sums
-zeta(s, a/f) in fixed point at wp bits, every term an exact integer floor.
-One plan per (s, dps), shared by all conductors, fixes the head length N and
-the M tail coefficients B_2j/(2j)! s(s+1)...(s+2j-2) from the exact Bernoulli
-numbers, so that the remainder (at most the first omitted term, since every
-derivative of (t+x)^(-s) keeps one sign) is below 2^-(wp+4).  With N + M + 2
-roundings the error is below (N + M + 3) 2^-wp, and wp is chosen to make that
-at most 2^-10 10^-dps, relative as well as absolute because zeta(s, x) >= 1
-for x in (0, 1].
+Numeric work is in integers at wp bits, each helper's error stated in units
+of 2^-wp, and products are rounded to stated bits; an exact value is
+embedded only when a product is not rational.  The set-up is shared: tables
+of f^(k-1) B_k(a/f) and zeta(1-n, a/f) per conductor, one Machin run of pi,
+roots of unity strided from one table per (lambda(f), wp), and one
+Euler-Maclaurin plan per (s, dps) with a Horner tail (see `_hurwitz_em`).
 """
 
 from __future__ import annotations
@@ -114,12 +91,9 @@ def _tangent_numbers(count: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with the B_1 = -1/2 convention.
-
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers,
-    which are tabulated to the next power of two above m so that a rising
-    sequence of calls costs one table per doubling.
-    """
+    """B_k with the B_1 = -1/2 convention: B_2m = (-1)^(m-1) 2m T_m /
+    (4^m (4^m - 1)), the tangent numbers tabulated to the next power of two
+    above m, so that a rising sequence of calls costs one table per doubling."""
     if k < 0:
         raise InvalidArgumentError("Bernoulli index must be nonnegative")
     if k < 2:
@@ -196,16 +170,11 @@ class CyclotomicNumber(Record):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    # -- construction ------------------------------------------------------
-
     @classmethod
     def from_poly(cls, level: int, poly, den: int = 1) -> CyclotomicNumber:
-        """(sum_j poly[j] zeta_level^j) / den for integer coefficients poly[j].
-
-        Powers are folded by x^level = 1 first; the remaining top
-        coefficients are cleared against the monic Phi_level, one pass over
-        its nonzero terms each.
-        """
+        """(sum_j poly[j] zeta_level^j) / den for integer coefficients poly[j]:
+        powers folded by x^level = 1, then the top coefficients cleared against
+        the monic Phi_level, one pass over its nonzero terms each."""
         coeffs = list(poly)
         if len(coeffs) > level:
             folded = [0] * level
@@ -229,8 +198,6 @@ class CyclotomicNumber(Record):
         value = Fraction(value)
         return cls(level, (value.numerator,) + (0,) * (_euler_phi(level) - 1), value.denominator)
 
-    # -- predicates and conversions ----------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -253,18 +220,13 @@ class CyclotomicNumber(Record):
         return sum(map(mul, self.num, cos)), sum(map(mul, self.num, sin))
 
     def modulus(self, dps: int) -> Fraction:
-        """|x| under zeta_N -> exp(2 pi i / N) at `dps` digits, a dyadic rational.
-
-        The integer square root of the squared `_fixed` pair, over den 2^wp:
-        within sum_j |num[j]| + 1 units, at wp bits where that is below
-        2^-10 10^-dps sum_j |num[j]| / den; then rounded to wp bits, within
-        2^-wp of itself.
-        """
+        """|x| under zeta_N -> exp(2 pi i / N) at `dps` digits, a dyadic rational:
+        the integer square root of the squared `_fixed` pair over den 2^wp,
+        within sum_j |num[j]| + 1 units, below 2^-10 10^-dps sum_j |num[j]| /
+        den at these wp bits; then rounded to wp bits, within 2^-wp of itself."""
         wp = _fixed_bits(dps, 1)
         re, im = self._fixed(wp)
         return _round(Fraction(isqrt(re * re + im * im), self.den << wp), wp)
-
-    # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other):
         """The product with a number of the same level, or with a rational
@@ -285,12 +247,8 @@ class CyclotomicNumber(Record):
         if e < 0:
             raise InvalidArgumentError("cyclotomic numbers take nonnegative powers only")
         result = CyclotomicNumber.rational(1, self.level)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for bit in bin(e)[2:]:  # left to right: no square past the last bit
+            result = result * result * self if bit == "1" else result * result
         return result
 
 
@@ -322,17 +280,16 @@ class DirichletCharacter(Record):
     def __post_init__(self):
         if len(self.exponents) != self.modulus:
             raise InvalidArgumentError("exponents must have one entry per residue")
-        if any(k is not None and not 0 <= k < self.order for k in self.exponents):
+        values = set(self.exponents) - {None}
+        if any(not 0 <= k < self.order for k in values):
             raise InvalidArgumentError("exponents must lie in 0..order-1")
-        if gcd(self.order, *filter(None, self.exponents)) != 1:
+        if gcd(self.order, *values) != 1:
             raise InvalidArgumentError("order must be the order of the character")
         if self.exponent(1) != 0:
             raise InvalidArgumentError("chi(1) must be 1")
         allowed = {0} | ({self.order // 2} if self.order % 2 == 0 else set())
         if self.exponent(-1) not in allowed:
             raise InvalidArgumentError("chi(-1) must be +1 or -1")
-
-    # -- lookups -------------------------------------------------------------
 
     def exponent(self, a: int):
         """k with chi(a) = zeta_order^k, or None when gcd(a, modulus) > 1."""
@@ -351,11 +308,9 @@ class DirichletCharacter(Record):
     def conductor(self) -> int:
         """Least f | modulus with chi trivial on the units that are 1 mod f.
 
-        Those f are closed under gcd, as the units 1 mod gcd(f, g) are the
-        products of those 1 mod f and those 1 mod g, and under multiples.
-        So the least is reached one prime p at a time: f is divided by p
-        while the table is trivial (0, or None off the units) on the
-        residues 1 mod f/p.
+        Those f are closed under gcd and under multiples, so the least is
+        reached one prime p at a time: f is divided by p while the table is
+        trivial (0, or None off the units) on the residues 1 mod f/p.
         """
         f = self.modulus
         for p, _ in factorize(f):
@@ -444,25 +399,30 @@ def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
 
     A character sends the generator g_i of order o_i to zeta_e^(k_i e/o_i),
     e the group exponent, so chi(a) = zeta_e^(sum_i k_i (e/o_i) log_i(a)).
-    Each exponent vector k is tested on the logs of the subgroup before its
-    table is built.
+    An exponent vector k not yet met that passes the logs of the subgroup
+    has its table t, of order m, built from the logs; each member chi^j of
+    its Galois orbit, gcd(j, m) = 1, gets j t mod m and its j k is met.
     """
     gens = _unit_group_generators(modulus)
     logs = _unit_logs(modulus)
     exponent = lcm(*[order for _, order in gens])
     kernel = [logs[_canonical_residue(h, modulus)] for h in subgroup]
-    result = []
+    met, result = set(), []
     for chosen in itertools.product(*[range(order) for _, order in gens]):
         scaled = [k * (exponent // order) for (_, order), k in zip(gens, chosen)]
-        if any(sum(map(mul, scaled, vec)) % exponent for vec in kernel):
+        if chosen in met or any(sum(map(mul, scaled, vec)) % exponent for vec in kernel):
             continue
-        # chi(a) = zeta_exponent^table[a % modulus]
+        g = gcd(exponent, *scaled)
+        m = exponent // g
+        # chi(a) = zeta_m^table[a % modulus]
         table = [None] * modulus
         for a, vec in logs.items():
-            table[a % modulus] = sum(map(mul, scaled, vec)) % exponent
-        g = gcd(exponent, *[t for t in table if t is not None])
-        exps = tuple(None if t is None else t // g for t in table)
-        result.append(DirichletCharacter(modulus, exponent // g, exps))
+            table[a % modulus] = sum(map(mul, scaled, vec)) % exponent // g
+        for j in range(1, m + 1):
+            if gcd(j, m) == 1:
+                met.add(tuple(k * j % order for (_, order), k in zip(gens, chosen)))
+                power = {t: t * j % m for t in range(m)}  # and None, off the units, stays None
+                result.append(DirichletCharacter(modulus, m, tuple(map(power.get, table))))
     result.sort(key=lambda c: (not c.is_trivial, c.order, c.exponents))
     return tuple(result)
 
@@ -569,11 +529,8 @@ QI = AbelianFieldSpec(4, (1,))
 @lru_cache(maxsize=64)
 def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(f L, ((a, f L f^(k-1) B_k(a/f)) for the units a in 1..f)), L the lcm
-    of the denominators of B_0..B_k.
-
-    L f^k B_k(a/f) = sum_j C(k, j) L B_j f^j a^(k-j) is an integer polynomial
-    in a, evaluated at each unit.
-    """
+    of the denominators of B_0..B_k: L f^k B_k(a/f) = sum_j C(k, j) L B_j f^j
+    a^(k-j) is an integer polynomial in a, evaluated at each unit."""
     numbers = [bernoulli_number(j) for j in range(k + 1)]
     L = lcm(*(b.denominator for b in numbers))
     # ascending in a: the coefficient of a^i comes from j = k - i
@@ -583,12 +540,9 @@ def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
-    """Generalized Bernoulli number B_{k,chi} = f^{k-1} sum_a chi(a) B_k(a/f).
-
-    Computed for the primitive character inducing chi; the sum runs over
-    a = 1..f, so for f = 1 it degenerates to B_k(1) (giving B_1 = +1/2,
-    which is the right convention for zeta(0) = -1/2).
-    """
+    """Generalized Bernoulli number B_{k,chi} = f^{k-1} sum_a chi(a) B_k(a/f)
+    for the primitive chi inducing chi, a = 1..f: for f = 1 that is B_k(1),
+    B_1 = +1/2, the right convention for zeta(0) = -1/2."""
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
@@ -609,10 +563,8 @@ def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
 
 
 def _checked_order(chi: DirichletCharacter, n: int, exact: CyclotomicNumber) -> int:
-    """Order of the primitive chi at n < 0, read off the exact L(n, chi).
-
-    Parity rule, the check: the zero occurs exactly when chi(-1) != (-1)^(1-n).
-    """
+    """Order of the primitive chi at n < 0, read off the exact L(n, chi),
+    checked by the parity rule: a zero exactly when chi(-1) != (-1)^(1-n)."""
     order = 1 if exact.is_zero else 0
     if order != (chi.parity != parity_sign(1 - n)):
         raise InvariantViolationError("parity shortcut disagrees with exact L-value")
@@ -635,10 +587,9 @@ class LeadingValue(Record):
     """Leading Taylor coefficient of L(s, chi) at s = n < 0, as one real
     `value`: the coefficient itself when it is real, else its modulus.
 
-    An exact value keeps the CyclotomicNumber in `exact` and, when it is
-    not rational, takes its modulus at `dps` digits only when `value` is
-    first read; a trivial zero keeps the closed-form Fraction in `numeric`.
-    Both default to None, and exactly one is set.
+    Exactly one of `exact` (a CyclotomicNumber, whose modulus at `dps` digits
+    is taken when `value` is first read) and `numeric` (the closed-form
+    Fraction at a trivial zero) is set; both default to None.
     """
 
     __slots__ = ("dps", "exact", "numeric", "__dict__")
@@ -683,24 +634,34 @@ def _round(x: Fraction, bits: int) -> Fraction:
     return Fraction((n + (d >> 1)) // d << -shift)
 
 
-@lru_cache(maxsize=16)
 def _pi_fixed(wp: int) -> int:
-    """pi 2^wp within one unit, by Machin's formula
+    """pi 2^wp within one unit: `_machin` at B = wp + 8 rounded up to a
+    multiple of 512 bits, so that one run serves the bit counts of an op,
+    shifted down d = B - wp bits with rounding, within 1/2 + (3/4) 2^-d."""
+    d = (wp + 519) // 512 * 512 - wp
+    return (_machin(wp + d) + (1 << (d - 1))) >> d
+
+
+@lru_cache(maxsize=8)
+def _machin(bits: int) -> int:
+    """pi 2^bits within 3/4 of a unit, by Machin's formula
     pi = 16 atan(1/5) - 4 atan(1/239) in integers.
 
-    Each atan(1/x) = sum_j (-1)^j x^-(2j+1)/(2j+1) is summed at wp + g bits,
-    g = bit_length(wp) + 8, up to its last term of at least one unit: the
-    power x^-(2j+1) is one exact floor and the division by 2j+1 a second, so
-    the two series are within 4 (wp + g) + 40 < 2^(g-2) units of
-    2^-(wp+g), and rounding to wp bits leaves less than 3/4 of a unit.
+    Each atan(1/x) = sum_j (-1)^j x^-(2j+1)/(2j+1) is summed at bits + g
+    bits, g = bit_length(bits) + 8, up to its last term of at least one
+    unit, every term two exact floors (the last power over x^2, then over
+    2j+1), so the sums are within 4 (bits + g) + 40 < 2^(g-2) units of
+    2^-(bits+g), and rounding to `bits` bits leaves less than 3/4 of a unit.
     """
-    g = wp.bit_length() + 8
-
-    def atan_inv(x: int) -> int:
-        powers = itertools.takewhile(bool, ((1 << (wp + g)) // x ** (2 * j + 1) for j in itertools.count()))
-        return sum(parity_sign(j) * (power // (2 * j + 1)) for j, power in enumerate(powers))
-
-    return (16 * atan_inv(5) - 4 * atan_inv(239) + (1 << (g - 1))) >> g
+    g = bits.bit_length() + 8
+    value = 0
+    for x, c in ((5, 16), (239, -4)):
+        power, j = (1 << (bits + g)) // x, 0
+        while power:
+            value += c * parity_sign(j) * (power // (2 * j + 1))
+            power //= x * x
+            j += 1
+    return (value + (1 << (g - 1))) >> g
 
 
 @lru_cache(maxsize=64)
@@ -708,16 +669,12 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cos, sin) of 2 pi k / m times 2^wp for k = 0..m-1, as integers, each
     root within one unit of 2^-wp in modulus.
 
-    One root w = (cos x, sin x) 2^P, x = 2 pi / m, P = wp + g with
-    g = bit_length(m) + 3, is summed from the Taylor series at P + h bits,
-    h = bit_length(P) + 12: x is within 3 units, each term one floor of the
-    last, and for m >= 2 (m = 1 uses no root) x <= pi, so the sums are
-    within e^pi (P + h + 3) < 2^(h-6) units, and w within 0.5 + 2^-6 units
-    of 2^-P in each part, 0.73 in modulus.  Its powers
-    z_(k+1) = floor(z_k w / 2^P) for k < m/2 drift by less than 0.73 (from
-    w) + sqrt 2 (the floors) < 2.16 units each, 1.08 m in all, and rounding
-    to wp bits leaves less than 1.08 m 2^-g + 0.71 < 1 unit.  The roots past
-    m/2 are the conjugates of those before it.
+    One root w = (cos x, sin x) 2^P, x = 2 pi / m, P = wp + g, g =
+    bit_length(m) + 3, is the Taylor series at P + h bits, h = bit_length(P)
+    + 12: x within 3 units, each term a floor of the last, x <= pi for m >= 2
+    (m = 1 uses no root), so w is within 0.73 units.  The powers z_(k+1) =
+    floor(z_k w / 2^P), k < m/2, drift by below 2.16 units each, and rounding
+    to wp bits leaves 1.08 m 2^-g + 0.71 < 1 unit; the rest are conjugates.
     """
     g = m.bit_length() + 3
     P = wp + g
@@ -746,7 +703,7 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # x in (0, 1], summing g(t) = (t + x)^(-s) from t = N on gives
 #
 #   zeta(s, x) = sum_{k<N} (k+x)^(-s) + (N+x)^(1-s)/(s-1) + (N+x)^(-s)/2
-#                + sum_{j=1..M} B_2j/(2j)! s(s+1)...(s+2j-2) (N+x)^(1-s-2j) + R.
+#                + sum_{j=1..M} c_j (N+x)^(1-s-2j) + R,  c_j = B_2j/(2j)! s(s+1)...(s+2j-2).
 #
 # Every derivative of g keeps one sign, so R has the sign of the first
 # omitted term (j = M+1) and is smaller in absolute value (Olver, "Asymptotics
@@ -757,39 +714,48 @@ _EM_MAX_HEAD = 1 << 16  # head terms past which the tolerance counts as unreacha
 
 
 class _EMPlan(Record):
-    """Fixed-point bits, head length and tail coefficients for zeta(s, x).
+    """Fixed-point bits, head length and the tail coefficients c_j, j = 1..M,
+    as (numerator, positive denominator) in `coeffs[j-1]`, for zeta(s, x)."""
 
-    `coeffs[j-1]` is B_2j/(2j)! s(s+1)...(s+2j-2) as (numerator, positive
-    denominator), for j = 1..M.
-    """
+    __slots__ = ("wp", "N", "coeffs", "__dict__")
 
-    __slots__ = ("wp", "N", "coeffs")
+    @cached_property
+    def horner(self) -> tuple[int, tuple[int, ...]]:
+        """(W, floor(c_j 2^W) for j = M..1), for the tail sum of c_j u^(j-1),
+        u < 1, by Horner's rule at W bits.  A step acc ->
+        c_j 2^W + floor(acc U / 2^W), U = floor(u 2^W), adds a unit for c_j,
+        one for the floor, and U's error times the exact partial sum, below
+        M C units, C the largest |c_j| rounded up: M (2 + M C) units in all,
+        which W = wp + 1 + bit_length(M (2 + M C)) keeps below 2^-(wp+1)."""
+        M = len(self.coeffs)
+        C = max((-(-abs(num) // den) for num, den in self.coeffs), default=0)
+        W = self.wp + 1 + (M * (2 + M * C)).bit_length()
+        return W, tuple((num << W) // den for num, den in reversed(self.coeffs))
 
 
 def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(N, coeffs) with the first omitted term below 2^-(wp+4) for x > 0.
-
-    N starts where the head and the tail balance; if the tail terms stop
-    decreasing before the tolerance, N grows by half and the search restarts.
-    """
+    """(N, coeffs) with the first omitted term, at most |num| / (den
+    N^(s+2j-1)), below 2^-(wp+4); bounds are compared in integers.  N starts
+    where the head and the tail balance; if the tail terms stop decreasing
+    before the tolerance, N grows by half and the search restarts."""
     N = int(wp * log(2) / pi) + s + 2
     while N <= _EM_MAX_HEAD:
-        coeffs = []
+        coeffs, last = [], None
         rising, factorial, j = s, 2, 1  # s(s+1)...(s+2j-2) and (2j)! at j
-        previous = None
+        power = N ** (s + 1)  # N^(s+2j-1) at j
         while True:
             b = bernoulli_number(2 * j)
             num, den = b.numerator * rising, b.denominator * factorial
-            # |term j| <= |num| / (den N^(s+2j-1)), compared in integers
-            size = Fraction(abs(num), den * N ** (s + 2 * j - 1))
-            if size.numerator << (wp + 4) < size.denominator:
+            size = (abs(num), den * power)  # |term j| <= size[0] / size[1]
+            if size[0] << (wp + 4) < size[1]:
                 return N, tuple(coeffs)
-            if previous is not None and size >= previous:
+            if last is not None and size[0] * last[1] >= last[0] * size[1]:
                 break
             coeffs.append((num, den))
-            previous = size
+            last = size
             rising *= (s + 2 * j - 1) * (s + 2 * j)
             factorial *= (2 * j + 1) * (2 * j + 2)
+            power *= N * N
             j += 1
         N += N // 2
     raise PrecisionUnderflowError(f"Euler-Maclaurin for zeta({s}, x) cannot reach 2^-{wp}")
@@ -797,16 +763,15 @@ def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=32)
 def _em_plan(s: int, dps: int) -> _EMPlan:
-    """The plan for zeta(s, x) at `dps` digits, shared by every conductor.
-
-    With N + M + 2 floor roundings of at most one unit each and the remainder
-    below 2^-(wp+4), the absolute error is below (N + M + 3) 2^-wp, so
-    wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 leaves 2^-10 of 10^-dps.
-    As zeta(s, x) >= 1 on (0, 1], the bound is relative too.
-    """
+    """The plan for zeta(s, x) at `dps` digits, shared by every conductor:
+    wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 makes the error (N + M + 3)
+    2^-wp (see `_hurwitz_em`) at most 2^-10 10^-dps, relative too as
+    zeta(s, x) >= 1 on (0, 1].  The search starts at the bits for 2 N units,
+    N the first head length, which is the final wp or just above it."""
     if s < 2:
         raise InvalidArgumentError("the Hurwitz table needs an integer s >= 2")
     wp = _fixed_bits(dps, 0)
+    wp = _fixed_bits(dps, 2 * (int(wp * log(2) / pi) + s + 2))
     while True:
         N, coeffs = _em_terms(s, wp)
         need = _fixed_bits(dps, N + len(coeffs) + 2)
@@ -818,45 +783,37 @@ def _em_plan(s: int, dps: int) -> _EMPlan:
 def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
     """zeta(s, a/f) * 2^wp, within N + M + 3 units, in integers only.
 
-    With m = N f + a each term is a floor of an exact ratio:
-    f^s (kf+a)^(-s) in the head, f^(s+i)/m^(s+i) in the tail.
+    With m = N f + a, the head is N + 2 floors of exact ratios; the tail,
+    (f/m)^(s+1) sum_j c_j u^(j-1) with u = (f/m)^2, is the plan's Horner pass
+    within half a unit and one floor.  With R below 1/16 that is below
+    N + 2 + 3/2 + 1/16 units, inside N + M + 3 as M >= 1 when there is a tail.
     """
     wp, N = plan.wp, plan.N
-    one = f**s << wp
-    acc = sum(one // (k * f + a) ** s for k in range(N))
+    W, fixed = plan.horner
     m = N * f + a
+    acc = sum(map((f**s << wp).__floordiv__, map(pow, range(a, m, f), itertools.repeat(s))))
     fk, mk = f ** (s - 1), m ** (s - 1)
     acc += (fk << wp) // ((s - 1) * mk)
     acc += (fk * f << wp) // (2 * mk * m)
-    fk, mk = fk * f * f, mk * m * m  # exponent s + 1, the j = 1 term
-    for num, den in plan.coeffs:
-        acc += (num * fk << wp) // (den * mk)
-        fk, mk = fk * f * f, mk * m * m
-    return acc
+    u, tail = (f * f << W) // (m * m), 0
+    for c in fixed:
+        tail = c + (tail * u >> W)
+    return acc + tail * fk * f * f // (mk * m * m << (W - wp))
 
 
 @lru_cache(maxsize=32)
 def _hurwitz_table(f: int, s: int, dps: int) -> tuple[tuple[int, int], ...]:
-    """(a, zeta(s, a/f) 2^wp) for the units a in 1..f at the plan's wp bits.
-
-    Each value is the raw integer of the Euler-Maclaurin kernel `_hurwitz_em`
-    under the shared plan for (s, dps): within N + M + 3 units of 2^-wp,
-    which the plan keeps below 2^-10 10^-dps, with the remainder bounded by
-    the first omitted term.
-    """
+    """(a, zeta(s, a/f) 2^wp) for the units a in 1..f, from `_hurwitz_em`
+    under the plan for (s, dps): within N + M + 3 units, below 2^-10 10^-dps."""
     plan = _em_plan(s, dps)
     return tuple((a, _hurwitz_em(f, a, s, plan)) for a in _units(f))
 
 
 def _gauss_fixed(chi: DirichletCharacter, wp: int) -> tuple[int, int]:
-    """tau(chi) 2^wp for a primitive chi, within 2 phi(f) + 2 units in modulus.
-
-    The roots zeta_f^a are summed by exponent class, X_k over the units
-    with chi(a) = zeta_order^k, each within (class size) units.  Then
-    sum_k zeta_order^k X_k is exact in integers at 2 wp bits and within
-    2 phi(f) + phi(f) 2^-wp units (one unit per root on either side), and
-    the final floor to wp bits adds less than sqrt 2.
-    """
+    """tau(chi) 2^wp for a primitive chi, within 2 phi(f) + 2 units in modulus:
+    the roots zeta_f^a summed by exponent class into X_k, each within its
+    class size in units, then sum_k zeta_order^k X_k exact at 2 wp bits and
+    within 2 phi(f) + phi(f) 2^-wp units, and the final floor adds below sqrt 2."""
     f, exps = chi.modulus, chi.exponents
     f_cos, f_sin = _root_table(f, wp)
     xr, xi = [0] * chi.order, [0] * chi.order
@@ -882,54 +839,95 @@ def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tu
     return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
-def _hurwitz_L(chi: DirichletCharacter, s: int, dps: int) -> tuple[int, int]:
-    """f^s L(s, conj chi) 2^wp = sum_a conj(chi(a)) zeta(s, a/f) 2^wp for an
-    integer s > 1, at the bits wp of the plan for (s, dps).
+def _orbit_key(chi: DirichletCharacter) -> tuple:
+    """(modulus, order, exponents at the unit-group generators) of a
+    primitive chi, which determine it; chi^j has the exponents times j."""
+    return chi.modulus, chi.order, tuple(chi.exponent(g) for g, _ in _unit_group_generators(chi.modulus))
 
-    The raw table integers, each within U = N + M + 3 units, are summed by
-    exponent class into Y_k, and sum_k conj(zeta_order^k) Y_k is the class
-    sum against the root table with the sine negated.  The result is within
-    S + phi(f) U + 2 units, S = sum_a zeta(s, a/f) <= zeta(s) f^s.  As
-    |L(s, chi)| >= zeta(2s)/zeta(s), that is a relative error below
-    (2.5 + 1.6 (U + 2)) 2^-wp for s >= 2.
+
+def _permuted(values, j: int, m: int) -> list:
+    """sigma_j on a vector indexed by powers of zeta_m: entry i moves to i j mod m."""
+    out = [0] * m
+    for i, v in enumerate(values):
+        out[i * j % m] = v
+    return out
+
+
+def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int, int]]:
+    """H(chi^j) 2^wp = sum_a conj(chi(a)^j) zeta(s, a/f) 2^wp, at the plan's
+    wp, for a primitive chi, an integer s > 1 and each j in `js`.
+
+    The table integers, each within U = N + M + 3 units, are summed once by
+    exponent class into Y_k, and H(chi^j) = sum_k conj(zeta^(jk)) Y_k is Y
+    permuted against the roots: within S + phi(f) U + 2 units, S = sum_a
+    zeta(s, a/f) <= zeta(s) f^s.  As |L(s, chi)| >= zeta(2s)/zeta(s), that
+    is a relative error below (2.5 + 1.6 (U + 2)) 2^-wp for s >= 2.
     """
-    f, exps = chi.modulus, chi.exponents
+    f, m = chi.modulus, chi.order
     wp = _em_plan(s, dps).wp
-    y = [0] * chi.order
+    y = [0] * m
     for a, raw in _hurwitz_table(f, s, dps):
-        y[exps[a % f]] += raw
-    cos, sin = _root_table(chi.order, wp)
-    return sum(map(mul, cos, y)) >> wp, -(sum(map(mul, sin, y)) >> wp)
+        y[chi.exponents[a % f]] += raw
+    # the roots of order m strided from the table of lambda(f): 2 pi k / m =
+    # 2 pi (k lambda/m) / lambda, each within one unit as well
+    period = lcm(*[order for _, order in _unit_group_generators(f)])
+    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
+    sums = [_permuted(y, j, m) for j in js]
+    return [(sum(map(mul, cos, yj)) >> wp, -(sum(map(mul, sin, yj)) >> wp)) for yj in sums]
+
+
+def _leading_values(pairs, precision: int = DEFAULT_PRECISION) -> list[LeadingValue]:
+    """The leading value of L(s, chi) at s = n < 0 for each (chi, n) of
+    `pairs`, in order, with one pass per Galois orbit and weight.
+
+    The first character met of an orbit, made primitive, stands for it: one
+    exact L(n, chi) and parity check, and chi^j takes sigma_j of the value.
+    At a trivial zero a member's value is |r| |H| / (sqrt f pi^-n), signed
+    like r H for a real chi: |H| / sqrt f one integer square root and pi^-n
+    a power of `_pi_fixed`, each within 2^-9 10^-dps relative, and the
+    quotient rounded once, within 2^-7 10^-dps."""
+    orbit_of, orbits = {}, {}  # (key, n) -> (representative's (key, n), j); that -> (chi, members)
+    for index, (chi, n) in enumerate(pairs):
+        if n >= 0:
+            raise InvalidArgumentError("n must be < 0")
+        chi = chi.primitive()
+        key = _orbit_key(chi), n
+        if key not in orbit_of:
+            f, m, ks = key[0]
+            for j in range(1, m + 1):
+                if gcd(j, m) == 1:
+                    orbit_of[(f, m, tuple(k * j % m for k in ks)), n] = key, j
+            orbits[key] = chi, []
+        rep, j = orbit_of[key]
+        orbits[rep][1].append((index, j))
+    out = [None] * len(pairs)
+    for (_, n), (chi, members) in orbits.items():
+        f, m = chi.modulus, chi.order
+        exact = L_at_nonpositive(chi, n)
+        dps = _working_dps(precision, f)
+        if _checked_order(chi, n, exact) == 0:
+            for index, j in members:
+                member = exact if j == 1 else CyclotomicNumber.from_poly(m, _permuted(exact.num, j, m), exact.den)
+                out[index] = LeadingValue(dps, exact=member)
+            continue
+        a = 0 if chi.parity == 1 else 1
+        h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
+        k = h + a
+        r = Fraction(parity_sign(h) * factorial(2 * k) * factorial(h), 2 * 4**k * factorial(k))
+        wp = _em_plan(1 - n, dps).wp
+        # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
+        pi_power = _pi_fixed(wp) ** -n << wp
+        for (index, _), (re, im) in zip(members, _hurwitz_H(chi, 1 - n, dps, [j for _, j in members])):
+            root = isqrt((re * re + im * im << 2 * wp) // f)
+            value = abs(r) * Fraction(root << (-n - 1) * wp, pi_power)
+            if m <= 2 and r * re < 0:
+                value = -value
+            out[index] = LeadingValue(dps, numeric=_round(value, _fixed_bits(dps, 0)))
+    return out
 
 
 def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> LeadingValue:
-    """Leading Taylor coefficient of L(s, chi) at s = n < 0.
-
-    Order 0: the exact value, embedded numerically when first used.  Order
-    1: |r| |H(chi)| / (sqrt f pi^-n), signed like r H(chi) for a real chi,
-    with H(chi) from the per-conductor tables, |H(chi)| / sqrt f one integer
-    square root and pi^-n a power of `_pi_fixed` at the plan's bits.  Each
-    is within 2^-9 10^-dps relative, and the quotient is rounded once, so the
-    value is within 2^-7 10^-dps of itself relative.
-    """
-    if n >= 0:
-        raise InvalidArgumentError("n must be < 0")
-    chi = chi.primitive()
-    f = chi.modulus
-    exact = L_at_nonpositive(chi, n)
-    dps = _working_dps(precision, f)
-    if _checked_order(chi, n, exact) == 0:
-        return LeadingValue(dps, exact=exact)
-    a = 0 if chi.parity == 1 else 1
-    m = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
-    k = m + a
-    r = Fraction(parity_sign(m) * factorial(2 * k) * factorial(m), 2 * 4**k * factorial(k))
-    s = 1 - n
-    wp = _em_plan(s, dps).wp
-    re, im = _hurwitz_L(chi, s, dps)
-    # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
-    root = isqrt((re * re + im * im << 2 * wp) // f)
-    value = abs(r) * Fraction(root << (-n - 1) * wp, _pi_fixed(wp) ** -n << wp)
-    if chi.order <= 2 and r * re < 0:
-        value = -value
-    return LeadingValue(dps, numeric=_round(value, _fixed_bits(dps, 0)))
+    """Leading Taylor coefficient of L(s, chi) at s = n < 0: the one-member
+    case of `_leading_values`.  Order 0: the exact value, embedded
+    numerically when first used; order 1: the closed form at a trivial zero."""
+    return _leading_values([(chi, n)], precision)[0]

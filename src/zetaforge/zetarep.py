@@ -29,9 +29,9 @@ from .intlinalg import ensure_prime_power
 from .lfunctions import (
     DEFAULT_PRECISION,
     _fixed_bits,
+    _leading_values,
+    _orbit_key,
     _round,
-    _unit_group_generators,
-    leading_value,
     trivial_zero_order,
 )
 from .record import Record
@@ -54,7 +54,9 @@ __all__ = [
 class RationalFunctionT(Record):
     """num(t)/den(t) with integer coefficient tuples, ascending order.
 
-    Normal form: nonzero constant terms, joint content 1, den(0) > 0.
+    Normal form: nonzero constant terms, joint content 1, den(0) > 0.  The
+    hash mixes in the coefficients' bit lengths: hash(2^k) has period 61 in
+    k, so the factors 1 - 2^r t of many shifts r would collide.
     """
 
     __slots__ = ("num", "den")
@@ -67,6 +69,9 @@ class RationalFunctionT(Record):
             raise InvalidArgumentError("numerator must have a nonzero constant term")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    def __hash__(self):
+        return hash((self.num, self.den, sum(map(int.bit_length, self.num)), sum(map(int.bit_length, self.den))))
 
     @classmethod
     def make(cls, num, den=(1,)) -> RationalFunctionT:
@@ -253,11 +258,20 @@ def inverse(z: ZetaProduct) -> ZetaProduct:
 
 
 def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
-    """Replace s by s - r: t -> q^r t on finite factors, shift += r on L-factors."""
+    """Replace s by s - r: t -> q^r t on finite factors, shift += r on L-factors.
+
+    The top coefficient of a factor of degree d picks up q^(r d), about
+    r d log2(q) bits; past `_MAX_VALUE_BITS` the shift is refused before
+    any power is taken.
+    """
     if r < 0:
         raise InvalidArgumentError("shift must be nonnegative")
     if r == 0:
         return z
+    for f, _ in z.finite_char:
+        bits = r * f.q.bit_length() * max(len(f.Z.num) - 1, len(f.Z.den) - 1)
+        if bits > _MAX_VALUE_BITS:
+            raise InvalidArgumentError(f"a shift by {r} gives coefficients of about {bits} bits, above 2^24")
     out = []
     for f, e in z.finite_char:
         out.append((FiniteCharFactor(f.q, f.Z.substitute_scaled(f.q**r)), e))
@@ -330,7 +344,8 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     """Order of vanishing and leading Taylor coefficient at s = n < 0.
 
     Finite-characteristic factors contribute exact nonzero rationals and no
-    vanishing; L-factors contribute trivial-zero orders and leading values.
+    vanishing; L-factors contribute trivial-zero orders and leading values,
+    taken for all of them at once, one pass per (Galois orbit, shift).
     When every L-factor has an exact value, the factors are grouped by the
     sign of their exponent and by the level of their value, the order m of
     the character, and each group is multiplied at its own level.  On every
@@ -353,7 +368,8 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
         raise PrecisionUnderflowError("precision must be a positive digit count")
 
     rational_part = _finite_char_value(z, n)
-    leads = [(leading_value(f.character, n - f.shift, precision), e) for f, e in z.char_zero]
+    values = _leading_values([(f.character, n - f.shift) for f, _ in z.char_zero], precision)
+    leads = [(lv, e) for lv, (_, e) in zip(values, z.char_zero)]
     order = sum(e * lv.order for lv, e in leads)
     tolerance = Fraction(1, 10 ** (precision + 5))
 
@@ -369,15 +385,13 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
                 value *= x.rational_value() ** sign
             return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
-    # e(chi, shift) - e(conj chi, shift), with a primitive chi keyed by its
-    # modulus, order and exponents at the unit-group generators, which
-    # determine it
+    # e(chi, shift) - e(conj chi, shift), a primitive chi keyed by its modulus,
+    # order and exponents at the unit-group generators, which determine it
     balance = Counter()
     for f, e in z.char_zero:
-        chi = f.character.primitive()
-        ks = tuple(chi.exponent(g) for g, _ in _unit_group_generators(chi.modulus))
-        balance[f.shift, chi.modulus, chi.order, ks] += e
-        balance[f.shift, chi.modulus, chi.order, tuple(-k % chi.order for k in ks)] -= e
+        modulus, m, ks = _orbit_key(f.character.primitive())
+        balance[f.shift, modulus, m, ks] += e
+        balance[f.shift, modulus, m, tuple(-k % m for k in ks)] -= e
     if any(balance.values()):
         raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
                                       "not closed under conjugation")

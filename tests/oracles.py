@@ -6,7 +6,9 @@ by exhaustive search, determinant ideals by per-differential invariant
 factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
 built here from its definition, conductors of character tables by trying
 every divisor, Dedekind zeta values of abelian fields as products of mpmath
-Hurwitz L-values over characters found by search, primes by a sieve, and
+Hurwitz L-values over characters found by search, the leading coefficient
+of one L-function from mpmath's Hurwitz zeta and its derivative, primes by
+a sieve, and
 expression equality field by field.  Slow is fine; independent is the point.
 """
 
@@ -284,6 +286,33 @@ def conductor(table) -> int:
         for f in range(1, m + 1)
         if m % f == 0 and all(table[a] == 0 for a in range(m) if gcd(a, m) == 1 and a % f == 1 % f)
     )
+
+
+@lru_cache(maxsize=None)
+def _hurwitz(d, n, a, derivative, dps):
+    """zeta(n, a/d) or its derivative in s by mpmath at `dps` digits."""
+    with mp.workdps(dps):
+        return mp.zeta(n, mp.mpf(a) / d, derivative)
+
+
+def leading_coefficient(table, order, n):
+    """(k, c): the order k in {0, 1} at s = n < 0 of L(s, chi*) and its
+    leading Taylor coefficient c at the working precision.  chi is the
+    character mod m = len(table) with chi(a) = e^(2 pi i table[a] / order)
+    (None off the units) and chi* the primitive character inducing it, of
+    conductor d; L(s, chi*) = d^-s sum_{a mod d} chi*(a) zeta(s, a/d) by
+    mpmath's Hurwitz zeta, and at a zero its derivative is d^-s times the
+    sum of the derivatives, the derivative of d^-s meeting the zero sum."""
+    m, d, dps = len(table), conductor(table), mp.mp.dps
+    chi = {}
+    for a in range(1, d + 1):
+        if gcd(a, d) == 1:
+            b = next(b for b in range(a, a + d * m + 1, d) if gcd(b, m) == 1)
+            chi[a] = mp.expjpi(mp.mpf(2 * table[b % m]) / order)
+    for k in (0, 1):
+        c = mp.mpf(d) ** -n * mp.fsum(x * _hurwitz(d, n, a, k, dps) for a, x in chi.items())
+        if k or abs(c) > mp.mpf(10) ** (-dps // 2):
+            return k, c
 
 
 def dedekind_zeta_abelian(f, kernel, s):

@@ -307,6 +307,25 @@ def test_a_value_above_2_to_the_24_bits_is_refused_under_a_memory_limit(verb):
         assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("verb", ["value", "ord", "zeta"])
+def test_a_shift_above_2_to_the_24_bits_is_refused_under_a_memory_limit(verb):
+    # shifting 1/(1 - t^65536) over q = 2 by 65536 would give a coefficient
+    # of 2^(2^32); its size is known before the power is taken
+    weight = [] if verb == "zeta" else ["-n", "-1"]
+    done = _run_under_1gb([verb, "(affine 65536 (point 2 65536))", *weight, "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "invalid-argument" and "above 2^24" in error["message"]
+
+
+def test_ell_check_reads_the_value_before_the_order_data_under_a_memory_limit():
+    # the graded orders of (point 2) at n = -10^11 hold 2^(10^11); the value,
+    # read first, is refused by its size bound before they are built
+    done = _run_under_1gb(["ell-check", "(point 2)", "-n", "-100000000000", "--ell", "3", "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
+
+
 @pytest.mark.parametrize("verb", ["value", "ord"])
 def test_a_conductor_above_65536_is_refused_under_a_memory_limit(verb):
     # every character table has one entry per residue: a conductor of
@@ -648,6 +667,8 @@ def golden_cases(tmp_path) -> dict:
         ],
         # a composite conductor with three unit generators, a subgroup without -1
         "value_f56_h9.json": ["value", "(numberring :conductor 56 :subgroup (9))", "-n", "-3", "--precision", "30"],
+        # a large conductor: 400 characters in 15 Galois orbits, 200 of them at a trivial zero
+        "value_q_zeta401.json": ["value", "(numberring :conductor 401 :subgroup (1))", "-n", "-2", "--precision", "30"],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],

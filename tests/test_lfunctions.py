@@ -43,6 +43,7 @@ from oracles import (
     cyclotomic_polynomial as oracle_cyclotomic_polynomial,
     cyclotomic_reduce,
     euler_maclaurin_zeta,
+    leading_coefficient,
     numeric_derivative,
 )
 
@@ -454,6 +455,28 @@ def test_hurwitz_table_within_its_derived_bound(f, s, dps, rng):
             assert abs(fixed - expected) < (plan.N + len(plan.coeffs) + 3) * ulp
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 60), st.integers(2, 9), st.integers(10, 120))
+def test_hurwitz_table_within_n_plus_m_plus_3_units(f, s, dps):
+    # every entry, with the Horner tail, against mpmath at twice the bits
+    plan = lfunctions._em_plan(s, dps)
+    bound = plan.N + len(plan.coeffs) + 3
+    with mp.workprec(2 * plan.wp):
+        for a, raw in lfunctions._hurwitz_table(f, s, dps):
+            assert abs(raw - mp.ldexp(mp.zeta(s, mp.mpf(a) / f), plan.wp)) < bound
+
+
+def test_horner_bits_cover_the_tail():
+    # W - wp = 1 + bit_length(M (2 + M C)), C the largest |c_j| rounded up
+    for s, dps in ((2, 15), (3, 67), (10, 150)):
+        plan = lfunctions._em_plan(s, dps)
+        W, fixed = plan.horner
+        M, C = len(plan.coeffs), max(-(-abs(num) // den) for num, den in plan.coeffs)
+        assert 2 ** (W - plan.wp - 1) > M * (2 + M * C) >= 2 ** (W - plan.wp - 2)
+        for c, (num, den) in zip(fixed, reversed(plan.coeffs)):
+            assert abs(c - Fraction(num << W, den)) <= 1
+
+
 @pytest.mark.parametrize("s", [2, 3, 7, 10])
 @pytest.mark.parametrize("dps", [15, 67, 150])
 def test_euler_maclaurin_plan_meets_its_tolerance(s, dps):
@@ -516,6 +539,35 @@ def test_pi_fixed_within_one_unit(wp):
 
 
 @FIXED_POINT
+@given(st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+def test_pi_fixed_within_one_unit_in_any_order_of_calls(wps):
+    # one Machin run serves every bit count below its own, and the value at
+    # a bit count does not depend on the runs before it
+    seen = []
+    for order in (wps, sorted(wps), sorted(wps, reverse=True)):
+        lfunctions._machin.cache_clear()
+        seen.append([lfunctions._pi_fixed(wp) for wp in order])
+        with mp.workprec(max(wps) + 40):
+            assert all(abs(v - mp.ldexp(mp.pi, wp)) < 1 for v, wp in zip(seen[-1], order))
+    assert dict(zip(wps, seen[0])) == dict(zip(sorted(wps), seen[1])) == dict(zip(sorted(wps, reverse=True), seen[2]))
+
+
+@FIXED_POINT
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(8, 300))
+def test_strided_root_tables_are_within_one_unit(m, multiple, wp):
+    # the roots of order m read from the table of order m * multiple, as the
+    # Hurwitz sums read them: within one unit of the direct sum, and so
+    # within two of m's own table
+    cos, sin = (table[::multiple] for table in lfunctions._root_table(m * multiple, wp))
+    own_cos, own_sin = lfunctions._root_table(m, wp)
+    assert len(cos) == len(sin) == m
+    with mp.workprec(2 * wp + 20):
+        for k in range(m):
+            assert abs(mp.mpc(cos[k], sin[k]) - oracle_root(k, m) * mp.ldexp(1, wp)) < 1
+            assert abs(cos[k] - own_cos[k]) <= 2 and abs(sin[k] - own_sin[k]) <= 2
+
+
+@FIXED_POINT
 @given(st.integers(1, 401), st.integers(8, 300))
 def test_root_table_within_one_unit(m, wp):
     cos, sin = lfunctions._root_table(m, wp)
@@ -539,17 +591,21 @@ def test_class_summed_gauss_sum_within_its_radius(chi, wp):
 @settings(deadline=None, max_examples=12)
 @given(low_order_character(), st.integers(2, 8), st.integers(10, 40))
 def test_class_summed_hurwitz_L_within_its_radius(chi, s, dps):
-    # f^s L(s, conj chi) 2^wp within S + phi(f) U + 2 units, S = sum_a zeta(s, a/f)
+    # f^s L(s, conj chi^j) 2^wp within S + phi(f) U + 2 units, S = sum_a zeta(s, a/f),
+    # for every member chi^j of the orbit, from chi's class sums permuted
     f, order = chi.modulus, chi.order
     units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
     plan = lfunctions._em_plan(s, dps)
     U = plan.N + len(plan.coeffs) + 3
-    re, im = lfunctions._hurwitz_L(chi, s, dps)
+    js = [j for j in range(1, order + 1) if gcd(j, order) == 1]
+    sums = lfunctions._hurwitz_H(chi, s, dps, js)
+    assert len(sums) == len(js)
     with mp.workprec(2 * plan.wp + 20):
         zetas = [mp.zeta(s, mp.mpf(a) / f) for a in units]
-        direct = mp.fsum(oracle_root(-chi.exponent(a), order) * z for a, z in zip(units, zetas))
         radius = mp.fsum(zetas) + len(units) * U + 2
-        assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, plan.wp)) < radius
+        for j, (re, im) in zip(js, sums):
+            direct = mp.fsum(oracle_root(-chi.exponent(a) * j, order) * z for a, z in zip(units, zetas))
+            assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, plan.wp)) < radius
 
 
 @FIXED_POINT
@@ -572,6 +628,33 @@ def test_cyclotomic_embedding_within_its_radius(level, num, den, dps):
         value = direct / x.den
         radius = (mp.ldexp(mp.mpf(ones) / x.den, -10) + abs(value)) * mp.mpf(10) ** -dps
         assert abs(as_mpf(x.modulus(dps)) - abs(value)) <= radius
+
+
+@st.composite
+def fields_below_100(draw):
+    """An abelian field of conductor below 100: the fixed field of a random subgroup."""
+    f = draw(st.integers(1, 99))
+    units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+    return AbelianFieldSpec.from_generators(f, draw(st.lists(st.sampled_from(units), max_size=2)))
+
+
+@settings(deadline=None, max_examples=15)
+@given(fields_below_100(), st.integers(-4, -1))
+def test_orbit_values_match_the_oracle_per_character(field, n):
+    # one exact value and one class sum per Galois orbit; every member's order,
+    # exact value and leading value against mpmath's L-function of that member
+    chars = field.characters()
+    values = lfunctions._leading_values([(chi, n) for chi in chars], 20)
+    with mp.workdps(40):
+        for chi, lv in zip(chars, values):
+            order, expected = leading_coefficient(chi.exponents, chi.order, n)
+            assert lv.order == order
+            if lv.exact is not None:
+                x = lv.exact
+                embedded = mp.fsum(c * oracle_root(j, x.level) for j, c in enumerate(x.num)) / x.den
+                assert abs(embedded - expected) <= mp.mpf(10) ** -30 * (1 + abs(expected))
+            expected = expected.real if chi.order <= 2 else abs(expected)
+            assert abs(as_mpf(lv.value) - expected) <= mp.mpf(10) ** -25 * abs(expected)
 
 
 def test_dedekind_special_values():

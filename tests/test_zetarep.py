@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from zetaforge import cli, lfunctions, poly
 from zetaforge.errors import InvalidArgumentError, RationalityFailureError, WeilViolationError
 from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
-from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, Point, zeta_of
+from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, Point, Proj, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -87,6 +87,27 @@ def test_shift_of_a_sparse_factor():
     )
 
 
+def test_a_shift_above_2_to_the_24_bits_is_refused():
+    # 1/(1 - t) over q = 2 (2 bits) shifted by r: about 2 r bits, 2^24 at the bound
+    z = ZetaProduct.single(geometric(2))
+    (factor, _), = shift_s(z, 1 << 23).finite_char
+    assert factor.Z.den == (1, -(2 ** (1 << 23)))
+    with pytest.raises(InvalidArgumentError, match="above 2\\^24"):
+        shift_s(z, (1 << 23) + 1)
+    with pytest.raises(InvalidArgumentError, match="above 2\\^24"):
+        zeta_of(Affine(65536, Point(2, 65536)))
+
+
+def test_shifted_factors_hash_apart():
+    # hash(2^k) repeats with period 61 in k, so the factors 1/(1 - 2^r t)
+    # over q = 2 collided when hashed by their coefficients alone
+    factors = [FiniteCharFactor(2, RationalFunctionT.make((1,), (1, -(2**r)))) for r in range(200)]
+    assert len({hash(f) for f in factors}) == len(factors)
+    assert len({hash(f.Z) for f in factors}) == len(factors)
+    z = zeta_of(Proj(300, Point(2)))
+    assert len(z.finite_char) == 301 and len({hash(f) for f, _ in z.finite_char}) == 301
+
+
 def test_a_value_above_2_to_the_24_bits_is_refused():
     # Z = 1/(1 - t) over q = 2 (2 bits) at n = -2^23: 2^24 bits, the bound
     factor = geometric(2)
@@ -116,7 +137,8 @@ def test_evaluate_riemann_at_minus_2():
 
 
 def test_one_exact_l_value_per_character(monkeypatch):
-    # the order and the leading value of each L-factor share one B_{k,chi}
+    # one B_{k,chi} per Galois orbit serves the order and the leading value
+    # of every member: Q(zeta_13) has one orbit per order dividing 12
     calls = Counter()
     original = lfunctions.gen_bernoulli
 
@@ -127,7 +149,8 @@ def test_one_exact_l_value_per_character(monkeypatch):
     monkeypatch.setattr(lfunctions, "gen_bernoulli", counted)
     field = AbelianFieldSpec(13, (1,))
     evaluate_at(zeta_of(NumberRing(field)), -2)
-    assert calls == Counter(field.characters()) and len(calls) == 12
+    assert sum(calls.values()) == len(calls) == 6
+    assert sorted(chi.order for chi in calls) == [1, 2, 3, 4, 6, 12] and set(calls) <= set(field.characters())
 
 
 def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
