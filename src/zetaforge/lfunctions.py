@@ -9,12 +9,11 @@ product is a norm from Q(zeta_m), a rational.
 
 The work goes by Galois orbit {chi^j : gcd(j, m) = 1}, m the order of chi.
 `characters_mod` builds one residue table t per orbit and each other
-member's as j t mod m.  `_leading_values` takes one exact
-L(n, chi) = -B_{1-n,chi}/(1-n) per orbit and weight, a member's being
-sigma_j of it; the order at n < 0 is 0 when it is nonzero, checked by the
-parity rule.  A trivial zero is simple, and the functional equation gives
-the derivative (Gamma((1-n+a)/2) = (2k)! sqrt(pi) / (4^k k!); the roots of
-f and pi cancel):
+member's as j t mod m.  Every verb reads `_orbit_table`: per orbit and
+weight one exact L(n, chi) = -B_{1-n,chi}/(1-n), the order at n < 0 and the
+members chi^j, whose value is sigma_j of it.  A trivial zero is simple, and
+the functional equation gives the derivative (Gamma((1-n+a)/2) =
+(2k)! sqrt(pi) / (4^k k!); the roots of f and pi cancel):
 
     L'(n, chi) = r i^-a tau(chi) H(chi) / (f pi^-n),
     r = (-1)^m (2k)! m! / (2 4^k k!),   m = -(n+a)/2,   k = m + a,
@@ -30,7 +29,7 @@ Numeric work is in integers at wp bits, each helper's error stated in units
 of 2^-wp, and products are rounded to stated bits; an exact value is
 embedded only when a product is not rational.  The set-up is shared: tables
 of f^(k-1) B_k(a/f) and zeta(1-n, a/f) per conductor, one Machin run of pi,
-roots of unity strided from one table per (lambda(f), wp), and one
+roots of unity strided from one table of order lambda(f) per wp, and one
 Euler-Maclaurin plan per (s, dps) with a Horner tail (see `_hurwitz_em`).
 """
 
@@ -211,23 +210,6 @@ class CyclotomicNumber(Record):
             raise RationalityFailureError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def _fixed(self, wp: int) -> tuple[int, int]:
-        """den * x * 2^wp under zeta_N -> exp(2 pi i / N), as the integer
-        sums of num[j] against the root table at wp bits: the sums are exact
-        and each root is within one unit of 2^-wp, so the result is within
-        sum_j |num[j]| units in modulus."""
-        cos, sin = _root_table(self.level, wp)
-        return sum(map(mul, self.num, cos)), sum(map(mul, self.num, sin))
-
-    def modulus(self, dps: int) -> Fraction:
-        """|x| under zeta_N -> exp(2 pi i / N) at `dps` digits, a dyadic rational:
-        the integer square root of the squared `_fixed` pair over den 2^wp,
-        within sum_j |num[j]| + 1 units, below 2^-10 10^-dps sum_j |num[j]| /
-        den at these wp bits; then rounded to wp bits, within 2^-wp of itself."""
-        wp = _fixed_bits(dps, 1)
-        re, im = self._fixed(wp)
-        return _round(Fraction(isqrt(re * re + im * im), self.den << wp), wp)
-
     def __mul__(self, other):
         """The product with a number of the same level, or with a rational
         scalar, which scales the numerators."""
@@ -393,6 +375,12 @@ def _unit_logs(modulus: int):
     }
 
 
+@lru_cache(maxsize=None)
+def _exponent(modulus: int) -> int:
+    """lambda(modulus), the exponent of (Z/modulus)^*: every character order divides it."""
+    return lcm(*[order for _, order in _unit_group_generators(modulus)])
+
+
 def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
     """The Dirichlet characters of (Z/modulus)^* trivial on the units in
     `subgroup`, trivial one first.
@@ -405,7 +393,7 @@ def characters_mod(modulus: int, subgroup) -> tuple[DirichletCharacter, ...]:
     """
     gens = _unit_group_generators(modulus)
     logs = _unit_logs(modulus)
-    exponent = lcm(*[order for _, order in gens])
+    exponent = _exponent(modulus)
     kernel = [logs[_canonical_residue(h, modulus)] for h in subgroup]
     met, result = set(), []
     for chosen in itertools.product(*[range(order) for _, order in gens]):
@@ -562,21 +550,36 @@ def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     return gen_bernoulli(chi, k) * Fraction(-1, k)
 
 
-def _checked_order(chi: DirichletCharacter, n: int, exact: CyclotomicNumber) -> int:
-    """Order of the primitive chi at n < 0, read off the exact L(n, chi),
-    checked by the parity rule: a zero exactly when chi(-1) != (-1)^(1-n)."""
-    order = 1 if exact.is_zero else 0
-    if order != (chi.parity != parity_sign(1 - n)):
-        raise InvariantViolationError("parity shortcut disagrees with exact L-value")
-    return order
+def _orbit_table(pairs) -> list[tuple]:
+    """One entry (chi, n, exact, order, members) per Galois orbit and weight
+    of the (chi, n) in `pairs`, n < 0: the first character met, made
+    primitive, its exact L(n, chi), the order read off it and checked by the
+    parity rule, and the (index, j) of each pair inducing chi^j, which has
+    the exponents of chi at the unit-group generators times j."""
+    table, orbit_of = [], {}  # key -> (its orbit's entry, j)
+    for index, (chi, n) in enumerate(pairs):
+        if n >= 0:
+            raise InvalidArgumentError("n must be < 0")
+        chi = chi.primitive()
+        f, m = chi.modulus, chi.order
+        key = f, m, tuple(chi.exponent(g) for g, _ in _unit_group_generators(f)), n
+        if key not in orbit_of:
+            exact = L_at_nonpositive(chi, n)
+            order = 1 if exact.is_zero else 0
+            if order != (chi.parity != parity_sign(1 - n)):
+                raise InvariantViolationError("parity shortcut disagrees with exact L-value")
+            table.append((chi, n, exact, order, []))
+            for j in range(1, m + 1):
+                if gcd(j, m) == 1:
+                    orbit_of[f, m, tuple(k * j % m for k in key[2]), n] = table[-1], j
+        entry, j = orbit_of[key]
+        entry[4].append((index, j))
+    return table
 
 
 def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
-    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0."""
-    if n >= 0:
-        raise InvalidArgumentError("n must be < 0")
-    chi = chi.primitive()
-    return _checked_order(chi, n, L_at_nonpositive(chi, n))
+    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0: one `_orbit_table` entry."""
+    return _orbit_table([(chi, n)])[0][3]
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +611,14 @@ class LeadingValue(Record):
     def value(self) -> Fraction:
         if self.exact is None:
             return self.numeric
-        return self.exact.rational_value() if self.exact.is_rational else self.exact.modulus(self.dps)
+        x = self.exact
+        return x.rational_value() if x.is_rational else _member_moduli(x, x.level, self.dps, [1])[0]
 
 
 def _working_dps(precision: int, conductor: int) -> int:
     if precision < 1:
         raise PrecisionUnderflowError("precision must be a positive digit count")
-    guard = 15 + len(str(conductor + 2))
-    return precision + guard
+    return precision + 15 + len(str(conductor + 2))
 
 
 def _fixed_bits(dps: int, units: int) -> int:
@@ -839,17 +842,31 @@ def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tu
     return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
-def _orbit_key(chi: DirichletCharacter) -> tuple:
-    """(modulus, order, exponents at the unit-group generators) of a
-    primitive chi, which determine it; chi^j has the exponents times j."""
-    return chi.modulus, chi.order, tuple(chi.exponent(g) for g, _ in _unit_group_generators(chi.modulus))
-
-
 def _permuted(values, j: int, m: int) -> list:
     """sigma_j on a vector indexed by powers of zeta_m: entry i moves to i j mod m."""
     out = [0] * m
     for i, v in enumerate(values):
         out[i * j % m] = v
+    return out
+
+
+def _sigma(x: CyclotomicNumber, j: int) -> CyclotomicNumber:
+    """sigma_j(x) = x(zeta_N^j) for a unit j mod the level N."""
+    return x if j == 1 else CyclotomicNumber.from_poly(x.level, _permuted(x.num, j, x.level), x.den)
+
+
+def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[Fraction]:
+    """|sigma_j(x)| at `dps` digits for each unit j in `js`, the level m of x
+    dividing `period`: sum_i num[i] zeta_m^(ij) 2^wp against the roots strided
+    as in `_hurwitz_H` is within sum_i |num[i]| units and its integer square
+    root one more, below 2^-10 10^-dps sum_i |num[i]| / den; then rounded to wp bits."""
+    m, wp = x.level, _fixed_bits(dps, 1)
+    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
+    out = []
+    for j in js:
+        num = _permuted(x.num, j, m)
+        re, im = sum(map(mul, cos, num)), sum(map(mul, sin, num))
+        out.append(_round(Fraction(isqrt(re * re + im * im), x.den << wp), wp))
     return out
 
 
@@ -870,64 +887,47 @@ def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int,
         y[chi.exponents[a % f]] += raw
     # the roots of order m strided from the table of lambda(f): 2 pi k / m =
     # 2 pi (k lambda/m) / lambda, each within one unit as well
-    period = lcm(*[order for _, order in _unit_group_generators(f)])
-    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
+    cos, sin = (table[:: _exponent(f) // m] for table in _root_table(_exponent(f), wp))
     sums = [_permuted(y, j, m) for j in js]
     return [(sum(map(mul, cos, yj)) >> wp, -(sum(map(mul, sin, yj)) >> wp)) for yj in sums]
 
 
-def _leading_values(pairs, precision: int = DEFAULT_PRECISION) -> list[LeadingValue]:
-    """The leading value of L(s, chi) at s = n < 0 for each (chi, n) of
-    `pairs`, in order, with one pass per Galois orbit and weight.
-
-    The first character met of an orbit, made primitive, stands for it: one
-    exact L(n, chi) and parity check, and chi^j takes sigma_j of the value.
-    At a trivial zero a member's value is |r| |H| / (sqrt f pi^-n), signed
+def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]:
+    """The leading value of L(s, chi) at s = n < 0, real or else its modulus,
+    for each pair of `table`, in order: at order 0 a rational one or else
+    `_member_moduli`, and at a trivial zero |r| |H| / (sqrt f pi^-n), signed
     like r H for a real chi: |H| / sqrt f one integer square root and pi^-n
     a power of `_pi_fixed`, each within 2^-9 10^-dps relative, and the
     quotient rounded once, within 2^-7 10^-dps."""
-    orbit_of, orbits = {}, {}  # (key, n) -> (representative's (key, n), j); that -> (chi, members)
-    for index, (chi, n) in enumerate(pairs):
-        if n >= 0:
-            raise InvalidArgumentError("n must be < 0")
-        chi = chi.primitive()
-        key = _orbit_key(chi), n
-        if key not in orbit_of:
-            f, m, ks = key[0]
-            for j in range(1, m + 1):
-                if gcd(j, m) == 1:
-                    orbit_of[(f, m, tuple(k * j % m for k in ks)), n] = key, j
-            orbits[key] = chi, []
-        rep, j = orbit_of[key]
-        orbits[rep][1].append((index, j))
-    out = [None] * len(pairs)
-    for (_, n), (chi, members) in orbits.items():
+    out = [None] * sum(len(members) for *_, members in table)
+    for chi, n, exact, order, members in table:
         f, m = chi.modulus, chi.order
-        exact = L_at_nonpositive(chi, n)
         dps = _working_dps(precision, f)
-        if _checked_order(chi, n, exact) == 0:
-            for index, j in members:
-                member = exact if j == 1 else CyclotomicNumber.from_poly(m, _permuted(exact.num, j, m), exact.den)
-                out[index] = LeadingValue(dps, exact=member)
-            continue
-        a = 0 if chi.parity == 1 else 1
-        h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
-        k = h + a
-        r = Fraction(parity_sign(h) * factorial(2 * k) * factorial(h), 2 * 4**k * factorial(k))
-        wp = _em_plan(1 - n, dps).wp
-        # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
-        pi_power = _pi_fixed(wp) ** -n << wp
-        for (index, _), (re, im) in zip(members, _hurwitz_H(chi, 1 - n, dps, [j for _, j in members])):
-            root = isqrt((re * re + im * im << 2 * wp) // f)
-            value = abs(r) * Fraction(root << (-n - 1) * wp, pi_power)
-            if m <= 2 and r * re < 0:
-                value = -value
-            out[index] = LeadingValue(dps, numeric=_round(value, _fixed_bits(dps, 0)))
+        js = [j for _, j in members]
+        if order == 0:
+            values = [exact.rational_value()] * len(js) if exact.is_rational else _member_moduli(exact, _exponent(f), dps, js)
+        else:
+            a = 0 if chi.parity == 1 else 1
+            h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
+            k = h + a
+            r = Fraction(parity_sign(h) * factorial(2 * k) * factorial(h), 2 * 4**k * factorial(k))
+            wp = _em_plan(1 - n, dps).wp
+            # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
+            pi_power = _pi_fixed(wp) ** -n << wp
+            values = []
+            for re, im in _hurwitz_H(chi, 1 - n, dps, js):
+                root = isqrt((re * re + im * im << 2 * wp) // f)
+                value = abs(r) * Fraction(root << (-n - 1) * wp, pi_power)
+                values.append(_round(-value if m <= 2 and r * re < 0 else value, _fixed_bits(dps, 0)))
+        for (index, _), value in zip(members, values):
+            out[index] = value
     return out
 
 
 def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> LeadingValue:
-    """Leading Taylor coefficient of L(s, chi) at s = n < 0: the one-member
-    case of `_leading_values`.  Order 0: the exact value, embedded
-    numerically when first used; order 1: the closed form at a trivial zero."""
-    return _leading_values([(chi, n)], precision)[0]
+    """Leading Taylor coefficient of L(s, chi) at s = n < 0 from one `_orbit_table`
+    entry: the exact value at order 0, embedded when read, or the closed form."""
+    table = _orbit_table([(chi, n)])
+    chi, _, exact, order, _ = table[0]
+    dps = _working_dps(precision, chi.modulus)
+    return LeadingValue(dps, exact=exact) if order == 0 else LeadingValue(dps, numeric=_leading_values(table, precision)[0])

@@ -13,9 +13,8 @@ trivial zeros of the L-factors.
 from __future__ import annotations
 
 from collections import Counter
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, log10
 from operator import mul
 
 from . import poly
@@ -30,9 +29,9 @@ from .lfunctions import (
     DEFAULT_PRECISION,
     _fixed_bits,
     _leading_values,
-    _orbit_key,
+    _orbit_table,
     _round,
-    trivial_zero_order,
+    _sigma,
 )
 from .record import Record
 
@@ -131,6 +130,9 @@ class RationalFunctionT(Record):
 # the most bits an exact value Z(q^(-n)) may take; its size, about
 # -n log2(q) deg Z bits, is known before any power is taken
 _MAX_VALUE_BITS = 1 << 24
+# the most digits, checked before any power of ten: the working bits and the Euler-Maclaurin
+# terms grow with them, the time about as their cube (`value "(Q)" -n -2`: 21 s on 2 cores)
+_MAX_PRECISION = 4096
 
 
 class FiniteCharFactor(Record):
@@ -288,6 +290,12 @@ def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
     return value
 
 
+def _orbits(z: ZetaProduct, n: int) -> tuple[list, int]:
+    """`_orbit_table` of the L-factors of z at s = n < 0, and the order there."""
+    table = _orbit_table([(f.character, n - f.shift) for f, _ in z.char_zero])
+    return table, sum(z.char_zero[index][1] * order for *_, order, members in table for index, _ in members)
+
+
 def vanishing_order(z: ZetaProduct, n: int) -> int:
     """Order of vanishing at s = n < 0 (no leading-value numerics).
 
@@ -297,23 +305,30 @@ def vanishing_order(z: ZetaProduct, n: int) -> int:
     if n >= 0:
         raise InvalidArgumentError("vanishing orders are computed at strictly negative integers")
     _finite_char_value(z, n)
-    return sum(e * trivial_zero_order(f.character, n - f.shift) for f, e in z.char_zero)
+    return _orbits(z, n)[1]
 
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """x to `digits` significant digits, printed by mpmath's nstr rules.
 
-    The decimal digits are truncated to digits + 1 and rounded half up at
-    the last; the notation is fixed when the decimal exponent e has
-    min(-(digits // 3), -5) < e < digits, and trailing zeros are stripped.
+    The decimal digits are truncated to digits + 1 by one integer division
+    and rounded half up at the last; the notation is fixed when the decimal
+    exponent e has min(-(digits // 3), -5) < e < digits, and trailing zeros
+    are stripped.
     """
     if not x:
         return "0.0"
-    # (precision, rounding, Emin, Emax): exponents of any size keep every digit
-    cut = Context(digits + 1, ROUND_DOWN, MIN_EMIN, MAX_EMAX).divide(x.numerator, x.denominator)
-    value = Context(digits, ROUND_HALF_UP, MIN_EMIN, MAX_EMAX).plus(cut)
-    text, e = "".join(map(str, value.as_tuple().digits)).ljust(digits, "0"), value.adjusted()
-    split, suffix = 1, f"e{e:+d}"
+    a, b = abs(x.numerator), x.denominator
+    # |x| lies in (2^(d-1), 2^(d+1)), d the difference of the bit lengths, so
+    # e is floor(log10 |x|) or one or two below it: cut has digits + 1 to 3 digits
+    e = floor((a.bit_length() - b.bit_length()) * log10(2)) - 1
+    cut = a * 10 ** (digits - e) // b if e <= digits else a // (b * 10 ** (e - digits))
+    while cut >= 10 ** (digits + 1):
+        e, cut = e + 1, cut // 10
+    cut = (cut + 5) // 10  # rounded half up at the last of digits + 1 digits
+    if cut == 10**digits:  # into the next decade
+        e, cut = e + 1, cut // 10
+    text, split, suffix = str(cut), 1, f"e{e:+d}"
     if min(-(digits // 3), -5) < e < digits:
         text, split, suffix = "0" * -e + text, max(e, 0) + 1, ""
     text = (text[:split] + "." + text[split:]).rstrip("0")
@@ -344,63 +359,61 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     """Order of vanishing and leading Taylor coefficient at s = n < 0.
 
     Finite-characteristic factors contribute exact nonzero rationals and no
-    vanishing; L-factors contribute trivial-zero orders and leading values,
-    taken for all of them at once, one pass per (Galois orbit, shift).
-    When every L-factor has an exact value, the factors are grouped by the
-    sign of their exponent and by the level of their value, the order m of
-    the character, and each group is multiplied at its own level.  On every
-    verb each group is rational: a field's characters, and so the products
-    that shifts, gluings and complements build from them, come in whole
-    Galois orbits with one exponent per orbit and shift, and as
-    B_{k,chi^j} = sigma_j(B_{k,chi}) an orbit's product is a norm from
-    Q(zeta_m).  The value is then exact: the groups' rationals, the negative
-    ones dividing.  Otherwise (a group that is not rational comes only from
-    a product built by hand) the L-factors must be closed under
-    conjugation, counted by exponent per (primitive character, shift) before
-    any embedding, and the product of the real leading values (a complex
-    one's modulus) is rounded after each factor to bits where (count + 1)
-    roundings stay below 2^-10 10^-dps.  The nominal bound sums (|v|+1)
-    10^-(precision+5) relative to |v| + 10^-dps over the factors.
+    vanishing; the L-factors' orders come from one orbit table, with one
+    exact L-value per (Galois orbit, shift).  When every order is 0, each
+    factor's exact value, sigma_j of its orbit's, is multiplied into a group
+    by the sign of its exponent and by its level, the order m of the
+    character.  On every verb each group is rational: a field's characters,
+    and so the products that shifts, gluings and complements build from
+    them, come in whole Galois orbits with one exponent per orbit and shift,
+    and as B_{k,chi^j} = sigma_j(B_{k,chi}) an orbit's product is a norm
+    from Q(zeta_m).  The value is then exact.  Otherwise (a group that is
+    not rational comes only from a product built by hand) the L-factors must
+    be closed under conjugation, conj chi^j = chi^(-j) being in the same
+    orbit: in each orbit members j and -j mod m have one exponent.  The
+    product of the real leading values (a complex one's modulus) is rounded
+    after each factor to bits where (count + 1) roundings stay below
+    2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5)
+    relative to |v| + 10^-dps over the factors.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
     if precision < 1:
         raise PrecisionUnderflowError("precision must be a positive digit count")
+    if precision > _MAX_PRECISION:
+        raise InvalidArgumentError(f"precision {precision} is above {_MAX_PRECISION} digits: too long to compute")
 
     rational_part = _finite_char_value(z, n)
-    values = _leading_values([(f.character, n - f.shift) for f, _ in z.char_zero], precision)
-    leads = [(lv, e) for lv, (_, e) in zip(values, z.char_zero)]
-    order = sum(e * lv.order for lv, e in leads)
+    table, order = _orbits(z, n)
+    exps = [e for _, e in z.char_zero]
     tolerance = Fraction(1, 10 ** (precision + 5))
 
-    if all(lv.exact is not None for lv, _ in leads):
+    if all(orbit_order == 0 for *_, orbit_order, _ in table):
         groups = {}  # (sign of the exponent, level) -> product of the powers
-        for lv, e in leads:
-            key = (1 if e > 0 else -1, lv.exact.level)
-            power = lv.exact ** abs(e)
-            groups[key] = groups[key] * power if key in groups else power
+        for _, _, exact, _, members in table:
+            for index, j in members:
+                key = (1 if exps[index] > 0 else -1, exact.level)
+                power = _sigma(exact, j) ** abs(exps[index])
+                groups[key] = groups[key] * power if key in groups else power
         if all(x.is_rational for x in groups.values()):
             value = rational_part
             for (sign, _), x in groups.items():
                 value *= x.rational_value() ** sign
             return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
 
-    # e(chi, shift) - e(conj chi, shift), a primitive chi keyed by its modulus,
-    # order and exponents at the unit-group generators, which determine it
-    balance = Counter()
-    for f, e in z.char_zero:
-        modulus, m, ks = _orbit_key(f.character.primitive())
-        balance[f.shift, modulus, m, ks] += e
-        balance[f.shift, modulus, m, tuple(-k % m for k in ks)] -= e
-    if any(balance.values()):
-        raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
-                                      "not closed under conjugation")
+    for chi, *_, members in table:
+        balance = Counter()  # member j -> its exponent
+        for index, j in members:
+            balance[j % chi.order] += exps[index]
+        if any(e != balance[-j % chi.order] for j, e in balance.items()):
+            raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
+                                          "not closed under conjugation")
     dps = precision + 20
-    bits = _fixed_bits(dps, sum(abs(e) for _, e in leads))
+    bits = _fixed_bits(dps, sum(map(abs, exps)))
     numeric, rel_err = rational_part, Fraction(0)
-    for lv, e in leads:
-        size = abs(lv.value)
+    for value, e in zip(_leading_values(table, precision), exps):
+        size = abs(value)
         rel_err = _round(rel_err + abs(e) * (size + 1) * tolerance / (size + Fraction(1, 10**dps)), bits)
-        numeric = _round(numeric * lv.value**e, bits)
+        numeric = _round(numeric * value**e, bits)
     error = (abs(numeric) + 1) * (rel_err + tolerance)
     return SpecialValue(order=order, exact=None, numeric=numeric, error=error)

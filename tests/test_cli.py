@@ -318,6 +318,15 @@ def test_a_shift_above_2_to_the_24_bits_is_refused_under_a_memory_limit(verb):
     assert error["code"] == "invalid-argument" and "above 2^24" in error["message"]
 
 
+@pytest.mark.parametrize("precision", ["4097", "100000000"])
+def test_a_precision_above_4096_digits_is_refused_under_a_memory_limit(precision):
+    # 10^(10^8) would be built for the working bits; the bound is checked first
+    done = _run_under_1gb(["value", "(Q)", "-n", "-2", "--precision", precision, "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "invalid-argument" and "above 4096 digits" in error["message"]
+
+
 def test_ell_check_reads_the_value_before_the_order_data_under_a_memory_limit():
     # the graded orders of (point 2) at n = -10^11 hold 2^(10^11); the value,
     # read first, is refused by its size bound before they are built

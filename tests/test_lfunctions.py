@@ -153,16 +153,23 @@ def test_cyclotomic_scalars_match_oracle(pair, c):
     assert coefficients(x * c) == coefficients(x * CyclotomicNumber.rational(c, x.level)) == [c * a for a in cx]
 
 
+def unit_mod(data, level):
+    """A unit j mod level, in 1..level."""
+    return data.draw(st.sampled_from([j for j in range(1, level + 1) if gcd(j, level) == 1]))
+
+
 @settings(deadline=None, max_examples=25)
-@given(cyclotomic_numbers())
-def test_cyclotomic_numeric_matches_direct_summation(pair):
+@given(cyclotomic_numbers(), st.integers(1, 3), st.data())
+def test_cyclotomic_numeric_matches_direct_summation(pair, stride, data):
+    # |sigma_j(x)| for a random unit j, the roots strided from a table of order stride * level
     x, cx = pair
+    j = unit_mod(data, x.level)
+    (modulus,) = lfunctions._member_moduli(x, stride * x.level, 60, [j])
     with mp.workdps(60):
         direct = mp.fsum(
-            mp.mpf(c.numerator) / c.denominator * mp.exp(2j * mp.pi * j / x.level)
-            for j, c in enumerate(cx)
+            mp.mpf(c.numerator) / c.denominator * mp.expjpi(mp.mpf(2 * i * j) / x.level) for i, c in enumerate(cx)
         )
-        assert abs(as_mpf(x.modulus(60)) - abs(direct)) <= mp.mpf(10) ** -55 * (1 + abs(direct))
+        assert abs(as_mpf(modulus) - abs(direct)) <= mp.mpf(10) ** -55 * (1 + abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +621,24 @@ def test_class_summed_hurwitz_L_within_its_radius(chi, s, dps):
     st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=400),
     st.integers(1, 10**6),
     st.integers(10, 60),
+    st.integers(1, 3),
+    st.data(),
 )
-def test_cyclotomic_embedding_within_its_radius(level, num, den, dps):
+def test_cyclotomic_embedding_within_its_radius(level, num, den, dps, stride, data):
+    # |sigma_j(x)| for a random unit j, against the roots strided from a table of order stride * level
     x = CyclotomicNumber.from_poly(level, num, den)
+    j = unit_mod(data, level)
     ones = sum(map(abs, x.num))
-    wp = lfunctions._fixed_bits(dps, 0)
-    re, im = x._fixed(wp)
+    wp = lfunctions._fixed_bits(dps, 1)
+    (modulus,) = lfunctions._member_moduli(x, stride * level, dps, [j])
     with mp.workprec(2 * wp + 20):
-        direct = mp.fsum(c * oracle_root(j, level) for j, c in enumerate(x.num))
-        # the integer sums, exact but for one unit per root
-        assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, wp)) <= ones
-        # then below 2^-10 10^-dps sum |num| / den, and the roundings to dps digits
-        value = direct / x.den
-        radius = (mp.ldexp(mp.mpf(ones) / x.den, -10) + abs(value)) * mp.mpf(10) ** -dps
-        assert abs(as_mpf(x.modulus(dps)) - abs(value)) <= radius
+        value = abs(mp.fsum(c * oracle_root(i * j, level) for i, c in enumerate(x.num))) / x.den
+        error = abs(as_mpf(modulus) - value)
+        # the integer sums, exact but for one unit per root, one unit for the
+        # square root, then the rounding to wp bits
+        assert error <= mp.ldexp(mp.mpf(ones + 1) / x.den * (1 + mp.ldexp(1, -wp)) + value, -wp)
+        # so below 2^-10 10^-dps sum |num| / den, and the roundings to dps digits
+        assert error <= (mp.ldexp(mp.mpf(ones) / x.den, -10) + value) * mp.mpf(10) ** -dps
 
 
 @st.composite
@@ -642,19 +653,23 @@ def fields_below_100(draw):
 @given(fields_below_100(), st.integers(-4, -1))
 def test_orbit_values_match_the_oracle_per_character(field, n):
     # one exact value and one class sum per Galois orbit; every member's order,
-    # exact value and leading value against mpmath's L-function of that member
+    # exact value sigma_j and leading value against mpmath's L-function of that member
     chars = field.characters()
-    values = lfunctions._leading_values([(chi, n) for chi in chars], 20)
+    table = lfunctions._orbit_table([(chi, n) for chi in chars])
+    values = lfunctions._leading_values(table, 20)
+    assert sorted(index for *_, members in table for index, _ in members) == list(range(len(chars)))
     with mp.workdps(40):
-        for chi, lv in zip(chars, values):
-            order, expected = leading_coefficient(chi.exponents, chi.order, n)
-            assert lv.order == order
-            if lv.exact is not None:
-                x = lv.exact
-                embedded = mp.fsum(c * oracle_root(j, x.level) for j, c in enumerate(x.num)) / x.den
-                assert abs(embedded - expected) <= mp.mpf(10) ** -30 * (1 + abs(expected))
-            expected = expected.real if chi.order <= 2 else abs(expected)
-            assert abs(as_mpf(lv.value) - expected) <= mp.mpf(10) ** -25 * abs(expected)
+        for _, _, exact, order, members in table:
+            for index, j in members:
+                chi = chars[index]
+                expected_order, expected = leading_coefficient(chi.exponents, chi.order, n)
+                assert order == expected_order
+                if order == 0:
+                    x = lfunctions._sigma(exact, j)
+                    embedded = mp.fsum(c * oracle_root(i, x.level) for i, c in enumerate(x.num)) / x.den
+                    assert abs(embedded - expected) <= mp.mpf(10) ** -30 * (1 + abs(expected))
+                expected = expected.real if chi.order <= 2 else abs(expected)
+                assert abs(as_mpf(values[index]) - expected) <= mp.mpf(10) ** -25 * abs(expected)
 
 
 def test_dedekind_special_values():

@@ -153,6 +153,22 @@ def test_one_exact_l_value_per_character(monkeypatch):
     assert sorted(chi.order for chi in calls) == [1, 2, 3, 4, 6, 12] and set(calls) <= set(field.characters())
 
 
+def test_ord_takes_one_exact_l_value_per_orbit(monkeypatch, capsys):
+    # the order is constant on a Galois orbit: Q(zeta_401) has 400 characters
+    # in 15 orbits, one per divisor of 400
+    calls = Counter()
+    original = lfunctions.gen_bernoulli
+
+    def counted(chi, k):
+        calls[chi.order] += 1
+        return original(chi, k)
+
+    monkeypatch.setattr(lfunctions, "gen_bernoulli", counted)
+    assert cli.main(["ord", "(numberring :conductor 401 :subgroup (1))", "-n", "-2"]) == 0
+    assert "analytic_order: 200" in capsys.readouterr().out
+    assert sum(calls.values()) == len(calls) == 15 and sorted(calls) == [d for d in range(1, 401) if 400 % d == 0]
+
+
 def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
     # the five even nontrivial characters mod 13 (a simple zero at n = -2) share
     # one table of zeta(3, a/13) over the 12 units; the trivial one adds zeta(3)
@@ -173,10 +189,10 @@ def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
 def test_a_rational_product_embeds_no_exact_value(monkeypatch):
     # the real subfield of Q(zeta_13) at n = -1: six even characters, all of
     # order 0, whose exact values multiply to a rational; no embedding is made
-    def no_embedding(self, dps):
+    def no_embedding(x, period, dps, js):
         raise AssertionError("an exact L-value was embedded on the rational path")
 
-    monkeypatch.setattr(lfunctions.CyclotomicNumber, "modulus", no_embedding)
+    monkeypatch.setattr(lfunctions, "_member_moduli", no_embedding)
     value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
     assert value.order == 0 and value.is_exact
 
@@ -376,3 +392,11 @@ def test_format_decimal_matches_mpmath_nstr(mantissa, exponent, digits, negative
         exact = mp.ldexp(mp.mpf(sign * mantissa), exponent)
     assert format_decimal(x, digits) == mp.nstr(exact, digits)
 
+
+def test_format_decimal_of_a_huge_denominator():
+    # about 10^-1023502: the digits come from one floor division of integers
+    x = Fraction(1, 2**3400000 - 1)
+    printed = "1.0345285106854847540736583454487029888969279911093e-1023502"
+    assert format_decimal(x, 50) == format_decimal(-x, 50)[1:] == printed
+    with mp.workprec(300):
+        assert mp.nstr(1 / (mp.mpf(2) ** 3400000 - 1), 50) == printed
