@@ -10,7 +10,6 @@ analytic and cohomological routes and checks that they agree.
 """
 
 from .archimedean import (
-    EquivariantBetti,
     HodgeData,
     equivariant_dims,
     gamma_factor_order,
@@ -19,7 +18,6 @@ from .archimedean import (
 )
 from .detcomplex import (
     BoundedFreeComplex,
-    GradedLine,
     cohomology,
     determinant,
     multiplicative_euler_char,

@@ -3,7 +3,7 @@
 The conjectural vanishing order of zeta(X, s) at s = n < 0 is the Euler
 characteristic of compactly supported cohomology of X(C) fixed by complex
 conjugation with R(n) = (2 pi i)^n R coefficients.  The dimensions depend
-on n only through its parity, so expressions carry a parity-indexed table.
+on n only through its parity.
 
 For proper smooth X_C the same dimensions fall out of Hodge theory:
 
@@ -20,10 +20,9 @@ from __future__ import annotations
 from .errors import InvalidArgumentError
 from .intlinalg import parity_sign
 from .record import Record
-from .scheme_algebra import Evaluation, NormalForm, NumberRing
+from .scheme_algebra import Evaluation, NumberRing
 
 __all__ = [
-    "EquivariantBetti",
     "HodgeData",
     "equivariant_dims",
     "vanishing_order_conjectural",
@@ -32,30 +31,6 @@ __all__ = [
     "P1_HODGE",
     "ELLIPTIC_CURVE_HODGE",
 ]
-
-
-class EquivariantBetti(Record):
-    """dim H^i_c(X(C), R(n))^{G_R} per parity of n: the maps degree ->
-    dimension `dims_even` and `dims_odd`, and their Euler characteristics
-    `chi_even` and `chi_odd`.
-
-    A dims map of None means only the Euler characteristic survived the
-    propagation (gluings); full maps are kept whenever the operations
-    determine them degreewise.
-    """
-
-    __slots__ = ("dims_even", "dims_odd", "chi_even", "chi_odd")
-
-    def __post_init__(self):
-        for dims, chi in ((self.dims_even, self.chi_even), (self.dims_odd, self.chi_odd)):
-            if dims is not None:
-                if any(v < 0 for v in dims.values()):
-                    raise InvalidArgumentError("dimensions must be nonnegative")
-                if sum(parity_sign(i) * v for i, v in dims.items()) != chi:
-                    raise InvalidArgumentError("chi does not match the dimension table")
-
-    def chi(self, n: int) -> int:
-        return self.chi_even if n % 2 == 0 else self.chi_odd
 
 
 def _atom_dim(atom, parity: int) -> int:
@@ -67,35 +42,28 @@ def _atom_dim(atom, parity: int) -> int:
     return r2 if parity else r1 + r2
 
 
-def _dims_and_chi(nf: NormalForm, parity: int):
-    """(dims-or-None, chi) for evaluation points n of the given parity: a
-    term c * [atom] * L^r adds c times the atom's dimension at parity
-    n + r, in degree 2r."""
+def equivariant_dims(e, n: int) -> tuple[dict | None, int]:
+    """(dims, chi) of an expression or its Evaluation at the weight n < 0:
+    dims maps degree i to dim H^i_c(X(C), R(n))^{G_R}, or is None when only
+    the Euler characteristic chi survived the propagation (gluings).  A term
+    c * [atom] * L^r adds c times the atom's dimension at weight n - r, of
+    parity n + r, in degree 2r."""
+    if n >= 0:
+        raise InvalidArgumentError("defined for strictly negative weights")
+    nf = Evaluation.of(e, n).nf
     dims = {} if nf.graded else None
     chi = 0
     for (atom, r), c in nf.terms.items():
-        d = _atom_dim(atom, (parity + r) % 2)
+        d = _atom_dim(atom, (n + r) % 2)
         chi += c * d
         if dims is not None and d:
             dims[2 * r] = dims.get(2 * r, 0) + c * d
     return dims, chi
 
 
-def equivariant_dims(e, n: int) -> EquivariantBetti:
-    """Parity-indexed equivariant Betti data of an expression or its
-    Evaluation; `n` picks nothing beyond its sign convention (both parities
-    are always populated)."""
-    if n >= 0:
-        raise InvalidArgumentError("defined for strictly negative weights")
-    nf = Evaluation.of(e, n).nf
-    dims_even, chi_even = _dims_and_chi(nf, 0)
-    dims_odd, chi_odd = _dims_and_chi(nf, 1)
-    return EquivariantBetti(dims_even, dims_odd, chi_even, chi_odd)
-
-
 def vanishing_order_conjectural(e, n: int) -> int:
     """Conjectural ord_{s=n} zeta(X, s): chi of the equivariant data."""
-    return equivariant_dims(e, n).chi(n)
+    return equivariant_dims(e, n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,9 @@ from .intlinalg import (
     read_key,
     smith_normal_form,
 )
-from .record import Record
 
 __all__ = [
     "BoundedFreeComplex",
-    "GradedLine",
     "cohomology",
     "multiplicative_euler_char",
     "determinant",
@@ -114,31 +112,6 @@ class BoundedFreeComplex:
             return NotImplemented
         return self._ranks == other._ranks and self._diffs == other._diffs
 
-    def __repr__(self):
-        if self.is_zero:
-            return "BoundedFreeComplex(0)"
-        return f"BoundedFreeComplex(ranks={self._ranks!r})"
-
-
-class GradedLine(Record):
-    """Graded invertible Z-module (fractional ideal, grade).
-
-    `ideal` is the positive rational generator of det inside
-    det (x) Q ~ Q, a Fraction defined exactly when all cohomology is
-    torsion; otherwise None ("undetermined": no canonical rational
-    trivialization).  `grade` is an int.
-    """
-
-    __slots__ = ("ideal", "grade")
-
-    def __post_init__(self):
-        if self.ideal is not None and self.ideal <= 0:
-            raise InvalidArgumentError("ideal generator must be normalized positive")
-
-    def __str__(self):
-        gen = "undetermined" if self.ideal is None else str(self.ideal)
-        return f"(ideal {gen}, grade {self.grade})"
-
 
 def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
     """H^i(C) = ker d^i / im d^{i-1} in invariant-factor form.
@@ -165,19 +138,19 @@ def multiplicative_euler_char(C: BoundedFreeComplex) -> Fraction:
     return m
 
 
-def determinant(C: BoundedFreeComplex) -> GradedLine:
+def determinant(C: BoundedFreeComplex) -> tuple[Fraction | None, int]:
     """Graded determinant line of C, as (fractional ideal, grade).
 
-    The grade is sum (-1)^i rank(A^i).  The ideal (1/m)Z is reported only
-    in the all-torsion case, where the embedding det c det (x) Q ~ Q is
-    canonical; with free cohomology present it stays undetermined.
+    The grade is sum (-1)^i rank(A^i).  The ideal (1/m)Z, given by 1/m > 0,
+    is reported only in the all-torsion case, where the embedding det c
+    det (x) Q ~ Q is canonical; with free cohomology present it is None.
     """
     grade = sum(parity_sign(i) * C.rank(i) for i in C.degrees())
     try:
         m = multiplicative_euler_char(C)
     except InfiniteCohomologyError:
-        return GradedLine(None, grade)
-    return GradedLine(1 / m, grade)
+        return None, grade
+    return 1 / m, grade
 
 
 # the largest rank, and the largest span hi - lo of degrees, a complex file

@@ -80,9 +80,6 @@ class VerificationReport(Record):
             "context": {k: show(v) for k, v in self.context.items()},
         }
 
-    def __str__(self):
-        return f"{self.claim}: {self.left} vs {self.right} -> {self.verdict}"
-
 
 def _require_finite_char(entry: Evaluation):
     if not entry.is_finite_characteristic:

@@ -141,9 +141,6 @@ class IntMatrix(Record):
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def __str__(self):
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.to_rows()) + "]"
-
 
 class SmithDecomposition(Record):
     """S in Smith normal form, with the log of the elementary operations

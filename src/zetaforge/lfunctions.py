@@ -300,10 +300,6 @@ class DirichletCharacter(Record):
                 f //= p
         return f
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
     def primitive(self) -> DirichletCharacter:
         """The primitive character inducing this one: the table restricted
         to the residues mod the conductor, which the units of the modulus
@@ -319,11 +315,6 @@ class DirichletCharacter(Record):
             return "zeta"
         units = ".".join(str(k) for k in self.exponents if k is not None)
         return f"chi_{self.modulus}.{self.order}.{units}"
-
-    def __str__(self):
-        if self.is_trivial:
-            return "trivial character"
-        return f"character mod {self.modulus} of order {self.order}"
 
 
 TRIVIAL_CHARACTER = DirichletCharacter(1, 1, (0,))
@@ -485,25 +476,14 @@ class AbelianFieldSpec(Record):
         return tuple(chi.primitive() for chi in selected)
 
     @property
-    def is_totally_real(self) -> bool:
-        return self.conductor <= 2 or _canonical_residue(-1, self.conductor) in self.subgroup
-
-    @property
     def signature(self) -> tuple[int, int]:
         """(r1, r2): all-real or all-complex, by parity of the characters."""
         d = self.degree
-        if self.is_totally_real:
+        if self.conductor <= 2 or _canonical_residue(-1, self.conductor) in self.subgroup:
             return d, 0
         if d % 2 != 0:
             raise InvariantViolationError("non-real abelian field must have even degree")
         return 0, d // 2
-
-    def __str__(self):
-        if self.conductor == 1:
-            return "Q"
-        if self == QI:
-            return "Q(i)"
-        return f"field(conductor={self.conductor}, subgroup={list(self.subgroup)})"
 
 
 Q = AbelianFieldSpec(1, (1,))
@@ -527,6 +507,17 @@ def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return f * L, tuple((a, poly.evaluate(coeffs, a)) for a in _units(f))
 
 
+def _class_sums(chi: DirichletCharacter, table) -> list[int]:
+    """The values of `table`, pairs (a, value) over the units a mod the
+    modulus of chi, summed by exponent class: entry k sums the a with
+    chi(a) = zeta_order^k, so sum_a chi(a) value_a = sum_k zeta_order^k entry_k."""
+    f, exps = chi.modulus, chi.exponents
+    sums = [0] * chi.order
+    for a, value in table:
+        sums[exps[a % f]] += value
+    return sums
+
+
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     """Generalized Bernoulli number B_{k,chi} = f^{k-1} sum_a chi(a) B_k(a/f)
     for the primitive chi inducing chi, a = 1..f: for f = 1 that is B_k(1),
@@ -534,12 +525,8 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     chi = chi.primitive()
-    f, exps = chi.modulus, chi.exponents
-    den, table = _bernoulli_table(f, k)
-    coeffs = [0] * chi.order
-    for a, b in table:
-        coeffs[exps[a % f]] += b
-    return CyclotomicNumber.from_poly(chi.order, coeffs, den)
+    den, table = _bernoulli_table(chi.modulus, k)
+    return CyclotomicNumber.from_poly(chi.order, _class_sums(chi, table), den)
 
 
 def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
@@ -550,12 +537,23 @@ def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     return gen_bernoulli(chi, k) * Fraction(-1, k)
 
 
+# the largest |n| of an L-value: B_(1-n) comes from one table of tangent
+# numbers T_1..T_c, c the power of two at or above (1-n)/2, built by c^2/2
+# products of integers of up to c log2 c bits; c = 1024 serves |n| <= 2048,
+# where `value "(Q)"` takes about 2 s on 2 cores, and the next table about 7 s
+_MAX_WEIGHT = 2048
+
+
 def _orbit_table(pairs) -> list[tuple]:
     """One entry (chi, n, exact, order, members) per Galois orbit and weight
     of the (chi, n) in `pairs`, n < 0: the first character met, made
     primitive, its exact L(n, chi), the order read off it and checked by the
     parity rule, and the (index, j) of each pair inducing chi^j, which has
-    the exponents of chi at the unit-group generators times j."""
+    the exponents of chi at the unit-group generators times j.  A weight
+    below -`_MAX_WEIGHT` is refused before any L-value is taken."""
+    lowest = min((n for _, n in pairs), default=-1)
+    if lowest < -_MAX_WEIGHT:
+        raise InvalidArgumentError(f"an L-value at s = {lowest} is below -{_MAX_WEIGHT}: too long to compute")
     table, orbit_of = [], {}  # key -> (its orbit's entry, j)
     for index, (chi, n) in enumerate(pairs):
         if n >= 0:
@@ -716,26 +714,6 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _EM_MAX_HEAD = 1 << 16  # head terms past which the tolerance counts as unreachable
 
 
-class _EMPlan(Record):
-    """Fixed-point bits, head length and the tail coefficients c_j, j = 1..M,
-    as (numerator, positive denominator) in `coeffs[j-1]`, for zeta(s, x)."""
-
-    __slots__ = ("wp", "N", "coeffs", "__dict__")
-
-    @cached_property
-    def horner(self) -> tuple[int, tuple[int, ...]]:
-        """(W, floor(c_j 2^W) for j = M..1), for the tail sum of c_j u^(j-1),
-        u < 1, by Horner's rule at W bits.  A step acc ->
-        c_j 2^W + floor(acc U / 2^W), U = floor(u 2^W), adds a unit for c_j,
-        one for the floor, and U's error times the exact partial sum, below
-        M C units, C the largest |c_j| rounded up: M (2 + M C) units in all,
-        which W = wp + 1 + bit_length(M (2 + M C)) keeps below 2^-(wp+1)."""
-        M = len(self.coeffs)
-        C = max((-(-abs(num) // den) for num, den in self.coeffs), default=0)
-        W = self.wp + 1 + (M * (2 + M * C)).bit_length()
-        return W, tuple((num << W) // den for num, den in reversed(self.coeffs))
-
-
 def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(N, coeffs) with the first omitted term, at most |num| / (den
     N^(s+2j-1)), below 2^-(wp+4); bounds are compared in integers.  N starts
@@ -765,12 +743,18 @@ def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 @lru_cache(maxsize=32)
-def _em_plan(s: int, dps: int) -> _EMPlan:
-    """The plan for zeta(s, x) at `dps` digits, shared by every conductor:
-    wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 makes the error (N + M + 3)
-    2^-wp (see `_hurwitz_em`) at most 2^-10 10^-dps, relative too as
-    zeta(s, x) >= 1 on (0, 1].  The search starts at the bits for 2 N units,
-    N the first head length, which is the final wp or just above it."""
+def _em_plan(s: int, dps: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """(wp, N, W, floor(c_j 2^W) for j = M..1), the plan for zeta(s, x) at
+    `dps` digits with the head N and tail c_j of `_em_terms`, shared by every
+    conductor: wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 makes the error
+    (N + M + 3) 2^-wp (see `_hurwitz_em`) at most 2^-10 10^-dps, relative too
+    as zeta(s, x) >= 1 on (0, 1].  The search starts at the bits for 2 N
+    units, N the first head length, which is the final wp or just above it.
+    The tail sum of c_j u^(j-1), u < 1, is Horner's rule at W bits: a step
+    acc -> c_j 2^W + floor(acc U / 2^W), U = floor(u 2^W), adds a unit for
+    c_j, one for the floor, and U's error times the exact partial sum, below
+    M C units, C the largest |c_j| rounded up: M (2 + M C) units in all,
+    which W = wp + 1 + bit_length(M (2 + M C)) keeps below 2^-(wp+1)."""
     if s < 2:
         raise InvalidArgumentError("the Hurwitz table needs an integer s >= 2")
     wp = _fixed_bits(dps, 0)
@@ -779,11 +763,15 @@ def _em_plan(s: int, dps: int) -> _EMPlan:
         N, coeffs = _em_terms(s, wp)
         need = _fixed_bits(dps, N + len(coeffs) + 2)
         if wp >= need:
-            return _EMPlan(wp, N, coeffs)
+            break
         wp = need
+    M = len(coeffs)
+    C = max((-(-abs(num) // den) for num, den in coeffs), default=0)
+    W = wp + 1 + (M * (2 + M * C)).bit_length()
+    return wp, N, W, tuple((num << W) // den for num, den in reversed(coeffs))
 
 
-def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
+def _hurwitz_em(f: int, a: int, s: int, plan: tuple) -> int:
     """zeta(s, a/f) * 2^wp, within N + M + 3 units, in integers only.
 
     With m = N f + a, the head is N + 2 floors of exact ratios; the tail,
@@ -791,8 +779,7 @@ def _hurwitz_em(f: int, a: int, s: int, plan: _EMPlan) -> int:
     within half a unit and one floor.  With R below 1/16 that is below
     N + 2 + 3/2 + 1/16 units, inside N + M + 3 as M >= 1 when there is a tail.
     """
-    wp, N = plan.wp, plan.N
-    W, fixed = plan.horner
+    wp, N, W, fixed = plan
     m = N * f + a
     acc = sum(map((f**s << wp).__floordiv__, map(pow, range(a, m, f), itertools.repeat(s))))
     fk, mk = f ** (s - 1), m ** (s - 1)
@@ -812,23 +799,39 @@ def _hurwitz_table(f: int, s: int, dps: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, _hurwitz_em(f, a, s, plan)) for a in _units(f))
 
 
+def _permuted(values, j: int, m: int) -> list:
+    """sigma_j on a vector indexed by powers of zeta_m: entry i moves to i j mod m."""
+    out = [0] * m
+    for i, v in enumerate(values):
+        out[i * j % m] = v
+    return out
+
+
+def _at_roots(v, m: int, period: int, wp: int, js) -> list[tuple[int, int]]:
+    """(re, im) of sum_i v[i] zeta_m^(ij) 2^wp for each j in `js`, exact sums
+    of the integers v[i] times the roots of order m, m dividing `period`,
+    strided from `_root_table(period, wp)`: 2 pi k / m = 2 pi (k period/m) /
+    period, so each root is within one unit as the table states."""
+    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
+    out = []
+    for j in js:
+        vj = _permuted(v, j, m)
+        out.append((sum(map(mul, cos, vj)), sum(map(mul, sin, vj))))
+    return out
+
+
 def _gauss_fixed(chi: DirichletCharacter, wp: int) -> tuple[int, int]:
     """tau(chi) 2^wp for a primitive chi, within 2 phi(f) + 2 units in modulus:
     the roots zeta_f^a summed by exponent class into X_k, each within its
     class size in units, then sum_k zeta_order^k X_k exact at 2 wp bits and
     within 2 phi(f) + phi(f) 2^-wp units, and the final floor adds below sqrt 2."""
-    f, exps = chi.modulus, chi.exponents
-    f_cos, f_sin = _root_table(f, wp)
-    xr, xi = [0] * chi.order, [0] * chi.order
-    for a in _units(f):
-        a %= f
-        k = exps[a]
-        xr[k] += f_cos[a]
-        xi[k] += f_sin[a]
-    cos, sin = _root_table(chi.order, wp)
-    re = sum(map(mul, cos, xr)) - sum(map(mul, sin, xi))
-    im = sum(map(mul, cos, xi)) + sum(map(mul, sin, xr))
-    return re >> wp, im >> wp
+    f, m = chi.modulus, chi.order
+    # (sum_k zeta^k X_k) for the real parts X_k = xr_k, then the imaginary ones X_k = xi_k
+    (rr, ri), (ir, ii) = (
+        _at_roots(_class_sums(chi, ((a, table[a % f]) for a in _units(f))), m, m, wp, [1])[0]
+        for table in _root_table(f, wp)
+    )
+    return (rr - ii) >> wp, (ir + ri) >> wp
 
 
 def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
@@ -842,14 +845,6 @@ def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tu
     return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
-def _permuted(values, j: int, m: int) -> list:
-    """sigma_j on a vector indexed by powers of zeta_m: entry i moves to i j mod m."""
-    out = [0] * m
-    for i, v in enumerate(values):
-        out[i * j % m] = v
-    return out
-
-
 def _sigma(x: CyclotomicNumber, j: int) -> CyclotomicNumber:
     """sigma_j(x) = x(zeta_N^j) for a unit j mod the level N."""
     return x if j == 1 else CyclotomicNumber.from_poly(x.level, _permuted(x.num, j, x.level), x.den)
@@ -857,17 +852,14 @@ def _sigma(x: CyclotomicNumber, j: int) -> CyclotomicNumber:
 
 def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[Fraction]:
     """|sigma_j(x)| at `dps` digits for each unit j in `js`, the level m of x
-    dividing `period`: sum_i num[i] zeta_m^(ij) 2^wp against the roots strided
-    as in `_hurwitz_H` is within sum_i |num[i]| units and its integer square
-    root one more, below 2^-10 10^-dps sum_i |num[i]| / den; then rounded to wp bits."""
-    m, wp = x.level, _fixed_bits(dps, 1)
-    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
-    out = []
-    for j in js:
-        num = _permuted(x.num, j, m)
-        re, im = sum(map(mul, cos, num)), sum(map(mul, sin, num))
-        out.append(_round(Fraction(isqrt(re * re + im * im), x.den << wp), wp))
-    return out
+    dividing `period`: `_at_roots` of its numerators is within sum_i |num[i]|
+    units and the integer square root one more, below 2^-10 10^-dps
+    sum_i |num[i]| / den; then rounded to wp bits."""
+    wp = _fixed_bits(dps, 1)
+    return [
+        _round(Fraction(isqrt(re * re + im * im), x.den << wp), wp)
+        for re, im in _at_roots(x.num, x.level, period, wp, js)
+    ]
 
 
 def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int, int]]:
@@ -876,20 +868,15 @@ def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int,
 
     The table integers, each within U = N + M + 3 units, are summed once by
     exponent class into Y_k, and H(chi^j) = sum_k conj(zeta^(jk)) Y_k is Y
-    permuted against the roots: within S + phi(f) U + 2 units, S = sum_a
-    zeta(s, a/f) <= zeta(s) f^s.  As |L(s, chi)| >= zeta(2s)/zeta(s), that
-    is a relative error below (2.5 + 1.6 (U + 2)) 2^-wp for s >= 2.
+    against the roots strided from the table of lambda(f): within
+    S + phi(f) U + 2 units, S = sum_a zeta(s, a/f) <= zeta(s) f^s.  As
+    |L(s, chi)| >= zeta(2s)/zeta(s), that is a relative error below
+    (2.5 + 1.6 (U + 2)) 2^-wp for s >= 2.
     """
-    f, m = chi.modulus, chi.order
-    wp = _em_plan(s, dps).wp
-    y = [0] * m
-    for a, raw in _hurwitz_table(f, s, dps):
-        y[chi.exponents[a % f]] += raw
-    # the roots of order m strided from the table of lambda(f): 2 pi k / m =
-    # 2 pi (k lambda/m) / lambda, each within one unit as well
-    cos, sin = (table[:: _exponent(f) // m] for table in _root_table(_exponent(f), wp))
-    sums = [_permuted(y, j, m) for j in js]
-    return [(sum(map(mul, cos, yj)) >> wp, -(sum(map(mul, sin, yj)) >> wp)) for yj in sums]
+    f = chi.modulus
+    wp = _em_plan(s, dps)[0]
+    y = _class_sums(chi, _hurwitz_table(f, s, dps))
+    return [(re >> wp, -(im >> wp)) for re, im in _at_roots(y, chi.order, _exponent(f), wp, js)]
 
 
 def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]:
@@ -911,7 +898,7 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
             h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
             k = h + a
             r = Fraction(parity_sign(h) * factorial(2 * k) * factorial(h), 2 * 4**k * factorial(k))
-            wp = _em_plan(1 - n, dps).wp
+            wp = _em_plan(1 - n, dps)[0]
             # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
             pi_power = _pi_fixed(wp) ** -n << wp
             values = []

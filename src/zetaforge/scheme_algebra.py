@@ -78,7 +78,6 @@ __all__ = [
     "NormalForm",
     "WeilOrderData",
     "Evaluation",
-    "Diagnostic",
     "normalize",
     "zeta_of",
     "weil_order_data",
@@ -377,17 +376,10 @@ class WeilOrderData:
             if even * self.chi_mult.denominator != odd * self.chi_mult.numerator:
                 raise InvalidArgumentError("graded orders do not multiply to chi_mult")
 
-    @property
-    def has_graded(self) -> bool:
-        return self.graded is not None
-
     def __eq__(self, other):
         if not isinstance(other, WeilOrderData):
             return NotImplemented
         return self.graded == other.graded and self.chi_mult == other.chi_mult
-
-    def __repr__(self):
-        return f"WeilOrderData(graded={self.graded!r}, chi_mult={self.chi_mult})"
 
 
 def _atom_order_data(atom, n: int) -> WeilOrderData:
@@ -506,26 +498,20 @@ class Evaluation(Record):
 # structural validation
 
 
-class Diagnostic(Record):
-    """One finding of `validate`: its severity ("error" or "warning"), the
-    message, and where in the printed expression it lies."""
-
-    __slots__ = ("severity", "message", "where")
-
-
 _BAD_CONSTANT_TERM = "curve L-polynomial must have constant term 1"
 _ASSERTED = (
     "closed-open decomposition is a user assertion; complement plausibility is not verified"
 )
 
 
-def validate(e: SchemeExpr) -> list[Diagnostic]:
+def validate(e: SchemeExpr) -> list[dict]:
     """Structural diagnostics; gluing geometry is flagged, never verified.
 
-    Each one is placed as "<head> at position <k>", with k the offset of
+    Each one is a dict of its "severity" ("error" or "warning"), its
+    "message" and "where": "<head> at position <k>", with k the offset of
     its node in `format_expr(e)`, counted while the walk prints.
     """
-    out: list[Diagnostic] = []
+    out: list[dict] = []
     at = 0
 
     def marked(item):
@@ -543,7 +529,8 @@ def validate(e: SchemeExpr) -> list[Diagnostic]:
             severity, message = "warning", _ASSERTED
         else:
             continue
-        out.append(Diagnostic(severity, message, f"{type(node).__name__.lower()} at position {at}"))
+        where = f"{type(node).__name__.lower()} at position {at}"
+        out.append({"severity": severity, "message": message, "where": where})
     return out
 
 

@@ -349,11 +349,6 @@ class SpecialValue(Record):
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def __str__(self):
-        if self.is_exact:
-            return f"order {self.order}, value {self.exact} (exact)"
-        return f"order {self.order}, value ~ {format_decimal(self.numeric, 20)} (+/- {format_decimal(self.error, 3)})"
-
 
 def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
     """Order of vanishing and leading Taylor coefficient at s = n < 0.

@@ -2,7 +2,6 @@ import pytest
 
 from zetaforge.archimedean import (
     ELLIPTIC_CURVE_HODGE,
-    EquivariantBetti,
     HodgeData,
     P1_HODGE,
     equivariant_dims,
@@ -26,24 +25,21 @@ from zetaforge.zetarep import vanishing_order
 
 def test_finite_char_atoms_have_no_complex_points():
     for e in (Point(5), Curve(2, (1, 0, 2))):
-        data = equivariant_dims(e, -1)
-        assert data.dims_even == {} and data.dims_odd == {}
+        assert equivariant_dims(e, -1) == equivariant_dims(e, -2) == ({}, 0)
         assert vanishing_order_conjectural(e, -1) == 0
         assert vanishing_order_conjectural(e, -2) == 0
 
 
 def test_number_ring_dims():
-    data = equivariant_dims(NumberRing(QI), -1)
-    assert data.dims_odd == {0: 1}  # r2 = 1 at odd n
-    assert data.dims_even == {0: 1}  # r1 + r2 = 1 at even n
-    q_data = equivariant_dims(NumberRing(Q), -1)
-    assert q_data.dims_odd == {} and q_data.dims_even == {0: 1}
+    assert equivariant_dims(NumberRing(QI), -1) == ({0: 1}, 1)  # r2 = 1 at odd n
+    assert equivariant_dims(NumberRing(QI), -2) == ({0: 1}, 1)  # r1 + r2 = 1 at even n
+    assert equivariant_dims(NumberRing(Q), -1) == ({}, 0)
+    assert equivariant_dims(NumberRing(Q), -2) == ({0: 1}, 1)
 
 
 def test_affine_twist_shifts_dims():
-    data = equivariant_dims(Affine(1, NumberRing(Q)), -1)
     # base is (Q, n = -2), even case r1 + r2 = 1, shifted into degree 2
-    assert data.dims_odd == {2: 1}
+    assert equivariant_dims(Affine(1, NumberRing(Q)), -1) == ({2: 1}, 1)
     assert vanishing_order_conjectural(Affine(1, NumberRing(Q)), -1) == 1
 
 
@@ -55,9 +51,8 @@ def test_vanishing_orders():
 
 def test_glue_degrades_to_euler_only():
     e = Glue(NumberRing(Q), NumberRing(QI))
-    data = equivariant_dims(e, -1)
-    assert data.dims_even is None and data.dims_odd is None
-    assert data.chi_odd == 0 + 1
+    assert equivariant_dims(e, -1) == (None, 0 + 1)
+    assert equivariant_dims(e, -2) == (None, 1 + 1)
 
 
 def test_additivity_over_glue_and_minus():
@@ -127,9 +122,3 @@ def test_hodge_validation():
     with pytest.raises(ValueError, match="h\\{?p,p\\}?|equal"):
         HodgeData.make({(0, 0): 2}, {0: (1, 0)})
 
-
-def test_equivariant_betti_invariants():
-    with pytest.raises(ValueError):
-        EquivariantBetti({0: 1}, {}, 2, 0)  # chi mismatch
-    with pytest.raises(ValueError):
-        EquivariantBetti({0: -1}, {}, -1, 0)

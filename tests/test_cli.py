@@ -336,6 +336,29 @@ def test_ell_check_reads_the_value_before_the_order_data_under_a_memory_limit():
 
 
 @pytest.mark.parametrize("verb", ["value", "ord"])
+def test_a_weight_below_minus_2048_is_refused_under_a_memory_limit(verb):
+    # B_(1-n) at n = -10^6 needs 2^19 tangent numbers of millions of bits;
+    # the bound is on each L-factor's own weight n - shift, so a shift by
+    # an affine bundle cannot carry a weight in range past it
+    for expr, n in [("(Q)", "-1000001"), ("(Q)", "-100000000"), ("(affine 1 (Q))", "-2048"),
+                    ("(numberring :conductor 13 :subgroup (1))", "-2049")]:
+        done = _run_under_1gb([verb, expr, "-n", n, "--format", "json"])
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        error = json.loads(done.stdout)["error"]
+        assert error["code"] == "invalid-argument" and "below -2048" in error["message"]
+
+
+@pytest.mark.parametrize("order", ["1025", "100000000"])
+def test_a_series_order_above_1024_is_refused_under_a_memory_limit(capsys, order):
+    # the trace-formula check takes about K^2 products of K-digit integers
+    done = _run_under_1gb(["trace-check", "(curve 2 (1 0 2))", "--series-order", order, "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "invalid-argument" and "above 1024" in error["message"]
+    assert run_cli(capsys, "trace-check", "(point 2)", "--series-order", "1024")[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["value", "ord"])
 def test_a_conductor_above_65536_is_refused_under_a_memory_limit(verb):
     # every character table has one entry per residue: a conductor of
     # 10^12 is refused before its units are enumerated
@@ -627,6 +650,57 @@ def test_failed_verdict_exit_code(capsys):
     # validate() flags the same defect up front
     diags = run_json(capsys, "zeta", "(curve 2 (2 1))")[1]["diagnostics"]
     assert any(d["severity"] == "error" for d in diags)
+
+
+ZETA_QI_TEXT = """\
+command: zeta
+expression: (Qi)
+zeta: (zeta(s)) * (L(s, chi_4.2.0.1))
+factors.0.factor: zeta(s)
+factors.0.exponent: 1
+factors.1.factor: L(s, chi_4.2.0.1)
+factors.1.exponent: 1
+pass: True
+"""
+ZETA_AFFINE_F5_TEXT = """\
+command: zeta
+expression: (affine 1 (numberring :conductor 5 :subgroup (1)))
+zeta: (zeta(s-1)) * (L(s-1, chi_5.2.0.1.1.0)) * (L(s-1, chi_5.4.0.1.3.2)) * (L(s-1, chi_5.4.0.3.1.2))
+factors.0.factor: zeta(s-1)
+factors.0.exponent: 1
+factors.1.factor: L(s-1, chi_5.2.0.1.1.0)
+factors.1.exponent: 1
+factors.2.factor: L(s-1, chi_5.4.0.1.3.2)
+factors.2.exponent: 1
+factors.3.factor: L(s-1, chi_5.4.0.3.1.2)
+factors.3.exponent: 1
+pass: True
+"""
+
+
+def _zeta_report(expr: str, factors: list[str]) -> dict:
+    return {
+        "command": "zeta",
+        "expression": expr,
+        "zeta": " * ".join(f"({factor})" for factor in factors),
+        "factors": [{"factor": factor, "exponent": 1} for factor in factors],
+        "diagnostics": [],
+        "pass": True,
+    }
+
+
+def test_zeta_of_number_rings_prints_each_character_label(capsys):
+    # an L-factor prints as L(s - shift, chi_<modulus>.<order>.<exponents on the units>)
+    f5 = "(affine 1 (numberring :conductor 5 :subgroup (1)))"
+    cases = [
+        ("(Qi)", ZETA_QI_TEXT, ["zeta(s)", "L(s, chi_4.2.0.1)"]),
+        (f5, ZETA_AFFINE_F5_TEXT,
+         ["zeta(s-1)", "L(s-1, chi_5.2.0.1.1.0)", "L(s-1, chi_5.4.0.1.3.2)", "L(s-1, chi_5.4.0.3.1.2)"]),
+    ]
+    for expr, text, factors in cases:
+        assert run_cli(capsys, "zeta", expr) == (0, text)
+        expected = json.dumps(_zeta_report(expr, factors), indent=2) + "\n"
+        assert run_cli(capsys, "zeta", expr, "--format", "json") == (0, expected)
 
 
 def test_batch_manifest(capsys, tmp_path):

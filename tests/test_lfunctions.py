@@ -272,7 +272,7 @@ def test_conductor_is_read_off_the_table(modulus, pick):
     chi = chars[pick % len(chars)]
     assert chi.conductor == conductor(chi.exponents)
     prim = chi.primitive()
-    assert prim.is_primitive and prim.modulus == chi.conductor and prim.order == chi.order
+    assert prim.conductor == prim.modulus == chi.conductor and prim.order == chi.order
     assert all(prim.exponent(a) == chi.exponent(a) for a in range(modulus) if gcd(a, modulus) == 1)
 
 
@@ -283,7 +283,7 @@ def test_a_conductor_is_not_an_input():
     with pytest.raises(TypeError):
         DirichletCharacter(10, 4, tables[0], 10)
     chi, conj = [DirichletCharacter(10, 4, table) for table in tables]
-    assert chi.conductor == conj.conductor == 5 and not chi.is_primitive
+    assert chi.conductor == conj.conductor == 5 != chi.modulus
     z = ZetaProduct.from_factors([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
     assert format_decimal(evaluate_at(z, -1, 20).numeric, 20) == "0.74433551727649940574"
 
@@ -342,7 +342,7 @@ def test_gauss_sum_matches_direct_summation():
     # summed term by term at higher precision; and |tau|^2 = f
     for f in (7, 13, 21):
         for chi in characters_mod(f, (1,)):
-            if not chi.is_primitive:
+            if chi.conductor != chi.modulus:
                 continue
             with mp.workdps(60):
                 tau = as_mpc(gauss_sum(chi, 30))
@@ -451,50 +451,53 @@ def test_hurwitz_table_within_its_derived_bound(f, s, dps, rng):
     table = lfunctions._hurwitz_table(f, s, dps)
     assert [a for a, _ in table] == [a for a in range(1, f + 1) if gcd(a, f) == 1]
     plan = lfunctions._em_plan(s, dps)
+    wp, N, _, tail = plan
     checked = set(table[:2] + table[-2:] + tuple(rng.sample(table, min(4, len(table)))))
     with mp.workdps(dps + 30):
-        ulp = mp.ldexp(1, -plan.wp)
-        assert em_term(s, plan.N, len(plan.coeffs) + 1) < ulp / 16
+        ulp = mp.ldexp(1, -wp)
+        assert em_term(s, N, len(tail) + 1) < ulp / 16
         for a, raw in checked:
             expected = mp.zeta(s, mp.mpf(a) / f)
             assert abs(raw * ulp - expected) < mp.mpf(10) ** -dps * expected
             fixed = lfunctions._hurwitz_em(f, a, s, plan) * ulp
-            assert abs(fixed - expected) < (plan.N + len(plan.coeffs) + 3) * ulp
+            assert abs(fixed - expected) < (N + len(tail) + 3) * ulp
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(1, 60), st.integers(2, 9), st.integers(10, 120))
 def test_hurwitz_table_within_n_plus_m_plus_3_units(f, s, dps):
     # every entry, with the Horner tail, against mpmath at twice the bits
-    plan = lfunctions._em_plan(s, dps)
-    bound = plan.N + len(plan.coeffs) + 3
-    with mp.workprec(2 * plan.wp):
+    wp, N, _, tail = lfunctions._em_plan(s, dps)
+    bound = N + len(tail) + 3
+    with mp.workprec(2 * wp):
         for a, raw in lfunctions._hurwitz_table(f, s, dps):
-            assert abs(raw - mp.ldexp(mp.zeta(s, mp.mpf(a) / f), plan.wp)) < bound
+            assert abs(raw - mp.ldexp(mp.zeta(s, mp.mpf(a) / f), wp)) < bound
 
 
 def test_horner_bits_cover_the_tail():
     # W - wp = 1 + bit_length(M (2 + M C)), C the largest |c_j| rounded up
     for s, dps in ((2, 15), (3, 67), (10, 150)):
-        plan = lfunctions._em_plan(s, dps)
-        W, fixed = plan.horner
-        M, C = len(plan.coeffs), max(-(-abs(num) // den) for num, den in plan.coeffs)
-        assert 2 ** (W - plan.wp - 1) > M * (2 + M * C) >= 2 ** (W - plan.wp - 2)
-        for c, (num, den) in zip(fixed, reversed(plan.coeffs)):
+        wp, N, W, fixed = lfunctions._em_plan(s, dps)
+        head, coeffs = lfunctions._em_terms(s, wp)
+        assert head == N
+        M, C = len(coeffs), max(-(-abs(num) // den) for num, den in coeffs)
+        assert len(fixed) == M and 2 ** (W - wp - 1) > M * (2 + M * C) >= 2 ** (W - wp - 2)
+        for c, (num, den) in zip(fixed, reversed(coeffs)):
             assert abs(c - Fraction(num << W, den)) <= 1
 
 
 @pytest.mark.parametrize("s", [2, 3, 7, 10])
 @pytest.mark.parametrize("dps", [15, 67, 150])
 def test_euler_maclaurin_plan_meets_its_tolerance(s, dps):
-    plan = lfunctions._em_plan(s, dps)
-    N, M, wp = plan.N, len(plan.coeffs), plan.wp
+    wp, N, _, _ = lfunctions._em_plan(s, dps)
+    coeffs = lfunctions._em_terms(s, wp)[1]
+    M = len(coeffs)
     with mp.workdps(40):
         tolerance = mp.ldexp(1, -(wp + 4))
         # M is the smallest count whose first omitted term is below tolerance
         assert em_term(s, N, M + 1) < tolerance <= em_term(s, N, M)
         assert wp >= mp.ceil(dps * mp.log(10, 2)) + mp.log(N + M + 2, 2) + 10
-        for j, (num, den) in enumerate(plan.coeffs, 1):
+        for j, (num, den) in enumerate(coeffs, 1):
             exact = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1)
             assert den > 0 and abs(mp.mpf(num) / den - exact) < mp.mpf(10) ** -35 * abs(exact)
 
@@ -602,17 +605,17 @@ def test_class_summed_hurwitz_L_within_its_radius(chi, s, dps):
     # for every member chi^j of the orbit, from chi's class sums permuted
     f, order = chi.modulus, chi.order
     units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
-    plan = lfunctions._em_plan(s, dps)
-    U = plan.N + len(plan.coeffs) + 3
+    wp, N, _, tail = lfunctions._em_plan(s, dps)
+    U = N + len(tail) + 3
     js = [j for j in range(1, order + 1) if gcd(j, order) == 1]
     sums = lfunctions._hurwitz_H(chi, s, dps, js)
     assert len(sums) == len(js)
-    with mp.workprec(2 * plan.wp + 20):
+    with mp.workprec(2 * wp + 20):
         zetas = [mp.zeta(s, mp.mpf(a) / f) for a in units]
         radius = mp.fsum(zetas) + len(units) * U + 2
         for j, (re, im) in zip(js, sums):
             direct = mp.fsum(oracle_root(-chi.exponent(a) * j, order) * z for a, z in zip(units, zetas))
-            assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, plan.wp)) < radius
+            assert abs(mp.mpc(re, im) - direct * mp.ldexp(1, wp)) < radius
 
 
 @FIXED_POINT
@@ -670,6 +673,18 @@ def test_orbit_values_match_the_oracle_per_character(field, n):
                     assert abs(embedded - expected) <= mp.mpf(10) ** -30 * (1 + abs(expected))
                 expected = expected.real if chi.order <= 2 else abs(expected)
                 assert abs(as_mpf(values[index]) - expected) <= mp.mpf(10) ** -25 * abs(expected)
+
+
+def test_orbit_table_refuses_a_weight_below_minus_2048_before_any_l_value(monkeypatch):
+    def refuse(chi, k):
+        raise AssertionError("an L-value was taken")
+
+    monkeypatch.setattr(lfunctions, "gen_bernoulli", refuse)
+    chi = CHI_MINUS_4
+    with pytest.raises(InvalidArgumentError, match="below -2048"):
+        lfunctions._orbit_table([(chi, -1), (chi, -2049)])
+    with pytest.raises(AssertionError, match="an L-value was taken"):
+        lfunctions._orbit_table([(chi, -2048)])
 
 
 def test_dedekind_special_values():

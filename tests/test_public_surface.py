@@ -54,3 +54,10 @@ def test_no_unused_imports(name):
     module = importlib.import_module(f"zetaforge.{name}")
     used.update(getattr(module, "__all__", ()))
     assert sorted(f"{bound} (line {line})" for bound, line in imported.items() if bound not in used) == []
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_assert_statements(name):
+    # python -O strips assert statements, so an invariant check is a raised ZetaforgeError
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.cli  # noqa: F401  (loads every module that defines a record)
-from zetaforge.archimedean import EquivariantBetti, HodgeData
-from zetaforge.detcomplex import GradedLine
+from zetaforge.archimedean import HodgeData
 from zetaforge.ffengine import VerificationReport
 from zetaforge.intlinalg import FinGenAbGroup, IntMatrix, smith_normal_form
 from zetaforge.lfunctions import (
@@ -20,14 +19,12 @@ from zetaforge.lfunctions import (
     CyclotomicNumber,
     DirichletCharacter,
     LeadingValue,
-    _EMPlan,
 )
 from zetaforge.record import Record
 from zetaforge.scheme_algebra import (
     Affine,
     Cellular,
     Curve,
-    Diagnostic,
     Disjoint,
     Evaluation,
     Glue,
@@ -53,7 +50,6 @@ SAMPLES = {
         lambda: LeadingValue(30, numeric=Fraction(3, 4)),
         "LeadingValue(dps=30, exact=None, numeric=Fraction(3, 4))",
     ),
-    "_EMPlan": (lambda: _EMPlan(64, 10, ((1, 6),)), "_EMPlan(wp=64, N=10, coeffs=((1, 6),))"),
     "RationalFunctionT": (lambda: RationalFunctionT((1,), (1, -2)), "RationalFunctionT(num=(1,), den=(1, -2))"),
     "FiniteCharFactor": (
         lambda: FiniteCharFactor(2, Z),
@@ -82,10 +78,6 @@ SAMPLES = {
     "Proj": (lambda: Proj(2, Point(5, 2)), "Proj(r=2, base=Point(q=5, m=2))"),
     "Cellular": (lambda: Cellular(Point(2), (0, 1)), "Cellular(base=Point(q=2, m=1), ranks=(0, 1))"),
     "Evaluation": (lambda: Evaluation(Point(2), -1), "Evaluation(expr=Point(q=2, m=1), n=-1)"),
-    "Diagnostic": (
-        lambda: Diagnostic("warning", "asserted", "glue at position 0"),
-        "Diagnostic(severity='warning', message='asserted', where='glue at position 0')",
-    ),
     "IntMatrix": (lambda: IntMatrix(1, 2, (1, 2)), "IntMatrix(rows=1, cols=2, entries=(1, 2))"),
     "SmithDecomposition": (
         lambda: smith_normal_form(IntMatrix(1, 2, (2, 4))),
@@ -96,15 +88,10 @@ SAMPLES = {
         lambda: VerificationReport("p-part", 0, 0, {"n": -1}),
         "VerificationReport(claim='p-part', left=0, right=0, context={'n': -1})",
     ),
-    "EquivariantBetti": (
-        lambda: EquivariantBetti({0: 1}, None, 1, 0),
-        "EquivariantBetti(dims_even={0: 1}, dims_odd=None, chi_even=1, chi_odd=0)",
-    ),
     "HodgeData": (
         lambda: HodgeData.make({(0, 0): 1}, {0: (1, 0)}),
         "HodgeData(weights=(((0, 0), 1),), diagonal=((0, (1, 0)),))",
     ),
-    "GradedLine": (lambda: GradedLine(Fraction(1, 2), 0), "GradedLine(ideal=Fraction(1, 2), grade=0)"),
 }
 # the one record whose equality is identity: a battery's memo of one (X, n)
 IDENTITY = {"Evaluation"}
