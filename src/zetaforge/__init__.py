@@ -23,6 +23,10 @@ from .detcomplex import (
     multiplicative_euler_char,
 )
 from .errors import ZetaforgeError
+
+# imported with the package, like every other module, so that a process
+# forked after the import (a fork server) does not compile it for `batch`
+from . import forkmap  # noqa: F401
 from .ffengine import (
     VerificationReport,
     ell_adic_check,

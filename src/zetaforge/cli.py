@@ -18,7 +18,10 @@ reported like every other error; -h/--help prints the usage block.
 
 `batch` builds one `Evaluation` record per manifest entry, and every check
 of the entry's battery reads it: one normal form, one zeta product, one
-exact value and one set of order data per entry.
+exact value and one set of order data per entry.  The entries run across
+the CPUs of the affinity mask (`forkmap`), one share in this process and
+each other share in a forked worker; the report and the first error are
+those of a serial run.
 """
 
 from __future__ import annotations
@@ -247,24 +250,29 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
     return entries
 
 
+def _batch_entry(text: str, n: int, series_order: int) -> dict:
+    """The report of one manifest entry: its battery on one record."""
+    entry = Evaluation(parse_expr(text), n)
+    reports = _battery(entry, series_order)
+    return {
+        "expression": entry.printed,
+        "n": n,
+        "checks": [r.as_dict() for r in reports],
+        "pass": all(r.passed for r in reports),
+    }
+
+
 def _cmd_batch(args) -> tuple[dict, bool]:
+    from .forkmap import forkmap  # loaded with the package; the other verbs do not read it
+
     with open(args.manifest, "r", encoding="utf-8") as handle:
         manifest = _json_loads(handle.read())
-    entries = []
-    all_ok = True
-    for text, n in _manifest_entries(manifest):
-        entry = Evaluation(parse_expr(text), n)
-        reports = _battery(entry, args.series_order)
-        ok = all(r.passed for r in reports)
-        all_ok = all_ok and ok
-        entries.append(
-            {
-                "expression": entry.printed,
-                "n": n,
-                "checks": [r.as_dict() for r in reports],
-                "pass": ok,
-            }
-        )
+    items = _manifest_entries(manifest)
+    # an entry's battery costs more the more nodes its expression has, so its length weighs it
+    entries = forkmap(
+        lambda text, n: _batch_entry(text, n, args.series_order), items, [len(text) for text, _ in items]
+    )
+    all_ok = all(entry["pass"] for entry in entries)
     return {
         "command": "batch",
         "manifest": args.manifest,

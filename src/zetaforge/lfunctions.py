@@ -624,11 +624,17 @@ def _fixed_bits(dps: int, units: int) -> int:
     return (10**dps).bit_length() + 10 + units.bit_length()
 
 
-def _round(x: Fraction, bits: int) -> Fraction:
-    """x rounded to `bits` significant bits: a dyadic rational within
-    2^-bits |x| of x."""
-    n, d = x.numerator, x.denominator
-    shift = bits - n.bit_length() + d.bit_length()  # |x| 2^shift >= 2^(bits-1)
+def _round(x, bits: int, d: int = 1) -> Fraction:
+    """x / d rounded to `bits` significant bits, for an int or Fraction x
+    and an int d > 0: a dyadic rational within 2^-bits |x / d| of it.
+
+    The shift reads the bit lengths of x's numerator and of d times x's
+    denominator as they are, reduced or not, so an integer pair is rounded
+    without a gcd.  Any nonzero pair N / D has |N / D| 2^shift >= 2^(bits-1),
+    so the radius holds either way; an unreduced pair may keep one bit more
+    than its reduced form would."""
+    n, d = x.numerator, x.denominator * d
+    shift = bits - n.bit_length() + d.bit_length()  # |n / d| 2^shift >= 2^(bits-1)
     if shift >= 0:
         return Fraction(((n << shift) + (d >> 1)) // d, 1 << shift)
     d <<= -shift
@@ -897,15 +903,17 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
             a = 0 if chi.parity == 1 else 1
             h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
             k = h + a
-            r = Fraction(parity_sign(h) * factorial(2 * k) * factorial(h), 2 * 4**k * factorial(k))
             wp = _em_plan(1 - n, dps)[0]
-            # |r| |H| / (sqrt f pi^-n) with |H| / sqrt f = root 4^-wp and pi^-n = P^-n 2^(n wp)
-            pi_power = _pi_fixed(wp) ** -n << wp
+            # |r| |H| / (sqrt f pi^-n) with r = sign c / (2 4^k k!), |H| / sqrt f =
+            # root 4^-wp and pi^-n = P^-n 2^(n wp), rounded from the integer pair
+            sign, c = parity_sign(h), factorial(2 * k) * factorial(h)
+            den = 2 * 4**k * factorial(k) * (_pi_fixed(wp) ** -n << wp)
+            bits = _fixed_bits(dps, 0)
             values = []
             for re, im in _hurwitz_H(chi, 1 - n, dps, js):
                 root = isqrt((re * re + im * im << 2 * wp) // f)
-                value = abs(r) * Fraction(root << (-n - 1) * wp, pi_power)
-                values.append(_round(-value if m <= 2 and r * re < 0 else value, _fixed_bits(dps, 0)))
+                value = c * root << (-n - 1) * wp
+                values.append(_round(-value if m <= 2 and sign * re < 0 else value, bits, den))
         for (index, _), value in zip(members, values):
             out[index] = value
     return out

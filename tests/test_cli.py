@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaforge
-from zetaforge import cli, detcomplex, intlinalg
+from zetaforge import cli, detcomplex, forkmap, intlinalg
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -272,15 +272,16 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
-def _run_under_1gb(argv):
-    """The CLI on argv in a subprocess whose address space is limited to 1 GB."""
+def _run_under_1gb(argv, command=("-m", "zetaforge.cli")):
+    """The CLI (or the Python `command`) on argv in a subprocess whose
+    address space is limited to 1 GB."""
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(zetaforge.__file__).parent.parent)
-    return subprocess.run([sys.executable, "-m", "zetaforge.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+    return subprocess.run([sys.executable, *command, *argv], env=dict(os.environ, PYTHONPATH=src),
                           preexec_fn=limit, capture_output=True, text=True, timeout=60)
 
 
@@ -877,6 +878,8 @@ def test_batch_normalizes_once_per_entry(capsys, tmp_path, monkeypatch):
         {"expr": "(affine 1 (numberring :conductor 5 :subgroup (1 4)))", "n": -2},
         {"expr": "(glue (point 7) (minus (affine 1 (point 7)) (point 7)))", "n": -1},
     ]
+    # one worker: the calls of a forked worker are not counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     normalized = count_calls(monkeypatch, scheme_algebra.normalize)
     evaluated = count_calls(monkeypatch, zetarep.evaluate_at)
     path = write_manifest(tmp_path, manifest)
@@ -885,6 +888,177 @@ def test_batch_normalizes_once_per_entry(capsys, tmp_path, monkeypatch):
     assert len(normalized) == 3
     # the number ring takes only its analytic order
     assert len(evaluated) == 2
+
+
+# ---------------------------------------------------------------------------
+# batch across the CPUs of the affinity mask: the report of a serial run
+
+# finite-characteristic entries, number rings, a repeated expression and a
+# failed verdict (the L-polynomial of (curve 2 (2 1)) has P(0) = 2)
+MIXED_MANIFEST = [
+    {"expr": "(proj 2 (curve 2 (1 1 2)))", "n": -1},
+    {"expr": "(point 3)", "n": -2},
+    {"expr": "(affine 1 (numberring :conductor 5 :subgroup (1 4)))", "n": -1},
+    {"expr": "(disjoint (curve 2 (2 1)) (point 3))", "n": -1},
+    {"expr": "(minus (curve 5 (1 2 5)) (point 5))", "n": -2},
+    {"expr": "(Qi)", "n": -3},
+    {"expr": "(point 3)", "n": -1},
+    {"expr": "(glue (point 7) (minus (affine 1 (point 7)) (point 7)))", "n": -1},
+]
+
+
+def set_cpus(monkeypatch, count):
+    """An affinity mask of `count` CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def batch_outputs(capsys, monkeypatch, path, cpus):
+    """(exit code, stdout, stderr) of batch on `path` in json and in text."""
+    set_cpus(monkeypatch, cpus)
+    outputs = []
+    for fmt in ("json", "text"):
+        code = cli.main(["batch", "--manifest", path, "--series-order", "12", "--format", fmt])
+        outputs.append((code, *capsys.readouterr()))
+        assert_no_child_left()
+    return outputs
+
+
+def shares_of(manifest, cpus):
+    """The shares of the entry indices that batch runs on `cpus` CPUs."""
+    return forkmap._shares([len(entry["expr"]) for entry in manifest], cpus)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_batch_prints_the_same_bytes_on_one_and_many_workers(capsys, tmp_path, monkeypatch, cpus):
+    # the failed verdict sits in a worker's share, not in this process's
+    assert 3 not in shares_of(MIXED_MANIFEST, cpus)[0]
+    path = write_manifest(tmp_path, MIXED_MANIFEST)
+    serial = batch_outputs(capsys, monkeypatch, path, 1)
+    assert [code for code, *_ in serial] == [1, 1]
+    assert batch_outputs(capsys, monkeypatch, path, cpus) == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("first", ["(point 3)", "(point 3) "], ids=["first-error-here", "first-error-in-a-worker"])
+def test_batch_reports_the_first_error_of_a_serial_run(capsys, tmp_path, monkeypatch, first):
+    # entries 2 and 5 raise different errors, in different shares; entry
+    # 2's is the one reported.  Among entries of one length the shares
+    # alternate, and a longer entry 0 moves entry 2 to the worker's share.
+    manifest = [{"expr": "(point 3)", "n": -1} for _ in range(7)]
+    manifest[0]["expr"] = first
+    manifest[2]["expr"] = "(point 6)"
+    manifest[5]["expr"] = "(point 2 "
+    shares = shares_of(manifest, 2)
+    assert (2 in shares[0]) == (first == "(point 3)") != (5 in shares[0])
+    path = write_manifest(tmp_path, manifest)
+    serial = batch_outputs(capsys, monkeypatch, path, 1)
+    assert json.loads(serial[0][1])["error"]["code"] == "not-prime-power"
+    assert serial[1][2].startswith("error [not-prime-power]:")
+    assert batch_outputs(capsys, monkeypatch, path, 2) == batch_outputs(capsys, monkeypatch, path, 4) == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_worker_that_sends_nothing_is_run_here(capsys, tmp_path, monkeypatch):
+    # a worker that dies mid-share leaves its entries to this process
+    parent, battery = os.getpid(), cli._battery
+
+    def dying(entry, series_order):
+        if os.getpid() != parent:
+            os._exit(3)
+        return battery(entry, series_order)
+
+    path = write_manifest(tmp_path, MIXED_MANIFEST)
+    serial = batch_outputs(capsys, monkeypatch, path, 1)
+    monkeypatch.setattr(cli, "_battery", dying)
+    assert batch_outputs(capsys, monkeypatch, path, 2) == serial
+
+
+def test_a_batch_that_cannot_fork_runs_here(capsys, tmp_path, monkeypatch):
+    # no fork for a one-entry manifest or beside another live thread, and a
+    # failing fork is a share run here
+    import threading
+
+    path = write_manifest(tmp_path, MIXED_MANIFEST)
+    serial = batch_outputs(capsys, monkeypatch, path, 1)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert batch_outputs(capsys, monkeypatch, path, 4) == serial
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(MIXED_MANIFEST[:1]))
+    code, data = run_json(capsys, "batch", "--manifest", str(one))
+    assert code == 0 and len(data["entries"]) == 1
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert batch_outputs(capsys, monkeypatch, path, 4) == serial
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_an_interrupt_kills_and_reaps_every_worker(capsys, tmp_path, monkeypatch):
+    # the workers would sleep for a minute; they are killed, not waited out
+    parent = os.getpid()
+
+    def interrupted(entry, series_order):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_battery", interrupted)
+    set_cpus(monkeypatch, 3)
+    path = write_manifest(tmp_path, MIXED_MANIFEST)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["batch", "--manifest", path])
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_worker_out_of_memory_is_the_serial_error_under_a_memory_limit(tmp_path):
+    # an entry of a worker's share allocates 2 GB; the error is that of a
+    # serial run, and no worker outlives the run
+    program = """
+import os, sys
+from zetaforge import cli
+battery = cli._battery
+def allocating(entry, series_order):
+    if entry.printed == "(point 5)":
+        bytearray(1 << 31)
+    return battery(entry, series_order)
+cli._battery = allocating
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    code = 9
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+    manifest = [{"expr": "(proj 2 (curve 2 (1 1 2)))", "n": -1}, {"expr": "(point 3)", "n": -1},
+                {"expr": "(point 5)", "n": -1}, {"expr": "(point 7)", "n": -1}]
+    assert 2 not in shares_of(manifest, 2)[0]
+    path = write_manifest(tmp_path, manifest)
+    runs = [_run_under_1gb([str(cpus), "batch", "--manifest", path, "--format", "json"], command=["-c", program])
+            for cpus in (1, 2)]
+    for done in runs:
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["error"]["code"] == "out-of-memory"
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_det_reads_one_cohomology_table(tmp_path, capsys, monkeypatch):
