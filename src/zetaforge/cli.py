@@ -19,8 +19,10 @@ reported like every other error; -h/--help prints the usage block.
 `batch` builds one `Evaluation` record per manifest entry, and every check
 of the entry's battery reads it: one normal form, one zeta product, one
 exact value and one set of order data per entry.  The entries run across
-the CPUs of the affinity mask (`forkmap`), one share in this process and
-each other share in a forked worker; the report and the first error are
+the CPUs of the affinity mask (`forkmap`): this process and a forked worker
+per other CPU take them from one shared queue, longest expression first,
+and each renders the entries it computed, so the report is spliced from
+fragments rendered where they ran.  The report and the first error are
 those of a serial run.
 """
 
@@ -250,16 +252,16 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
     return entries
 
 
-def _batch_entry(text: str, n: int, series_order: int) -> dict:
-    """The report of one manifest entry: its battery on one record."""
+def _batch_entry(i: int, text: str, n: int, args) -> tuple[str, bool]:
+    """Entry i of a batch report, its battery on one record, rendered as
+    the report prints it in `args.format`, and the entry's pass bit: in
+    JSON, at the indent of an item of the report's "entries"; in text, its
+    lines under the path entries.i."""
     entry = Evaluation(parse_expr(text), n)
-    reports = _battery(entry, series_order)
-    return {
-        "expression": entry.printed,
-        "n": n,
-        "checks": [r.as_dict() for r in reports],
-        "pass": all(r.passed for r in reports),
-    }
+    reports = _battery(entry, args.series_order)
+    ok = all(r.passed for r in reports)
+    report = {"expression": entry.printed, "n": n, "checks": [r.as_dict() for r in reports], "pass": ok}
+    return (_render_json(report, "\n    ") if args.format == "json" else _render_text(report, f"entries.{i}")), ok
 
 
 def _cmd_batch(args) -> tuple[dict, bool]:
@@ -270,13 +272,15 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     items = _manifest_entries(manifest)
     # an entry's battery costs more the more nodes its expression has, so its length weighs it
     entries = forkmap(
-        lambda text, n: _batch_entry(text, n, args.series_order), items, [len(text) for text, _ in items]
+        lambda i, text, n: _batch_entry(i, text, n, args),
+        [(i, text, n) for i, (text, n) in enumerate(items)],
+        [len(text) for text, _ in items],
     )
-    all_ok = all(entry["pass"] for entry in entries)
+    all_ok = all(ok for _, ok in entries)
     return {
         "command": "batch",
         "manifest": args.manifest,
-        "entries": entries,
+        "entries": [_Rendered(text) for text, _ in entries],
         "pass": all_ok,
     }, all_ok
 
@@ -285,19 +289,28 @@ def _cmd_batch(args) -> tuple[dict, bool]:
 # rendering and dispatch
 
 
+class _Rendered(str):
+    """A part of a report already rendered in the format the report prints
+    in, which the renderers copy as it stands: a value at its place in the
+    JSON text, or its lines of the text form."""
+
+
 # how each leaf type of a report is written in JSON
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    _Rendered: _Rendered.__str__,
 }
 
 
-def _render_json(report) -> str:
+def _render_json(report, indent: str = "\n") -> str:
     """`json.dumps(report, indent=2)`, byte for byte, for what a report
     holds: dicts with str keys, lists and tuples, and leaves of exactly the
-    types str, int, bool and None; anything else is a TypeError.
+    types str, int, bool and None, or `_Rendered`; anything else is a
+    TypeError.  `indent` is the newline and spaces that start a line at the
+    report's depth, so a value renders as it does nested in a report.
 
     json.dumps runs its pure-Python encoder whenever `indent` is set; here
     strings go through the json module's C escaper, a list of strings is
@@ -334,28 +347,31 @@ def _render_json(report) -> str:
         else:
             raise TypeError(f"a report cannot hold {type(x).__name__}")
 
-    write(report, "\n")
+    write(report, indent)
     return "".join(pieces)
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report, path: str = "") -> str:
+    """One line `path: value` for each leaf of the report, its path the
+    dotted keys and list indices that lead to it from `path`; dicts and
+    lists print only their leaves, and a `_Rendered` value prints as its
+    lines."""
     lines = []
 
-    def emit(prefix, value):
-        if isinstance(value, dict):
+    def emit(path, value):
+        if type(value) is _Rendered:
+            if value:
+                lines.append(value)
+        elif isinstance(value, dict):
             for k, v in value.items():
-                emit(f"{prefix}{k}." if prefix else f"{k}.", v) if isinstance(
-                    v, (dict, list)
-                ) else lines.append(f"{prefix}{k}: {v}")
+                emit(f"{path}.{k}" if path else f"{k}", v)
         elif isinstance(value, list):
             for idx, v in enumerate(value):
-                emit(f"{prefix}{idx}.", v) if isinstance(v, (dict, list)) else lines.append(
-                    f"{prefix}{idx}: {v}"
-                )
+                emit(f"{path}.{idx}" if path else f"{idx}", v)
         else:
-            lines.append(f"{prefix}: {value}")
+            lines.append(f"{path}: {value}")
 
-    emit("", report)
+    emit(path, report)
     return "\n".join(lines)
 
 

@@ -1,11 +1,21 @@
 """Independent calls run across the CPUs of the process's affinity mask.
 
 `forkmap(fn, items, weights)` is `[fn(*item) for item in items]`, with the
-results in order and the exception a serial run raises.  The items are
-split into one share per CPU, balanced by `weights`; this process runs the
-first share and a forked worker each other one, sending its results back
-over a pipe with marshal, so a result must be a value marshal writes (the
-reports of `batch` are dicts of strings, integers, booleans and None).
+results in order and the exception a serial run raises.  The item indices
+wait in one shared queue, heaviest first by `weights`; this process and a
+forked worker per other CPU each take one index at a time until the queue
+is empty or their own item raises, so the weights only order the work and
+no process idles while another still has items to take.  A worker sends
+its results back over a pipe with marshal, so a result must be a value
+marshal writes (`batch` sends each entry already rendered, a string, with
+its pass bit).
+
+The queue is an `os.memfd_create` file of fixed-width indices, opened again
+by its /proc path.  The workers inherit that descriptor and with it one file
+offset, which the kernel moves under a lock on each read of a file opened by
+path (not on the memfd's own descriptor, where two readers can take one
+index), so one read takes one index whatever the item count, and no process
+waits for another to fill the queue.
 """
 
 from __future__ import annotations
@@ -16,43 +26,56 @@ import threading
 
 __all__ = ["forkmap"]
 
+_INDEX_BYTES = 4  # one index of the queue, little-endian
+
 
 def _worker_count() -> int:
     """The CPUs of this process's affinity mask; 1 where the platform has
-    no mask or no fork, or another thread is live (a forked child would
-    hold only the calling thread)."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")) or threading.active_count() > 1:
+    no mask, no fork or no memfd, or another thread is live (a forked child
+    would hold only the calling thread)."""
+    if not all(hasattr(os, name) for name in ("sched_getaffinity", "fork", "memfd_create")):
         return 1
-    return len(os.sched_getaffinity(0))
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
 
 
-def _shares(weights, count: int) -> list[list[int]]:
-    """`count` shares of the item indices, each in order, balanced by
-    `weights`: the heaviest item first, each to the lightest share so far.
-    Empty shares are dropped, so there are at most as many as items."""
-    loads, shares = [0] * count, [[] for _ in range(count)]
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += weights[i]
-    return [sorted(share) for share in shares if share]
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` to `fd`: a write may stop short."""
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
 
 
-def _run_share(fn, items, share, results: dict) -> int:
-    """Fill `results` with the items of `share`, in order, up to the first
-    whose call raises: its index, or len(items) when none does."""
-    for i in share:
+def _queue(weights) -> int | None:
+    """A read-only descriptor, at its start, of a memfd holding every item
+    index once, heaviest first by `weights` (ties in index order); None
+    when none can be made."""
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    try:
+        fd = os.memfd_create("forkmap")
+        try:
+            _write_all(fd, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in order))
+            return os.open(f"/proc/self/fd/{fd}", os.O_RDONLY)
+        finally:
+            os.close(fd)
+    except OSError:
+        return None
+
+
+def _take(fn, items, queue: int, results: dict) -> None:
+    """Fill `results` with the items whose indices this process takes from
+    `queue`, one at a time, until the queue is empty or an item raises."""
+    while index := os.read(queue, _INDEX_BYTES):
+        i = int.from_bytes(index, "little")
         try:
             results[i] = fn(*items[i])
         except Exception:
-            return i
-    return len(items)
+            return
 
 
-def _fork_share(fn, items, share):
-    """(pid, read end of its pipe) of a forked worker that runs `share` and
-    writes `(stop, results)` of `_run_share` down the pipe, exiting 0 only
-    once all of it is written; None when none can start."""
+def _fork_worker(fn, items, queue: int):
+    """(pid, read end of its pipe) of a forked worker that takes items from
+    `queue` and writes its `results` of `_take` down the pipe with marshal,
+    exiting 0 only once all of it is written; None when none can start."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -68,11 +91,8 @@ def _fork_share(fn, items, share):
         try:
             os.close(read_fd)
             results = {}
-            stop = _run_share(fn, items, share, results)
-            with open(write_fd, "wb", buffering=0) as pipe:
-                data = memoryview(marshal.dumps((stop, results)))
-                while data:  # a raw write may stop short
-                    data = data[pipe.write(data):]
+            _take(fn, items, queue, results)
+            _write_all(write_fd, marshal.dumps(results))
             status = 0
         finally:
             os._exit(status)  # no exit handlers, no flush of inherited buffers
@@ -81,58 +101,54 @@ def _fork_share(fn, items, share):
     return pid, open(read_fd, "rb", buffering=0)
 
 
-def _run_shares(fn, items, shares, results: dict) -> int:
-    """Run shares[0] here and every other share in a forked worker, filling
-    `results`; the lowest index that raised or whose share sent nothing, or
-    len(items).  Every worker is reaped before this returns or raises, and
+def _run_queue(fn, items, weights, workers: int, results: dict) -> None:
+    """Take items from one queue here and in up to `workers` forked
+    workers, filling `results` with every item that returned and was
+    reported.  Every worker is reaped before this returns or raises, and
     killed first when it raises."""
-    first, workers = len(items), []
+    queue = _queue(weights)
+    if queue is None:
+        return
+    forked = []
     try:
-        for share in shares[1:]:
-            worker = _fork_share(fn, items, share)
-            if worker is None:
-                first = min(first, share[0])
-            else:
-                workers.append((*worker, share))
-        first = min(first, _run_share(fn, items, shares[0], results))
-        while workers:
-            pid, pipe, share = workers[0]
+        for _ in range(workers):
+            worker = _fork_worker(fn, items, queue)
+            if worker is not None:
+                forked.append(worker)
+        _take(fn, items, queue, results)
+        while forked:
+            pid, pipe = forked[0]
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
+            forked.pop(0)
             if status == 0:
-                stop, done = marshal.loads(data)
-                results.update(done)
-                first = min(first, stop)
-            else:
-                first = min(first, share[0])
+                results.update(marshal.loads(data))
     except BaseException:
         import signal  # here, not at the top: its import costs about 1 ms
 
-        for pid, *_ in workers:
+        for pid, _ in forked:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe, _ in workers:
+        os.close(queue)
+        for pid, pipe in forked:
             pipe.close()
             os.waitpid(pid, 0)
-    return first
 
 
 def forkmap(fn, items, weights) -> list:
     """`[fn(*item) for item in items]` across the CPUs of the affinity mask.
 
-    The items are split into one share per CPU (`_worker_count`, `_shares`)
-    and run by `_run_shares`.  From the lowest index that raised or went
-    unreported on, the items without a result run here one by one, so the
-    exception raised is the one a serial run raises; with one share, that
-    is every item.
+    With more than one CPU (`_worker_count`) and item, the items run from
+    one shared queue (`_run_queue`).  Then, from the lowest index that
+    raised, went unreported (its worker died or sent nothing) or was never
+    taken, the items without a result run here one by one, so the exception
+    raised is the one a serial run raises.  With one CPU or one item, or
+    when no queue can be made, that loop runs every item.
     """
-    shares = _shares(weights, _worker_count())
     results = {}
-    first = _run_shares(fn, items, shares, results) if len(shares) > 1 else 0
-    for i in range(first, len(items)):
-        if i not in results:
-            results[i] = fn(*items[i])
-    return [results[i] for i in range(len(items))]
+    workers = min(_worker_count(), len(items)) - 1
+    if workers > 0:
+        _run_queue(fn, items, weights, workers, results)
+    return [results[i] if i in results else fn(*item) for i, item in enumerate(items)]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import prod
-from operator import index
+from operator import index, mul
 
 from .errors import InfiniteGroupError, InvalidArgumentError, NotPrimePowerError
 from .record import Record
@@ -108,9 +108,7 @@ class IntMatrix(Record):
         if self.cols != other.rows:
             raise InvalidArgumentError("shape mismatch in matrix product")
         columns = [other.entries[j :: other.cols] for j in range(other.cols)]
-        entries = tuple(
-            sum(x * y for x, y in zip(row, column)) for row in self.to_rows() for column in columns
-        )
+        entries = tuple(sum(map(mul, row, column)) for row in self.to_rows() for column in columns)
         return IntMatrix(self.rows, other.cols, entries)
 
     @property

@@ -24,9 +24,11 @@ from .errors import (
     RationalityFailureError,
     WeilViolationError,
 )
-from .intlinalg import ensure_prime_power
+from .intlinalg import ensure_prime_power, parity_sign
 from .lfunctions import (
+    _MAX_WEIGHT,
     DEFAULT_PRECISION,
+    _euler_phi,
     _fixed_bits,
     _leading_values,
     _orbit_table,
@@ -133,6 +135,15 @@ _MAX_VALUE_BITS = 1 << 24
 # the most digits, checked before any power of ten: the working bits and the Euler-Maclaurin
 # terms grow with them, the time about as their cube (`value "(Q)" -n -2`: 21 s on 2 cores)
 _MAX_PRECISION = 4096
+# a leading value at a trivial zero reads the Hurwitz table of its
+# character's conductor d, phi(d) values whose cost grows with the digits p
+# and with |n|, so the tables' values in all, U, are bounded against each.
+# On 2 cores, in a fresh process: U p = 40960 is Q(zeta_11) at n = -1 and
+# p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at n = -2,
+# U p = 249856: 157 s), and U |n| = 4092 and 4094 are Q(zeta_4093) at
+# n = -1, p = 10, 7.5 s, and Q(zeta_3) at n = -2047, p = 4096, 12 s.
+_MAX_TABLE_DIGITS = 40960
+_MAX_TABLE_WEIGHT = 4096
 
 
 class FiniteCharFactor(Record):
@@ -350,6 +361,25 @@ class SpecialValue(Record):
         return self.exact is not None
 
 
+def _check_trivial_zeros(z: ZetaProduct, n: int, precision: int) -> None:
+    """Refuse, before any L-value is taken, the leading values at the
+    trivial zeros of z's L-factors at `precision` digits whose Hurwitz
+    tables hold U values with U precision or U |n| above its bound.  A
+    factor sits at a trivial zero when the parity of its character differs
+    from that of 1 - (n - shift), the order rule of `_orbit_table`, which
+    refuses a weight below -`_MAX_WEIGHT` itself."""
+    zeros = [(f.character.conductor, f.shift - n) for f, _ in z.char_zero
+             if f.character.parity != parity_sign(1 - n + f.shift) and f.shift - n <= _MAX_WEIGHT]
+    units = sum(_euler_phi(d) for d in {d for d, _ in zeros})
+    weight = max((w for _, w in zeros), default=0)
+    if units * precision > _MAX_TABLE_DIGITS or units * weight > _MAX_TABLE_WEIGHT:
+        raise InvalidArgumentError(
+            f"the leading values at trivial zeros need Hurwitz tables of {units} values at {precision} digits "
+            f"and |n| = {weight}: values x digits above {_MAX_TABLE_DIGITS} or values x |n| above "
+            f"{_MAX_TABLE_WEIGHT} take too long to compute"
+        )
+
+
 def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
     """Order of vanishing and leading Taylor coefficient at s = n < 0.
 
@@ -377,6 +407,7 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
         raise PrecisionUnderflowError("precision must be a positive digit count")
     if precision > _MAX_PRECISION:
         raise InvalidArgumentError(f"precision {precision} is above {_MAX_PRECISION} digits: too long to compute")
+    _check_trivial_zeros(z, n, precision)
 
     rational_part = _finite_char_value(z, n)
     table, order = _orbits(z, n)
