@@ -252,16 +252,16 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
     return entries
 
 
-def _batch_entry(i: int, text: str, n: int, args) -> tuple[str, bool]:
-    """Entry i of a batch report, its battery on one record, rendered as
-    the report prints it in `args.format`, and the entry's pass bit: in
-    JSON, at the indent of an item of the report's "entries"; in text, its
-    lines under the path entries.i."""
+def _batch_entry(text: str, n: int, series_order: int) -> dict:
+    """The report of one manifest entry: its battery on one record."""
     entry = Evaluation(parse_expr(text), n)
-    reports = _battery(entry, args.series_order)
-    ok = all(r.passed for r in reports)
-    report = {"expression": entry.printed, "n": n, "checks": [r.as_dict() for r in reports], "pass": ok}
-    return (_render_json(report, "\n    ") if args.format == "json" else _render_text(report, f"entries.{i}")), ok
+    reports = _battery(entry, series_order)
+    return {
+        "expression": entry.printed,
+        "n": n,
+        "checks": [r.as_dict() for r in reports],
+        "pass": all(r.passed for r in reports),
+    }
 
 
 def _cmd_batch(args) -> tuple[dict, bool]:
@@ -270,17 +270,20 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     with open(args.manifest, "r", encoding="utf-8") as handle:
         manifest = _json_loads(handle.read())
     items = _manifest_entries(manifest)
+
+    def rendered(i: int, text: str, n: int) -> tuple[str, bool]:
+        """Entry i's report as it prints at its place in "entries" below, and its pass bit."""
+        entry = _batch_entry(text, n, args.series_order)
+        part = _render_json(entry, "\n    ") if args.format == "json" else _render_text(entry, f"entries.{i}")
+        return part, entry["pass"]
+
     # an entry's battery costs more the more nodes its expression has, so its length weighs it
-    entries = forkmap(
-        lambda i, text, n: _batch_entry(i, text, n, args),
-        [(i, text, n) for i, (text, n) in enumerate(items)],
-        [len(text) for text, _ in items],
-    )
+    entries = forkmap(rendered, [(i, text, n) for i, (text, n) in enumerate(items)], [len(text) for text, _ in items])
     all_ok = all(ok for _, ok in entries)
     return {
         "command": "batch",
         "manifest": args.manifest,
-        "entries": [_Rendered(text) for text, _ in entries],
+        "entries": [_Rendered(part) for part, _ in entries],
         "pass": all_ok,
     }, all_ok
 
@@ -293,6 +296,8 @@ class _Rendered(str):
     """A part of a report already rendered in the format the report prints
     in, which the renderers copy as it stands: a value at its place in the
     JSON text, or its lines of the text form."""
+
+    __slots__ = ()
 
 
 # how each leaf type of a report is written in JSON

@@ -564,7 +564,7 @@ def _orbit_table(pairs) -> list[tuple]:
         if key not in orbit_of:
             exact = L_at_nonpositive(chi, n)
             order = 1 if exact.is_zero else 0
-            if order != (chi.parity != parity_sign(1 - n)):
+            if order != trivial_zero_order(chi, n):
                 raise InvariantViolationError("parity shortcut disagrees with exact L-value")
             table.append((chi, n, exact, order, []))
             for j in range(1, m + 1):
@@ -576,8 +576,12 @@ def _orbit_table(pairs) -> list[tuple]:
 
 
 def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
-    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0: one `_orbit_table` entry."""
-    return _orbit_table([(chi, n)])[0][3]
+    """1 when the Gamma factor forces a (simple) zero at n < 0, else 0: the
+    parity rule, chi's parity differing from that of 1 - n, which
+    `_orbit_table` checks against every exact L-value it takes."""
+    if n >= 0:
+        raise InvalidArgumentError("n must be < 0")
+    return int(chi.parity != parity_sign(1 - n))
 
 
 # ---------------------------------------------------------------------------

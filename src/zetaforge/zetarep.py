@@ -24,7 +24,7 @@ from .errors import (
     RationalityFailureError,
     WeilViolationError,
 )
-from .intlinalg import ensure_prime_power, parity_sign
+from .intlinalg import ensure_prime_power
 from .lfunctions import (
     _MAX_WEIGHT,
     DEFAULT_PRECISION,
@@ -34,6 +34,7 @@ from .lfunctions import (
     _orbit_table,
     _round,
     _sigma,
+    trivial_zero_order,
 )
 from .record import Record
 
@@ -136,13 +137,17 @@ _MAX_VALUE_BITS = 1 << 24
 # terms grow with them, the time about as their cube (`value "(Q)" -n -2`: 21 s on 2 cores)
 _MAX_PRECISION = 4096
 # a leading value at a trivial zero reads the Hurwitz table of its
-# character's conductor d, phi(d) values whose cost grows with the digits p
-# and with |n|, so the tables' values in all, U, are bounded against each.
-# On 2 cores, in a fresh process: U p = 40960 is Q(zeta_11) at n = -1 and
-# p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at n = -2,
-# U p = 249856: 157 s), and U |n| = 4092 and 4094 are Q(zeta_4093) at
-# n = -1, p = 10, 7.5 s, and Q(zeta_3) at n = -2047, p = 4096, 12 s.
-_MAX_TABLE_DIGITS = 40960
+# character's conductor d at s = 1 - n: phi(d) entries, each of a cost
+# that grows as about p^2.8 in the digits p from p = 1000 on (1.24 s an
+# entry at p = 4096, s = 3), more slowly than p^2 below, and as about
+# |n|^2.4 (254 ms at |n| = 2047, p = 50).  So U, the entries of the tables
+# of one product, is bounded by U p^2 and U |n|, each reached at its top:
+# on 2 cores, in a fresh process, U p^2 = 10 * 4096^2 is Q(zeta_11) at
+# n = -1, p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at
+# n = -2 took 157 s), and U |n| = 4094 is Q(zeta_3) at n = -2047, p = 4096,
+# 12 s (Q(zeta_61) there: 35 s).  U |n| also keeps U at most 4096: with
+# both, Q(zeta_4093) at n = -1 is kept up to p = 202, 15 s and 366 MB.
+_MAX_TABLE_DIGITS = 10 * 4096**2
 _MAX_TABLE_WEIGHT = 4096
 
 
@@ -361,21 +366,19 @@ class SpecialValue(Record):
         return self.exact is not None
 
 
-def _check_trivial_zeros(z: ZetaProduct, n: int, precision: int) -> None:
-    """Refuse, before any L-value is taken, the leading values at the
-    trivial zeros of z's L-factors at `precision` digits whose Hurwitz
-    tables hold U values with U precision or U |n| above its bound.  A
-    factor sits at a trivial zero when the parity of its character differs
-    from that of 1 - (n - shift), the order rule of `_orbit_table`, which
-    refuses a weight below -`_MAX_WEIGHT` itself."""
-    zeros = [(f.character.conductor, f.shift - n) for f, _ in z.char_zero
-             if f.character.parity != parity_sign(1 - n + f.shift) and f.shift - n <= _MAX_WEIGHT]
-    units = sum(_euler_phi(d) for d in {d for d, _ in zeros})
-    weight = max((w for _, w in zeros), default=0)
-    if units * precision > _MAX_TABLE_DIGITS or units * weight > _MAX_TABLE_WEIGHT:
+def _check_tables(z: ZetaProduct, n: int, precision: int) -> None:
+    """Refuse the leading values at the trivial zeros of z's L-factors at
+    `precision` digits whose Hurwitz tables, one per conductor and weight,
+    hold U values with U precision^2 or U |n| above its bound.  Weights
+    that `_orbit_table` refuses are left to it."""
+    pairs = [(f.character, n - f.shift) for f, _ in z.char_zero]
+    tables = {(chi.conductor, w) for chi, w in pairs if -_MAX_WEIGHT <= w < 0 and trivial_zero_order(chi, w)}
+    units = sum(_euler_phi(d) for d, _ in tables)
+    weight = -min((w for _, w in tables), default=0)
+    if units * precision**2 > _MAX_TABLE_DIGITS or units * weight > _MAX_TABLE_WEIGHT:
         raise InvalidArgumentError(
             f"the leading values at trivial zeros need Hurwitz tables of {units} values at {precision} digits "
-            f"and |n| = {weight}: values x digits above {_MAX_TABLE_DIGITS} or values x |n| above "
+            f"and |n| = {weight}: values x digits^2 above {_MAX_TABLE_DIGITS} or values x |n| above "
             f"{_MAX_TABLE_WEIGHT} take too long to compute"
         )
 
@@ -407,9 +410,9 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
         raise PrecisionUnderflowError("precision must be a positive digit count")
     if precision > _MAX_PRECISION:
         raise InvalidArgumentError(f"precision {precision} is above {_MAX_PRECISION} digits: too long to compute")
-    _check_trivial_zeros(z, n, precision)
 
     rational_part = _finite_char_value(z, n)
+    _check_tables(z, n, precision)  # before any L-value
     table, order = _orbits(z, n)
     exps = [e for _, e in z.char_zero]
     tolerance = Fraction(1, 10 ** (precision + 5))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaforge
-from zetaforge import cli, detcomplex, intlinalg
+from zetaforge import cli, detcomplex, forkmap, intlinalg
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -333,11 +333,19 @@ def test_a_precision_above_4096_digits_is_refused_under_a_memory_limit(precision
 def test_a_trivial_zero_over_a_large_hurwitz_table_is_refused_under_a_memory_limit(argv, values):
     # Q(zeta_61) would take 157 s at 4096 digits and 35 s at n = -2047; the
     # Hurwitz tables of its trivial zeros (phi(61) values, and one for zeta
-    # at n = -2) times the digits or times |n| are bounded before any L-value
+    # at n = -2) times the digits squared or times |n| are bounded before
+    # any L-value
     done = _run_under_1gb(["value", "(numberring :conductor 61 :subgroup (1))", *argv, "--format", "json"])
     assert done.returncode == 2 and "Traceback" not in done.stderr
     error = json.loads(done.stdout)["error"]
     assert error["code"] == "invalid-argument" and f"Hurwitz tables of {values} values" in error["message"]
+
+
+def test_a_large_hurwitz_table_at_the_default_precision_is_accepted_under_a_memory_limit():
+    # Q(zeta_1009) at n = -2 reads 1009 table values: 1009 * 50^2 and
+    # 1009 * 2 are inside the bounds, and it takes about half a second
+    done = _run_under_1gb(["value", "(numberring :conductor 1009 :subgroup (1))", "-n", "-2", "--format", "json"])
+    assert done.returncode == 0 and json.loads(done.stdout)["order"] == 504
 
 
 def test_ell_check_reads_the_value_before_the_order_data_under_a_memory_limit():
@@ -958,44 +966,94 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def batch_outputs(capsys, monkeypatch, path, cpus):
-    """(exit code, stdout, stderr) of batch on `path` in json and in text."""
+def batch_outputs(capsys, monkeypatch, path, cpus, placed=None):
+    """(exit code, stdout, stderr) of batch on `path` in json and in text;
+    with a `Placement`, each run is checked to have placed its entry."""
     set_cpus(monkeypatch, cpus)
     outputs = []
     for fmt in ("json", "text"):
         code = cli.main(["batch", "--manifest", path, "--series-order", "12", "--format", fmt])
         outputs.append((code, *capsys.readouterr()))
         assert_no_child_left()
+        if placed is not None:
+            placed.check()
     return outputs
+
+
+class Placement:
+    """Batch runs in which the entry `target` starts in the op process
+    (`where` "here") or in a worker ("worker"), whatever the timing: the
+    processes of the other kind take no entry from the queue until it has.
+    Every process logs `pid expression` to one file as it starts an entry,
+    and in each run the target and each (where, expression) of `also` must
+    first start where placed (a raising entry may start again here)."""
+
+    def __init__(self, monkeypatch, tmp_path, target, where, also=()):
+        self.log, self.parent = tmp_path / "started.log", os.getpid()
+        self.expected = {(where, target), *also}
+        self.log.write_text("")
+        batch_entry, take = cli._batch_entry, forkmap._take
+
+        def logged(text, n, series_order):
+            with open(self.log, "a") as handle:  # one write, appended
+                handle.write(f"{os.getpid()} {text}\n")
+            return batch_entry(text, n, series_order)
+
+        def held(*args):
+            if (os.getpid() == self.parent) == (where == "worker"):
+                deadline = time.monotonic() + 30
+                while (where, target) not in self.started():
+                    if time.monotonic() > deadline:
+                        pytest.fail(f"{target} never started {where}")
+                    time.sleep(0.005)
+            take(*args)
+
+        monkeypatch.setattr(cli, "_batch_entry", logged)
+        monkeypatch.setattr(forkmap, "_take", held)
+
+    def started(self) -> list[tuple[str, str]]:
+        """(where, expression) of each entry started so far in this run."""
+        lines = self.log.read_text().splitlines()
+        return [("here" if int(pid) == self.parent else "worker", text)
+                for pid, text in (line.split(" ", 1) for line in lines)]
+
+    def check(self):
+        """Assert that the run placed its entries, and start a new run's log."""
+        first = {}
+        for where, text in self.started():
+            first.setdefault(text, where)
+        assert {(first.get(text), text) for _, text in self.expected} == self.expected
+        self.log.write_text("")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_batch_prints_the_same_bytes_on_one_and_many_workers(capsys, tmp_path, monkeypatch, cpus):
-    # entries go to whichever process takes them first from the queue, so
-    # the failed verdict runs here or in a worker as timing decides
+    # the failed verdict runs in a worker, not in this process
     path = write_manifest(tmp_path, MIXED_MANIFEST)
     serial = batch_outputs(capsys, monkeypatch, path, 1)
     assert [code for code, *_ in serial] == [1, 1]
-    assert batch_outputs(capsys, monkeypatch, path, cpus) == serial
+    placed = Placement(monkeypatch, tmp_path, MIXED_MANIFEST[3]["expr"], "worker")
+    assert batch_outputs(capsys, monkeypatch, path, cpus, placed) == serial
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-@pytest.mark.parametrize("first", ["(point 3)", "(point 3) "], ids=["first-error-here", "first-error-in-a-worker"])
-def test_batch_reports_the_first_error_of_a_serial_run(capsys, tmp_path, monkeypatch, first):
-    # entries 2 and 5 raise different errors; entry 2's is the one reported,
-    # whichever process takes either from the queue.  The queue order is by
-    # length, so a longer entry 0 is taken first in every run; which process
-    # takes entry 2 is up to timing (tests/test_forkmap.py pins both cases).
+@pytest.mark.parametrize("where", ["here", "worker"], ids=["first-error-here", "first-error-in-a-worker"])
+def test_batch_reports_the_first_error_of_a_serial_run(capsys, tmp_path, monkeypatch, where):
+    # entries 2 and 5 raise different errors; entry 2's is the one reported.
+    # A process stops at the first entry of its own that raises, so with
+    # entry 2 here, entry 5 raises in a worker; with entry 2 in a worker,
+    # entry 5 raises in another process.
     manifest = [{"expr": "(point 3)", "n": -1} for _ in range(7)]
-    manifest[0]["expr"] = first
     manifest[2]["expr"] = "(point 6)"
     manifest[5]["expr"] = "(point 2 "
     path = write_manifest(tmp_path, manifest)
     serial = batch_outputs(capsys, monkeypatch, path, 1)
     assert json.loads(serial[0][1])["error"]["code"] == "not-prime-power"
     assert serial[1][2].startswith("error [not-prime-power]:")
-    assert batch_outputs(capsys, monkeypatch, path, 2) == batch_outputs(capsys, monkeypatch, path, 4) == serial
+    placed = Placement(monkeypatch, tmp_path, "(point 6)", where, [("worker", "(point 2 ")] if where == "here" else [])
+    for cpus in (2, 4):
+        assert batch_outputs(capsys, monkeypatch, path, cpus, placed) == serial
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
@@ -1064,19 +1122,32 @@ def test_an_interrupt_kills_and_reaps_every_worker(capsys, tmp_path, monkeypatch
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 def test_a_worker_out_of_memory_is_the_serial_error_under_a_memory_limit(tmp_path):
-    # an entry allocates 2 GB, here or in a worker; the error is that of a
-    # serial run, and no worker outlives the run
+    # an entry allocates 2 GB in a worker (this process takes no entry until
+    # a worker has started it); the error is that of a serial run, and no
+    # worker outlives the run
     program = """
-import os, sys
-from zetaforge import cli
-battery = cli._battery
+import os, sys, time
+from zetaforge import cli, forkmap
+log, parent = sys.argv[1], os.getpid()
+battery, batch_entry, take = cli._battery, cli._batch_entry, forkmap._take
 def allocating(entry, series_order):
     if entry.printed == "(point 5)":
         bytearray(1 << 31)
     return battery(entry, series_order)
-cli._battery = allocating
-os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
-code = cli.main(sys.argv[2:])
+def logged(text, n, series_order):
+    with open(log, "a") as handle:
+        handle.write(("here " if os.getpid() == parent else "worker ") + text + "\\n")
+    return batch_entry(text, n, series_order)
+def held(*args):
+    deadline = time.monotonic() + 30
+    while os.getpid() == parent and "worker (point 5)" not in open(log).read().splitlines():
+        if time.monotonic() > deadline:
+            sys.exit(8)
+        time.sleep(0.005)
+    take(*args)
+cli._battery, cli._batch_entry, forkmap._take = allocating, logged, held
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+code = cli.main(sys.argv[3:])
 try:
     os.waitpid(-1, os.WNOHANG)
     code = 9
@@ -1087,12 +1158,18 @@ sys.exit(code)
     manifest = [{"expr": "(proj 2 (curve 2 (1 1 2)))", "n": -1}, {"expr": "(point 3)", "n": -1},
                 {"expr": "(point 5)", "n": -1}, {"expr": "(point 7)", "n": -1}]
     path = write_manifest(tmp_path, manifest)
-    runs = [_run_under_1gb([str(cpus), "batch", "--manifest", path, "--format", "json"], command=["-c", program])
-            for cpus in (1, 2)]
+    runs, logs = [], []
+    for cpus in (1, 2):
+        log = tmp_path / f"started-{cpus}.log"
+        log.write_text("")
+        runs.append(_run_under_1gb([str(log), str(cpus), "batch", "--manifest", path, "--format", "json"],
+                                   command=["-c", program]))
+        logs.append(log.read_text().splitlines())
     for done in runs:
         assert done.returncode == 2 and "Traceback" not in done.stderr
         assert json.loads(done.stdout)["error"]["code"] == "out-of-memory"
     assert runs[0].stdout == runs[1].stdout
+    assert [line for line in logs[1] if line.endswith(" (point 5)")][0] == "worker (point 5)"
 
 
 def test_det_reads_one_cohomology_table(tmp_path, capsys, monkeypatch):

@@ -225,7 +225,7 @@ def test_parity_shortcut_matches_exact_values():
     for modulus in (1, 3, 4, 5, 7, 8, 12):
         for chi in characters_mod(modulus, (1,)):
             for n in range(-5, 0):
-                order = trivial_zero_order(chi, n)  # asserts internally
+                order = trivial_zero_order(chi, n)  # the parity rule
                 assert order == (0 if not L_at_nonpositive(chi.primitive(), n).is_zero else 1)
 
 
