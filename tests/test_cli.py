@@ -1012,8 +1012,9 @@ class Placement:
         monkeypatch.setattr(forkmap, "_take", held)
 
     def started(self) -> list[tuple[str, str]]:
-        """(where, expression) of each entry started so far in this run."""
-        lines = self.log.read_text().splitlines()
+        """(where, expression) of each entry started so far in this run;
+        a line still being written, after the last newline, is left out."""
+        lines = self.log.read_text().split("\n")[:-1]
         return [("here" if int(pid) == self.parent else "worker", text)
                 for pid, text in (line.split(" ", 1) for line in lines)]
 
