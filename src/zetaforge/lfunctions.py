@@ -2,10 +2,10 @@
 
 Exact values at nonpositive integers live in cyclotomic fields Q(zeta_N):
 integer polynomials reduced modulo the N-th cyclotomic polynomial over one
-positive denominator, multiplied at one level or by a rational, with no
-field inversion.  That suffices, as the exact L-values of one character
-order m that a product meets on every verb form whole Galois orbits, whose
-product is a norm from Q(zeta_m), a rational.
+positive denominator, with no field arithmetic.  None is needed, as the
+exact L-values of one character order m that a product meets on every verb
+form whole Galois orbits, and an orbit's product is the norm from Q(zeta_m)
+of one value, a rational rounded from its sums at the roots (`_orbit_norm`).
 
 The work goes by Galois orbit {chi^j : gcd(j, m) = 1}, m the order of chi.
 `characters_mod` builds one residue table t per orbit and each other
@@ -29,8 +29,9 @@ Numeric work is in integers at wp bits, each helper's error stated in units
 of 2^-wp, and products are rounded to stated bits; an exact value is
 embedded only when a product is not rational.  The set-up is shared: tables
 of f^(k-1) B_k(a/f) and zeta(1-n, a/f) per conductor, one Machin run of pi,
-roots of unity strided from one table of order lambda(f) per wp, and one
-Euler-Maclaurin plan per (s, dps) with a Horner tail (see `_hurwitz_em`).
+roots of unity strided from one table of order lambda(f) per wp (a norm
+reads the table of its level), and one Euler-Maclaurin plan per (s, dps)
+with a Horner tail (see `_hurwitz_em`).
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class CyclotomicNumber(Record):
     Integer numerators of the polynomial reduced mod Phi_N (so phi(N) of
     them, a tuple) over one positive common denominator, 1 by default, as in
     FLINT's fmpq_poly.  Construction divides out gcd(den, num), so equal
-    numbers of one level have equal fields; numbers are compared and
-    multiplied at one level only.
+    numbers of one level have equal fields.  There is no product: what a
+    special value needs of a whole Galois orbit is its norm, `_orbit_norm`.
     """
 
     __slots__ = ("level", "num", "den")
@@ -172,14 +173,9 @@ class CyclotomicNumber(Record):
     @classmethod
     def from_poly(cls, level: int, poly, den: int = 1) -> CyclotomicNumber:
         """(sum_j poly[j] zeta_level^j) / den for integer coefficients poly[j]:
-        powers folded by x^level = 1, then the top coefficients cleared against
-        the monic Phi_level, one pass over its nonzero terms each."""
+        the top coefficients cleared against the monic Phi_level, one pass
+        over its nonzero terms each."""
         coeffs = list(poly)
-        if len(coeffs) > level:
-            folded = [0] * level
-            for j, c in enumerate(coeffs):
-                folded[j % level] += c
-            coeffs = folded
         modulus = cyclotomic_polynomial(level)
         phi = len(modulus) - 1
         terms = [(j, m) for j, m in enumerate(modulus[:phi]) if m]
@@ -191,11 +187,6 @@ class CyclotomicNumber(Record):
                     coeffs[base + j] -= top * m
         coeffs = coeffs[:phi] + [0] * (phi - len(coeffs))
         return cls(level, tuple(coeffs), den)
-
-    @classmethod
-    def rational(cls, value, level: int = 1) -> CyclotomicNumber:
-        value = Fraction(value)
-        return cls(level, (value.numerator,) + (0,) * (_euler_phi(level) - 1), value.denominator)
 
     @property
     def is_zero(self) -> bool:
@@ -209,29 +200,6 @@ class CyclotomicNumber(Record):
         if not self.is_rational:
             raise RationalityFailureError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def __mul__(self, other):
-        """The product with a number of the same level, or with a rational
-        scalar, which scales the numerators."""
-        if isinstance(other, CyclotomicNumber):
-            if other.level != self.level:
-                raise InvalidArgumentError(f"numbers of levels {self.level} and {other.level} do not multiply")
-            if self.is_rational:
-                self, other = other, self
-            if not other.is_rational:
-                num = poly.mul(self.num, other.num)
-                return CyclotomicNumber.from_poly(self.level, num, self.den * other.den)
-            other = other.rational_value()
-        q = Fraction(other)
-        return CyclotomicNumber(self.level, tuple(c * q.numerator for c in self.num), self.den * q.denominator)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise InvalidArgumentError("cyclotomic numbers take nonnegative powers only")
-        result = CyclotomicNumber.rational(1, self.level)
-        for bit in bin(e)[2:]:  # left to right: no square past the last bit
-            result = result * result * self if bit == "1" else result * result
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +502,8 @@ def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     if n > 0:
         raise InvalidArgumentError("n must be <= 0")
     k = 1 - n
-    return gen_bernoulli(chi, k) * Fraction(-1, k)
+    b = gen_bernoulli(chi, k)
+    return CyclotomicNumber(b.level, tuple(-c for c in b.num), b.den * k)
 
 
 # the largest |n| of an L-value: B_(1-n) comes from one table of tangent
@@ -680,34 +649,53 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cos, sin) of 2 pi k / m times 2^wp for k = 0..m-1, as integers, each
     root within one unit of 2^-wp in modulus.
 
-    One root w = (cos x, sin x) 2^P, x = 2 pi / m, P = wp + g, g =
-    bit_length(m) + 3, is the Taylor series at P + h bits, h = bit_length(P)
-    + 12: x within 3 units, each term a floor of the last, x <= pi for m >= 2
-    (m = 1 uses no root), so w is within 0.73 units.  The powers z_(k+1) =
-    floor(z_k w / 2^P), k < m/2, drift by below 2.16 units each, and rounding
-    to wp bits leaves 1.08 m 2^-g + 0.71 < 1 unit; the rest are conjugates.
+    One root w = zeta_m 2^P, P = wp + g, g = bit_length(m) + 3, is Newton's
+    iteration z <- z + z (1 - z^m) / m up to P + 9 bits (m = 1 uses no
+    root).  It starts at p <= 50 bits from the Taylor series of cos and sin
+    of 2 pi / m <= pi at p + 12 bits, each term a floor of the last, within
+    2 units.  Each step takes z within 8 units at p bits to q <= 2p - c bits,
+    c = bit_length(m) + 7 <= p as m < 2^17.  For z = zeta (1 + d), m |d| <=
+    1/16, the exact step gives zeta (1 - d^2 - (1 + d) R / m) with |R| <=
+    (m^2/2) |d|^2 e^(m|d|), within (m + 1) |d|^2, below one unit at q bits;
+    the floors of the binary power z^m are within 3m units, so the step's
+    within 6.  Rounding to P bits leaves 8 2^-9 + 0.71 < 0.73 units.  The
+    powers z_(k+1) = floor(z_k w / 2^P), k < m/2, drift by below 2.16 units
+    each, and rounding to wp bits leaves 1.08 m 2^-g + 0.71 < 1 unit; the
+    rest are conjugates.
     """
     g = m.bit_length() + 3
     P = wp + g
-    h = P.bit_length() + 12
-    x = (_pi_fixed(P + h) << 1) // m
-    w, term, j = [0, 0], 1 << (P + h), 0
+    bits = [P + 9]
+    while bits[-1] > 50:
+        bits.append((bits[-1] + m.bit_length() + 8) // 2)  # (q + c + 1) // 2
+    p = bits.pop()
+    x, w, term, j = (_pi_fixed(p + 12) << 1) // m, [0, 0], 1 << p + 12, 0
     while term:
         w[j % 2] += parity_sign(j // 2) * term  # x^j / j!: cos for even j, sin for odd
         j += 1
-        term = term * x // (j << (P + h))
-    wc, ws = ((v + (1 << (h - 1))) >> h for v in w)
+        term = (term * x >> p + 12) // j
+    wc, ws = ((v + (1 << 11)) >> 12 for v in w)
+    for q in reversed(bits):
+        wc, ws, p = wc << q - p, ws << q - p, q
+        uc, us = wc, ws  # z^m, left to right
+        for bit in bin(m)[3:]:
+            uc, us = (uc * uc - us * us) >> p, uc * us >> p - 1
+            if bit == "1":
+                uc, us = (uc * wc - us * ws) >> p, (uc * ws + us * wc) >> p
+        dc, ds = (1 << p) - uc, -us
+        wc, ws = wc + ((wc * dc - ws * ds) >> p) // m, ws + ((wc * ds + ws * dc) >> p) // m
+    wc, ws = ((v + (1 << 8)) >> 9 for v in (wc, ws))
     half = 1 << (g - 1)
     zc, zs = 1 << P, 0
-    cos, sin = [1 << wp], [0]
+    re, im = [1 << wp], [0]
     for _ in range(m // 2):
         zc, zs = (zc * wc - zs * ws) >> P, (zc * ws + zs * wc) >> P
-        cos.append((zc + half) >> g)
-        sin.append((zs + half) >> g)
+        re.append((zc + half) >> g)
+        im.append((zs + half) >> g)
     mirror = (m + 1) // 2 - 1  # k = m - j for j = mirror..1
-    cos += cos[mirror:0:-1]
-    sin += [-v for v in sin[mirror:0:-1]]
-    return tuple(cos), tuple(sin)
+    re += re[mirror:0:-1]
+    im += [-v for v in im[mirror:0:-1]]
+    return tuple(re), tuple(im)
 
 
 # Hurwitz zeta by Euler-Maclaurin in fixed point.  For an integer s >= 2 and
@@ -809,24 +797,17 @@ def _hurwitz_table(f: int, s: int, dps: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, _hurwitz_em(f, a, s, plan)) for a in _units(f))
 
 
-def _permuted(values, j: int, m: int) -> list:
-    """sigma_j on a vector indexed by powers of zeta_m: entry i moves to i j mod m."""
-    out = [0] * m
-    for i, v in enumerate(values):
-        out[i * j % m] = v
-    return out
-
-
 def _at_roots(v, m: int, period: int, wp: int, js) -> list[tuple[int, int]]:
     """(re, im) of sum_i v[i] zeta_m^(ij) 2^wp for each j in `js`, exact sums
     of the integers v[i] times the roots of order m, m dividing `period`,
     strided from `_root_table(period, wp)`: 2 pi k / m = 2 pi (k period/m) /
-    period, so each root is within one unit as the table states."""
-    cos, sin = (table[:: period // m] for table in _root_table(period, wp))
+    period, so each root is within one unit as the table states, and each
+    sum within sum_i |v[i]| units in modulus."""
+    re, im = (table[:: period // m] for table in _root_table(period, wp))
     out = []
     for j in js:
-        vj = _permuted(v, j, m)
-        out.append((sum(map(mul, cos, vj)), sum(map(mul, sin, vj))))
+        ks = [i * j % m for i in range(len(v))]  # sigma_j: v[i] meets the root of i j mod m
+        out.append((sum(map(mul, v, map(re.__getitem__, ks))), sum(map(mul, v, map(im.__getitem__, ks)))))
     return out
 
 
@@ -855,11 +836,6 @@ def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tu
     return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
-def _sigma(x: CyclotomicNumber, j: int) -> CyclotomicNumber:
-    """sigma_j(x) = x(zeta_N^j) for a unit j mod the level N."""
-    return x if j == 1 else CyclotomicNumber.from_poly(x.level, _permuted(x.num, j, x.level), x.den)
-
-
 def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[Fraction]:
     """|sigma_j(x)| at `dps` digits for each unit j in `js`, the level m of x
     dividing `period`: `_at_roots` of its numerators is within sum_i |num[i]|
@@ -870,6 +846,30 @@ def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[Fract
         _round(Fraction(isqrt(re * re + im * im), x.den << wp), wp)
         for re, im in _at_roots(x.num, x.level, period, wp, js)
     ]
+
+
+def _orbit_norm(x: CyclotomicNumber) -> Fraction:
+    """N(x), the norm from Q(zeta_m) of x, m > 2 its level: the product of
+    its phi(m) conjugates, a positive rational.
+
+    sigma_(-j)(x) is the conjugate of sigma_j(x), so den^phi(m) N(x) is the
+    product of |sigma_j(num)|^2 over the h = phi(m)/2 units j < m/2, an
+    integer, the norm of an algebraic integer.  With S = sum_i |num[i]|,
+    `_at_roots` at wp bits gives each sigma_j(num) 2^wp, at most S 2^wp,
+    within S units, so re^2 + im^2 is within S^2 (2^(wp+1) + 1) of
+    |sigma_j(num)|^2 4^wp.  The h factors are multiplied at 2 wp fractional
+    bits, each product floored; as wp > 2h + 4 keeps (1 + 2^-wp)^(2h) below
+    1.02, the product is within h S^(2h) 2^(3-wp) of the integer, below 1/4
+    at wp = phi(m) bit_length(S) + bit_length(phi(m)) + 4, and one rounding
+    gives it.
+    """
+    m = x.level
+    phi = _euler_phi(m)
+    wp = phi * sum(map(abs, x.num)).bit_length() + phi.bit_length() + 4
+    acc = 1 << 2 * wp
+    for re, im in _at_roots(x.num, m, m, wp, [j for j in range(1, m // 2 + 1) if gcd(j, m) == 1]):
+        acc = acc * (re * re + im * im) >> 2 * wp
+    return Fraction((acc + (1 << 2 * wp - 1)) >> 2 * wp, x.den**phi)
 
 
 def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int, int]]:

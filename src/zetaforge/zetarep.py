@@ -31,9 +31,9 @@ from .lfunctions import (
     _euler_phi,
     _fixed_bits,
     _leading_values,
+    _orbit_norm,
     _orbit_table,
     _round,
-    _sigma,
     trivial_zero_order,
 )
 from .record import Record
@@ -388,17 +388,17 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
 
     Finite-characteristic factors contribute exact nonzero rationals and no
     vanishing; the L-factors' orders come from one orbit table, with one
-    exact L-value per (Galois orbit, shift).  When every order is 0, each
-    factor's exact value, sigma_j of its orbit's, is multiplied into a group
-    by the sign of its exponent and by its level, the order m of the
-    character.  On every verb each group is rational: a field's characters,
-    and so the products that shifts, gluings and complements build from
-    them, come in whole Galois orbits with one exponent per orbit and shift,
-    and as B_{k,chi^j} = sigma_j(B_{k,chi}) an orbit's product is a norm
-    from Q(zeta_m).  The value is then exact.  Otherwise (a group that is
-    not rational comes only from a product built by hand) the L-factors must
-    be closed under conjugation, conj chi^j = chi^(-j) being in the same
-    orbit: in each orbit members j and -j mod m have one exponent.  The
+    exact L-value x per (Galois orbit, shift).  When every order is 0 and
+    every orbit is whole, each unit j mod its level m carrying one exponent
+    e, the orbit's product is N(x)^e, as B_{k,chi^j} = sigma_j(B_{k,chi}):
+    x itself for m <= 2, else its norm from Q(zeta_m), rounded from its
+    sums at the roots.  The value is then exact.  On every verb the orbits
+    are whole: a field's characters, and so the products that shifts,
+    gluings and complements build from them, come in whole orbits with one
+    exponent per orbit and shift.  Otherwise (only a product built by hand)
+    the L-factors must be closed under conjugation, conj chi^j = chi^(-j)
+    being in the same orbit: in each orbit members j and -j mod m have one
+    exponent, read off the same count of exponents per member.  The
     product of the real leading values (a complex one's modulus) is rounded
     after each factor to bits where (count + 1) roundings stay below
     2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5)
@@ -417,23 +417,21 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     exps = [e for _, e in z.char_zero]
     tolerance = Fraction(1, 10 ** (precision + 5))
 
-    if all(orbit_order == 0 for *_, orbit_order, _ in table):
-        groups = {}  # (sign of the exponent, level) -> product of the powers
-        for _, _, exact, _, members in table:
-            for index, j in members:
-                key = (1 if exps[index] > 0 else -1, exact.level)
-                power = _sigma(exact, j) ** abs(exps[index])
-                groups[key] = groups[key] * power if key in groups else power
-        if all(x.is_rational for x in groups.values()):
-            value = rational_part
-            for (sign, _), x in groups.items():
-                value *= x.rational_value() ** sign
-            return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
-
-    for chi, *_, members in table:
-        balance = Counter()  # member j -> its exponent
+    balances = [Counter() for _ in table]  # per orbit: member j mod m -> its exponent
+    for (chi, *_, members), balance in zip(table, balances):
         for index, j in members:
             balance[j % chi.order] += exps[index]
+    if all(
+        orbit_order == 0 and len(balance) == _euler_phi(chi.order) and len(set(balance.values())) == 1
+        for (chi, _, _, orbit_order, _), balance in zip(table, balances)
+    ):
+        value = rational_part
+        for (chi, _, exact, _, _), balance in zip(table, balances):
+            (e,) = set(balance.values())
+            value *= (exact.rational_value() if chi.order <= 2 else _orbit_norm(exact)) ** e
+        return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
+
+    for (chi, *_), balance in zip(table, balances):
         if any(e != balance[-j % chi.order] for j, e in balance.items()):
             raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
                                           "not closed under conjugation")

@@ -773,6 +773,10 @@ def golden_cases(tmp_path) -> dict:
         "value_f56_h9.json": ["value", "(numberring :conductor 56 :subgroup (9))", "-n", "-3", "--precision", "30"],
         # a large conductor: 400 characters in 15 Galois orbits, 200 of them at a trivial zero
         "value_q_zeta401.json": ["value", "(numberring :conductor 401 :subgroup (1))", "-n", "-2", "--precision", "30"],
+        # a real subfield of large conductor: 651 characters in 8 Galois orbits, each orbit's product its norm
+        "value_real_f1303.json": [
+            "value", "(numberring :conductor 1303 :subgroup (1 1302))", "-n", "-1", "--precision", "20"
+        ],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaforge import cli, lfunctions, poly
+from zetaforge import cli, lfunctions, poly, zetarep
 from zetaforge.errors import InvalidArgumentError, RationalityFailureError, WeilViolationError
-from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, characters_mod
+from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, CyclotomicNumber, characters_mod
 from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, Point, Proj, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
@@ -187,14 +187,33 @@ def test_one_hurwitz_zeta_per_unit_residue(monkeypatch):
 
 
 def test_a_rational_product_embeds_no_exact_value(monkeypatch):
-    # the real subfield of Q(zeta_13) at n = -1: six even characters, all of
-    # order 0, whose exact values multiply to a rational; no embedding is made
-    def no_embedding(x, period, dps, js):
-        raise AssertionError("an exact L-value was embedded on the rational path")
+    # the real subfield of Q(zeta_13) at n = -1: six even characters of order
+    # 0 in whole Galois orbits, each orbit's product the norm of one exact
+    # value; no member is embedded and no leading value or Hurwitz table is taken
+    def refuse(*args):
+        raise AssertionError("the exact path took a numeric leading value")
 
-    monkeypatch.setattr(lfunctions, "_member_moduli", no_embedding)
+    monkeypatch.setattr(lfunctions, "_member_moduli", refuse)
+    monkeypatch.setattr(lfunctions, "_hurwitz_table", refuse)
+    monkeypatch.setattr(zetarep, "_leading_values", refuse)
     value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
     assert value.order == 0 and value.is_exact
+
+
+def test_an_exact_value_reduces_one_polynomial_per_orbit(monkeypatch, capsys):
+    # the real subfield of Q(zeta_401): 200 even characters in 12 Galois
+    # orbits, one per divisor of 200; the norm reads each orbit's value at
+    # the roots, so no member's conjugate is reduced mod Phi_m
+    levels = []
+    from_poly = CyclotomicNumber.from_poly
+
+    def counted(level, coeffs, den=1):
+        levels.append(level)
+        return from_poly(level, coeffs, den)
+
+    monkeypatch.setattr(CyclotomicNumber, "from_poly", staticmethod(counted))
+    assert cli.main(["value", "(numberring :conductor 401 :subgroup (1 400))", "-n", "-1", "--precision", "20"]) == 0
+    assert sorted(levels) == [d for d in range(1, 201) if 200 % d == 0]
 
 
 @st.composite
@@ -251,32 +270,40 @@ def test_non_real_product_raises_rationality_failure(n):
             evaluate_at(z, n)
 
 
+# (n, order, printed, exponent of each member chi^j), identified by the first three
+CONJUGATE_CASES = [
+    (-1, 0, "3.13383054136359812661984975795", {1: 1, 4: 1}),
+    (-2, 2, "103.804952142780629697497551744", {1: 1, 4: 1}),
+    (-3, 0, "1173.57204810953968075596094981", {1: 1, 4: 1}),
+    # the whole orbit, with two exponents: not a power of its norm
+    (-1, 0, "16.8779266413225921369796050661", {1: 1, 4: 1, 2: 2, 3: 2}),
+]
+
+
 @pytest.mark.parametrize(
-    "n, order, printed",
-    [
-        (-1, 0, "3.13383054136359812661984975795"),
-        (-2, 2, "103.804952142780629697497551744"),
-        (-3, 0, "1173.57204810953968075596094981"),
-    ],
+    "n, order, printed, exponents", CONJUGATE_CASES, ids=["-".join(map(str, case[:3])) for case in CONJUGATE_CASES]
 )
-def test_conjugate_pair_outside_a_field_is_real(n, order, printed):
-    # chi conj(chi) for an order-5 character mod 11 is closed under
-    # conjugation but not under the Galois action: its value |L|^2 lies in
-    # Q(sqrt 5), not Q, and is the product of the two moduli
+def test_conjugate_pair_outside_a_field_is_real(n, order, printed, exponents):
+    # chi conj(chi) = chi chi^4 for an order-5 character mod 11 is closed
+    # under conjugation but not under the Galois action: its value |L|^2
+    # lies in Q(sqrt 5), not Q, and is the product of the two moduli
     chi, *others = [c for c in characters_mod(11, (1,)) if c.order == 5]
-    conj = next(c for c in others if c.exponents == tuple(k and 5 - k for k in chi.exponents))
-    z = ZetaProduct.from_factors([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
+    powers = {j: next(c for c in [chi, *others] if c.exponents == tuple(k and k * j % 5 for k in chi.exponents))
+              for j in exponents}
+    z = ZetaProduct.from_factors([(LFactorShifted(powers[j]), e) for j, e in exponents.items()])
     value = evaluate_at(z, n, 30)
     assert value.order == order and not value.is_exact
     assert format_decimal(value.numeric, 30) == printed
     with mp.workdps(60):
         s = mp.mpf(n)
-        # the leading coefficient of L(s, chi) at n: the value, or the first derivative
-        L = 11 ** -s * mp.fsum(
-            mp.expjpi(mp.mpf(2 * chi.exponent(a)) / 5) * mp.zeta(s, mp.mpf(a) / 11, order // 2)
-            for a in range(1, 11)
-        )
-        oracle = abs(L) ** 2
+        oracle, derivative = 1, order // sum(exponents.values())
+        for j, e in exponents.items():
+            # the leading coefficient of L(s, chi^j) at n: the value, or the first derivative
+            L = 11 ** -s * mp.fsum(
+                mp.expjpi(mp.mpf(2 * j * chi.exponent(a)) / 5) * mp.zeta(s, mp.mpf(a) / 11, derivative)
+                for a in range(1, 11)
+            )
+            oracle *= abs(L) ** e
         assert abs(as_mpf(value.numeric) - oracle) <= as_mpf(value.error) < oracle * mp.mpf(10) ** -29
 
 
