@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers.
 
-Arbitrary-precision matrices, Smith normal form (its unimodular transforms
-built only when read), finitely generated abelian groups in invariant-factor
-form, and p-adic valuations of rationals.  Everything here is pure and immutable.
+Arbitrary-precision matrices, Smith normal form (reduced on the short side
+with nearest-integer remainders in a shrinking active block; its unimodular
+transforms built from the step log only when read), finitely generated
+abelian groups in invariant-factor form, and p-adic valuations of rationals.
+Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import chain
 from math import prod
 from operator import index, mul
 
-from .errors import InfiniteGroupError, InvalidArgumentError, NotPrimePowerError
+from .errors import InfiniteGroupError, InvalidArgumentError, InvariantViolationError, NotPrimePowerError
 from .record import Record
 
 __all__ = [
@@ -113,7 +115,7 @@ class IntMatrix(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -191,8 +193,10 @@ class SmithDecomposition(Record):
                 Ut[j] = [a - k * b for a, b in zip(Ut[j], Ut[i])]
             elif op == "col_swap":
                 V[i], V[j] = V[j], V[i]
-            else:  # "col_addmul", V: R_j -= k*R_i
+            elif op == "col_addmul":  # V: R_j -= k*R_i
                 V[j] = [a - k * b for a, b in zip(V[j], V[i])]
+            else:
+                raise InvariantViolationError(f"unknown Smith step {op!r}")
         U = tuple(x for row in zip(*Ut) for x in row)
         return IntMatrix(rows, rows, U), IntMatrix(cols, cols, tuple(x for row in V for x in row))
 
@@ -231,103 +235,105 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Diagonalize A over Z: S and the steps that reduce A to it.
 
     The nonzero diagonal of S is positive and each entry divides the next.
-    Pivoting always picks a smallest nonzero entry of the remaining block,
-    which keeps coefficient growth moderate.  Only S is updated; each
-    operation is logged, and the unimodular U, V with A = U*S*V are replayed
-    from the log if the result's `U` or `V` is read.
+    Only S is updated; each operation is logged, and the unimodular U, V
+    with A = U*S*V are replayed from the log if the result's `U` or `V` is
+    read.  The step names and the lazy U, V do not depend on how S is found.
 
-    At step t every entry of S outside the active block (rows and columns
-    >= t) off the diagonal is zero: the rows above t are zero past their own
-    pivot, and the columns before t are zero below it.  So row operations
-    touch only the columns >= t, and column swaps only the rows >= t.
+    The reduction works on the short side: when A has more rows than
+    columns it reduces the transpose, and logs each row operation there as
+    the matching column operation of A and each column operation as a row
+    operation.  Each pivot is the first entry of least |x|, in row-major
+    order, of the active block, which holds only the rows and columns not
+    yet diagonalized and drops its first row and column after each pivot.
+    Row operations clear the pivot's column, then column operations its row;
+    a column operation touches only the pivot row, as the rest of the
+    pivot's column is zero by then.  Quotients round to nearest, so each
+    remainder lies in [-|p|/2, |p|/2) for the pivot p (Havas and Majewski,
+    "Integer matrix diagonalization", J. Symbolic Comput. 24 (1997)), and a
+    nonzero remainder becomes the next pivot.  A pivot that does not divide
+    the rest of the block takes a row that it does not divide into its own
+    row and goes on, and the pivot strictly shrinks.  Pivots keep their
+    signs until the block is empty; `row_negate` steps then make the
+    diagonal positive.
     """
-    rows, cols = A.rows, A.cols
-    S = A.to_rows()
+    if A.rows > A.cols:
+        B = [list(A.entries[j :: A.cols]) for j in range(A.cols)]
+        row_op, col_op = "col", "row"
+    else:
+        B = A.to_rows()
+        row_op, col_op = "row", "col"
+    row_swap, row_addmul = row_op + "_swap", row_op + "_addmul"
+    col_swap, col_addmul = col_op + "_swap", col_op + "_addmul"
     steps = []
     log = steps.append
 
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        log(("row_swap", i, j, 0))
+    def swap_rows(i):  # R_0 <-> R_i of the block
+        B[0], B[i] = B[i], B[0]
+        log((row_swap, t, t + i, 0))
 
-    def row_negate(i):
-        S[i][t:] = [-x for x in S[i][t:]]
-        log(("row_negate", i, 0, 0))
+    def swap_cols(j):  # C_0 <-> C_j of the block
+        for row in B:
+            row[0], row[j] = row[j], row[0]
+        log((col_swap, t, t + j, 0))
 
-    def row_addmul(i, j, k):  # R_i += k*R_j
-        S[i][t:] = [a + k * b for a, b in zip(S[i][t:], S[j][t:])]
-        log(("row_addmul", i, j, k))
-
-    def col_swap(i, j):
-        for row in S[t:]:
-            row[i], row[j] = row[j], row[i]
-        log(("col_swap", i, j, 0))
-
+    diagonal = []
     t = 0
-    limit = min(rows, cols)
+    limit = min(A.rows, A.cols)
     while t < limit:
         piv, least = None, 0
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(S[i][j])
-                if x and (piv is None or x < least):
-                    piv, least = (i, j), x
+        for i, row in enumerate(B):
+            for j, x in enumerate(row):
+                if x and (piv is None or abs(x) < least):
+                    piv, least = (i, j), abs(x)
             if least == 1:  # no entry is smaller: the full scan keeps this one
                 break
         if piv is None:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        if S[t][t] < 0:
-            row_negate(t)
+        if piv[0]:
+            swap_rows(piv[0])
+        if piv[1]:
+            swap_cols(piv[1])
 
         while True:
-            for i in range(t + 1, rows):
-                q = S[i][t] // S[t][t]
+            top = B[0]
+            p = top[0]
+            sign, size, width = (1 if p > 0 else -1), abs(p), 2 * abs(p)
+            for i in range(1, len(B)):
+                x = B[i][0]
+                q = sign * ((2 * x + size) // width)  # nearest: x - q*p in [-|p|/2, |p|/2)
                 if q:
-                    row_addmul(i, t, -q)
-            rem = [i for i in range(t + 1, rows) if S[i][t] != 0]
+                    B[i] = [a - q * b for a, b in zip(B[i], top)]
+                    log((row_addmul, t + i, t, -q))
+            rem = [i for i in range(1, len(B)) if B[i][0]]
             if rem:
-                i = min(rem, key=lambda r: abs(S[r][t]))
-                row_swap(t, i)
-                if S[t][t] < 0:
-                    row_negate(t)
+                swap_rows(min(rem, key=lambda r: abs(B[r][0])))
                 continue
-            # C_j += k*C_t touches only row t: the rows above t are zero past
-            # their own pivot, and row elimination has just cleared column t
-            # below it
-            pivot_row = S[t]
-            for j in range(t + 1, cols):
-                q = pivot_row[j] // pivot_row[t]
+            for j in range(1, len(top)):
+                q = sign * ((2 * top[j] + size) // width)
                 if q:
-                    pivot_row[j] -= q * pivot_row[t]
-                    log(("col_addmul", j, t, -q))
-            rem = [j for j in range(t + 1, cols) if pivot_row[j] != 0]
+                    top[j] -= q * p
+                    log((col_addmul, t + j, t, -q))
+            rem = [j for j in range(1, len(top)) if top[j]]
             if rem:
-                j = min(rem, key=lambda c: abs(pivot_row[c]))
-                col_swap(t, j)
-                if S[t][t] < 0:
-                    row_negate(t)
+                swap_cols(min(rem, key=lambda c: abs(top[c])))
                 continue
-            # pivot must divide the remaining block (a pivot 1 always does),
-            # otherwise fold the offending row in and restart (pivot
-            # strictly shrinks)
-            bad = None
-            for i in range(t + 1, rows if S[t][t] != 1 else 0):
-                for j in range(t + 1, cols):
-                    if S[i][j] % S[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # p must divide the rest of the block (a unit always does);
+            # otherwise R_0 += R_i for the first row it does not divide
+            bad = next((i for i in range(1, len(B) if size != 1 else 0) if any(x % p for x in B[i])), None)
             if bad is None:
                 break
-            row_addmul(t, bad, 1)
+            B[0] = [a + b for a, b in zip(top, B[bad])]
+            log((row_addmul, t, t + bad, 1))
+        diagonal.append(p)
+        B = [row[1:] for row in B[1:]]
         t += 1
 
-    return SmithDecomposition(IntMatrix(rows, cols, tuple(x for row in S for x in row)), tuple(steps))
+    entries = [0] * (A.rows * A.cols)
+    for t, d in enumerate(diagonal):
+        entries[t * A.cols + t] = abs(d)
+        if d < 0:  # S is diagonal: negating row t flips d alone
+            log(("row_negate", t, 0, 0))
+    return SmithDecomposition(IntMatrix(A.rows, A.cols, tuple(entries)), tuple(steps))
 
 
 def cokernel(A: IntMatrix) -> FinGenAbGroup:

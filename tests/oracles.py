@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
 by exhaustive search, determinant ideals by per-differential invariant
-factors, cyclotomic numbers as Fraction polynomials reduced mod a Phi_m
-built here from its definition, conductors of character tables by trying
-every divisor, Dedekind zeta values of abelian fields as products of mpmath
-Hurwitz L-values over characters found by search, the leading coefficient
-of one L-function from mpmath's Hurwitz zeta and its derivative, primes by
-a sieve, and
-expression equality field by field.  Slow is fine; independent is the point.
+factors, invariant factors of a matrix by gcds of its minors, cyclotomic
+numbers as Fraction polynomials reduced mod a Phi_m built here from its
+definition, conductors of character tables by trying every divisor,
+Dedekind zeta values of abelian fields as products of mpmath Hurwitz
+L-values over characters found by search, the leading coefficient of one
+L-function from mpmath's Hurwitz zeta and its derivative, primes by a
+sieve, and expression equality field by field.  Slow is fine; independent
+is the point.
 """
 
 from __future__ import annotations
@@ -187,6 +188,36 @@ def invariant_factors(orders):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return tuple(t for t in d if t >= 2)
+
+
+def _leibniz_determinant(m):
+    """Determinant of a square list of rows: the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def determinantal_invariant_factors(rows):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given as
+    a list of rows: d_k = D_k / D_(k-1), with D_0 = 1 and D_k the gcd of the
+    k x k minors, for every k with D_k != 0.  Exponential in the size: for
+    small matrices only."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    factors, previous = [], 1
+    for k in range(1, min(r, c) + 1):
+        D = 0
+        for I in itertools.combinations(range(r), k):
+            for J in itertools.combinations(range(c), k):
+                D = gcd(D, _leibniz_determinant([[rows[i][j] for j in J] for i in I]))
+        if D == 0:
+            break
+        factors.append(D // previous)
+        previous = D
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)

@@ -780,6 +780,10 @@ def golden_cases(tmp_path) -> dict:
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],
+        # total rank 50, a tall first differential (reduced on its transpose)
+        # and torsion Z/6 + Z/6 + Z/84 + Z/2520, merged from summands of
+        # orders 2 to 9, so that non-unit pivots must divide the rest
+        "det_rank50.json": ["det", str(GOLDEN / "det_rank50_input.json")],
     }
 
 

@@ -7,10 +7,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforge.errors import InfiniteGroupError, InvalidArgumentError
+from zetaforge.errors import InfiniteGroupError, InvalidArgumentError, InvariantViolationError
 from zetaforge.intlinalg import (
     FinGenAbGroup,
     IntMatrix,
+    SmithDecomposition,
     cokernel,
     factorize,
     group_order,
@@ -20,7 +21,12 @@ from zetaforge.intlinalg import (
     smith_normal_form,
 )
 
-from oracles import brute_cokernel_order_and_exponent, invariant_factors, prime_powers_below
+from oracles import (
+    brute_cokernel_order_and_exponent,
+    determinantal_invariant_factors,
+    invariant_factors,
+    prime_powers_below,
+)
 
 
 def snf_is_valid(A, dec):
@@ -78,6 +84,40 @@ def test_snf_random_postconditions():
             rows, cols, tuple(rng.randint(-9, 9) for _ in range(rows * cols))
         )
         assert snf_is_valid(A, smith_normal_form(A))
+    # tall shapes reduce the transpose; small entries need non-unit pivots,
+    # 30-digit ones long runs of remainders
+    for k in range(40):
+        short, long = rng.randint(0, 12), rng.randint(0, 30)
+        rows, cols = (long, short) if k % 2 else (short, long)
+        bound = 10**30 if k % 4 >= 2 else 9
+        A = IntMatrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+        assert snf_is_valid(A, smith_normal_form(A))
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4 x 6 or 6 x 4, each entry small times a common scale (so that
+    invariant factors above 1 are common) or up to 10**30."""
+    short, long = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    rows, cols = (long, short) if draw(st.booleans()) else (short, long)
+    scale = draw(st.sampled_from((1, 6, 10**29)))
+    entry = st.integers(-9, 9).map(lambda x: x * scale) | st.integers(-(10**30), 10**30)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), cols
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_matrices())
+def test_snf_invariant_factors_are_the_determinantal_divisors(case):
+    rows, cols = case
+    A = IntMatrix(len(rows), cols, tuple(x for row in rows for x in row))
+    assert smith_normal_form(A).invariant_factors == determinantal_invariant_factors(rows)
+
+
+def test_transforms_refuse_an_unknown_step():
+    # a misnamed step must not replay as some other operation
+    dec = SmithDecomposition(IntMatrix.from_rows([[1]]), (("col_negate", 0, 0, 0),))
+    with pytest.raises(InvariantViolationError, match="col_negate"):
+        dec.U
 
 
 def _unimodular(draw, n):
