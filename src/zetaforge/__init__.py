@@ -49,6 +49,7 @@ from .lfunctions import (
     CyclotomicNumber,
     DirichletCharacter,
     L_at_nonpositive,
+    SpecialValue,
     gen_bernoulli,
     leading_value,
     trivial_zero_order,
@@ -74,7 +75,6 @@ from .zetarep import (
     FiniteCharFactor,
     LFactorShifted,
     RationalFunctionT,
-    SpecialValue,
     ZetaProduct,
     evaluate_at,
     multiply,

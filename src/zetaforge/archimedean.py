@@ -73,9 +73,10 @@ def vanishing_order_conjectural(e, n: int) -> int:
 class HodgeData(Record):
     """Hodge numbers h^{p,q} plus the conjugation split of the diagonal.
 
-    weights: map (p, q) -> h^{p,q}; diagonal: map p -> (h^{p,+}, h^{p,-})
-    with h^{p,+} + h^{p,-} = h^{p,p}, each stored as a sorted tuple of its
-    items.  Conjugation swaps H^{p,q} and H^{q,p}, so h^{p,q} = h^{q,p} is
+    weights: map (p, q) -> h^{p,q}, p, q >= 0; diagonal: map p ->
+    (h^{p,+}, h^{p,-}) with h^{p,+} + h^{p,-} = h^{p,p}, so every p with
+    h^{p,p} > 0 has a split; each stored as a sorted tuple of its items.
+    Conjugation swaps H^{p,q} and H^{q,p}, so h^{p,q} = h^{q,p} is
     required.
     """
 
@@ -90,26 +91,21 @@ class HodgeData(Record):
 
     def __post_init__(self):
         w = dict(self.weights)
+        diag = dict(self.diagonal)
+        if any(min(p, q) < 0 for p, q in w) or any(p < 0 for p in diag):
+            raise InvalidArgumentError("Hodge indices p and q must be nonnegative")
         for (p, q), h in w.items():
             if h < 0:
                 raise InvalidArgumentError("Hodge numbers must be nonnegative")
             if w.get((q, p), 0) != h:
                 raise InvalidArgumentError("Hodge symmetry h^{p,q} = h^{q,p} violated")
-        diag = dict(self.diagonal)
+            if p == q and p not in diag:
+                raise InvalidArgumentError(f"h^{{{p},{p}}} > 0 needs its split (h^{{{p},+}}, h^{{{p},-}})")
         for p, (plus, minus) in diag.items():
             if plus < 0 or minus < 0:
                 raise InvalidArgumentError("eigenspace dimensions must be nonnegative")
             if plus + minus != w.get((p, p), 0):
                 raise InvalidArgumentError("h^{p,+} + h^{p,-} must equal h^{p,p}")
-
-    def hpq(self, p: int, q: int) -> int:
-        return dict(self.weights).get((p, q), 0)
-
-    def diag_split(self, p: int) -> tuple[int, int]:
-        return dict(self.diagonal).get(p, (0, 0))
-
-    def degrees(self):
-        return sorted({p + q for (p, q), _ in self.weights})
 
 
 # conjugation acts on H^2 of a curve by -1 (orientation reversal), which
@@ -122,21 +118,15 @@ ELLIPTIC_CURVE_HODGE = HodgeData.make(
 
 
 def hodge_equivariant_dims(H: HodgeData, n: int) -> dict:
-    """dim H^i(X(C), R(n))^{G_R} per degree i, from the Hodge data."""
+    """dim H^i(X(C), R(n))^{G_R} per degree i, from the Hodge data: each
+    h^{p,q} with p < q in degree p + q, and h^{p,(-1)^(n-p)} in degree 2p."""
     out: dict[int, int] = {}
-    for i in H.degrees():
-        total = 0
-        if i % 2 == 0:
-            p = i // 2
-            plus, minus = H.diag_split(p)
-            total += plus if (n - p) % 2 == 0 else minus
-        for p in range(0, (i + 1) // 2):
-            q = i - p
-            if p < q:
-                total += H.hpq(p, q)
-        if total:
-            out[i] = total
-    return out
+    for (p, q), h in H.weights:
+        if p < q:
+            out[p + q] = out.get(p + q, 0) + h
+    for p, (plus, minus) in H.diagonal:
+        out[2 * p] = out.get(2 * p, 0) + (plus if (n - p) % 2 == 0 else minus)
+    return {i: d for i, d in sorted(out.items()) if d}
 
 
 def gamma_factor_order(H: HodgeData, n: int) -> int:
@@ -149,18 +139,12 @@ def gamma_factor_order(H: HodgeData, n: int) -> int:
     if n >= 0:
         raise InvalidArgumentError("defined for strictly negative integers")
     total = 0
-    for i in H.degrees():
-        poles = 0
-        if i % 2 == 0:
-            p = i // 2
-            plus, minus = H.diag_split(p)
-            if n - p <= 0 and (n - p) % 2 == 0:
-                poles += plus
-            if n - p + 1 <= 0 and (n - p + 1) % 2 == 0:
-                poles += minus
-        for p in range(0, (i + 1) // 2):
-            q = i - p
-            if p < q and n - p <= 0:
-                poles += H.hpq(p, q)
-        total += parity_sign(i) * poles
+    for (p, q), h in H.weights:
+        if p < q and n - p <= 0:
+            total += parity_sign(p + q) * h
+    for p, (plus, minus) in H.diagonal:
+        if n - p <= 0 and (n - p) % 2 == 0:
+            total += plus
+        if n - p + 1 <= 0 and (n - p + 1) % 2 == 0:
+            total += minus
     return total

@@ -62,7 +62,7 @@ def parse_hodge_json(text: str) -> archimedean.HodgeData:
     """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}
 
     p and q are decimal integers as `read_key` reads them, h, plus and minus
-    JSON integers; any other shape is an InvalidArgumentError.
+    JSON integers; any other key or shape is an InvalidArgumentError.
     """
     data = _json_loads(text)
     hpq = data.get("hpq", {}) if isinstance(data, dict) else None
@@ -70,6 +70,7 @@ def parse_hodge_json(text: str) -> archimedean.HodgeData:
     if not (
         isinstance(hpq, dict)
         and isinstance(diag, dict)
+        and set(data) <= {"hpq", "diag"}
         and all(isinstance(pair, list) and len(pair) == 2 for pair in diag.values())
     ):
         raise InvalidArgumentError(_HODGE_SHAPE)

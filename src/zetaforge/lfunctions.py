@@ -56,7 +56,7 @@ __all__ = [
     "CyclotomicNumber",
     "DirichletCharacter",
     "AbelianFieldSpec",
-    "LeadingValue",
+    "SpecialValue",
     "TRIVIAL_CHARACTER",
     "CHI_MINUS_4",
     "Q",
@@ -557,33 +557,19 @@ def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
 # Numeric leading values
 
 
-class LeadingValue(Record):
-    """Leading Taylor coefficient of L(s, chi) at s = n < 0, as one real
-    `value`: the coefficient itself when it is real, else its modulus.
+class SpecialValue(Record):
+    """Vanishing order and leading Taylor coefficient at s = n.
 
-    Exactly one of `exact` (a CyclotomicNumber, whose modulus at `dps` digits
-    is taken when `value` is first read) and `numeric` (the closed-form
-    Fraction at a trivial zero) is set; both default to None.
+    `exact` is a `Fraction` when the value is provably an exact rational,
+    and is then its own `numeric`; otherwise it is None and `numeric` is a
+    dyadic rational.  `error` is the nominal bound, a `Fraction` as well.
     """
 
-    __slots__ = ("dps", "exact", "numeric", "__dict__")
-    _defaults = {"exact": None, "numeric": None}
-
-    def __post_init__(self):
-        if (self.exact is None) == (self.numeric is None):
-            raise InvalidArgumentError("a leading value is exact or numeric, not both or neither")
+    __slots__ = ("order", "exact", "numeric", "error")
 
     @property
-    def order(self) -> int:
-        """0 exactly when the value is exact: trivial zeros at n < 0 are simple."""
-        return 1 if self.exact is None else 0
-
-    @cached_property
-    def value(self) -> Fraction:
-        if self.exact is None:
-            return self.numeric
-        x = self.exact
-        return x.rational_value() if x.is_rational else _member_moduli(x, x.level, self.dps, [1])[0]
+    def is_exact(self) -> bool:
+        return self.exact is not None
 
 
 def _working_dps(precision: int, conductor: int) -> int:
@@ -923,10 +909,13 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
     return out
 
 
-def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> LeadingValue:
-    """Leading Taylor coefficient of L(s, chi) at s = n < 0 from one `_orbit_table`
-    entry: the exact value at order 0, embedded when read, or the closed form."""
+def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
+    """Order and leading Taylor coefficient of L(s, chi) at s = n < 0 from one
+    `_orbit_table` entry and `_leading_values`: the real value, or else its
+    modulus, exact when it is a rational L-value, with the nominal error
+    (|v|+1) 10^-(precision+5)."""
     table = _orbit_table([(chi, n)])
-    chi, _, exact, order, _ = table[0]
-    dps = _working_dps(precision, chi.modulus)
-    return LeadingValue(dps, exact=exact) if order == 0 else LeadingValue(dps, numeric=_leading_values(table, precision)[0])
+    _, _, exact, order, _ = table[0]
+    numeric = _leading_values(table, precision)[0]
+    rational = numeric if order == 0 and exact.is_rational else None
+    return SpecialValue(order, rational, numeric, (abs(numeric) + 1) / 10 ** (precision + 5))

@@ -51,13 +51,12 @@ from typing import NamedTuple
 from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
 from .intlinalg import ensure_prime_power, prime_power_base
-from .lfunctions import Q, QI, AbelianFieldSpec
+from .lfunctions import Q, QI, AbelianFieldSpec, SpecialValue
 from .record import Record
 from .zetarep import (
     FiniteCharFactor,
     LFactorShifted,
     RationalFunctionT,
-    SpecialValue,
     ZetaProduct,
     evaluate_at,
     shift_s,

@@ -28,6 +28,7 @@ from .intlinalg import ensure_prime_power
 from .lfunctions import (
     _MAX_WEIGHT,
     DEFAULT_PRECISION,
+    SpecialValue,
     _euler_phi,
     _fixed_bits,
     _leading_values,
@@ -43,7 +44,6 @@ __all__ = [
     "FiniteCharFactor",
     "LFactorShifted",
     "ZetaProduct",
-    "SpecialValue",
     "multiply",
     "inverse",
     "shift_s",
@@ -349,21 +349,6 @@ def format_decimal(x: Fraction, digits: int) -> str:
         text, split, suffix = "0" * -e + text, max(e, 0) + 1, ""
     text = (text[:split] + "." + text[split:]).rstrip("0")
     return ("-" if x < 0 else "") + text + ("0" if text.endswith(".") else "") + suffix
-
-
-class SpecialValue(Record):
-    """Vanishing order and leading Taylor coefficient at s = n.
-
-    `exact` is a `Fraction` when the value is provably an exact rational,
-    and is then its own `numeric`; otherwise it is None and `numeric` is a
-    dyadic rational.  `error` is the nominal bound, a `Fraction` as well.
-    """
-
-    __slots__ = ("order", "exact", "numeric", "error")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
 
 def _check_tables(z: ZetaProduct, n: int, precision: int) -> None:

@@ -560,6 +560,14 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         ["ord", "--hodge", '{"hpq": {"0, 0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
         ["ord", "--hodge", '{"hpq": {"00,0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
         ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"+0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
+        # a key other than hpq and diag, a diagonal h^{p,p} without its
+        # split, and a negative index, each with or without a diagonal entry
+        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "daig": {"0": [1, 0], "1": [1, 0]}}', "-n", "-2"],
+        ["ord", "--hodge", '{"hpq": {"0,0": 1}, "diag": {"0": [1, 0]}, "extra": {}}', "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"0": [1, 0]}}', "-n", "-1"],
+        ["ord", "--hodge", '{"hpq": {"-1,-1": 1}, "diag": {"-1": [1, 0]}}', "-n", "-2"],
+        ["ord", "--hodge", '{"hpq": {"-1,3": 1, "3,-1": 1}}', "-n", "-1"],
+        ["ord", "--hodge", '{"diag": {"-1": [0, 0]}}', "-n", "-1"],
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):

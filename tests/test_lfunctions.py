@@ -328,7 +328,8 @@ def test_gauss_sum_matches_direct_summation():
 def test_leading_value_exact_case():
     lv = leading_value(TRIVIAL_CHARACTER, -1, 50)
     assert lv.order == 0
-    assert lv.exact.rational_value() == Fraction(-1, 12)
+    assert lv.exact == lv.numeric == Fraction(-1, 12)
+    assert lv.error == Fraction(13, 12) / 10**55
 
 
 def test_leading_value_order_is_zero_exactly_when_exact():
@@ -336,11 +337,33 @@ def test_leading_value_order_is_zero_exactly_when_exact():
         for chi in characters_mod(modulus, (1,)):
             for n in range(-4, 0):
                 lv = leading_value(chi, n, 10)
-                assert lv.order == (1 if lv.exact is None else 0) == trivial_zero_order(chi, n)
-                assert (lv.numeric is None) == (lv.exact is not None)
-    for fields in ({}, {"exact": L_at_nonpositive(TRIVIAL_CHARACTER, -1), "numeric": Fraction(-1, 12)}):
-        with pytest.raises(InvalidArgumentError):
-            lfunctions.LeadingValue(30, **fields)
+                assert lv.order == trivial_zero_order(chi, n)
+                rational = lv.order == 0 and L_at_nonpositive(chi, n).is_rational
+                assert lv.is_exact == rational and lv.exact == (lv.numeric if rational else None)
+
+
+@st.composite
+def abelian_fields(draw):
+    """An abelian field of conductor 3 to 40, f != 2 mod 4, fixed by the
+    subgroup that one random unit generates."""
+    f = draw(st.integers(3, 40).filter(lambda f: f % 4 != 2))
+    unit = draw(st.sampled_from([u for u in range(1, f) if gcd(u, f) == 1]))
+    return AbelianFieldSpec.from_generators(f, [unit])
+
+
+@settings(deadline=None, max_examples=100)
+@given(abelian_fields(), st.integers(-4, -1))
+@example(AbelianFieldSpec.from_generators(39, [1]), -1)
+@example(AbelianFieldSpec.from_generators(39, [38]), -2)
+def test_leading_values_of_the_characters_multiply_to_the_dedekind_value(F, n):
+    # the complex members pair with their conjugates, so the moduli multiply to the signed value
+    factors = [leading_value(chi, n, 30) for chi in F.characters()]
+    total = evaluate_at(zeta_of(NumberRing(F)), n, 30)
+    assert sum(lv.order for lv in factors) == total.order
+    product = Fraction(1)
+    for lv in factors:
+        product *= lv.numeric
+    assert abs(product - total.numeric) <= abs(total.numeric) / 10**30
 
 
 def test_zeta_prime_minus_2_dual_path():
@@ -348,9 +371,9 @@ def test_zeta_prime_minus_2_dual_path():
     with mp.workdps(90):
         h = mp.mpf(10) ** -25
         oracle = numeric_derivative(lambda s: euler_maclaurin_zeta(s), mp.mpf(-2), h)
-        assert abs(as_mpf(lv.value) - oracle) < mp.mpf(10) ** -40
+        assert abs(as_mpf(lv.numeric) - oracle) < mp.mpf(10) ** -40
         # matches the closed form -zeta(3)/(4 pi^2) as well
-        assert abs(as_mpf(lv.value) + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
+        assert abs(as_mpf(lv.numeric) + mp.zeta(3) / (4 * mp.pi**2)) < mp.mpf(10) ** -45
 
 
 def test_chi_minus_4_leading_value_dual_path():
@@ -366,7 +389,7 @@ def test_chi_minus_4_leading_value_dual_path():
     with mp.workdps(90):
         h = mp.mpf(10) ** -25
         oracle = numeric_derivative(L, mp.mpf(-1), h)
-        assert abs(as_mpf(lv.value) - oracle) < mp.mpf(10) ** -40
+        assert abs(as_mpf(lv.numeric) - oracle) < mp.mpf(10) ** -40
 
 
 def test_random_characters_dual_path():
@@ -399,7 +422,7 @@ def test_random_characters_dual_path():
             oracle = numeric_derivative(L, mp.mpf(n), h)
             # a real chi gives the signed value, a complex one its modulus
             expected = oracle if chi.order <= 2 else abs(oracle)
-            assert abs(as_mpf(lv.value) - expected) < mp.mpf(10) ** -30
+            assert abs(as_mpf(lv.numeric) - expected) < mp.mpf(10) ** -30
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from zetaforge.lfunctions import (
     AbelianFieldSpec,
     CyclotomicNumber,
     DirichletCharacter,
-    LeadingValue,
+    SpecialValue,
 )
 from zetaforge.record import Record
 from zetaforge.scheme_algebra import (
@@ -33,7 +33,7 @@ from zetaforge.scheme_algebra import (
     Point,
     Proj,
 )
-from zetaforge.zetarep import FiniteCharFactor, LFactorShifted, RationalFunctionT, SpecialValue, ZetaProduct
+from zetaforge.zetarep import FiniteCharFactor, LFactorShifted, RationalFunctionT, ZetaProduct
 
 Z = RationalFunctionT((1,), (1, -2))
 
@@ -46,10 +46,6 @@ SAMPLES = {
         "DirichletCharacter(modulus=5, order=4, exponents=(None, 0, 1, 3, 2))",
     ),
     "AbelianFieldSpec": (lambda: AbelianFieldSpec(5, (1, 4)), "AbelianFieldSpec(conductor=5, subgroup=(1, 4))"),
-    "LeadingValue": (
-        lambda: LeadingValue(30, numeric=Fraction(3, 4)),
-        "LeadingValue(dps=30, exact=None, numeric=Fraction(3, 4))",
-    ),
     "RationalFunctionT": (lambda: RationalFunctionT((1,), (1, -2)), "RationalFunctionT(num=(1,), den=(1, -2))"),
     "FiniteCharFactor": (
         lambda: FiniteCharFactor(2, Z),
@@ -175,7 +171,6 @@ def test_records_copy_and_pickle(name):
 
 def test_constructor_takes_positions_keywords_and_defaults():
     assert Point(2) == Point(2, 1) == Point(q=2) == Point(m=1, q=2) == Point(2, m=1)
-    assert LeadingValue(30, numeric=Fraction(1)) == LeadingValue(dps=30, exact=None, numeric=Fraction(1))
     assert SpecialValue(order=1, exact=None, numeric=Fraction(1), error=Fraction(0)).order == 1
     for call in (
         lambda: Point(),
