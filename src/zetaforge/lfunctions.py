@@ -31,7 +31,8 @@ embedded only when a product is not rational.  The set-up is shared: tables
 of f^(k-1) B_k(a/f) and zeta(1-n, a/f) per conductor, one Machin run of pi,
 roots of unity strided from one table of order lambda(f) per wp (a norm
 reads the table of its level), and one Euler-Maclaurin plan per (s, dps)
-with a Horner tail (see `_hurwitz_em`).
+from one table of tangent numbers, with a Horner tail scaled to run at
+about the working precision (see `_em_plan`).
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ DEFAULT_PRECISION = 50
 # Bernoulli numbers (exact)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _tangent_numbers(count: int) -> tuple[int, ...]:
     """T_1..T_count, tan x = sum_m T_m x^(2m-1)/(2m-1)!, by the integer
-    recurrence of Brent and Harvey (arXiv:1108.0286, Algorithm TangentNumbers)."""
+    recurrence of Brent and Harvey (arXiv:1108.0286, Algorithm TangentNumbers).
+    The cache is bounded, as each Euler-Maclaurin plan reads a table of its
+    own count, about 1800 numbers (3.5 MB) at 4096 digits."""
     T = [0, 1] + [0] * (count - 1)
     for k in range(2, count + 1):
         T[k] = (k - 1) * T[k - 1]
@@ -608,6 +611,25 @@ def _pi_fixed(wp: int) -> int:
     return (_machin(wp + d) + (1 << (d - 1))) >> d
 
 
+def _pi_power(e: int, bits: int) -> tuple[int, int]:
+    """(X, F) with X / 2^F within 2^-bits pi^e relative, e >= 1, by binary
+    powering at F = bits + bit_length(e) + 2 fractional bits.
+
+    With u = 2^-F, `_pi_fixed(F)` is pi (1 + d), |d| <= u / pi, and every
+    floored product, at least 2^F, is the exact one times 1 - d', 0 <= d' <
+    u.  So the power of exponent e is pi^e times a factor within (1 +- u)^a,
+    a(1) = 1, a squaring taking a to 2a + 1 and a multiplication by pi to
+    a + 2: a(e) <= 3e - 2 by induction.  As 3e u < 3/4 2^-bits, the factor
+    is within (1 + u)^(3e) - 1 <= 3e u e^(3e u) < 2^-bits of one."""
+    F = bits + e.bit_length() + 2
+    X = P = _pi_fixed(F)
+    for bit in bin(e)[3:]:
+        X = X * X >> F
+        if bit == "1":
+            X = X * P >> F
+    return X, F
+
+
 @lru_cache(maxsize=8)
 def _machin(bits: int) -> int:
     """pi 2^bits within 3/4 of a unit, by Machin's formula
@@ -698,47 +720,87 @@ def _root_table(m: int, wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _EM_MAX_HEAD = 1 << 16  # head terms past which the tolerance counts as unreachable
 
 
+def _em_count(s: int, wp: int, N: int) -> int:
+    """J, a count of terms that the search of `_em_terms` at head N > s
+    cannot pass: the first j with |term j| < 2^-(wp+4) for certain, or with
+    |term j| >= |term j-1| for certain.
+
+    As |B_2j| / (2j)! = 2 zeta(2j) (2 pi)^-2j and 1 <= zeta(2j) < 2,
+    |term j| = (|B_2j| / (2j)!) s(s+1)...(s+2j-2) / N^(s+2j-1) lies in
+    [b_j / 2, b_j], b_j = 4 (2 pi)^-2j s(s+1)...(s+2j-2) / N^(s+2j-1), and
+    b_j <= 4 39^-j s(s+1)...(s+2j-2) / N^(s+2j-1) as (2 pi)^2 > 39.  So term
+    j is below the tolerance once that bound is, and |term j| / |term j-1|
+    >= (s+2j-3)(s+2j-2) / (2 (2 pi N)^2) is at least one once (s+2j-3)
+    (s+2j-2) >= 80 N^2 > 2 (2 pi N)^2."""
+    rising, scale, j = 4 * s << (wp + 4), 39 * N ** (s + 1), 1
+    while rising >= scale and (s + 2 * j - 3) * (s + 2 * j - 2) < 80 * N * N:
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        scale *= 39 * N * N
+        j += 1
+    return j
+
+
+def _less(a: int, b: int, c: int) -> bool:
+    """a < b c for positive integers, the product formed only when the bit
+    lengths leave it open: b c has bit_length(b) + bit_length(c) bits or
+    one fewer."""
+    gap = b.bit_length() + c.bit_length() - a.bit_length()
+    return gap > 1 or (gap >= 0 and a < b * c)
+
+
 def _em_terms(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(N, coeffs) with the first omitted term, at most |num| / (den
-    N^(s+2j-1)), below 2^-(wp+4); bounds are compared in integers.  N starts
-    where the head and the tail balance; if the tail terms stop decreasing
-    before the tolerance, N grows by half and the search restarts."""
+    """(N, coeffs) with the first omitted term, |num| / (den N^(s+2j-1)) at
+    x -> 0, below 2^-(wp+4); bounds are compared in integers (`_less`).  N
+    starts where the head and the tail balance; if the tail terms stop
+    decreasing before the tolerance, N grows by half and the search restarts.
+
+    Each c_j = B_2j / (2j)! s(s+1)...(s+2j-2) is the unreduced pair of
+    B_2j / (2j)! = (-1)^(j-1) T_j / (4^j (4^j - 1) (2j-1)!) times the rising
+    product, T_j from one table of `_tangent_numbers` per N, of the
+    `_em_count` terms that the search reads at most."""
     N = int(wp * log(2) / pi) + s + 2
     while N <= _EM_MAX_HEAD:
-        coeffs, last = [], None
-        rising, factorial, j = s, 2, 1  # s(s+1)...(s+2j-2) and (2j)! at j
+        coeffs = []
+        rising, factorial = s, 1  # s(s+1)...(s+2j-2) and (2j-1)! at j
         power = N ** (s + 1)  # N^(s+2j-1) at j
-        while True:
-            b = bernoulli_number(2 * j)
-            num, den = b.numerator * rising, b.denominator * factorial
-            size = (abs(num), den * power)  # |term j| <= size[0] / size[1]
-            if size[0] << (wp + 4) < size[1]:
+        for j, tangent in enumerate(_tangent_numbers(_em_count(s, wp, N)), 1):
+            four = 4**j
+            num, den = parity_sign(j - 1) * tangent * rising, four * (four - 1) * factorial
+            if _less(abs(num) << (wp + 4), den, power):
                 return N, tuple(coeffs)
-            if last is not None and size[0] * last[1] >= last[0] * size[1]:
-                break
+            # |term j| >= |term j-1|, the powers of N cancelled; the ratio is
+            # zeta(2j) / zeta(2j-2) (s+2j-3)(s+2j-2) / (2 pi N)^2, so below one
+            # while (s+2j-3)(s+2j-2) <= 39 N^2, as at j = 1 since N > s
+            if (s + 2 * j - 3) * (s + 2 * j - 2) > 39 * N * N:
+                if abs(num) * coeffs[-1][1] >= abs(coeffs[-1][0]) * den * N * N:
+                    break
             coeffs.append((num, den))
-            last = size
             rising *= (s + 2 * j - 1) * (s + 2 * j)
-            factorial *= (2 * j + 1) * (2 * j + 2)
+            factorial *= 2 * j * (2 * j + 1)
             power *= N * N
-            j += 1
+        else:
+            raise InvariantViolationError(f"Euler-Maclaurin for zeta({s}, x) ran past its tangent table at N = {N}")
         N += N // 2
     raise PrecisionUnderflowError(f"Euler-Maclaurin for zeta({s}, x) cannot reach 2^-{wp}")
 
 
 @lru_cache(maxsize=32)
 def _em_plan(s: int, dps: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """(wp, N, W, floor(c_j 2^W) for j = M..1), the plan for zeta(s, x) at
+    """(wp, N, W, floor(e_j 2^W) for j = M..1), the plan for zeta(s, x) at
     `dps` digits with the head N and tail c_j of `_em_terms`, shared by every
     conductor: wp >= ceil(dps log2 10) + log2(N + M + 2) + 10 makes the error
     (N + M + 3) 2^-wp (see `_hurwitz_em`) at most 2^-10 10^-dps, relative too
     as zeta(s, x) >= 1 on (0, 1].  The search starts at the bits for 2 N
     units, N the first head length, which is the final wp or just above it.
-    The tail sum of c_j u^(j-1), u < 1, is Horner's rule at W bits: a step
-    acc -> c_j 2^W + floor(acc U / 2^W), U = floor(u 2^W), adds a unit for
-    c_j, one for the floor, and U's error times the exact partial sum, below
-    M C units, C the largest |c_j| rounded up: M (2 + M C) units in all,
-    which W = wp + 1 + bit_length(M (2 + M C)) keeps below 2^-(wp+1)."""
+
+    The tail sum of c_j u^(j-1) = e_j v^(j-1), e_j = c_j / N^(2j-2) and
+    v = N^2 u < 1, is Horner's rule at W bits.  Every partial sum is at most
+    E = sum_j ceil(|e_j|), about s/12 + M, whatever the c_j.  The first
+    step, floor(e_M 2^W), is within a unit; each other step acc ->
+    floor(e_j 2^W) + floor(acc V / 2^W), V = floor(v 2^W), adds a unit for
+    e_j, one for the floor, and V's error times acc / 2^W, at most E plus
+    the error so far, below 2^-wp: below M (2 + E) units in all, which
+    W = wp + 1 + bit_length(M (2 + E)) keeps below 2^-(wp+1)."""
     if s < 2:
         raise InvalidArgumentError("the Hurwitz table needs an integer s >= 2")
     wp = _fixed_bits(dps, 0)
@@ -749,18 +811,18 @@ def _em_plan(s: int, dps: int) -> tuple[int, int, int, tuple[int, ...]]:
         if wp >= need:
             break
         wp = need
-    M = len(coeffs)
-    C = max((-(-abs(num) // den) for num, den in coeffs), default=0)
-    W = wp + 1 + (M * (2 + M * C)).bit_length()
-    return wp, N, W, tuple((num << W) // den for num, den in reversed(coeffs))
+    scaled = [(num, den * N ** (2 * j)) for j, (num, den) in enumerate(coeffs)]  # e_(j+1)
+    E = sum(-(-abs(num) // den) for num, den in scaled)
+    W = wp + 1 + (len(scaled) * (2 + E)).bit_length()
+    return wp, N, W, tuple((num << W) // den for num, den in reversed(scaled))
 
 
 def _hurwitz_em(f: int, a: int, s: int, plan: tuple) -> int:
     """zeta(s, a/f) * 2^wp, within N + M + 3 units, in integers only.
 
     With m = N f + a, the head is N + 2 floors of exact ratios; the tail,
-    (f/m)^(s+1) sum_j c_j u^(j-1) with u = (f/m)^2, is the plan's Horner pass
-    within half a unit and one floor.  With R below 1/16 that is below
+    (f/m)^(s+1) sum_j e_j v^(j-1) with v = (N f/m)^2, is the plan's Horner
+    pass within half a unit and one floor.  With R below 1/16 that is below
     N + 2 + 3/2 + 1/16 units, inside N + M + 3 as M >= 1 when there is a tail.
     """
     wp, N, W, fixed = plan
@@ -769,9 +831,9 @@ def _hurwitz_em(f: int, a: int, s: int, plan: tuple) -> int:
     fk, mk = f ** (s - 1), m ** (s - 1)
     acc += (fk << wp) // ((s - 1) * mk)
     acc += (fk * f << wp) // (2 * mk * m)
-    u, tail = (f * f << W) // (m * m), 0
-    for c in fixed:
-        tail = c + (tail * u >> W)
+    v, tail = ((N * f) ** 2 << W) // (m * m), 0
+    for e in fixed:
+        tail = e + (tail * v >> W)
     return acc + tail * fk * f * f // (mk * m * m << (W - wp))
 
 
@@ -879,9 +941,9 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
     """The leading value of L(s, chi) at s = n < 0, real or else its modulus,
     for each pair of `table`, in order: at order 0 a rational one or else
     `_member_moduli`, and at a trivial zero |r| |H| / (sqrt f pi^-n), signed
-    like r H for a real chi: |H| / sqrt f one integer square root and pi^-n
-    a power of `_pi_fixed`, each within 2^-9 10^-dps relative, and the
-    quotient rounded once, within 2^-7 10^-dps."""
+    like r H for a real chi: |H| / sqrt f one integer square root within
+    2^-9 10^-dps relative, pi^-n from `_pi_power` within 2^-10 10^-dps
+    relative, and the quotient rounded once, within 2^-7 10^-dps."""
     out = [None] * sum(len(members) for *_, members in table)
     for chi, n, exact, order, members in table:
         f, m = chi.modulus, chi.order
@@ -895,14 +957,15 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
             k = h + a
             wp = _em_plan(1 - n, dps)[0]
             # |r| |H| / (sqrt f pi^-n) with r = sign c / (2 4^k k!), |H| / sqrt f =
-            # root 4^-wp and pi^-n = P^-n 2^(n wp), rounded from the integer pair
+            # root 4^-wp and pi^-n = X 2^-F, rounded from the integer pair
             sign, c = parity_sign(h), factorial(2 * k) * factorial(h)
-            den = 2 * 4**k * factorial(k) * (_pi_fixed(wp) ** -n << wp)
             bits = _fixed_bits(dps, 0)
+            X, F = _pi_power(-n, bits)
+            den = 2 * 4**k * factorial(k) * X << 2 * wp
             values = []
             for re, im in _hurwitz_H(chi, 1 - n, dps, js):
                 root = isqrt((re * re + im * im << 2 * wp) // f)
-                value = c * root << (-n - 1) * wp
+                value = c * root << F
                 values.append(_round(-value if m <= 2 and sign * re < 0 else value, bits, den))
         for (index, _), value in zip(members, values):
             out[index] = value

@@ -785,6 +785,10 @@ def golden_cases(tmp_path) -> dict:
         "value_real_f1303.json": [
             "value", "(numberring :conductor 1303 :subgroup (1 1302))", "-n", "-1", "--precision", "20"
         ],
+        # a thousand digits: the Euler-Maclaurin tail summed at the working precision
+        "value_q_zeta11_p1000.json": [
+            "value", "(numberring :conductor 11 :subgroup (1))", "-n", "-1", "--precision", "1000"
+        ],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology
         "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],

@@ -468,15 +468,46 @@ def test_hurwitz_table_within_n_plus_m_plus_3_units(f, s, dps):
 
 
 def test_horner_bits_cover_the_tail():
-    # W - wp = 1 + bit_length(M (2 + M C)), C the largest |c_j| rounded up
-    for s, dps in ((2, 15), (3, 67), (10, 150)):
+    # W - wp - 1 = bit_length(M (2 + E)), E = sum_j ceil(|e_j|) for the scaled
+    # tail e_j = c_j / N^(2j-2), each stored within one unit of e_j 2^W
+    for s, dps in ((2, 15), (3, 67), (10, 150), (60, 400)):
         wp, N, W, fixed = lfunctions._em_plan(s, dps)
         head, coeffs = lfunctions._em_terms(s, wp)
-        assert head == N
-        M, C = len(coeffs), max(-(-abs(num) // den) for num, den in coeffs)
-        assert len(fixed) == M and 2 ** (W - wp - 1) > M * (2 + M * C) >= 2 ** (W - wp - 2)
-        for c, (num, den) in zip(fixed, reversed(coeffs)):
-            assert abs(c - Fraction(num << W, den)) <= 1
+        assert head == N and len(fixed) == len(coeffs)
+        scaled = [Fraction(num, den * N ** (2 * j - 2)) for j, (num, den) in enumerate(coeffs, 1)]
+        E = sum(-(-abs(e.numerator) // e.denominator) for e in scaled)
+        assert W - wp - 1 == (len(coeffs) * (2 + E)).bit_length()
+        for c, e in zip(fixed, reversed(scaled)):
+            assert abs(c - e * 2**W) <= 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 2**300), st.integers(1, 2**300), st.integers(1, 2**300), st.integers(-1, 1))
+def test_less_orders_as_the_product(a, b, c, near):
+    # a next to b c too, where the bit lengths leave the order open
+    if near:
+        a = max(1, b * c + near)
+    assert lfunctions._less(a, b, c) == (a < b * c)
+
+
+@pytest.mark.parametrize("s", [2, 3, 9, 40, 300])
+@pytest.mark.parametrize("dps", [15, 150, 600])
+def test_tangent_table_covers_the_search(s, dps):
+    # the search reads T_1..T_(M+1) of the one table `_em_count` sizes, at the plan's N
+    wp, N, _, fixed = lfunctions._em_plan(s, dps)
+    count = lfunctions._em_count(s, wp, N)
+    assert len(fixed) + 1 <= count <= len(fixed) + 3
+
+
+@pytest.mark.parametrize("dps", [600, 1200])
+def test_hurwitz_kernel_within_n_plus_m_plus_3_units_at_high_precision(dps):
+    # against mpmath at twice the bits, past the digits of the property tests
+    for f, a, s in ((1, 1, 2), (11, 10, 2), (7, 3, 4), (13, 1, 6)):
+        plan = lfunctions._em_plan(s, dps)
+        wp, N, _, tail = plan
+        with mp.workprec(2 * wp):
+            expected = mp.ldexp(mp.zeta(s, mp.mpf(a) / f), wp)
+            assert abs(lfunctions._hurwitz_em(f, a, s, plan) - expected) < N + len(tail) + 3
 
 
 @pytest.mark.parametrize("s", [2, 3, 7, 10])
@@ -553,6 +584,16 @@ def test_pi_fixed_within_one_unit_in_any_order_of_calls(wps):
         with mp.workprec(max(wps) + 40):
             assert all(abs(v - mp.ldexp(mp.pi, wp)) < 1 for v, wp in zip(seen[-1], order))
     assert dict(zip(wps, seen[0])) == dict(zip(sorted(wps), seen[1])) == dict(zip(sorted(wps, reverse=True), seen[2]))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 1024, 2047])
+@pytest.mark.parametrize("bits", [20, 300, 4000])
+def test_pi_power_within_its_radius(e, bits):
+    # pi^e at bits + bit_length(e) + 2 fractional bits, within 2^-bits relative
+    X, F = lfunctions._pi_power(e, bits)
+    assert F == bits + e.bit_length() + 2
+    with mp.workprec(F + 2 * e + 64):
+        assert abs(X / mp.ldexp(mp.pi**e, F) - 1) < mp.ldexp(1, -bits)
 
 
 @FIXED_POINT
