@@ -42,7 +42,7 @@ from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeEr
 from .intlinalg import is_prime, parity_sign, read_int, read_key
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
-from .zetarep import evaluate_at, format_decimal, vanishing_order
+from .zetarep import _exact_str, evaluate_at, format_decimal, vanishing_order
 
 __all__ = ["parse_hodge_json", "run_command", "main"]
 
@@ -142,7 +142,7 @@ def _cmd_value(expr: SchemeExpr, args) -> tuple[dict, bool]:
         "expression": format_expr(expr),
         "n": args.n,
         "order": value.order,
-        "exact": None if value.exact is None else str(value.exact),
+        "exact": None if value.exact is None else _exact_str(value.exact),
         "exact_flag": value.is_exact,
         "numeric": format_decimal(value.numeric, args.precision),
         "error_bound": format_decimal(value.error, 5),

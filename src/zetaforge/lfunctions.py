@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, isqrt, lcm, log, pi, prod
+from math import factorial, gcd, isqrt, lcm, log, pi, prod
 from operator import mul
 
 from . import poly
@@ -469,11 +469,13 @@ QI = AbelianFieldSpec(4, (1,))
 def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(f L, ((a, f L f^(k-1) B_k(a/f)) for the units a in 1..f)), L the lcm
     of the denominators of B_0..B_k: L f^k B_k(a/f) = sum_j C(k, j) L B_j f^j
-    a^(k-j) is an integer polynomial in a, evaluated at each unit."""
+    a^(k-j) is an integer polynomial in a, evaluated at each unit; C(k, j) L f^j
+    is a running product, times (k - j) f and divided exactly by j + 1."""
     numbers = [bernoulli_number(j) for j in range(k + 1)]
     L = lcm(*(b.denominator for b in numbers))
+    terms = itertools.accumulate(range(k), lambda t, j: t * (k - j) * f // (j + 1), initial=L)
     # ascending in a: the coefficient of a^i comes from j = k - i
-    coeffs = [comb(k, j) * b.numerator * (L // b.denominator) * f**j for j, b in enumerate(numbers)]
+    coeffs = [t // b.denominator * b.numerator for t, b in zip(terms, numbers)]
     coeffs.reverse()
     return f * L, tuple((a, poly.evaluate(coeffs, a)) for a in _units(f))
 
@@ -586,21 +588,19 @@ def _fixed_bits(dps: int, units: int) -> int:
     return (10**dps).bit_length() + 10 + units.bit_length()
 
 
-def _round(x, bits: int, d: int = 1) -> Fraction:
-    """x / d rounded to `bits` significant bits, for an int or Fraction x
-    and an int d > 0: a dyadic rational within 2^-bits |x / d| of it.
+def _round(n: int, d: int, bits: int) -> tuple[int, int]:
+    """n / d rounded to `bits` significant bits, for ints n and d > 0: a
+    dyadic pair (num, 2^k) within 2^-bits |n / d| of it, not reduced.
 
-    The shift reads the bit lengths of x's numerator and of d times x's
-    denominator as they are, reduced or not, so an integer pair is rounded
-    without a gcd.  Any nonzero pair N / D has |N / D| 2^shift >= 2^(bits-1),
-    so the radius holds either way; an unreduced pair may keep one bit more
-    than its reduced form would."""
-    n, d = x.numerator, x.denominator * d
+    The shift reads the bit lengths of n and d as they are, reduced or not,
+    so a pair is rounded without a gcd.  Any nonzero pair N / D has
+    |N / D| 2^shift >= 2^(bits-1), so the radius holds either way; an
+    unreduced pair may keep one bit more than its reduced form would."""
     shift = bits - n.bit_length() + d.bit_length()  # |n / d| 2^shift >= 2^(bits-1)
     if shift >= 0:
-        return Fraction(((n << shift) + (d >> 1)) // d, 1 << shift)
+        return ((n << shift) + (d >> 1)) // d, 1 << shift
     d <<= -shift
-    return Fraction((n + (d >> 1)) // d << -shift)
+    return (n + (d >> 1)) // d << -shift, 1
 
 
 def _pi_fixed(wp: int) -> int:
@@ -884,16 +884,14 @@ def gauss_sum(chi: DirichletCharacter, precision: int = DEFAULT_PRECISION) -> tu
     return tuple(Fraction(v, 1 << wp) for v in _gauss_fixed(chi, wp))
 
 
-def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[Fraction]:
-    """|sigma_j(x)| at `dps` digits for each unit j in `js`, the level m of x
-    dividing `period`: `_at_roots` of its numerators is within sum_i |num[i]|
-    units and the integer square root one more, below 2^-10 10^-dps
-    sum_i |num[i]| / den; then rounded to wp bits."""
+def _member_moduli(x: CyclotomicNumber, period: int, dps: int, js) -> list[tuple[int, int]]:
+    """|sigma_j(x)| at `dps` digits for each unit j in `js`, an integer pair,
+    the level m of x dividing `period`: `_at_roots` of its numerators is
+    within sum_i |num[i]| units and the integer square root one more, below
+    2^-10 10^-dps sum_i |num[i]| / den; then reduced and rounded to wp bits."""
     wp = _fixed_bits(dps, 1)
-    return [
-        _round(Fraction(isqrt(re * re + im * im), x.den << wp), wp)
-        for re, im in _at_roots(x.num, x.level, period, wp, js)
-    ]
+    pairs = [(isqrt(re * re + im * im), x.den << wp) for re, im in _at_roots(x.num, x.level, period, wp, js)]
+    return [_round(r // (g := gcd(r, d)), d // g, wp) for r, d in pairs]
 
 
 def _orbit_norm(x: CyclotomicNumber) -> Fraction:
@@ -937,9 +935,10 @@ def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int,
     return [(re >> wp, -(im >> wp)) for re, im in _at_roots(y, chi.order, _exponent(f), wp, js)]
 
 
-def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]:
+def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[tuple[int, int]]:
     """The leading value of L(s, chi) at s = n < 0, real or else its modulus,
-    for each pair of `table`, in order: at order 0 a rational one or else
+    as an integer pair (num, den > 0), not always reduced, for each pair of
+    `table`, in order: at order 0 a rational one or else
     `_member_moduli`, and at a trivial zero |r| |H| / (sqrt f pi^-n), signed
     like r H for a real chi: |H| / sqrt f one integer square root within
     2^-9 10^-dps relative, pi^-n from `_pi_power` within 2^-10 10^-dps
@@ -950,7 +949,8 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
         dps = _working_dps(precision, f)
         js = [j for _, j in members]
         if order == 0:
-            values = [exact.rational_value()] * len(js) if exact.is_rational else _member_moduli(exact, _exponent(f), dps, js)
+            ratio = exact.is_rational and exact.rational_value().as_integer_ratio()
+            values = [ratio] * len(js) if ratio else _member_moduli(exact, _exponent(f), dps, js)
         else:
             a = 0 if chi.parity == 1 else 1
             h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
@@ -966,7 +966,7 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[Fraction]
             for re, im in _hurwitz_H(chi, 1 - n, dps, js):
                 root = isqrt((re * re + im * im << 2 * wp) // f)
                 value = c * root << F
-                values.append(_round(-value if m <= 2 and sign * re < 0 else value, bits, den))
+                values.append(_round(-value if m <= 2 and sign * re < 0 else value, den, bits))
         for (index, _), value in zip(members, values):
             out[index] = value
     return out
@@ -979,6 +979,6 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     (|v|+1) 10^-(precision+5)."""
     table = _orbit_table([(chi, n)])
     _, _, exact, order, _ = table[0]
-    numeric = _leading_values(table, precision)[0]
+    numeric = Fraction(*_leading_values(table, precision)[0])
     rational = numeric if order == 0 and exact.is_rational else None
     return SpecialValue(order, rational, numeric, (abs(numeric) + 1) / 10 ** (precision + 5))

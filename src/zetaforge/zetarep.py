@@ -12,6 +12,7 @@ trivial zeros of the L-factors.
 
 from __future__ import annotations
 
+import decimal
 from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, log10
@@ -351,6 +352,24 @@ def format_decimal(x: Fraction, digits: int) -> str:
     return ("-" if x < 0 else "") + text + ("0" if text.endswith(".") else "") + suffix
 
 
+def _exact_str(x) -> str:
+    """str(x) for a Fraction x in near-linear time, where str() of an int is
+    quadratic below Python 3.12 (11 s for a million digits): past 8192 bits
+    an integer, cut at half its bits into lo + hi 2^h, is rebuilt in
+    `decimal`, whose products are subquadratic, and printed once."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 8192:
+        return str(x)
+
+    def digits(n, w):  # n >= 0 below 2^w
+        h = w >> 1
+        D = decimal.Decimal
+        return D(n) if w <= 8192 else digits(n & ((1 << h) - 1), h) + digits(n >> h, w - h) * D(2) ** h
+
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+        num, den = (str(digits(abs(n), n.bit_length())) for n in x.as_integer_ratio())
+    return ("-" if x < 0 else "") + num + ("" if den == "1" else "/" + den)
+
+
 def _check_tables(z: ZetaProduct, n: int, precision: int) -> None:
     """Refuse the leading values at the trivial zeros of z's L-factors at
     `precision` digits whose Hurwitz tables, one per conductor and weight,
@@ -384,10 +403,8 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     the L-factors must be closed under conjugation, conj chi^j = chi^(-j)
     being in the same orbit: in each orbit members j and -j mod m have one
     exponent, read off the same count of exponents per member.  The
-    product of the real leading values (a complex one's modulus) is rounded
-    after each factor to bits where (count + 1) roundings stay below
-    2^-10 10^-dps.  The nominal bound sums (|v|+1) 10^-(precision+5)
-    relative to |v| + 10^-dps over the factors.
+    product of the real leading values (a complex one's modulus) and its
+    nominal bound are formed by `_numeric_product`.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
@@ -400,7 +417,6 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
     _check_tables(z, n, precision)  # before any L-value
     table, order = _orbits(z, n)
     exps = [e for _, e in z.char_zero]
-    tolerance = Fraction(1, 10 ** (precision + 5))
 
     balances = [Counter() for _ in table]  # per orbit: member j mod m -> its exponent
     for (chi, *_, members), balance in zip(table, balances):
@@ -414,18 +430,32 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
         for (chi, _, exact, _, _), balance in zip(table, balances):
             (e,) = set(balance.values())
             value *= (exact.rational_value() if chi.order <= 2 else _orbit_norm(exact)) ** e
-        return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) * tolerance)
+        return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) / 10 ** (precision + 5))
 
     for (chi, *_), balance in zip(table, balances):
         if any(e != balance[-j % chi.order] for j, e in balance.items()):
             raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
                                           "not closed under conjugation")
-    dps = precision + 20
-    bits = _fixed_bits(dps, sum(map(abs, exps)))
-    numeric, rel_err = rational_part, Fraction(0)
-    for value, e in zip(_leading_values(table, precision), exps):
-        size = abs(value)
-        rel_err = _round(rel_err + abs(e) * (size + 1) * tolerance / (size + Fraction(1, 10**dps)), bits)
-        numeric = _round(numeric * value**e, bits)
-    error = (abs(numeric) + 1) * (rel_err + tolerance)
+    numeric, error = _numeric_product(rational_part, _leading_values(table, precision), exps, precision)
     return SpecialValue(order=order, exact=None, numeric=numeric, error=error)
+
+
+def _numeric_product(rational_part: Fraction, values, exps, precision: int) -> tuple[Fraction, Fraction]:
+    """rational_part times each value v = c / d, an integer pair with d > 0,
+    to its exponent e, and the nominal bound: the product is rounded after
+    each factor to bits where (count + 1) roundings stay below 2^-10 10^-dps,
+    and the relative bound sums |e| (|v|+1) 10^-(precision+5) / (|v| + 10^-dps),
+    rounded the same way.  Both run on integer pairs, a / b and r / s, each
+    reduced by one gcd before it is rounded, as a Fraction would be."""
+    T, D = 10 ** (precision + 5), 10 ** (precision + 20)
+    bits = _fixed_bits(precision + 20, sum(map(abs, exps)))
+    a, b, r, s = rational_part.numerator, rational_part.denominator, 0, 1
+    for (c, d), e in zip(values, exps):
+        # |e| (|v| + 1) / (T (|v| + 1/D)) = |e| (|c| + d) D / (T q), q = |c| D + d
+        q = abs(c) * D + d
+        num, den = r * T * q + s * abs(e) * (abs(c) + d) * D, s * T * q
+        r, s = _round(num // (g := gcd(num, den)), den // g, bits)
+        num, den = (a * c**e, b * d**e) if e > 0 else (a * (d if c > 0 else -d) ** -e, b * abs(c) ** -e)
+        a, b = _round(num // (g := gcd(num, den)), den // g, bits)
+    numeric = Fraction(a, b)
+    return numeric, (abs(numeric) + 1) * (Fraction(r, s) + Fraction(1, T))

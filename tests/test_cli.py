@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -270,6 +271,18 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     assert code == 2 and data["error"]["code"] == "out-of-memory"
     code, out = run_cli(capsys, "value", "(point 2)", "-n", "-1")
     assert code == 2 and out == ""
+
+
+def test_a_million_digit_exact_value_prints_in_under_a_few_seconds(capsys):
+    # 1 / (1 - 2^3400000): str() of its denominator alone takes about 11 s
+    # below Python 3.12, so its digits are checked at both ends and counted
+    start = time.perf_counter()
+    code, data = run_json(capsys, "value", "(point 2)", "-n", "-3400000")
+    assert code == 0 and time.perf_counter() - start < 5
+    sign, den = data["exact"].split("/")
+    lead = decimal.Context(prec=60, Emax=decimal.MAX_EMAX).power(decimal.Decimal(2), 3400000)
+    assert sign == "-1" and len(den) == 1023502 and den[:50] == str(lead).replace(".", "")[:50]
+    assert int(den[-60:]) == pow(2, 3400000, 10**60) - 1
 
 
 def _run_under_1gb(argv, command=("-m", "zetaforge.cli")):
@@ -788,6 +801,19 @@ def golden_cases(tmp_path) -> dict:
         # a thousand digits: the Euler-Maclaurin tail summed at the working precision
         "value_q_zeta11_p1000.json": [
             "value", "(numberring :conductor 11 :subgroup (1))", "-n", "-1", "--precision", "1000"
+        ],
+        # numeric products with exponents other than 1: -1 (order -1), 2 (order 6),
+        # and a shift times a finite-characteristic rational part (order 3)
+        "value_minus_q_f5.json": [
+            "value", "(minus (Q) (numberring :conductor 5 :subgroup (1)))", "-n", "-2", "--precision", "40"
+        ],
+        "value_disjoint_f7.json": [
+            "value", "(disjoint (numberring :conductor 7 :subgroup (1)) (numberring :conductor 7 :subgroup (1)))",
+            "-n", "-2", "--precision", "40",
+        ],
+        "value_affine_minus_f7.json": [
+            "value", "(minus (affine 1 (numberring :conductor 7 :subgroup (1))) (point 2))",
+            "-n", "-2", "--precision", "40",
         ],
         "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
         # a scrambled three-term complex with torsion and free cohomology

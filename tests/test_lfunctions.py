@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, lcm
 
 import mpmath as mp
 import pytest
@@ -134,7 +134,7 @@ def test_cyclotomic_numeric_matches_direct_summation(pair, stride, data):
     # |sigma_j(x)| for a random unit j, the roots strided from a table of order stride * level
     x, cx = pair
     j = unit_mod(data, x.level)
-    (modulus,) = lfunctions._member_moduli(x, stride * x.level, 60, [j])
+    modulus = Fraction(*lfunctions._member_moduli(x, stride * x.level, 60, [j])[0])
     with mp.workdps(60):
         direct = mp.fsum(
             mp.mpf(c.numerator) / c.denominator * mp.expjpi(mp.mpf(2 * i * j) / x.level) for i, c in enumerate(cx)
@@ -158,6 +158,18 @@ def test_bernoulli_numbers():
 
 def test_bernoulli_numbers_match_the_defining_recurrence():
     assert [bernoulli_number(k) for k in range(301)] == bernoulli_numbers(301)
+
+
+def test_bernoulli_tables_match_the_binomial_formula():
+    # the running products C(k, j) L f^j against one comb and one power per j
+    for f in (1, 3, 4, 12, 13, 97):
+        for k in range(1, 41):
+            numbers = [bernoulli_number(j) for j in range(k + 1)]
+            L = lcm(*(b.denominator for b in numbers))
+            coeffs = [comb(k, j) * b.numerator * (L // b.denominator) * f**j for j, b in enumerate(numbers)][::-1]
+            units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+            expected = (f * L, tuple((a, sum(c * a**i for i, c in enumerate(coeffs))) for a in units))
+            assert lfunctions._bernoulli_table(f, k) == expected, (f, k)
 
 
 def test_cyclotomic_polynomials_match_the_division_oracle():
@@ -667,7 +679,7 @@ def test_cyclotomic_embedding_within_its_radius(level, num, den, dps, stride, da
     j = unit_mod(data, level)
     ones = sum(map(abs, x.num))
     wp = lfunctions._fixed_bits(dps, 1)
-    (modulus,) = lfunctions._member_moduli(x, stride * level, dps, [j])
+    modulus = Fraction(*lfunctions._member_moduli(x, stride * level, dps, [j])[0])
     with mp.workprec(2 * wp + 20):
         value = abs(mp.fsum(c * oracle_root(i * j, level) for i, c in enumerate(x.num))) / x.den
         error = abs(as_mpf(modulus) - value)
@@ -694,7 +706,7 @@ def test_orbit_values_match_the_oracle_per_character(field, n):
     # mpmath's L-function of that member
     chars = field.characters()
     table = lfunctions._orbit_table([(chi, n) for chi in chars])
-    values = lfunctions._leading_values(table, 20)
+    values = [Fraction(*pair) for pair in lfunctions._leading_values(table, 20)]
     assert sorted(index for *_, members in table for index, _ in members) == list(range(len(chars)))
     with mp.workdps(40):
         for _, _, exact, order, members in table:
@@ -703,7 +715,7 @@ def test_orbit_values_match_the_oracle_per_character(field, n):
                 expected_order, expected = leading_coefficient(chi.exponents, chi.order, n)
                 assert order == expected_order
                 if order == 0:
-                    (modulus,) = lfunctions._member_moduli(exact, exact.level, 40, [j])
+                    modulus = Fraction(*lfunctions._member_moduli(exact, exact.level, 40, [j])[0])
                     assert abs(as_mpf(modulus) - abs(expected)) <= mp.mpf(10) ** -30 * (1 + abs(expected))
                 expected = expected.real if chi.order <= 2 else abs(expected)
                 assert abs(as_mpf(values[index]) - expected) <= mp.mpf(10) ** -25 * abs(expected)

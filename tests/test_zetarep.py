@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -427,3 +428,69 @@ def test_format_decimal_of_a_huge_denominator():
     assert format_decimal(x, 50) == format_decimal(-x, 50)[1:] == printed
     with mp.workprec(300):
         assert mp.nstr(1 / (mp.mpf(2) ** 3400000 - 1), 50) == printed
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exact_values_print_as_str_prints_them(unlimited_int_digits):
+    # random integers of up to 10^5 digits, either sign, alone and over a
+    # denominator, on both sides of the 8192 bits where the halving starts
+    rng = random.Random(35)
+    sizes = [1, 64, 8191, 8192, 8193, 16385, 100000, 332193] + [rng.randrange(1, 332193) for _ in range(4)]
+    for bits in sizes:
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        d = rng.getrandbits(rng.randrange(1, bits + 1)) | 1
+        for x in (Fraction(n), Fraction(-n), Fraction(n, d), Fraction(-d, n)):
+            assert zetarep._exact_str(x) == str(x)
+
+
+def fraction_round(x, bits):
+    """The rounding of the leading-value product as it was done on Fractions."""
+    n, d = x.numerator, x.denominator
+    shift = bits - n.bit_length() + d.bit_length()
+    if shift >= 0:
+        return Fraction(((n << shift) + (d >> 1)) // d, 1 << shift)
+    d <<= -shift
+    return Fraction((n + (d >> 1)) // d << -shift)
+
+
+def fraction_product(rational_part, values, exps, precision):
+    """evaluate_at's numeric product and nominal bound, formed on Fractions."""
+    tolerance = Fraction(1, 10 ** (precision + 5))
+    dps = precision + 20
+    bits = lfunctions._fixed_bits(dps, sum(map(abs, exps)))
+    numeric, rel_err = rational_part, Fraction(0)
+    for value, e in zip(values, exps):
+        size = abs(value)
+        rel_err = fraction_round(rel_err + abs(e) * (size + 1) * tolerance / (size + Fraction(1, 10**dps)), bits)
+        numeric = fraction_round(numeric * value**e, bits)
+    return numeric, (abs(numeric) + 1) * (rel_err + tolerance)
+
+
+_NONZERO = st.integers(-(10**300), 10**300).filter(bool)
+_DYADIC = st.builds(lambda m, k: Fraction(m) * Fraction(2) ** k, _NONZERO, st.integers(-1200, 1200))
+_RATIONAL = st.builds(Fraction, _NONZERO, st.integers(1, 10**300))
+# a leading value, and the factor its integer pair carries unreduced, as `_round` leaves dyadic pairs
+_PAIRS = st.tuples(_DYADIC | _RATIONAL, st.sampled_from([1, 2, 4, 2**61]) | st.integers(1, 10**6))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _DYADIC | _RATIONAL,
+    st.lists(st.tuples(_PAIRS, st.integers(-3, 3).filter(bool)), min_size=1, max_size=6),
+    st.integers(1, 300),
+)
+@example(Fraction(3), [((Fraction(5, 7), 2), 1), ((Fraction(-3, 4), 3), -3)], 1)
+def test_the_integer_pair_product_rounds_as_the_fraction_product(rational_part, factors, precision):
+    # numeric and error as the Fraction loop gives them, whatever the pairs' common factors
+    values = [value for (value, _), _ in factors]
+    pairs = [(value.numerator * k, value.denominator * k) for (value, k), _ in factors]
+    exps = [e for _, e in factors]
+    expected = fraction_product(rational_part, values, exps, precision)
+    assert zetarep._numeric_product(rational_part, pairs, exps, precision) == expected
