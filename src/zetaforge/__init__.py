@@ -9,13 +9,7 @@ orders and special values of the attached zeta functions by independent
 analytic and cohomological routes and checks that they agree.
 """
 
-from .archimedean import (
-    HodgeData,
-    equivariant_dims,
-    gamma_factor_order,
-    hodge_equivariant_dims,
-    vanishing_order_conjectural,
-)
+from .archimedean import equivariant_dims, vanishing_order_conjectural
 from .detcomplex import (
     BoundedFreeComplex,
     cohomology,

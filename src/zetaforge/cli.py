@@ -39,12 +39,12 @@ from typing import Callable, NamedTuple
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
-from .intlinalg import is_prime, parity_sign, read_int, read_key
+from .intlinalg import is_prime, read_int
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
 from .zetarep import _exact_str, evaluate_at, format_decimal, vanishing_order
 
-__all__ = ["parse_hodge_json", "run_command", "main"]
+__all__ = ["run_command", "main"]
 
 
 def _json_loads(text: str):
@@ -53,36 +53,6 @@ def _json_loads(text: str):
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
-
-
-_HODGE_SHAPE = '--hodge must be {"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}'
-
-
-def parse_hodge_json(text: str) -> archimedean.HodgeData:
-    """{"hpq": {"p,q": h, ...}, "diag": {"p": [plus, minus], ...}}
-
-    p and q are decimal integers as `read_key` reads them, h, plus and minus
-    JSON integers; any other key or shape is an InvalidArgumentError.
-    """
-    data = _json_loads(text)
-    hpq = data.get("hpq", {}) if isinstance(data, dict) else None
-    diag = data.get("diag", {}) if isinstance(data, dict) else None
-    if not (
-        isinstance(hpq, dict)
-        and isinstance(diag, dict)
-        and set(data) <= {"hpq", "diag"}
-        and all(isinstance(pair, list) and len(pair) == 2 for pair in diag.values())
-    ):
-        raise InvalidArgumentError(_HODGE_SHAPE)
-    try:
-        weights = {}
-        for key, h in hpq.items():
-            p, q = (read_key(x) for x in key.split(","))
-            weights[(p, q)] = read_int(h)
-        diagonal = {read_key(key): (read_int(pair[0]), read_int(pair[1])) for key, pair in diag.items()}
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(_HODGE_SHAPE) from None
-    return archimedean.HodgeData.make(weights, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +74,7 @@ def _cmd_zeta(expr: SchemeExpr, args) -> tuple[dict, bool]:
     return report, True
 
 
-def _cmd_ord(expr: SchemeExpr | None, args) -> tuple[dict, bool]:
-    if args.hodge:
-        H = parse_hodge_json(args.hodge)
-        dims = archimedean.hodge_equivariant_dims(H, args.n)
-        chi = sum(parity_sign(i) * d for i, d in dims.items())
-        gamma = archimedean.gamma_factor_order(H, args.n)
-        ok = gamma == chi
-        return {
-            "command": args.verb,
-            "n": args.n,
-            "hodge_equivariant_dims": {str(i): d for i, d in sorted(dims.items())},
-            "chi": chi,
-            "gamma_factor_order": gamma,
-            "vo": "pass" if ok else "fail",
-            "pass": ok,
-        }, ok
+def _cmd_ord(expr: SchemeExpr, args) -> tuple[dict, bool]:
     entry = Evaluation(expr, args.n)
     analytic = vanishing_order(entry.zeta, args.n)
     conjectural = archimedean.vanishing_order_conjectural(entry, args.n)
@@ -387,8 +342,7 @@ class _Verb(NamedTuple):
     `positional` is the field its one positional fills ("expression", "file"
     or None) and `options` maps its own options to their defaults.  The
     reader requires the field `required`, as argparse did; `run_command`
-    requires the expression of an expression verb (or --hodge in its place,
-    never both), and -n when `needs_n`.
+    requires the expression of an expression verb, and -n when `needs_n`.
     """
 
     handler: Callable
@@ -398,7 +352,7 @@ class _Verb(NamedTuple):
     needs_n: bool = False
 
 
-_ORD = _Verb(_cmd_ord, "expression", {"--hodge": None}, needs_n=True)
+_ORD = _Verb(_cmd_ord, "expression", {}, needs_n=True)
 _VERBS = {
     "zeta": _Verb(_cmd_zeta, "expression", {}),
     "ord": _ORD,
@@ -422,7 +376,6 @@ usage: zetaforge VERB [EXPRESSION | FILE] [options]
 
   zeta EXPR                      factored zeta function
   ord EXPR -n N                  analytic vs conjectural order (alias verify-vo)
-  ord --hodge JSON -n N          the same from Hodge data
   value EXPR -n N                special value; --precision DIGITS
   verify-c EXPR -n N             |zeta(X, n)| against chi_x
   trace-check EXPR               point counts against the series
@@ -451,11 +404,9 @@ def run_command(args) -> tuple[dict, bool]:
         raise InvalidArgumentError(f"--series-order {args.series_order} is above {_MAX_SERIES_ORDER}: too long to compute")
     if verb.positional != "expression":
         return verb.handler(args)
-    if args.hodge and args.expression is not None:
-        raise UsageError(f"{args.verb} takes an expression or --hodge, not both")
-    if not args.hodge and args.expression is None:
+    if args.expression is None:
         raise UsageError(f"{args.verb} requires an expression")
-    expr = None if args.hodge else parse_expr(args.expression)
+    expr = parse_expr(args.expression)
     if verb.needs_n:
         if args.n is None:
             raise UsageError(f"{args.verb} requires -n")
@@ -564,7 +515,7 @@ def _read_argv(argv, args) -> bool:
 
 def main(argv=None) -> int:
     args = SimpleNamespace(
-        verb=None, expression=None, file=None, manifest=None, hodge=None,
+        verb=None, expression=None, file=None, manifest=None,
         n=None, format="text", series_order=10, ell=None, precision=None,
     )
     try:

@@ -9,13 +9,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from zetaforge.archimedean import (
-    ELLIPTIC_CURVE_HODGE,
-    P1_HODGE,
-    gamma_factor_order,
-    hodge_equivariant_dims,
-    vanishing_order_conjectural,
-)
+from zetaforge.archimedean import vanishing_order_conjectural
 from zetaforge.detcomplex import determinant, multiplicative_euler_char
 from zetaforge.errors import GradedDataUnavailableError
 from zetaforge.ffengine import (
@@ -238,22 +232,6 @@ def test_criterion_6_number_ring_vanishing_orders():
     print(
         "\n[PASS] criterion 6 - Dedekind vanishing orders match r2/(r1+r2) and the "
         "archimedean route for 6 fields x 4 weights, exact"
-    )
-
-
-def test_criterion_7_hodge_gamma_consistency():
-    assert hodge_equivariant_dims(ELLIPTIC_CURVE_HODGE, -2) == {0: 1, 1: 1}  # (1,1,0)
-    assert hodge_equivariant_dims(ELLIPTIC_CURVE_HODGE, -4) == {0: 1, 1: 1}
-    assert hodge_equivariant_dims(ELLIPTIC_CURVE_HODGE, -1) == {1: 1, 2: 1}  # (0,1,1)
-    assert hodge_equivariant_dims(ELLIPTIC_CURVE_HODGE, -3) == {1: 1, 2: 1}
-    for H in (P1_HODGE, ELLIPTIC_CURVE_HODGE):
-        for n in (-1, -2, -3, -4):
-            dims = hodge_equivariant_dims(H, n)
-            chi = sum((-1) ** (i % 2) * d for i, d in dims.items())
-            assert gamma_factor_order(H, n) == chi
-    print(
-        "\n[PASS] criterion 7 - Gamma-factor pole census equals equivariant Hodge chi; "
-        "elliptic-curve table (1,1,0)/(0,1,1) reproduced"
     )
 
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaforge
-from zetaforge import cli, detcomplex, forkmap, intlinalg
+from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -465,24 +465,32 @@ def test_large_primes_are_decided_quickly(capsys):
     assert code == 0 and data["zeta"] == "([q=1000000000000000003] (1)/(1 - t))"
 
 
-def test_ord_hodge_path(capsys):
-    hodge = json.dumps(
-        {"hpq": {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}
-    )
-    code, data = run_json(capsys, "ord", "--hodge", hodge, "-n", "-1")
-    assert code == 0
-    assert data["hodge_equivariant_dims"] == {"1": 1, "2": 1}
-    assert data["gamma_factor_order"] == 0 and data["chi"] == 0
+def test_a_wrong_archimedean_dimension_fails_the_order_verdict(capsys, tmp_path, monkeypatch):
+    # r1 + r2 at every parity gives (Q) at n = -1 the order 1, but zeta(-1) = -1/12
+    def wrong(atom, parity):
+        return sum(atom.field_spec.signature) if isinstance(atom, NumberRing) else 0
+
+    monkeypatch.setattr(archimedean, "_atom_dim", wrong)
+    code, data = run_json(capsys, "ord", "(Q)", "-n", "-1")
+    assert code == 1 and data["vo"] == "fail" and data["pass"] is False
+    assert (data["analytic_order"], data["conjectural_order"]) == (0, 1)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"expr": "(Q)", "n": -1}]))
+    code, data = run_json(capsys, "batch", "--manifest", str(path))
+    assert code == 1 and data["pass"] is False
+    (check,) = [c for c in data["entries"][0]["checks"] if c["claim"] == "vanishing-order"]
+    assert check["verdict"] == "fail" and (check["left"], check["right"]) == ("0", "1")
 
 
-@pytest.mark.parametrize("expression", ["(bogus", "(Qi)"])
-def test_ord_refuses_an_expression_beside_hodge_data(capsys, expression):
-    # neither input is read: the unbalanced "(bogus" is no syntax error here
-    hodge = json.dumps({"hpq": {"0,0": 1}, "diag": {"0": [1, 0]}})
-    for verb in ("ord", "verify-vo"):
-        code, data = run_json(capsys, verb, expression, "-n", "-1", "--hodge", hodge)
-        assert code == 2 and data["error"]["code"] == "usage"
-        assert data["error"]["message"] == f"{verb} takes an expression or --hodge, not both"
+@pytest.mark.parametrize("expression", [[], ["(Qi)"], ["(bogus"]], ids=["alone", "(Qi)", "(bogus"])
+@pytest.mark.parametrize("verb", ["ord", "verify-vo"])
+def test_ord_has_no_hodge_option(capsys, verb, expression):
+    # an unknown option, like --bogus: neither the JSON nor the expression is read
+    argv = [verb, *expression, "--hodge", "{}", "-n", "-1"]
+    code, data = run_json(capsys, *argv)
+    assert code == 2 and data["error"] == {"code": "usage", "message": "unknown option --hodge"}
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error [usage]: unknown option --hodge\n"
 
 
 def test_error_exit_codes(capsys, tmp_path):
@@ -502,8 +510,7 @@ def test_error_exit_codes(capsys, tmp_path):
     # nesting deeper than the JSON decoder's recursion limit
     deep = "[" * 200000 + "]" * 200000
     path.write_text(deep)
-    hodge = ["ord", "-n", "-1", "--hodge", deep]
-    for argv in (["det", str(path)], ["batch", "--manifest", str(path)], hodge):
+    for argv in (["det", str(path)], ["batch", "--manifest", str(path)]):
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "io-error"
@@ -550,12 +557,6 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         ["det", {"ranks": {"0": 2, "1": 1}, "differentials": {"0": [[1, "1"]]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [5]}}],
         ["det", {"ranks": {"0": 1, "1": 1}, "differentials": [[[5]]]}],
-        # malformed --hodge data
-        ["ord", "--hodge", "[]", "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": [1]}', "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": {"a": 1}}', "-n", "-1"],
-        ["ord", "--hodge", '{"diag": {"0": [1]}}', "-n", "-1"],
-        ["ord", "--hodge", '{"diag": {"0": 5}}', "-n", "-1"],
         # degree keys: 0, or ASCII digits without a leading zero after an
         # optional minus, so that two keys never name one degree ("00"
         # would overwrite the rank of "0")
@@ -570,17 +571,6 @@ def test_precision_underflow_exit_code(capsys, expr, precision):
         # per degree would be written out
         ["det", {"ranks": {"0": 100000000000}}],
         ["det", {"ranks": {"0": 1, "100000000000": 1}}],
-        ["ord", "--hodge", '{"hpq": {"0, 0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": {"00,0": 1, "1,1": 1}, "diag": {"0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"+0": [1, 0], "1": [1, 0]}}', "-n", "-1"],
-        # a key other than hpq and diag, a diagonal h^{p,p} without its
-        # split, and a negative index, each with or without a diagonal entry
-        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "daig": {"0": [1, 0], "1": [1, 0]}}', "-n", "-2"],
-        ["ord", "--hodge", '{"hpq": {"0,0": 1}, "diag": {"0": [1, 0]}, "extra": {}}', "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": {"0,0": 1, "1,1": 1}, "diag": {"0": [1, 0]}}', "-n", "-1"],
-        ["ord", "--hodge", '{"hpq": {"-1,-1": 1}, "diag": {"-1": [1, 0]}}', "-n", "-2"],
-        ["ord", "--hodge", '{"hpq": {"-1,3": 1, "3,-1": 1}}', "-n", "-1"],
-        ["ord", "--hodge", '{"diag": {"-1": [0, 0]}}', "-n", "-1"],
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):
@@ -626,14 +616,9 @@ def test_malformed_manifest_exit_code(capsys, tmp_path, manifest):
     [
         ("det", {"ranks": {"-1": 1, "0": 1}, "differentials": {"-1": [[True]]}}, "invalid-argument"),
         ("det", {"ranks": {"-1": True, "0": 1}}, "invalid-argument"),
-        (
-            "ord",
-            {"hpq": {"0,0": True, "1,1": True}, "diag": {"0": [True, False], "1": [True, False]}},
-            "invalid-argument",
-        ),
         ("batch", [{"expr": "(point 2)", "n": True}], "manifest-error"),
     ],
-    ids=["det-entry", "det-rank", "hodge", "manifest-n"],
+    ids=["det-entry", "det-rank", "manifest-n"],
 )
 def test_json_booleans_are_not_integers(capsys, tmp_path, verb, payload, code):
     # Python reads true and false as 1 and 0; JSON input reads them as neither
@@ -641,7 +626,6 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, verb, payload, code):
     path.write_text(json.dumps(payload))
     argv = {
         "det": ["det", str(path)],
-        "ord": ["ord", "--hodge", json.dumps(payload), "-n", "-1"],
         "batch": ["batch", "--manifest", str(path)],
     }[verb]
     exit_code, out = run_cli(capsys, *argv, "--format", "json")
@@ -1336,12 +1320,6 @@ def test_error_contract_det_files(data):
     contract_exit_code(["det", "complex"], [("complex", data)])
 
 
-@FUZZ
-@given(json_values)
-def test_error_contract_hodge_data(data):
-    contract_exit_code(["ord", "--hodge", json.dumps(data), "-n", "-1"])
-
-
 # ---------------------------------------------------------------------------
 # command-line reader: the same namespaces as the argparse parser it replaced
 
@@ -1366,7 +1344,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_ord = sub.add_parser("ord", aliases=["verify-vo"])
     common(p_ord)
-    p_ord.add_argument("--hodge", default=None)
     p_det = sub.add_parser("det")
     p_det.add_argument("file")
     common(p_det, expression=False)
@@ -1385,7 +1362,6 @@ OPTIONS = ["-n", "--format", "--series-order", "--ell"] * 3 + [
 NOT_INTEGERS = ["x", "1.5", "-1.5", "", "-", "-x", "1 2", "-1 2", "2x"]
 option_values = {
     "--format": st.sampled_from(["text", "json"] * 4 + ["xml", "-1", ""]),
-    "--hodge": st.sampled_from(["{}", "-1", "", "(point 2)", "-x"]),
     "--manifest": st.sampled_from(["m.json", "-2", "", "-x"]),
 }
 integer_values = st.one_of(
@@ -1476,7 +1452,7 @@ def test_reader_agrees_with_argparse(argv):
     [
         ["value", "-n", "-2", "--", "(Q)"],
         ["value", "--precision=50", "(Q)", "-n=-2", "--format", "text", "--format=json"],
-        ["ord", "--ho", "{}", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
+        ["ord", "(Q)", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
         ["verify-vo", "(Qi)", "-n", "-1"],
         ["det", "-n", "-2", "complex.json", "--f", "json"],
         ["batch", "--m=manifest.json", "--series-order", "-4"],
@@ -1493,7 +1469,6 @@ def test_reader_examples_agree_with_argparse(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ord", "--h"],  # --help or --hodge
         ["value", "(Q)", "-n", "-2", "--", "-n", "-3"],
         ["frobnicate"],
         [],
@@ -1516,7 +1491,8 @@ def test_malformed_command_lines_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["-h"], ["--help"], ["--he"], ["value", "-h"], ["det", "--h"], ["ord", "(Q)", "--hel"]]
+    "argv",
+    [["-h"], ["--help"], ["--he"], ["value", "-h"], ["det", "--h"], ["ord", "(Q)", "--hel"], ["ord", "--h"]],
 )
 def test_help_prints_one_usage_block(argv):
     code, out, err, dispatched = read_with_main(argv)

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.cli  # noqa: F401  (loads every module that defines a record)
-from zetaforge.archimedean import HodgeData
 from zetaforge.ffengine import VerificationReport
 from zetaforge.intlinalg import FinGenAbGroup, IntMatrix, smith_normal_form
 from zetaforge.lfunctions import (
@@ -83,10 +82,6 @@ SAMPLES = {
     "VerificationReport": (
         lambda: VerificationReport("p-part", 0, 0, {"n": -1}),
         "VerificationReport(claim='p-part', left=0, right=0, context={'n': -1})",
-    ),
-    "HodgeData": (
-        lambda: HodgeData.make({(0, 0): 1}, {0: (1, 0)}),
-        "HodgeData(weights=(((0, 0), 1),), diagonal=((0, (1, 0)),))",
     ),
 }
 # the one record whose equality is identity: a battery's memo of one (X, n)
