@@ -32,7 +32,7 @@ from .errors import (
 from .intlinalg import is_prime, parity_sign, prime_power_base, rational_valuation, valuation
 from .record import Record
 from .scheme_algebra import Curve, Evaluation, NormalForm
-from .zetarep import RationalFunctionT, ZetaProduct
+from .zetarep import RationalFunctionT, ZetaProduct, _exact_str
 
 __all__ = [
     "VerificationReport",
@@ -67,9 +67,11 @@ class VerificationReport(Record):
         return "pass" if self.passed else "fail"
 
     def as_dict(self) -> dict:
-        def show(x):
+        def show(x):  # per field: a Fraction may have a million digits, a list's entries do not
+            if isinstance(x, Fraction):
+                return _exact_str(x)
             if isinstance(x, (list, tuple)):
-                return [show(v) for v in x]
+                return list(map(str, x))
             return str(x)
 
         return {

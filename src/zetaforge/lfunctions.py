@@ -11,9 +11,10 @@ The work goes by Galois orbit {chi^j : gcd(j, m) = 1}, m the order of chi.
 `characters_mod` builds one residue table t per orbit and each other
 member's as j t mod m.  Every verb reads `_orbit_table`: per orbit and
 weight one exact L(n, chi) = -B_{1-n,chi}/(1-n), the order at n < 0 and the
-members chi^j, whose value is sigma_j of it.  A trivial zero is simple, and
-the functional equation gives the derivative (Gamma((1-n+a)/2) =
-(2k)! sqrt(pi) / (4^k k!); the roots of f and pi cancel):
+members chi^j, whose value is sigma_j of it, each with its summed
+exponent; `_special_value` takes a product's L-part from it.  A trivial
+zero is simple, and the functional equation gives the derivative
+(Gamma((1-n+a)/2) = (2k)! sqrt(pi) / (4^k k!); the roots of f and pi cancel):
 
     L'(n, chi) = r i^-a tau(chi) H(chi) / (f pi^-n),
     r = (-1)^m (2k)! m! / (2 4^k k!),   m = -(n+a)/2,   k = m + a,
@@ -518,18 +519,20 @@ def L_at_nonpositive(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
 _MAX_WEIGHT = 2048
 
 
-def _orbit_table(pairs) -> list[tuple]:
+def _orbit_table(factors) -> tuple[list[tuple], int]:
     """One entry (chi, n, exact, order, members) per Galois orbit and weight
-    of the (chi, n) in `pairs`, n < 0: the first character met, made
+    of the (chi, n, e) in `factors`, n < 0, and the order of the product of
+    the L(s, chi)^e at s = n.  An entry holds the first character met, made
     primitive, its exact L(n, chi), the order read off it and checked by the
-    parity rule, and the (index, j) of each pair inducing chi^j, which has
-    the exponents of chi at the unit-group generators times j.  A weight
-    below -`_MAX_WEIGHT` is refused before any L-value is taken."""
-    lowest = min((n for _, n in pairs), default=-1)
+    parity rule, and `members`, mapping each j mod m to the summed exponent
+    of the factors inducing chi^j, which has the exponents of chi at the
+    unit-group generators times j.  A weight below -`_MAX_WEIGHT` is refused
+    before any L-value is taken."""
+    lowest = min((n for _, n, _ in factors), default=-1)
     if lowest < -_MAX_WEIGHT:
         raise InvalidArgumentError(f"an L-value at s = {lowest} is below -{_MAX_WEIGHT}: too long to compute")
-    table, orbit_of = [], {}  # key -> (its orbit's entry, j)
-    for index, (chi, n) in enumerate(pairs):
+    table, orbit_of, total = [], {}, 0  # key -> (its orbit's entry, j)
+    for chi, n, e in factors:
         if n >= 0:
             raise InvalidArgumentError("n must be < 0")
         chi = chi.primitive()
@@ -540,13 +543,14 @@ def _orbit_table(pairs) -> list[tuple]:
             order = 1 if exact.is_zero else 0
             if order != trivial_zero_order(chi, n):
                 raise InvariantViolationError("parity shortcut disagrees with exact L-value")
-            table.append((chi, n, exact, order, []))
-            for j in range(1, m + 1):
+            table.append((chi, n, exact, order, {}))
+            for j in range(m):
                 if gcd(j, m) == 1:
                     orbit_of[f, m, tuple(k * j % m for k in key[2]), n] = table[-1], j
-        entry, j = orbit_of[key]
-        entry[4].append((index, j))
-    return table
+        (*_, order, members), j = orbit_of[key]
+        members[j] = members.get(j, 0) + e
+        total += order * e
+    return table, total
 
 
 def trivial_zero_order(chi: DirichletCharacter, n: int) -> int:
@@ -936,21 +940,20 @@ def _hurwitz_H(chi: DirichletCharacter, s: int, dps: int, js) -> list[tuple[int,
 
 
 def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[tuple[int, int]]:
-    """The leading value of L(s, chi) at s = n < 0, real or else its modulus,
-    as an integer pair (num, den > 0), not always reduced, for each pair of
-    `table`, in order: at order 0 a rational one or else
-    `_member_moduli`, and at a trivial zero |r| |H| / (sqrt f pi^-n), signed
-    like r H for a real chi: |H| / sqrt f one integer square root within
-    2^-9 10^-dps relative, pi^-n from `_pi_power` within 2^-10 10^-dps
-    relative, and the quotient rounded once, within 2^-7 10^-dps."""
-    out = [None] * sum(len(members) for *_, members in table)
+    """The leading value of L(s, chi^j) at s = n < 0, real or else its
+    modulus, as an integer pair (num, den > 0), not always reduced, for each
+    member j of each entry of `table`, in member order: at order 0 a rational
+    one or else `_member_moduli`, and at a trivial zero |r| |H| / (sqrt f
+    pi^-n), signed like r H for a real chi: |H| / sqrt f one integer square
+    root within 2^-9 10^-dps relative, pi^-n from `_pi_power` within 2^-10
+    10^-dps relative, and the quotient rounded once, within 2^-7 10^-dps."""
+    out = []
     for chi, n, exact, order, members in table:
         f, m = chi.modulus, chi.order
         dps = _working_dps(precision, f)
-        js = [j for _, j in members]
         if order == 0:
             ratio = exact.is_rational and exact.rational_value().as_integer_ratio()
-            values = [ratio] * len(js) if ratio else _member_moduli(exact, _exponent(f), dps, js)
+            out += [ratio] * len(members) if ratio else _member_moduli(exact, _exponent(f), dps, members)
         else:
             a = 0 if chi.parity == 1 else 1
             h = -(n + a) // 2  # an integer: the checked order fixes the parity of n + a
@@ -962,13 +965,10 @@ def _leading_values(table, precision: int = DEFAULT_PRECISION) -> list[tuple[int
             bits = _fixed_bits(dps, 0)
             X, F = _pi_power(-n, bits)
             den = 2 * 4**k * factorial(k) * X << 2 * wp
-            values = []
-            for re, im in _hurwitz_H(chi, 1 - n, dps, js):
+            for re, im in _hurwitz_H(chi, 1 - n, dps, members):
                 root = isqrt((re * re + im * im << 2 * wp) // f)
                 value = c * root << F
-                values.append(_round(-value if m <= 2 and sign * re < 0 else value, den, bits))
-        for (index, _), value in zip(members, values):
-            out[index] = value
+                out.append(_round(-value if m <= 2 and sign * re < 0 else value, den, bits))
     return out
 
 
@@ -977,8 +977,100 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
     `_orbit_table` entry and `_leading_values`: the real value, or else its
     modulus, exact when it is a rational L-value, with the nominal error
     (|v|+1) 10^-(precision+5)."""
-    table = _orbit_table([(chi, n)])
-    _, _, exact, order, _ = table[0]
+    table, order = _orbit_table([(chi, n, 1)])
+    exact = table[0][2]
     numeric = Fraction(*_leading_values(table, precision)[0])
     rational = numeric if order == 0 and exact.is_rational else None
     return SpecialValue(order, rational, numeric, (abs(numeric) + 1) / 10 ** (precision + 5))
+
+
+# ---------------------------------------------------------------------------
+# Special values of products of L-functions
+
+
+# a leading value at a trivial zero reads the Hurwitz table of its
+# character's conductor d at s = 1 - n: phi(d) entries, each of a cost
+# that grows as about p^2.8 in the digits p from p = 1000 on (1.24 s an
+# entry at p = 4096, s = 3), more slowly than p^2 below, and as about
+# |n|^2.4 (254 ms at |n| = 2047, p = 50).  So U, the entries of the tables
+# of one product, is bounded by U p^2 and U |n|, each reached at its top:
+# on 2 cores, in a fresh process, U p^2 = 10 * 4096^2 is Q(zeta_11) at
+# n = -1, p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at
+# n = -2 took 157 s), and U |n| = 4094 is Q(zeta_3) at n = -2047, p = 4096,
+# 12 s (Q(zeta_61) there: 35 s).  U |n| also keeps U at most 4096: with
+# both, Q(zeta_4093) at n = -1 is kept up to p = 202, 15 s and 366 MB.
+_MAX_TABLE_DIGITS = 10 * 4096**2
+_MAX_TABLE_WEIGHT = 4096
+
+
+def _check_tables(factors, precision: int) -> None:
+    """Refuse the leading values at the trivial zeros of the (chi, n, e) in
+    `factors` at `precision` digits whose Hurwitz tables, one per conductor
+    and weight, hold U values with U precision^2 or U |n| above its bound.
+    Weights that `_orbit_table` refuses are left to it."""
+    tables = {(chi.conductor, n) for chi, n, _ in factors if -_MAX_WEIGHT <= n < 0 and trivial_zero_order(chi, n)}
+    units = sum(_euler_phi(d) for d, _ in tables)
+    weight = -min((n for _, n in tables), default=0)
+    if units * precision**2 > _MAX_TABLE_DIGITS or units * weight > _MAX_TABLE_WEIGHT:
+        raise InvalidArgumentError(
+            f"the leading values at trivial zeros need Hurwitz tables of {units} values at {precision} digits "
+            f"and |n| = {weight}: values x digits^2 above {_MAX_TABLE_DIGITS} or values x |n| above "
+            f"{_MAX_TABLE_WEIGHT} take too long to compute"
+        )
+
+
+def _special_value(rational_part: Fraction, factors, precision: int) -> SpecialValue:
+    """Order and leading Taylor coefficient at s = n < 0 of rational_part
+    times the product of the L(s, chi)^e over the (chi, n, e) in `factors`.
+
+    The Hurwitz tables are checked before any L-value, then one orbit table
+    gives the orders and one exact L-value x per (Galois orbit, weight).
+    When every order is 0 and every orbit is whole, each unit j mod its
+    level m carrying one exponent e, the orbit's product is N(x)^e, as
+    B_{k,chi^j} = sigma_j(B_{k,chi}): x itself for m <= 2, else its norm
+    from Q(zeta_m).  The value is then exact.  A field's characters, and so
+    the products that shifts, gluings and complements build from them, come
+    in whole orbits with one exponent per orbit and weight.  Otherwise (only
+    a product built by hand) the factors must be closed under conjugation,
+    conj chi^j = chi^(-j) being in the same orbit: members j and -j mod m
+    carry one exponent.  The real leading values (a complex one's modulus)
+    are then multiplied orbit by orbit by `_numeric_product`."""
+    _check_tables(factors, precision)  # before any L-value
+    table, order = _orbit_table(factors)
+    if all(
+        orbit_order == 0 and len(members) == _euler_phi(chi.order) and len(set(members.values())) == 1
+        for chi, _, _, orbit_order, members in table
+    ):
+        value = rational_part
+        for chi, _, exact, _, members in table:
+            e = next(iter(members.values()))
+            value *= (exact.rational_value() if chi.order <= 2 else _orbit_norm(exact)) ** e
+        return SpecialValue(order, value, value, (abs(value) + 1) / 10 ** (precision + 5))
+    for chi, *_, members in table:
+        if any(e != members.get(-j % chi.order, 0) for j, e in members.items()):
+            raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
+                                          "not closed under conjugation")
+    exps = [e for *_, members in table for e in members.values()]
+    numeric, error = _numeric_product(rational_part, _leading_values(table, precision), exps, precision)
+    return SpecialValue(order, None, numeric, error)
+
+
+def _numeric_product(rational_part: Fraction, values, exps, precision: int) -> tuple[Fraction, Fraction]:
+    """rational_part times each value v = c / d, an integer pair with d > 0,
+    to its exponent e, and the nominal bound: the product is rounded after
+    each factor to bits where (count + 1) roundings stay below 2^-10 10^-dps,
+    and the relative bound sums |e| (|v|+1) 10^-(precision+5) / (|v| + 10^-dps),
+    rounded the same way.  Both run on integer pairs, a / b and r / s, each
+    reduced by one gcd before it is rounded, as a Fraction would be."""
+    T, D = 10 ** (precision + 5), 10 ** (precision + 20)
+    bits = _fixed_bits(precision + 20, sum(map(abs, exps)))
+    a, b, r, s = rational_part.numerator, rational_part.denominator, 0, 1
+    for (c, d), e in zip(values, exps):
+        # |e| (|v| + 1) / (T (|v| + 1/D)) = |e| (|c| + d) D / (T q), q = |c| D + d
+        q = abs(c) * D + d
+        num, den = r * T * q + s * abs(e) * (abs(c) + d) * D, s * T * q
+        r, s = _round(num // (g := gcd(num, den)), den // g, bits)
+        num, den = (a * c**e, b * d**e) if e > 0 else (a * (d if c > 0 else -d) ** -e, b * abs(c) ** -e)
+        a, b = _round(num // (g := gcd(num, den)), den // g, bits)
+    numeric = Fraction(a, b)
+    return numeric, (abs(numeric) + 1) * (Fraction(r, s) + Fraction(1, T))

@@ -13,31 +13,14 @@ trivial zeros of the L-factors.
 from __future__ import annotations
 
 import decimal
-from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, log10
 from operator import mul
 
 from . import poly
-from .errors import (
-    InvalidArgumentError,
-    PrecisionUnderflowError,
-    RationalityFailureError,
-    WeilViolationError,
-)
+from .errors import InvalidArgumentError, PrecisionUnderflowError, WeilViolationError
 from .intlinalg import ensure_prime_power
-from .lfunctions import (
-    _MAX_WEIGHT,
-    DEFAULT_PRECISION,
-    SpecialValue,
-    _euler_phi,
-    _fixed_bits,
-    _leading_values,
-    _orbit_norm,
-    _orbit_table,
-    _round,
-    trivial_zero_order,
-)
+from .lfunctions import DEFAULT_PRECISION, SpecialValue, _orbit_table, _special_value
 from .record import Record
 
 __all__ = [
@@ -137,21 +120,6 @@ _MAX_VALUE_BITS = 1 << 24
 # the most digits, checked before any power of ten: the working bits and the Euler-Maclaurin
 # terms grow with them, the time about as their cube (`value "(Q)" -n -2`: 21 s on 2 cores)
 _MAX_PRECISION = 4096
-# a leading value at a trivial zero reads the Hurwitz table of its
-# character's conductor d at s = 1 - n: phi(d) entries, each of a cost
-# that grows as about p^2.8 in the digits p from p = 1000 on (1.24 s an
-# entry at p = 4096, s = 3), more slowly than p^2 below, and as about
-# |n|^2.4 (254 ms at |n| = 2047, p = 50).  So U, the entries of the tables
-# of one product, is bounded by U p^2 and U |n|, each reached at its top:
-# on 2 cores, in a fresh process, U p^2 = 10 * 4096^2 is Q(zeta_11) at
-# n = -1, p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at
-# n = -2 took 157 s), and U |n| = 4094 is Q(zeta_3) at n = -2047, p = 4096,
-# 12 s (Q(zeta_61) there: 35 s).  U |n| also keeps U at most 4096: with
-# both, Q(zeta_4093) at n = -1 is kept up to p = 202, 15 s and 366 MB.
-_MAX_TABLE_DIGITS = 10 * 4096**2
-_MAX_TABLE_WEIGHT = 4096
-
-
 class FiniteCharFactor(Record):
     """Rational function Z in t = q^(-s) over the base prime power q."""
 
@@ -307,10 +275,9 @@ def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
     return value
 
 
-def _orbits(z: ZetaProduct, n: int) -> tuple[list, int]:
-    """`_orbit_table` of the L-factors of z at s = n < 0, and the order there."""
-    table = _orbit_table([(f.character, n - f.shift) for f, _ in z.char_zero])
-    return table, sum(z.char_zero[index][1] * order for *_, order, members in table for index, _ in members)
+def _l_factors(z: ZetaProduct, n: int) -> list[tuple]:
+    """The (chi, n - shift, e) of z's L-factors L(s - shift, chi)^e at s = n."""
+    return [(f.character, n - f.shift, e) for f, e in z.char_zero]
 
 
 def vanishing_order(z: ZetaProduct, n: int) -> int:
@@ -322,7 +289,7 @@ def vanishing_order(z: ZetaProduct, n: int) -> int:
     if n >= 0:
         raise InvalidArgumentError("vanishing orders are computed at strictly negative integers")
     _finite_char_value(z, n)
-    return _orbits(z, n)[1]
+    return _orbit_table(_l_factors(z, n))[1]
 
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -370,41 +337,14 @@ def _exact_str(x) -> str:
     return ("-" if x < 0 else "") + num + ("" if den == "1" else "/" + den)
 
 
-def _check_tables(z: ZetaProduct, n: int, precision: int) -> None:
-    """Refuse the leading values at the trivial zeros of z's L-factors at
-    `precision` digits whose Hurwitz tables, one per conductor and weight,
-    hold U values with U precision^2 or U |n| above its bound.  Weights
-    that `_orbit_table` refuses are left to it."""
-    pairs = [(f.character, n - f.shift) for f, _ in z.char_zero]
-    tables = {(chi.conductor, w) for chi, w in pairs if -_MAX_WEIGHT <= w < 0 and trivial_zero_order(chi, w)}
-    units = sum(_euler_phi(d) for d, _ in tables)
-    weight = -min((w for _, w in tables), default=0)
-    if units * precision**2 > _MAX_TABLE_DIGITS or units * weight > _MAX_TABLE_WEIGHT:
-        raise InvalidArgumentError(
-            f"the leading values at trivial zeros need Hurwitz tables of {units} values at {precision} digits "
-            f"and |n| = {weight}: values x digits^2 above {_MAX_TABLE_DIGITS} or values x |n| above "
-            f"{_MAX_TABLE_WEIGHT} take too long to compute"
-        )
-
-
 def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> SpecialValue:
     """Order of vanishing and leading Taylor coefficient at s = n < 0.
 
     Finite-characteristic factors contribute exact nonzero rationals and no
-    vanishing; the L-factors' orders come from one orbit table, with one
-    exact L-value x per (Galois orbit, shift).  When every order is 0 and
-    every orbit is whole, each unit j mod its level m carrying one exponent
-    e, the orbit's product is N(x)^e, as B_{k,chi^j} = sigma_j(B_{k,chi}):
-    x itself for m <= 2, else its norm from Q(zeta_m), rounded from its
-    sums at the roots.  The value is then exact.  On every verb the orbits
-    are whole: a field's characters, and so the products that shifts,
-    gluings and complements build from them, come in whole orbits with one
-    exponent per orbit and shift.  Otherwise (only a product built by hand)
-    the L-factors must be closed under conjugation, conj chi^j = chi^(-j)
-    being in the same orbit: in each orbit members j and -j mod m have one
-    exponent, read off the same count of exponents per member.  The
-    product of the real leading values (a complex one's modulus) and its
-    nominal bound are formed by `_numeric_product`.
+    vanishing; the L-factors are taken by Galois orbit in
+    `lfunctions._special_value`, which returns the value exact when no
+    L-factor has a trivial zero there and the factors come in whole Galois
+    orbits, as on every verb.
     """
     if n >= 0:
         raise InvalidArgumentError("special values are computed at strictly negative integers")
@@ -412,50 +352,4 @@ def evaluate_at(z: ZetaProduct, n: int, precision: int = DEFAULT_PRECISION) -> S
         raise PrecisionUnderflowError("precision must be a positive digit count")
     if precision > _MAX_PRECISION:
         raise InvalidArgumentError(f"precision {precision} is above {_MAX_PRECISION} digits: too long to compute")
-
-    rational_part = _finite_char_value(z, n)
-    _check_tables(z, n, precision)  # before any L-value
-    table, order = _orbits(z, n)
-    exps = [e for _, e in z.char_zero]
-
-    balances = [Counter() for _ in table]  # per orbit: member j mod m -> its exponent
-    for (chi, *_, members), balance in zip(table, balances):
-        for index, j in members:
-            balance[j % chi.order] += exps[index]
-    if all(
-        orbit_order == 0 and len(balance) == _euler_phi(chi.order) and len(set(balance.values())) == 1
-        for (chi, _, _, orbit_order, _), balance in zip(table, balances)
-    ):
-        value = rational_part
-        for (chi, _, exact, _, _), balance in zip(table, balances):
-            (e,) = set(balance.values())
-            value *= (exact.rational_value() if chi.order <= 2 else _orbit_norm(exact)) ** e
-        return SpecialValue(order=order, exact=value, numeric=value, error=(abs(value) + 1) / 10 ** (precision + 5))
-
-    for (chi, *_), balance in zip(table, balances):
-        if any(e != balance[-j % chi.order] for j, e in balance.items()):
-            raise RationalityFailureError("special value is not real: the characteristic-zero factors are "
-                                          "not closed under conjugation")
-    numeric, error = _numeric_product(rational_part, _leading_values(table, precision), exps, precision)
-    return SpecialValue(order=order, exact=None, numeric=numeric, error=error)
-
-
-def _numeric_product(rational_part: Fraction, values, exps, precision: int) -> tuple[Fraction, Fraction]:
-    """rational_part times each value v = c / d, an integer pair with d > 0,
-    to its exponent e, and the nominal bound: the product is rounded after
-    each factor to bits where (count + 1) roundings stay below 2^-10 10^-dps,
-    and the relative bound sums |e| (|v|+1) 10^-(precision+5) / (|v| + 10^-dps),
-    rounded the same way.  Both run on integer pairs, a / b and r / s, each
-    reduced by one gcd before it is rounded, as a Fraction would be."""
-    T, D = 10 ** (precision + 5), 10 ** (precision + 20)
-    bits = _fixed_bits(precision + 20, sum(map(abs, exps)))
-    a, b, r, s = rational_part.numerator, rational_part.denominator, 0, 1
-    for (c, d), e in zip(values, exps):
-        # |e| (|v| + 1) / (T (|v| + 1/D)) = |e| (|c| + d) D / (T q), q = |c| D + d
-        q = abs(c) * D + d
-        num, den = r * T * q + s * abs(e) * (abs(c) + d) * D, s * T * q
-        r, s = _round(num // (g := gcd(num, den)), den // g, bits)
-        num, den = (a * c**e, b * d**e) if e > 0 else (a * (d if c > 0 else -d) ** -e, b * abs(c) ** -e)
-        a, b = _round(num // (g := gcd(num, den)), den // g, bits)
-    numeric = Fraction(a, b)
-    return numeric, (abs(numeric) + 1) * (Fraction(r, s) + Fraction(1, T))
+    return _special_value(_finite_char_value(z, n), _l_factors(z, n), precision)

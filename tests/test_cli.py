@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaforge
-from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg
+from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg, scheme_algebra
 from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -285,6 +286,19 @@ def test_a_million_digit_exact_value_prints_in_under_a_few_seconds(capsys):
     assert int(den[-60:]) == pow(2, 3400000, 10**60) - 1
 
 
+def test_a_million_digit_check_prints_the_digits_of_value(capsys):
+    # |zeta|, chi_mult and zeta of (point 2) at n = -3400000 print through
+    # the printer of `value`, not through str(), which takes about 11 s for
+    # each below Python 3.12
+    start = time.perf_counter()
+    code, data = run_json(capsys, "verify-c", "(point 2)", "-n", "-3400000")
+    assert code == 0 and time.perf_counter() - start < 5
+    _, value = run_json(capsys, "value", "(point 2)", "-n", "-3400000")
+    (check,) = data["checks"]
+    assert check["verdict"] == "pass" and check["context"]["zeta"] == value["exact"]
+    assert check["left"] == check["right"] == value["exact"].removeprefix("-")
+
+
 def _run_under_1gb(argv, command=("-m", "zetaforge.cli")):
     """The CLI (or the Python `command`) on argv in a subprocess whose
     address space is limited to 1 GB."""
@@ -480,6 +494,34 @@ def test_a_wrong_archimedean_dimension_fails_the_order_verdict(capsys, tmp_path,
     assert code == 1 and data["pass"] is False
     (check,) = [c for c in data["entries"][0]["checks"] if c["claim"] == "vanishing-order"]
     assert check["verdict"] == "fail" and (check["left"], check["right"]) == ("0", "1")
+
+
+def test_a_wrong_group_order_fails_the_special_value_and_ell_adic_verdicts(capsys, tmp_path, monkeypatch):
+    # the order of a point's group times 3, in order data that stay consistent
+    # (the graded order still multiplies to chi_mult): (point 2) at n = -1
+    # has |zeta| = 1 against 1/3, and the 3-part alone sees it
+    right = scheme_algebra._atom_order_data
+
+    def wrong(atom, n):
+        if not isinstance(atom, Point):
+            return right(atom, n)
+        (order,) = right(atom, n).graded.values()
+        return scheme_algebra.WeilOrderData({1: 3 * order}, Fraction(1, 3 * order))
+
+    monkeypatch.setattr(scheme_algebra, "_atom_order_data", wrong)
+    code, data = run_json(capsys, "verify-c", "(point 2)", "-n", "-1")
+    (check,) = data["checks"]
+    assert code == 1 and data["pass"] is False
+    assert (check["verdict"], check["left"], check["right"]) == ("fail", "1", "1/3")
+    for ell, verdict in [("3", "fail"), ("5", "pass")]:
+        code, data = run_json(capsys, "ell-check", "(point 2)", "-n", "-1", "--ell", ell)
+        assert (code, data["checks"][0]["verdict"]) == ((1, "fail") if verdict == "fail" else (0, "pass"))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"expr": "(point 2)", "n": -1}]))
+    code, data = run_json(capsys, "batch", "--manifest", str(path))
+    assert code == 1 and data["pass"] is False
+    failed = [(c["claim"], c["context"].get("ell")) for c in data["entries"][0]["checks"] if c["verdict"] == "fail"]
+    assert failed == [("special-value-finite-char", None), ("ell-adic-absolute-value", "3")]
 
 
 @pytest.mark.parametrize("expression", [[], ["(Qi)"], ["(bogus"]], ids=["alone", "(Qi)", "(bogus"])

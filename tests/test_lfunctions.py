@@ -703,22 +703,27 @@ def fields_below_100(draw):
 def test_orbit_values_match_the_oracle_per_character(field, n):
     # one exact value and one class sum per Galois orbit; every member's order,
     # the modulus of its exact value sigma_j and its leading value against
-    # mpmath's L-function of that member
+    # mpmath's L-function of that member, chi^j for the j that `members` keys
+    def power(chi, j):
+        return tuple(None if k is None else k * j % chi.order for k in chi.exponents)
+
     chars = field.characters()
-    table = lfunctions._orbit_table([(chi, n) for chi in chars])
-    values = [Fraction(*pair) for pair in lfunctions._leading_values(table, 20)]
-    assert sorted(index for *_, members in table for index, _ in members) == list(range(len(chars)))
+    table, order = lfunctions._orbit_table([(chi, n, 1) for chi in chars])
+    values = iter(Fraction(*pair) for pair in lfunctions._leading_values(table, 20))
+    # the members are the field's characters, each once with its exponent 1
+    found = [(chi.modulus, chi.order, power(chi, j), e) for chi, *_, members in table for j, e in members.items()]
+    assert sorted(found) == sorted((chi.modulus, chi.order, chi.exponents, 1) for chi in chars)
+    assert order == sum(orbit_order * len(members) for *_, orbit_order, members in table)
     with mp.workdps(40):
-        for _, _, exact, order, members in table:
-            for index, j in members:
-                chi = chars[index]
-                expected_order, expected = leading_coefficient(chi.exponents, chi.order, n)
-                assert order == expected_order
-                if order == 0:
+        for chi, _, exact, orbit_order, members in table:
+            for j in members:
+                expected_order, expected = leading_coefficient(power(chi, j), chi.order, n)
+                assert orbit_order == expected_order
+                if orbit_order == 0:
                     modulus = Fraction(*lfunctions._member_moduli(exact, exact.level, 40, [j])[0])
                     assert abs(as_mpf(modulus) - abs(expected)) <= mp.mpf(10) ** -30 * (1 + abs(expected))
                 expected = expected.real if chi.order <= 2 else abs(expected)
-                assert abs(as_mpf(values[index]) - expected) <= mp.mpf(10) ** -25 * abs(expected)
+                assert abs(as_mpf(next(values)) - expected) <= mp.mpf(10) ** -25 * abs(expected)
 
 
 def test_orbit_table_refuses_a_weight_below_minus_2048_before_any_l_value(monkeypatch):
@@ -728,9 +733,9 @@ def test_orbit_table_refuses_a_weight_below_minus_2048_before_any_l_value(monkey
     monkeypatch.setattr(lfunctions, "gen_bernoulli", refuse)
     chi = CHI_MINUS_4
     with pytest.raises(InvalidArgumentError, match="below -2048"):
-        lfunctions._orbit_table([(chi, -1), (chi, -2049)])
+        lfunctions._orbit_table([(chi, -1, 1), (chi, -2049, 1)])
     with pytest.raises(AssertionError, match="an L-value was taken"):
-        lfunctions._orbit_table([(chi, -2048)])
+        lfunctions._orbit_table([(chi, -2048, 1)])
 
 
 def test_dedekind_special_values():

@@ -61,3 +61,17 @@ def test_no_assert_statements(name):
     # python -O strips assert statements, so an invariant check is a raised ZetaforgeError
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_zetarep_leaves_the_l_part_to_lfunctions():
+    # the L-part of a special value (orbits, routes, table bounds, the numeric
+    # product) has one owner: zetarep reads the type, the default precision
+    # and the two entry points, and nothing else of lfunctions
+    tree = ast.parse((SRC / "zetarep.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lfunctions"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # no module object to reach past the names
+            assert not any(alias.name.endswith("lfunctions") for alias in node.names)
+    assert names == {"DEFAULT_PRECISION", "SpecialValue", "_orbit_table", "_special_value"}

@@ -3,7 +3,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import mpmath as mp
 import pytest
@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from zetaforge import cli, lfunctions, poly, zetarep
 from zetaforge.errors import InvalidArgumentError, RationalityFailureError, WeilViolationError
-from zetaforge.lfunctions import CHI_MINUS_4, TRIVIAL_CHARACTER, AbelianFieldSpec, CyclotomicNumber, characters_mod
+from zetaforge.lfunctions import (
+    CHI_MINUS_4,
+    TRIVIAL_CHARACTER,
+    AbelianFieldSpec,
+    CyclotomicNumber,
+    DirichletCharacter,
+    characters_mod,
+    leading_value,
+    trivial_zero_order,
+)
 from zetaforge.scheme_algebra import Affine, Disjoint, Minus, NumberRing, Point, Proj, zeta_of
 from zetaforge.zetarep import (
     FiniteCharFactor,
@@ -196,7 +205,7 @@ def test_a_rational_product_embeds_no_exact_value(monkeypatch):
 
     monkeypatch.setattr(lfunctions, "_member_moduli", refuse)
     monkeypatch.setattr(lfunctions, "_hurwitz_table", refuse)
-    monkeypatch.setattr(zetarep, "_leading_values", refuse)
+    monkeypatch.setattr(lfunctions, "_leading_values", refuse)
     value = evaluate_at(zeta_of(NumberRing(AbelianFieldSpec(13, (1, 12)))), -1)
     assert value.order == 0 and value.is_exact
 
@@ -269,6 +278,59 @@ def test_non_real_product_raises_rationality_failure(n):
         z = ZetaProduct.from_factors([(LFactorShifted(c), 1) for c in factors])
         with pytest.raises(RationalityFailureError):
             evaluate_at(z, n)
+
+
+def conjugate(chi):
+    """conj chi: its table t as -t mod the order."""
+    return DirichletCharacter(chi.modulus, chi.order, tuple(None if t is None else -t % chi.order for t in chi.exponents))
+
+
+@st.composite
+def hand_built_l_factors(draw):
+    """(chi, shift, e) triples: characters of one or two random abelian fields
+    of conductor below 60 as `characters_mod` gives them, imprimitive where
+    the field's conductor is not theirs, or made primitive, so that one
+    primitive character can come twice; some dropped, exponents in [-2, 2],
+    shifts in [0, 2], and half the time each with its conjugate added."""
+    chars = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = draw(st.integers(1, 59))
+        units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+        field = AbelianFieldSpec.from_generators(f, draw(st.lists(st.sampled_from(units), max_size=2)))
+        chars += characters_mod(f, field.subgroup)
+    factors = []
+    for chi in draw(st.lists(st.sampled_from(chars), min_size=1, max_size=5)):
+        chi = chi.primitive() if draw(st.booleans()) else chi
+        factors.append((chi, draw(st.integers(0, 2)), draw(st.integers(-2, 2))))
+    if draw(st.booleans()):
+        factors += [(conjugate(chi), shift, e) for chi, shift, e in factors]
+    return factors
+
+
+@settings(deadline=None, max_examples=100)
+@given(hand_built_l_factors(), st.integers(-4, -1))
+def test_a_hand_built_product_is_real_exactly_when_closed_under_conjugation(factors, n):
+    # the exponent of each (primitive character, weight), summed over the
+    # factors inducing it, must be that of its conjugate; the order is then
+    # the sum of the exponents at trivial zeros, and the value the product
+    # of the factors' leading values (a complex one's modulus)
+    exponents = Counter()
+    for chi, shift, e in factors:
+        p = chi.primitive()
+        exponents[p.modulus, p.order, p.exponents, n - shift] += e
+    closed = all(
+        e == exponents[f, m, conjugate(DirichletCharacter(f, m, table)).exponents, w]
+        for (f, m, table, w), e in exponents.items()
+    )
+    z = ZetaProduct.from_factors([(LFactorShifted(chi, shift), e) for chi, shift, e in factors])
+    if not closed:
+        with pytest.raises(RationalityFailureError):
+            evaluate_at(z, n, 10)
+        return
+    value = evaluate_at(z, n, 10)
+    assert value.order == sum(e * trivial_zero_order(chi, n - shift) for chi, shift, e in factors)
+    expected = prod(leading_value(chi, n - shift, 10).numeric ** e for chi, shift, e in factors)
+    assert abs(value.numeric - expected) <= abs(expected) / 10**8
 
 
 # (n, order, printed, exponent of each member chi^j), identified by the first three
@@ -493,4 +555,4 @@ def test_the_integer_pair_product_rounds_as_the_fraction_product(rational_part, 
     pairs = [(value.numerator * k, value.denominator * k) for (value, k), _ in factors]
     exps = [e for _, e in factors]
     expected = fraction_product(rational_part, values, exps, precision)
-    assert zetarep._numeric_product(rational_part, pairs, exps, precision) == expected
+    assert lfunctions._numeric_product(rational_part, pairs, exps, precision) == expected
