@@ -60,14 +60,12 @@ def _json_loads(text: str):
 
 
 def _cmd_zeta(expr: SchemeExpr, args) -> tuple[dict, bool]:
-    z = zeta_of(expr)
+    factors = [(str(f), e) for f, e in zeta_of(expr).factors]  # each printed once
     report = {
         "command": "zeta",
         "expression": format_expr(expr),
-        "zeta": str(z),
-        "factors": [
-            {"factor": str(f), "exponent": e} for f, e in z.factors
-        ],
+        "zeta": " * ".join(f"({f})" + (f"^{e}" if e != 1 else "") for f, e in factors) or "1",
+        "factors": [{"factor": f, "exponent": e} for f, e in factors],
         "diagnostics": validate(expr),
         "pass": True,
     }

@@ -2,7 +2,7 @@
 
 Arbitrary-precision matrices, Smith normal form (reduced on the short side
 with nearest-integer remainders in a shrinking active block; its unimodular
-transforms built from the step log only when read), finitely generated
+transforms from a tracked rerun, only when read), finitely generated
 abelian groups in invariant-factor form, and p-adic valuations of rationals.
 Everything here is pure and immutable.
 """
@@ -16,7 +16,7 @@ from itertools import chain
 from math import prod
 from operator import index, mul
 
-from .errors import InfiniteGroupError, InvalidArgumentError, InvariantViolationError, NotPrimePowerError
+from .errors import InfiniteGroupError, InvalidArgumentError, NotPrimePowerError
 from .record import Record
 
 __all__ = [
@@ -143,17 +143,14 @@ class IntMatrix(Record):
 
 
 class SmithDecomposition(Record):
-    """S in Smith normal form, with the log of the elementary operations
-    that reduced A to it.
+    """S in Smith normal form, and the matrix A that was reduced to it.
 
-    Each step is `(op, i, j, k)`: "row_swap" R_i <-> R_j, "row_negate"
-    R_i = -R_i, "row_addmul" R_i += k*R_j, "col_swap" C_i <-> C_j and
-    "col_addmul" C_i += k*C_j, applied to S in order (unused fields 0).
-    `U` and `V`, unimodular with A = U*S*V, are built from the log the first
-    time either is read; the invariant factors never need them.
+    `U` and `V`, unimodular with A = U*S*V, are built the first time either
+    is read, by rerunning the reduction of A with both tracked; the
+    invariant factors never need them.
     """
 
-    __slots__ = ("S", "steps", "__dict__")
+    __slots__ = ("S", "A", "__dict__")
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -178,25 +175,17 @@ class SmithDecomposition(Record):
 
     @cached_property
     def _transforms(self) -> tuple[IntMatrix, IntMatrix]:
-        """(U, V) from identities, each step compensated so that U*S*V = A
-        holds after it: a row operation on S is undone by a column operation
-        on U, a column operation on S by a row operation on V."""
-        rows, cols = self.S.rows, self.S.cols
-        Ut = [[int(i == j) for j in range(rows)] for i in range(rows)]  # columns of U
-        V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        for op, i, j, k in self.steps:
-            if op == "row_swap":
-                Ut[i], Ut[j] = Ut[j], Ut[i]
-            elif op == "row_negate":
-                Ut[i] = [-x for x in Ut[i]]
-            elif op == "row_addmul":  # U: C_j -= k*C_i
-                Ut[j] = [a - k * b for a, b in zip(Ut[j], Ut[i])]
-            elif op == "col_swap":
-                V[i], V[j] = V[j], V[i]
-            elif op == "col_addmul":  # V: R_j -= k*R_i
-                V[j] = [a - k * b for a, b in zip(V[j], V[i])]
-            else:
-                raise InvariantViolationError(f"unknown Smith step {op!r}")
+        """(U, V) from the tracked reduction of B = U_B*D*V_B, D the signed
+        pivots on the diagonal.  A tall A is B^T = V_B^T*D^T*U_B^T: the
+        columns of U are then the rows of V_B, and the rows of V the columns
+        of U_B.  Negating U's column of each negative pivot turns D into S."""
+        rows, cols = self.A.rows, self.A.cols
+        diagonal, Ut, V = _reduce(self.A, True)
+        if rows > cols:
+            Ut, V = V, Ut
+        for t, d in enumerate(diagonal):
+            if d < 0:
+                Ut[t] = [-x for x in Ut[t]]
         U = tuple(x for row in zip(*Ut) for x in row)
         return IntMatrix(rows, rows, U), IntMatrix(cols, cols, tuple(x for row in V for x in row))
 
@@ -232,54 +221,57 @@ class FinGenAbGroup(Record):
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Diagonalize A over Z: S and the steps that reduce A to it.
+    """Diagonalize A over Z: S, kept with A.  The nonzero diagonal of S is
+    positive and each entry divides the next; U and V are left to a tracked
+    rerun of the reduction, made only if the result's `U` or `V` is read."""
+    entries = [0] * (A.rows * A.cols)
+    for t, d in enumerate(_reduce(A, False)[0]):
+        entries[t * A.cols + t] = abs(d)
+    return SmithDecomposition(IntMatrix(A.rows, A.cols, tuple(entries)), A)
 
-    The nonzero diagonal of S is positive and each entry divides the next.
-    Only S is updated; each operation is logged, and the unimodular U, V
-    with A = U*S*V are replayed from the log if the result's `U` or `V` is
-    read.  The step names and the lazy U, V do not depend on how S is found.
 
-    The reduction works on the short side: when A has more rows than
-    columns it reduces the transpose, and logs each row operation there as
-    the matching column operation of A and each column operation as a row
-    operation.  Each pivot is the first entry of least |x|, in row-major
-    order, of the active block, which holds only the rows and columns not
-    yet diagonalized and drops its first row and column after each pivot.
-    Row operations clear the pivot's column, then column operations its row;
-    a column operation touches only the pivot row, as the rest of the
-    pivot's column is zero by then.  Quotients round to nearest, so each
-    remainder lies in [-|p|/2, |p|/2) for the pivot p (Havas and Majewski,
-    "Integer matrix diagonalization", J. Symbolic Comput. 24 (1997)), and a
-    nonzero remainder becomes the next pivot.  A pivot that does not divide
-    the rest of the block takes a row that it does not divide into its own
-    row and goes on, and the pivot strictly shrinks.  Pivots keep their
-    signs until the block is empty; `row_negate` steps then make the
-    diagonal positive.
+def _reduce(A: IntMatrix, track: bool):
+    """(pivots, Ut, V): the signed pivots that diagonalize B, which is A, or
+    its transpose when A has more rows than columns; with `track` also the
+    columns Ut of U and the rows V of V with B = U*D*V, D the diagonal of
+    the pivots, and otherwise None for both.
+
+    Each pivot is the first entry of least |x|, in row-major order, of the
+    active block, which holds only the rows and columns not yet
+    diagonalized and drops its first row and column after each pivot.  Row
+    operations clear the pivot's column, then column operations its row; a
+    column operation touches only the pivot row, as the rest of the pivot's
+    column is zero by then.  Quotients round to nearest, so each remainder
+    lies in [-|p|/2, |p|/2) for the pivot p (Havas and Majewski, "Integer
+    matrix diagonalization", J. Symbolic Comput. 24 (1997)), and a nonzero
+    remainder becomes the next pivot.  A pivot that does not divide the
+    rest of the block takes a row that it does not divide into its own row
+    and goes on, and the pivot strictly shrinks.  The tracked transforms
+    start as identities and undo each operation on B, so that U*B*V stays
+    the B it started from: a row operation by a column operation on U, a
+    column operation by a row operation on V.
     """
     if A.rows > A.cols:
         B = [list(A.entries[j :: A.cols]) for j in range(A.cols)]
-        row_op, col_op = "col", "row"
     else:
         B = A.to_rows()
-        row_op, col_op = "row", "col"
-    row_swap, row_addmul = row_op + "_swap", row_op + "_addmul"
-    col_swap, col_addmul = col_op + "_swap", col_op + "_addmul"
-    steps = []
-    log = steps.append
+    short, long = sorted((A.rows, A.cols))
+    Ut, V = ([[int(i == j) for j in range(n)] for i in range(n)] if track else None for n in (short, long))
 
     def swap_rows(i):  # R_0 <-> R_i of the block
         B[0], B[i] = B[i], B[0]
-        log((row_swap, t, t + i, 0))
+        if track:
+            Ut[t], Ut[t + i] = Ut[t + i], Ut[t]
 
     def swap_cols(j):  # C_0 <-> C_j of the block
         for row in B:
             row[0], row[j] = row[j], row[0]
-        log((col_swap, t, t + j, 0))
+        if track:
+            V[t], V[t + j] = V[t + j], V[t]
 
     diagonal = []
     t = 0
-    limit = min(A.rows, A.cols)
-    while t < limit:
+    while t < short:
         piv, least = None, 0
         for i, row in enumerate(B):
             for j, x in enumerate(row):
@@ -303,7 +295,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 q = sign * ((2 * x + size) // width)  # nearest: x - q*p in [-|p|/2, |p|/2)
                 if q:
                     B[i] = [a - q * b for a, b in zip(B[i], top)]
-                    log((row_addmul, t + i, t, -q))
+                    if track:  # U: C_0 += q*C_i
+                        Ut[t] = [a + q * b for a, b in zip(Ut[t], Ut[t + i])]
             rem = [i for i in range(1, len(B)) if B[i][0]]
             if rem:
                 swap_rows(min(rem, key=lambda r: abs(B[r][0])))
@@ -312,7 +305,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 q = sign * ((2 * top[j] + size) // width)
                 if q:
                     top[j] -= q * p
-                    log((col_addmul, t + j, t, -q))
+                    if track:  # V: R_0 += q*R_j
+                        V[t] = [a + q * b for a, b in zip(V[t], V[t + j])]
             rem = [j for j in range(1, len(top)) if top[j]]
             if rem:
                 swap_cols(min(rem, key=lambda c: abs(top[c])))
@@ -323,17 +317,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if bad is None:
                 break
             B[0] = [a + b for a, b in zip(top, B[bad])]
-            log((row_addmul, t, t + bad, 1))
+            if track:  # U: C_i -= C_0
+                Ut[t + bad] = [a - b for a, b in zip(Ut[t + bad], Ut[t])]
         diagonal.append(p)
         B = [row[1:] for row in B[1:]]
         t += 1
-
-    entries = [0] * (A.rows * A.cols)
-    for t, d in enumerate(diagonal):
-        entries[t * A.cols + t] = abs(d)
-        if d < 0:  # S is diagonal: negating row t flips d alone
-            log(("row_negate", t, 0, 0))
-    return SmithDecomposition(IntMatrix(A.rows, A.cols, tuple(entries)), tuple(steps))
+    return diagonal, Ut, V
 
 
 def cokernel(A: IntMatrix) -> FinGenAbGroup:

@@ -425,7 +425,14 @@ class AbelianFieldSpec(Record):
         non_units = sorted(elements - set(_units(f)))
         if non_units:
             raise InvalidArgumentError(f"subgroup elements {non_units} are not units mod {f}")
-        if _closure(elements, f) != elements:
+        # generators picked greedily, each element not yet in the closure so
+        # far: each at least doubles it, so there are at most log2 |H|
+        gens, closed = [], {1}
+        for h in elements:
+            if h not in closed:
+                gens.append(h)
+                closed = _closure(gens, f)
+        if closed != elements:
             raise InvalidArgumentError("subgroup is not closed under multiplication")
 
     @classmethod

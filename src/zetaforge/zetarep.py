@@ -96,17 +96,16 @@ class RationalFunctionT(Record):
         return out
 
     def __str__(self):
-        def fmt(p):
+        def fmt(p):  # by `_exact_str`: a shifted coefficient may have millions of digits
             terms = []
             for j, c in enumerate(p):
                 if c == 0:
                     continue
                 if j == 0:
-                    terms.append(str(c))
-                elif j == 1:
-                    terms.append(f"{c}t" if c not in (1, -1) else ("t" if c == 1 else "-t"))
+                    terms.append(_exact_str(c))
                 else:
-                    terms.append(f"{c}t^{j}" if c not in (1, -1) else (f"t^{j}" if c == 1 else f"-t^{j}"))
+                    power = "t" if j == 1 else f"t^{j}"
+                    terms.append(("" if c == 1 else "-" if c == -1 else _exact_str(c)) + power)
             return " + ".join(terms).replace("+ -", "- ") or "0"
 
         if self.den == (1,):
@@ -223,17 +222,6 @@ class ZetaProduct(Record):
     def factors(self):
         return self.finite_char + self.char_zero
 
-    @property
-    def is_one(self) -> bool:
-        return not self.finite_char and not self.char_zero
-
-    def __str__(self):
-        if self.is_one:
-            return "1"
-        parts = []
-        for f, e in self.factors:
-            parts.append(f"({f})" + (f"^{e}" if e != 1 else ""))
-        return " * ".join(parts)
 
 
 def multiply(a: ZetaProduct, b: ZetaProduct) -> ZetaProduct:

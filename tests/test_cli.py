@@ -425,6 +425,18 @@ def test_bundle_ranks_are_summed_along_the_path(capsys):
         assert data["error"]["message"].startswith("bundle ranks summing to 65537 ")
 
 
+def test_zeta_prints_a_coefficient_of_millions_of_digits_in_a_few_seconds(capsys):
+    # (affine 128 (point 2 65536)) is 1/(1 - 2^8388608 t^65536): the factor
+    # prints once, its 2.5 million digits by the printer of `value`, where
+    # str() of it twice took about 138 s below Python 3.12
+    start = time.perf_counter()
+    code, data = run_json(capsys, "zeta", "(affine 128 (point 2 65536))")
+    assert code == 0 and time.perf_counter() - start < 5
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+        factor = f"[q=2] (1)/(1 - {decimal.Decimal(2) ** 8388608}t^65536)"
+    assert data["factors"] == [{"factor": factor, "exponent": 1}] and data["zeta"] == f"({factor})"
+
+
 def test_value_of_q_zeta_401_rounds_every_product(capsys):
     # 200 order-1 values and 200 embedded order-0 values multiply to about
     # 10^1918; without rounding each product the Fractions take seconds

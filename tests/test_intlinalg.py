@@ -1,17 +1,19 @@
+import hashlib
+import json
 import random
 import time
 from math import prod
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforge.errors import InfiniteGroupError, InvalidArgumentError, InvariantViolationError
+from zetaforge.errors import InfiniteGroupError, InvalidArgumentError
 from zetaforge.intlinalg import (
     FinGenAbGroup,
     IntMatrix,
-    SmithDecomposition,
     cokernel,
     factorize,
     group_order,
@@ -113,11 +115,25 @@ def test_snf_invariant_factors_are_the_determinantal_divisors(case):
     assert smith_normal_form(A).invariant_factors == determinantal_invariant_factors(rows)
 
 
-def test_transforms_refuse_an_unknown_step():
-    # a misnamed step must not replay as some other operation
-    dec = SmithDecomposition(IntMatrix.from_rows([[1]]), (("col_negate", 0, 0, 0),))
-    with pytest.raises(InvariantViolationError, match="col_negate"):
-        dec.U
+# sha256 of json.dumps([U.to_rows(), V.to_rows()]) for each differential of
+# the det goldens, as the step-log replay built them: the tracked rerun must
+# give the same transforms, square and wide and tall (rank50's -1 is 25 x 12)
+GOLDEN_TRANSFORMS = {
+    ("det_three_term_input", "-1"): "6266f9af22827111eec89d4ac98e0f1a46483a339dfef239231782c21be6316a",
+    ("det_three_term_input", "0"): "9a7593dbc808024c0fdf95c40702e1265a5547d7f3078b0cefa6d66912610f2e",
+    ("det_rank50_input", "-1"): "c5eb47917bcb8105cb0fb17fde2f3620f22813c62ad2e962e05199ad8bee00f7",
+    ("det_rank50_input", "0"): "dc3dde1133c086014a26e1d03688464b8006528b9e6340dc9ea3625d66b99a32",
+}
+
+
+@pytest.mark.parametrize("name, degree", sorted(GOLDEN_TRANSFORMS))
+def test_transforms_of_the_golden_differentials_are_pinned(name, degree):
+    data = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    A = IntMatrix.from_rows(data["differentials"][degree])
+    dec = smith_normal_form(A)
+    assert snf_is_valid(A, dec)
+    text = json.dumps([dec.U.to_rows(), dec.V.to_rows()])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRANSFORMS[name, degree]
 
 
 def _unimodular(draw, n):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -291,6 +292,24 @@ def test_field_specs():
         AbelianFieldSpec(5, (1, 2))  # not closed: 2*2 = 4 missing
     with pytest.raises(ValueError):
         AbelianFieldSpec.from_generators(6, [3])  # 3 not a unit mod 6
+
+
+def test_a_subgroup_of_65520_elements_is_checked_in_under_two_seconds():
+    # closure is checked from generators picked greedily from H, at most
+    # log2 |H| of them, not from all of H: that took |H|^2 products, about
+    # 4 * 10^9 here, and 6 s at conductor 8191
+    start = time.perf_counter()
+    spec = AbelianFieldSpec.from_generators(65521, [17])
+    assert time.perf_counter() - start < 2
+    assert len(spec.subgroup) == 65520 and spec.degree == 1
+    # a set that is not closed, or holds a non-unit, is still refused
+    closed = "subgroup is not closed under multiplication"
+    for f, subgroup in [(65521, spec.subgroup[:-1]), (13, (1, 3, 4, 9)), (13, (1, 3, 9, 12))]:
+        with pytest.raises(InvalidArgumentError, match=closed):
+            AbelianFieldSpec(f, subgroup)
+    assert AbelianFieldSpec(13, (1, 3, 9)).degree == 4
+    with pytest.raises(InvalidArgumentError, match=r"subgroup elements \[2, 4\] are not units mod 6"):
+        AbelianFieldSpec(6, (1, 2, 4, 5))
 
 
 def field_order(field, n):

@@ -76,7 +76,7 @@ SAMPLES = {
     "IntMatrix": (lambda: IntMatrix(1, 2, (1, 2)), "IntMatrix(rows=1, cols=2, entries=(1, 2))"),
     "SmithDecomposition": (
         lambda: smith_normal_form(IntMatrix(1, 2, (2, 4))),
-        "SmithDecomposition(S=IntMatrix(rows=1, cols=2, entries=(2, 0)), steps=(('col_addmul', 1, 0, -2),))",
+        "SmithDecomposition(S=IntMatrix(rows=1, cols=2, entries=(2, 0)), A=IntMatrix(rows=1, cols=2, entries=(2, 4)))",
     ),
     "FinGenAbGroup": (lambda: FinGenAbGroup(1, (2,)), "FinGenAbGroup(rank=1, torsion=(2,))"),
     "VerificationReport": (

@@ -24,7 +24,7 @@ from zetaforge.scheme_algebra import (
     weil_order_data,
     zeta_of,
 )
-from zetaforge.zetarep import evaluate_at, multiply
+from zetaforge.zetarep import ZetaProduct, evaluate_at, multiply
 
 
 def nodal_cubic(q=2):
@@ -53,7 +53,7 @@ def test_nodal_cubic_zeta_collapses():
 
 
 def test_empty_disjoint_is_one():
-    assert zeta_of(Disjoint(())).is_one
+    assert zeta_of(Disjoint(())) == ZetaProduct()
 
 
 def test_glue_is_structural_product():
