@@ -93,11 +93,15 @@ def _tangent_numbers(count: int) -> tuple[int, ...]:
     return tuple(T[1:])
 
 
-@lru_cache(maxsize=None)
+def _even_bernoulli(m: int, tangent: int) -> Fraction:
+    """B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent number T_m."""
+    return Fraction(parity_sign(m - 1) * 2 * m * tangent, 4**m * (4**m - 1))
+
+
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with the B_1 = -1/2 convention: B_2m = (-1)^(m-1) 2m T_m /
-    (4^m (4^m - 1)), the tangent numbers tabulated to the next power of two
-    above m, so that a rising sequence of calls costs one table per doubling."""
+    """B_k with the B_1 = -1/2 convention, from the tangent numbers tabulated
+    to the next power of two above k/2, so that a rising sequence of calls
+    costs one table per doubling."""
     if k < 0:
         raise InvalidArgumentError("Bernoulli index must be nonnegative")
     if k < 2:
@@ -105,8 +109,17 @@ def bernoulli_number(k: int) -> Fraction:
     if k % 2 == 1:
         return Fraction(0)
     m = k // 2
-    tangent = _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
-    return Fraction(parity_sign(m - 1) * k * tangent, 4**m * (4**m - 1))
+    return _even_bernoulli(m, _tangent_numbers(1 << (m - 1).bit_length())[m - 1])
+
+
+@lru_cache(maxsize=4)
+def _bernoulli_numbers(k: int) -> tuple[Fraction, ...]:
+    """B_0..B_k from one table of tangent numbers, shared by the Bernoulli
+    tables of every conductor at one weight."""
+    numbers = [Fraction(1), Fraction(-1, 2)]
+    for m, tangent in enumerate(_tangent_numbers(k // 2), 1):
+        numbers += (_even_bernoulli(m, tangent), Fraction(0))
+    return tuple(numbers[: k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +492,7 @@ def _bernoulli_table(f: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     of the denominators of B_0..B_k: L f^k B_k(a/f) = sum_j C(k, j) L B_j f^j
     a^(k-j) is an integer polynomial in a, evaluated at each unit; C(k, j) L f^j
     is a running product, times (k - j) f and divided exactly by j + 1."""
-    numbers = [bernoulli_number(j) for j in range(k + 1)]
+    numbers = _bernoulli_numbers(k)
     L = lcm(*(b.denominator for b in numbers))
     terms = itertools.accumulate(range(k), lambda t, j: t * (k - j) * f // (j + 1), initial=L)
     # ascending in a: the coefficient of a^i comes from j = k - i

@@ -325,9 +325,7 @@ def normalize(e: SchemeExpr) -> NormalForm:
 
 def _atom_zeta(atom) -> ZetaProduct:
     if isinstance(atom, NumberRing):
-        return ZetaProduct.from_factors(
-            [(LFactorShifted(chi, 0), 1) for chi in atom.field_spec.characters()]
-        )
+        return ZetaProduct((LFactorShifted(chi, 0), 1) for chi in atom.field_spec.characters())
     if isinstance(atom, Point):
         if atom.m > _MAX_ZETA_DEGREE:
             raise InvalidArgumentError(
@@ -337,7 +335,7 @@ def _atom_zeta(atom) -> ZetaProduct:
         Z = RationalFunctionT.make((1,), (1,) + (0,) * (atom.m - 1) + (-1,))
     else:
         Z = RationalFunctionT.make(atom.lpoly, poly.mul((1, -1), (1, -atom.q)))
-    return ZetaProduct.single(FiniteCharFactor(atom.q, Z))
+    return ZetaProduct([(FiniteCharFactor(atom.q, Z), 1)])
 
 
 def zeta_of(e) -> ZetaProduct:
@@ -345,7 +343,7 @@ def zeta_of(e) -> ZetaProduct:
     product: prod zeta(atom)(s - r)^c over the terms of the normal form."""
     nf = Evaluation.of(e).nf
     atom_zeta = {atom: _atom_zeta(atom) for atom in nf.atoms}
-    return ZetaProduct.from_factors(
+    return ZetaProduct(
         (factor, c * exp)
         for (atom, r), c in nf.terms.items()
         for factor, exp in shift_s(atom_zeta[atom], r).factors
@@ -639,6 +637,8 @@ def _number_ring(args) -> NumberRing:
         read = _NUMBER_RING_KEYWORDS.get(key) if isinstance(key, str) else None
         if read is None:
             raise ExprSyntaxError("expected the numberring keyword :conductor or :subgroup", key_pos)
+        if key in values:
+            raise ExprSyntaxError(f"numberring keyword {key} is given twice", key_pos)
         if i + 1 == len(args):
             raise ArityError(f"numberring keyword {key} needs a value")
         values[key] = read(args[i + 1], key[1:])

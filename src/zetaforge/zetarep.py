@@ -183,53 +183,38 @@ class ZetaProduct(Record):
     (FiniteCharFactor, exponent) in `finite_char` and (LFactorShifted,
     exponent) in `char_zero`, both empty by default.
 
-    Construction normalizes to a canonical form (duplicates merged, zero
-    exponents dropped, factors sorted), so equality is structural.
+    The constructor takes any number of iterables of (factor, exponent)
+    pairs of either kind (a copy or a pickle passes the two fields) and
+    normalizes them to a canonical form (duplicates merged, zero exponents
+    dropped, each factor sorted into its field), so equality is structural.
     """
 
     __slots__ = ("finite_char", "char_zero")
 
     # built in bulk: an explicit constructor is faster than Record's generic one
-    def __init__(self, finite_char=(), char_zero=()):
-        merged = ZetaProduct._merge(list(finite_char) + list(char_zero))
-        object.__setattr__(self, "finite_char", merged[0])
-        object.__setattr__(self, "char_zero", merged[1])
-
-    @staticmethod
-    def _merge(factors):
+    def __init__(self, *factor_lists):
         fc: dict = {}
         cz: dict = {}
-        for factor, exp in factors:
-            if exp == 0:
-                continue
-            bucket = fc if isinstance(factor, FiniteCharFactor) else cz
-            bucket[factor] = bucket.get(factor, 0) + exp
-        return (
-            tuple(sorted(((f, e) for f, e in fc.items() if e), key=lambda p: p[0].sort_key())),
-            tuple(sorted(((f, e) for f, e in cz.items() if e), key=lambda p: p[0].sort_key())),
-        )
-
-    @classmethod
-    def from_factors(cls, factors) -> ZetaProduct:
-        # the constructor sorts each factor into its field, so one merge does
-        return cls(factors)
-
-    @classmethod
-    def single(cls, factor, exp: int = 1) -> ZetaProduct:
-        return cls.from_factors([(factor, exp)])
+        for factors in factor_lists:
+            for factor, exp in factors:
+                if exp:
+                    bucket = fc if isinstance(factor, FiniteCharFactor) else cz
+                    bucket[factor] = bucket.get(factor, 0) + exp
+        for field, bucket in (("finite_char", fc), ("char_zero", cz)):
+            pairs = sorted(((f, e) for f, e in bucket.items() if e), key=lambda p: p[0].sort_key())
+            object.__setattr__(self, field, tuple(pairs))
 
     @property
     def factors(self):
         return self.finite_char + self.char_zero
 
 
-
 def multiply(a: ZetaProduct, b: ZetaProduct) -> ZetaProduct:
-    return ZetaProduct.from_factors(list(a.factors) + list(b.factors))
+    return ZetaProduct(a.factors, b.factors)
 
 
 def inverse(z: ZetaProduct) -> ZetaProduct:
-    return ZetaProduct.from_factors([(f, -e) for f, e in z.factors])
+    return ZetaProduct((f, -e) for f, e in z.factors)
 
 
 def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
@@ -252,7 +237,7 @@ def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
         out.append((FiniteCharFactor(f.q, f.Z.substitute_scaled(f.q**r)), e))
     for f, e in z.char_zero:
         out.append((LFactorShifted(f.character, f.shift + r), e))
-    return ZetaProduct.from_factors(out)
+    return ZetaProduct(out)
 
 
 def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:

@@ -476,6 +476,23 @@ def test_missing_and_invalid_inputs_have_documented_codes(capsys, argv, code):
     assert exit_code == 2 and json.loads(out)["error"]["code"] == code
 
 
+@pytest.mark.parametrize(
+    "expr, keyword, position",
+    [
+        ("(numberring :conductor 5 :conductor 7 :subgroup (1))", ":conductor", 25),
+        ("(numberring :conductor 5 :subgroup (1) :subgroup (4))", ":subgroup", 39),
+    ],
+)
+def test_a_repeated_numberring_keyword_is_a_syntax_error(capsys, expr, keyword, position):
+    # the last value does not win: the first expression is neither Q(zeta_5) nor Q(zeta_7)
+    message = f"numberring keyword {keyword} is given twice (at position {position})"
+    code, data = run_json(capsys, "zeta", expr)
+    assert code == 2 and data == {"error": {"code": "syntax-error", "message": message}}
+    assert cli.main(["zeta", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error [syntax-error]: {message}\n"
+
+
 def test_trace_and_ell_and_p(capsys):
     assert run_cli(capsys, "trace-check", "(point 2)", "--series-order", "6")[0] == 0
     code, data = run_json(capsys, "ell-check", "(point 3)", "-n", "-2", "--ell", "2")
@@ -800,95 +817,42 @@ def test_batch_manifest(capsys, tmp_path):
     assert data["entries"][2]["checks"][-1]["claim"] == "vanishing-order"
 
 
-# one entry per route of the battery: every finite-characteristic entry
-# prints its trace-formula series to t^40 and its exact special value
-GOLDEN_MANIFEST = [
-    {"expr": "(curve 3 (1 -1 4 -3 9))", "n": -1},
-    {"expr": "(proj 2 (curve 2 (1 1 2)))", "n": -1},
-    {"expr": "(minus (curve 5 (1 2 5)) (point 5))", "n": -2},
-    {"expr": "(glue (point 7) (minus (affine 1 (point 7)) (point 7)))", "n": -1},
-    {"expr": "(affine 1 (numberring :conductor 5 :subgroup (1 4)))", "n": -1},
-    {"expr": "(disjoint (curve 4 (1 3 4)) (point 4 2))", "n": -3},
-]
+# the command line of every golden report, by file name: one list, which the
+# packaged-entry-point step of .github/workflows/tier1.yml runs too; each
+# command runs in tests/golden, where its file arguments are
+GOLDEN_COMMANDS = {
+    name: case["argv"] for name, case in json.loads((GOLDEN / "commands.json").read_text()).items()
+}
+ANCHOR = "value_q_zeta61.json"  # the benchmark's anchor, checked on its own
 
 
-def golden_cases(tmp_path) -> dict:
-    """The command line of each golden report but the anchor's, by file name."""
-    precision = ["--precision", "50"]
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(GOLDEN_MANIFEST))
-    return {
-        "verify_c_curve.json": ["verify-c", "(curve 2 (1 0 2))", "-n", "-1"],
-        "ord_qi.json": ["ord", "(numberring :conductor 4 :subgroup (1))", "-n", "-1"],
-        "value_p1_f2.json": ["value", "(proj 1 (point 2))", "-n", "-1"],
-        # numeric values: an imaginary field and a real one, real and complex characters
-        "value_q_zeta13.json": ["value", "(numberring :conductor 13 :subgroup (1))", "-n", "-2", *precision],
-        "value_real_f21.json": ["value", "(numberring :conductor 21 :subgroup (20))", "-n", "-2", *precision],
-        # an exact value whose negative exponents are irrational one by one
-        "value_minus_real_f13.json": [
-            "value", "(minus (Q) (numberring :conductor 13 :subgroup (12)))", "-n", "-1", *precision
-        ],
-        # a composite conductor with three unit generators, a subgroup without -1
-        "value_f56_h9.json": ["value", "(numberring :conductor 56 :subgroup (9))", "-n", "-3", "--precision", "30"],
-        # a large conductor: 400 characters in 15 Galois orbits, 200 of them at a trivial zero
-        "value_q_zeta401.json": ["value", "(numberring :conductor 401 :subgroup (1))", "-n", "-2", "--precision", "30"],
-        # a real subfield of large conductor: 651 characters in 8 Galois orbits, each orbit's product its norm
-        "value_real_f1303.json": [
-            "value", "(numberring :conductor 1303 :subgroup (1 1302))", "-n", "-1", "--precision", "20"
-        ],
-        # a thousand digits: the Euler-Maclaurin tail summed at the working precision
-        "value_q_zeta11_p1000.json": [
-            "value", "(numberring :conductor 11 :subgroup (1))", "-n", "-1", "--precision", "1000"
-        ],
-        # numeric products with exponents other than 1: -1 (order -1), 2 (order 6),
-        # and a shift times a finite-characteristic rational part (order 3)
-        "value_minus_q_f5.json": [
-            "value", "(minus (Q) (numberring :conductor 5 :subgroup (1)))", "-n", "-2", "--precision", "40"
-        ],
-        "value_disjoint_f7.json": [
-            "value", "(disjoint (numberring :conductor 7 :subgroup (1)) (numberring :conductor 7 :subgroup (1)))",
-            "-n", "-2", "--precision", "40",
-        ],
-        "value_affine_minus_f7.json": [
-            "value", "(minus (affine 1 (numberring :conductor 7 :subgroup (1))) (point 2))",
-            "-n", "-2", "--precision", "40",
-        ],
-        "batch_trace_k40.json": ["batch", "--manifest", str(manifest), "--series-order", "40"],
-        # a scrambled three-term complex with torsion and free cohomology
-        "det_three_term.json": ["det", str(GOLDEN / "det_three_term_input.json")],
-        # total rank 50, a tall first differential (reduced on its transpose)
-        # and torsion Z/6 + Z/6 + Z/84 + Z/2520, merged from summands of
-        # orders 2 to 9, so that non-unit pivots must divide the rest
-        "det_rank50.json": ["det", str(GOLDEN / "det_rank50_input.json")],
-    }
-
-
-def test_golden_reports(capsys, tmp_path):
-    for name, argv in golden_cases(tmp_path).items():
+def test_golden_reports(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    for name, argv in GOLDEN_COMMANDS.items():
+        if name == ANCHOR:
+            continue
         code, data = run_json(capsys, *argv)
         assert code == 0
-        data.pop("manifest", None)  # the path of the temporary manifest
+        data.pop("manifest", None)  # the path of the manifest
         data.pop("file", None)  # the path of the input complex
         expected = json.loads((GOLDEN / name).read_text())
         assert data == expected, f"schema drift against golden file {name}"
 
 
 def test_golden_q_zeta61(capsys):
-    # the benchmark's anchor: 30 odd characters embedded from their exact
-    # values and 30 even ones through the Gauss sum and the Hurwitz table,
-    # of orders 1 to 60
-    argv = ["value", "(numberring :conductor 61 :subgroup (1))", "-n", "-2", "--precision", "50"]
-    code, data = run_json(capsys, *argv)
+    # 30 odd characters embedded from their exact values and 30 even ones
+    # through the Gauss sum and the Hurwitz table, of orders 1 to 60
+    code, data = run_json(capsys, *GOLDEN_COMMANDS[ANCHOR])
     assert code == 0
-    assert data == json.loads((GOLDEN / "value_q_zeta61.json").read_text())
+    assert data == json.loads((GOLDEN / ANCHOR).read_text())
 
 
-def test_json_reports_print_as_json_dumps_with_indent_2(capsys, tmp_path):
+def test_json_reports_print_as_json_dumps_with_indent_2(capsys, monkeypatch):
     # the goldens compare parsed JSON; this pins the bytes of every golden
-    # report, of the anchor's and of an error
-    anchor = ["value", "(numberring :conductor 61 :subgroup (1))", "-n", "-2", "--precision", "50"]
+    # report and of an error
+    monkeypatch.chdir(GOLDEN)
     error = ["value", "(point 6)", "-n", "-1"]
-    for argv in [*golden_cases(tmp_path).values(), anchor, error]:
+    for argv in [*GOLDEN_COMMANDS.values(), error]:
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == (2 if argv is error else 0)
         assert out == json.dumps(json.loads(out), indent=2) + "\n"

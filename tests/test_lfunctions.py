@@ -267,7 +267,7 @@ def test_a_conductor_is_not_an_input():
         DirichletCharacter(10, 4, tables[0], 10)
     chi, conj = [DirichletCharacter(10, 4, table) for table in tables]
     assert chi.conductor == conj.conductor == 5 != chi.modulus
-    z = ZetaProduct.from_factors([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
+    z = ZetaProduct([(LFactorShifted(chi), 1), (LFactorShifted(conj), 1)])
     assert format_decimal(evaluate_at(z, -1, 20).numeric, 20) == "0.74433551727649940574"
 
 

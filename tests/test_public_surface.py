@@ -1,9 +1,11 @@
 """Guards on the public surface of the package: what `__all__` exports
-exists, the benchmark's tracer finds every function it wraps, and no module
-keeps an import it does not use."""
+exists, each public name has one import path (its module's), the
+benchmark's tracer finds every function it wraps, and no module keeps an
+import it does not use."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,25 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"zetaforge.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def test_the_package_root_binds_only_its_modules():
+    package = importlib.import_module("zetaforge")
+    public = {name: value for name, value in vars(package).items() if not name.startswith("_")}
+    assert [
+        name
+        for name, value in public.items()
+        if not (isinstance(value, types.ModuleType) and value.__name__ == f"zetaforge.{name}")
+    ] == []
+
+
+def test_no_object_is_exported_by_two_modules():
+    homes: dict = {}
+    for name in MODULES:
+        module = importlib.import_module(f"zetaforge.{name}")
+        for attr in getattr(module, "__all__", ()):
+            homes.setdefault(id(getattr(module, attr)), []).append(f"{name}.{attr}")
+    assert [names for names in homes.values() if len(names) > 1] == []
 
 
 def _traced_layers() -> dict:
