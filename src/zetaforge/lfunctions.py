@@ -63,7 +63,6 @@ __all__ = [
     "CHI_MINUS_4",
     "Q",
     "QI",
-    "bernoulli_number",
     "gen_bernoulli",
     "L_at_nonpositive",
     "trivial_zero_order",
@@ -93,32 +92,14 @@ def _tangent_numbers(count: int) -> tuple[int, ...]:
     return tuple(T[1:])
 
 
-def _even_bernoulli(m: int, tangent: int) -> Fraction:
-    """B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent number T_m."""
-    return Fraction(parity_sign(m - 1) * 2 * m * tangent, 4**m * (4**m - 1))
-
-
-def bernoulli_number(k: int) -> Fraction:
-    """B_k with the B_1 = -1/2 convention, from the tangent numbers tabulated
-    to the next power of two above k/2, so that a rising sequence of calls
-    costs one table per doubling."""
-    if k < 0:
-        raise InvalidArgumentError("Bernoulli index must be nonnegative")
-    if k < 2:
-        return Fraction(1) if k == 0 else Fraction(-1, 2)
-    if k % 2 == 1:
-        return Fraction(0)
-    m = k // 2
-    return _even_bernoulli(m, _tangent_numbers(1 << (m - 1).bit_length())[m - 1])
-
-
 @lru_cache(maxsize=4)
 def _bernoulli_numbers(k: int) -> tuple[Fraction, ...]:
-    """B_0..B_k from one table of tangent numbers, shared by the Bernoulli
-    tables of every conductor at one weight."""
+    """B_0..B_k with the B_1 = -1/2 convention, B_2m = (-1)^(m-1) 2m T_m /
+    (4^m (4^m - 1)) from one table of tangent numbers, shared by the
+    Bernoulli tables of every conductor at one weight."""
     numbers = [Fraction(1), Fraction(-1, 2)]
     for m, tangent in enumerate(_tangent_numbers(k // 2), 1):
-        numbers += (_even_bernoulli(m, tangent), Fraction(0))
+        numbers += (Fraction(parity_sign(m - 1) * 2 * m * tangent, 4**m * (4**m - 1)), Fraction(0))
     return tuple(numbers[: k + 1])
 
 

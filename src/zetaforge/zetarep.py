@@ -183,8 +183,7 @@ class ZetaProduct(Record):
     (FiniteCharFactor, exponent) in `finite_char` and (LFactorShifted,
     exponent) in `char_zero`, both empty by default.
 
-    The constructor takes any number of iterables of (factor, exponent)
-    pairs of either kind (a copy or a pickle passes the two fields) and
+    Either argument takes (factor, exponent) pairs of both kinds: construction
     normalizes them to a canonical form (duplicates merged, zero exponents
     dropped, each factor sorted into its field), so equality is structural.
     """
@@ -192,10 +191,10 @@ class ZetaProduct(Record):
     __slots__ = ("finite_char", "char_zero")
 
     # built in bulk: an explicit constructor is faster than Record's generic one
-    def __init__(self, *factor_lists):
+    def __init__(self, finite_char=(), char_zero=()):
         fc: dict = {}
         cz: dict = {}
-        for factors in factor_lists:
+        for factors in (finite_char, char_zero):
             for factor, exp in factors:
                 if exp:
                     bucket = fc if isinstance(factor, FiniteCharFactor) else cz
@@ -210,7 +209,7 @@ class ZetaProduct(Record):
 
 
 def multiply(a: ZetaProduct, b: ZetaProduct) -> ZetaProduct:
-    return ZetaProduct(a.factors, b.factors)
+    return ZetaProduct(a.factors + b.factors)
 
 
 def inverse(z: ZetaProduct) -> ZetaProduct:

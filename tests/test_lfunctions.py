@@ -24,7 +24,6 @@ from zetaforge.lfunctions import (
     DirichletCharacter,
     L_at_nonpositive,
     TRIVIAL_CHARACTER,
-    bernoulli_number,
     characters_mod,
     gen_bernoulli,
     gauss_sum,
@@ -149,23 +148,23 @@ def test_cyclotomic_numeric_matches_direct_summation(pair, stride, data):
 
 def test_bernoulli_numbers():
     # frozen from the defining recurrence sum C(m+1, j) B_j = 0
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(2) == Fraction(1, 6)
-    assert bernoulli_number(4) == Fraction(-1, 30)
-    assert bernoulli_number(3) == 0
-    assert bernoulli_number(12) == Fraction(-691, 2730)
+    assert lfunctions._bernoulli_numbers(12) == (
+        1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42), 0,
+        Fraction(-1, 30), 0, Fraction(5, 66), 0, Fraction(-691, 2730),
+    )
+    assert lfunctions._bernoulli_numbers(0) == (1,)
+    assert lfunctions._bernoulli_numbers(1) == (1, Fraction(-1, 2))
 
 
 def test_bernoulli_numbers_match_the_defining_recurrence():
-    assert [bernoulli_number(k) for k in range(301)] == bernoulli_numbers(301)
+    assert list(lfunctions._bernoulli_numbers(300)) == bernoulli_numbers(301)
 
 
 def test_bernoulli_tables_match_the_binomial_formula():
     # the running products C(k, j) L f^j against one comb and one power per j
     for f in (1, 3, 4, 12, 13, 97):
         for k in range(1, 41):
-            numbers = [bernoulli_number(j) for j in range(k + 1)]
+            numbers = bernoulli_numbers(k + 1)
             L = lcm(*(b.denominator for b in numbers))
             coeffs = [comb(k, j) * b.numerator * (L // b.denominator) * f**j for j, b in enumerate(numbers)][::-1]
             units = [a for a in range(1, f + 1) if gcd(a, f) == 1]

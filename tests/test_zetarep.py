@@ -67,6 +67,11 @@ def test_direct_construction_normalizes():
     z = ZetaProduct(((f, 1), (f, 1), (f, 0)), ())
     assert z.finite_char == ((f, 2),)
     assert ZetaProduct(((f, 1), (f, -1)), ()) == ZetaProduct()
+    # the fields are keywords too, so the repr reads back
+    chi = LFactorShifted(TRIVIAL_CHARACTER)
+    w = ZetaProduct(finite_char=((f, 1),), char_zero=((chi, 1),))
+    assert w == ZetaProduct([(chi, 1), (f, 1)])
+    assert eval(repr(w), vars(zetarep) | vars(lfunctions)) == w
 
 
 def test_p1_structure():
