@@ -26,6 +26,7 @@ from .intlinalg import (
     read_key,
     smith_normal_form,
 )
+from .record import Record
 
 __all__ = [
     "BoundedFreeComplex",
@@ -36,19 +37,23 @@ __all__ = [
 ]
 
 
-class BoundedFreeComplex:
+class BoundedFreeComplex(Record):
     """Bounded complex of finitely generated free Z-modules.
 
     ranks: map degree -> rank (zero ranks dropped)
     differentials: map degree i -> IntMatrix of d^i (zero maps dropped)
     """
 
-    def __init__(self, ranks, differentials=None):
-        self._ranks = {int(i): int(r) for i, r in dict(ranks).items() if r}
-        if any(r < 0 for r in self._ranks.values()):
+    __slots__ = ("ranks", "differentials", "__dict__")
+    _defaults = {"differentials": None}
+
+    def __post_init__(self):
+        ranks = {int(i): int(r) for i, r in dict(self.ranks).items() if r}
+        if any(r < 0 for r in ranks.values()):
             raise InvalidArgumentError("ranks must be nonnegative")
+        object.__setattr__(self, "ranks", ranks)
         diffs = {}
-        for i, mat in dict(differentials or {}).items():
+        for i, mat in dict(self.differentials or {}).items():
             i = int(i)
             if not isinstance(mat, IntMatrix):
                 mat = IntMatrix.from_rows(mat)
@@ -60,7 +65,7 @@ class BoundedFreeComplex:
                 )
             if not mat.is_zero:
                 diffs[i] = mat
-        self._diffs = diffs
+        object.__setattr__(self, "differentials", diffs)
         for i, d in diffs.items():
             nxt = diffs.get(i + 1)
             if nxt is not None and not (nxt @ d).is_zero:
@@ -68,27 +73,27 @@ class BoundedFreeComplex:
 
     @property
     def lo(self) -> int:
-        return min(self._ranks, default=0)
+        return min(self.ranks, default=0)
 
     @property
     def hi(self) -> int:
-        return max(self._ranks, default=0)
+        return max(self.ranks, default=0)
 
     def degrees(self):
-        return sorted(self._ranks)
+        return sorted(self.ranks)
 
     def rank(self, i: int) -> int:
-        return self._ranks.get(i, 0)
+        return self.ranks.get(i, 0)
 
     def differential(self, i: int) -> IntMatrix:
-        d = self._diffs.get(i)
+        d = self.differentials.get(i)
         if d is None:
             return IntMatrix.zero(self.rank(i + 1), self.rank(i))
         return d
 
     @property
     def is_zero(self) -> bool:
-        return not self._ranks
+        return not self.ranks
 
     @cached_property
     def _invariant_factors(self) -> dict[int, tuple[int, ...]]:
@@ -97,7 +102,7 @@ class BoundedFreeComplex:
         One Smith normal form per differential; the complex never changes,
         so neither does this table.
         """
-        return {i: smith_normal_form(d).invariant_factors for i, d in self._diffs.items()}
+        return {i: smith_normal_form(d).invariant_factors for i, d in self.differentials.items()}
 
     @cached_property
     def cohomology_table(self) -> dict[int, FinGenAbGroup]:
@@ -106,11 +111,6 @@ class BoundedFreeComplex:
         if self.is_zero:
             return {}
         return {i: cohomology(self, i) for i in range(self.lo, self.hi + 1)}
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundedFreeComplex):
-            return NotImplemented
-        return self._ranks == other._ranks and self._diffs == other._diffs
 
 
 def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:

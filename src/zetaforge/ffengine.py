@@ -175,7 +175,7 @@ def _product_series(z: ZetaProduct, K: int) -> list:
 
     Numerators and denominators are multiplied modulo t^(K+1), which the
     long division never reads past; it is exact whatever common factor the
-    two carry, so neither is normalized.
+    two carry.
     """
     num, den = [1], [1]
     for factor, exp in z.finite_char:

@@ -332,9 +332,9 @@ def _atom_zeta(atom) -> ZetaProduct:
                 f"residue degree {atom.m} is above {_MAX_ZETA_DEGREE}: "
                 "its zeta function is too large to write out"
             )
-        Z = RationalFunctionT.make((1,), (1,) + (0,) * (atom.m - 1) + (-1,))
+        Z = RationalFunctionT((1,), (1,) + (0,) * (atom.m - 1) + (-1,))
     else:
-        Z = RationalFunctionT.make(atom.lpoly, poly.mul((1, -1), (1, -atom.q)))
+        Z = RationalFunctionT(atom.lpoly, poly.mul((1, -1), (1, -atom.q)))
     return ZetaProduct([(FiniteCharFactor(atom.q, Z), 1)])
 
 
@@ -354,16 +354,19 @@ def zeta_of(e) -> ZetaProduct:
 # finite-characteristic cohomological order data
 
 
-class WeilOrderData:
+class WeilOrderData(Record):
     """Per-degree motivic cohomology orders (when determined) and their
     alternating product chi_mult = prod |H^i|^((-1)^i)."""
 
-    def __init__(self, graded, chi_mult: Fraction):
-        self.graded = None if graded is None else {int(i): int(v) for i, v in graded.items()}
-        self.chi_mult = Fraction(chi_mult)
-        if self.graded is not None:
+    __slots__ = ("graded", "chi_mult")
+
+    def __post_init__(self):
+        graded = None if self.graded is None else {int(i): int(v) for i, v in self.graded.items()}
+        object.__setattr__(self, "graded", graded)
+        object.__setattr__(self, "chi_mult", Fraction(self.chi_mult))
+        if graded is not None:
             even = odd = 1  # chi_mult = even / odd
-            for i, order in self.graded.items():
+            for i, order in graded.items():
                 if order < 1:
                     raise InvalidArgumentError("group orders must be positive")
                 if i % 2:
@@ -372,11 +375,6 @@ class WeilOrderData:
                     even *= order
             if even * self.chi_mult.denominator != odd * self.chi_mult.numerator:
                 raise InvalidArgumentError("graded orders do not multiply to chi_mult")
-
-    def __eq__(self, other):
-        if not isinstance(other, WeilOrderData):
-            return NotImplemented
-        return self.graded == other.graded and self.chi_mult == other.chi_mult
 
 
 def _atom_order_data(atom, n: int) -> WeilOrderData:
@@ -644,7 +642,7 @@ def _number_ring(args) -> NumberRing:
         values[key] = read(args[i + 1], key[1:])
     if ":conductor" not in values:
         raise ArityError("(numberring ...) requires :conductor")
-    return NumberRing(AbelianFieldSpec.from_generators(values[":conductor"], values.get(":subgroup", [1])))
+    return NumberRing(AbelianFieldSpec(values[":conductor"], values.get(":subgroup", [1])))
 
 
 def _rule(node):

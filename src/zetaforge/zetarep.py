@@ -40,46 +40,39 @@ __all__ = [
 class RationalFunctionT(Record):
     """num(t)/den(t) with integer coefficient tuples, ascending order.
 
-    Normal form: nonzero constant terms, joint content 1, den(0) > 0.  The
-    hash mixes in the coefficients' bit lengths: hash(2^k) has period 61 in
-    k, so the factors 1 - 2^r t of many shifts r would collide.
+    Normal form, which the constructor makes: trimmed, nonzero constant
+    terms, joint content 1, den(0) > 0.  The hash mixes in the coefficients'
+    bit lengths: hash(2^k) has period 61 in k, so the factors 1 - 2^r t of
+    many shifts r would collide.
     """
 
     __slots__ = ("num", "den")
 
     # built in bulk: an explicit constructor is faster than Record's generic one
-    def __init__(self, num: tuple, den: tuple):
+    def __init__(self, num, den=(1,)):
+        num, den = poly.trim(num), poly.trim(den)
         if not den or den[0] == 0:
             raise InvalidArgumentError("denominator must have a nonzero constant term")
         if not num or num[0] == 0:
             raise InvalidArgumentError("numerator must have a nonzero constant term")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __hash__(self):
-        return hash((self.num, self.den, sum(map(int.bit_length, self.num)), sum(map(int.bit_length, self.den))))
-
-    @classmethod
-    def make(cls, num, den=(1,)) -> RationalFunctionT:
-        num, den = poly.trim(num), poly.trim(den)
-        if not den:
-            raise InvalidArgumentError("denominator is zero")
-        if not num:
-            raise InvalidArgumentError("numerator is zero")
         g = gcd(*num, *den)
         if den[0] < 0:
             g = -g
         if g != 1:
             num = tuple(c // g for c in num)
             den = tuple(c // g for c in den)
-        return cls(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __hash__(self):
+        return hash((self.num, self.den, sum(map(int.bit_length, self.num)), sum(map(int.bit_length, self.den))))
 
     def substitute_scaled(self, scale: int) -> RationalFunctionT:
         """Z(scale * t): coefficient j picks up scale^j, computed only where
         the coefficient is nonzero (1 - t^m has two of m + 1)."""
         num = tuple(c * scale**j if c else 0 for j, c in enumerate(self.num))
         den = tuple(c * scale**j if c else 0 for j, c in enumerate(self.den))
-        return RationalFunctionT.make(num, den)
+        return RationalFunctionT(num, den)
 
     def series(self, K: int) -> list:
         """Taylor coefficients of num/den up to t^K, by long division.

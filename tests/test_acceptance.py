@@ -216,7 +216,7 @@ def test_criterion_6_number_ring_vanishing_orders():
     fields = {
         "Q": Q,
         "Q(i)": QI,
-        "Q(sqrt5)": AbelianFieldSpec.from_generators(5, [4]),
+        "Q(sqrt5)": AbelianFieldSpec(5, [4]),
         "Q(sqrt-3)": AbelianFieldSpec(3, (1,)),
         "Q(zeta5)": AbelianFieldSpec(5, (1,)),
         "Q(zeta7)": AbelianFieldSpec(7, (1,)),

@@ -416,6 +416,23 @@ def test_a_conductor_above_65536_is_refused_under_a_memory_limit(verb):
     assert json.loads(done.stdout)["error"]["code"] == "invalid-argument"
 
 
+def test_the_echo_of_a_subgroup_of_65520_elements_runs_as_a_batch_entry(capsys, tmp_path):
+    # `zeta` echoes the whole subgroup that (17) generates, about 382 KB; read
+    # back, its residues are closed from a few generators picked greedily,
+    # not each used as one (|H|^2 products, about 517 s)
+    _, zeta = run_json(capsys, "zeta", "(numberring :conductor 65521 :subgroup (17))")
+    expression = zeta["expression"]
+    assert len(expression) > 380_000
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"expr": expression, "n": -1}]))
+    src = str(Path(zetaforge.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-m", "zetaforge.cli", "batch", "--manifest", str(path), "--format", "json"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5)
+    assert done.returncode == 0
+    (entry,) = json.loads(done.stdout)["entries"]
+    assert entry["expression"] == expression
+
+
 def test_bundle_ranks_are_summed_along_the_path(capsys):
     assert run_json(capsys, "zeta", "(affine 65536 (point 2))")[0] == 0
     for expr in ["(proj 1 (affine 65536 (point 2)))", "(affine 1 (cellular (point 2) (0 65536)))",

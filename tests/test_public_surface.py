@@ -5,6 +5,10 @@ import it does not use."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -39,6 +43,28 @@ def test_no_object_is_exported_by_two_modules():
         for attr in getattr(module, "__all__", ()):
             homes.setdefault(id(getattr(module, attr)), []).append(f"{name}.{attr}")
     assert [names for names in homes.values() if len(names) > 1] == []
+
+
+# the order in which `import zetaforge.cli` finishes loading the modules, as
+# the comment in __init__.py states it: errors, poly, record, intlinalg,
+# lfunctions, zetarep, scheme_algebra, then archimedean, detcomplex, forkmap
+# and ffengine, then the package and the CLI.  Timings move with it: moving
+# intlinalg's load alone once moved a benchmark's median latency by 8 %.
+LOAD_ORDER = [
+    *(f"zetaforge.{name}" for name in ("errors", "poly", "record", "intlinalg", "lfunctions", "zetarep",
+                                       "scheme_algebra", "archimedean", "detcomplex", "forkmap", "ffengine")),
+    "zetaforge",
+    "zetaforge.cli",
+]
+
+
+def test_modules_load_in_the_stated_order():
+    # sys.modules lists a module when its body has run, so in load order
+    probe = "import sys, json, zetaforge.cli; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'zetaforge']))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == LOAD_ORDER
+    assert sorted(name.removeprefix("zetaforge.") for name in LOAD_ORDER if name != "zetaforge") == MODULES
 
 
 def _traced_layers() -> dict:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.cli  # noqa: F401  (loads every module that defines a record)
+from zetaforge.detcomplex import BoundedFreeComplex
 from zetaforge.ffengine import VerificationReport
 from zetaforge.intlinalg import FinGenAbGroup, IntMatrix, smith_normal_form
 from zetaforge.lfunctions import (
@@ -31,13 +32,14 @@ from zetaforge.scheme_algebra import (
     NumberRing,
     Point,
     Proj,
+    WeilOrderData,
 )
 from zetaforge.zetarep import FiniteCharFactor, LFactorShifted, RationalFunctionT, ZetaProduct
 
 Z = RationalFunctionT((1,), (1, -2))
 
-# one instance of each record type, and its repr as the frozen dataclasses
-# these records replaced printed it
+# one instance of each record type, and its repr as a frozen dataclass
+# prints it
 SAMPLES = {
     "CyclotomicNumber": (lambda: CyclotomicNumber(3, (2, 4), 6), "CyclotomicNumber(level=3, num=(1, 2), den=3)"),
     "DirichletCharacter": (
@@ -79,6 +81,14 @@ SAMPLES = {
         "SmithDecomposition(S=IntMatrix(rows=1, cols=2, entries=(2, 0)), A=IntMatrix(rows=1, cols=2, entries=(2, 4)))",
     ),
     "FinGenAbGroup": (lambda: FinGenAbGroup(1, (2,)), "FinGenAbGroup(rank=1, torsion=(2,))"),
+    "WeilOrderData": (
+        lambda: WeilOrderData({-1: 3, 0: 5, 1: 1}, Fraction(5, 3)),
+        "WeilOrderData(graded={-1: 3, 0: 5, 1: 1}, chi_mult=Fraction(5, 3))",
+    ),
+    "BoundedFreeComplex": (
+        lambda: BoundedFreeComplex({-1: 1, 0: 1}, {-1: IntMatrix(1, 1, (5,))}),
+        "BoundedFreeComplex(ranks={-1: 1, 0: 1}, differentials={-1: IntMatrix(rows=1, cols=1, entries=(5,))})",
+    ),
     "VerificationReport": (
         lambda: VerificationReport("p-part", 0, 0, {"n": -1}),
         "VerificationReport(claim='p-part', left=0, right=0, context={'n': -1})",
