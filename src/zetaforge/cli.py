@@ -3,10 +3,9 @@
 Scheme expressions are written as s-expressions; the grammar is in the
 docstring of `scheme_algebra.parse_expr`.
 
-Verbs: zeta, ord (alias verify-vo), value, verify-c, trace-check,
-ell-check, p-check, det, batch.  Reports print as text or JSON; exit status
-is 0 when every requested verdict passes, 1 on a failed verdict, 2 on an
-error.
+Verbs: zeta, ord, value, verify-c, trace-check, ell-check, p-check, det,
+batch.  Reports print as text or JSON; exit status is 0 when every
+requested verdict passes, 1 on a failed verdict, 2 on an error.
 
 The command line is read by `_read_argv` from one verb table, `_VERBS`:
 each verb names its positional (an expression, a file or none) and the
@@ -16,14 +15,15 @@ prefixes of long options, options on either side of the positional, and
 repeats (the last wins).  A malformed command line is the error `usage`,
 reported like every other error; -h/--help prints the usage block.
 
-`batch` builds one `Evaluation` record per manifest entry, and every check
-of the entry's battery reads it: one normal form, one zeta product, one
-exact value and one set of order data per entry.  The entries run across
-the CPUs of the affinity mask (`forkmap`): this process and a forked worker
-per other CPU take them from one shared queue, longest expression first,
-and each renders the entries it computed, so the report is spliced from
-fragments rendered where they ran.  The report and the first error are
-those of a serial run.
+Every expression verb builds one `Evaluation` record of its expression, and
+`batch` one per manifest entry; every check and report reads that record:
+one normal form, one zeta product, one exact value and one set of order
+data per entry.  The four one-claim verbs share one handler.  `batch` runs
+its entries across the CPUs of the affinity mask (`forkmap`): this process
+and a forked worker per other CPU take them from one shared queue, longest
+expression first, and each renders the entries it computed, so the report
+is spliced from fragments rendered where they ran.  The report and the
+first error are those of a serial run.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
 from .intlinalg import is_prime, read_int
 from .lfunctions import DEFAULT_PRECISION
-from .scheme_algebra import Evaluation, SchemeExpr, format_expr, parse_expr, validate, zeta_of
-from .zetarep import _exact_str, evaluate_at, format_decimal, vanishing_order
+from .scheme_algebra import Evaluation, parse_expr, validate
+from .zetarep import _exact_str, evaluate_at, format_decimal
 
 __all__ = ["run_command", "main"]
 
@@ -59,28 +59,27 @@ def _json_loads(text: str):
 # command implementations, each returning (report_dict, passed)
 
 
-def _cmd_zeta(expr: SchemeExpr, args) -> tuple[dict, bool]:
-    factors = [(str(f), e) for f, e in zeta_of(expr).factors]  # each printed once
+def _cmd_zeta(entry: Evaluation, args) -> tuple[dict, bool]:
+    factors = [(str(f), e) for f, e in entry.zeta.factors]  # each printed once
     report = {
         "command": "zeta",
-        "expression": format_expr(expr),
+        "expression": entry.printed,
         "zeta": " * ".join(f"({f})" + (f"^{e}" if e != 1 else "") for f, e in factors) or "1",
         "factors": [{"factor": f, "exponent": e} for f, e in factors],
-        "diagnostics": validate(expr),
+        "diagnostics": validate(entry.expr),
         "pass": True,
     }
     return report, True
 
 
-def _cmd_ord(expr: SchemeExpr, args) -> tuple[dict, bool]:
-    entry = Evaluation(expr, args.n)
-    analytic = vanishing_order(entry.zeta, args.n)
-    conjectural = archimedean.vanishing_order_conjectural(entry, args.n)
+def _cmd_ord(entry: Evaluation, args) -> tuple[dict, bool]:
+    analytic = entry.order
+    conjectural = archimedean.vanishing_order_conjectural(entry, entry.n)
     ok = analytic == conjectural
     return {
-        "command": args.verb,
+        "command": "ord",
         "expression": entry.printed,
-        "n": args.n,
+        "n": entry.n,
         "analytic_order": analytic,
         "conjectural_order": conjectural,
         "vo": "pass" if ok else "fail",
@@ -88,12 +87,12 @@ def _cmd_ord(expr: SchemeExpr, args) -> tuple[dict, bool]:
     }, ok
 
 
-def _cmd_value(expr: SchemeExpr, args) -> tuple[dict, bool]:
-    value = evaluate_at(zeta_of(expr), args.n, args.precision)
+def _cmd_value(entry: Evaluation, args) -> tuple[dict, bool]:
+    value = evaluate_at(entry.zeta, entry.n, args.precision)
     return {
         "command": "value",
-        "expression": format_expr(expr),
-        "n": args.n,
+        "expression": entry.printed,
+        "n": entry.n,
         "order": value.order,
         "exact": None if value.exact is None else _exact_str(value.exact),
         "exact_flag": value.is_exact,
@@ -103,41 +102,21 @@ def _cmd_value(expr: SchemeExpr, args) -> tuple[dict, bool]:
     }, True
 
 
-def _wrap_checks(command: str, expr: SchemeExpr, n, reports) -> tuple[dict, bool]:
-    ok = all(r.passed for r in reports)
-    out = {
-        "command": command,
-        "expression": format_expr(expr),
-        "checks": [r.as_dict() for r in reports],
-        "pass": ok,
-    }
-    if n is not None:
-        out["n"] = n
-    return out, ok
+def _cmd_claim(entry: Evaluation, args) -> tuple[dict, bool]:
+    """The report of a one-claim verb: the check its `_Verb.claim` takes."""
+    check = _VERBS[args.verb].claim(entry, args)
+    report = {"command": args.verb, "expression": entry.printed, "checks": [check.as_dict()], "pass": check.passed}
+    if entry.n is not None:
+        report["n"] = entry.n
+    return report, check.passed
 
 
-def _cmd_verify_c(expr, args):
-    return _wrap_checks("verify-c", expr, args.n, [ffengine.verify_C_finite_char(expr, args.n)])
-
-
-def _cmd_trace_check(expr, args):
-    return _wrap_checks(
-        "trace-check", expr, None, [ffengine.trace_formula_check(expr, args.series_order)]
-    )
-
-
-def _cmd_ell_check(expr, args):
+def _prime_ell(args) -> int:
     if args.ell is None:
         raise UsageError("ell-check requires --ell")
     if not is_prime(args.ell):
         raise InvalidArgumentError(f"--ell must be a prime, got {args.ell}")
-    return _wrap_checks(
-        "ell-check", expr, args.n, [ffengine.ell_adic_check(expr, args.n, args.ell)]
-    )
-
-
-def _cmd_p_check(expr, args):
-    return _wrap_checks("p-check", expr, args.n, [ffengine.p_part_check(expr, args.n)])
+    return args.ell
 
 
 def _cmd_det(args) -> tuple[dict, bool]:
@@ -341,6 +320,7 @@ class _Verb(NamedTuple):
     or None) and `options` maps its own options to their defaults.  The
     reader requires the field `required`, as argparse did; `run_command`
     requires the expression of an expression verb, and -n when `needs_n`.
+    `claim` is the check of a one-claim verb, taken on (entry, args).
     """
 
     handler: Callable
@@ -348,18 +328,21 @@ class _Verb(NamedTuple):
     options: dict
     required: str | None = None
     needs_n: bool = False
+    claim: Callable | None = None
 
 
-_ORD = _Verb(_cmd_ord, "expression", {}, needs_n=True)
 _VERBS = {
     "zeta": _Verb(_cmd_zeta, "expression", {}),
-    "ord": _ORD,
-    "verify-vo": _ORD,
+    "ord": _Verb(_cmd_ord, "expression", {}, needs_n=True),
     "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, needs_n=True),
-    "verify-c": _Verb(_cmd_verify_c, "expression", {}, needs_n=True),
-    "trace-check": _Verb(_cmd_trace_check, "expression", {}),
-    "ell-check": _Verb(_cmd_ell_check, "expression", {}, needs_n=True),
-    "p-check": _Verb(_cmd_p_check, "expression", {}, needs_n=True),
+    "verify-c": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+                      claim=lambda entry, args: ffengine.verify_C_finite_char(entry, entry.n)),
+    "trace-check": _Verb(_cmd_claim, "expression", {},
+                         claim=lambda entry, args: ffengine.trace_formula_check(entry, args.series_order)),
+    "ell-check": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+                       claim=lambda entry, args: ffengine.ell_adic_check(entry, entry.n, _prime_ell(args))),
+    "p-check": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+                     claim=lambda entry, args: ffengine.p_part_check(entry, entry.n)),
     "det": _Verb(_cmd_det, "file", {}, required="file"),
     "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest"),
 }
@@ -373,7 +356,7 @@ _USAGE = """\
 usage: zetaforge VERB [EXPRESSION | FILE] [options]
 
   zeta EXPR                      factored zeta function
-  ord EXPR -n N                  analytic vs conjectural order (alias verify-vo)
+  ord EXPR -n N                  analytic vs conjectural order
   value EXPR -n N                special value; --precision DIGITS
   verify-c EXPR -n N             |zeta(X, n)| against chi_x
   trace-check EXPR               point counts against the series
@@ -394,7 +377,8 @@ _MAX_SERIES_ORDER = 1024
 
 
 def run_command(args) -> tuple[dict, bool]:
-    """Dispatch a namespace filled by `_read_argv` to its implementation."""
+    """Dispatch a namespace filled by `_read_argv` to its implementation; an
+    expression verb's reads one Evaluation, at -n when the verb reads it."""
     verb = _VERBS[args.verb]
     if args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
@@ -410,7 +394,7 @@ def run_command(args) -> tuple[dict, bool]:
             raise UsageError(f"{args.verb} requires -n")
         if args.n >= 0:
             raise InvalidArgumentError("n must be a strictly negative integer")
-    return verb.handler(expr, args)
+    return verb.handler(Evaluation(expr, args.n if verb.needs_n else None), args)
 
 
 def _field(option: str) -> str:

@@ -965,15 +965,15 @@ def leading_value(chi: DirichletCharacter, n: int, precision: int = DEFAULT_PREC
 
 # a leading value at a trivial zero reads the Hurwitz table of its
 # character's conductor d at s = 1 - n: phi(d) entries, each of a cost
-# that grows as about p^2.8 in the digits p from p = 1000 on (1.24 s an
-# entry at p = 4096, s = 3), more slowly than p^2 below, and as about
-# |n|^2.4 (254 ms at |n| = 2047, p = 50).  So U, the entries of the tables
-# of one product, is bounded by U p^2 and U |n|, each reached at its top:
-# on 2 cores, in a fresh process, U p^2 = 10 * 4096^2 is Q(zeta_11) at
-# n = -1, p = 4096, 26 s (`(Q)` at n = -2 there: 18.5 s; Q(zeta_61) at
-# n = -2 took 157 s), and U |n| = 4094 is Q(zeta_3) at n = -2047, p = 4096,
-# 12 s (Q(zeta_61) there: 35 s).  U |n| also keeps U at most 4096: with
-# both, Q(zeta_4093) at n = -1 is kept up to p = 202, 15 s and 366 MB.
+# that grows as about p^2.6 in the digits p from p = 1000 on (about p^2
+# below) and as about |n|^2.7.  So U, the entries of the tables of one
+# product, is bounded by U p^2 and U |n|, each reached at its top.  Median
+# of 3 fresh processes on a shared 2-core host, whose times vary up to 2x
+# with its load: U p^2 = 10 * 4096^2 is Q(zeta_11) at n = -1, p = 4096,
+# 6.8 s and 42 MB; U |n| = 4094 is Q(zeta_3) at n = -2047, p = 4096, 2.4 s
+# and 19 MB (Q(zeta_61) would take 23 s and 20 s at the two).  U |n| also
+# keeps U at most 4096: Q(zeta_4093) at n = -1 is kept up to p = 202, 21 s
+# and 367 MB.
 _MAX_TABLE_DIGITS = 10 * 4096**2
 _MAX_TABLE_WEIGHT = 4096
 

@@ -358,7 +358,7 @@ def test_a_precision_above_4096_digits_is_refused_under_a_memory_limit(precision
 @pytest.mark.parametrize("argv, values", [(["-n", "-2", "--precision", "4096"], 61), (["-n", "-2047"], 60)],
                          ids=["precision", "weight"])
 def test_a_trivial_zero_over_a_large_hurwitz_table_is_refused_under_a_memory_limit(argv, values):
-    # Q(zeta_61) would take 157 s at 4096 digits and 35 s at n = -2047; the
+    # Q(zeta_61) would take about 23 s at 4096 digits and 20 s at n = -2047; the
     # Hurwitz tables of its trivial zeros (phi(61) values, and one for zeta
     # at n = -2) times the digits squared or times |n| are bounded before
     # any L-value
@@ -570,7 +570,7 @@ def test_a_wrong_group_order_fails_the_special_value_and_ell_adic_verdicts(capsy
 
 
 @pytest.mark.parametrize("expression", [[], ["(Qi)"], ["(bogus"]], ids=["alone", "(Qi)", "(bogus"])
-@pytest.mark.parametrize("verb", ["ord", "verify-vo"])
+@pytest.mark.parametrize("verb", ["ord"])
 def test_ord_has_no_hodge_option(capsys, verb, expression):
     # an unknown option, like --bogus: neither the JSON nor the expression is read
     argv = [verb, *expression, "--hodge", "{}", "-n", "-1"]
@@ -744,15 +744,6 @@ def test_deep_expression_end_to_end(capsys):
     code, data = run_json(capsys, "verify-c", src, "-n", "-1")
     assert code == 0 and data["checks"][0]["right"] == "1"
     assert data["expression"] == src
-
-
-def test_verify_vo_is_an_alias_of_ord(capsys):
-    argv = ["(numberring :conductor 5 :subgroup (1))", "-n", "-3"]
-    code, ord_report = run_json(capsys, "ord", *argv)
-    assert code == 0
-    code, alias_report = run_json(capsys, "verify-vo", *argv)
-    assert code == 0
-    assert alias_report == dict(ord_report, command="verify-vo")
 
 
 def test_failed_verdict_exit_code(capsys):
@@ -958,6 +949,51 @@ def test_batch_omits_the_trace_formula_over_two_ground_fields(capsys, tmp_path):
     claims = [c["claim"] for c in data["entries"][0]["checks"]]
     assert "grothendieck-trace-formula" not in claims
     assert claims[:2] == ["special-value-finite-char", "p-part-triviality"]
+
+
+# the one-claim verb that reports each claim of the battery
+VERB_OF_CLAIM = {
+    "special-value-finite-char": "verify-c",
+    "p-part-triviality": "p-check",
+    "grothendieck-trace-formula": "trace-check",
+    "ell-adic-absolute-value": "ell-check",
+}
+
+
+@pytest.mark.parametrize(
+    "expr, n, K",
+    [
+        ("(proj 2 (curve 2 (1 1 2)))", -1, 20),
+        ("(affine 1 (curve 3 (1 2 3)))", -2, 12),
+        ("(disjoint (curve 5 (1 2 5)) (proj 1 (point 5)))", -3, 8),
+        ("(numberring :conductor 12 :subgroup (1))", -2, 10),
+        ("(minus (affine 1 (numberring :conductor 7 :subgroup (1))) (point 2))", -2, 10),
+    ],
+)
+def test_a_one_claim_verb_reports_the_claim_of_a_batch_entry(capsys, tmp_path, expr, n, K):
+    # one claim, two routes: each check of a one-entry batch is the one check
+    # that its verb reports on the same expression, n and K (and ell), and
+    # the vanishing-order claim's two sides are ord's two orders
+    path = write_manifest(tmp_path, [{"expr": expr, "n": n}])
+    code, data = run_json(capsys, "batch", "--manifest", path, "--series-order", str(K))
+    assert code == 0
+    checks = data["entries"][0]["checks"]
+    for check in checks:
+        if check["claim"] == "vanishing-order":
+            code, report = run_json(capsys, "ord", expr, "-n", str(n))
+            assert code == 0
+            assert [str(report["analytic_order"]), str(report["conjectural_order"])] == [check["left"], check["right"]]
+            continue
+        verb = VERB_OF_CLAIM[check["claim"]]
+        argv = [verb, expr, "--series-order", str(K)] if verb == "trace-check" else [verb, expr, "-n", str(n)]
+        if verb == "ell-check":
+            argv += ["--ell", check["context"]["ell"]]
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["checks"] == [check]
+    if scheme_algebra.is_finite_characteristic(scheme_algebra.parse_expr(expr)):
+        assert {c["claim"] for c in checks} == {*VERB_OF_CLAIM, "vanishing-order"}
+    else:
+        assert [c["claim"] for c in checks] == ["vanishing-order"]
 
 
 def bindings_of(original):
@@ -1307,7 +1343,7 @@ def contract_exit_code(argv, files=()) -> int:
 @st.composite
 def expression_argv(draw):
     verb = draw(st.sampled_from(
-        ["zeta", "ord", "verify-vo", "value", "verify-c", "trace-check", "ell-check", "p-check"]
+        ["zeta", "ord", "value", "verify-c", "trace-check", "ell-check", "p-check"]
     ))
     argv = [verb, draw(fuzz_expressions)]
     n = draw(st.none() | st.integers(-4, -1) | st.integers(-1, 1))
@@ -1376,7 +1412,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p_value = sub.add_parser("value")
     common(p_value)
     p_value.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_ord = sub.add_parser("ord", aliases=["verify-vo"])
+    p_ord = sub.add_parser("ord")
     common(p_ord)
     p_det = sub.add_parser("det")
     p_det.add_argument("file")
@@ -1388,8 +1424,7 @@ def reference_parser() -> argparse.ArgumentParser:
 
 
 REFERENCE = reference_parser()
-VERBS = ["zeta", "ord", "verify-vo", "value", "verify-c", "trace-check", "ell-check", "p-check",
-         "det", "batch"]
+VERBS = ["zeta", "ord", "value", "verify-c", "trace-check", "ell-check", "p-check", "det", "batch"]
 # weighted toward forms argparse accepts, so that both outcomes are common
 OPTIONS = ["-n", "--format", "--series-order", "--ell"] * 3 + [
     "--precision", "--hodge", "--manifest", "--bogus"]
@@ -1487,7 +1522,6 @@ def test_reader_agrees_with_argparse(argv):
         ["value", "-n", "-2", "--", "(Q)"],
         ["value", "--precision=50", "(Q)", "-n=-2", "--format", "text", "--format=json"],
         ["ord", "(Q)", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
-        ["verify-vo", "(Qi)", "-n", "-1"],
         ["det", "-n", "-2", "complex.json", "--f", "json"],
         ["batch", "--m=manifest.json", "--series-order", "-4"],
         ["zeta", "-n 5"],  # a space inside an option token: -n with " 5"
