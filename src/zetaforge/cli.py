@@ -8,22 +8,26 @@ batch.  Reports print as text or JSON; exit status is 0 when every
 requested verdict passes, 1 on a failed verdict, 2 on an error.
 
 The command line is read by `_read_argv` from one verb table, `_VERBS`:
-each verb names its positional (an expression, a file or none) and the
-options it adds to the common -n, --format, --series-order and --ell.  It
-takes `--opt value` and `--opt=value`, `-n -2`, `-n-2` and `-n=-2`, unique
-prefixes of long options, options on either side of the positional, and
-repeats (the last wins).  A malformed command line is the error `usage`,
-reported like every other error; -h/--help prints the usage block.
+each verb names its positional (an expression, a file or none), the
+options it adds to the common -n, --format, --series-order and --ell, and
+the common ones it reads.  It takes `--opt value` and `--opt=value`, `-n -2`,
+`-n-2` and `-n=-2`, unique prefixes of long options, options on either side
+of the positional, and repeats (the last wins).  A malformed command line,
+or a common option given to a verb that does not read it, is the error
+`usage`, reported like every other error; -h/--help prints the usage block.
 
 Every expression verb builds one `Evaluation` record of its expression, and
-`batch` one per manifest entry; every check and report reads that record:
-one normal form, one zeta product, one exact value and one set of order
-data per entry.  The four one-claim verbs share one handler.  `batch` runs
-its entries across the CPUs of the affinity mask (`forkmap`): this process
-and a forked worker per other CPU take them from one shared queue, longest
-expression first, and each renders the entries it computed, so the report
-is spliced from fragments rendered where they ran.  The report and the
-first error are those of a serial run.
+`batch` one per distinct manifest entry; every check and report reads that
+record: one normal form, one zeta product, one exact value and one set of
+order data per entry.  The four one-claim verbs share one handler.  `batch` runs
+each distinct expression of its manifest once (`_Expression`): one parse,
+and one normal form, zeta product and trace-formula check shared by its
+weights, and an exact repeat of an entry prints that entry's report again.
+It runs the expressions across the CPUs of the affinity mask (`forkmap`):
+this process and a forked worker per other CPU take them from one shared
+queue, heaviest first, and each renders the entries it computed, so the
+report is spliced from fragments rendered where they ran.  The report and
+the first error are those of a serial run, one entry at a time.
 """
 
 from __future__ import annotations
@@ -141,12 +145,14 @@ def _cmd_det(args) -> tuple[dict, bool]:
 _BATTERY_ELLS = (2, 3, 5, 7, 11, 13)
 
 
-def _battery(entry: Evaluation, series_order: int) -> list:
+def _battery(entry: Evaluation, trace_claim: Callable) -> list:
     """Per-entry battery of batch mode; every check reads the one record.
 
-    The trace formula applies when the entry has a single ground field; the
-    ell-adic checks when its graded orders are determined, at each ell that
-    is not a base characteristic.  Any other error rejects the entry.
+    The trace formula applies when the entry has a single ground field, and
+    `trace_claim(entry)` is that check of its expression, which does not
+    depend on n; the ell-adic checks apply when its graded orders are
+    determined, at each ell that is not a base characteristic.  Any other
+    error rejects the entry.
     """
     n = entry.n
     reports = []
@@ -154,7 +160,7 @@ def _battery(entry: Evaluation, series_order: int) -> list:
         reports.append(ffengine.verify_C_finite_char(entry, n))
         reports.append(ffengine.p_part_check(entry, n))
         if len(entry.bases) == 1:
-            reports.append(ffengine.trace_formula_check(entry, series_order))
+            reports.append(trace_claim(entry))
         if entry.order_data.graded is not None:
             for ell in _BATTERY_ELLS:
                 if ell not in entry.characteristics:
@@ -185,16 +191,50 @@ def _manifest_entries(manifest) -> list[tuple[str, int]]:
     return entries
 
 
-def _batch_entry(text: str, n: int, series_order: int) -> dict:
-    """The report of one manifest entry: its battery on one record."""
-    entry = Evaluation(parse_expr(text), n)
-    reports = _battery(entry, series_order)
-    return {
-        "expression": entry.printed,
-        "n": n,
-        "checks": [r.as_dict() for r in reports],
-        "pass": all(r.passed for r in reports),
-    }
+# where a check of an entry starts a line in a JSON batch report
+_CHECK_INDENT = "\n" + " " * 8
+
+
+class _Expression:
+    """One distinct expression of a manifest, as a process runs its entries.
+
+    It is parsed once.  Its record moves from weight to weight
+    (`Evaluation.at`), so the fields that do not depend on n are computed
+    once; its trace-formula check, which reads only X and K, is taken and
+    rendered once; and each weight's report is kept, so an exact repeat of
+    (X, n) prints it again.
+    """
+
+    def __init__(self, text: str, series_order: int, fmt: str):
+        self.record = Evaluation(parse_expr(text), None)
+        self.series_order, self.fmt = series_order, fmt
+        self.trace = None  # (check, as it prints)
+        self.reports = {}  # n -> (report, in JSON as it prints; pass bit)
+
+    def trace_claim(self, entry: Evaluation):
+        """The trace-formula check of the expression, taken on its first record."""
+        if self.trace is None:
+            check = ffengine.trace_formula_check(entry, self.series_order)
+            shown = check.as_dict()
+            self.trace = check, (_Rendered(_render_json(shown, _CHECK_INDENT)) if self.fmt == "json" else shown)
+        return self.trace[0]
+
+    def rendered(self, i: int, n: int) -> tuple[str, bool]:
+        """Entry i's report at weight n as it prints at its place in
+        "entries", and its pass bit."""
+        if n not in self.reports:
+            self.record = entry = self.record.at(n)
+            checks = _battery(entry, self.trace_claim)
+            trace = self.trace or (None, None)
+            report = {
+                "expression": entry.printed,
+                "n": n,
+                "checks": [trace[1] if check is trace[0] else check.as_dict() for check in checks],
+                "pass": all(check.passed for check in checks),
+            }
+            self.reports[n] = (_render_json(report, "\n    ") if self.fmt == "json" else report), report["pass"]
+        shown, ok = self.reports[n]
+        return (shown if self.fmt == "json" else _render_text(shown, f"entries.{i}")), ok
 
 
 def _cmd_batch(args) -> tuple[dict, bool]:
@@ -203,15 +243,31 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     with open(args.manifest, "r", encoding="utf-8") as handle:
         manifest = _json_loads(handle.read())
     items = _manifest_entries(manifest)
+    groups: dict[str, list[int]] = {}
+    for i, (text, _) in enumerate(items):
+        groups.setdefault(text, []).append(i)
+    # the expressions this process is running; each is dropped after its last
+    # entry, as its records would otherwise stay for the cyclic collector to
+    # walk on every pass (about 3 % of a batch op without repeats)
+    expressions: dict[str, _Expression] = {}
 
     def rendered(i: int, text: str, n: int) -> tuple[str, bool]:
         """Entry i's report as it prints at its place in "entries" below, and its pass bit."""
-        entry = _batch_entry(text, n, args.series_order)
-        part = _render_json(entry, "\n    ") if args.format == "json" else _render_text(entry, f"entries.{i}")
-        return part, entry["pass"]
+        expression = expressions.get(text)
+        if expression is None:
+            expression = expressions[text] = _Expression(text, args.series_order, args.format)
+        if i == groups[text][-1]:
+            del expressions[text]
+        return expression.rendered(i, n)
 
-    # an entry's battery costs more the more nodes its expression has, so its length weighs it
-    entries = forkmap(rendered, [(i, text, n) for i, (text, n) in enumerate(items)], [len(text) for text, _ in items])
+    # each expression runs in one process; its battery costs more the more
+    # nodes it has and the more weights it is run at
+    entries = forkmap(
+        rendered,
+        [(i, text, n) for i, (text, n) in enumerate(items)],
+        list(groups.values()),
+        [len(text) * len(indices) for text, indices in groups.items()],
+    )
     all_ok = all(ok for _, ok in entries)
     return {
         "command": "batch",
@@ -314,37 +370,40 @@ def _render_text(report, path: str = "") -> str:
 
 
 class _Verb(NamedTuple):
-    """What a verb reads besides the common options, and what it needs.
+    """What a verb reads, and what it needs.
 
     `positional` is the field its one positional fills ("expression", "file"
-    or None) and `options` maps its own options to their defaults.  The
-    reader requires the field `required`, as argparse did; `run_command`
-    requires the expression of an expression verb, and -n when `needs_n`.
-    `claim` is the check of a one-claim verb, taken on (entry, args).
+    or None), `options` maps its own options to their defaults, and `reads`
+    lists the common options it reads besides --format.  The reader takes
+    every common option for every verb and requires the field `required`,
+    as argparse did; `run_command` refuses a common option the verb does
+    not read, and requires the expression of an expression verb and -n
+    where it is read.  `claim` is the check of a one-claim verb, taken on
+    (entry, args).
     """
 
     handler: Callable
     positional: str | None
     options: dict
     required: str | None = None
-    needs_n: bool = False
+    reads: tuple = ()
     claim: Callable | None = None
 
 
 _VERBS = {
     "zeta": _Verb(_cmd_zeta, "expression", {}),
-    "ord": _Verb(_cmd_ord, "expression", {}, needs_n=True),
-    "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, needs_n=True),
-    "verify-c": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+    "ord": _Verb(_cmd_ord, "expression", {}, reads=("-n",)),
+    "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, reads=("-n",)),
+    "verify-c": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
                       claim=lambda entry, args: ffengine.verify_C_finite_char(entry, entry.n)),
-    "trace-check": _Verb(_cmd_claim, "expression", {},
+    "trace-check": _Verb(_cmd_claim, "expression", {}, reads=("--series-order",),
                          claim=lambda entry, args: ffengine.trace_formula_check(entry, args.series_order)),
-    "ell-check": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+    "ell-check": _Verb(_cmd_claim, "expression", {}, reads=("-n", "--ell"),
                        claim=lambda entry, args: ffengine.ell_adic_check(entry, entry.n, _prime_ell(args))),
-    "p-check": _Verb(_cmd_claim, "expression", {}, needs_n=True,
+    "p-check": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
                      claim=lambda entry, args: ffengine.p_part_check(entry, entry.n)),
     "det": _Verb(_cmd_det, "file", {}, required="file"),
-    "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest"),
+    "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest", reads=("--series-order",)),
 }
 _HELP = ("-h", "--help")
 _COMMON = (*_HELP, "-n", "--format", "--series-order", "--ell")
@@ -359,14 +418,15 @@ usage: zetaforge VERB [EXPRESSION | FILE] [options]
   ord EXPR -n N                  analytic vs conjectural order
   value EXPR -n N                special value; --precision DIGITS
   verify-c EXPR -n N             |zeta(X, n)| against chi_x
-  trace-check EXPR               point counts against the series
+  trace-check EXPR               point counts against the series to t^K
   ell-check EXPR -n N --ell L    ell-adic absolute value
   p-check EXPR -n N              p-part triviality
   det FILE                       determinant of a complex (JSON)
-  batch --manifest FILE          battery over a JSON list of {expr, n}
+  batch --manifest FILE          battery over a JSON list of {expr, n}, to t^K
 
 options: -n N (negative), --format text|json, --series-order K (default 10),
-         --ell L (prime), -h/--help; --opt=value and unique prefixes work"""
+         --ell L (prime), -h/--help; --opt=value and unique prefixes work;
+         a verb takes -n, --series-order and --ell where its line has N, K, L"""
 
 
 # the largest series order K: the trace-formula check takes about K^2
@@ -378,8 +438,13 @@ _MAX_SERIES_ORDER = 1024
 
 def run_command(args) -> tuple[dict, bool]:
     """Dispatch a namespace filled by `_read_argv` to its implementation; an
-    expression verb's reads one Evaluation, at -n when the verb reads it."""
+    expression verb's reads one Evaluation, at -n when the verb reads it.
+    A common option given to a verb that does not read it is refused."""
     verb = _VERBS[args.verb]
+    for option in ("-n", "--series-order", "--ell"):
+        value = getattr(args, _field(option))
+        if option not in verb.reads and value is not None and type(value) is not _Default:
+            raise UsageError(f"{args.verb} does not read {option}")
     if args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
     if args.series_order > _MAX_SERIES_ORDER:
@@ -389,12 +454,12 @@ def run_command(args) -> tuple[dict, bool]:
     if args.expression is None:
         raise UsageError(f"{args.verb} requires an expression")
     expr = parse_expr(args.expression)
-    if verb.needs_n:
+    if "-n" in verb.reads:
         if args.n is None:
             raise UsageError(f"{args.verb} requires -n")
         if args.n >= 0:
             raise InvalidArgumentError("n must be a strictly negative integer")
-    return verb.handler(Evaluation(expr, args.n if verb.needs_n else None), args)
+    return verb.handler(Evaluation(expr, args.n), args)
 
 
 def _field(option: str) -> str:
@@ -495,10 +560,17 @@ def _read_argv(argv, args) -> bool:
     return True
 
 
+class _Default(int):
+    """An integer option's default, which equals the value and tells
+    `run_command` that the command line left the option out."""
+
+    __slots__ = ()
+
+
 def main(argv=None) -> int:
     args = SimpleNamespace(
         verb=None, expression=None, file=None, manifest=None,
-        n=None, format="text", series_order=10, ell=None, precision=None,
+        n=None, format="text", series_order=_Default(10), ell=None, precision=None,
     )
     try:
         if not _read_argv(sys.argv[1:] if argv is None else argv, args):

@@ -13,12 +13,15 @@ Four executable identities for expressions over F_q at weights n < 0:
 
 Each check takes an expression or its `scheme_algebra.Evaluation` and reads
 the normal form, zeta product, exact value and order data from it; `batch`
-builds one Evaluation per entry, so its checks share one of each.
+builds one Evaluation per distinct entry, so its checks share one of each,
+and its records of one expression at several weights share one normal form
+and zeta product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from . import poly
@@ -111,12 +114,16 @@ def verify_C_finite_char(e, n: int) -> VerificationReport:
     )
 
 
-def _newton_power_sums(lpoly, K: int) -> list:
-    """Power sums p_k of the inverse roots of P(t) = 1 + a_1 t + ... + a_d t^d.
+@lru_cache(maxsize=128)
+def _newton_power_sums(lpoly: tuple, K: int) -> tuple:
+    """Power sums p_k of the inverse roots of P(t) = 1 + a_1 t + ... + a_d t^d
+    at the indices k = 1..K (index 0 holds 0).
 
     With e_j = (-1)^j a_j, Newton's identities give
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k (k) e_k (last term for
     k <= d only).  Exact integers throughout; the roots are never computed.
+    A curve recurs across the expressions of a manifest, so the sums are
+    kept per process, as a tuple that no caller can change.
     """
     d = len(lpoly) - 1
     e = [parity_sign(j) * lpoly[j] for j in range(d + 1)]  # e_0 = 1
@@ -128,7 +135,7 @@ def _newton_power_sums(lpoly, K: int) -> list:
         if k <= d:
             total += parity_sign(k + 1) * k * e[k]
         p[k] = total
-    return p
+    return tuple(p)
 
 
 def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:

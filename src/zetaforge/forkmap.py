@@ -1,14 +1,17 @@
 """Independent calls run across the CPUs of the process's affinity mask.
 
-`forkmap(fn, items, weights)` is `[fn(*item) for item in items]`, with the
-results in order and the exception a serial run raises.  The item indices
-wait in one shared queue, heaviest first by `weights`; this process and a
-forked worker per other CPU each take one index at a time until the queue
-is empty or their own item raises, so the weights only order the work and
-no process idles while another still has items to take.  A worker sends
-its results back over a pipe with marshal, so a result must be a value
-marshal writes (`batch` sends each entry already rendered, a string, with
-its pass bit).
+`forkmap(fn, items, groups, weights)` is `[fn(*item) for item in items]`,
+with the results in order and the exception a serial run raises.  The
+items come in `groups`, which one process runs together and in order
+(`batch` groups the entries of one expression, which share its parse and
+normal form in the process that runs them).  The group indices wait in one
+shared queue, heaviest first by `weights`; this process and a forked worker
+per other CPU each take one group at a time until the queue is empty or
+one of their own items raises, so the weights only order the work and no
+process idles while another still has groups to take.  A worker sends its
+results back over a pipe with marshal, so a result must be a value marshal
+writes (`batch` sends each entry already rendered, a string, with its pass
+bit).
 
 The queue is an `os.memfd_create` file of fixed-width indices, opened again
 by its /proc path.  The workers inherit that descriptor and with it one file
@@ -46,7 +49,7 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _queue(weights) -> int | None:
-    """A read-only descriptor, at its start, of a memfd holding every item
+    """A read-only descriptor, at its start, of a memfd holding every group
     index once, heaviest first by `weights` (ties in index order); None
     when none can be made."""
     order = sorted(range(len(weights)), key=lambda i: -weights[i])
@@ -61,19 +64,20 @@ def _queue(weights) -> int | None:
         return None
 
 
-def _take(fn, items, queue: int, results: dict) -> None:
-    """Fill `results` with the items whose indices this process takes from
-    `queue`, one at a time, until the queue is empty or an item raises."""
+def _take(fn, items, groups, queue: int, results: dict) -> None:
+    """Fill `results` with the items of the groups whose indices this
+    process takes from `queue`, one group at a time and its items in order,
+    until the queue is empty or an item raises."""
     while index := os.read(queue, _INDEX_BYTES):
-        i = int.from_bytes(index, "little")
-        try:
-            results[i] = fn(*items[i])
-        except Exception:
-            return
+        for i in groups[int.from_bytes(index, "little")]:
+            try:
+                results[i] = fn(*items[i])
+            except Exception:
+                return
 
 
-def _fork_worker(fn, items, queue: int):
-    """(pid, read end of its pipe) of a forked worker that takes items from
+def _fork_worker(fn, items, groups, queue: int):
+    """(pid, read end of its pipe) of a forked worker that takes groups from
     `queue` and writes its `results` of `_take` down the pipe with marshal,
     exiting 0 only once all of it is written; None when none can start."""
     try:
@@ -91,7 +95,7 @@ def _fork_worker(fn, items, queue: int):
         try:
             os.close(read_fd)
             results = {}
-            _take(fn, items, queue, results)
+            _take(fn, items, groups, queue, results)
             _write_all(write_fd, marshal.dumps(results))
             status = 0
         finally:
@@ -101,8 +105,8 @@ def _fork_worker(fn, items, queue: int):
     return pid, open(read_fd, "rb", buffering=0)
 
 
-def _run_queue(fn, items, weights, workers: int, results: dict) -> None:
-    """Take items from one queue here and in up to `workers` forked
+def _run_queue(fn, items, groups, weights, workers: int, results: dict) -> None:
+    """Take groups from one queue here and in up to `workers` forked
     workers, filling `results` with every item that returned and was
     reported.  Every worker is reaped before this returns or raises, and
     killed first when it raises."""
@@ -112,10 +116,10 @@ def _run_queue(fn, items, weights, workers: int, results: dict) -> None:
     forked = []
     try:
         for _ in range(workers):
-            worker = _fork_worker(fn, items, queue)
+            worker = _fork_worker(fn, items, groups, queue)
             if worker is not None:
                 forked.append(worker)
-        _take(fn, items, queue, results)
+        _take(fn, items, groups, queue, results)
         while forked:
             pid, pipe = forked[0]
             with pipe:
@@ -137,18 +141,20 @@ def _run_queue(fn, items, weights, workers: int, results: dict) -> None:
             os.waitpid(pid, 0)
 
 
-def forkmap(fn, items, weights) -> list:
+def forkmap(fn, items, groups, weights) -> list:
     """`[fn(*item) for item in items]` across the CPUs of the affinity mask.
 
-    With more than one CPU (`_worker_count`) and item, the items run from
-    one shared queue (`_run_queue`).  Then, from the lowest index that
-    raised, went unreported (its worker died or sent nothing) or was never
-    taken, the items without a result run here one by one, so the exception
-    raised is the one a serial run raises.  With one CPU or one item, or
-    when no queue can be made, that loop runs every item.
+    `groups` partitions the item indices into lists in increasing order, and
+    `weights` weighs each group.  With more than one CPU (`_worker_count`)
+    and group, the groups run from one shared queue (`_run_queue`).  Then,
+    from the lowest index that raised, went unreported (its worker died or
+    sent nothing) or was never taken, the items without a result run here
+    one by one, so the exception raised is the one a serial run raises.
+    With one CPU or one group, or when no queue can be made, that loop runs
+    every item.
     """
     results = {}
-    workers = min(_worker_count(), len(items)) - 1
+    workers = min(_worker_count(), len(groups)) - 1
     if workers > 0:
-        _run_queue(fn, items, weights, workers, results)
+        _run_queue(fn, items, groups, weights, workers, results)
     return [results[i] if i in results else fn(*item) for i, item in enumerate(items)]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import poly
@@ -323,6 +323,11 @@ def normalize(e: SchemeExpr) -> NormalForm:
 # zeta propagation
 
 
+# the atoms of one manifest recur across its expressions, so their zeta
+# functions and order data are kept per process, and read, never changed;
+# the bounds cap what a process keeps (one number ring's zeta function
+# holds up to 65520 L-factors)
+@lru_cache(maxsize=128)
 def _atom_zeta(atom) -> ZetaProduct:
     if isinstance(atom, NumberRing):
         return ZetaProduct((LFactorShifted(chi, 0), 1) for chi in atom.field_spec.characters())
@@ -377,6 +382,7 @@ class WeilOrderData(Record):
                 raise InvalidArgumentError("graded orders do not multiply to chi_mult")
 
 
+@lru_cache(maxsize=256)
 def _atom_order_data(atom, n: int) -> WeilOrderData:
     if isinstance(atom, Point):
         order = atom.q ** (-atom.m * n) - 1
@@ -427,7 +433,8 @@ class Evaluation(Record):
     and evaluates it once, and the fields are computed in the order the
     checks first ask for them: the first error raised is the one the checks
     would raise one at a time.  `n` is None when only fields that do not
-    depend on a weight are read (normal form, zeta, bases).
+    depend on a weight are read (normal form, zeta, bases); `at` moves a
+    record to another weight and keeps those fields.
 
     The public functions of this module, `ffengine` and `archimedean` take
     an expression or its Evaluation.
@@ -437,6 +444,8 @@ class Evaluation(Record):
     _defaults = {"n": None}
     # one record per (X, n): equal only to itself
     __eq__, __hash__ = object.__eq__, object.__hash__
+    # the cached fields that do not depend on n
+    _WEIGHT_FREE = ("nf", "printed", "zeta", "bases", "characteristics", "is_finite_characteristic")
 
     @classmethod
     def of(cls, e, n: int | None = None) -> Evaluation:
@@ -446,6 +455,15 @@ class Evaluation(Record):
         if n is not None and n != e.n:
             raise InvalidArgumentError(f"an evaluation at n = {e.n} cannot be read at n = {n}")
         return e
+
+    def at(self, n: int) -> Evaluation:
+        """The record of (X, n), holding the weight-free fields this record
+        has computed so far: a run of weights on one expression, each record
+        made `at` the one before, computes each of them once."""
+        sibling = Evaluation(self.expr, n)
+        cached = self.__dict__
+        sibling.__dict__.update({name: cached[name] for name in self._WEIGHT_FREE if name in cached})
+        return sibling
 
     @cached_property
     def nf(self) -> NormalForm:

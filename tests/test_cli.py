@@ -580,6 +580,42 @@ def test_ord_has_no_hodge_option(capsys, verb, expression):
     assert capsys.readouterr().err == "error [usage]: unknown option --hodge\n"
 
 
+# the common options each verb reads besides --format
+READS = {
+    "zeta": (), "ord": ("-n",), "value": ("-n",), "verify-c": ("-n",), "trace-check": ("--series-order",),
+    "ell-check": ("-n", "--ell"), "p-check": ("-n",), "det": (), "batch": ("--series-order",),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["zeta", "(Qi)", "-n", "5", "--ell", "4"], "-n"),
+        (["det", str(GOLDEN / "det_three_term_input.json"), "-n", "7"], "-n"),
+        (["p-check", "(point 2)", "-n", "-1", "--ell", "4", "--series-order", "3"], "--series-order"),
+    ],
+    ids=["zeta", "det", "p-check"],
+)
+def test_an_option_the_verb_does_not_read_is_refused(capsys, argv, refused):
+    code, data = run_json(capsys, *argv)
+    assert code == 2 and data["error"] == {"code": "usage", "message": f"{argv[0]} does not read {refused}"}
+
+
+@pytest.mark.parametrize("verb", READS)
+def test_every_verb_refuses_each_common_option_it_does_not_read(capsys, tmp_path, verb):
+    # the option's default value, written out, is refused too; an option
+    # the verb reads is taken
+    positional = {"det": [str(GOLDEN / "det_three_term_input.json")],
+                  "batch": ["--manifest", str(GOLDEN / "batch_repeats_manifest.json")]}.get(verb, ["(point 3)"])
+    values = {"-n": "-1", "--series-order": "10", "--ell": "2"}
+    argv = [verb, *positional, *(token for option in READS[verb] for token in (option, values[option]))]
+    code, data = run_json(capsys, *argv)
+    assert code in (0, 1), data
+    for option in values.keys() - READS[verb]:
+        code, data = run_json(capsys, *argv, option, values[option])
+        assert code == 2 and data["error"] == {"code": "usage", "message": f"{verb} does not read {option}"}
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, out = run_cli(capsys, "value", "(point 6)", "-n", "-1", "--format", "json")
     assert code == 2
@@ -1019,7 +1055,7 @@ def count_calls(monkeypatch, original) -> list:
     return calls
 
 
-def test_batch_normalizes_once_per_entry(capsys, tmp_path, monkeypatch):
+def test_batch_normalizes_each_distinct_expression_once(capsys, tmp_path, monkeypatch):
     from zetaforge import scheme_algebra, zetarep
 
     manifest = [
@@ -1037,6 +1073,29 @@ def test_batch_normalizes_once_per_entry(capsys, tmp_path, monkeypatch):
     assert len(normalized) == 3
     # the number ring takes only its analytic order
     assert len(evaluated) == 2
+
+
+def test_batch_runs_each_distinct_expression_once(capsys, monkeypatch):
+    # the repeats golden: a curve at four weights and once more at one of
+    # them, a number ring at two weights, and two expressions that share a
+    # curve; every finite expression of it has a single ground field
+    from zetaforge import ffengine, zetarep
+
+    manifest = json.loads((GOLDEN / "batch_repeats_manifest.json").read_text())
+    texts = {entry["expr"] for entry in manifest}
+    finite = {text for text in texts if not text.startswith("(numberring")}
+    monkeypatch.chdir(GOLDEN)
+    # one worker: the calls of a forked worker are not counted here
+    set_cpus(monkeypatch, 1)
+    parsed = count_calls(monkeypatch, cli.parse_expr)
+    normalized = count_calls(monkeypatch, scheme_algebra.normalize)
+    traced = count_calls(monkeypatch, ffengine.trace_formula_check)
+    evaluated = count_calls(monkeypatch, zetarep.evaluate_at)
+    code, data = run_json(capsys, *GOLDEN_COMMANDS["batch_repeats.json"])
+    assert code == 0 and len(data["entries"]) == len(manifest) == 9
+    assert len(parsed) == len(normalized) == len(texts) == 4
+    assert len(traced) == len(finite) == 3
+    assert len(evaluated) == len({(e["expr"], e["n"]) for e in manifest if e["expr"] in finite}) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -1084,20 +1143,21 @@ class Placement:
     """Batch runs in which the entry `target` starts in the op process
     (`where` "here") or in a worker ("worker"), whatever the timing: the
     processes of the other kind take no entry from the queue until it has.
-    Every process logs `pid expression` to one file as it starts an entry,
-    and in each run the target and each (where, expression) of `also` must
-    first start where placed (a raising entry may start again here)."""
+    Every process logs `pid expression` to one file as it starts an
+    expression (parses its text), and in each run the target and each
+    (where, expression) of `also` must first start where placed (a raising
+    entry may start again here)."""
 
     def __init__(self, monkeypatch, tmp_path, target, where, also=()):
         self.log, self.parent = tmp_path / "started.log", os.getpid()
         self.expected = {(where, target), *also}
         self.log.write_text("")
-        batch_entry, take = cli._batch_entry, forkmap._take
+        parse, take = cli.parse_expr, forkmap._take
 
-        def logged(text, n, series_order):
+        def logged(text):
             with open(self.log, "a") as handle:  # one write, appended
                 handle.write(f"{os.getpid()} {text}\n")
-            return batch_entry(text, n, series_order)
+            return parse(text)
 
         def held(*args):
             if (os.getpid() == self.parent) == (where == "worker"):
@@ -1108,7 +1168,7 @@ class Placement:
                     time.sleep(0.005)
             take(*args)
 
-        monkeypatch.setattr(cli, "_batch_entry", logged)
+        monkeypatch.setattr(cli, "parse_expr", logged)
         monkeypatch.setattr(forkmap, "_take", held)
 
     def started(self) -> list[tuple[str, str]]:
@@ -1153,6 +1213,43 @@ def test_batch_reports_the_first_error_of_a_serial_run(capsys, tmp_path, monkeyp
     assert json.loads(serial[0][1])["error"]["code"] == "not-prime-power"
     assert serial[1][2].startswith("error [not-prime-power]:")
     placed = Placement(monkeypatch, tmp_path, "(point 6)", where, [("worker", "(point 2 ")] if where == "here" else [])
+    for cpus in (2, 4):
+        assert batch_outputs(capsys, monkeypatch, path, cpus, placed) == serial
+
+
+def serial_first_error(capsys, tmp_path, manifest) -> dict:
+    """The report of the first entry that fails as a one-entry batch, the
+    entries run one at a time in manifest order."""
+    for k, entry in enumerate(manifest):
+        path = tmp_path / f"entry-{k}.json"
+        path.write_text(json.dumps([entry]))
+        code, data = run_json(capsys, "batch", "--manifest", str(path), "--series-order", "12")
+        if code == 2:
+            return data
+    raise AssertionError("no entry fails")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize(
+    "failing, code",
+    [(("(point 2 ", -1, -2), "syntax-error"), (("(point 5)", -1, 0), "not-prime-power")],
+    ids=["at-both-weights", "at-its-second-weight"],
+)
+def test_batch_reports_the_first_error_of_a_serial_run_with_repeats(capsys, tmp_path, monkeypatch, failing, code):
+    # one expression appears twice, at entries 1 and 4, and entry 3 fails
+    # with another error: the report is that of the first entry to fail,
+    # run one at a time, wherever the two groups run
+    text, first_n, second_n = failing
+    manifest = [{"expr": "(point 3)", "n": -1} for _ in range(6)]
+    manifest[1] = {"expr": text, "n": first_n}
+    manifest[3] = {"expr": "(point 6)", "n": -1}
+    manifest[4] = {"expr": text, "n": second_n}
+    path = write_manifest(tmp_path, manifest)
+    expected = serial_first_error(capsys, tmp_path, manifest)
+    assert expected["error"]["code"] == code
+    serial = batch_outputs(capsys, monkeypatch, path, 1)
+    assert json.loads(serial[0][1]) == expected
+    placed = Placement(monkeypatch, tmp_path, text, "worker")
     for cpus in (2, 4):
         assert batch_outputs(capsys, monkeypatch, path, cpus, placed) == serial
 
@@ -1230,15 +1327,15 @@ def test_a_worker_out_of_memory_is_the_serial_error_under_a_memory_limit(tmp_pat
 import os, sys, time
 from zetaforge import cli, forkmap
 log, parent = sys.argv[1], os.getpid()
-battery, batch_entry, take = cli._battery, cli._batch_entry, forkmap._take
+battery, parse, take = cli._battery, cli.parse_expr, forkmap._take
 def allocating(entry, series_order):
     if entry.printed == "(point 5)":
         bytearray(1 << 31)
     return battery(entry, series_order)
-def logged(text, n, series_order):
+def logged(text):
     with open(log, "a") as handle:
         handle.write(("here " if os.getpid() == parent else "worker ") + text + "\\n")
-    return batch_entry(text, n, series_order)
+    return parse(text)
 def held(*args):
     deadline = time.monotonic() + 30
     while os.getpid() == parent and "worker (point 5)" not in open(log).read().splitlines():
@@ -1246,7 +1343,7 @@ def held(*args):
             sys.exit(8)
         time.sleep(0.005)
     take(*args)
-cli._battery, cli._batch_entry, forkmap._take = allocating, logged, held
+cli._battery, cli.parse_expr, forkmap._take = allocating, logged, held
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
 code = cli.main(sys.argv[3:])
 try:

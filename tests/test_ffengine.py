@@ -11,6 +11,7 @@ from zetaforge.errors import (
 )
 from zetaforge.ffengine import (
     _exp_series,
+    _newton_power_sums,
     ell_adic_check,
     p_part_check,
     point_count,
@@ -108,6 +109,16 @@ def test_trace_formula_against_independent_exp():
     counts = {k: point_count(e, k) for k in range(1, 9)}
     oracle = series_exp({k: Fraction(nk, k) for k, nk in counts.items()}, 8)
     assert report.left == oracle
+
+
+def test_newton_power_sums_are_kept_as_a_tuple():
+    # kept per process, so no caller may change them: a tuple, the same one
+    # on the next call; P(t) = 1 + t + 2t^2 has p_1 = -1 and p_2 = 1 - 2 * 2
+    sums = _newton_power_sums((1, 1, 2), 6)
+    assert type(sums) is tuple and _newton_power_sums((1, 1, 2), 6) is sums
+    assert sums[:3] == (0, -1, -3)
+    with pytest.raises(TypeError):
+        sums[1] = 0
 
 
 def fraction_exp_series(linear_coeffs, K):

@@ -70,7 +70,8 @@ def test_more_items_than_a_pipe_holds_come_back_in_order_each_taken_once(monkeyp
         log.add(i)
         return i * i
 
-    assert forkmap(square, [(i,) for i in range(count)], [i % 10 for i in range(count)]) == [
+    singletons = [[i] for i in range(count)]
+    assert forkmap(square, [(i,) for i in range(count)], singletons, [i % 10 for i in range(count)]) == [
         i * i for i in range(count)
     ]
     taken = log.entries()
@@ -86,7 +87,7 @@ def test_one_reader_takes_the_heaviest_item_first(monkeypatch, log):
 
     set_cpus(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", no_fork)
-    out = forkmap(lambda i: log.add(i) or -i, [(i,) for i in range(6)], [3, 9, 1, 9, 5, 0])
+    out = forkmap(lambda i: log.add(i) or -i, [(i,) for i in range(6)], [[i] for i in range(6)], [3, 9, 1, 9, 5, 0])
     assert out == [0, -1, -2, -3, -4, -5]
     assert [i for _, i in log.entries()] == [1, 3, 4, 0, 2, 5]
 
@@ -115,7 +116,7 @@ def test_the_serial_first_error_is_raised(monkeypatch, log, raising):
     with pytest.raises(ValueError) as serial:
         [plain(*item) for item in items]
     with pytest.raises(ValueError) as raised:
-        forkmap(item, items, [1] * 12)
+        forkmap(item, items, [[i] for i in range(12)], [1] * 12)
     assert raised.value.args == serial.value.args == (raising[0],)
     taken = log.entries()
     assert any(pid != parent and i == raising[0] for pid, i in taken)
@@ -140,9 +141,45 @@ def test_items_a_killed_worker_took_run_here(monkeypatch, log):
                 os.kill(os.getpid(), signal.SIGKILL)
         return i + 100
 
-    assert forkmap(item, [(i,) for i in range(10)], [1] * 10) == [i + 100 for i in range(10)]
+    assert forkmap(item, [(i,) for i in range(10)], [[i] for i in range(10)], [1] * 10) == [i + 100 for i in range(10)]
     taken = log.entries()
     lost = [i for pid, i in taken if pid != parent]
     assert len(lost) == 3
     assert all((parent, i) in taken for i in lost)
+    assert_no_child_left()
+
+
+def test_a_group_runs_in_one_process_in_its_order(monkeypatch, log):
+    # the groups interleave the items; each runs where it was taken, in order
+    set_cpus(monkeypatch, 2)
+    groups = [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+
+    def item(i):
+        log.add(i)
+        time.sleep(0.002)
+        return -i
+
+    assert forkmap(item, [(i,) for i in range(12)], groups, [3, 2, 1]) == [-i for i in range(12)]
+    taken = log.entries()
+    for group in groups:
+        ran = [(pid, i) for pid, i in taken if i in group]
+        assert [i for _, i in ran] == group and len({pid for pid, _ in ran}) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_serial_first_error_is_raised_across_groups(monkeypatch, log, cpus):
+    # items 0, 2, 4 form the heavier group, which raises at 4; the other,
+    # 1, 3, 5, raises at 3, which a serial run reaches first
+    set_cpus(monkeypatch, cpus)
+
+    def item(i):
+        log.add(i)
+        if i in (3, 4):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as raised:
+        forkmap(item, [(i,) for i in range(6)], [[0, 2, 4], [1, 3, 5]], [2, 1])
+    assert raised.value.args == (3,)
     assert_no_child_left()
