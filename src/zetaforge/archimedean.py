@@ -31,7 +31,7 @@ def equivariant_dims(e, n: int) -> tuple[dict | None, int]:
     parity n + r, in degree 2r."""
     if n >= 0:
         raise InvalidArgumentError("defined for strictly negative weights")
-    nf = Evaluation.of(e, n).nf
+    nf = Evaluation.of(e).nf
     dims = {} if nf.graded else None
     chi = 0
     for (atom, r), c in nf.terms.items():

@@ -16,13 +16,12 @@ of the positional, and repeats (the last wins).  A malformed command line,
 or a common option given to a verb that does not read it, is the error
 `usage`, reported like every other error; -h/--help prints the usage block.
 
-Every expression verb builds one `Evaluation` record of its expression, and
-`batch` one per distinct manifest entry; every check and report reads that
-record: one normal form, one zeta product, one exact value and one set of
-order data per entry.  The four one-claim verbs share one handler.  `batch` runs
-each distinct expression of its manifest once (`_Expression`): one parse,
-and one normal form, zeta product and trace-formula check shared by its
-weights, and an exact repeat of an entry prints that entry's report again.
+Every expression verb builds one `Evaluation` record of its expression,
+which every check and report reads at the weight it is given.  The four
+one-claim verbs share one handler.  `batch` runs each distinct expression
+of its manifest once (`_Expression`): one parse, record and trace-formula
+check for all its entries' weights, and an exact repeat of an entry prints
+that entry's report again.
 It runs the expressions across the CPUs of the affinity mask (`forkmap`):
 this process and a forked worker per other CPU take them from one shared
 queue, heaviest first, and each renders the entries it computed, so the
@@ -77,13 +76,13 @@ def _cmd_zeta(entry: Evaluation, args) -> tuple[dict, bool]:
 
 
 def _cmd_ord(entry: Evaluation, args) -> tuple[dict, bool]:
-    analytic = entry.order
-    conjectural = archimedean.vanishing_order_conjectural(entry, entry.n)
+    analytic = entry.order(args.n)
+    conjectural = archimedean.vanishing_order_conjectural(entry, args.n)
     ok = analytic == conjectural
     return {
         "command": "ord",
         "expression": entry.printed,
-        "n": entry.n,
+        "n": args.n,
         "analytic_order": analytic,
         "conjectural_order": conjectural,
         "vo": "pass" if ok else "fail",
@@ -92,11 +91,11 @@ def _cmd_ord(entry: Evaluation, args) -> tuple[dict, bool]:
 
 
 def _cmd_value(entry: Evaluation, args) -> tuple[dict, bool]:
-    value = evaluate_at(entry.zeta, entry.n, args.precision)
+    value = evaluate_at(entry.zeta, args.n, args.precision)
     return {
         "command": "value",
         "expression": entry.printed,
-        "n": entry.n,
+        "n": args.n,
         "order": value.order,
         "exact": None if value.exact is None else _exact_str(value.exact),
         "exact_flag": value.is_exact,
@@ -110,8 +109,8 @@ def _cmd_claim(entry: Evaluation, args) -> tuple[dict, bool]:
     """The report of a one-claim verb: the check its `_Verb.claim` takes."""
     check = _VERBS[args.verb].claim(entry, args)
     report = {"command": args.verb, "expression": entry.printed, "checks": [check.as_dict()], "pass": check.passed}
-    if entry.n is not None:
-        report["n"] = entry.n
+    if args.n is not None:  # the verb reads -n
+        report["n"] = args.n
     return report, check.passed
 
 
@@ -145,8 +144,8 @@ def _cmd_det(args) -> tuple[dict, bool]:
 _BATTERY_ELLS = (2, 3, 5, 7, 11, 13)
 
 
-def _battery(entry: Evaluation, trace_claim: Callable) -> list:
-    """Per-entry battery of batch mode; every check reads the one record.
+def _battery(entry: Evaluation, n: int, trace_claim: Callable) -> list:
+    """Per-entry battery of batch mode; every check reads the one record at n.
 
     The trace formula applies when the entry has a single ground field, and
     `trace_claim(entry)` is that check of its expression, which does not
@@ -154,21 +153,20 @@ def _battery(entry: Evaluation, trace_claim: Callable) -> list:
     determined, at each ell that is not a base characteristic.  Any other
     error rejects the entry.
     """
-    n = entry.n
     reports = []
     if entry.is_finite_characteristic:
         reports.append(ffengine.verify_C_finite_char(entry, n))
         reports.append(ffengine.p_part_check(entry, n))
         if len(entry.bases) == 1:
             reports.append(trace_claim(entry))
-        if entry.order_data.graded is not None:
+        if entry.order_data(n).graded is not None:
             for ell in _BATTERY_ELLS:
                 if ell not in entry.characteristics:
                     reports.append(ffengine.ell_adic_check(entry, n, ell))
     reports.append(
         ffengine.VerificationReport(
             claim="vanishing-order",
-            left=entry.order,
+            left=entry.order(n),
             right=archimedean.vanishing_order_conjectural(entry, n),
             context={"expression": entry.printed, "n": n},
         )
@@ -198,21 +196,19 @@ _CHECK_INDENT = "\n" + " " * 8
 class _Expression:
     """One distinct expression of a manifest, as a process runs its entries.
 
-    It is parsed once.  Its record moves from weight to weight
-    (`Evaluation.at`), so the fields that do not depend on n are computed
-    once; its trace-formula check, which reads only X and K, is taken and
-    rendered once; and each weight's report is kept, so an exact repeat of
-    (X, n) prints it again.
+    It is parsed once into one record for every weight, its trace-formula
+    check (of X and K alone) is taken and rendered once, and each weight's
+    report is kept, so an exact repeat of (X, n) prints it again.
     """
 
     def __init__(self, text: str, series_order: int, fmt: str):
-        self.record = Evaluation(parse_expr(text), None)
+        self.record = Evaluation(parse_expr(text))
         self.series_order, self.fmt = series_order, fmt
         self.trace = None  # (check, as it prints)
         self.reports = {}  # n -> (report, in JSON as it prints; pass bit)
 
     def trace_claim(self, entry: Evaluation):
-        """The trace-formula check of the expression, taken on its first record."""
+        """The trace-formula check of the expression, taken once."""
         if self.trace is None:
             check = ffengine.trace_formula_check(entry, self.series_order)
             shown = check.as_dict()
@@ -223,11 +219,10 @@ class _Expression:
         """Entry i's report at weight n as it prints at its place in
         "entries", and its pass bit."""
         if n not in self.reports:
-            self.record = entry = self.record.at(n)
-            checks = _battery(entry, self.trace_claim)
+            checks = _battery(self.record, n, self.trace_claim)
             trace = self.trace or (None, None)
             report = {
-                "expression": entry.printed,
+                "expression": self.record.printed,
                 "n": n,
                 "checks": [trace[1] if check is trace[0] else check.as_dict() for check in checks],
                 "pass": all(check.passed for check in checks),
@@ -247,7 +242,7 @@ def _cmd_batch(args) -> tuple[dict, bool]:
     for i, (text, _) in enumerate(items):
         groups.setdefault(text, []).append(i)
     # the expressions this process is running; each is dropped after its last
-    # entry, as its records would otherwise stay for the cyclic collector to
+    # entry, as its record would otherwise stay for the cyclic collector to
     # walk on every pass (about 3 % of a batch op without repeats)
     expressions: dict[str, _Expression] = {}
 
@@ -379,7 +374,7 @@ class _Verb(NamedTuple):
     as argparse did; `run_command` refuses a common option the verb does
     not read, and requires the expression of an expression verb and -n
     where it is read.  `claim` is the check of a one-claim verb, taken on
-    (entry, args).
+    (entry, args), at args.n where the verb reads -n.
     """
 
     handler: Callable
@@ -395,13 +390,13 @@ _VERBS = {
     "ord": _Verb(_cmd_ord, "expression", {}, reads=("-n",)),
     "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, reads=("-n",)),
     "verify-c": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
-                      claim=lambda entry, args: ffengine.verify_C_finite_char(entry, entry.n)),
+                      claim=lambda entry, args: ffengine.verify_C_finite_char(entry, args.n)),
     "trace-check": _Verb(_cmd_claim, "expression", {}, reads=("--series-order",),
                          claim=lambda entry, args: ffengine.trace_formula_check(entry, args.series_order)),
     "ell-check": _Verb(_cmd_claim, "expression", {}, reads=("-n", "--ell"),
-                       claim=lambda entry, args: ffengine.ell_adic_check(entry, entry.n, _prime_ell(args))),
+                       claim=lambda entry, args: ffengine.ell_adic_check(entry, args.n, _prime_ell(args))),
     "p-check": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
-                     claim=lambda entry, args: ffengine.p_part_check(entry, entry.n)),
+                     claim=lambda entry, args: ffengine.p_part_check(entry, args.n)),
     "det": _Verb(_cmd_det, "file", {}, required="file"),
     "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest", reads=("--series-order",)),
 }
@@ -438,7 +433,7 @@ _MAX_SERIES_ORDER = 1024
 
 def run_command(args) -> tuple[dict, bool]:
     """Dispatch a namespace filled by `_read_argv` to its implementation; an
-    expression verb's reads one Evaluation, at -n when the verb reads it.
+    expression verb reads one Evaluation, at -n when the verb reads it.
     A common option given to a verb that does not read it is refused."""
     verb = _VERBS[args.verb]
     for option in ("-n", "--series-order", "--ell"):
@@ -459,7 +454,7 @@ def run_command(args) -> tuple[dict, bool]:
             raise UsageError(f"{args.verb} requires -n")
         if args.n >= 0:
             raise InvalidArgumentError("n must be a strictly negative integer")
-    return verb.handler(Evaluation(expr, args.n), args)
+    return verb.handler(Evaluation(expr), args)
 
 
 def _field(option: str) -> str:

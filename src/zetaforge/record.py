@@ -16,9 +16,10 @@ where a dataclass builds six methods from source in about 350 us.
 
 from __future__ import annotations
 
+from functools import wraps
 from operator import attrgetter
 
-__all__ = ["Record"]
+__all__ = ["Record", "kept_per_argument"]
 
 
 class Record:
@@ -74,3 +75,18 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values(self)
+
+
+def kept_per_argument(compute):
+    """The method `compute(self, x)` of a record with a `__dict__`, run once
+    per x and then kept, as `functools.cached_property` keeps a property."""
+    kept_as = "_kept_" + compute.__name__
+
+    @wraps(compute)
+    def read(self, x):
+        kept = self.__dict__.setdefault(kept_as, {})
+        if x not in kept:
+            kept[x] = compute(self, x)
+        return kept[x]
+
+    return read

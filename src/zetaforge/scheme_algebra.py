@@ -52,7 +52,7 @@ from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
 from .intlinalg import ensure_prime_power, prime_power_base
 from .lfunctions import Q, QI, AbelianFieldSpec, SpecialValue
-from .record import Record
+from .record import Record, kept_per_argument
 from .zetarep import (
     FiniteCharFactor,
     LFactorShifted,
@@ -407,7 +407,7 @@ def weil_order_data(e, n: int) -> WeilOrderData:
     """
     if n >= 0:
         raise InvalidArgumentError("order data is defined for strictly negative weights")
-    nf = Evaluation.of(e, n).nf
+    nf = Evaluation.of(e).nf
     graded = {} if nf.graded else None
     chi = Fraction(1)
     for (atom, r), c in nf.terms.items():
@@ -424,46 +424,28 @@ def weil_order_data(e, n: int) -> WeilOrderData:
 
 
 class Evaluation(Record):
-    """One pair (X, n) and everything the checks of it read.
+    """One expression X and everything the checks of it read.
 
     The expression is normalized once; every other field is the module
     function that computes it (`zeta_of`, `weil_order_data`, `evaluate_at`,
-    ...) applied to this record, called on first use and then kept.  So a
-    battery of checks on one entry normalizes once, builds one zeta product
-    and evaluates it once, and the fields are computed in the order the
-    checks first ask for them: the first error raised is the one the checks
-    would raise one at a time.  `n` is None when only fields that do not
-    depend on a weight are read (normal form, zeta, bases); `at` moves a
-    record to another weight and keeps those fields.
+    ...) applied to this record, called on first use and then kept, a field
+    at a weight n (`order_data(n)`, `value(n)`, `order(n)`) once per n.  So
+    checks of X at any weights normalize once, build one zeta product and
+    evaluate it once per weight, in the order they first ask: the first
+    error raised is the one the checks would raise one at a time.
 
     The public functions of this module, `ffengine` and `archimedean` take
     an expression or its Evaluation.
     """
 
-    __slots__ = ("expr", "n", "__dict__")
-    _defaults = {"n": None}
-    # one record per (X, n): equal only to itself
+    __slots__ = ("expr", "__dict__")
+    # one record per expression: equal only to itself
     __eq__, __hash__ = object.__eq__, object.__hash__
-    # the cached fields that do not depend on n
-    _WEIGHT_FREE = ("nf", "printed", "zeta", "bases", "characteristics", "is_finite_characteristic")
 
     @classmethod
-    def of(cls, e, n: int | None = None) -> Evaluation:
-        """`e` itself when it is an Evaluation, else the Evaluation of (e, n)."""
-        if not isinstance(e, Evaluation):
-            return cls(e, n)
-        if n is not None and n != e.n:
-            raise InvalidArgumentError(f"an evaluation at n = {e.n} cannot be read at n = {n}")
-        return e
-
-    def at(self, n: int) -> Evaluation:
-        """The record of (X, n), holding the weight-free fields this record
-        has computed so far: a run of weights on one expression, each record
-        made `at` the one before, computes each of them once."""
-        sibling = Evaluation(self.expr, n)
-        cached = self.__dict__
-        sibling.__dict__.update({name: cached[name] for name in self._WEIGHT_FREE if name in cached})
-        return sibling
+    def of(cls, e) -> Evaluation:
+        """`e` itself when it is an Evaluation, else the Evaluation of e."""
+        return e if isinstance(e, Evaluation) else cls(e)
 
     @cached_property
     def nf(self) -> NormalForm:
@@ -489,22 +471,22 @@ class Evaluation(Record):
     def is_finite_characteristic(self) -> bool:
         return is_finite_characteristic(self)
 
-    @cached_property
-    def order_data(self) -> WeilOrderData:
-        return weil_order_data(self, self.n)
+    @kept_per_argument
+    def order_data(self, n: int) -> WeilOrderData:
+        return weil_order_data(self, n)
 
-    @cached_property
-    def value(self) -> SpecialValue:
-        return evaluate_at(self.zeta, self.n)
+    @kept_per_argument
+    def value(self, n: int) -> SpecialValue:
+        return evaluate_at(self.zeta, n)
 
-    @cached_property
-    def order(self) -> int:
-        """ord_{s=n} zeta(X, s).  A finite-characteristic entry reads it off
-        its value; any other takes only the analytic order, because leading
-        values of number rings are expensive."""
+    @kept_per_argument
+    def order(self, n: int) -> int:
+        """ord_{s=n} zeta(X, s).  A finite-characteristic expression reads it
+        off its value; any other takes only the analytic order, because
+        leading values of number rings are expensive."""
         if self.is_finite_characteristic:
-            return self.value.order
-        return vanishing_order(self.zeta, self.n)
+            return self.value(n).order
+        return vanishing_order(self.zeta, n)
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +608,17 @@ def _read(tokens):
     raise ExprSyntaxError("missing closing parenthesis", open_groups[-1][1])
 
 
+# an integer as written in an expression: ASCII digits, and a minus sign
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _expect_int(node, what: str) -> int:
     value, pos = node
     if isinstance(value, list):
         raise ExprSyntaxError(f"expected an integer for {what}", pos)
-    try:
-        return int(value)
-    except ValueError:
-        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos) from None
+    if not _INTEGER.fullmatch(value):
+        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos)
+    return int(value)
 
 
 def _expect_int_list(node, what: str) -> list[int]:

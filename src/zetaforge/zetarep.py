@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from math import floor, gcd, log10
+from math import floor, gcd, log10, prod
 from operator import mul
 
 from . import poly
 from .errors import InvalidArgumentError, PrecisionUnderflowError, WeilViolationError
 from .intlinalg import ensure_prime_power
 from .lfunctions import DEFAULT_PRECISION, SpecialValue, _orbit_table, _special_value
-from .record import Record
+from .record import Record, kept_per_argument
 
 __all__ = [
     "RationalFunctionT",
@@ -181,7 +181,7 @@ class ZetaProduct(Record):
     dropped, each factor sorted into its field), so equality is structural.
     """
 
-    __slots__ = ("finite_char", "char_zero")
+    __slots__ = ("finite_char", "char_zero", "__dict__")
 
     # built in bulk: an explicit constructor is faster than Record's generic one
     def __init__(self, finite_char=(), char_zero=()):
@@ -199,6 +199,12 @@ class ZetaProduct(Record):
     @property
     def factors(self):
         return self.finite_char + self.char_zero
+
+    @kept_per_argument
+    def finite_char_values(self, n: int) -> tuple:
+        """Z(q^(-n)) of each factor of `finite_char`, in its order: the exact
+        value and the p-part check of an expression read the same values."""
+        return tuple(f.value_at(n) for f, _ in self.finite_char)
 
 
 def multiply(a: ZetaProduct, b: ZetaProduct) -> ZetaProduct:
@@ -234,10 +240,7 @@ def shift_s(z: ZetaProduct, r: int) -> ZetaProduct:
 
 def _finite_char_value(z: ZetaProduct, n: int) -> Fraction:
     """Exact product of Z(q^(-n))^e over the finite-characteristic factors."""
-    value = Fraction(1)
-    for f, e in z.finite_char:
-        value *= f.value_at(n) ** e
-    return value
+    return prod((v**e for (_, e), v in zip(z.finite_char, z.finite_char_values(n))), start=Fraction(1))
 
 
 def _l_factors(z: ZetaProduct, n: int) -> list[tuple]:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import zetaforge
 from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg, scheme_algebra
-from zetaforge.errors import ArityError, ExprSyntaxError, NotPrimePowerError
+from zetaforge.errors import ArityError, ExprSyntaxError, InvalidArgumentError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
     Affine,
@@ -258,6 +258,7 @@ def test_closed_stdout_is_an_io_error(fmt):
                             env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read().decode()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error [io-error]:") and "Traceback" not in err and "Exception ignored" not in err
 
@@ -507,6 +508,18 @@ def test_a_repeated_numberring_keyword_is_a_syntax_error(capsys, expr, keyword, 
     assert cli.main(["zeta", expr]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error [syntax-error]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "expr, position",
+    [("(point 1_6)", 7), ("(point +16)", 7), ("(point \uff12)", 7), ("(numberring :conductor \u0661\u0663)", 23)],
+)
+def test_an_integer_is_ascii_digits_after_an_optional_minus(capsys, expr, position):
+    # int() would read these as 16, 16, 2 and 13, and the report would echo other text
+    code, data = run_json(capsys, "zeta", expr)
+    assert code == 2 and data["error"]["code"] == "syntax-error"
+    assert data["error"]["message"].endswith(f"(at position {position})")
+    assert cli.parse_expr("(curve 002 (01 -0 2))") == Curve(2, (1, 0, 2))
 
 
 def test_trace_and_ell_and_p(capsys):
@@ -1098,6 +1111,66 @@ def test_batch_runs_each_distinct_expression_once(capsys, monkeypatch):
     assert len(evaluated) == len({(e["expr"], e["n"]) for e in manifest if e["expr"] in finite}) == 6
 
 
+def test_one_record_serves_every_weight(monkeypatch):
+    # read at -2, -1 and -2 again: one normal form and zeta product, one
+    # exact value per weight, each weight's reports those of a fresh record
+    from zetaforge import ffengine, zetarep
+
+    expr = cli.parse_expr("(disjoint (proj 1 (curve 2 (1 1 2))) (point 2 3))")
+
+    def reports(entry, n):
+        return [r.as_dict() for r in cli._battery(entry, n, lambda e: ffengine.trace_formula_check(e, 8))]
+
+    fresh = {n: reports(scheme_algebra.Evaluation(expr), n) for n in (-1, -2)}
+    normalized = count_calls(monkeypatch, scheme_algebra.normalize)
+    built = count_calls(monkeypatch, scheme_algebra.zeta_of)
+    evaluated = count_calls(monkeypatch, zetarep.evaluate_at)
+    entry = scheme_algebra.Evaluation(expr)
+    assert [reports(entry, n) for n in (-2, -1, -2)] == [fresh[-2], fresh[-1], fresh[-2]]
+    assert len(normalized) == len(built) == 1
+    assert [args[1] for args in evaluated] == [-2, -1]
+    # a field at a weight that is not negative is refused, not a TypeError
+    for field in (entry.value, entry.order_data, entry.order):
+        with pytest.raises(InvalidArgumentError, match="strictly negative"):
+            field(0)
+
+
+def test_a_batch_computes_each_factor_value_once(capsys, tmp_path, monkeypatch):
+    # the exact value and the p-part check read the same values Z(q^(-n))
+    from zetaforge import zetarep
+
+    expr = "(disjoint (proj 1 (curve 2 (1 1 2))) (point 3) (affine 1 (point 5 2)))"
+    value_at, calls = zetarep.FiniteCharFactor.value_at, []
+
+    def counting(factor, n):
+        calls.append((factor, n))
+        return value_at(factor, n)
+
+    monkeypatch.setattr(zetarep.FiniteCharFactor, "value_at", counting)
+    code, data = run_json(capsys, "batch", "--manifest", write_manifest(tmp_path, [{"expr": expr, "n": -2}]))
+    assert code == 0 and "p-part-triviality" in [check["claim"] for check in data["entries"][0]["checks"]]
+    factors = scheme_algebra.zeta_of(cli.parse_expr(expr)).finite_char
+    assert len(calls) == len(set(calls)) == len(factors) == 4
+
+
+def test_a_planted_point_count_defect_fails_only_the_trace_formula(capsys, tmp_path, monkeypatch):
+    # the power sum p_2 of a curve's inverse roots one too large: N_2 is
+    # one too small, which only the trace-formula claim reads
+    from zetaforge import ffengine
+
+    path = write_manifest(tmp_path, [{"expr": "(curve 3 (1 2 3))", "n": -1}])
+
+    def failed():
+        code, data = run_json(capsys, "batch", "--manifest", path)
+        return code, [check["claim"] for check in data["entries"][0]["checks"] if check["verdict"] == "fail"]
+
+    assert failed() == (0, [])
+    sums = ffengine._newton_power_sums
+    monkeypatch.setattr(ffengine, "_newton_power_sums",
+                        lambda lpoly, K: tuple(p + (k == 2) for k, p in enumerate(sums(lpoly, K))))
+    assert failed() == (1, ["grothendieck-trace-formula"])
+
+
 # ---------------------------------------------------------------------------
 # batch across the CPUs of the affinity mask: the report of a serial run
 
@@ -1259,10 +1332,10 @@ def test_a_worker_that_sends_nothing_is_run_here(capsys, tmp_path, monkeypatch):
     # a worker that dies mid-share leaves its entries to this process
     parent, battery = os.getpid(), cli._battery
 
-    def dying(entry, series_order):
+    def dying(entry, n, trace_claim):
         if os.getpid() != parent:
             os._exit(3)
-        return battery(entry, series_order)
+        return battery(entry, n, trace_claim)
 
     path = write_manifest(tmp_path, MIXED_MANIFEST)
     serial = batch_outputs(capsys, monkeypatch, path, 1)
@@ -1303,7 +1376,7 @@ def test_an_interrupt_kills_and_reaps_every_worker(capsys, tmp_path, monkeypatch
     # the workers would sleep for a minute; they are killed, not waited out
     parent = os.getpid()
 
-    def interrupted(entry, series_order):
+    def interrupted(entry, n, trace_claim):
         if os.getpid() != parent:
             time.sleep(60)
         raise KeyboardInterrupt
@@ -1328,10 +1401,10 @@ import os, sys, time
 from zetaforge import cli, forkmap
 log, parent = sys.argv[1], os.getpid()
 battery, parse, take = cli._battery, cli.parse_expr, forkmap._take
-def allocating(entry, series_order):
+def allocating(entry, n, trace_claim):
     if entry.printed == "(point 5)":
         bytearray(1 << 31)
-    return battery(entry, series_order)
+    return battery(entry, n, trace_claim)
 def logged(text):
     with open(log, "a") as handle:
         handle.write(("here " if os.getpid() == parent else "worker ") + text + "\\n")

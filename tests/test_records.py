@@ -74,7 +74,7 @@ SAMPLES = {
     "Affine": (lambda: Affine(1, Point(2)), "Affine(r=1, base=Point(q=2, m=1))"),
     "Proj": (lambda: Proj(2, Point(5, 2)), "Proj(r=2, base=Point(q=5, m=2))"),
     "Cellular": (lambda: Cellular(Point(2), (0, 1)), "Cellular(base=Point(q=2, m=1), ranks=(0, 1))"),
-    "Evaluation": (lambda: Evaluation(Point(2), -1), "Evaluation(expr=Point(q=2, m=1), n=-1)"),
+    "Evaluation": (lambda: Evaluation(Point(2)), "Evaluation(expr=Point(q=2, m=1))"),
     "IntMatrix": (lambda: IntMatrix(1, 2, (1, 2)), "IntMatrix(rows=1, cols=2, entries=(1, 2))"),
     "SmithDecomposition": (
         lambda: smith_normal_form(IntMatrix(1, 2, (2, 4))),
@@ -94,7 +94,7 @@ SAMPLES = {
         "VerificationReport(claim='p-part', left=0, right=0, context={'n': -1})",
     ),
 }
-# the one record whose equality is identity: a battery's memo of one (X, n)
+# the one record whose equality is identity: the memo of one expression
 IDENTITY = {"Evaluation"}
 
 
