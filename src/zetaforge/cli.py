@@ -8,13 +8,15 @@ batch.  Reports print as text or JSON; exit status is 0 when every
 requested verdict passes, 1 on a failed verdict, 2 on an error.
 
 The command line is read by `_read_argv` from one verb table, `_VERBS`:
-each verb names its positional (an expression, a file or none), the
-options it adds to the common -n, --format, --series-order and --ell, and
-the common ones it reads.  It takes `--opt value` and `--opt=value`, `-n -2`,
-`-n-2` and `-n=-2`, unique prefixes of long options, options on either side
-of the positional, and repeats (the last wins).  A malformed command line,
-or a common option given to a verb that does not read it, is the error
-`usage`, reported like every other error; -h/--help prints the usage block.
+each verb names its positional (an expression, a file or none) and every
+option it takes besides -h/--help and --format, with its default; the
+positional and an option without a default are required.  The reader takes
+`--opt value` and `--opt=value`, `-n -2`, `-n-2` and `-n=-2`, unique
+prefixes of long options, options on either side of the positional, and
+repeats (the last wins); an integer is read as in an expression
+(`intlinalg.read_decimal`).  A malformed command line, another verb's
+option included, is the error `usage`, found before the expression is read
+and reported like every other error; -h/--help prints the usage block.
 
 Every expression verb builds one `Evaluation` record of its expression,
 which every check and report reads at the weight it is given.  The four
@@ -42,7 +44,7 @@ from typing import Callable, NamedTuple
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
 from .errors import InvalidArgumentError, ManifestError, UsageError, ZetaforgeError
-from .intlinalg import is_prime, read_int
+from .intlinalg import is_prime, read_decimal, read_int
 from .lfunctions import DEFAULT_PRECISION
 from .scheme_algebra import Evaluation, parse_expr, validate
 from .zetarep import _exact_str, evaluate_at, format_decimal
@@ -112,14 +114,6 @@ def _cmd_claim(entry: Evaluation, args) -> tuple[dict, bool]:
     if args.n is not None:  # the verb reads -n
         report["n"] = args.n
     return report, check.passed
-
-
-def _prime_ell(args) -> int:
-    if args.ell is None:
-        raise UsageError("ell-check requires --ell")
-    if not is_prime(args.ell):
-        raise InvalidArgumentError(f"--ell must be a prime, got {args.ell}")
-    return args.ell
 
 
 def _cmd_det(args) -> tuple[dict, bool]:
@@ -365,43 +359,40 @@ def _render_text(report, path: str = "") -> str:
 
 
 class _Verb(NamedTuple):
-    """What a verb reads, and what it needs.
-
-    `positional` is the field its one positional fills ("expression", "file"
-    or None), `options` maps its own options to their defaults, and `reads`
-    lists the common options it reads besides --format.  The reader takes
-    every common option for every verb and requires the field `required`,
-    as argparse did; `run_command` refuses a common option the verb does
-    not read, and requires the expression of an expression verb and -n
-    where it is read.  `claim` is the check of a one-claim verb, taken on
-    (entry, args), at args.n where the verb reads -n.
+    """What a verb reads: `positional` is the field its one positional fills
+    ("expression", "file" or None), and `options` maps every option it takes
+    besides -h/--help and --format to its default, None where it has none.
+    The reader takes only these options, and requires the positional and
+    each option without a default.  `claim` is the check of a one-claim
+    verb, taken on (entry, args).
     """
 
     handler: Callable
     positional: str | None
     options: dict
-    required: str | None = None
-    reads: tuple = ()
     claim: Callable | None = None
 
 
+_DEFAULT_SERIES_ORDER = 10
 _VERBS = {
     "zeta": _Verb(_cmd_zeta, "expression", {}),
-    "ord": _Verb(_cmd_ord, "expression", {}, reads=("-n",)),
-    "value": _Verb(_cmd_value, "expression", {"--precision": DEFAULT_PRECISION}, reads=("-n",)),
-    "verify-c": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
+    "ord": _Verb(_cmd_ord, "expression", {"-n": None}),
+    "value": _Verb(_cmd_value, "expression", {"-n": None, "--precision": DEFAULT_PRECISION}),
+    "verify-c": _Verb(_cmd_claim, "expression", {"-n": None},
                       claim=lambda entry, args: ffengine.verify_C_finite_char(entry, args.n)),
-    "trace-check": _Verb(_cmd_claim, "expression", {}, reads=("--series-order",),
+    "trace-check": _Verb(_cmd_claim, "expression", {"--series-order": _DEFAULT_SERIES_ORDER},
                          claim=lambda entry, args: ffengine.trace_formula_check(entry, args.series_order)),
-    "ell-check": _Verb(_cmd_claim, "expression", {}, reads=("-n", "--ell"),
-                       claim=lambda entry, args: ffengine.ell_adic_check(entry, args.n, _prime_ell(args))),
-    "p-check": _Verb(_cmd_claim, "expression", {}, reads=("-n",),
+    "ell-check": _Verb(_cmd_claim, "expression", {"-n": None, "--ell": None},
+                       claim=lambda entry, args: ffengine.ell_adic_check(entry, args.n, args.ell)),
+    "p-check": _Verb(_cmd_claim, "expression", {"-n": None},
                      claim=lambda entry, args: ffengine.p_part_check(entry, args.n)),
-    "det": _Verb(_cmd_det, "file", {}, required="file"),
-    "batch": _Verb(_cmd_batch, None, {"--manifest": None}, required="manifest", reads=("--series-order",)),
+    "det": _Verb(_cmd_det, "file", {}),
+    "batch": _Verb(_cmd_batch, None, {"--manifest": None, "--series-order": _DEFAULT_SERIES_ORDER}),
 }
 _HELP = ("-h", "--help")
-_COMMON = (*_HELP, "-n", "--format", "--series-order", "--ell")
+_COMMON = (*_HELP, "--format")
+# every option of some verb; a token is read as one of these
+_OPTIONS = (*_COMMON, *dict.fromkeys(name for verb in _VERBS.values() for name in verb.options))
 _INTEGER_OPTIONS = ("-n", "--series-order", "--ell", "--precision")
 # argparse's rule: a token like this is a value, not an option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
@@ -432,28 +423,21 @@ _MAX_SERIES_ORDER = 1024
 
 
 def run_command(args) -> tuple[dict, bool]:
-    """Dispatch a namespace filled by `_read_argv` to its implementation; an
-    expression verb reads one Evaluation, at -n when the verb reads it.
-    A common option given to a verb that does not read it is refused."""
+    """Dispatch a namespace filled by `_read_argv` to its implementation,
+    once the values of its options are in their domains; an expression verb
+    reads one Evaluation.  An option the verb does not take is None."""
     verb = _VERBS[args.verb]
-    for option in ("-n", "--series-order", "--ell"):
-        value = getattr(args, _field(option))
-        if option not in verb.reads and value is not None and type(value) is not _Default:
-            raise UsageError(f"{args.verb} does not read {option}")
-    if args.series_order < 0:
+    if args.series_order is not None and args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
-    if args.series_order > _MAX_SERIES_ORDER:
+    if args.series_order is not None and args.series_order > _MAX_SERIES_ORDER:
         raise InvalidArgumentError(f"--series-order {args.series_order} is above {_MAX_SERIES_ORDER}: too long to compute")
     if verb.positional != "expression":
         return verb.handler(args)
-    if args.expression is None:
-        raise UsageError(f"{args.verb} requires an expression")
     expr = parse_expr(args.expression)
-    if "-n" in verb.reads:
-        if args.n is None:
-            raise UsageError(f"{args.verb} requires -n")
-        if args.n >= 0:
-            raise InvalidArgumentError("n must be a strictly negative integer")
+    if args.n is not None and args.n >= 0:
+        raise InvalidArgumentError("n must be a strictly negative integer")
+    if args.ell is not None and not is_prime(args.ell):
+        raise InvalidArgumentError(f"--ell must be a prime, got {args.ell}")
     return verb.handler(Evaluation(expr), args)
 
 
@@ -462,41 +446,50 @@ def _field(option: str) -> str:
     return option.lstrip("-").replace("-", "_")
 
 
-def _option(token: str, names) -> tuple[str, str | None] | None:
-    """(option, value written into the token) that `token` names among
-    `names`, or None when it is a positional.
+def _option(token: str, verb: str | None) -> tuple[str, str | None] | None:
+    """(option, value written into the token) that `token` names among the
+    options `verb` takes (any verb's before the verb is read), or None when
+    it is a positional.
 
-    As with argparse: '-' alone, negative numbers and tokens with a space
-    are positionals; a long option may be shortened to a unique prefix and
-    take its value after '=', and -n takes one after '=' or attached.
+    As with argparse: '-' alone, and negative numbers and tokens with a
+    space that name no such option, are positionals; a long option may be
+    shortened to a unique prefix and take its value after '=', and -n takes
+    one after '=' or attached.  An option of another verb is refused.
     """
     if len(token) < 2 or token[0] != "-":
         return None
     head, eq, inline = token.partition("=")
-    if head in names:
-        return head, inline if eq else None
-    if token[1] == "-":
-        matches = [name for name in names if name.startswith(head)]
+    option = None
+    if head in _OPTIONS:
+        option = head, inline if eq else None
+    elif token[1] == "-":
+        matches = [name for name in _OPTIONS if name.startswith(head)]
         if len(matches) > 1:
             raise UsageError(f"ambiguous option {head}: could be {', '.join(matches)}")
         if matches:
-            return matches[0], inline if eq else None
-    elif token[:2] in names:
-        return token[:2], token[2:]
+            option = matches[0], inline if eq else None
+    elif token[:2] in _OPTIONS:
+        option = token[:2], token[2:]
+    if option is not None and (verb is None or option[0] in _COMMON or option[0] in _VERBS[verb].options):
+        return option
     if _NEGATIVE_NUMBER.match(token) or " " in token:
         return None
+    if option is not None:
+        raise UsageError(f"{verb} does not read {option[0]}")
     raise UsageError(f"unknown option {token}")
 
 
 def _read_argv(argv, args) -> bool:
     """Fill `args` from argv; False when it asks for the usage block.
 
-    The first positional is the verb, which adds its own options to the
-    common ones; after a bare `--` every token is a positional.  Every token
-    is read, so a --format anywhere decides how an error prints, and the
-    first malformed one is raised as a UsageError at the end.
+    The first positional is the verb, which names the options it takes
+    besides -h/--help and --format; after a bare `--` every token is a
+    positional.  Every token is read, so a --format anywhere decides how an
+    error prints, and the first malformed one (another verb's option among
+    them) is raised as a UsageError at the end, or else the first missing
+    positional or option without a default.
     """
-    names, positional, error, only_positionals = _COMMON, None, None, False
+    positional, error, only_positionals = None, None, False
     k = 0
     while k < len(argv):
         token = argv[k]
@@ -505,15 +498,14 @@ def _read_argv(argv, args) -> bool:
             if token == "--" and not only_positionals:
                 only_positionals = True
                 continue
-            option = None if only_positionals else _option(token, names)
+            option = None if only_positionals else _option(token, args.verb)
             if option is None:
                 if args.verb is None:
                     if token not in _VERBS:
                         raise UsageError(f"unknown verb {token!r}; choose from {', '.join(_VERBS)}")
                     args.verb = token
-                    positional, own = _VERBS[token].positional, _VERBS[token].options
-                    names = _COMMON + tuple(own)
-                    for name, default in own.items():
+                    positional = _VERBS[token].positional
+                    for name, default in _VERBS[token].options.items():
                         setattr(args, _field(name), default)
                 elif positional is None or getattr(args, positional) is not None:
                     raise UsageError(f"unexpected argument {token!r}")
@@ -528,14 +520,14 @@ def _read_argv(argv, args) -> bool:
                     return False
                 continue
             if value is None:
-                if k == len(argv) or argv[k] == "--" or _option(argv[k], names) is not None:
+                if k == len(argv) or argv[k] == "--" or _option(argv[k], args.verb) is not None:
                     raise UsageError(f"{name} expects a value")
                 value = argv[k]
                 k += 1
             if name in _INTEGER_OPTIONS:
                 try:
-                    value = int(value)
-                except ValueError:
+                    value = read_decimal(value)
+                except InvalidArgumentError:
                     raise UsageError(f"{name} expects an integer, got {value!r}") from None
             elif name == "--format" and value not in ("text", "json"):
                 raise UsageError(f"--format must be text or json, got {value!r}")
@@ -547,34 +539,27 @@ def _read_argv(argv, args) -> bool:
     if error is None and args.verb is None:
         error = UsageError("a verb is required; see zetaforge --help")
     elif error is None:
-        required = _VERBS[args.verb].required
-        if required and getattr(args, required) is None:
-            error = UsageError(f"{args.verb} requires a {required}")
+        verb = _VERBS[args.verb]
+        missing = [name for name, default in verb.options.items() if default is None and getattr(args, _field(name)) is None]
+        if verb.positional and getattr(args, verb.positional) is None:
+            missing.insert(0, ("an " if verb.positional[0] in "aeiou" else "a ") + verb.positional)
+        if missing:
+            error = UsageError(f"{args.verb} requires {missing[0]}")
     if error is not None:
         raise error
     return True
 
 
-class _Default(int):
-    """An integer option's default, which equals the value and tells
-    `run_command` that the command line left the option out."""
-
-    __slots__ = ()
-
-
 def main(argv=None) -> int:
     args = SimpleNamespace(
         verb=None, expression=None, file=None, manifest=None,
-        n=None, format="text", series_order=_Default(10), ell=None, precision=None,
+        n=None, format="text", series_order=None, ell=None, precision=None,
     )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # integers read and print in full, whatever their size
     try:
         if not _read_argv(sys.argv[1:] if argv is None else argv, args):
             return _print(_USAGE, 0)
-    except UsageError as exc:
-        return _print_error(args, exc.code, exc.message)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact values print in full, whatever their size
-    try:
         report, ok = run_command(args)
         text = _render_json(report) if args.format == "json" else _render_text(report)
     except ZetaforgeError as exc:

@@ -34,6 +34,7 @@ __all__ = [
     "parity_sign",
     "read_int",
     "read_key",
+    "read_decimal",
 ]
 
 
@@ -61,6 +62,18 @@ def read_key(key: str) -> int:
     if not _KEY.fullmatch(key):
         raise InvalidArgumentError(f"malformed integer key {key!r}")
     return int(key)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_decimal(text: str) -> int:
+    """An integer as an expression or a command line writes it: ASCII digits
+    after an optional minus sign, leading zeros allowed.  Anything else is
+    an InvalidArgumentError."""
+    if not _DECIMAL.fullmatch(text):
+        raise InvalidArgumentError(f"malformed integer {text!r}")
+    return int(text)
 
 
 class IntMatrix(Record):

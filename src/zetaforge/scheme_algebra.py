@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
-from .intlinalg import ensure_prime_power, prime_power_base
+from .intlinalg import ensure_prime_power, prime_power_base, read_decimal
 from .lfunctions import Q, QI, AbelianFieldSpec, SpecialValue
 from .record import Record, kept_per_argument
 from .zetarep import (
@@ -608,17 +608,14 @@ def _read(tokens):
     raise ExprSyntaxError("missing closing parenthesis", open_groups[-1][1])
 
 
-# an integer as written in an expression: ASCII digits, and a minus sign
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def _expect_int(node, what: str) -> int:
     value, pos = node
     if isinstance(value, list):
         raise ExprSyntaxError(f"expected an integer for {what}", pos)
-    if not _INTEGER.fullmatch(value):
-        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos)
-    return int(value)
+    try:
+        return read_decimal(value)
+    except InvalidArgumentError:
+        raise ExprSyntaxError(f"expected an integer for {what}, got {value!r}", pos) from None
 
 
 def _expect_int_list(node, what: str) -> list[int]:

@@ -522,6 +522,25 @@ def test_an_integer_is_ascii_digits_after_an_optional_minus(capsys, expr, positi
     assert cli.parse_expr("(curve 002 (01 -0 2))") == Curve(2, (1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ord", "(point 2)", "-n", "-\u0661"], "-n"),
+        (["value", "(point 2)", "-n=-1_0"], "-n"),
+        (["trace-check", "(point 2)", "--series-order", "\uff13"], "--series-order"),
+        (["value", "(Qi)", "-n", "-1", "--precision", "+30"], "--precision"),
+        (["ell-check", "(point 2)", "-n", "-1", "--ell", "0_3"], "--ell"),
+        (["value", "(point 2)", "-n", " -2 "], "-n"),
+    ],
+    ids=["arabic-indic", "underscore", "fullwidth", "plus", "leading-zero-underscore", "spaces"],
+)
+def test_an_integer_option_is_read_as_an_expression_reads_an_integer(capsys, argv, option):
+    # int() would read these as -1, -10, 3, 30, 3 and -2, and the verb would run
+    code, data = run_json(capsys, *argv)
+    assert code == 2 and data["error"]["code"] == "usage"
+    assert data["error"]["message"].startswith(f"{option} expects an integer, got ")
+
+
 def test_trace_and_ell_and_p(capsys):
     assert run_cli(capsys, "trace-check", "(point 2)", "--series-order", "6")[0] == 0
     code, data = run_json(capsys, "ell-check", "(point 3)", "-n", "-2", "--ell", "2")
@@ -593,10 +612,11 @@ def test_ord_has_no_hodge_option(capsys, verb, expression):
     assert capsys.readouterr().err == "error [usage]: unknown option --hodge\n"
 
 
-# the common options each verb reads besides --format
+# the options each verb takes besides -h/--help and --format
 READS = {
-    "zeta": (), "ord": ("-n",), "value": ("-n",), "verify-c": ("-n",), "trace-check": ("--series-order",),
-    "ell-check": ("-n", "--ell"), "p-check": ("-n",), "det": (), "batch": ("--series-order",),
+    "zeta": (), "ord": ("-n",), "value": ("-n", "--precision"), "verify-c": ("-n",),
+    "trace-check": ("--series-order",), "ell-check": ("-n", "--ell"), "p-check": ("-n",), "det": (),
+    "batch": ("--manifest", "--series-order"),
 }
 
 
@@ -605,7 +625,7 @@ READS = {
     [
         (["zeta", "(Qi)", "-n", "5", "--ell", "4"], "-n"),
         (["det", str(GOLDEN / "det_three_term_input.json"), "-n", "7"], "-n"),
-        (["p-check", "(point 2)", "-n", "-1", "--ell", "4", "--series-order", "3"], "--series-order"),
+        (["p-check", "(point 2)", "-n", "-1", "--series-order", "3", "--ell", "4"], "--series-order"),
     ],
     ids=["zeta", "det", "p-check"],
 )
@@ -618,9 +638,9 @@ def test_an_option_the_verb_does_not_read_is_refused(capsys, argv, refused):
 def test_every_verb_refuses_each_common_option_it_does_not_read(capsys, tmp_path, verb):
     # the option's default value, written out, is refused too; an option
     # the verb reads is taken
-    positional = {"det": [str(GOLDEN / "det_three_term_input.json")],
-                  "batch": ["--manifest", str(GOLDEN / "batch_repeats_manifest.json")]}.get(verb, ["(point 3)"])
-    values = {"-n": "-1", "--series-order": "10", "--ell": "2"}
+    positional = {"det": [str(GOLDEN / "det_three_term_input.json")], "batch": []}.get(verb, ["(point 3)"])
+    values = {"-n": "-1", "--series-order": "10", "--ell": "2", "--precision": "50",
+              "--manifest": str(GOLDEN / "batch_repeats_manifest.json")}
     argv = [verb, *positional, *(token for option in READS[verb] for token in (option, values[option]))]
     code, data = run_json(capsys, *argv)
     assert code in (0, 1), data
@@ -1564,32 +1584,37 @@ def test_error_contract_det_files(data):
 # command-line reader: the same namespaces as the argparse parser it replaced
 
 
+def ascii_int(text: str) -> int:
+    """An integer option's value: ASCII digits after an optional minus."""
+    if not (text.removeprefix("-").isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def reference_parser() -> argparse.ArgumentParser:
-    """The argparse tree the CLI was built on; the reader must agree with it."""
+    """An argparse tree of the command line; the reader must agree with it.
+    Each verb's subparser holds its positional and only its own options,
+    those without a default required."""
     parser = argparse.ArgumentParser(prog="zetaforge")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, expression=True):
-        if expression:
-            p.add_argument("expression", nargs="?")
-        p.add_argument("-n", type=int, default=None)
+    verbs = {
+        "zeta": ("expression",), "ord": ("expression", "-n"), "value": ("expression", "-n", "--precision"),
+        "verify-c": ("expression", "-n"), "trace-check": ("expression", "--series-order"),
+        "ell-check": ("expression", "-n", "--ell"), "p-check": ("expression", "-n"), "det": ("file",),
+        "batch": ("--manifest", "--series-order"),
+    }
+    options = {
+        "-n": dict(type=ascii_int, required=True),
+        "--precision": dict(type=ascii_int, default=DEFAULT_PRECISION),
+        "--series-order": dict(type=ascii_int, default=10, dest="series_order"),
+        "--ell": dict(type=ascii_int, required=True),
+        "--manifest": dict(required=True),
+    }
+    for verb, arguments in verbs.items():
+        p = sub.add_parser(verb)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--series-order", type=int, default=10, dest="series_order")
-        p.add_argument("--ell", type=int, default=None)
-
-    for verb in ("zeta", "verify-c", "trace-check", "ell-check", "p-check"):
-        common(sub.add_parser(verb))
-    p_value = sub.add_parser("value")
-    common(p_value)
-    p_value.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_ord = sub.add_parser("ord")
-    common(p_ord)
-    p_det = sub.add_parser("det")
-    p_det.add_argument("file")
-    common(p_det, expression=False)
-    p_batch = sub.add_parser("batch")
-    p_batch.add_argument("--manifest", required=True)
-    common(p_batch, expression=False)
+        for name in arguments:
+            p.add_argument(name, **options.get(name, {}))
     return parser
 
 
@@ -1598,7 +1623,7 @@ VERBS = ["zeta", "ord", "value", "verify-c", "trace-check", "ell-check", "p-chec
 # weighted toward forms argparse accepts, so that both outcomes are common
 OPTIONS = ["-n", "--format", "--series-order", "--ell"] * 3 + [
     "--precision", "--hodge", "--manifest", "--bogus"]
-NOT_INTEGERS = ["x", "1.5", "-1.5", "", "-", "-x", "1 2", "-1 2", "2x"]
+NOT_INTEGERS = ["x", "1.5", "-1.5", "", "-", "-x", "1 2", "-1 2", "2x", "+3", "1_0", " 2", "-\u0661", "\uff13"]
 option_values = {
     "--format": st.sampled_from(["text", "json"] * 4 + ["xml", "-1", ""]),
     "--manifest": st.sampled_from(["m.json", "-2", "", "-x"]),
@@ -1691,10 +1716,11 @@ def test_reader_agrees_with_argparse(argv):
     [
         ["value", "-n", "-2", "--", "(Q)"],
         ["value", "--precision=50", "(Q)", "-n=-2", "--format", "text", "--format=json"],
-        ["ord", "(Q)", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
-        ["det", "-n", "-2", "complex.json", "--f", "json"],
+        ["ell-check", "(Q)", "--e", "3", "-n-1", "--ell", "5", "--ell=7"],
+        ["det", "complex.json", "--f", "json"],
         ["batch", "--m=manifest.json", "--series-order", "-4"],
-        ["zeta", "-n 5"],  # a space inside an option token: -n with " 5"
+        ["zeta", "-n 5"],  # a token with a space that names no option of the verb is a positional
+        ["value", "(Q)", "-n", "007"],  # leading zeros, as in an expression
         ["zeta", "-5"],  # a negative number is a positional
     ],
 )
@@ -1719,6 +1745,12 @@ def test_reader_examples_agree_with_argparse(argv):
         ["value", "(Q)", "--format", "yaml"],
         ["zeta", "(Q)", "--precision", "30"],
         ["value", "(Q)", "--help=1"],
+        # options another verb takes
+        ["ord", "(Q)", "--s", "3", "-n-1", "--ell", "5", "--ell=7"],
+        ["det", "-n", "-2", "complex.json", "--f", "json"],
+        ["value", "(Q)", "-n 5"],  # -n with " 5", not an integer
+        # the command line is read before the expression
+        ["value", "(point"],
     ],
 )
 def test_malformed_command_lines_are_usage_errors(argv):
