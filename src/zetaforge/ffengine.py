@@ -3,24 +3,24 @@
 Four executable identities for expressions over F_q at weights n < 0:
 
   * special value:  |zeta(X, n)| = chi_x(X, n), exactly;
-  * trace formula:  the Taylor coefficients of the combined rational
-    function agree with exp(sum_k N_k t^k / k), with the point counts N_k
-    computed combinatorially (Newton power sums for curves); Z(X, t) lies
-    in 1 + tZ[[t]], so both series are computed in integers;
+  * trace formula:  Z(X, t) = exp(sum_k N_k t^k / k), as Z(0) = 1 and
+    t Z'/Z = sum_k N_k t^k to t^K: the zeta product's logarithmic
+    derivative against point counts walked from the expression itself, so
+    a wrong fold of the normal form fails it;
   * ell-adic part:  |zeta(X, n)|_ell equals the alternating product of the
     ell-parts of the graded cohomology orders, for each prime ell != p;
   * p-part:         v_p(zeta(X, n)) = 0.
 
 Each check takes an expression or its `scheme_algebra.Evaluation` and reads
-the normal form, zeta product, and the exact value and order data at its
-weight from that one record, which `batch` builds once per expression.
+the zeta product, and the exact value and order data at its weight, from
+that one record, which `batch` builds once per expression.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import poly
 
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .intlinalg import is_prime, parity_sign, prime_power_base, rational_valuation, valuation
 from .record import Record
-from .scheme_algebra import Curve, Evaluation, NormalForm
-from .zetarep import RationalFunctionT, ZetaProduct, _exact_str
+from .scheme_algebra import _ATOMS, Affine, Curve, Disjoint, Evaluation, Glue, Minus, Proj, _unfold
+from .zetarep import _exact_str
 
 __all__ = [
     "VerificationReport",
@@ -115,13 +115,10 @@ def verify_C_finite_char(e, n: int) -> VerificationReport:
 @lru_cache(maxsize=128)
 def _newton_power_sums(lpoly: tuple, K: int) -> tuple:
     """Power sums p_k of the inverse roots of P(t) = 1 + a_1 t + ... + a_d t^d
-    at the indices k = 1..K (index 0 holds 0).
-
-    With e_j = (-1)^j a_j, Newton's identities give
-    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k (k) e_k (last term for
-    k <= d only).  Exact integers throughout; the roots are never computed.
-    A curve recurs across the expressions of a manifest, so the sums are
-    kept per process, as a tuple that no caller can change.
+    at the indices k = 1..K (index 0 holds 0), by Newton's identities with
+    e_j = (-1)^j a_j: p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k k e_k
+    (last term for k <= d only), in integers.  A curve recurs across the
+    expressions of a manifest, so the sums are kept per process, as a tuple.
     """
     d = len(lpoly) - 1
     e = [parity_sign(j) * lpoly[j] for j in range(d + 1)]  # e_0 = 1
@@ -136,33 +133,49 @@ def _newton_power_sums(lpoly: tuple, K: int) -> tuple:
     return tuple(p)
 
 
-def _point_counts(nf: NormalForm, q: int, degrees) -> list[int]:
-    """#X(F_{q^k}) for each k in `degrees`, from the normal form: a term
-    c * [atom] * L^r counts c * q^(rk) * #atom(F_{q^k})."""
-    K = max(degrees, default=0)
-    sums = {a: _newton_power_sums(a.lpoly, K) for a in nf.atoms if isinstance(a, Curve)}
-    # each term with its curve's power sums, looked up once rather than per k
-    terms = [(atom, r, c, sums.get(atom)) for (atom, r), c in nf.terms.items()]
-    rmax = max((r for _, r, _, _ in terms), default=0)
+def _point_counts(expr, q: int, degrees) -> list[int]:
+    """#X(F_{q^k}) for each k in `degrees`, by one walk of the expression,
+    not of its normal form, so that a wrong fold in `normalize` shows.
 
-    counts = []
-    for k in degrees:
-        qk = q**k
-        by_power = [0] * (rmax + 1)  # the count is sum_r by_power[r] * q^(rk)
-        for atom, r, c, power_sums in terms:
-            if power_sums is None:
-                if k % atom.m == 0:
-                    by_power[r] += c * atom.m
-            else:
-                by_power[r] += c * (qk + 1 - power_sums[k])
-        n = 0
-        for b in reversed(by_power):
-            n = n * qk + b
+    Each node applies its own rule: a disjoint union or gluing adds, a
+    complement subtracts, and a bundle multiplies its base's count at k by
+    q^(rk) for A^r, (q^((r+1)k) - 1)/(q^k - 1) for P^r and sum_j q^(r_j k)
+    for a cellular assembly.  Spec F_{q^m} has m points when m | k, else
+    none, and a curve q^k + 1 - p_k, from the power sums of its L-polynomial.
+    """
+    qk = [q**k for k in degrees]
+    K = max(degrees, default=0)
+
+    def below(item):
+        """The children of a node, each with its multiplier at each k; None for an atom."""
+        node, weight = item
+        if isinstance(node, _ATOMS):
+            return None
+        if isinstance(node, Disjoint):
+            return [(child, weight) for child in node.parts]
+        if isinstance(node, Glue):
+            return [(node.closed, weight), (node.open_part, weight)]
+        if isinstance(node, Minus):
+            return [(node.total, weight), (node.closed, [-w for w in weight])]
+        if isinstance(node, Affine):
+            cells = [x**node.r for x in qk]
+        elif isinstance(node, Proj):
+            cells = [(x ** (node.r + 1) - 1) // (x - 1) for x in qk]
+        else:
+            cells = [sum(x**r for r in node.ranks) for x in qk]
+        return [(node.base, list(map(mul, weight, cells)))]
+
+    counts = [0] * len(qk)
+    for atom, weight in _unfold((expr, [1] * len(qk)), below):
+        if isinstance(atom, Curve):
+            sums = _newton_power_sums(atom.lpoly, K)
+            own = [x + 1 - sums[k] for k, x in zip(degrees, qk)]
+        else:
+            own = [atom.m if k % atom.m == 0 else 0 for k in degrees]
+        counts = list(map(add, counts, map(mul, weight, own)))
+    for n in counts:
         if n < 0:
-            raise InvalidArgumentError(
-                f"negative point count {n}: the asserted decomposition is impossible"
-            )
-        counts.append(n)
+            raise InvalidArgumentError(f"negative point count {n}: the asserted decomposition is impossible")
     return counts
 
 
@@ -172,59 +185,37 @@ def point_count(e, k: int) -> int:
         raise InvalidArgumentError("field degree k must be >= 1")
     entry = Evaluation.of(e)
     _require_finite_char(entry)
-    return _point_counts(entry.nf, _single_base(entry), [k])[0]
-
-
-def _product_series(z: ZetaProduct, K: int) -> list:
-    """Taylor coefficients to t^K of the finite-characteristic product.
-
-    Numerators and denominators are multiplied modulo t^(K+1), which the
-    long division never reads past; it is exact whatever common factor the
-    two carry.
-    """
-    num, den = [1], [1]
-    for factor, exp in z.finite_char:
-        top, bottom = (factor.Z.num, factor.Z.den) if exp > 0 else (factor.Z.den, factor.Z.num)
-        for _ in range(abs(exp)):
-            num = poly.mul(num, top)[: K + 1]
-            den = poly.mul(den, bottom)[: K + 1]
-    return RationalFunctionT(tuple(num), tuple(den)).series(K)
+    return _point_counts(entry.expr, _single_base(entry), [k])[0]
 
 
 def trace_formula_check(e, K: int = 10) -> VerificationReport:
-    """Z(X, t) = exp(sum_k N_k t^k / k) as exact series up to t^K.
+    """Z(X, t) = exp(sum_k N_k t^k / k) to t^K, in its equivalent form
+    Z(0) = 1 and t Z'/Z = sum_k N_k t^k.
 
-    Both sides are integer recurrences with exact divisions: long division
-    by the constant term of the denominator on the left, and on the right
-    g_j = (sum_{i<=j} N_i g_{j-i}) / j.  Wrong input shows as a Fraction
-    where a division leaves a remainder, and as a failed verdict.
+    The left side is [Z(0), c_1..c_K] with t Z'/Z = sum_k c_k t^k: a finite
+    factor num/den of the zeta product with exponent e adds
+    e t num'/num - e t den'/den, each one long division.  The right side is
+    [1, N_1..N_K], the point counts walked from the expression.  Wrong input
+    shows as an exact Fraction where a constant term does not divide, and
+    as a failed verdict.
     """
     entry = Evaluation.of(e)
     _require_finite_char(entry)
     q = _single_base(entry)
-    lhs = _product_series(entry.zeta, K)
-    counts = _point_counts(entry.nf, q, range(1, K + 1))
-    rhs = _exp_series(counts, K)
+    z0, left = Fraction(1), [0] * (K + 1)
+    for factor, exp in entry.zeta.finite_char:
+        z0 *= Fraction(factor.Z.num[0], factor.Z.den[0]) ** exp
+        for p, sign in ((factor.Z.num, exp), (factor.Z.den, -exp)):
+            if len(p) > 1:  # a constant has t p'/p = 0
+                left = [x + sign * c for x, c in zip(left, poly.log_derivative(p, K))]
+    left[0] = poly.quotient(z0.numerator, z0.denominator)
+    counts = _point_counts(entry.expr, q, range(1, K + 1))
     return VerificationReport(
         claim="grothendieck-trace-formula",
-        left=lhs,
-        right=rhs,
+        left=left,
+        right=[1, *counts],
         context={"expression": entry.printed, "K": K, "point_counts": counts},
     )
-
-
-def _exp_series(counts, K: int) -> list:
-    """Coefficients g_0..g_K of exp(sum_k N_k t^k / k) for counts N_1..N_K.
-
-    t g' = (sum_k N_k t^k) g gives g_j = (sum_{i<=j} N_i g_{j-i}) / j.  For
-    the counts of a variety the series is Z(X, t), which lies in
-    1 + tZ[[t]], so every division is exact; a remainder (counts of no
-    variety) makes that coefficient an exact Fraction.
-    """
-    g = [1] + [0] * K
-    for j in range(1, K + 1):
-        g[j] = poly.quotient(sum(map(mul, counts[:j], reversed(g[:j]))), j)
-    return g
 
 
 def ell_adic_check(e, n: int, ell: int) -> VerificationReport:

@@ -1,9 +1,9 @@
 """Dense univariate polynomials as coefficient sequences, ascending.
 
 The one helper set shared by the rational functions of `zetarep`, the
-cyclotomic arithmetic of `lfunctions`, the trace-formula series of
-`ffengine`, the integer Bernoulli tables and the L-weights of the
-expression calculus.  Coefficients may be ints or Fractions; results are
+cyclotomic arithmetic of `lfunctions`, the logarithmic derivatives of the
+trace formula in `ffengine`, the integer Bernoulli tables and the
+L-weights of the expression calculus.  Coefficients may be ints or Fractions; results are
 exact.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["trim", "mul", "window_sum", "evaluate", "quotient"]
+__all__ = ["trim", "mul", "window_sum", "evaluate", "quotient", "log_derivative"]
 
 
 def trim(p) -> tuple:
@@ -59,3 +59,19 @@ def quotient(a, b):
     """a / b: an int when b divides a, otherwise the exact Fraction."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
+
+
+def log_derivative(p, K: int) -> list:
+    """Coefficients c_0..c_K of t p'/p, for p(0) != 0, by one long division
+    from p c = t p' over the nonzero p_j, j >= 1; a coefficient is an int
+    where p(0) divides and the exact Fraction otherwise."""
+    terms = [(j, a) for j, a in enumerate(p) if j and a]
+    c = [0] * (K + 1)
+    for k in range(1, K + 1):
+        acc = k * p[k] if k < len(p) else 0
+        for j, a in terms:
+            if j >= k:
+                break
+            acc -= a * c[k - j]
+        c[k] = acc if p[0] == 1 else quotient(acc, p[0])
+    return c

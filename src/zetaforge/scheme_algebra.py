@@ -7,9 +7,9 @@ closed-open gluings Z u U = X (and the complement X - Z), relative affine
 and projective spaces, and cellular assemblies over a base.
 
 Every invariant computed here (the zeta function, chi_mult and graded
-orders, point counts, equivariant Betti data, base bookkeeping) is a
-motivic measure: additive over gluings and complements, multiplicative
-under affine bundles, where A^r contributes L^r, and blind to nilpotents.
+orders, equivariant Betti data, base bookkeeping) is a motivic measure:
+additive over gluings and complements, multiplicative under affine
+bundles, where A^r contributes L^r, and blind to nilpotents.
 So `normalize` reduces every expression, with one explicit-stack walk, to
 the normal form
 
@@ -18,8 +18,9 @@ the normal form
 where P^r over a base weighs it by 1 + L + ... + L^r and a cellular
 assembly by sum_j L^{r_j}.  Each invariant is a fold over the terms that
 evaluates every distinct atom once: the zeta function of an atom shifted
-by s -> s - r and raised to c, its order data at weight n - r, its point
-counts times q^(rk), and so on.
+by s -> s - r and raised to c, its order data at weight n - r, and so on;
+`ffengine` counts points by walking the expression itself, so that the
+trace formula checks these folds.
 
 The `graded` flag of the normal form is false once any gluing or
 complement occurs.  Their long exact sequences determine only Euler
@@ -170,9 +171,9 @@ class Point(SchemeExpr):
 class Curve(SchemeExpr):
     """Smooth projective curve over F_q with Z = P(t)/((1-t)(1-qt)).
 
-    The tuple `lpoly` holds the coefficients of P ascending; P(0) = 1 is
-    required for an honest curve but only flagged by validate(), and
-    Weil-bound violations surface lazily at evaluation time.
+    The tuple `lpoly` holds the coefficients of P ascending.  Only a zero
+    constant term is refused and validate() flags P(0) != 1; no Weil bound
+    is checked, and a value refuses only a zero or pole of Z at t = q^(-n).
     """
 
     __slots__ = ("q", "lpoly")

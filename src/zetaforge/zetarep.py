@@ -15,7 +15,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from math import floor, gcd, log10, prod
-from operator import mul
 
 from . import poly
 from .errors import InvalidArgumentError, PrecisionUnderflowError, WeilViolationError
@@ -73,20 +72,6 @@ class RationalFunctionT(Record):
         num = tuple(c * scale**j if c else 0 for j, c in enumerate(self.num))
         den = tuple(c * scale**j if c else 0 for j, c in enumerate(self.den))
         return RationalFunctionT(num, den)
-
-    def series(self, K: int) -> list:
-        """Taylor coefficients of num/den up to t^K, by long division.
-
-        Each step divides by den(0): a coefficient is an int when the
-        division is exact (always when den(0) = 1) and an exact Fraction
-        otherwise.
-        """
-        out = []
-        for k in range(K + 1):
-            acc = self.num[k] if k < len(self.num) else 0
-            acc -= sum(map(mul, self.den[1 : k + 1], reversed(out)))
-            out.append(poly.quotient(acc, self.den[0]))
-        return out
 
     def __str__(self):
         def fmt(p):  # by `_exact_str`: a shifted coefficient may have millions of digits

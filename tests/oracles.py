@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: cokernels
 by brute enumeration, zeta values by Euler-Maclaurin summation, point counts
-by exhaustive search, determinant ideals by per-differential invariant
-factors, invariant factors of a matrix by gcds of its minors, cyclotomic
-numbers as Fraction polynomials reduced mod a Phi_m built here from its
-definition, conductors of character tables by trying every divisor,
-Dedekind zeta values of abelian fields as products of mpmath Hurwitz
-L-values over characters found by search, the leading coefficient of one
-L-function from mpmath's Hurwitz zeta and its derivative, primes by a
-sieve, and expression equality field by field.  Slow is fine; independent
-is the point.
+by exhaustive search, the exponential of a power series and the Taylor
+series of a rational function in Fractions, determinant ideals by
+per-differential invariant factors, invariant factors of a matrix by gcds
+of its minors, cyclotomic numbers as Fraction polynomials reduced mod a
+Phi_m built here from its definition, conductors of character tables by
+trying every divisor, Dedekind zeta values of abelian fields as products of
+mpmath Hurwitz L-values over characters found by search, the leading
+coefficient of one L-function from mpmath's Hurwitz zeta and its
+derivative, primes by a sieve, and expression equality field by field.
+Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -156,6 +157,27 @@ def series_exp(coeffs, K):
         for d in range(K + 1):
             result[d] += power[d] / fact
     return result
+
+
+def rational_taylor(numerators, denominators, K):
+    """Taylor coefficients to t^K of prod(numerators) / prod(denominators),
+    each factor an ascending coefficient list with a nonzero constant term:
+    schoolbook products, then long division in Fractions."""
+
+    def product(factors):
+        out = [Fraction(1)]
+        for f in factors:
+            out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+                   for k in range(len(out) + len(f) - 1)]
+        return out
+
+    num, den = product(numerators), product(denominators)
+    series = []
+    for k in range(K + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        acc -= sum(den[j] * series[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        series.append(acc / den[0])
+    return series
 
 
 def termwise_snf_determinant_ideal(complex_obj, snf):

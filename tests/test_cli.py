@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaforge
-from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg, scheme_algebra
+from zetaforge import archimedean, cli, detcomplex, forkmap, intlinalg, poly, scheme_algebra
 from zetaforge.errors import ArityError, ExprSyntaxError, InvalidArgumentError, NotPrimePowerError
 from zetaforge.lfunctions import DEFAULT_PRECISION, QI, AbelianFieldSpec
 from zetaforge.scheme_algebra import (
@@ -399,7 +399,8 @@ def test_a_weight_below_minus_2048_is_refused_under_a_memory_limit(verb):
 
 @pytest.mark.parametrize("order", ["1025", "100000000"])
 def test_a_series_order_above_1024_is_refused_under_a_memory_limit(capsys, order):
-    # the trace-formula check takes about K^2 products of K-digit integers
+    # the trace-formula check takes O(K) products of integers of up to K r log2(q)
+    # bits per coefficient and node, and prints 3K of them
     done = _run_under_1gb(["trace-check", "(curve 2 (1 0 2))", "--series-order", order, "--format", "json"])
     assert done.returncode == 2 and "Traceback" not in done.stderr
     error = json.loads(done.stdout)["error"]
@@ -610,6 +611,17 @@ def test_ord_has_no_hodge_option(capsys, verb, expression):
     assert code == 2 and data["error"] == {"code": "usage", "message": "unknown option --hodge"}
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error [usage]: unknown option --hodge\n"
+
+
+def test_an_ambiguous_prefix_lists_only_the_options_of_the_verb(capsys):
+    # once the verb is read, "--" could be only an option that it takes;
+    # before it, an option of any verb
+    code, data = run_json(capsys, "value", "(Q)", "--=3", "-n", "-1")
+    assert code == 2 and data["error"] == {
+        "code": "usage", "message": "ambiguous option --: could be --help, --format, --precision"}
+    code, data = run_json(capsys, "--=3", "value", "(Q)", "-n", "-1")
+    assert code == 2 and data["error"]["message"] == (
+        "ambiguous option --: could be --help, --format, --precision, --series-order, --ell, --manifest")
 
 
 # the options each verb takes besides -h/--help and --format
@@ -825,6 +837,16 @@ def test_failed_verdict_exit_code(capsys):
     assert any(d["severity"] == "error" for d in diags)
 
 
+def test_zeta_fails_on_an_error_diagnostic(capsys):
+    # P(0) = 2 is an error diagnostic, so the report does not pass (exit 1)
+    code, data = run_json(capsys, "zeta", "(curve 2 (2 0 2))")
+    assert code == 1 and data["pass"] is False
+    assert [d["severity"] for d in data["diagnostics"]] == ["error"]
+    # warnings alone pass
+    code, data = run_json(capsys, "zeta", "(minus (proj 1 (curve 2 (1 1 2))) (point 2))")
+    assert code == 0 and data["pass"] is True and {d["severity"] for d in data["diagnostics"]} == {"warning"}
+
+
 ZETA_QI_TEXT = """\
 command: zeta
 expression: (Qi)
@@ -1005,7 +1027,8 @@ def write_manifest(tmp_path, manifest):
 def test_batch_rejects_an_impossible_decomposition_like_trace_check(capsys, tmp_path):
     expr = "(minus (point 2) (curve 2 (1 0 2)))"
     code, data = run_json(capsys, "trace-check", expr)
-    assert code == 2 and data["error"]["code"] == "invalid-argument"
+    assert code == 2 and data["error"] == {
+        "code": "invalid-argument", "message": "negative point count -2: the asserted decomposition is impossible"}
     path = write_manifest(tmp_path, [{"expr": expr, "n": -1}])
     code, batch = run_json(capsys, "batch", "--manifest", path)
     assert code == 2 and batch == data
@@ -1189,6 +1212,48 @@ def test_a_planted_point_count_defect_fails_only_the_trace_formula(capsys, tmp_p
     monkeypatch.setattr(ffengine, "_newton_power_sums",
                         lambda lpoly, K: tuple(p + (k == 2) for k, p in enumerate(sums(lpoly, K))))
     assert failed() == (1, ["grothendieck-trace-formula"])
+
+
+# projective bundles and cellular assemblies over points and curves, one
+# under an affine bundle, each at two weights
+FOLD_MANIFEST = [
+    {"expr": expr, "n": n}
+    for expr in ["(proj 2 (point 3))", "(proj 1 (curve 2 (1 1 2)))", "(affine 1 (proj 3 (point 2)))",
+                 "(cellular (point 2) (0 1 2))", "(cellular (curve 3 (1 2 3)) (1 3))"]
+    for n in (-1, -2)
+]
+
+
+def cellular_rank_plus_one(e):
+    """e with the first rank of each cellular assembly one higher."""
+    if isinstance(e, Cellular):
+        return Cellular(cellular_rank_plus_one(e.base), (e.ranks[0] + 1, *e.ranks[1:]))
+    if isinstance(e, (Affine, Proj)):
+        return type(e)(e.r, cellular_rank_plus_one(e.base))
+    return e
+
+
+@pytest.mark.parametrize("defect", ["proj", "cellular"])
+def test_a_planted_fold_defect_fails_only_the_trace_formula(capsys, tmp_path, monkeypatch, defect):
+    # normalize weighs P^r as P^(r-1), or reads a cellular rank one too high:
+    # the zeta product, the order data and the value follow the wrong normal
+    # form together, and only the point counts, walked from the expression
+    # itself, see it
+    path = write_manifest(tmp_path, FOLD_MANIFEST)
+
+    def failed():
+        code, data = run_json(capsys, "batch", "--manifest", path, "--series-order", "12")
+        return code, [[c["claim"] for c in entry["checks"] if c["verdict"] == "fail"] for entry in data["entries"]]
+
+    assert failed() == (0, [[]] * len(FOLD_MANIFEST))
+    if defect == "proj":
+        window_sum = poly.window_sum
+        monkeypatch.setattr(poly, "window_sum", lambda p, r: window_sum(p, r - 1))
+    else:
+        normalize = scheme_algebra.normalize
+        monkeypatch.setattr(scheme_algebra, "normalize", lambda e: normalize(cellular_rank_plus_one(e)))
+    expected = [["grothendieck-trace-formula"] if f"({defect} " in entry["expr"] else [] for entry in FOLD_MANIFEST]
+    assert failed() == (1, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaforge import ffengine, poly
 from zetaforge.errors import (
     CharZeroAtomError,
     GradedDataUnavailableError,
@@ -10,7 +11,6 @@ from zetaforge.errors import (
     MixedBaseError,
 )
 from zetaforge.ffengine import (
-    _exp_series,
     _newton_power_sums,
     ell_adic_check,
     p_part_check,
@@ -36,7 +36,7 @@ from zetaforge.scheme_algebra import (
 )
 from zetaforge.zetarep import evaluate_at
 
-from oracles import count_points_y2_plus_y_eq_x3, gf4_table, series_exp
+from oracles import count_points_y2_plus_y_eq_x3, gf4_table, rational_taylor, series_exp
 
 
 def nodal_cubic(q=2):
@@ -102,13 +102,36 @@ def test_trace_formula_atoms():
     assert trace_formula_check(Minus(Proj(1, Point(3)), Point(3)), 6).passed
 
 
-def test_trace_formula_against_independent_exp():
-    e = Curve(2, (1, 2, 2))
+@pytest.mark.parametrize(
+    "e, numerators, denominators",
+    [
+        (Curve(2, (1, 2, 2)), [(1, 2, 2)], [(1, -1), (1, -2)]),
+        # Z(P^1_C, t) = Z(C, t) Z(C, 3t)
+        (Proj(1, Curve(3, (1, -2, 3))), [(1, -2, 3), (1, -6, 27)], [(1, -1), (1, -3), (1, -3), (1, -9)]),
+        # Z(Spec F_4) = 1/(1 - t^2) over F_2
+        (Minus(Curve(2, (1, 1, 2)), Point(2, 2)), [(1, 1, 2), (1, 0, -1)], [(1, -1), (1, -2)]),
+        (nodal_cubic(2), [(1,)], [(1, -2)]),
+    ],
+    ids=["curve", "proj", "minus", "glue"],
+)
+def test_trace_formula_counts_exponentiate_to_the_taylor_series_of_z(e, numerators, denominators):
+    # exp(sum_k N_k t^k / k) of the report's counts is the Taylor series of
+    # Z written out here, both in Fractions by the oracles
     report = trace_formula_check(e, 8)
-    assert report.passed
-    counts = {k: point_count(e, k) for k in range(1, 9)}
-    oracle = series_exp({k: Fraction(nk, k) for k, nk in counts.items()}, 8)
-    assert report.left == oracle
+    assert report.passed and report.right[0] == 1
+    counts = report.right[1:]
+    assert series_exp({k: Fraction(n, k) for k, n in enumerate(counts, 1)}, 8) == rational_taylor(
+        numerators, denominators, 8
+    )
+
+
+def test_trace_formula_refuses_before_it_walks(monkeypatch):
+    # the normal form's refusals and a second base come before any count
+    monkeypatch.setattr(ffengine, "_point_counts", lambda *args: pytest.fail("walked"))
+    with pytest.raises(MixedBaseError):
+        trace_formula_check(Disjoint((Point(2), Point(4))), 4)
+    with pytest.raises(InvalidArgumentError, match="bundle ranks"):
+        trace_formula_check(Proj(70000, Point(2)), 4)
 
 
 def test_newton_power_sums_are_kept_as_a_tuple():
@@ -121,43 +144,56 @@ def test_newton_power_sums_are_kept_as_a_tuple():
         sums[1] = 0
 
 
-def fraction_exp_series(linear_coeffs, K):
-    """exp(f) for f = sum_{k>=1} c_k t^k via g' = f' g, all in Fractions."""
-    f = [Fraction(0)] + [Fraction(c) for c in linear_coeffs]
-    g = [Fraction(1)] + [Fraction(0)] * K
-    for j in range(1, K + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += i * f[i] * g[j - i]
-        g[j] = acc / j
-    return g
+def fraction_log_derivative(p, K):
+    """t p'/p to t^K, as t p' times the series of 1/p, all in Fractions."""
+    inverse = []
+    for k in range(K + 1):
+        acc = Fraction(int(k == 0)) - sum(p[j] * inverse[k - j] for j in range(1, min(k, len(p) - 1) + 1))
+        inverse.append(acc / p[0])
+    return [sum(j * p[j] * inverse[k - j] for j in range(1, min(k, len(p) - 1) + 1)) for k in range(K + 1)]
 
 
 @pytest.mark.parametrize(
-    "counts",
+    "p",
     [
-        [1, 0],  # g_2 = 1/2: the counts of no variety
-        [1, 0, 0, 5],
-        [2, -3, 7, 1, 0, 4],
-        [Fraction(1, 2), 3, Fraction(-2, 3)],
-        [3, 9, 27, 81, 243],  # A^1 over F_3: integral
+        (2, 1),  # an exact Fraction wherever 2 does not divide
+        (1, 0, 0, 5),
+        (3, -3, 7, 1, 0, 4),
+        (Fraction(1, 2), 3, Fraction(-2, 3)),
+        (1, -3),  # A^1 over F_3: t p'/p = -(3t + 9t^2 + ...)
     ],
+    ids=["non-unit-constant", "sparse", "dense", "fraction-coefficients", "affine-line"],
 )
-def test_exp_series_matches_fraction_recurrence(counts):
-    K = len(counts)
-    expected = fraction_exp_series([Fraction(n, k) for k, n in enumerate(counts, 1)], K)
-    got = _exp_series(counts, K)
+def test_log_derivative_matches_fraction_arithmetic(p):
+    got = poly.log_derivative(p, 7)
+    expected = fraction_log_derivative(p, 7)
     assert got == expected
     assert [str(c) for c in got] == [str(c) for c in expected]
 
 
-def test_exp_series_matches_fraction_recurrence_on_random_counts():
+def test_log_derivative_matches_fraction_arithmetic_on_random_polynomials():
     rng = random.Random(6)
     for _ in range(200):
         K = rng.randint(0, 12)
-        counts = [rng.randint(-20, 50) for _ in range(K)]
-        expected = fraction_exp_series([Fraction(n, k) for k, n in enumerate(counts, 1)], K)
-        assert [str(c) for c in _exp_series(counts, K)] == [str(c) for c in expected]
+        p = [rng.choice([-3, -2, -1, 1, 2, 5])] + [rng.randint(-20, 50) for _ in range(rng.randint(0, 5))]
+        assert [str(c) for c in poly.log_derivative(p, K)] == [str(c) for c in fraction_log_derivative(p, K)]
+
+
+def test_log_derivative_of_geometric_factors():
+    # t d/dt log(1 - a t^m) = -sum_j m a^j t^(jm): the point counts of the
+    # factors 1 - q^r t and 1 - t^m of a zeta function, with the sign
+    assert poly.log_derivative((1, -2), 4) == [0, -2, -4, -8, -16]
+    assert poly.log_derivative((1, 0, 0, -1), 7) == [0, 0, 0, -3, 0, 0, -3, 0]
+    assert poly.log_derivative((1,), 3) == [0, 0, 0, 0]
+
+
+def test_log_derivative_of_a_product_is_the_sum():
+    rng = random.Random(77)
+    for _ in range(20):
+        f = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+        g = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        fg = poly.log_derivative(poly.mul(f, g), 9)
+        assert fg == [a + b for a, b in zip(poly.log_derivative(f, 9), poly.log_derivative(g, 9))]
 
 
 @pytest.mark.parametrize("q, lpoly", [(2, (1, 1, 2)), (3, (1, -2, 3)), (9, (1, 5, 9))])
