@@ -52,8 +52,13 @@ from .zetarep import _exact_str, evaluate_at, format_decimal
 __all__ = ["run_command", "main"]
 
 
-def _json_loads(text: str):
-    """json.loads; input nested too deep for the decoder is a decode error."""
+def _read_json(path: str):
+    """The JSON value in the file at `path`, read as bytes and decoded once
+    as UTF-8, so that a byte order mark or another encoding is an error as
+    it is for a text read; input nested too deep for the decoder is a
+    decode error."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
     try:
         return json.loads(text)
     except RecursionError:
@@ -118,14 +123,11 @@ def _cmd_claim(entry: Evaluation, args) -> tuple[dict, bool]:
 
 
 def _cmd_det(args) -> tuple[dict, bool]:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = _json_loads(handle.read())
-    C = complex_from_json_dict(data)
+    C = complex_from_json_dict(_read_json(args.file))
     ideal, grade = determinant(C)
-    groups = {
-        str(i): {"rank": H.rank, "torsion": list(H.torsion), "group": str(H)}
-        for i, H in C.cohomology_table.items()
-    }
+    groups = {}
+    for i, H in C.cohomology_table.items():
+        groups[str(i)] = {"rank": H.rank, "torsion": list(H.torsion), "group": str(H)}
     return {
         "command": "det",
         "file": args.file,
@@ -230,9 +232,7 @@ class _Expression:
 def _cmd_batch(args) -> tuple[dict, bool]:
     from .forkmap import forkmap  # loaded with the package; the other verbs do not read it
 
-    with open(args.manifest, "r", encoding="utf-8") as handle:
-        manifest = _json_loads(handle.read())
-    items = _manifest_entries(manifest)
+    items = _manifest_entries(_read_json(args.manifest))
     groups: dict[str, list[int]] = {}
     for i, (text, _) in enumerate(items):
         groups.setdefault(text, []).append(i)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import prod
+from operator import mul
 
 from .errors import InfiniteCohomologyError, InvalidArgumentError
 from .intlinalg import (
     FinGenAbGroup,
     IntMatrix,
-    group_order,
-    parity_sign,
     read_int,
     read_key,
     smith_normal_form,
@@ -48,16 +48,19 @@ class BoundedFreeComplex(Record):
     _defaults = {"differentials": None}
 
     def __post_init__(self):
-        ranks = {int(i): int(r) for i, r in dict(self.ranks).items() if r}
-        if any(r < 0 for r in ranks.values()):
-            raise InvalidArgumentError("ranks must be nonnegative")
+        ranks = {}
+        for i, r in dict(self.ranks).items():
+            if r:
+                ranks[int(i)] = r = int(r)
+                if r < 0:
+                    raise InvalidArgumentError("ranks must be nonnegative")
         object.__setattr__(self, "ranks", ranks)
         diffs = {}
         for i, mat in dict(self.differentials or {}).items():
             i = int(i)
             if not isinstance(mat, IntMatrix):
                 mat = IntMatrix.from_rows(mat)
-            expected = (self.rank(i + 1), self.rank(i))
+            expected = (ranks.get(i + 1, 0), ranks.get(i, 0))
             if (mat.rows, mat.cols) != expected:
                 raise InvalidArgumentError(
                     f"differential at degree {i} has shape {(mat.rows, mat.cols)}, "
@@ -66,10 +69,13 @@ class BoundedFreeComplex(Record):
             if not mat.is_zero:
                 diffs[i] = mat
         object.__setattr__(self, "differentials", diffs)
-        for i, d in diffs.items():
-            nxt = diffs.get(i + 1)
-            if nxt is not None and not (nxt @ d).is_zero:
-                raise InvalidArgumentError(f"d^{i + 1} o d^{i} != 0")
+        for i, d in diffs.items():  # d^{i+1} o d^i = 0, row by row of d^{i+1}
+            after = diffs.get(i + 1)
+            if after is not None:
+                columns = [d.entries[j :: d.cols] for j in range(d.cols)]
+                for row in after.to_rows():
+                    if any(sum(map(mul, row, column)) for column in columns):
+                        raise InvalidArgumentError(f"d^{i + 1} o d^{i} != 0")
 
     @property
     def lo(self) -> int:
@@ -91,10 +97,6 @@ class BoundedFreeComplex(Record):
             return IntMatrix.zero(self.rank(i + 1), self.rank(i))
         return d
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.ranks
-
     @cached_property
     def _invariant_factors(self) -> dict[int, tuple[int, ...]]:
         """Degree i -> nonzero invariant factors of d^i, for each nonzero d^i.
@@ -108,7 +110,7 @@ class BoundedFreeComplex(Record):
     def cohomology_table(self) -> dict[int, FinGenAbGroup]:
         """Degree i -> H^i for every degree from lo to hi (empty for the zero
         complex); each group is computed once and read by every consumer."""
-        if self.is_zero:
+        if not self.ranks:
             return {}
         return {i: cohomology(self, i) for i in range(self.lo, self.hi + 1)}
 
@@ -119,23 +121,26 @@ def cohomology(C: BoundedFreeComplex, i: int) -> FinGenAbGroup:
     A^i / ker d^i embeds in the free module A^{i+1}, so ker d^i is a direct
     summand of A^i containing im d^{i-1} (d o d = 0, checked when the complex
     is built).  Hence H^i = Z^(n_i - rk d^i - rk d^{i-1}) + torsion(coker
-    d^{i-1}), and only the invariant factors of the two differentials count.
+    d^{i-1}), and only the invariant factors of the two differentials count:
+    those of d^{i-1} past its leading 1s are the torsion.
     """
     outgoing = C._invariant_factors.get(i, ())
     incoming = C._invariant_factors.get(i - 1, ())
-    torsion = tuple(t for t in incoming if t >= 2)
-    return FinGenAbGroup(C.rank(i) - len(outgoing) - len(incoming), torsion)
+    return FinGenAbGroup(C.ranks.get(i, 0) - len(outgoing) - len(incoming), incoming[incoming.count(1) :])
 
 
 def multiplicative_euler_char(C: BoundedFreeComplex) -> Fraction:
-    """m = prod |H^i|^((-1)^i); requires every H^i finite."""
-    m = Fraction(1)
-    for i in C.degrees():  # H^i = 0 wherever A^i = 0
-        H = C.cohomology_table[i]
-        if not H.is_finite:
+    """m = prod |H^i|^((-1)^i), the orders of the even and of the odd
+    degrees multiplied apart; requires every H^i finite."""
+    even = odd = 1
+    for i, H in C.cohomology_table.items():
+        if H.rank:
             raise InfiniteCohomologyError(f"H^{i} has rank {H.rank}, so m is undefined")
-        m *= Fraction(group_order(H)) ** parity_sign(i)
-    return m
+        if i % 2:
+            odd *= prod(H.torsion)
+        else:
+            even *= prod(H.torsion)
+    return Fraction(even, odd)
 
 
 def determinant(C: BoundedFreeComplex) -> tuple[Fraction | None, int]:
@@ -145,12 +150,14 @@ def determinant(C: BoundedFreeComplex) -> tuple[Fraction | None, int]:
     is reported only in the all-torsion case, where the embedding det c
     det (x) Q ~ Q is canonical; with free cohomology present it is None.
     """
-    grade = sum(parity_sign(i) * C.rank(i) for i in C.degrees())
+    grade = 0
+    for i, r in C.ranks.items():
+        grade += -r if i % 2 else r
     try:
         m = multiplicative_euler_char(C)
     except InfiniteCohomologyError:
         return None, grade
-    return 1 / m, grade
+    return Fraction(m.denominator, m.numerator), grade
 
 
 # the largest rank, and the largest span hi - lo of degrees, a complex file

@@ -188,6 +188,12 @@ def point_count(e, k: int) -> int:
     return _point_counts(entry.expr, _single_base(entry), [k])[0]
 
 
+# the most bits the two sides of a trace-formula claim may hold together:
+# `trace-check "(affine 32 (point 2))" --series-order 1024` is at the bound,
+# takes 1.7 s and 83 MB and prints 15 MB; twice the bits take four times as long
+_MAX_CLAIM_BITS = 1 << 25
+
+
 def trace_formula_check(e, K: int = 10) -> VerificationReport:
     """Z(X, t) = exp(sum_k N_k t^k / k) to t^K, in its equivalent form
     Z(0) = 1 and t Z'/Z = sum_k N_k t^k.
@@ -198,10 +204,23 @@ def trace_formula_check(e, K: int = 10) -> VerificationReport:
     [1, N_1..N_K], the point counts walked from the expression.  Wrong input
     shows as an exact Fraction where a constant term does not divide, and
     as a failed verdict.
+
+    The k-th term of each side has about k times the bits of one step: the
+    normal form's top degree D times those of q for the counts, which grow
+    as q^(Dk), and those of the zeta product's largest coefficient for the
+    logarithmic derivative.  A claim of about K^2/2 steps above
+    `_MAX_CLAIM_BITS` is refused before any count or division.
     """
     entry = Evaluation.of(e)
     _require_finite_char(entry)
     q = _single_base(entry)
+    top = max((r + isinstance(atom, Curve) for atom, r in entry.nf.terms), default=0)
+    largest = max((abs(c) for factor, _ in entry.zeta.finite_char for c in factor.Z.num + factor.Z.den), default=0)
+    bits = K * K // 2 * max(top * q.bit_length(), largest.bit_length())
+    if bits > _MAX_CLAIM_BITS:
+        raise InvalidArgumentError(
+            f"the trace-formula claim to t^{K} has about {bits} bits, above {_MAX_CLAIM_BITS}: too large to compute"
+        )
     z0, left = Fraction(1), [0] * (K + 1)
     for factor, exp in entry.zeta.finite_char:
         z0 *= Fraction(factor.Z.num[0], factor.Z.den[0]) ** exp

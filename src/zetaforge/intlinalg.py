@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
 Arbitrary-precision matrices, Smith normal form (reduced on the short side
-with nearest-integer remainders in a shrinking active block; its unimodular
-transforms from a tracked rerun, only when read), finitely generated
-abelian groups in invariant-factor form, and p-adic valuations of rationals.
-Everything here is pure and immutable.
+with nearest-integer remainders in a shrinking active block; its record
+holds the invariant factors and the matrix, and builds S, and the
+unimodular transforms U and V from a tracked rerun, only when read),
+finitely generated abelian groups in invariant-factor form, and p-adic
+valuations of rationals.  Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class IntMatrix(Record):
     @classmethod
     def from_rows(cls, data) -> IntMatrix:
         try:
-            data = [list(row) for row in data]
+            data = list(map(list, data))
             entries = tuple(chain.from_iterable(data))
             if set(map(type, entries)) - {int}:  # read_int decides (and refuses true, 1.5, "1")
                 entries = tuple(map(read_int, entries))
@@ -103,17 +104,13 @@ class IntMatrix(Record):
             raise InvalidArgumentError("matrix rows must be lists of integers") from None
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        if any(len(row) != cols for row in data):
+        if set(map(len, data)) - {cols}:
             raise InvalidArgumentError("ragged rows")
         return cls(rows, cols, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
         return cls(rows, cols, (0,) * (rows * cols))
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
@@ -156,27 +153,32 @@ class IntMatrix(Record):
 
 
 class SmithDecomposition(Record):
-    """S in Smith normal form, and the matrix A that was reduced to it.
+    """The invariant factors of A, and the matrix A itself.
 
-    `U` and `V`, unimodular with A = U*S*V, are built the first time either
-    is read, by rerunning the reduction of A with both tracked; the
-    invariant factors never need them.
+    `invariant_factors` are the nonzero diagonal entries of the Smith normal
+    form S of A: positive, each dividing the next.  `S`, and `U` and `V`,
+    unimodular with A = U*S*V, are built the first time they are read: S
+    from the invariant factors, U and V by rerunning the reduction of A with
+    both tracked.  The rank, the diagonal and the invariant factors never
+    need them.
     """
 
-    __slots__ = ("S", "A", "__dict__")
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.S.rows, self.S.cols)
-        return tuple(self.S[i, i] for i in range(n))
+    __slots__ = ("invariant_factors", "A", "__dict__")
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+        return len(self.invariant_factors)
 
     @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
+    def diagonal(self) -> tuple[int, ...]:
+        return self.invariant_factors + (0,) * (min(self.A.rows, self.A.cols) - self.rank)
+
+    @cached_property
+    def S(self) -> IntMatrix:
+        entries = [0] * (self.A.rows * self.A.cols)
+        for t, d in enumerate(self.invariant_factors):
+            entries[t * self.A.cols + t] = d
+        return IntMatrix(self.A.rows, self.A.cols, tuple(entries))
 
     @property
     def U(self) -> IntMatrix:
@@ -208,25 +210,24 @@ class FinGenAbGroup(Record):
     the tuple `torsion`, empty by default."""
 
     __slots__ = ("rank", "torsion")
-    _defaults = {"torsion": ()}
 
-    def __post_init__(self):
-        if self.rank < 0:
+    # built in bulk: an explicit constructor is faster than Record's generic one
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise InvalidArgumentError("negative rank")
-        for t in self.torsion:
-            if t < 2:
+        a = 1
+        for b in torsion:
+            if b < 2:
                 raise InvalidArgumentError("invariant factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
+            if b % a:
                 raise InvalidArgumentError("invariant factors must form a divisibility chain")
+            a = b
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
@@ -234,20 +235,17 @@ class FinGenAbGroup(Record):
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Diagonalize A over Z: S, kept with A.  The nonzero diagonal of S is
-    positive and each entry divides the next; U and V are left to a tracked
-    rerun of the reduction, made only if the result's `U` or `V` is read."""
-    entries = [0] * (A.rows * A.cols)
-    for t, d in enumerate(_reduce(A, False)[0]):
-        entries[t * A.cols + t] = abs(d)
-    return SmithDecomposition(IntMatrix(A.rows, A.cols, tuple(entries)), A)
+    """Diagonalize A over Z: its invariant factors, kept with A.  S, U and V
+    are left to the result, built only if its `S`, `U` or `V` is read."""
+    return SmithDecomposition(tuple(map(abs, _reduce(A, False)[0])), A)
 
 
 def _reduce(A: IntMatrix, track: bool):
     """(pivots, Ut, V): the signed pivots that diagonalize B, which is A, or
     its transpose when A has more rows than columns; with `track` also the
     columns Ut of U and the rows V of V with B = U*D*V, D the diagonal of
-    the pivots, and otherwise None for both.
+    the pivots, and otherwise None for both.  The |pivots| are the
+    invariant factors of A: each divides the next.
 
     Each pivot is the first entry of least |x|, in row-major order, of the
     active block, which holds only the rows and columns not yet
@@ -256,81 +254,80 @@ def _reduce(A: IntMatrix, track: bool):
     column operation touches only the pivot row, as the rest of the pivot's
     column is zero by then.  Quotients round to nearest, so each remainder
     lies in [-|p|/2, |p|/2) for the pivot p (Havas and Majewski, "Integer
-    matrix diagonalization", J. Symbolic Comput. 24 (1997)), and a nonzero
-    remainder becomes the next pivot.  A pivot that does not divide the
-    rest of the block takes a row that it does not divide into its own row
-    and goes on, and the pivot strictly shrinks.  The tracked transforms
-    start as identities and undo each operation on B, so that U*B*V stays
-    the B it started from: a row operation by a column operation on U, a
-    column operation by a row operation on V.
+    matrix diagonalization", J. Symbolic Comput. 24 (1997)), and the first
+    remainder of least |x| becomes the next pivot, swapped into place.  A
+    pivot that does not divide the rest of the block takes a row that it
+    does not divide into its own row and goes on, and the pivot strictly
+    shrinks.  The tracked transforms start as identities and undo each
+    operation on B, so that U*B*V stays the B it started from: a row
+    operation by a column operation on U, a column operation by a row
+    operation on V.
     """
     if A.rows > A.cols:
         B = [list(A.entries[j :: A.cols]) for j in range(A.cols)]
     else:
         B = A.to_rows()
     short, long = sorted((A.rows, A.cols))
-    Ut, V = ([[int(i == j) for j in range(n)] for i in range(n)] if track else None for n in (short, long))
-
-    def swap_rows(i):  # R_0 <-> R_i of the block
-        B[0], B[i] = B[i], B[0]
-        if track:
-            Ut[t], Ut[t + i] = Ut[t + i], Ut[t]
-
-    def swap_cols(j):  # C_0 <-> C_j of the block
-        for row in B:
-            row[0], row[j] = row[j], row[0]
-        if track:
-            V[t], V[t + j] = V[t + j], V[t]
-
+    Ut = V = None
+    if track:  # identities on the short and on the long side
+        Ut, V = ([[int(i == j) for j in range(n)] for i in range(n)] for n in (short, long))
     diagonal = []
     t = 0
     while t < short:
-        piv, least = None, 0
-        for i, row in enumerate(B):
-            for j, x in enumerate(row):
-                if x and (piv is None or abs(x) < least):
-                    piv, least = (i, j), abs(x)
+        i = j = least = 0  # the next pivot is at (i, j) of the block, |x| = least
+        for r, row in enumerate(B):
+            for c, x in enumerate(row):
+                if x and (not least or abs(x) < least):
+                    i, j, least = r, c, abs(x)
             if least == 1:  # no entry is smaller: the full scan keeps this one
                 break
-        if piv is None:
+        if not least:
             break
-        if piv[0]:
-            swap_rows(piv[0])
-        if piv[1]:
-            swap_cols(piv[1])
-
         while True:
+            if i:  # R_0 <-> R_i of the block
+                B[0], B[i] = B[i], B[0]
+                if track:
+                    Ut[t], Ut[t + i] = Ut[t + i], Ut[t]
+            if j:  # C_0 <-> C_j of the block
+                for row in B:
+                    row[0], row[j] = row[j], row[0]
+                if track:
+                    V[t], V[t + j] = V[t + j], V[t]
             top = B[0]
             p = top[0]
             sign, size, width = (1 if p > 0 else -1), abs(p), 2 * abs(p)
-            for i in range(1, len(B)):
-                x = B[i][0]
+            i = j = least = 0
+            for r in range(1, len(B)):
+                x = B[r][0]
                 q = sign * ((2 * x + size) // width)  # nearest: x - q*p in [-|p|/2, |p|/2)
                 if q:
-                    B[i] = [a - q * b for a, b in zip(B[i], top)]
-                    if track:  # U: C_0 += q*C_i
-                        Ut[t] = [a + q * b for a, b in zip(Ut[t], Ut[t + i])]
-            rem = [i for i in range(1, len(B)) if B[i][0]]
-            if rem:
-                swap_rows(min(rem, key=lambda r: abs(B[r][0])))
+                    B[r] = [a - q * b for a, b in zip(B[r], top)]
+                    x -= q * p
+                    if track:  # U: C_0 += q*C_r
+                        Ut[t] = [a + q * b for a, b in zip(Ut[t], Ut[t + r])]
+                if x and (not least or abs(x) < least):
+                    i, least = r, abs(x)
+            if i:
                 continue
-            for j in range(1, len(top)):
-                q = sign * ((2 * top[j] + size) // width)
+            for c in range(1, len(top)):
+                q = sign * ((2 * top[c] + size) // width)
                 if q:
-                    top[j] -= q * p
-                    if track:  # V: R_0 += q*R_j
-                        V[t] = [a + q * b for a, b in zip(V[t], V[t + j])]
-            rem = [j for j in range(1, len(top)) if top[j]]
-            if rem:
-                swap_cols(min(rem, key=lambda c: abs(top[c])))
+                    top[c] -= q * p
+                    if track:  # V: R_0 += q*R_c
+                        V[t] = [a + q * b for a, b in zip(V[t], V[t + c])]
+                if top[c] and (not least or abs(top[c]) < least):
+                    j, least = c, abs(top[c])
+            if j:
                 continue
             # p must divide the rest of the block (a unit always does);
-            # otherwise R_0 += R_i for the first row it does not divide
-            bad = next((i for i in range(1, len(B) if size != 1 else 0) if any(x % p for x in B[i])), None)
+            # otherwise R_0 += R_r for the first row r it does not divide
+            if size == 1:
+                break
+            bad = next((r for r in range(1, len(B)) if any(x % p for x in B[r])), None)
             if bad is None:
                 break
             B[0] = [a + b for a, b in zip(top, B[bad])]
-            if track:  # U: C_i -= C_0
+            if track:  # U: C_r -= C_0
                 Ut[t + bad] = [a - b for a, b in zip(Ut[t + bad], Ut[t])]
         diagonal.append(p)
         B = [row[1:] for row in B[1:]]
@@ -340,9 +337,8 @@ def _reduce(A: IntMatrix, track: bool):
 
 def cokernel(A: IntMatrix) -> FinGenAbGroup:
     """Z^rows / image(A), with A the matrix of a map Z^cols -> Z^rows."""
-    snf = smith_normal_form(A)
-    factors = tuple(d for d in snf.invariant_factors if d >= 2)
-    return FinGenAbGroup(A.rows - snf.rank, factors)
+    factors = smith_normal_form(A).invariant_factors
+    return FinGenAbGroup(A.rows - len(factors), factors[factors.count(1) :])
 
 
 def group_order(G: FinGenAbGroup) -> int:

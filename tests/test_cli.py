@@ -192,6 +192,19 @@ def test_det_builds_no_transform(tmp_path, capsys, monkeypatch):
         assert run_json(capsys, "det", str(path))[0] == 0
 
 
+def test_det_builds_no_smith_form_matrix(capsys, monkeypatch):
+    # det reads the invariant factors off each decomposition; S, like U and
+    # V, is built only when read
+    def refuse(decomposition):
+        raise AssertionError("det built S")
+
+    monkeypatch.setattr(intlinalg.SmithDecomposition, "S", property(refuse))
+    for name in ("det_three_term", "det_rank50"):
+        code, report = run_json(capsys, "det", str(GOLDEN / f"{name}_input.json"))
+        report.pop("file")
+        assert code == 0 and report == json.loads((GOLDEN / f"{name}.json").read_text())
+
+
 def test_value_command_exact_and_numeric(capsys):
     code, data = run_json(capsys, "value", "(proj 1 (point 2))", "-n", "-1")
     assert code == 0
@@ -406,6 +419,22 @@ def test_a_series_order_above_1024_is_refused_under_a_memory_limit(capsys, order
     error = json.loads(done.stdout)["error"]
     assert error["code"] == "invalid-argument" and "above 1024" in error["message"]
     assert run_cli(capsys, "trace-check", "(point 2)", "--series-order", "1024")[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["trace-check", "batch"])
+def test_a_trace_claim_above_its_bit_bound_is_refused_under_a_memory_limit(tmp_path, verb):
+    # the counts of (affine 60000 (point 2)) at k have about 60000 k bits: to
+    # t^1024 some 4 GB, refused before any count or division
+    expr = "(affine 60000 (point 2))"
+    argv = ["trace-check", expr]
+    if verb == "batch":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"expr": expr, "n": -1}]))
+        argv = ["batch", "--manifest", str(manifest)]
+    done = _run_under_1gb([*argv, "--series-order", "1024", "--format", "json"])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "invalid-argument" and "trace-formula claim" in error["message"]
 
 
 @pytest.mark.parametrize("verb", ["value", "ord"])
@@ -682,6 +711,18 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "io-error"
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_a_file_in_another_encoding_or_with_a_byte_order_mark_is_an_io_error(capsys, tmp_path, encoding):
+    # the file's bytes are decoded once as UTF-8; json.loads would take
+    # either file as bytes
+    complex_path, manifest_path = tmp_path / "complex.json", tmp_path / "manifest.json"
+    complex_path.write_text(json.dumps({"ranks": {"-1": 1, "0": 1}, "differentials": {"-1": [[5]]}}), encoding=encoding)
+    manifest_path.write_text(json.dumps([{"expr": "(point 2)", "n": -1}]), encoding=encoding)
+    for argv in (["det", str(complex_path)], ["batch", "--manifest", str(manifest_path)]):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2 and json.loads(out)["error"]["code"] == "io-error"
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])

@@ -162,12 +162,17 @@ def scrambled_diagonals(draw):
 @settings(deadline=None, max_examples=40)
 @given(scrambled_diagonals())
 def test_snf_of_scrambled_diagonal(case):
+    # wide, tall and square, and the zero matrix when d is all zero
     A, d = case
     dec = smith_normal_form(A)
     assert snf_is_valid(A, dec)  # U*S*V = A, |det U| = |det V| = 1, the chain
     nonzero = [x for x in d if x]
     torsion = invariant_factors(nonzero)
-    assert dec.invariant_factors == (1,) * (len(nonzero) - len(torsion)) + torsion
+    factors = (1,) * (len(nonzero) - len(torsion)) + torsion
+    assert dec.invariant_factors == factors and dec.rank == len(nonzero)
+    # the record holds the factors alone: the diagonal and S are read off them
+    assert dec.diagonal == factors + (0,) * (len(d) - len(nonzero))
+    assert dec.S == IntMatrix(A.rows, A.cols, tuple(dec.diagonal[i] if i == j else 0 for i in range(A.rows) for j in range(A.cols)))
 
 
 def test_cokernel_examples():

@@ -78,7 +78,7 @@ SAMPLES = {
     "IntMatrix": (lambda: IntMatrix(1, 2, (1, 2)), "IntMatrix(rows=1, cols=2, entries=(1, 2))"),
     "SmithDecomposition": (
         lambda: smith_normal_form(IntMatrix(1, 2, (2, 4))),
-        "SmithDecomposition(S=IntMatrix(rows=1, cols=2, entries=(2, 0)), A=IntMatrix(rows=1, cols=2, entries=(2, 4)))",
+        "SmithDecomposition(invariant_factors=(2,), A=IntMatrix(rows=1, cols=2, entries=(2, 4)))",
     ),
     "FinGenAbGroup": (lambda: FinGenAbGroup(1, (2,)), "FinGenAbGroup(rank=1, torsion=(2,))"),
     "WeilOrderData": (
