@@ -37,9 +37,10 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from . import archimedean, ffengine
 from .detcomplex import complex_from_json_dict, determinant
@@ -359,19 +360,16 @@ def _render_text(report, path: str = "") -> str:
     return "\n".join(lines)
 
 
-class _Verb(NamedTuple):
-    """What a verb reads: `positional` is the field its one positional fills
-    ("expression", "file" or None), and `options` maps every option it takes
-    besides -h/--help and --format to its default, None where it has none.
-    The reader takes only these options, and requires the positional and
-    each option without a default.  `claim` is the check of a one-claim
-    verb, taken on (entry, args).
+class _Verb(namedtuple("_Verb", "handler positional options claim", defaults=(None,))):
+    """What a verb reads: `handler` runs it, `positional` is the field its
+    one positional fills ("expression", "file" or None), and `options` maps
+    every option it takes besides -h/--help and --format to its default,
+    None where it has none.  The reader takes only these options, and
+    requires the positional and each option without a default.  `claim` is
+    the check of a one-claim verb, taken on (entry, args), or None.
     """
 
-    handler: Callable
-    positional: str | None
-    options: dict
-    claim: Callable | None = None
+    __slots__ = ()
 
 
 _DEFAULT_SERIES_ORDER = 10
@@ -416,13 +414,6 @@ options: -n N (negative), --format text|json, --series-order K (default 10),
          a verb takes -n, --series-order and --ell where its line has N, K, L"""
 
 
-# the largest series order K: the trace-formula check takes O(K) products of
-# integers of up to K r log2(q) bits (bundle ranks summing to r) per node and
-# per coefficient of the zeta product, and prints 3K of them (`trace-check
-# "(proj 3 (curve 2 (1 0 2)))"`: 0.13 s at K = 1000, 0.14 s at 1024)
-_MAX_SERIES_ORDER = 1024
-
-
 def run_command(args) -> tuple[dict, bool]:
     """Dispatch a namespace filled by `_read_argv` to its implementation,
     once the values of its options are in their domains; an expression verb
@@ -430,8 +421,6 @@ def run_command(args) -> tuple[dict, bool]:
     verb = _VERBS[args.verb]
     if args.series_order is not None and args.series_order < 0:
         raise InvalidArgumentError(f"--series-order must be >= 0, got {args.series_order}")
-    if args.series_order is not None and args.series_order > _MAX_SERIES_ORDER:
-        raise InvalidArgumentError(f"--series-order {args.series_order} is above {_MAX_SERIES_ORDER}: too long to compute")
     if verb.positional != "expression":
         return verb.handler(args)
     expr = parse_expr(args.expression)

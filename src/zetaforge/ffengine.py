@@ -190,7 +190,9 @@ def point_count(e, k: int) -> int:
 
 # the most bits the two sides of a trace-formula claim may hold together:
 # `trace-check "(affine 32 (point 2))" --series-order 1024` is at the bound,
-# takes 1.7 s and 83 MB and prints 15 MB; twice the bits take four times as long
+# takes 1.7 s and 83 MB and prints 15 MB, and so is `(point 2)` at K = 5792,
+# as the count walk writes q^k for every k whatever the top degree; twice the
+# bits take four times as long
 _MAX_CLAIM_BITS = 1 << 25
 
 
@@ -205,18 +207,20 @@ def trace_formula_check(e, K: int = 10) -> VerificationReport:
     shows as an exact Fraction where a constant term does not divide, and
     as a failed verdict.
 
-    The k-th term of each side has about k times the bits of one step: the
-    normal form's top degree D times those of q for the counts, which grow
-    as q^(Dk), and those of the zeta product's largest coefficient for the
+    The k-th term of each side has about k times the bits of one step:
+    max(D, 1) times those of q for the counts, D the normal form's top
+    degree, as they grow as q^(Dk) and the walk writes q^k for every k
+    whatever D, and those of the zeta product's largest coefficient for the
     logarithmic derivative.  A claim of about K^2/2 steps above
-    `_MAX_CLAIM_BITS` is refused before any count or division.
+    `_MAX_CLAIM_BITS` is refused before any count or division, an empty
+    zeta product's included.
     """
     entry = Evaluation.of(e)
     _require_finite_char(entry)
     q = _single_base(entry)
     top = max((r + isinstance(atom, Curve) for atom, r in entry.nf.terms), default=0)
     largest = max((abs(c) for factor, _ in entry.zeta.finite_char for c in factor.Z.num + factor.Z.den), default=0)
-    bits = K * K // 2 * max(top * q.bit_length(), largest.bit_length())
+    bits = K * K // 2 * max(max(top, 1) * q.bit_length(), largest.bit_length())
     if bits > _MAX_CLAIM_BITS:
         raise InvalidArgumentError(
             f"the trace-formula claim to t^{K} has about {bits} bits, above {_MAX_CLAIM_BITS}: too large to compute"

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import threading
 
 __all__ = ["forkmap"]
 
@@ -38,6 +37,8 @@ def _worker_count() -> int:
     would hold only the calling thread)."""
     if not all(hasattr(os, name) for name in ("sched_getaffinity", "fork", "memfd_create")):
         return 1
+    import threading  # here, not at the top: its import costs about 1 ms
+
     return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
 
 

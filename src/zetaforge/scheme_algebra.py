@@ -45,9 +45,9 @@ exactly when they print the same.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import poly
 from .errors import ArityError, CharZeroAtomError, ExprSyntaxError, InvalidArgumentError
@@ -254,14 +254,12 @@ _ATOMS = (Point, Curve, NumberRing)
 # the normal form
 
 
-class NormalForm(NamedTuple):
+class NormalForm(namedtuple("NormalForm", "terms graded atoms")):
     """e = sum c * [atom] * L^r as terms {(atom, r): c}, in the order the
     atoms first occur; `graded` is false once a gluing or complement occurs,
     and `atoms` are the distinct atoms in order of first occurrence."""
 
-    terms: dict
-    graded: bool
-    atoms: tuple
+    __slots__ = ()
 
 
 # the largest degree written out densely: of Z = 1/(1 - t^m) in t, the

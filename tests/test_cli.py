@@ -410,15 +410,71 @@ def test_a_weight_below_minus_2048_is_refused_under_a_memory_limit(verb):
         assert error["code"] == "invalid-argument" and "below -2048" in error["message"]
 
 
-@pytest.mark.parametrize("order", ["1025", "100000000"])
-def test_a_series_order_above_1024_is_refused_under_a_memory_limit(capsys, order):
-    # the trace-formula check takes O(K) products of integers of up to K r log2(q)
-    # bits per coefficient and node, and prints 3K of them
-    done = _run_under_1gb(["trace-check", "(curve 2 (1 0 2))", "--series-order", order, "--format", "json"])
+@pytest.mark.parametrize("expr, order", [("(affine 32 (point 2))", "1025"), ("(curve 2 (1 0 2))", "100000000")],
+                         ids=["1025", "100000000"])
+def test_a_series_order_above_1024_is_refused_under_a_memory_limit(capsys, expr, order):
+    # the series order has no cap of its own: the trace-formula claim that
+    # reads it is refused by its size, which (affine 32 (point 2)) reaches
+    # just above K = 1024, and K = 10^8 passes for any claim
+    done = _run_under_1gb(["trace-check", expr, "--series-order", order, "--format", "json"])
     assert done.returncode == 2 and "Traceback" not in done.stderr
     error = json.loads(done.stdout)["error"]
-    assert error["code"] == "invalid-argument" and "above 1024" in error["message"]
+    assert error["code"] == "invalid-argument" and "trace-formula claim" in error["message"]
     assert run_cli(capsys, "trace-check", "(point 2)", "--series-order", "1024")[0] == 0
+
+
+def test_the_trace_claim_bounds_the_series_order_under_a_memory_limit():
+    # the count walk writes q^k for every k, so (point 2) is at the bound at
+    # K = 5792, and an empty zeta product is bounded too
+    for expr, order in [("(minus (point 2) (point 2))", "100000000"), ("(point 2)", "5793")]:
+        done = _run_under_1gb(["trace-check", expr, "--series-order", order, "--format", "json"])
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        error = json.loads(done.stdout)["error"]
+        assert error["code"] == "invalid-argument" and "trace-formula claim" in error["message"]
+    for expr, order in [("(curve 2 (1 0 2))", "1025"), ("(point 2)", "5792")]:
+        done = _run_under_1gb(["trace-check", expr, "--series-order", order])
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "manifest, order",
+    [([{"expr": "(point 2)", "n": -1}, {"expr": "(point 2)", "n": -2}], "4096"),
+     ([{"expr": "(Q)", "n": -1}], "100000000")],  # no trace claim reads K
+    ids=["point-4096", "char-zero-10^8"],
+)
+def test_a_batch_reads_its_series_order_only_through_its_trace_claims_under_a_memory_limit(tmp_path, manifest, order):
+    done = _run_under_1gb(["batch", "--manifest", write_manifest(tmp_path, manifest), "--series-order", order,
+                           "--format", "json"])
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["pass"] is True
+
+
+def test_a_trace_claim_counts_the_powers_of_q_the_walk_writes_under_a_memory_limit():
+    # a 60-bit q takes 60 bits a step even for a point, and an empty zeta
+    # product takes those of q: both are refused before any count or division
+    program = """
+import sys
+from zetaforge import ffengine, poly
+from zetaforge.errors import InvalidArgumentError
+from zetaforge.scheme_algebra import parse_expr
+
+expr, K = parse_expr(sys.argv[1]), int(sys.argv[2])
+if sys.argv[3] == "refused":
+    ffengine._point_counts = poly.log_derivative = lambda *args: sys.exit("counted")
+try:
+    print(ffengine.trace_formula_check(expr, K).passed)
+except InvalidArgumentError as exc:
+    print(exc.message)
+"""
+    big = "(point 1000000000000000003)"
+    for expr, order, outcome in [(big, "1058", "refused"), ("(minus (point 2) (point 2))", "100000000", "refused"),
+                                 (big, "1057", "admitted")]:
+        done = _run_under_1gb([expr, order, outcome], command=["-c", program])
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        if outcome == "refused":
+            assert f"claim to t^{order} has about" in done.stdout
+        else:
+            assert done.stdout == "True\n"
 
 
 @pytest.mark.parametrize("verb", ["trace-check", "batch"])

@@ -67,6 +67,14 @@ def test_modules_load_in_the_stated_order():
     assert sorted(name.removeprefix("zetaforge.") for name in LOAD_ORDER if name != "zetaforge") == MODULES
 
 
+def test_the_command_line_does_not_load_typing_or_threading():
+    # under -S no site hook preloads them; `forkmap` imports threading where it reads it
+    probe = "import sys, zetaforge.cli; print(sorted({'typing', 'threading'} & sys.modules.keys()))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def _traced_layers() -> dict:
     """`LAYERS` of perfbench/tracing.py, read without importing perfbench."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
